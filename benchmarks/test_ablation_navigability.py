@@ -10,18 +10,17 @@
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import scaled
-from repro.experiments.scenarios import ablation_sw_links, management_cost
+from repro.experiments import run_sweep, scaled
+from repro.experiments.scenarios import ablation_sw_spec, management_cost_spec
 
 
 def test_ablation_sw_links(once):
-    rows = once(
-        ablation_sw_links,
+    rows = once(run_sweep, ablation_sw_spec(
         n_nodes=scaled(300),
         n_topics=scaled(1000),
         sw_links=(1, 3, 7, 13),
         seed=1,
-    )
+    ))
     emit("Ablation — greedy-lookup cost vs #sw links (rt=15, random subs)", rows)
     by = {r["n_sw_links"]: r for r in rows}
 
@@ -41,12 +40,11 @@ def test_ablation_sw_links(once):
 
 
 def test_management_cost(once):
-    rows = once(
-        management_cost,
+    rows = once(run_sweep, management_cost_spec(
         n_users=scaled(4000),
         sample_size=scaled(400),
         seed=1,
-    )
+    ))
     emit("Management cost per node, Twitter workload (section II argument)", rows)
     by = {r["system"]: r for r in rows}
 
@@ -64,15 +62,14 @@ def test_management_cost(once):
 
 
 def test_ablation_proximity(once):
-    from repro.experiments.scenarios import ablation_proximity
+    from repro.experiments.scenarios import ablation_proximity_spec
 
-    rows = once(
-        ablation_proximity,
+    rows = once(run_sweep, ablation_proximity_spec(
         n_nodes=scaled(300),
         n_topics=scaled(1000),
         betas=(0.0, 0.2, 0.5),
         seed=1,
-    )
+    ))
     emit("Ablation — proximity-aware utility (section III-A2 extension)", rows)
     by = {r["beta"]: r for r in rows}
 

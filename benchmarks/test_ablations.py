@@ -11,11 +11,11 @@
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import scaled
+from repro.experiments import run_sweep, scaled
 from repro.experiments.scenarios import (
-    ablation_gateway_depth,
-    ablation_sampler,
-    ablation_utility,
+    ablation_depth_spec,
+    ablation_sampler_spec,
+    ablation_utility_spec,
 )
 
 SIZE = dict(n_nodes=300, n_topics=1000, events=200, seed=1)
@@ -29,7 +29,7 @@ def sized():
 
 
 def test_ablation_gateway_depth(once):
-    rows = once(ablation_gateway_depth, depths=(1, 2, 5, 8), **sized())
+    rows = once(run_sweep, ablation_depth_spec(depths=(1, 2, 5, 8), **sized()))
     emit("Ablation — gateway depth threshold d", rows)
     by = {r["gateway_depth"]: r for r in rows}
     # Tighter depth → more gateways → more relay paths.
@@ -40,7 +40,7 @@ def test_ablation_gateway_depth(once):
 
 
 def test_ablation_utility_weighting(once):
-    rows = once(ablation_utility, alpha=2.0, **sized())
+    rows = once(run_sweep, ablation_utility_spec(alpha=2.0, **sized()))
     emit("Ablation — rate-weighted utility vs plain Jaccard (α=2)", rows)
     by = {r["rate_weighted"]: r for r in rows}
     # Rate weighting should not hurt, and typically helps, the
@@ -53,7 +53,7 @@ def test_ablation_utility_weighting(once):
 
 
 def test_ablation_peer_sampler(once):
-    rows = once(ablation_sampler, **sized())
+    rows = once(run_sweep, ablation_sampler_spec(**sized()))
     emit("Ablation — Newscast vs Cyclon peer sampling", rows)
     by = {r["sampler"]: r for r in rows}
     # The paper's claim: any sampling service works.

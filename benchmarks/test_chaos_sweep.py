@@ -13,15 +13,14 @@ gracefully mid-run.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import scaled
-from repro.experiments.scenarios import chaos_sweep
+from repro.experiments import run_sweep, scaled
+from repro.experiments.scenarios import chaos_sweep_spec
 
 LOSS_RATES = (0.05, 0.1)
 
 
 def test_chaos_sweep(once):
-    rows = once(
-        chaos_sweep,
+    rows = once(run_sweep, chaos_sweep_spec(
         n_nodes=scaled(200),
         n_topics=400,
         loss_rates=LOSS_RATES,
@@ -31,7 +30,7 @@ def test_chaos_sweep(once):
         recover_cycles=12,
         events=120,
         seed=0,
-    )
+    ))
     emit("Chaos sweep — SWIM vs heartbeat under composed faults", rows)
 
     cell = {(r["detector"], r["loss_rate"]): r for r in rows}

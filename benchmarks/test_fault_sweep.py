@@ -11,15 +11,14 @@ lifts.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import scaled
-from repro.experiments.scenarios import fault_sweep
+from repro.experiments import run_sweep, scaled
+from repro.experiments.scenarios import fault_sweep_spec
 
 LOSS_RATES = (0.0, 0.05, 0.2)
 
 
 def test_fault_sweep(once):
-    rows = once(
-        fault_sweep,
+    rows = once(run_sweep, fault_sweep_spec(
         n_nodes=scaled(160),
         n_topics=200,
         loss_rates=LOSS_RATES,
@@ -29,7 +28,7 @@ def test_fault_sweep(once):
         events=100,
         seed=3,
         fault_seed=11,
-    )
+    ))
     emit("Fault sweep — hit ratio under loss / crashes / partition", rows)
 
     loss = {

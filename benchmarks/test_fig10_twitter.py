@@ -8,21 +8,20 @@ fastest of the three.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import scaled
-from repro.experiments.scenarios import fig10_twitter_sweep
+from repro.experiments import run_sweep, scaled
+from repro.experiments.scenarios import fig10_spec
 
 RT_SIZES = (15, 25, 35)
 
 
 def test_fig10_twitter_sweep(once):
-    rows = once(
-        fig10_twitter_sweep,
+    rows = once(run_sweep, fig10_spec(
         n_users=scaled(6000),
         sample_size=scaled(600),
         rt_sizes=RT_SIZES,
         events=200,
         seed=1,
-    )
+    ))
     emit("Fig. 10 — Twitter workload: three systems vs routing-table size", rows)
 
     by = {(r["system"], r["rt_size"]): r for r in rows}

@@ -12,18 +12,17 @@ any bounded configuration would allow.
 import numpy as np
 
 from benchmarks.conftest import emit
-from repro.experiments import scaled
-from repro.experiments.scenarios import fig11_opt_degree_distribution
+from repro.experiments import run_sweep, scaled
+from repro.experiments.scenarios import fig11_spec
 
 
 def test_fig11_opt_degree_distribution(once):
-    rows = once(
-        fig11_opt_degree_distribution,
+    rows = once(run_sweep, fig11_spec(
         n_users=scaled(6000),
         sample_size=scaled(600),
         cycles=40,
         seed=1,
-    )
+    ))
     emit("Fig. 11 — OPT (unbounded) node-degree distribution", rows)
 
     degrees = [r["degree"] for r in rows for _ in range(r["frequency"])]

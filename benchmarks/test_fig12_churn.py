@@ -10,13 +10,12 @@ are simply broken.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import scaled
-from repro.experiments.scenarios import fig12_churn
+from repro.experiments import run_sweep, scaled
+from repro.experiments.scenarios import fig12_spec
 
 
 def test_fig12_churn(once):
-    rows = once(
-        fig12_churn,
+    rows = once(run_sweep, fig12_spec(
         pool=scaled(250),
         n_topics=200,
         horizon=240.0,
@@ -24,7 +23,7 @@ def test_fig12_churn(once):
         measure_every=20.0,
         events_per_window=120,
         seed=1,
-    )
+    ))
     emit("Fig. 12 — churn: hit ratio / overhead / delay over time", rows)
 
     def series(system, key):

@@ -7,19 +7,18 @@ everywhere.  Delay improves with friends on correlated workloads.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import scaled
-from repro.experiments.scenarios import fig4_friends_vs_sw
+from repro.experiments import run_sweep, scaled
+from repro.experiments.scenarios import fig4_spec
 
 
 def test_fig4_friends_vs_sw(once):
-    rows = once(
-        fig4_friends_vs_sw,
+    rows = once(run_sweep, fig4_spec(
         n_nodes=scaled(300),
         n_topics=scaled(1000),
         friend_counts=(0, 3, 6, 9, 12),
         events=200,
         seed=1,
-    )
+    ))
     emit("Fig. 4 — overhead & delay vs number of friends (rt=15)", rows)
 
     vitis_high = {

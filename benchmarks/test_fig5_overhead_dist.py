@@ -6,8 +6,8 @@ empties the >20% bins to under a third of RVR's share — the average drops
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import scaled
-from repro.experiments.scenarios import fig5_overhead_distribution
+from repro.experiments import run_sweep, scaled
+from repro.experiments.scenarios import fig5_spec
 
 
 def share_above(rows, system, pattern, threshold):
@@ -19,13 +19,12 @@ def share_above(rows, system, pattern, threshold):
 
 
 def test_fig5_overhead_distribution(once):
-    rows = once(
-        fig5_overhead_distribution,
+    rows = once(run_sweep, fig5_spec(
         n_nodes=scaled(300),
         n_topics=scaled(1000),
         events=400,
         seed=1,
-    )
+    ))
     emit("Fig. 5 — fraction of nodes per traffic-overhead bin", rows)
 
     # Vitis puts more nodes in the lowest bin than RVR...

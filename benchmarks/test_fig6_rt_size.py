@@ -6,21 +6,20 @@ links (shorter lookups); Vitis stays below RVR throughout.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import scaled
-from repro.experiments.scenarios import fig6_routing_table_size
+from repro.experiments import run_sweep, scaled
+from repro.experiments.scenarios import fig6_spec
 
 RT_SIZES = (15, 25, 35)
 
 
 def test_fig6_routing_table_size(once):
-    rows = once(
-        fig6_routing_table_size,
+    rows = once(run_sweep, fig6_spec(
         n_nodes=scaled(300),
         n_topics=scaled(1000),
         rt_sizes=RT_SIZES,
         events=200,
         seed=1,
-    )
+    ))
     emit("Fig. 6 — overhead & delay vs routing-table size", rows)
 
     vitis_high = {

@@ -6,21 +6,20 @@ high-correlation one, while RVR is unaffected by rates.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import scaled
-from repro.experiments.scenarios import fig7_publication_rate
+from repro.experiments import run_sweep, scaled
+from repro.experiments.scenarios import fig7_spec
 
 ALPHAS = (0.3, 1.0, 3.0)
 
 
 def test_fig7_publication_rate(once):
-    rows = once(
-        fig7_publication_rate,
+    rows = once(run_sweep, fig7_spec(
         n_nodes=scaled(300),
         n_topics=scaled(1000),
         alphas=ALPHAS,
         events=200,
         seed=1,
-    )
+    ))
     emit("Fig. 7 — overhead & delay vs publication-rate exponent α", rows)
 
     def overhead(pattern, alpha):

@@ -10,13 +10,13 @@ trace and checks the fits.
 import numpy as np
 
 from benchmarks.conftest import emit
-from repro.experiments import scaled
-from repro.experiments.scenarios import fig8_twitter_degrees, fig9_twitter_summary
+from repro.experiments import run_sweep, scaled
+from repro.experiments.scenarios import fig8_spec, fig9_spec
 
 
 def test_fig8_twitter_degree_distribution(once):
     n_users = scaled(20000)
-    rows = once(fig8_twitter_degrees, n_users=n_users, seed=1)
+    rows = once(run_sweep, fig8_spec(n_users=n_users, seed=1))
     # Print log-binned series (the paper's log-log plot) rather than the
     # raw histogram, which has thousands of rows.
     from repro.analysis.distributions import log_binned_histogram
@@ -38,7 +38,8 @@ def test_fig8_twitter_degree_distribution(once):
 
 
 def test_fig9_twitter_summary(once):
-    summary = once(fig9_twitter_summary, n_users=scaled(20000), seed=1)
+    rows = once(run_sweep, fig9_spec(n_users=scaled(20000), seed=1))
+    summary = {r["statistic"]: r["value"] for r in rows}
     emit(
         "Fig. 9 — Twitter trace statistics",
         [{"statistic": k, "value": round(v, 3)} for k, v in summary.items()],

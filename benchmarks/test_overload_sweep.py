@@ -11,16 +11,15 @@ RVR's rendezvous-rooted trees concentrate more load — and more shedding
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import scaled
-from repro.experiments.scenarios import overload_sweep
+from repro.experiments import run_sweep, scaled
+from repro.experiments.scenarios import overload_sweep_spec
 
 PUB_RATES = (4, 16)          # 16 = 4x the near-saturating base rate
 CAPACITIES = (0, 64, 48, 32, 24)  # 0 = unbounded (capacity layer off)
 
 
 def test_overload_sweep(once):
-    rows = once(
-        overload_sweep,
+    rows = once(run_sweep, overload_sweep_spec(
         n_nodes=scaled(200),
         n_topics=400,
         pub_rates=PUB_RATES,
@@ -28,7 +27,7 @@ def test_overload_sweep(once):
         service_rate=25,
         load_cycles=10,
         seed=0,
-    )
+    ))
     emit("Overload sweep — hit ratio / shedding vs queue capacity", rows)
 
     cell = {(r["system"], r["pub_rate"], r["capacity"]): r for r in rows}

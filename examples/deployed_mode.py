@@ -5,8 +5,8 @@ Run:  python examples/deployed_mode.py
 The evaluation harness drives Vitis cycle-driven (like PeerSim's cdsim).
 This example runs the message-driven deployment instead: every exchange
 is a real network message subject to latency, every node runs on its own
-phase-jittered timer (``repro.net.timers`` — the same helper the live
-UDP runtime uses), gateway proposals ride on profile messages, and
+phase-jittered timer (``repro.sim.engine.jittered_period`` — the same
+draw the live UDP runtime uses), gateway proposals ride on profile messages, and
 relay trees are maintained with TTLs and path repair — i.e. what a real
 implementation does between the lines of the paper's pseudocode.
 

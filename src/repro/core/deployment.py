@@ -19,27 +19,52 @@ Measurement remains omniscient (the simulator grades delivery against
 ground-truth subscriptions), but protocol decisions use only information
 that actually travelled in messages.
 
-The class exposes the same surface the dissemination engine consumes
-(``nodes``, ``profile_of``, ``cluster_adjacency``, ``subscribers``,
-``lookup``, …), so :func:`repro.core.dissemination.disseminate` and the
+:class:`DeployedVitis` is an :class:`~repro.core.protocol.OverlaySystem`
+like the cycle-driven protocols, so the oracle dissemination and the
 measurement helpers work unchanged — and the test suite can assert the
 deployed mode converges to the same overlay invariants as the cycle mode.
+
+**The host surface.**  A :class:`DeployedVitisNode` knows nothing of
+engines or sockets.  It is built from its host's ``space`` / ``config`` /
+``utility`` / ``seeds`` and from then on talks to it only through:
+
+- ``now`` — seconds on the host's clock;
+- ``send(msg)`` — hand one :mod:`repro.sim.messages` message to the wire;
+- ``backpressured(addr)`` — True when the caller should defer traffic
+  toward ``addr`` (the host counts the deferral);
+- ``start_timer(period, rng, fn)`` — a phase-jittered periodic task with
+  a ``stop()``;
+- ``is_alive(addr)``, ``topic_id(topic)``, ``profile_of(addr)`` — the
+  liveness predicate, ``hash(topic)`` and the fallback ranking profile;
+- ``span(trace, kind, src, dst, hop, **fields)`` and ``deliver(msg)`` —
+  the notification hand-off: record one causal span (returns its id, or
+  None when untraced) and accept one event for the local subscriber.
+
+Two hosts implement it: :class:`DeployedVitis` on the simulator's virtual
+clock and :class:`repro.net.node.LiveSystem` on asyncio and UDP.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.core.config import VitisConfig
 from repro.core.gateway import Proposal, elect_round
-from repro.core.identifiers import IdSpace
 from repro.core.node import VitisNode, _merge_unique
-from repro.core.utility import PublicationRates, UtilityFunction
+from repro.core.profile import NodeProfile
+from repro.core.protocol import OverlaySystem
+from repro.core.utility import PublicationRates
 from repro.gossip.view import Descriptor
-from repro.net.timers import start_periodic
-from repro.sim.engine import Engine, PeriodicTask
+from repro.obs.spans import (
+    HOP_DELIVER,
+    HOP_FLOOD,
+    HOP_LOOKUP,
+    HOP_PUBLISH,
+    HOP_RELAY,
+    HOP_RENDEZVOUS,
+)
+from repro.sim.engine import start_periodic
 from repro.sim.messages import (
     Notification,
     ProfileMessage,
@@ -49,10 +74,8 @@ from repro.sim.messages import (
     RtExchangeReply,
     RtExchangeRequest,
 )
-from repro.sim.metrics import DisseminationRecord
-from repro.sim.network import LatencyModel, Network
-from repro.sim.rng import SeedTree
-from repro.smallworld.routing import LookupResult, greedy_route
+from repro.sim.network import LatencyModel
+from repro.smallworld.routing import LookupResult
 
 __all__ = ["DeployedVitis", "DeployedVitisNode", "NeighborInfo"]
 
@@ -77,33 +100,39 @@ class NeighborInfo:
 
 
 class DeployedVitisNode(VitisNode):
-    """A Vitis node driven entirely by messages and its own timer."""
+    """A Vitis node driven entirely by messages and its own timer, on
+    whatever host implements the surface in the module docstring."""
 
-    __slots__ = ("system", "neighbor_state", "relay_stamp", "child_stamp", "_task")
+    __slots__ = ("host", "neighbor_state", "relay_stamp", "child_stamp", "_task")
 
     #: Per-period probability that a gateway re-evaluates its relay path
     #: from scratch (path repair; see ``_start_relay_install``).
     REROUTE_P = 0.15
 
-    def __init__(self, system: "DeployedVitis", address: int, subscriptions) -> None:
+    #: Hard bound on notification forwarding depth (loop safety net on
+    #: top of per-event dedup; greedy legs are distance-decreasing and
+    #: flood/tree legs are deduped, so this should never bind).
+    MAX_HOPS = 96
+
+    def __init__(self, host, address: int, subscriptions) -> None:
         super().__init__(
             address,
-            system.space.node_id(address),
+            host.space.node_id(address),
             subscriptions,
-            system.config,
-            system.space,
-            system.utility,
-            system.seeds.pyrandom("node", address),
+            host.config,
+            host.space,
+            host.utility,
+            host.seeds.pyrandom("node", address),
         )
-        self.system = system
+        self.host = host
         #: address → NeighborInfo, fed exclusively by received messages.
         self.neighbor_state: Dict[int, NeighborInfo] = {}
-        #: topic → engine time the relay entry was last refreshed.
+        #: topic → host time the relay entry was last refreshed.
         self.relay_stamp: Dict[int, float] = {}
         #: (topic, child) → last refresh; children expire individually,
         #: else every path that ever crossed this node stays on the tree.
         self.child_stamp: Dict[tuple, float] = {}
-        self._task: Optional[PeriodicTask] = None
+        self._task = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -116,8 +145,8 @@ class DeployedVitisNode(VitisNode):
         self.child_stamp.clear()
         if self._task is not None:
             self._task.stop()
-        self._task = start_periodic(
-            self.system.engine, self.config.gossip_period, self.rng, self._tick
+        self._task = self.host.start_timer(
+            self.config.gossip_period, self.rng, self._tick
         )
 
     def undeploy(self) -> None:
@@ -133,15 +162,16 @@ class DeployedVitisNode(VitisNode):
     def _tick(self) -> Optional[bool]:
         if not self.alive:
             return False
-        net = self.system.network
-        now = self.system.engine.now
+        host = self.host
+        send = host.send
+        now = host.now
 
         # --- peer sampling: active Newscast exchange -------------------
         self.ps.view.age_all()
         self.ps.view.drop_older_than(self.ps.max_age)
         peer = self.ps.view.random_descriptor(self.rng)
         if peer is not None:
-            net.send(
+            send(
                 PsExchangeRequest(
                     src=self.address,
                     dst=peer.address,
@@ -150,9 +180,9 @@ class DeployedVitisNode(VitisNode):
             )
 
         # --- T-Man: active routing-table exchange (Alg. 2) -------------
-        target = self._pick_exchange_peer(self.system.is_alive)
+        target = self._pick_exchange_peer(host.is_alive)
         if target is not None:
-            net.send(
+            send(
                 RtExchangeRequest(
                     src=self.address,
                     dst=target,
@@ -177,7 +207,7 @@ class DeployedVitisNode(VitisNode):
             self.rt,
             neighbor_subscriptions=self._known_subs,
             neighbor_proposal=self._known_proposal,
-            topic_ids=self.system.topic_id,
+            topic_ids=host.topic_id,
             depth=self.config.gateway_depth,
         ))
 
@@ -190,12 +220,11 @@ class DeployedVitisNode(VitisNode):
         # neighbor saturated for staleness_threshold periods is evicted
         # like a silent one.
         payload = self._profile_payload(is_reply=False)
-        cap = net.capacity
+        backpressured = host.backpressured
         for entry in self.rt:
-            if cap is not None and cap.backpressured(entry.address, now):
-                self.system.backpressure_deferred += 1
+            if backpressured(entry.address):
                 continue
-            net.send(ProfileMessage(src=self.address, dst=entry.address, profile=payload))
+            send(ProfileMessage(src=self.address, dst=entry.address, profile=payload))
 
         # --- relay maintenance ------------------------------------------
         ttl = self.config.staleness_threshold * self.config.gossip_period
@@ -241,8 +270,9 @@ class DeployedVitisNode(VitisNode):
     # Relay installation by message hops
     # ------------------------------------------------------------------
     def _start_relay_install(self, topic: int) -> None:
-        target_id = self.system.topic_id(topic)
-        self.relay_stamp[topic] = self.system.engine.now
+        host = self.host
+        target_id = host.topic_id(topic)
+        self.relay_stamp[topic] = host.now
         # Sticky paths (Scribe-style maintenance): keep the current parent
         # while it lives; recomputing every period would re-route the
         # branch whenever a small-world link rotates and litter the
@@ -253,19 +283,17 @@ class DeployedVitisNode(VitisNode):
         nxt = self.relay.parent.get(topic)
         if nxt is not None and self.rng.random() < self.REROUTE_P:
             nxt = None
-        if nxt is None or not self.system.is_alive(nxt):
+        if nxt is None or not host.is_alive(nxt):
             nxt = self._next_hop(target_id)
             if nxt is None:
                 return  # this node is the rendezvous of its own topic
         self.relay.set_parent(topic, nxt)
-        cap = self.system.network.capacity
-        if cap is not None and cap.backpressured(nxt, self.system.engine.now):
+        if host.backpressured(nxt):
             # Defer the refresh to the next period: the parent pointer is
             # already set and the stamp above keeps our own entry alive,
             # so nothing is lost by not pushing into a saturated inbox.
-            self.system.backpressure_deferred += 1
             return
-        self.system.network.send(
+        host.send(
             RelayInstall(
                 src=self.address, dst=nxt, topic=topic,
                 target_id=target_id, origin=self.address, hops=1,
@@ -282,14 +310,14 @@ class DeployedVitisNode(VitisNode):
         return best
 
     def _on_relay_install(self, msg: RelayInstall) -> None:
-        now = self.system.engine.now
+        now = self.host.now
         self.relay.add_child(msg.topic, msg.src)
         self.child_stamp[(msg.topic, msg.src)] = now
         self.relay_stamp[msg.topic] = now
         if msg.hops >= self.config.max_lookup_hops:
             return
         existing = self.relay.parent.get(msg.topic)
-        if existing is not None and self.system.is_alive(existing):
+        if existing is not None and self.host.is_alive(existing):
             # Graft onto the existing branch — but keep forwarding along
             # it so the whole path to the rendezvous stays refreshed
             # (otherwise deep tree segments would expire between grafts).
@@ -299,7 +327,7 @@ class DeployedVitisNode(VitisNode):
             if nxt is None:
                 return  # rendezvous reached
             self.relay.set_parent(msg.topic, nxt)
-        self.system.network.send(
+        self.host.send(
             RelayInstall(
                 src=self.address, dst=nxt, topic=msg.topic,
                 target_id=msg.target_id, origin=msg.origin, hops=msg.hops + 1,
@@ -315,7 +343,7 @@ class DeployedVitisNode(VitisNode):
             reply = _pack(list(self.ps.view) + [self.ps.descriptor()])
             self.ps.view.merge(_unpack(msg.view), exclude=self.address)
             self.ps.view.trim(self.rng)
-            self.system.network.send(
+            self.host.send(
                 PsExchangeReply(src=self.address, dst=msg.src, view=reply)
             )
         elif isinstance(msg, PsExchangeReply):
@@ -327,7 +355,7 @@ class DeployedVitisNode(VitisNode):
                 self.exchange_buffer() + _unpack(msg.buffer), self.address
             )
             self._install_selection(merged, self._profile_from_state)
-            self.system.network.send(
+            self.host.send(
                 RtExchangeReply(src=self.address, dst=msg.src, buffer=reply)
             )
         elif isinstance(msg, RtExchangeReply):
@@ -341,9 +369,9 @@ class DeployedVitisNode(VitisNode):
             info.subscriptions = subs
             info.version = version
             info.proposals = proposals
-            info.last_heard = self.system.engine.now
+            info.last_heard = self.host.now
             if not is_reply:
-                self.system.network.send(
+                self.host.send(
                     ProfileMessage(
                         src=self.address,
                         dst=msg.src,
@@ -353,9 +381,7 @@ class DeployedVitisNode(VitisNode):
         elif isinstance(msg, RelayInstall):
             self._on_relay_install(msg)
         elif isinstance(msg, Notification):
-            sink = getattr(self.network, "notification_sink", None)
-            if sink is not None:
-                sink.on_notification(self, msg)
+            self.on_notification(msg)
 
     def _heard_from(self, address: int) -> None:
         """Any message doubles as a heartbeat (Alg. 7)."""
@@ -370,24 +396,143 @@ class DeployedVitisNode(VitisNode):
         """
         info = self.neighbor_state.get(address)
         if info is not None and info.version >= 0:
-            from repro.core.profile import NodeProfile
-
             p = NodeProfile(address, self.space.node_id(address), info.subscriptions)
             # Align the version so utility caching keys stay precise.
             p.version = info.version
             return p
-        return self.system.profile_of(address)
+        return self.host.profile_of(address)
+
+    # ------------------------------------------------------------------
+    # Confirmed-peer purge (the healing path of a failure detector)
+    # ------------------------------------------------------------------
+    def evict_confirmed(self, address: int) -> None:
+        """Forget a peer a failure detector confirmed dead: routing
+        table, learned state, and every relay edge through it."""
+        self.rt.remove(address)
+        self.neighbor_state.pop(address, None)
+        for topic in [t for t, p in self.relay.parent.items() if p == address]:
+            self.relay.drop_topic(topic)
+            self.relay_stamp.pop(topic, None)
+        for topic, kids in list(self.relay.children.items()):
+            kids.discard(address)
+            self.child_stamp.pop((topic, address), None)
+            if not kids:
+                del self.relay.children[topic]
+
+    # ------------------------------------------------------------------
+    # Node-local dissemination (section III-C from one node's view)
+    # ------------------------------------------------------------------
+    def publish(self, topic: int, event_id: int, trace: Optional[str], expected: int) -> None:
+        """Inject one event as its publisher: root span, then the same
+        forwarding rule every receiver applies.  ``expected`` is the
+        audience size the root span advertises."""
+        self.seen_events.add(event_id)
+        sid = self.host.span(
+            trace, HOP_PUBLISH, self.address, self.address, 0,
+            topic=topic, event=event_id, publisher=self.address, subs=expected,
+        )
+        self._forward(
+            topic, event_id, self.address, hops=1, exclude=None,
+            trace=trace, parent_sid=sid, injecting=True,
+        )
+
+    def on_notification(self, msg: Notification) -> None:
+        """First-receipt handler.  The transport dedups retransmits, not
+        events, so the ``seen_events`` check is the protocol-level
+        duplicate suppression."""
+        if msg.event_id in self.seen_events:
+            return
+        self.seen_events.add(msg.event_id)
+        host = self.host
+        sid = trace = None
+        if msg.span is not None:
+            trace, parent, kind = msg.span
+            sid = host.span(
+                trace, kind, msg.src, self.address, msg.hops, parent=parent
+            )
+            if sid is None:
+                trace = None  # untraced host: stop stamping forwards
+        if msg.topic in self.profile.subscriptions and self.address != msg.publisher:
+            host.span(
+                trace, HOP_DELIVER, self.address, self.address, msg.hops, parent=sid
+            )
+            host.deliver(msg)
+        if msg.hops < self.MAX_HOPS:
+            self._forward(
+                msg.topic, msg.event_id, msg.publisher, hops=msg.hops + 1,
+                exclude=msg.src, trace=trace, parent_sid=sid,
+            )
+
+    def _forward(
+        self,
+        topic: int,
+        event_id: int,
+        publisher: int,
+        hops: int,
+        exclude: Optional[int],
+        trace: Optional[str],
+        parent_sid,
+        injecting: bool = False,
+    ) -> None:
+        """Forward one event along the paper's edge classes (the node-local
+        equivalent of the oracle's ``forwarding_targets``):
+
+        - intra-cluster flood — to every routing-table neighbor whose
+          *learned* profile shares the topic, when this node subscribes;
+        - relay tree — to the topic's parent and children (``rendezvous``
+          kind when dispatched by the tree root);
+        - greedy rendezvous routing — when neither applies, one hop
+          strictly closer to ``hash(topic)`` (the Scribe-style publisher
+          injection and its continuation by non-subscribed relays).
+        """
+        targets: Dict[int, str] = {}
+        if topic in self.profile.subscriptions:
+            for addr, _nid in self.rt.links():
+                info = self.neighbor_state.get(addr)
+                if info is not None and topic in info.subscriptions:
+                    targets.setdefault(addr, HOP_FLOOD)
+        tree = self.relay.tree_neighbors(topic)
+        if tree:
+            is_root = (
+                self.relay.parent.get(topic) is None
+                and topic in self.relay.children
+            )
+            tree_kind = HOP_RENDEZVOUS if is_root else HOP_RELAY
+            for addr in tree:
+                targets.setdefault(addr, tree_kind)
+        targets.pop(self.address, None)
+        if exclude is not None:
+            targets.pop(exclude, None)
+        if not targets and hops <= self.config.max_lookup_hops:
+            nxt = self._next_hop(self.host.topic_id(topic))
+            if nxt is not None and nxt != exclude:
+                targets[nxt] = HOP_PUBLISH if injecting else HOP_LOOKUP
+        send = self.host.send
+        for dst in sorted(targets):
+            msg = Notification(
+                src=self.address, dst=dst, topic=topic,
+                event_id=event_id, hops=hops, publisher=publisher,
+            )
+            if trace is not None:
+                msg.span = (trace, parent_sid, targets[dst])
+            send(msg)
 
 
-class DeployedVitis:
-    """A whole message-driven Vitis system.
+class DeployedVitis(OverlaySystem):
+    """A whole message-driven Vitis system, and the simulated host of its
+    nodes (see the module docstring for the host surface).
 
-    Exposes the protocol surface the dissemination engine and the
-    measurement helpers consume, so results are directly comparable with
-    the cycle-driven :class:`~repro.core.protocol.VitisProtocol`.
+    Population, oracle, attach and ``publish`` are the shared
+    :class:`~repro.core.protocol.OverlaySystem`'s, so results are
+    directly comparable with the cycle-driven
+    :class:`~repro.core.protocol.VitisProtocol`; below is only what
+    message mode does differently.
     """
 
     name = "vitis-deployed"
+    # The stream name predates the shared base; renaming it would move
+    # every seeded deployed-mode trajectory.
+    _rng_stream = "system"
 
     def __init__(
         self,
@@ -399,168 +544,85 @@ class DeployedVitis:
         auto_start: bool = True,
         telemetry=None,
     ) -> None:
-        from repro import obs
-        from repro.core.protocol import _normalize_subscriptions
+        super().__init__(
+            subscriptions, config, seed=seed, rates=rates,
+            auto_start=auto_start, telemetry=telemetry,
+        )
+        # Joining only starts timers — nothing was sent yet, so the
+        # latency model can be installed after the base built the network.
+        if latency is not None:
+            self.network.latency = latency
+        #: event id → {subscriber: hops}, filled by the node-local flood
+        #: (``DeployedVitisNode.publish``), never by the oracle ``publish``.
+        self.delivered: Dict[int, Dict[int, int]] = {}
+        self._span_seq = 0
 
-        self.config = config
-        self.space = IdSpace()
-        self.seeds = SeedTree(seed)
-        self.telemetry = telemetry if telemetry is not None else obs.current()
-        self.engine = Engine()
-        self.network = Network(self.engine, latency)
-        self.network.telemetry = self.telemetry
-        #: Optional :class:`repro.sim.capacity.CapacityModel` — install
-        #: via :meth:`attach_capacity` (zero-cost-off when None).
-        self.capacity = None
-        #: Messages withheld on backpressure signals (profile heartbeats
-        #: and relay-install refreshes deferred to a later period).
-        self.backpressure_deferred = 0
-        subs = _normalize_subscriptions(subscriptions)
-        max_topic = max((t for s in subs.values() for t in s), default=-1)
-        if rates is not None:
-            max_topic = max(max_topic, rates.n_topics - 1)
-        self.n_topics = max_topic + 1
-        self.rates = rates if rates is not None else PublicationRates.uniform(max(1, self.n_topics))
-        self.utility = UtilityFunction(self.rates, config.rate_weighted_utility)
-        self._topic_ids: Dict[int, int] = {}
-        self.sub_index: Dict[int, Set[int]] = defaultdict(set)
-        self.nodes: Dict[int, DeployedVitisNode] = {}
-        self._rng = self.seeds.pyrandom("system")
-        self._event_counter = 0
-
-        for address in sorted(subs):
-            node = DeployedVitisNode(self, address, subs[address])
-            self.network.add(node)
-            self.nodes[address] = node
-            for t in node.profile.subscriptions:
-                self.sub_index[t].add(address)
-        if auto_start:
-            for address in sorted(self.nodes):
-                self.join(address)
-
-    def attach_capacity(self, model) -> None:
-        """Install a capacity model on the deployed transport (same
-        contract as ``OverlayProtocolBase.attach_capacity``): every
-        message then passes the destination inbox's admission test inside
-        ``Network.send``, and ticking nodes defer profile heartbeats and
-        relay-install refreshes toward backpressured neighbors.  Pass
-        ``None`` to detach."""
-        self.capacity = model
-        self.network.capacity = model
-        if model is not None:
-            model.bind(self.network, self.telemetry)
+    def _make_node(self, address: int, subscriptions: FrozenSet[int]) -> DeployedVitisNode:
+        return DeployedVitisNode(self, address, subscriptions)
 
     # ------------------------------------------------------------------
-    # Population (same surface as OverlayProtocolBase)
+    # Lifecycle and execution: per-node timers instead of global cycles
     # ------------------------------------------------------------------
-    def is_alive(self, address: int) -> bool:
-        n = self.nodes.get(address)
-        return n is not None and n.alive
-
-    def profile_of(self, address: int):
-        n = self.nodes.get(address)
-        return n.profile if n is not None else None
-
-    def live_addresses(self) -> List[int]:
-        return [a for a, n in self.nodes.items() if n.alive]
-
-    def live_count(self) -> int:
-        return sum(1 for n in self.nodes.values() if n.alive)
-
-    def topic_id(self, topic: int) -> int:
-        tid = self._topic_ids.get(topic)
-        if tid is None:
-            tid = self.space.topic_id(topic)
-            self._topic_ids[topic] = tid
-        return tid
-
-    def subscribers(self, topic: int, live_only: bool = True) -> Set[int]:
-        subs = self.sub_index.get(topic, set())
-        if not live_only:
-            return set(subs)
-        return {a for a in subs if self.is_alive(a)}
-
-    def topics(self) -> List[int]:
-        return sorted(t for t, s in self.sub_index.items() if s)
-
     def join(self, address: int) -> None:
-        node = self.nodes[address]
-        live = [a for a in self.live_addresses() if a != address]
-        if len(live) > self.config.peer_view_size:
-            live = self._rng.sample(live, self.config.peer_view_size)
-        node.deploy([self.nodes[a].descriptor() for a in live])
+        self.nodes[address].deploy(
+            self.bootstrap_descriptors(self.config.peer_view_size, address)
+        )
 
     def leave(self, address: int) -> None:
         self.nodes[address].undeploy()
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def run(self, seconds: float) -> None:
         """Advance simulated time; timers and messages interleave freely."""
         self.engine.run(until=self.engine.now + seconds)
 
-    # ------------------------------------------------------------------
-    # Measurement surface (ground-truth observer)
-    # ------------------------------------------------------------------
     @property
     def topology_version(self) -> float:
-        # Message mode has no cycle counter; time is the version.  The
-        # cluster cache below keys on it, so snapshots within the same
-        # instant are shared.
+        # Message mode has no cycle counter and nodes mutate their own
+        # tables; time is the version, so the base's caches are shared
+        # within one instant and dropped as soon as the clock moves.
         return self.engine.now
 
-    def cluster_adjacency(self, topic: int) -> Dict[int, Set[int]]:
-        members = self.subscribers(topic)
-        adj: Dict[int, Set[int]] = {a: set() for a in members}
-        for a in members:
-            for baddr, _ in self.nodes[a].rt.links():
-                if baddr in adj:
-                    adj[a].add(baddr)
-                    adj[baddr].add(a)
-        return adj
-
     def lookup(self, start: int, target_id: int) -> LookupResult:
-        node = self.nodes[start]
-        return greedy_route(
-            self.space,
-            target_id,
-            start,
-            node.node_id,
-            neighbors_of=lambda a: self.nodes[a].rt.links(),
-            is_alive=self.is_alive,
-            max_hops=self.config.max_lookup_hops,
-        )
+        # Ungated and silent: this is the measuring oracle's walk, and
+        # it must not consume the inbox capacity it is observing (the
+        # protocol's own routing is ``RelayInstall`` messages).
+        return self._walk(start, target_id)
 
-    def rendezvous_of(self, topic: int) -> Optional[int]:
-        live = self.live_addresses()
-        if not live:
+    # ------------------------------------------------------------------
+    # Host surface for DeployedVitisNode (virtual clock, simulated wire)
+    # ------------------------------------------------------------------
+    @property
+    def now(self) -> float:
+        return self.engine.now
+
+    @property
+    def send(self):
+        # Resolved per call, not bound once: whoever wraps this
+        # instance's ``network.send`` (traffic capture) must see every
+        # message.
+        return self.network.send
+
+    def backpressured(self, address: int) -> bool:
+        cap = self.capacity
+        if cap is not None and cap.backpressured(address, self.engine.now):
+            self.backpressure_deferred += 1
+            return True
+        return False
+
+    def start_timer(self, period: float, rng, fn):
+        return start_periodic(self.engine, period, rng, fn)
+
+    def span(self, trace, kind, src, dst, hop, **fields):
+        tel = self.telemetry
+        if trace is None or not tel.tracing:
             return None
-        tid = self.topic_id(topic)
-        return min(live, key=lambda a: (self.space.distance(self.nodes[a].node_id, tid), a))
+        self._span_seq += 1
+        sid = self._span_seq
+        tel.event(
+            "span", t=self.engine.now, trace=trace, span=sid,
+            kind=kind, src=src, dst=dst, hop=hop, **fields,
+        )
+        return sid
 
-    def successor_map(self) -> Dict[int, Optional[int]]:
-        out: Dict[int, Optional[int]] = {}
-        for a in self.live_addresses():
-            succ = self.nodes[a].rt.successor()
-            out[a] = succ.address if succ is not None else None
-        return out
-
-    def ids_by_address(self) -> Dict[int, int]:
-        return {a: self.nodes[a].node_id for a in self.live_addresses()}
-
-    def gateways_of(self, topic: int) -> List[int]:
-        out = []
-        for a in self.sub_index.get(topic, ()):
-            n = self.nodes[a]
-            if n.alive:
-                p = n.gw_state.get(topic)
-                if p is not None and p.gw_addr == a:
-                    out.append(a)
-        return sorted(out)
-
-    def publish(self, topic: int, publisher: int) -> DisseminationRecord:
-        from repro.core.dissemination import disseminate
-
-        self._event_counter += 1
-        return disseminate(self, topic, publisher, self._event_counter)
+    def deliver(self, msg: Notification) -> None:
+        self.delivered.setdefault(msg.event_id, {})[msg.dst] = msg.hops

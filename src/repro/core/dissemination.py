@@ -72,8 +72,8 @@ def forwarding_targets(protocol: "VitisProtocol", address: int, topic: int) -> S
     return targets
 
 
-def _topic_cache(protocol: "VitisProtocol", topic: int) -> Optional[list]:
-    """The per-(topic, topology-version) memo slot, or None.
+def _topic_cache(protocol: "VitisProtocol", topic: int) -> list:
+    """The per-(topic, topology-version) memo slot.
 
     A publish phase disseminates many events over a frozen overlay, so
     per-node forwarding targets and the live-subscriber set are identical
@@ -86,16 +86,10 @@ def _topic_cache(protocol: "VitisProtocol", topic: int) -> Optional[list]:
     {publisher: subscribers_minus_publisher},
     {publisher: (interested_msgs, relay_msgs, delivered_hops)}]`` — the
     last slot replays a whole detached flood outcome (see
-    :func:`disseminate`).  Protocols without a version get None
-    (uncached fallback).
+    :func:`disseminate`).
     """
-    try:
-        version = protocol.topology_version
-    except AttributeError:
-        return None
-    cache = getattr(protocol, "_fwd_cache", None)
-    if cache is None:
-        cache = protocol._fwd_cache = {}
+    version = protocol.topology_version
+    cache = protocol._fwd_cache
     entry = cache.get(topic)
     if entry is None or entry[0] != version:
         entry = [version, {}, None, {}, {}, {}]
@@ -109,10 +103,7 @@ def _targets_fn(protocol: "VitisProtocol", topic: int):
     fresh :func:`forwarding_targets` call would build (identical within
     one version), keeping the BFS byte-identical to uncached walks.
     """
-    entry = _topic_cache(protocol, topic)
-    if entry is None:
-        return lambda u: forwarding_targets(protocol, u, topic)
-    memo = entry[1]
+    memo = _topic_cache(protocol, topic)[1]
 
     def targets_of(u: int):
         t = memo.get(u)
@@ -234,18 +225,14 @@ def disseminate(
     the zero-cost-off byte-identity contract.
     """
     entry = _topic_cache(protocol, topic)
-    if entry is None:
-        live_subs: frozenset = frozenset(protocol.subscribers(topic))
-        rec_subs = live_subs - {publisher}
-    else:
-        live_subs = entry[2]
-        if live_subs is None:
-            live_subs = entry[2] = frozenset(protocol.subscribers(topic))
-        # The same publisher floods many events per frozen topology, and
-        # the audience is a frozenset — share one object across them.
-        rec_subs = entry[4].get(publisher)
-        if rec_subs is None:
-            rec_subs = entry[4][publisher] = live_subs - {publisher}
+    live_subs = entry[2]
+    if live_subs is None:
+        live_subs = entry[2] = frozenset(protocol.subscribers(topic))
+    # The same publisher floods many events per frozen topology, and
+    # the audience is a frozenset — share one object across them.
+    rec_subs = entry[4].get(publisher)
+    if rec_subs is None:
+        rec_subs = entry[4][publisher] = live_subs - {publisher}
     rec = DisseminationRecord(
         topic=topic,
         event_id=event_id,
@@ -273,13 +260,10 @@ def disseminate(
     # The BFS forwards along *perceived* liveness: with a detector
     # attached, confirmed-dead nodes are shunned even while ground-truth
     # alive — their missed deliveries are attributed to false_eviction.
-    # (Duck-typed systems without the detector surface — the deployment —
-    # fall back to ground truth.)
-    is_alive = getattr(protocol, "liveness", protocol.is_alive)
-    profile_of = protocol.profile_of
-    link_cost = getattr(protocol, "link_cost", None)
+    is_alive = protocol.liveness
+    link_cost = protocol.link_cost
     transmit = _make_transmit(protocol, rec, failures)
-    cap = getattr(protocol, "capacity", None)
+    cap = protocol.capacity
     now = protocol.engine.now
     net = protocol.network
     targets_of = _targets_fn(protocol, topic)
@@ -290,15 +274,10 @@ def disseminate(
     # Interest is profile membership; the subscription index holds the
     # same information as a live set per topic, turning the per-delivery
     # check into one hash lookup.
-    sub_idx = getattr(protocol, "sub_index", None)
-    members = sub_idx.get(topic) if sub_idx is not None else None
-    if members is not None:
-        def interest_of(a: int) -> bool:
-            return a in members
-    else:
-        def interest_of(a: int) -> bool:
-            p = profile_of(a)
-            return p is not None and p.subscribes_to(topic)
+    members = protocol.sub_index.get(topic, ())
+
+    def interest_of(a: int) -> bool:
+        return a in members
 
     def receive(v: int, hop: int, sender: int, hop_kind: Optional[str] = None) -> None:
         """Account one message delivery to v; enqueue v for forwarding on
@@ -349,15 +328,9 @@ def disseminate(
     initial_targets, injection_path = _publisher_targets(
         protocol, publisher, topic, entry
     )
-    inject_cause = getattr(protocol, "_injection_miss_cause", None)
+    inject_cause = protocol._injection_miss_cause
 
-    if (
-        spans is None
-        and transmit is None
-        and link_cost is None
-        and not count_pulls
-        and members is not None
-    ):
+    if spans is None and transmit is None and link_cost is None and not count_pulls:
         # Detached frontier: no tracing, no fault/capacity gate, no cost
         # model, no pulls — the common experiment configuration.  The
         # generic ``receive`` collapses to counter bumps and the seen
@@ -369,19 +342,18 @@ def disseminate(
         rmsgs = rec.relay_msgs
         delivered = rec.delivered_hops
         subs = rec.subscribers
-        if entry is not None:
-            # Whole-outcome replay: within one topology version the
-            # detached flood is fully deterministic (greedy routing is
-            # rng-free, liveness verdicts only change with a version
-            # bump, and this branch draws no randomness), so a repeat
-            # publish of the same (topic, publisher) replays the first
-            # flood's message counts and delivery hops verbatim.
-            hit = entry[5].get(publisher)
-            if hit is not None:
-                imsgs.update(hit[0])
-                rmsgs.update(hit[1])
-                delivered.update(hit[2])
-                return rec
+        # Whole-outcome replay: within one topology version the
+        # detached flood is fully deterministic (greedy routing is
+        # rng-free, liveness verdicts only change with a version
+        # bump, and this branch draws no randomness), so a repeat
+        # publish of the same (topic, publisher) replays the first
+        # flood's message counts and delivery hops verbatim.
+        hit = entry[5].get(publisher)
+        if hit is not None:
+            imsgs.update(hit[0])
+            rmsgs.update(hit[1])
+            delivered.update(hit[2])
+            return rec
         if injection_path:
             prev = publisher
             for hop, v in enumerate(injection_path[1:], start=1):
@@ -423,8 +395,7 @@ def disseminate(
                     else:
                         rmsgs[v] += 1
                     queue.append((v, hop, u))
-        if entry is not None:
-            entry[5][publisher] = (imsgs.copy(), rmsgs.copy(), dict(delivered))
+        entry[5][publisher] = (imsgs.copy(), rmsgs.copy(), dict(delivered))
         return rec
 
     if injection_path:
@@ -565,8 +536,8 @@ def _attribute_misses(
             reach(u, v)
 
     is_alive = protocol.is_alive
-    liveness = getattr(protocol, "liveness", is_alive)
-    false_edges = getattr(protocol, "false_evicted_edges", None) or set()
+    liveness = protocol.liveness
+    false_edges = protocol.false_evicted_edges
     augmented: Optional[Set[int]] = None
 
     def reached_via_false_edges(m: int) -> bool:
@@ -649,15 +620,15 @@ def _make_transmit(
     the RNG-free ``fault_model.severed`` predicate, so recording causes
     never perturbs the run.
     """
-    fm = getattr(protocol, "fault_model", None)
-    cap = getattr(protocol, "capacity", None)
+    fm = protocol.fault_model
+    cap = protocol.capacity
     if fm is None and cap is None:
         return None
     send_with_retries = None
     if fm is not None:
         from repro.faults.healing import send_with_retries
 
-    healing = getattr(protocol, "healing", None)
+    healing = protocol.healing
     tries = 1 + (healing.delivery_retries if healing is not None else 0)
     now = protocol.engine.now
     net = protocol.network
@@ -794,11 +765,11 @@ def disseminate_via_network(
         return run.record
 
     # Route notifications to this run while it is active.
-    previous = getattr(protocol.network, "notification_sink", None)
+    previous = protocol.network.notification_sink
     protocol.network.notification_sink = run
     try:
         initial_targets, injection_path = _publisher_targets(protocol, publisher, topic)
-        inject_cause = getattr(protocol, "_injection_miss_cause", None)
+        inject_cause = protocol._injection_miss_cause
         if injection_path:
             # The lookup message hops through the path; model each hop as a
             # notification delivery so accounting matches the fast path.

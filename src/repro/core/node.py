@@ -378,9 +378,10 @@ class VitisNode(BaseNode):
         """
         from repro.sim.messages import Notification
 
-        sink = getattr(self.network, "notification_sink", None)
-        if sink is not None and isinstance(msg, Notification):
-            sink.on_notification(self, msg)
+        if isinstance(msg, Notification):
+            sink = self.network.notification_sink
+            if sink is not None:
+                sink.on_notification(self, msg)
 
     # ------------------------------------------------------------------
     # Introspection helpers (analysis & tests)

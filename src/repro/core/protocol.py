@@ -1,10 +1,13 @@
 """System-level protocol orchestration.
 
-:class:`OverlayProtocolBase` owns everything a running overlay needs — the
-engine, the network, the id space, profiles, the subscription index, and
-the per-cycle driver — and exposes the operations every pub/sub system in
-this repository shares (join/leave, lookup, publish, measurement).  The
-three systems of the paper specialise it:
+:class:`OverlaySystem` owns everything a running overlay needs — the
+engine, the network, the id space, profiles, the subscription index —
+and exposes the operations every pub/sub system in this repository
+shares (join/leave, lookup, publish, measurement), however its nodes are
+driven.  :class:`OverlayProtocolBase` adds the per-cycle driver; the
+message-driven :class:`repro.core.deployment.DeployedVitis` is the other
+direct subclass.  The three systems of the paper specialise the
+cycle-driven base:
 
 - :class:`VitisProtocol` (here) — the paper's contribution;
 - :class:`repro.baselines.rvr.RvrProtocol` — structured rendezvous routing;
@@ -27,6 +30,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from repro import obs
 from repro.core.config import VitisConfig
+from repro.core.dissemination import disseminate
 from repro.core.gateway import ElectionStats, elect_round
 from repro.core.identifiers import IdSpace
 from repro.core.node import VitisNode
@@ -40,13 +44,15 @@ from repro.sim.network import Network
 from repro.sim.rng import SeedTree
 from repro.smallworld.routing import LookupResult, greedy_route
 
-__all__ = ["OverlayProtocolBase", "VitisProtocol"]
+__all__ = ["OverlaySystem", "OverlayProtocolBase", "VitisProtocol"]
 
 SubscriptionMap = Union[Mapping[int, Iterable[int]], Sequence[Iterable[int]]]
 
 
-class OverlayProtocolBase:
-    """Shared machinery for Vitis and both baselines.
+class OverlaySystem:
+    """Shared machinery for Vitis, both baselines and the deployed mode:
+    population, ground-truth oracle, fault/capacity/detector attachment,
+    lookup and publish.  How time advances is the subclass's business.
 
     Parameters
     ----------
@@ -77,6 +83,12 @@ class OverlayProtocolBase:
     """
 
     name = "base"
+    #: Seed stream of the system-level RNG (bootstrap sampling and the
+    #: cycle-driven shuffle).
+    _rng_stream = "protocol"
+    #: Bumped on every sanctioned topology or liveness write; caches key
+    #: on it (cluster adjacency, forwarding targets, election results).
+    topology_version = 0
 
     def __init__(
         self,
@@ -99,9 +111,8 @@ class OverlayProtocolBase:
         # events flow whenever tracing is on (the ambient default is the
         # no-op backend, so this costs nothing uninstrumented).
         self.network.telemetry = self.telemetry
-        self.driver = CycleDriver(
-            self.engine, self._cycle_step, config.gossip_period, telemetry=self.telemetry
-        )
+        #: ``hash(topic)``, interned by the id space.
+        self.topic_id = self.space.topic_id
 
         subs = _normalize_subscriptions(subscriptions)
         if n_topics is None:
@@ -167,12 +178,14 @@ class OverlayProtocolBase:
         #: the tracing layer's miss attribution, reset per publish.
         self._injection_miss_cause = None
 
-        self._topic_ids: Dict[int, int] = {}
         self.sub_index: Dict[int, Set[int]] = defaultdict(set)
         self.nodes: Dict[int, VitisNode] = {}
-        self._rng = self.seeds.pyrandom("protocol")
-        #: Bumped every cycle; caches keyed on it (cluster adjacency etc.).
-        self.topology_version = 0
+        self._rng = self.seeds.pyrandom(self._rng_stream)
+        #: topic → (topology_version, adjacency); see cluster_adjacency.
+        self._cluster_cache: Dict[int, tuple] = {}
+        #: topic → per-version dissemination memo (see
+        #: ``repro.core.dissemination._topic_cache``).
+        self._fwd_cache: Dict[int, list] = {}
         self._event_counter = 0
         self.relay_stats = RelayStats()
         #: (metrics registry, 4 hot counters) memo for publish(); rebuilt
@@ -221,13 +234,6 @@ class OverlayProtocolBase:
 
     def live_count(self) -> int:
         return sum(1 for n in self.nodes.values() if n.alive)
-
-    def topic_id(self, topic: int) -> int:
-        tid = self._topic_ids.get(topic)
-        if tid is None:
-            tid = self.space.topic_id(topic)
-            self._topic_ids[topic] = tid
-        return tid
 
     def subscribers(self, topic: int, live_only: bool = True) -> Set[int]:
         """Addresses subscribed to ``topic`` (live ones by default)."""
@@ -289,26 +295,6 @@ class OverlayProtocolBase:
     def unsubscribe(self, address: int, topic: int) -> None:
         if self.nodes[address].profile.unsubscribe(topic):
             self.sub_index[topic].discard(address)
-
-    # ------------------------------------------------------------------
-    # Cycles
-    # ------------------------------------------------------------------
-    def run_cycles(self, n: int) -> None:
-        """Advance ``n`` gossip cycles (engine events interleave)."""
-        self.driver.run_cycles(n)
-
-    @property
-    def cycle(self) -> int:
-        return self.driver.cycle
-
-    def _cycle_step(self, cycle: int) -> None:
-        self.topology_version += 1
-        live = [self.nodes[a] for a in self.live_addresses()]
-        self._rng.shuffle(live)
-        self._protocol_round(cycle, live)
-
-    def _protocol_round(self, cycle: int, live: List[VitisNode]) -> None:  # pragma: no cover
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Fault injection and capacity (see docs/robustness.md)
@@ -438,16 +424,7 @@ class OverlayProtocolBase:
         """
         if self.fault_model is not None or self.capacity is not None:
             return self._lookup_gated(start, target_id, kind)
-        node = self.nodes[start]
-        result = greedy_route(
-            self.space,
-            target_id,
-            start,
-            node.node_id,
-            neighbors_of=lambda a: self.nodes[a].rt.links(),
-            is_alive=self.liveness,
-            max_hops=self.config.max_lookup_hops,
-        )
+        result = self._walk(start, target_id)
         tel = self.telemetry
         if tel.enabled:
             tel.metrics.counter("lookups_total", system=self.name).inc()
@@ -462,6 +439,21 @@ class OverlayProtocolBase:
                 ok=result.success,
             )
         return result
+
+    def _walk(self, start: int, target_id: int, link_ok=None) -> LookupResult:
+        """One greedy walk over the current routing tables along
+        perceived liveness — no gate of its own, no telemetry."""
+        nodes = self.nodes
+        return greedy_route(
+            self.space,
+            target_id,
+            start,
+            nodes[start].node_id,
+            neighbors_of=lambda a: nodes[a].rt.links(),
+            is_alive=self.liveness,
+            max_hops=self.config.max_lookup_hops,
+            link_ok=link_ok,
+        )
 
     def _lookup_gated(
         self, start: int, target_id: int, kind: str = "lookup"
@@ -486,10 +478,8 @@ class OverlayProtocolBase:
         cap = self.capacity
         healing = self.healing
         attempts = healing.lookup_attempts if healing is not None else 1
-        node = self.nodes[start]
         now = self.engine.now
         net = self.network
-        neighbors_of = lambda a: self.nodes[a].rt.links()
         blocked: Set[tuple] = set()
         faults = 0
 
@@ -512,16 +502,7 @@ class OverlayProtocolBase:
         result = None
         retries = 0
         for attempt in range(attempts):
-            result = greedy_route(
-                self.space,
-                target_id,
-                start,
-                node.node_id,
-                neighbors_of=neighbors_of,
-                is_alive=self.liveness,
-                max_hops=self.config.max_lookup_hops,
-                link_ok=link_ok,
-            )
+            result = self._walk(start, target_id, link_ok)
             if result.success:
                 break
             retries = attempt + 1 if attempt + 1 < attempts else attempts - 1
@@ -640,8 +621,10 @@ class OverlayProtocolBase:
 
     def _disseminate(
         self, topic: int, publisher: int, event_id: int
-    ) -> DisseminationRecord:  # pragma: no cover
-        raise NotImplementedError
+    ) -> DisseminationRecord:
+        """Grade one event with the oracle BFS over the current overlay
+        (OPT floods its own topic overlay instead)."""
+        return disseminate(self, topic, publisher, event_id)
 
     # ------------------------------------------------------------------
     # Analysis helpers
@@ -664,6 +647,67 @@ class OverlayProtocolBase:
 
     def ids_by_address(self) -> Dict[int, int]:
         return {a: self.nodes[a].node_id for a in self.live_addresses()}
+
+    def gateways_of(self, topic: int) -> List[int]:
+        """Live nodes currently considering themselves gateway for topic."""
+        out = []
+        for a in self.sub_index.get(topic, ()):
+            n = self.nodes[a]
+            if n.alive:
+                p = n.gw_state.get(topic)
+                if p is not None and p.gw_addr == a:
+                    out.append(a)
+        return sorted(out)
+
+    def cluster_adjacency(self, topic: int) -> Dict[int, Set[int]]:
+        """Symmetric adjacency among the live subscribers of ``topic``.
+
+        ``u — v`` iff either has the other in its routing table: profile
+        messages flow along routing-table edges, so both endpoints know of
+        each other and of their shared interest, and either can notify the
+        other.  Cached per topology version.
+        """
+        cached = self._cluster_cache.get(topic)
+        if cached is not None and cached[0] == self.topology_version:
+            return cached[1]
+        members = self.subscribers(topic)
+        adj: Dict[int, Set[int]] = {a: set() for a in members}
+        for a in members:
+            for baddr, _ in self.nodes[a].rt.links():
+                if baddr in adj:
+                    adj[a].add(baddr)
+                    adj[baddr].add(a)
+        self._cluster_cache[topic] = (self.topology_version, adj)
+        return adj
+
+
+class OverlayProtocolBase(OverlaySystem):
+    """An :class:`OverlaySystem` driven in PeerSim-style global cycles
+    (constructor parameters are the base's)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.driver = CycleDriver(
+            self.engine, self._cycle_step, self.config.gossip_period,
+            telemetry=self.telemetry,
+        )
+
+    def run_cycles(self, n: int) -> None:
+        """Advance ``n`` gossip cycles (engine events interleave)."""
+        self.driver.run_cycles(n)
+
+    @property
+    def cycle(self) -> int:
+        return self.driver.cycle
+
+    def _cycle_step(self, cycle: int) -> None:
+        self.topology_version += 1
+        live = [self.nodes[a] for a in self.live_addresses()]
+        self._rng.shuffle(live)
+        self._protocol_round(cycle, live)
+
+    def _protocol_round(self, cycle: int, live: List[VitisNode]) -> None:  # pragma: no cover
+        raise NotImplementedError
 
 
 class VitisProtocol(OverlayProtocolBase):
@@ -694,7 +738,6 @@ class VitisProtocol(OverlayProtocolBase):
         super().__init__(*args, **kwargs)
         self.election_every = election_every
         self.relay_every = relay_every
-        self._cluster_cache: Dict[int, tuple] = {}
         #: addr → (signature, proposal-map copy, n_proposals, n_self) —
         #: the election result cache (see election_round).
         self._elect_cache: Dict[int, tuple] = {}
@@ -944,17 +987,6 @@ class VitisProtocol(OverlayProtocolBase):
         n = self.nodes.get(address)
         return n.gw_state.get(topic) if n is not None else None
 
-    def gateways_of(self, topic: int) -> List[int]:
-        """Live nodes currently considering themselves gateway for topic."""
-        out = []
-        for a in self.sub_index.get(topic, ()):
-            n = self.nodes[a]
-            if n.alive:
-                p = n.gw_state.get(topic)
-                if p is not None and p.gw_addr == a:
-                    out.append(a)
-        return sorted(out)
-
     # ------------------------------------------------------------------
     # Relay paths (Alg. 5 line 21 + section III-B)
     # ------------------------------------------------------------------
@@ -1159,35 +1191,6 @@ class VitisProtocol(OverlayProtocolBase):
                 "rejoin_reinstall", t=self.engine.now, addr=address,
                 topics=len(topics),
             )
-
-    # ------------------------------------------------------------------
-    # Dissemination
-    # ------------------------------------------------------------------
-    def _disseminate(self, topic: int, publisher: int, event_id: int) -> DisseminationRecord:
-        from repro.core.dissemination import disseminate
-
-        return disseminate(self, topic, publisher, event_id)
-
-    def cluster_adjacency(self, topic: int) -> Dict[int, Set[int]]:
-        """Symmetric adjacency among the live subscribers of ``topic``.
-
-        ``u — v`` iff either has the other in its routing table: profile
-        messages flow along routing-table edges, so both endpoints know of
-        each other and of their shared interest, and either can notify the
-        other.  Cached per topology version.
-        """
-        cached = self._cluster_cache.get(topic)
-        if cached is not None and cached[0] == self.topology_version:
-            return cached[1]
-        members = self.subscribers(topic)
-        adj: Dict[int, Set[int]] = {a: set() for a in members}
-        for a in members:
-            for baddr, _ in self.nodes[a].rt.links():
-                if baddr in adj:
-                    adj[a].add(baddr)
-                    adj[baddr].add(a)
-        self._cluster_cache[topic] = (self.topology_version, adj)
-        return adj
 
 
 def _normalize_subscriptions(subscriptions: SubscriptionMap) -> Dict[int, FrozenSet[int]]:

@@ -34,11 +34,11 @@ Each row reports, next to the usual hit-ratio metrics:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.experiments.spec import Sweep, flat_reduce
 
-__all__ = ["chaos_sweep", "chaos_sweep_spec"]
+__all__ = ["chaos_sweep_spec"]
 
 DETECTORS = ("heartbeat", "swim")
 
@@ -211,6 +211,13 @@ def chaos_sweep_spec(
     queue_capacity: int = 64,
     service_rate: int = 25,
 ) -> Sweep:
+    """Detection accuracy/latency and delivery under composed faults.
+
+    See the module docstring for the composition and row schema.  The
+    acceptance gate (docs/robustness.md): at every swept loss rate, SWIM
+    must show a strictly lower ``false_eviction_rate`` than the heartbeat
+    baseline at equal or better ``detection_latency``.
+    """
     unknown = [d for d in detectors if d not in DETECTORS]
     if unknown:
         raise ValueError(
@@ -233,44 +240,3 @@ def chaos_sweep_spec(
                 queue_capacity=queue_capacity, service_rate=service_rate,
             )
     return sweep
-
-
-def chaos_sweep(
-    n_nodes: int = 200,
-    n_topics: int = 400,
-    detectors: Sequence[str] = ("heartbeat", "swim"),
-    loss_rates: Sequence[float] = (0.05, 0.1),
-    kill_frac: float = 0.15,
-    rejoin_frac: float = 0.5,
-    chaos_cycles: int = 20,
-    recover_cycles: int = 12,
-    events: int = 120,
-    seed: int = 0,
-    fault_seed: Optional[int] = None,
-    probe_fanout: int = 3,
-    suspicion_base: float = 0.5,
-    queue_capacity: int = 64,
-    executor=None,
-    cache=None,
-    resume: bool = False,
-) -> List[Dict]:
-    """Detection accuracy/latency and delivery under composed faults.
-
-    See the module docstring for the composition and row schema.  The
-    acceptance gate (docs/robustness.md): at every swept loss rate, SWIM
-    must show a strictly lower ``false_eviction_rate`` than the heartbeat
-    baseline at equal or better ``detection_latency``.
-    """
-    from repro.experiments.executor import run_sweep
-
-    return run_sweep(
-        chaos_sweep_spec(
-            n_nodes=n_nodes, n_topics=n_topics, detectors=detectors,
-            loss_rates=loss_rates, kill_frac=kill_frac,
-            rejoin_frac=rejoin_frac, chaos_cycles=chaos_cycles,
-            recover_cycles=recover_cycles, events=events, seed=seed,
-            fault_seed=fault_seed, probe_fanout=probe_fanout,
-            suspicion_base=suspicion_base, queue_capacity=queue_capacity,
-        ),
-        executor=executor, cache=cache, resume=resume,
-    )

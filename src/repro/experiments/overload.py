@@ -26,7 +26,7 @@ replication.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from repro.sim.capacity import SHED_POLICIES
 from repro.sim.metrics import MetricsCollector
 from repro.workloads.publication import sample_topics
 
-__all__ = ["measure_under_load", "overload_sweep_spec", "overload_sweep"]
+__all__ = ["measure_under_load", "overload_sweep_spec"]
 
 
 def measure_under_load(
@@ -167,6 +167,25 @@ def overload_sweep_spec(
     cap_seed: Optional[int] = None,
     systems: Sequence[str] = ("vitis", "rvr"),
 ) -> Sweep:
+    """Graceful degradation under overload: rate × capacity, Vitis vs RVR.
+
+    For every ``(system, pub_rate, capacity)`` point, a converged overlay
+    is driven for ``load_cycles`` cycles at ``pub_rate`` events/cycle
+    through :func:`measure_under_load`, with every node's inbox bounded
+    to ``capacity`` messages served at ``service_rate`` msgs/cycle under
+    ``policy`` (one of ``drop_newest`` / ``drop_lowest`` / ``red``; see
+    :mod:`repro.sim.capacity`).  ``capacity=0`` disables the layer
+    entirely — those rows are the elastic-transport baseline.
+
+    Build randomness stays pinned to ``seed``; the only extra stream,
+    used by the probabilistic ``red`` policy, derives from ``cap_seed``
+    (defaults to ``seed``), so the same arguments replay the exact same
+    sheds.  Rows carry shed/survival/backpressure/hotspot columns next
+    to the standard metrics — graceful degradation reads as
+    ``control_survival`` staying near 1.0 while ``data_shed_fraction``
+    absorbs the overload and ``hit_ratio`` declines smoothly with
+    shrinking capacity.
+    """
     known = ("vitis", "rvr")
     unknown = [s for s in systems if s not in known]
     if unknown:
@@ -189,48 +208,3 @@ def overload_sweep_spec(
                     n_nodes=n_nodes, n_topics=n_topics, cap_seed=cap_seed,
                 )
     return sweep
-
-
-def overload_sweep(
-    n_nodes: int = 200,
-    n_topics: int = 400,
-    pub_rates: Sequence[int] = (4, 16),
-    capacities: Sequence[int] = (0, 64, 48, 32, 24),
-    policy: str = "drop_lowest",
-    service_rate: int = 25,
-    load_cycles: int = 10,
-    seed: int = 0,
-    cap_seed: Optional[int] = None,
-    systems: Sequence[str] = ("vitis", "rvr"),
-    executor=None,
-    cache=None,
-    resume: bool = False,
-) -> List[Dict]:
-    """Graceful degradation under overload: rate × capacity, Vitis vs RVR.
-
-    For every ``(system, pub_rate, capacity)`` point, a converged overlay
-    is driven for ``load_cycles`` cycles at ``pub_rate`` events/cycle
-    through :func:`measure_under_load`, with every node's inbox bounded
-    to ``capacity`` messages served at ``service_rate`` msgs/cycle under
-    ``policy`` (one of ``drop_newest`` / ``drop_lowest`` / ``red``; see
-    :mod:`repro.sim.capacity`).  ``capacity=0`` disables the layer
-    entirely — those rows are the elastic-transport baseline.
-
-    Build randomness stays pinned to ``seed``; the only extra stream,
-    used by the probabilistic ``red`` policy, derives from ``cap_seed``
-    (defaults to ``seed``), so the same arguments replay the exact same
-    sheds.  Rows carry shed/survival/backpressure/hotspot columns next
-    to the standard metrics — graceful degradation reads as
-    ``control_survival`` staying near 1.0 while ``data_shed_fraction``
-    absorbs the overload and ``hit_ratio`` declines smoothly with
-    shrinking capacity.
-    """
-    from repro.experiments.executor import run_sweep
-
-    return run_sweep(
-        overload_sweep_spec(
-            n_nodes, n_topics, pub_rates, capacities, policy,
-            service_rate, load_cycles, seed, cap_seed, systems,
-        ),
-        executor=executor, cache=cache, resume=resume,
-    )

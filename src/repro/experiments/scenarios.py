@@ -5,10 +5,10 @@ Every scenario is expressed as a declarative sweep
 independent (builder, config, workload, seed) trial points plus a reduce
 step, and the executor layer (:mod:`repro.experiments.executor`) runs the
 trials — inline or across worker processes — and reduces them to the
-``list[dict]`` rows carrying the same axes the paper plots.  The
-public ``fig<n>_*`` functions keep their historical signatures as thin
-wrappers over spec + executor, so the benchmark for figure *n* is still a
-call that prints the table.
+``list[dict]`` rows carrying the same axes the paper plots:
+``run_sweep(fig4_spec(...))``, or ``SCENARIOS["fig4"].sweep(...)`` for
+the CLI's scaled sizes.  Each builder's docstring records what the paper
+reports for its figure.
 
 Trial functions are module-level and take only JSON-able keyword
 arguments, which makes every point picklable (for ``--jobs N`` worker
@@ -30,20 +30,19 @@ rates unless the scenario sweeps them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.clusters import cluster_stats
 from repro.analysis.distributions import frequency_histogram, gini
 from repro.core.config import VitisConfig
-from repro.experiments.executor import run_sweep
 from repro.experiments.runner import (
     build_opt,
     build_rvr,
     build_vitis,
     measure,
 )
-from repro.experiments.chaos import chaos_sweep, chaos_sweep_spec
-from repro.experiments.overload import overload_sweep, overload_sweep_spec
+from repro.experiments.chaos import chaos_sweep_spec
+from repro.experiments.overload import overload_sweep_spec
 from repro.experiments.spec import Scenario, Sweep, flat_reduce, rows_reduce
 from repro.sim.metrics import MetricsCollector
 from repro.workloads.publication import power_law_rates
@@ -58,24 +57,25 @@ from repro.workloads.twitter import TwitterTrace
 __all__ = [
     "PATTERNS",
     "SCENARIOS",
-    "fig4_friends_vs_sw",
-    "fig5_overhead_distribution",
-    "fig6_routing_table_size",
-    "fig7_publication_rate",
-    "fig8_twitter_degrees",
-    "fig9_twitter_summary",
-    "fig10_twitter_sweep",
-    "fig11_opt_degree_distribution",
-    "fig12_churn",
-    "fault_sweep",
-    "overload_sweep",
-    "chaos_sweep",
-    "ablation_gateway_depth",
-    "ablation_utility",
-    "ablation_sampler",
-    "ablation_sw_links",
-    "ablation_proximity",
-    "management_cost",
+    "make_subscriptions",
+    "fig4_spec",
+    "fig5_spec",
+    "fig6_spec",
+    "fig7_spec",
+    "fig8_spec",
+    "fig9_spec",
+    "fig10_spec",
+    "fig11_spec",
+    "fig12_spec",
+    "fault_sweep_spec",
+    "overload_sweep_spec",
+    "chaos_sweep_spec",
+    "ablation_depth_spec",
+    "ablation_utility_spec",
+    "ablation_sampler_spec",
+    "ablation_sw_spec",
+    "ablation_proximity_spec",
+    "management_cost_spec",
 ]
 
 PATTERNS = ("high", "low", "random")
@@ -132,6 +132,12 @@ def fig4_spec(
     events: int = 250,
     seed: int = 0,
 ) -> Sweep:
+    """Traffic overhead and delay as friend links replace sw links.
+
+    Paper: Vitis overhead drops steeply with more friends (88% reduction
+    on high correlation); RVR is a flat reference line; hit ratio is 100%
+    everywhere.
+    """
     sweep = Sweep("fig4", seed=seed)
     for pattern in patterns:
         for f in friend_counts:
@@ -155,30 +161,6 @@ def fig4_spec(
 
     sweep.reduce = reduce
     return sweep
-
-
-def fig4_friends_vs_sw(
-    n_nodes: int = 300,
-    n_topics: int = 1000,
-    rt_size: int = 15,
-    friend_counts: Sequence[int] = (0, 3, 6, 9, 12),
-    patterns: Sequence[str] = PATTERNS,
-    events: int = 250,
-    seed: int = 0,
-    executor=None,
-    cache=None,
-    resume: bool = False,
-) -> List[Dict]:
-    """Traffic overhead and delay as friend links replace sw links.
-
-    Paper: Vitis overhead drops steeply with more friends (88% reduction
-    on high correlation); RVR is a flat reference line; hit ratio is 100%
-    everywhere.
-    """
-    return run_sweep(
-        fig4_spec(n_nodes, n_topics, rt_size, friend_counts, patterns, events, seed),
-        executor=executor, cache=cache, resume=resume,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -212,6 +194,12 @@ def fig5_spec(
     seed: int = 0,
     bin_edges: Sequence[float] = (0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100),
 ) -> Sweep:
+    """Fraction of nodes per traffic-overhead bin, Vitis vs RVR on
+    correlated and random subscriptions.
+
+    Paper: Vitis shifts mass into the lowest bin and empties the >20%
+    bins relative to RVR.
+    """
     sweep = Sweep("fig5", seed=seed, reduce=flat_reduce)
     for system in ("vitis", "rvr"):
         for pattern in ("high", "random"):
@@ -221,28 +209,6 @@ def fig5_spec(
                 n_topics=n_topics, events=events, bin_edges=list(bin_edges),
             )
     return sweep
-
-
-def fig5_overhead_distribution(
-    n_nodes: int = 300,
-    n_topics: int = 1000,
-    events: int = 400,
-    seed: int = 0,
-    bin_edges: Sequence[float] = (0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100),
-    executor=None,
-    cache=None,
-    resume: bool = False,
-) -> List[Dict]:
-    """Fraction of nodes per traffic-overhead bin, Vitis vs RVR on
-    correlated and random subscriptions.
-
-    Paper: Vitis shifts mass into the lowest bin and empties the >20%
-    bins relative to RVR.
-    """
-    return run_sweep(
-        fig5_spec(n_nodes, n_topics, events, seed, bin_edges),
-        executor=executor, cache=cache, resume=resume,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -268,6 +234,12 @@ def fig6_spec(
     events: int = 250,
     seed: int = 0,
 ) -> Sweep:
+    """Overhead and delay vs routing-table size.
+
+    Paper: both fall with bigger tables in both systems; Vitis's extra
+    entries become friends (fewer relay paths), RVR's become small-world
+    links (shorter lookups).
+    """
     sweep = Sweep("fig6", seed=seed)
     for pattern in patterns:
         for rt in rt_sizes:
@@ -283,29 +255,6 @@ def fig6_spec(
             n_topics=n_topics, rt_size=rt, events=events,
         )
     return sweep
-
-
-def fig6_routing_table_size(
-    n_nodes: int = 300,
-    n_topics: int = 1000,
-    rt_sizes: Sequence[int] = (15, 20, 25, 30, 35),
-    patterns: Sequence[str] = PATTERNS,
-    events: int = 250,
-    seed: int = 0,
-    executor=None,
-    cache=None,
-    resume: bool = False,
-) -> List[Dict]:
-    """Overhead and delay vs routing-table size.
-
-    Paper: both fall with bigger tables in both systems; Vitis's extra
-    entries become friends (fewer relay paths), RVR's become small-world
-    links (shorter lookups).
-    """
-    return run_sweep(
-        fig6_spec(n_nodes, n_topics, rt_sizes, patterns, events, seed),
-        executor=executor, cache=cache, resume=resume,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -331,6 +280,12 @@ def fig7_spec(
     events: int = 250,
     seed: int = 0,
 ) -> Sweep:
+    """Overhead and delay vs the publication-rate power-law exponent.
+
+    Paper: as α grows, hot topics dominate both the utility and the event
+    mix; the random-subscription curve approaches the high-correlation
+    one.
+    """
     sweep = Sweep("fig7", seed=seed)
     for alpha in alphas:
         for pattern in patterns:
@@ -347,29 +302,6 @@ def fig7_spec(
     return sweep
 
 
-def fig7_publication_rate(
-    n_nodes: int = 300,
-    n_topics: int = 1000,
-    alphas: Sequence[float] = (0.3, 0.5, 1.0, 2.0, 3.0),
-    patterns: Sequence[str] = PATTERNS,
-    events: int = 250,
-    seed: int = 0,
-    executor=None,
-    cache=None,
-    resume: bool = False,
-) -> List[Dict]:
-    """Overhead and delay vs the publication-rate power-law exponent.
-
-    Paper: as α grows, hot topics dominate both the utility and the event
-    mix; the random-subscription curve approaches the high-correlation
-    one.
-    """
-    return run_sweep(
-        fig7_spec(n_nodes, n_topics, alphas, patterns, events, seed),
-        executor=executor, cache=cache, resume=resume,
-    )
-
-
 # ----------------------------------------------------------------------
 # Figs. 8 & 9 — the (synthetic) Twitter trace itself
 # ----------------------------------------------------------------------
@@ -383,19 +315,10 @@ def _fig8_trial(n_users, alpha, seed):
 
 
 def fig8_spec(n_users: int = 20000, alpha: float = 1.65, seed: int = 0) -> Sweep:
+    """Log-log degree/frequency series of the synthetic follower graph."""
     sweep = Sweep("fig8", seed=seed, reduce=flat_reduce)
     sweep.trial(_fig8_trial, key=("trace",), seed=seed, n_users=n_users, alpha=alpha)
     return sweep
-
-
-def fig8_twitter_degrees(
-    n_users: int = 20000, alpha: float = 1.65, seed: int = 0,
-    executor=None, cache=None, resume: bool = False,
-) -> List[Dict]:
-    """Log-log degree/frequency series of the synthetic follower graph."""
-    return run_sweep(
-        fig8_spec(n_users, alpha, seed), executor=executor, cache=cache, resume=resume
-    )
 
 
 def _fig9_trial(n_users, alpha, seed):
@@ -403,6 +326,7 @@ def _fig9_trial(n_users, alpha, seed):
 
 
 def fig9_spec(n_users: int = 20000, alpha: float = 1.65, seed: int = 0) -> Sweep:
+    """The Fig. 9 statistics table for the synthetic trace."""
     def reduce(results):
         [summary] = results
         return [{"statistic": k, "value": v} for k, v in summary.items()]
@@ -410,17 +334,6 @@ def fig9_spec(n_users: int = 20000, alpha: float = 1.65, seed: int = 0) -> Sweep
     sweep = Sweep("fig9", seed=seed, reduce=reduce)
     sweep.trial(_fig9_trial, key=("trace",), seed=seed, n_users=n_users, alpha=alpha)
     return sweep
-
-
-def fig9_twitter_summary(
-    n_users: int = 20000, alpha: float = 1.65, seed: int = 0,
-    executor=None, cache=None, resume: bool = False,
-) -> Dict[str, float]:
-    """The Fig. 9 statistics table for the synthetic trace."""
-    rows = run_sweep(
-        fig9_spec(n_users, alpha, seed), executor=executor, cache=cache, resume=resume
-    )
-    return {r["statistic"]: r["value"] for r in rows}
 
 
 # ----------------------------------------------------------------------
@@ -450,30 +363,6 @@ def fig10_spec(
     systems: Sequence[str] = ("vitis", "rvr", "opt"),
     min_out: int = 3,
 ) -> Sweep:
-    sweep = Sweep("fig10", seed=seed)
-    for rt in rt_sizes:
-        for system in ("vitis", "rvr", "opt"):
-            if system in systems:
-                sweep.trial(
-                    _fig10_trial, key=(system, rt), seed=seed,
-                    system=system, rt_size=rt, n_users=n_users,
-                    sample_size=sample_size, events=events, min_out=min_out,
-                )
-    return sweep
-
-
-def fig10_twitter_sweep(
-    n_users: int = 6000,
-    sample_size: int = 600,
-    rt_sizes: Sequence[int] = (15, 25, 35),
-    events: int = 250,
-    seed: int = 0,
-    systems: Sequence[str] = ("vitis", "rvr", "opt"),
-    min_out: int = 3,
-    executor=None,
-    cache=None,
-    resume: bool = False,
-) -> List[Dict]:
     """Hit ratio / overhead / delay vs routing-table size on the Twitter
     workload, for Vitis, RVR and OPT.
 
@@ -486,10 +375,16 @@ def fig10_twitter_sweep(
     samples need proportionally fewer subscriptions per node, else every
     topic subgraph connects trivially and OPT is never stressed.
     """
-    return run_sweep(
-        fig10_spec(n_users, sample_size, rt_sizes, events, seed, systems, min_out),
-        executor=executor, cache=cache, resume=resume,
-    )
+    sweep = Sweep("fig10", seed=seed)
+    for rt in rt_sizes:
+        for system in ("vitis", "rvr", "opt"):
+            if system in systems:
+                sweep.trial(
+                    _fig10_trial, key=(system, rt), seed=seed,
+                    system=system, rt_size=rt, n_users=n_users,
+                    sample_size=sample_size, events=events, min_out=min_out,
+                )
+    return sweep
 
 
 # ----------------------------------------------------------------------
@@ -514,34 +409,18 @@ def fig11_spec(
     seed: int = 0,
     min_out: int = 3,
 ) -> Sweep:
-    sweep = Sweep("fig11", seed=seed, reduce=flat_reduce)
-    sweep.trial(
-        _fig11_trial, key=("opt-unbounded",), seed=seed,
-        n_users=n_users, sample_size=sample_size, cycles=cycles, min_out=min_out,
-    )
-    return sweep
-
-
-def fig11_opt_degree_distribution(
-    n_users: int = 6000,
-    sample_size: int = 600,
-    cycles: int = 40,
-    seed: int = 0,
-    min_out: int = 3,
-    executor=None,
-    cache=None,
-    resume: bool = False,
-) -> List[Dict]:
     """Node-degree frequency distribution of unbounded-degree OPT on the
     Twitter workload.
 
     Paper: over two thirds of nodes exceed degree 15; 0.3% exceed 200
     (max observed 708) — unbounded correlation-only overlays do not scale.
     """
-    return run_sweep(
-        fig11_spec(n_users, sample_size, cycles, seed, min_out),
-        executor=executor, cache=cache, resume=resume,
+    sweep = Sweep("fig11", seed=seed, reduce=flat_reduce)
+    sweep.trial(
+        _fig11_trial, key=("opt-unbounded",), seed=seed,
+        n_users=n_users, sample_size=sample_size, cycles=cycles, min_out=min_out,
     )
+    return sweep
 
 
 # ----------------------------------------------------------------------
@@ -600,37 +479,6 @@ def fig12_spec(
     median_session: float = 60.0,
     median_offtime: float = 120.0,
 ) -> Sweep:
-    unknown = [s for s in systems if s not in ("vitis", "rvr")]
-    if unknown:
-        raise ValueError(f"unknown churn system {unknown[0]!r}")
-    sweep = Sweep("fig12", seed=seed, reduce=flat_reduce)
-    for system in systems:
-        sweep.trial(
-            _fig12_trial, key=(system,), seed=seed,
-            system=system, pool=pool, n_topics=n_topics, horizon=horizon,
-            flash_crowd_at=flash_crowd_at, measure_every=measure_every,
-            events_per_window=events_per_window, min_join_age=min_join_age,
-            median_session=median_session, median_offtime=median_offtime,
-        )
-    return sweep
-
-
-def fig12_churn(
-    pool: int = 300,
-    n_topics: int = 300,
-    horizon: float = 280.0,
-    flash_crowd_at: Optional[float] = 180.0,
-    measure_every: float = 20.0,
-    events_per_window: int = 120,
-    seed: int = 0,
-    systems: Sequence[str] = ("vitis", "rvr"),
-    min_join_age: float = 10.0,
-    median_session: float = 60.0,
-    median_offtime: float = 120.0,
-    executor=None,
-    cache=None,
-    resume: bool = False,
-) -> List[Dict]:
     """Hit ratio / overhead / delay over time under Skype-like churn.
 
     Paper: both systems ride out moderate churn; the flash crowd dents
@@ -646,14 +494,19 @@ def fig12_churn(
     measured medians (5.5/12) to reproduce the *relative* churn of
     1 cycle = 1 hour instead, which is far harsher than the paper's.
     """
-    return run_sweep(
-        fig12_spec(
-            pool, n_topics, horizon, flash_crowd_at, measure_every,
-            events_per_window, seed, systems, min_join_age,
-            median_session, median_offtime,
-        ),
-        executor=executor, cache=cache, resume=resume,
-    )
+    unknown = [s for s in systems if s not in ("vitis", "rvr")]
+    if unknown:
+        raise ValueError(f"unknown churn system {unknown[0]!r}")
+    sweep = Sweep("fig12", seed=seed, reduce=flat_reduce)
+    for system in systems:
+        sweep.trial(
+            _fig12_trial, key=(system,), seed=seed,
+            system=system, pool=pool, n_topics=n_topics, horizon=horizon,
+            flash_crowd_at=flash_crowd_at, measure_every=measure_every,
+            events_per_window=events_per_window, min_join_age=min_join_age,
+            median_session=median_session, median_offtime=median_offtime,
+        )
+    return sweep
 
 
 def _churn_vitis(subs, seed):
@@ -699,6 +552,11 @@ def ablation_depth_spec(
     events: int = 250,
     seed: int = 0,
 ) -> Sweep:
+    """Sweep the gateway depth threshold ``d``.
+
+    Small ``d`` → more gateways per cluster → more relay paths (overhead)
+    but shorter intra-cluster detours; the paper fixes d=5.
+    """
     sweep = Sweep("ablation_depth", seed=seed)
     for d in depths:
         sweep.trial(
@@ -706,27 +564,6 @@ def ablation_depth_spec(
             gateway_depth=d, n_nodes=n_nodes, n_topics=n_topics, events=events,
         )
     return sweep
-
-
-def ablation_gateway_depth(
-    n_nodes: int = 300,
-    n_topics: int = 1000,
-    depths: Sequence[int] = (1, 2, 5, 8, 12),
-    events: int = 250,
-    seed: int = 0,
-    executor=None,
-    cache=None,
-    resume: bool = False,
-) -> List[Dict]:
-    """Sweep the gateway depth threshold ``d``.
-
-    Small ``d`` → more gateways per cluster → more relay paths (overhead)
-    but shorter intra-cluster detours; the paper fixes d=5.
-    """
-    return run_sweep(
-        ablation_depth_spec(n_nodes, n_topics, depths, events, seed),
-        executor=executor, cache=cache, resume=resume,
-    )
 
 
 def _ablation_utility_trial(rate_weighted, alpha, n_nodes, n_topics, events, seed):
@@ -747,6 +584,11 @@ def ablation_utility_spec(
     events: int = 250,
     seed: int = 0,
 ) -> Sweep:
+    """Rate-weighted Eq. 1 vs plain Jaccard under skewed rates.
+
+    With hot topics, weighting should cluster hot-topic subscribers
+    harder and lower the (rate-weighted) average overhead.
+    """
     sweep = Sweep("ablation_utility", seed=seed)
     for weighted in (True, False):
         sweep.trial(
@@ -755,27 +597,6 @@ def ablation_utility_spec(
             n_nodes=n_nodes, n_topics=n_topics, events=events,
         )
     return sweep
-
-
-def ablation_utility(
-    n_nodes: int = 300,
-    n_topics: int = 1000,
-    alpha: float = 2.0,
-    events: int = 250,
-    seed: int = 0,
-    executor=None,
-    cache=None,
-    resume: bool = False,
-) -> List[Dict]:
-    """Rate-weighted Eq. 1 vs plain Jaccard under skewed rates.
-
-    With hot topics, weighting should cluster hot-topic subscribers
-    harder and lower the (rate-weighted) average overhead.
-    """
-    return run_sweep(
-        ablation_utility_spec(n_nodes, n_topics, alpha, events, seed),
-        executor=executor, cache=cache, resume=resume,
-    )
 
 
 def _ablation_sw_trial(n_sw_links, rt_size, probes, n_nodes, n_topics, seed):
@@ -805,6 +626,12 @@ def ablation_sw_spec(
     probes: int = 300,
     seed: int = 0,
 ) -> Sweep:
+    """Routing cost vs number of small-world links (Symphony's claim).
+
+    With k structural links greedy routing costs O((1/k)·log²N); trading
+    friend links for sw links buys navigability at the price of traffic
+    overhead — the quantitative backbone of Fig. 4.
+    """
     sweep = Sweep("ablation_sw", seed=seed)
     for k in sw_links:
         sweep.trial(
@@ -813,29 +640,6 @@ def ablation_sw_spec(
             n_nodes=n_nodes, n_topics=n_topics,
         )
     return sweep
-
-
-def ablation_sw_links(
-    n_nodes: int = 300,
-    n_topics: int = 1000,
-    rt_size: int = 15,
-    sw_links: Sequence[int] = (1, 3, 7, 13),
-    probes: int = 300,
-    seed: int = 0,
-    executor=None,
-    cache=None,
-    resume: bool = False,
-) -> List[Dict]:
-    """Routing cost vs number of small-world links (Symphony's claim).
-
-    With k structural links greedy routing costs O((1/k)·log²N); trading
-    friend links for sw links buys navigability at the price of traffic
-    overhead — the quantitative backbone of Fig. 4.
-    """
-    return run_sweep(
-        ablation_sw_spec(n_nodes, n_topics, rt_size, sw_links, probes, seed),
-        executor=executor, cache=cache, resume=resume,
-    )
 
 
 def _ablation_proximity_trial(beta, n_nodes, n_topics, events, seed):
@@ -863,25 +667,6 @@ def ablation_proximity_spec(
     events: int = 250,
     seed: int = 0,
 ) -> Sweep:
-    sweep = Sweep("ablation_proximity", seed=seed)
-    for beta in betas:
-        sweep.trial(
-            _ablation_proximity_trial, key=(beta,), seed=seed,
-            beta=beta, n_nodes=n_nodes, n_topics=n_topics, events=events,
-        )
-    return sweep
-
-
-def ablation_proximity(
-    n_nodes: int = 300,
-    n_topics: int = 1000,
-    betas: Sequence[float] = (0.0, 0.2, 0.5),
-    events: int = 250,
-    seed: int = 0,
-    executor=None,
-    cache=None,
-    resume: bool = False,
-) -> List[Dict]:
     """Proximity-aware preference function (the paper's suggested
     extension, section III-A2), evaluated.
 
@@ -891,10 +676,13 @@ def ablation_proximity(
     dissemination at full delivery; large beta erodes interest clustering
     and the traffic overhead climbs.
     """
-    return run_sweep(
-        ablation_proximity_spec(n_nodes, n_topics, betas, events, seed),
-        executor=executor, cache=cache, resume=resume,
-    )
+    sweep = Sweep("ablation_proximity", seed=seed)
+    for beta in betas:
+        sweep.trial(
+            _ablation_proximity_trial, key=(beta,), seed=seed,
+            beta=beta, n_nodes=n_nodes, n_topics=n_topics, events=events,
+        )
+    return sweep
 
 
 def _management_cost_trial(system, n_users, sample_size, rt_size, seed):
@@ -930,6 +718,13 @@ def management_cost_spec(
     rt_size: int = 15,
     seed: int = 0,
 ) -> Sweep:
+    """Overlay-management message cost per node, across the three systems
+    on the Twitter workload (the section II scalability argument).
+
+    Vitis/RVR cost is bounded by the routing-table size regardless of
+    subscription counts; unbounded OPT's cost follows its degree, which
+    follows the (heavy-tailed) subscription distribution.
+    """
     sweep = Sweep("management_cost", seed=seed)
     for system in ("vitis", "rvr", "opt-bounded", "opt-unbounded"):
         sweep.trial(
@@ -938,28 +733,6 @@ def management_cost_spec(
             rt_size=rt_size,
         )
     return sweep
-
-
-def management_cost(
-    n_users: int = 4000,
-    sample_size: int = 400,
-    rt_size: int = 15,
-    seed: int = 0,
-    executor=None,
-    cache=None,
-    resume: bool = False,
-) -> List[Dict]:
-    """Overlay-management message cost per node, across the three systems
-    on the Twitter workload (the section II scalability argument).
-
-    Vitis/RVR cost is bounded by the routing-table size regardless of
-    subscription counts; unbounded OPT's cost follows its degree, which
-    follows the (heavy-tailed) subscription distribution.
-    """
-    return run_sweep(
-        management_cost_spec(n_users, sample_size, rt_size, seed),
-        executor=executor, cache=cache, resume=resume,
-    )
 
 
 def _ablation_sampler_trial(sampler, n_nodes, n_topics, events, seed):
@@ -979,6 +752,11 @@ def ablation_sampler_spec(
     events: int = 250,
     seed: int = 0,
 ) -> Sweep:
+    """Swap the peer sampling implementation (Newscast vs Cyclon).
+
+    The paper claims any gossip sampling service works (section III-A);
+    the metrics should be statistically indistinguishable.
+    """
     sweep = Sweep("ablation_sampler", seed=seed)
     for sampler in ("newscast", "cyclon"):
         sweep.trial(
@@ -986,26 +764,6 @@ def ablation_sampler_spec(
             sampler=sampler, n_nodes=n_nodes, n_topics=n_topics, events=events,
         )
     return sweep
-
-
-def ablation_sampler(
-    n_nodes: int = 300,
-    n_topics: int = 1000,
-    events: int = 250,
-    seed: int = 0,
-    executor=None,
-    cache=None,
-    resume: bool = False,
-) -> List[Dict]:
-    """Swap the peer sampling implementation (Newscast vs Cyclon).
-
-    The paper claims any gossip sampling service works (section III-A);
-    the metrics should be statistically indistinguishable.
-    """
-    return run_sweep(
-        ablation_sampler_spec(n_nodes, n_topics, events, seed),
-        executor=executor, cache=cache, resume=resume,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1121,6 +879,29 @@ def fault_sweep_spec(
     fault_seed: Optional[int] = None,
     systems: Sequence[str] = ("vitis", "rvr", "opt"),
 ) -> Sweep:
+    """Hit ratio / delay / overhead under injected faults, repair running.
+
+    Two swept axes, same three systems:
+
+    - **loss axis** — for each rate in ``loss_rates``: i.i.d. message
+      loss (``repro.faults.MessageLoss``) plus a crash burst killing
+      ``kill_frac`` of the population (scheduled through
+      ``ChurnSchedule.crashes``), then ``heal_cycles`` gossip cycles for
+      heartbeat eviction and relay repair, then measurement with the loss
+      still active (rows with ``fault="loss"``, ``phase="steady"``);
+    - **partition axis** — for each duration ``d`` in
+      ``partition_cycles``: a half/half partition held for ``d`` cycles,
+      measured once just before it heals (``phase="partitioned"``) and
+      once ``heal_cycles`` cycles after (``phase="healed"``).
+
+    All fault randomness derives from ``fault_seed`` (defaults to
+    ``seed``), through per-(axis, system, point) :class:`SeedTree`
+    streams — the same fault seed replays the exact same faults, while
+    the build stays pinned to ``seed``.  Each row also reports
+    ``faults_injected`` (from the model), ``retries`` and ``repairs``
+    (from the protocol) so the healing machinery is visible without
+    telemetry.
+    """
     known = ("vitis", "rvr", "opt")
     unknown = [s for s in systems if s not in known]
     if unknown:
@@ -1146,53 +927,6 @@ def fault_sweep_spec(
                 heal_cycles=heal_cycles, events=events, fault_seed=fault_seed,
             )
     return sweep
-
-
-def fault_sweep(
-    n_nodes: int = 200,
-    n_topics: int = 400,
-    loss_rates: Sequence[float] = (0.0, 0.05, 0.1, 0.2),
-    partition_cycles: Sequence[int] = (),
-    kill_frac: float = 0.1,
-    heal_cycles: int = 12,
-    events: int = 150,
-    seed: int = 0,
-    fault_seed: Optional[int] = None,
-    systems: Sequence[str] = ("vitis", "rvr", "opt"),
-    executor=None,
-    cache=None,
-    resume: bool = False,
-) -> List[Dict]:
-    """Hit ratio / delay / overhead under injected faults, repair running.
-
-    Two swept axes, same three systems:
-
-    - **loss axis** — for each rate in ``loss_rates``: i.i.d. message
-      loss (``repro.faults.MessageLoss``) plus a crash burst killing
-      ``kill_frac`` of the population (scheduled through
-      ``ChurnSchedule.crashes``), then ``heal_cycles`` gossip cycles for
-      heartbeat eviction and relay repair, then measurement with the loss
-      still active (rows with ``fault="loss"``, ``phase="steady"``);
-    - **partition axis** — for each duration ``d`` in
-      ``partition_cycles``: a half/half partition held for ``d`` cycles,
-      measured once just before it heals (``phase="partitioned"``) and
-      once ``heal_cycles`` cycles after (``phase="healed"``).
-
-    All fault randomness derives from ``fault_seed`` (defaults to
-    ``seed``), through per-(axis, system, point) :class:`SeedTree`
-    streams — the same fault seed replays the exact same faults, while
-    the build stays pinned to ``seed``.  Each row also reports
-    ``faults_injected`` (from the model), ``retries`` and ``repairs``
-    (from the protocol) so the healing machinery is visible without
-    telemetry.
-    """
-    return run_sweep(
-        fault_sweep_spec(
-            n_nodes, n_topics, loss_rates, partition_cycles, kill_frac,
-            heal_cycles, events, seed, fault_seed, systems,
-        ),
-        executor=executor, cache=cache, resume=resume,
-    )
 
 
 # ----------------------------------------------------------------------

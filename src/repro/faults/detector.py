@@ -60,6 +60,7 @@ __all__ = [
     "DetectorConfig",
     "SwimDetector",
     "Verdict",
+    "VerdictTable",
     "STATE_ALIVE",
     "STATE_SUSPECT",
     "STATE_DEAD",
@@ -170,11 +171,56 @@ class Verdict:
         return True
 
 
-#: Backwards-compatible private alias (pre-live-runtime name).
-_Verdict = Verdict
+class VerdictTable:
+    """Per-subject verdicts plus the SWIM counter block — the state both
+    detectors keep, whichever way they probe (:class:`SwimDetector`
+    against the simulator's fault model, one table per protocol;
+    :class:`repro.net.liveness.LiveSwimDetector` with real datagrams,
+    one table per observer)."""
+
+    def __init__(self) -> None:
+        self._verdicts: Dict[int, Verdict] = {}
+        # Counters (plain ints so rows need no telemetry backend).
+        self.probes_sent = 0
+        self.probe_misses = 0
+        self.indirect_probes = 0
+        self.suspicions = 0
+        self.refutations = 0
+        self.confirmations = 0
+        self.rejoins = 0
+
+    def state_of(self, address: int) -> str:
+        v = self._verdicts.get(address)
+        return v.state if v is not None else STATE_ALIVE
+
+    def confirmed(self, address: int) -> bool:
+        v = self._verdicts.get(address)
+        return v is not None and v.state == STATE_DEAD
+
+    def suspected(self, address: int) -> bool:
+        v = self._verdicts.get(address)
+        return v is not None and v.state == STATE_SUSPECT
+
+    def summary(self) -> Dict[str, int]:
+        """The counter block scenario rows embed (stable key order)."""
+        return {
+            "probes_sent": self.probes_sent,
+            "probe_misses": self.probe_misses,
+            "indirect_probes": self.indirect_probes,
+            "suspicions": self.suspicions,
+            "refutations": self.refutations,
+            "confirmations": self.confirmations,
+            "detector_rejoins": self.rejoins,
+        }
+
+    def _verdict(self, address: int) -> Verdict:
+        v = self._verdicts.get(address)
+        if v is None:
+            v = self._verdicts[address] = Verdict()
+        return v
 
 
-class SwimDetector:
+class SwimDetector(VerdictTable):
     """The SWIM failure detector for one protocol instance.
 
     Parameters
@@ -190,22 +236,14 @@ class SwimDetector:
     name = "swim"
 
     def __init__(self, rng, config: Optional[DetectorConfig] = None) -> None:
+        super().__init__()
         self.rng = rng
         self.config = config if config is not None else DetectorConfig()
         self.protocol = None
         self.cycle = 0
-        self._verdicts: Dict[int, _Verdict] = {}
         #: address → simulated time of its confirmation (kept across
         #: rejoin for detection-latency accounting).
         self.confirmed_at: Dict[int, float] = {}
-        # Counters (plain ints so rows need no telemetry backend).
-        self.probes_sent = 0
-        self.probe_misses = 0
-        self.indirect_probes = 0
-        self.suspicions = 0
-        self.refutations = 0
-        self.confirmations = 0
-        self.rejoins = 0
 
     def bind(self, protocol) -> None:
         """Called by ``protocol.attach_detector``."""
@@ -214,33 +252,9 @@ class SwimDetector:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def state_of(self, address: int) -> str:
-        v = self._verdicts.get(address)
-        return v.state if v is not None else STATE_ALIVE
-
-    def confirmed(self, address: int) -> bool:
-        v = self._verdicts.get(address)
-        return v is not None and v.state == STATE_DEAD
-
-    def suspected(self, address: int) -> bool:
-        v = self._verdicts.get(address)
-        return v is not None and v.state == STATE_SUSPECT
-
     def incarnation(self, address: int) -> int:
         v = self._verdicts.get(address)
         return v.incarnation if v is not None else 0
-
-    def summary(self) -> Dict[str, int]:
-        """The counter block scenario rows embed (stable key order)."""
-        return {
-            "probes_sent": self.probes_sent,
-            "probe_misses": self.probe_misses,
-            "indirect_probes": self.indirect_probes,
-            "suspicions": self.suspicions,
-            "refutations": self.refutations,
-            "confirmations": self.confirmations,
-            "detector_rejoins": self.rejoins,
-        }
 
     # ------------------------------------------------------------------
     # Lifecycle hooks
@@ -346,12 +360,6 @@ class SwimDetector:
     # ------------------------------------------------------------------
     # State machine
     # ------------------------------------------------------------------
-    def _verdict(self, address: int) -> _Verdict:
-        v = self._verdicts.get(address)
-        if v is None:
-            v = self._verdicts[address] = _Verdict()
-        return v
-
     def _mark_alive(self, address: int) -> None:
         """An ack came back: a pending suspicion is disproved on the spot
         (the shared-verdict analogue of an alive-message override)."""

@@ -6,19 +6,18 @@
   (the paper's choice; "any implementation can be used").
 - :mod:`repro.gossip.cyclon` — Cyclon shuffle variant, for comparison and
   robustness experiments.
-- :mod:`repro.gossip.tman` — T-Man topology construction: generic ranked
-  view exchange driven by a pluggable neighbor-selection function.
+
+The T-Man routing-table exchange the protocol runs on top of these is
+:meth:`repro.core.node.VitisNode.tman_step`.
 """
 
 from repro.gossip.view import Descriptor, PartialView
 from repro.gossip.peer_sampling import PeerSamplingService
 from repro.gossip.cyclon import CyclonService
-from repro.gossip.tman import TManService
 
 __all__ = [
     "CyclonService",
     "Descriptor",
     "PartialView",
     "PeerSamplingService",
-    "TManService",
 ]

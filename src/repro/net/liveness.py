@@ -43,7 +43,7 @@ from repro.faults.detector import (
     STATE_DEAD,
     STATE_SUSPECT,
     DetectorConfig,
-    Verdict,
+    VerdictTable,
 )
 from repro.sim.messages import Probe, ProbeAck, ProbeReq, Refutation, Suspicion
 
@@ -55,7 +55,7 @@ log = logging.getLogger(__name__)
 _SUSPICION_FANOUT = 3
 
 
-class LiveSwimDetector:
+class LiveSwimDetector(VerdictTable):
     """One node's failure detector (construct one per process).
 
     Parameters
@@ -100,6 +100,7 @@ class LiveSwimDetector:
         population: Optional[Callable[[], int]] = None,
         on_transition: Optional[Callable[[int, str, str], None]] = None,
     ) -> None:
+        super().__init__()
         self.address = address
         self.transport = transport
         self.rng = rng
@@ -112,35 +113,16 @@ class LiveSwimDetector:
         self.population = population if population is not None else (lambda: 2)
         #: This node's own incarnation number (bumped per refutation).
         self.incarnation = 0
-        self._verdicts: Dict[int, Verdict] = {}
         #: target → ack deadline for an outstanding direct probe.
         self._direct: Dict[int, float] = {}
         #: target → ack deadline for an outstanding indirect round.
         self._indirect: Dict[int, float] = {}
         #: target → origins waiting on our proxy probe of that target.
         self._proxying: Dict[int, Set[int]] = {}
-        # Counters (same block as SwimDetector.summary()).
-        self.probes_sent = 0
-        self.probe_misses = 0
-        self.indirect_probes = 0
-        self.suspicions = 0
-        self.refutations = 0
-        self.confirmations = 0
-        self.rejoins = 0
 
     # ------------------------------------------------------------------
-    # Queries (the node's liveness predicate)
+    # Queries (``confirmed``, the node's liveness predicate, is inherited)
     # ------------------------------------------------------------------
-    def state_of(self, address: int) -> str:
-        v = self._verdicts.get(address)
-        return v.state if v is not None else STATE_ALIVE
-
-    def confirmed(self, address: int) -> bool:
-        return self.state_of(address) == STATE_DEAD
-
-    def suspected(self, address: int) -> bool:
-        return self.state_of(address) == STATE_SUSPECT
-
     def verdict_counts(self) -> Dict[str, int]:
         """Current number of suspected and confirmed-dead peers — the
         gauge pair the streamed metrics frames carry."""
@@ -156,29 +138,12 @@ class LiveSwimDetector:
         if self.on_transition is not None and prev != new:
             self.on_transition(peer, prev, new)
 
-    def summary(self) -> Dict[str, int]:
-        return {
-            "probes_sent": self.probes_sent,
-            "probe_misses": self.probe_misses,
-            "indirect_probes": self.indirect_probes,
-            "suspicions": self.suspicions,
-            "refutations": self.refutations,
-            "confirmations": self.confirmations,
-            "detector_rejoins": self.rejoins,
-        }
-
     # ------------------------------------------------------------------
     # Grace deadline, in seconds
     # ------------------------------------------------------------------
     def _suspicion_deadline(self, now: float) -> float:
         cycles = self.config.suspicion_cycles(max(2, self.population()))
         return now + cycles * self.period
-
-    def _verdict(self, address: int) -> Verdict:
-        v = self._verdicts.get(address)
-        if v is None:
-            v = self._verdicts[address] = Verdict()
-        return v
 
     # ------------------------------------------------------------------
     # One probe period

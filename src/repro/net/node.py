@@ -1,31 +1,21 @@
 """One live Vitis node process.
 
 Hosts a single :class:`~repro.core.deployment.DeployedVitisNode` on real
-infrastructure instead of the simulator: the asyncio UDP transport
-(:mod:`repro.net.transport`) replaces ``Network``, wall-clock
-:class:`~repro.net.timers.AsyncPeriodicTask` timers replace the engine's
-``PeriodicTask``, the per-observer SWIM detector
-(:mod:`repro.net.liveness`) replaces ground-truth liveness, and the seed
-registry (:mod:`repro.net.bootstrap`) replaces shared memory.  The
-protocol logic itself — T-Man exchanges, Newscast sampling, gateway
-election, relay maintenance — is inherited unchanged; everything this
-module adds is the environment the simulator used to fake:
+infrastructure instead of the simulator.  The node — T-Man exchanges,
+Newscast sampling, gateway election, relay maintenance, and the
+notification flood with its causal spans — is the very class the
+simulator runs; this module is only its other host:
 
-- :class:`LiveSystem` — the ``system`` surface ``DeployedVitisNode``
-  consumes (``engine.now``, ``network``, ``is_alive``, ``topic_id``,
-  ``profile_of``, …) backed by wall clock, transport, detector verdicts
-  and the workload derived from the shared seed;
-- :class:`LiveVitisNode` — the node subclass whose timer is an asyncio
-  task and whose liveness predicate is the local detector's verdict;
-- the notification path: the distributed equivalent of the simulator's
-  omniscient dissemination BFS.  Each first receipt emits a causal span
-  (string ids ``n<addr>x<k>`` — unique across processes, so the
-  collector-merged trace reconstructs exactly like a single-process
-  one), delivers locally when subscribed, and forwards along the same
-  edge classes the paper describes: intra-cluster flood to
-  learned-interested routing-table neighbors, relay-tree edges, and
-  greedy rendezvous routing when the node is neither in a cluster of
-  the topic nor on its tree;
+- :class:`LiveSystem` — the host surface of ``repro.core.deployment``
+  on process-local reality: wall clock, the asyncio UDP transport
+  (:mod:`repro.net.transport`), :class:`~repro.net.timers.AsyncPeriodicTask`
+  timers, liveness from the registry and the per-observer SWIM detector
+  (:mod:`repro.net.liveness`), profiles from the workload derived from
+  the shared seed, and process-unique span ids (``n<addr>x<k>``, so the
+  collector-merged trace reconstructs exactly like a single-process one);
+- :class:`LiveNodeHost` — the wiring around it: seed registry pushes and
+  driver commands (:mod:`repro.net.bootstrap`), detector hooks, the
+  collector stream and its metrics frames;
 - :func:`run_node` — the async process entry: bind UDP on an ephemeral
   port, join via the seed, stream ``repro.obs`` JSONL to the collector
   (proc-tagged at source), run protocol + detector timers, answer the
@@ -59,15 +49,7 @@ from repro.net.liveness import LiveSwimDetector
 from repro.net.timers import AsyncPeriodicTask, jittered_period
 from repro.net.transport import UdpTransport
 from repro.net.wire import encode_metrics_frame
-from repro.obs.spans import (
-    CAUSE_FAULTED_LINK,
-    HOP_DELIVER,
-    HOP_FLOOD,
-    HOP_LOOKUP,
-    HOP_PUBLISH,
-    HOP_RELAY,
-    HOP_RENDEZVOUS,
-)
+from repro.obs.spans import CAUSE_FAULTED_LINK
 from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import TraceWriter
@@ -75,7 +57,7 @@ from repro.sim.messages import Notification
 from repro.sim.rng import SeedTree
 from repro.workloads.subscriptions import bucket_subscriptions
 
-__all__ = ["LiveWorkload", "LiveSystem", "LiveVitisNode", "LiveNodeHost", "run_node"]
+__all__ = ["LiveWorkload", "LiveSystem", "LiveNodeHost", "run_node"]
 
 log = logging.getLogger(__name__)
 
@@ -134,46 +116,12 @@ class LiveWorkload:
         )
 
 
-class _WallClock:
-    """Monotonic wall clock with the engine's ``now`` read surface."""
-
-    __slots__ = ("_t0",)
-
-    def __init__(self) -> None:
-        self._t0 = time.monotonic()
-
-    @property
-    def now(self) -> float:
-        return time.monotonic() - self._t0
-
-
-class LiveVitisNode(DeployedVitisNode):
-    """A deployed node whose timer is an asyncio task.
-
-    ``_tick`` and the whole message dispatch are inherited; only the
-    scheduling substrate changes.
-    """
-
-    def deploy(self, bootstrap: List[Descriptor]) -> None:
-        self.join(bootstrap)
-        self.neighbor_state.clear()
-        self.relay_stamp.clear()
-        self.child_stamp.clear()
-        if self._task is not None:
-            self._task.stop()
-        period = jittered_period(self.config.gossip_period, self.rng)
-        self._task = AsyncPeriodicTask(
-            period, self._tick, first_delay=period * self.rng.random()
-        )
-
-
 class LiveSystem:
-    """The ``system`` surface of one live node process.
-
-    Mirrors :class:`~repro.core.deployment.DeployedVitis` field for field
-    where ``DeployedVitisNode`` reads it, but every answer comes from
-    process-local reality: membership from the seed registry, liveness
-    from the local SWIM detector, time from the wall clock.
+    """The host of one live node process: the surface
+    :class:`~repro.core.deployment.DeployedVitisNode` talks to (see
+    :mod:`repro.core.deployment`), answered from process-local reality —
+    membership from the seed registry, liveness from the local SWIM
+    detector, time from the wall clock, the wire from UDP.
     """
 
     name = "vitis-live"
@@ -191,10 +139,10 @@ class LiveSystem:
         self.telemetry = telemetry
         self.space = IdSpace()
         self.seeds = SeedTree(workload.seed)
-        self.engine = _WallClock()
-        self.network = transport
-        # BaseNode.start() stamps joined_at from network.engine.now.
-        transport.engine = self.engine
+        self.transport = transport
+        self.send = transport.send
+        self.topic_id = self.space.topic_id
+        self._t0 = time.monotonic()
         self.workload = workload
         self.subs = workload.subscriptions()
         self.n_topics = workload.n_topics
@@ -205,12 +153,27 @@ class LiveSystem:
         self.members: Set[int] = set()
         #: The local failure detector (installed by the host).
         self.detector: Optional[LiveSwimDetector] = None
-        self._topic_ids: Dict[int, int] = {}
+        #: Events accepted for the local subscriber, and their hop counts.
+        self.delivered = 0
+        self.delivery_hops = MetricsRegistry()
+        self._span_seq = 0
         self._profiles: Dict[int, NodeProfile] = {}
-        self.node = LiveVitisNode(self, address, self.subs[address])
-        self.node.network = transport
+        self.node = DeployedVitisNode(self, address, self.subs[address])
 
     # ------------------------------------------------------------------
+    @property
+    def now(self) -> float:
+        """Monotonic seconds since this process's host came up."""
+        return time.monotonic() - self._t0
+
+    def backpressured(self, address: int) -> bool:
+        """The live transport bounds no inbox yet, so nothing defers."""
+        return False
+
+    def start_timer(self, period: float, rng, fn) -> AsyncPeriodicTask:
+        period = jittered_period(period, rng)
+        return AsyncPeriodicTask(period, fn, first_delay=period * rng.random())
+
     def is_alive(self, address: int) -> bool:
         """Perceived liveness: a registry member the detector has not
         confirmed dead.  This is what the routing/election code consults,
@@ -221,13 +184,6 @@ class LiveSystem:
         if address not in self.members:
             return False
         return self.detector is None or not self.detector.confirmed(address)
-
-    def topic_id(self, topic: int) -> int:
-        tid = self._topic_ids.get(topic)
-        if tid is None:
-            tid = self.space.topic_id(topic)
-            self._topic_ids[topic] = tid
-        return tid
 
     def profile_of(self, address: int) -> Optional[NodeProfile]:
         """Ground-truth profile from the shared workload derivation (the
@@ -241,20 +197,29 @@ class LiveSystem:
             )
         return p
 
-    def subscribers(self, topic: int) -> Set[int]:
-        """Ground-truth subscriber set (driver-side bookkeeping uses the
-        identical derivation; nodes only need it for local delivery)."""
-        return {a for a, s in enumerate(self.subs) if topic in s}
+    def span(self, trace, kind, src, dst, hop, **fields) -> Optional[str]:
+        """Emit one causal span under a process-unique string id
+        (``build_span_trees`` keys spans by value, so merged traces never
+        collide across processes)."""
+        tel = self.telemetry
+        if trace is None or not tel.tracing:
+            return None
+        sid = f"n{self.address}x{self._span_seq}"
+        self._span_seq += 1
+        tel.event(
+            "span", t=self.now, trace=trace, span=sid,
+            kind=kind, src=src, dst=dst, hop=hop, **fields,
+        )
+        return sid
+
+    def deliver(self, msg: Notification) -> None:
+        self.delivered += 1
+        self.delivery_hops.histogram("live_delivery_hops").observe(msg.hops)
 
 
 class LiveNodeHost:
-    """Wires one :class:`LiveVitisNode` to transport, detector, seed and
-    collector — and implements the live notification path."""
-
-    #: Hard bound on notification forwarding depth (loop safety net on
-    #: top of per-event dedup; greedy legs are distance-decreasing and
-    #: flood/tree legs are deduped, so this should never bind).
-    MAX_HOPS = 96
+    """Wires one :class:`LiveSystem` (and its node) to transport
+    callbacks, detector, seed registry and collector."""
 
     def __init__(
         self,
@@ -266,35 +231,22 @@ class LiveNodeHost:
         self.node = system.node
         self.client = client
         self.telemetry = telemetry
-        self.transport: UdpTransport = system.network
+        self.transport: UdpTransport = system.transport
         self.detector: Optional[LiveSwimDetector] = None
         self.shutdown = asyncio.Event()
         self.published = 0
-        self.delivered = 0
-        self._span_seq = 0
-        #: Host-local instruments (delivery-hop histogram); absolute
-        #: transport/detector counters are sampled in current_metrics().
-        self._local = MetricsRegistry()
         self._metrics_task: Optional[AsyncPeriodicTask] = None
         self._metrics_cursor: Optional[Dict] = None
         self._metrics_seq = 0
 
         self.transport.on_message = self._on_message
         self.transport.on_give_up = self._on_give_up
-        self.transport.notification_sink = self
         client.on_registry = self._on_registry
         client.on_push = self._on_command
 
     @property
     def address(self) -> int:
         return self.system.address
-
-    def _new_span_id(self) -> str:
-        """Process-unique string span id; ``build_span_trees`` keys spans
-        by value, so merged traces never collide across processes."""
-        sid = f"n{self.address}x{self._span_seq}"
-        self._span_seq += 1
-        return sid
 
     # ------------------------------------------------------------------
     # Inbound datagrams
@@ -310,14 +262,11 @@ class LiveNodeHost:
         """A reliable send exhausted its retry budget: record the failed
         edge on the event's span tree (when it carried one) and hand the
         peer to the liveness layer instead of blocking on it."""
-        tel = self.telemetry
-        if tel.tracing and isinstance(msg, Notification) and msg.span is not None:
+        if isinstance(msg, Notification) and msg.span is not None:
             trace, parent, kind = msg.span
-            tel.event(
-                "span", t=self.system.engine.now, trace=trace,
-                span=self._new_span_id(), parent=parent, kind=kind,
-                src=self.address, dst=msg.dst, hop=msg.hops,
-                status=CAUSE_FAULTED_LINK,
+            self.system.span(
+                trace, kind, self.address, msg.dst, msg.hops,
+                parent=parent, status=CAUSE_FAULTED_LINK,
             )
         if self.detector is not None:
             self.detector.on_transport_failure(msg.dst)
@@ -337,7 +286,8 @@ class LiveNodeHost:
     def _on_command(self, obj: Dict) -> None:
         op = obj.get("op")
         if op == "publish":
-            self.publish(
+            self.published += 1
+            self.node.publish(
                 obj["topic"], obj["event"], obj["trace"], obj["expected"]
             )
         elif op == "topo":
@@ -387,136 +337,10 @@ class LiveNodeHost:
         self.system.detector = detector
 
     def evict_confirmed(self, address: int) -> None:
-        """The healing path on a SWIM confirmation: purge the peer from
-        the routing table, learned state and relay trees, and report the
-        obituary to the registry."""
-        node = self.node
-        node.rt.remove(address)
-        node.neighbor_state.pop(address, None)
-        for topic in [t for t, p in node.relay.parent.items() if p == address]:
-            node.relay.drop_topic(topic)
-            node.relay_stamp.pop(topic, None)
-        for topic, kids in list(node.relay.children.items()):
-            kids.discard(address)
-            node.child_stamp.pop((topic, address), None)
-            if not kids:
-                del node.relay.children[topic]
+        """The healing path on a SWIM confirmation: the node purges the
+        peer, and the obituary goes to the registry."""
+        self.node.evict_confirmed(address)
         self.client.report_dead(address)
-
-    # ------------------------------------------------------------------
-    # The live dissemination path
-    # ------------------------------------------------------------------
-    def publish(self, topic: int, event_id: int, trace: str, expected: int) -> None:
-        """Driver-commanded publish: emit the root span and inject the
-        event exactly as the in-sim publisher would."""
-        tel = self.telemetry
-        node = self.node
-        node.seen_events.add(event_id)
-        self.published += 1
-        sid = None
-        if tel.tracing:
-            sid = self._new_span_id()
-            tel.event(
-                "span", t=self.system.engine.now, trace=trace, span=sid,
-                kind=HOP_PUBLISH, src=self.address, dst=self.address, hop=0,
-                topic=topic, event=event_id, publisher=self.address,
-                subs=expected,
-            )
-        self._forward(
-            topic, event_id, self.address, hops=1, exclude=None,
-            trace=trace, parent_sid=sid, injecting=True,
-        )
-
-    def on_notification(self, node, msg: Notification) -> None:
-        """First-receipt handler (installed as the transport's
-        ``notification_sink``; duplicates were not deduped by the
-        transport — retransmits are — so the event-id check here is the
-        protocol-level duplicate suppression)."""
-        if msg.event_id in node.seen_events:
-            return
-        node.seen_events.add(msg.event_id)
-        tel = self.telemetry
-        meta = msg.span
-        sid = None
-        trace = None
-        subscribed = msg.topic in node.profile.subscriptions
-        if tel.tracing and meta is not None:
-            trace, parent, kind = meta
-            sid = self._new_span_id()
-            now = self.system.engine.now
-            tel.event(
-                "span", t=now, trace=trace, span=sid, parent=parent,
-                kind=kind, src=msg.src, dst=self.address, hop=msg.hops,
-            )
-            if subscribed and self.address != msg.publisher:
-                tel.event(
-                    "span", t=now, trace=trace, span=self._new_span_id(),
-                    parent=sid, kind=HOP_DELIVER, src=self.address,
-                    dst=self.address, hop=msg.hops,
-                )
-        if subscribed and self.address != msg.publisher:
-            self.delivered += 1
-            self._local.histogram("live_delivery_hops").observe(msg.hops)
-        if msg.hops < self.MAX_HOPS:
-            self._forward(
-                msg.topic, msg.event_id, msg.publisher, hops=msg.hops + 1,
-                exclude=msg.src, trace=trace, parent_sid=sid,
-            )
-
-    def _forward(
-        self,
-        topic: int,
-        event_id: int,
-        publisher: int,
-        hops: int,
-        exclude: Optional[int],
-        trace: Optional[str],
-        parent_sid: Optional[str],
-        injecting: bool = False,
-    ) -> None:
-        """Forward one event along the paper's edge classes (the node-local
-        equivalent of the simulator's ``forwarding_targets``):
-
-        - intra-cluster flood — to every routing-table neighbor whose
-          *learned* profile shares the topic, when this node subscribes;
-        - relay tree — to the topic's parent and children (``rendezvous``
-          kind when dispatched by the tree root);
-        - greedy rendezvous routing — when neither applies, one hop
-          strictly closer to ``hash(topic)`` (the Scribe-style publisher
-          injection and its continuation by non-subscribed relays).
-        """
-        node = self.node
-        system = self.system
-        targets: Dict[int, str] = {}
-        if topic in node.profile.subscriptions:
-            for addr, _nid in node.rt.links():
-                info = node.neighbor_state.get(addr)
-                if info is not None and topic in info.subscriptions:
-                    targets.setdefault(addr, HOP_FLOOD)
-        tree = node.relay.tree_neighbors(topic)
-        if tree:
-            is_root = (
-                node.relay.parent.get(topic) is None
-                and topic in node.relay.children
-            )
-            tree_kind = HOP_RENDEZVOUS if is_root else HOP_RELAY
-            for addr in tree:
-                targets.setdefault(addr, tree_kind)
-        targets.pop(self.address, None)
-        if exclude is not None:
-            targets.pop(exclude, None)
-        if not targets and hops <= system.config.max_lookup_hops:
-            nxt = node._next_hop(system.topic_id(topic))
-            if nxt is not None and nxt != exclude:
-                targets[nxt] = HOP_PUBLISH if injecting else HOP_LOOKUP
-        for dst in sorted(targets):
-            msg = Notification(
-                src=self.address, dst=dst, topic=topic,
-                event_id=event_id, hops=hops, publisher=publisher,
-            )
-            if trace is not None:
-                msg.span = (trace, parent_sid, targets[dst])
-            self.transport.send(msg)
 
     # ------------------------------------------------------------------
     # Metrics: current absolute values, streaming, final accounting
@@ -532,7 +356,7 @@ class LiveNodeHost:
         ``telemetry.metrics``.
         """
         m = MetricsRegistry()
-        m.merge(self._local.snapshot())
+        m.merge(self.system.delivery_hops.snapshot())
         t = self.transport
         m.counter("live_sent_total").inc(sum(t.sent.values()))
         m.counter("live_delivered_total").inc(sum(t.delivered.values()))
@@ -544,7 +368,7 @@ class LiveNodeHost:
         m.counter("live_loss_injected").inc(t.loss_injected)
         m.counter("live_malformed").inc(t.malformed)
         m.counter("live_published").inc(self.published)
-        m.counter("live_delivered_events").inc(self.delivered)
+        m.counter("live_delivered_events").inc(self.system.delivered)
         m.counter("backpressure_deferred").inc(self.system.backpressure_deferred)
         m.gauge("live_queue_depth").set(t.pending_count)
         m.gauge("live_members").set(len(self.system.members))
@@ -590,7 +414,7 @@ class LiveNodeHost:
             return False
         writer.write_record(
             encode_metrics_frame(
-                self.address, self._metrics_seq, self.system.engine.now,
+                self.address, self._metrics_seq, self.system.now,
                 time.time(), delta,
             )
         )
@@ -612,7 +436,7 @@ class LiveNodeHost:
         tel = self.telemetry
         if tel.tracing:
             tel.event(
-                "swim", t=self.system.engine.now, ts=round(time.time(), 6),
+                "swim", t=self.system.now, ts=round(time.time(), 6),
                 peer=peer, prev=prev, state=state,
             )
 
@@ -659,7 +483,7 @@ async def run_node(ns) -> int:
         address,
         transport,
         random.Random(),
-        clock=lambda: system.engine.now,
+        clock=lambda: system.now,
         period=config.gossip_period,
         candidates=lambda: [a for a, _ in node.rt.links()],
         config=DetectorConfig(),

@@ -7,12 +7,10 @@ no thundering herd against shared links) while keeping each node's cadence
 fixed — the form the paper's evaluation assumes and
 :class:`repro.core.deployment.DeployedVitisNode` has always used.
 
-This module is the one home of that draw, shared by the simulated
-deployment mode (:class:`~repro.sim.engine.PeriodicTask` on a simulated
-clock) and the live runtime (:class:`AsyncPeriodicTask` on the asyncio
-clock).  The formula is load-bearing for reproducibility: the simulated
-deployment draws it from the node's own RNG, so moving the code must not
-change the number of draws or their order.
+The draw itself (:func:`~repro.sim.engine.jittered_period`) lives beside
+the simulated-clock :class:`~repro.sim.engine.PeriodicTask` and is
+re-exported here; this module adds the asyncio-clock counterpart,
+:class:`AsyncPeriodicTask`, that the live runtime schedules it on.
 """
 
 from __future__ import annotations
@@ -20,37 +18,9 @@ from __future__ import annotations
 import asyncio
 from typing import Callable, Optional
 
-from repro.sim.engine import Engine, PeriodicTask
+from repro.sim.engine import DEFAULT_JITTER, jittered_period, start_periodic
 
 __all__ = ["DEFAULT_JITTER", "jittered_period", "start_periodic", "AsyncPeriodicTask"]
-
-#: Fractional width of the period band: the period is drawn uniformly
-#: from ``[nominal * (1 - J/2), nominal * (1 + J/2)]``.
-DEFAULT_JITTER = 0.2
-
-
-def jittered_period(nominal: float, rng, jitter: float = DEFAULT_JITTER) -> float:
-    """One phase-jitter draw: a fixed per-node period around ``nominal``.
-
-    Consumes exactly one ``rng.random()`` call — callers that replay a
-    seeded run depend on that.
-    """
-    return nominal * (1.0 + jitter * (rng.random() - 0.5))
-
-
-def start_periodic(
-    engine: Engine,
-    nominal: float,
-    rng,
-    callback: Callable[[], Optional[bool]],
-    jitter: float = DEFAULT_JITTER,
-) -> PeriodicTask:
-    """Start a simulated-clock periodic task with a jittered period.
-
-    The first tick fires one (jittered) period from now, matching the
-    historical inline behavior of ``DeployedVitisNode.deploy``.
-    """
-    return PeriodicTask(engine, jittered_period(nominal, rng, jitter), callback)
 
 
 class AsyncPeriodicTask:

@@ -116,9 +116,6 @@ class UdpTransport:
         self.on_message: Optional[Callable[[Message], None]] = None
         #: Retry-budget exhaustion callback: ``on_give_up(msg)``.
         self.on_give_up: Optional[Callable[[Message], None]] = None
-        # Simulator-compatible surface consumed by DeployedVitisNode.
-        self.capacity = None
-        self.notification_sink = None
         # Traffic accounting (mirrors repro.sim.network.Network).
         self.sent = Counter()
         self.delivered = Counter()

@@ -24,7 +24,7 @@ Because scenario functions build protocols several layers down, a
 telemetry object can also be installed *ambiently* for a code region::
 
     with obs.scope(telemetry):
-        rows = scenarios.fig4_friends_vs_sw(...)
+        rows = run_sweep(scenarios.fig4_spec(...))
 
 Protocol constructors and the build helpers default their ``telemetry``
 argument to :func:`current`, so the CLI can instrument any scenario

@@ -22,7 +22,14 @@ import itertools
 import time
 from typing import Callable, List, Optional
 
-__all__ = ["Engine", "CycleDriver", "PeriodicTask"]
+__all__ = [
+    "Engine",
+    "CycleDriver",
+    "PeriodicTask",
+    "DEFAULT_JITTER",
+    "jittered_period",
+    "start_periodic",
+]
 
 
 class _Event:
@@ -209,6 +216,34 @@ class PeriodicTask:
         """Cancel the task; the pending occurrence will not fire."""
         self._stopped = True
         self._handle.cancelled = True
+
+
+#: Fractional width of the period band: a jittered period is drawn
+#: uniformly from ``[nominal * (1 - J/2), nominal * (1 + J/2)]``.
+DEFAULT_JITTER = 0.2
+
+
+def jittered_period(nominal: float, rng, jitter: float = DEFAULT_JITTER) -> float:
+    """One phase-jitter draw: a fixed per-node period around ``nominal``.
+
+    Every deployed node runs on its own timer whose period is drawn once,
+    at deploy time; the draw desynchronises the population (no global
+    rounds) while keeping each node's cadence fixed.  Consumes exactly
+    one ``rng.random()`` call — seeded deployed-mode runs depend on that.
+    """
+    return nominal * (1.0 + jitter * (rng.random() - 0.5))
+
+
+def start_periodic(
+    engine: Engine,
+    nominal: float,
+    rng,
+    callback: Callable[[], Optional[bool]],
+    jitter: float = DEFAULT_JITTER,
+) -> PeriodicTask:
+    """Start a simulated-clock periodic task with a jittered period; the
+    first tick fires one (jittered) period from now."""
+    return PeriodicTask(engine, jittered_period(nominal, rng, jitter), callback)
 
 
 class CycleDriver:

@@ -116,6 +116,9 @@ class Network:
         #: Optional telemetry for fault/drop counters and events
         #: (None = uninstrumented).
         self.telemetry = None
+        #: The message-level dissemination run notifications are routed
+        #: to while it is active (``disseminate_via_network``).
+        self.notification_sink = None
 
     # ------------------------------------------------------------------
     # Registry

@@ -1,0 +1,248 @@
+"""The node-local notification flood, under the simulator's virtual clock.
+
+``DeployedVitisNode.publish`` / ``on_notification`` / ``_forward`` are the
+code a live cluster runs on UDP (``repro.net.node`` only hosts it).  Here
+the same class runs on :class:`DeployedVitis`, so the live path's
+assertions — one publish root per event, complete span trees, every
+reachable subscriber delivered exactly once — hold deterministically and
+in a fraction of the six-process run's time.  To reproduce a live flood
+bug, start here: plant the reported topology on three nodes and step it.
+"""
+
+from collections import deque
+
+import pytest
+
+from repro.core.config import VitisConfig
+from repro.core.deployment import DeployedVitis, NeighborInfo
+from repro.core.routing_table import LinkKind
+from repro.gossip.view import Descriptor
+from repro.obs.spans import build_span_trees
+from repro.sim.messages import Notification
+from repro.workloads.subscriptions import bucket_subscriptions
+from tests.core.test_span_tracing import captured_telemetry, events_of
+
+
+# ----------------------------------------------------------------------
+# Reference: the forwarding rule, re-stated over frozen node state
+# ----------------------------------------------------------------------
+def reference_targets(d, u, topic, sender, hops):
+    node = d.nodes[u]
+    targets = set()
+    if topic in node.profile.subscriptions:
+        for a, _ in node.rt.links():
+            info = node.neighbor_state.get(a)
+            if info is not None and topic in info.subscriptions:
+                targets.add(a)
+    targets.update(node.relay.tree_neighbors(topic))
+    targets -= {u, sender}
+    if not targets and hops <= d.config.max_lookup_hops:
+        nxt = node._next_hop(d.topic_id(topic))
+        if nxt is not None and nxt != sender:
+            targets.add(nxt)
+    return sorted(targets)
+
+
+def reference_reach(d, topic, publisher):
+    """address → hop of first receipt (zero latency ⇒ BFS order)."""
+    hop_of = {publisher: 0}
+    queue = deque([(publisher, None)])
+    while queue:
+        u, sender = queue.popleft()
+        for v in reference_targets(d, u, topic, sender, hop_of[u] + 1):
+            if v not in hop_of and d.is_alive(v):
+                hop_of[v] = hop_of[u] + 1
+                queue.append((v, u))
+    return hop_of
+
+
+# ----------------------------------------------------------------------
+# The in-sim twin of tests/net/test_cluster.py::test_mini_cluster_end_to_end
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def flooded():
+    tel, buf = captured_telemetry()
+    subs = bucket_subscriptions(
+        30, 60, n_buckets=12, buckets_per_node=4, topics_per_bucket=3, seed=0
+    )
+    d = DeployedVitis(subs, VitisConfig(), seed=0, telemetry=tel)
+    d.run(40)
+    # Freeze the overlay: stop every timer and drain what is in flight,
+    # so the reference walk and the flood see the same state.
+    for node in d.nodes.values():
+        node._task.stop()
+    d.run(1)
+
+    plans = []
+    for k, topic in enumerate(d.topics()[:8]):
+        publisher = min(d.subscribers(topic))
+        expected = d.subscribers(topic) - {publisher}
+        plans.append((k, topic, publisher, expected, reference_reach(d, topic, publisher)))
+        d.nodes[publisher].publish(topic, k, f"e{k}", len(expected))
+    d.run(1)
+    return d, plans, buf
+
+
+def trees_of(buf):
+    return {t.trace_id: t for t in build_span_trees(events_of(buf)).values()}
+
+
+def test_one_publish_root_and_a_complete_tree_per_event(flooded):
+    d, plans, buf = flooded
+    trees = trees_of(buf)
+    assert set(trees) == {f"e{k}" for k, *_ in plans}
+    for k, topic, publisher, expected, _ in plans:
+        tree = trees[f"e{k}"]
+        assert tree.is_complete()
+        roots = [s for s in tree.spans.values() if s.parent is None]
+        assert [(s.kind, s.src, s.hop) for s in roots] == [("publish", publisher, 0)]
+        assert tree.meta == {
+            "topic": topic, "event": k, "publisher": publisher, "subs": len(expected),
+        }
+
+
+def test_every_reachable_subscriber_is_delivered_at_bfs_depth(flooded):
+    d, plans, buf = flooded
+    trees = trees_of(buf)
+    wanted = got = 0
+    for k, topic, publisher, expected, reach in plans:
+        reachable = {a: h for a, h in reach.items() if a in expected}
+        assert d.delivered.get(k, {}) == reachable
+        assert sorted((s.dst, s.hop) for s in trees[f"e{k}"].deliveries()) == sorted(
+            reachable.items()
+        )
+        wanted += len(expected)
+        got += len(reachable)
+    # The converged overlay reaches (nearly) everyone — the equalities
+    # above are not vacuous.
+    assert wanted > 20 and got >= 0.95 * wanted
+
+
+def test_duplicates_are_suppressed_by_seen_events(flooded):
+    d, plans, buf = flooded
+    trees = trees_of(buf)
+    # Every node forwards an event once, however often it hears it: the
+    # receipts outnumber the first-receipt spans.
+    receipts = sum(
+        1 for t in trees.values() for s in t.spans.values()
+        if s.parent is not None and s.kind != "deliver"
+    )
+    assert d.network.delivered["Notification"] > receipts
+    k, topic, publisher, expected, reach = plans[0]
+    for a in reach:
+        assert k in d.nodes[a].seen_events
+    # A late duplicate is dropped on the floor: no span, no forward.
+    receiver = next(a for a in reach if a != publisher)
+    sent = d.network.sent["Notification"]
+    late = Notification(
+        src=publisher, dst=receiver, topic=topic, event_id=k, hops=1,
+        publisher=publisher,
+    )
+    late.span = (f"e{k}", trees[f"e{k}"].root, "flood")
+    d.nodes[receiver].on_message(late)
+    d.run(1)
+    assert d.network.sent["Notification"] == sent
+    assert d.delivered[k] == {a: h for a, h in reach.items() if a in expected}
+    assert len(trees_of(buf)[f"e{k}"].spans) == len(trees[f"e{k}"].spans)
+
+
+# ----------------------------------------------------------------------
+# Planted three-node cases: the edge classes of _forward, and the purge
+# ----------------------------------------------------------------------
+TOPIC = 0
+
+
+def planted(subs=({TOPIC}, {TOPIC}, set())):
+    """Three joined nodes, no timers, and every send captured."""
+    d = DeployedVitis(list(subs), VitisConfig(rt_size=4), seed=1, auto_start=False)
+    for node in d.nodes.values():
+        node.join([])
+    sent = []
+    d.network.send = sent.append  # instance-level, like the benchmark's capture
+    return d, sent
+
+
+def link(d, a, *neighbors):
+    d.nodes[a].rt.replace(
+        [(Descriptor(b, d.space.node_id(b), 0), LinkKind.FRIEND) for b in neighbors]
+    )
+
+
+def forwarded(sent):
+    return [(m.dst, m.span[2], m.hops) for m in sent]
+
+
+def forward(node, hops=1, exclude=None, injecting=False):
+    node._forward(TOPIC, 7, node.address, hops, exclude, "e0", None, injecting)
+
+
+def test_flood_goes_to_learned_interested_neighbours_only():
+    d, sent = planted(({TOPIC}, {TOPIC}, {TOPIC}))
+    link(d, 0, 1, 2)
+    # Both neighbours subscribe, but only 1's profile has been heard.
+    d.nodes[0].neighbor_state[1] = NeighborInfo(subscriptions=frozenset({TOPIC}), version=0)
+    forward(d.nodes[0])
+    assert forwarded(sent) == [(1, "flood", 1)]
+    del sent[:]
+    forward(d.nodes[0], exclude=1)
+    # Nobody left to flood to: falls through to the greedy step (or to
+    # nothing when this node is the closest it knows to hash(topic)).
+    assert all(kind == "lookup" for _, kind, _ in forwarded(sent))
+
+
+def test_tree_edges_are_rendezvous_kind_at_the_root_and_relay_below():
+    d, sent = planted()
+    root, gateway = d.nodes[2], d.nodes[0]
+    root.relay.add_child(TOPIC, 0)
+    root.relay.add_child(TOPIC, 1)
+    gateway.relay.set_parent(TOPIC, 2)
+    forward(root, hops=3, exclude=0)
+    assert forwarded(sent) == [(1, "rendezvous", 3)]
+    del sent[:]
+    forward(gateway, hops=2)
+    assert forwarded(sent) == [(2, "relay", 2)]
+
+
+def test_greedy_next_hop_when_neither_flood_nor_tree_applies():
+    d, sent = planted()
+    tid = d.topic_id(TOPIC)
+    by_distance = sorted(d.nodes, key=lambda a: d.space.distance(d.space.node_id(a), tid))
+    closest, farthest = by_distance[0], by_distance[-1]
+    node = d.nodes[farthest]
+    # Make the sender uninterested and off-tree so only greedy applies.
+    node.profile.unsubscribe(TOPIC)
+    link(d, farthest, *[a for a in d.nodes if a != farthest])
+    forward(node)
+    assert forwarded(sent) == [(closest, "lookup", 1)]
+    del sent[:]
+    forward(node, injecting=True)
+    assert forwarded(sent) == [(closest, "publish", 1)]
+    del sent[:]
+    # The closest node has nowhere strictly closer to go.
+    d.nodes[closest].profile.unsubscribe(TOPIC)
+    link(d, closest, *[a for a in d.nodes if a != closest])
+    forward(d.nodes[closest])
+    assert sent == []
+
+
+def test_confirmed_peer_purge_clears_every_trace_of_the_peer():
+    d, _ = planted()
+    node = d.nodes[0]
+    link(d, 0, 1, 2)
+    node.neighbor_state[1] = NeighborInfo(subscriptions=frozenset({TOPIC}), version=0)
+    node.neighbor_state[2] = NeighborInfo()
+    node.relay.set_parent(TOPIC, 1)       # a tree whose parent is the victim
+    node.relay_stamp[TOPIC] = 3.0
+    node.relay.add_child(5, 1)            # the victim as the only child …
+    node.child_stamp[(5, 1)] = 3.0
+    node.relay.add_child(6, 1)            # … and as one child of two
+    node.relay.add_child(6, 2)
+    node.child_stamp[(6, 1)] = node.child_stamp[(6, 2)] = 3.0
+
+    node.evict_confirmed(1)
+
+    assert 1 not in node.rt and 2 in node.rt
+    assert set(node.neighbor_state) == {2}
+    assert TOPIC not in node.relay.parent and TOPIC not in node.relay_stamp
+    assert node.relay.children == {6: {2}}
+    assert node.child_stamp == {(6, 2): 3.0}

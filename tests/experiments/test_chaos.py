@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cli import main
-from repro.experiments.chaos import chaos_sweep, chaos_sweep_spec
+from repro.experiments import run_sweep
+from repro.experiments.chaos import chaos_sweep_spec
 from repro.experiments.scenarios import SCENARIOS
 
 SMALL = dict(
@@ -14,7 +15,7 @@ SMALL = dict(
 
 @pytest.fixture(scope="module")
 def rows():
-    return chaos_sweep(**SMALL)
+    return run_sweep(chaos_sweep_spec(**SMALL))
 
 
 class TestSpec:
@@ -69,7 +70,9 @@ class TestRows:
         assert sw["detection_latency"] <= hb["detection_latency"]
 
     def test_deterministic(self):
-        assert chaos_sweep(**SMALL) == chaos_sweep(**SMALL)
+        assert run_sweep(chaos_sweep_spec(**SMALL)) == run_sweep(
+            chaos_sweep_spec(**SMALL)
+        )
 
 
 class TestCliFlags:

@@ -35,15 +35,17 @@ class RecordingExecutor(SerialExecutor):
 
 class TestExecutorEquivalence:
     def test_fig4_serial_vs_parallel_identical(self):
-        ser = scenarios.fig4_friends_vs_sw(seed=1, **FIG4_KW)
-        par = scenarios.fig4_friends_vs_sw(
-            seed=1, executor=ParallelExecutor(2), **FIG4_KW
+        ser = run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW))
+        par = run_sweep(
+            scenarios.fig4_spec(seed=1, **FIG4_KW), executor=ParallelExecutor(2)
         )
         assert json.dumps(ser, sort_keys=True) == json.dumps(par, sort_keys=True)
 
     def test_fault_sweep_serial_vs_parallel_identical(self):
-        ser = scenarios.fault_sweep(seed=3, **FAULT_KW)
-        par = scenarios.fault_sweep(seed=3, executor=ParallelExecutor(2), **FAULT_KW)
+        ser = run_sweep(scenarios.fault_sweep_spec(seed=3, **FAULT_KW))
+        par = run_sweep(
+            scenarios.fault_sweep_spec(seed=3, **FAULT_KW), executor=ParallelExecutor(2)
+        )
         assert json.dumps(ser, sort_keys=True) == json.dumps(par, sort_keys=True)
 
     def test_parallel_jobs_validation(self):
@@ -282,12 +284,13 @@ class TestTelemetryMerge:
     def test_parallel_run_counters_match_serial(self):
         ser_tel = obs.Telemetry()
         with obs.scope(ser_tel):
-            scenarios.fig4_friends_vs_sw(seed=1, **FIG4_KW)
+            run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW))
 
         par_tel = obs.Telemetry()
         with obs.scope(par_tel):
-            scenarios.fig4_friends_vs_sw(
-                seed=1, executor=ParallelExecutor(2), **FIG4_KW
+            run_sweep(
+                scenarios.fig4_spec(seed=1, **FIG4_KW),
+                executor=ParallelExecutor(2),
             )
 
         ser_counters = ser_tel.metrics.to_dict()["counters"]
@@ -298,8 +301,9 @@ class TestTelemetryMerge:
     def test_parallel_run_has_phase_tree(self):
         tel = obs.Telemetry()
         with obs.scope(tel), tel.phase("fig4"):
-            scenarios.fig4_friends_vs_sw(
-                seed=1, executor=ParallelExecutor(2), **FIG4_KW
+            run_sweep(
+                scenarios.fig4_spec(seed=1, **FIG4_KW),
+                executor=ParallelExecutor(2),
             )
         assert tel.phases.calls("fig4/converge") > 0
         assert tel.phases.calls("fig4/measure") > 0
@@ -311,7 +315,7 @@ class TestTelemetryMerge:
         def phase_tree(executor=None):
             tel = obs.Telemetry()
             with obs.scope(tel), tel.phase("fig4"):
-                scenarios.fig4_friends_vs_sw(seed=1, executor=executor, **FIG4_KW)
+                run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW), executor=executor)
             return {path: d["calls"] for path, d in tel.phases.to_dict().items()}
 
         ser = phase_tree()
@@ -339,7 +343,7 @@ class TestTraceMerge:
         path = str(tmp_path / f"{name}.jsonl")
         tel = obs.Telemetry(trace=path)
         with obs.scope(tel):
-            scenarios.fig4_friends_vs_sw(seed=1, executor=executor, **FIG4_KW)
+            run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW), executor=executor)
         tel.close()
         return obs.read_trace(path)
 
@@ -380,7 +384,8 @@ class TestTraceMerge:
         # worker trace files (tracing is off).
         tel = obs.Telemetry()
         with obs.scope(tel):
-            scenarios.fig4_friends_vs_sw(
-                seed=1, executor=ParallelExecutor(2), **FIG4_KW
+            run_sweep(
+                scenarios.fig4_spec(seed=1, **FIG4_KW),
+                executor=ParallelExecutor(2),
             )
         assert tel.trace is None

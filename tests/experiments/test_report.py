@@ -71,13 +71,11 @@ class TestBuildReport:
 
     def test_real_scenario_smoke(self):
         """End-to-end with an actual (tiny) scenario."""
-        from repro.experiments.scenarios import fig9_twitter_summary
-
-        def wrapper(**kw):
-            return [{"statistic": k, "value": v}
-                    for k, v in fig9_twitter_summary(**kw).items()]
+        from repro.experiments import run_sweep
+        from repro.experiments.scenarios import fig9_spec
 
         report = build_report(
-            [Section("Fig 9", wrapper, n_users=300, seed=1)],
+            [Section("Fig 9", lambda **kw: run_sweep(fig9_spec(**kw)),
+                     n_users=300, seed=1)],
         )
         assert "alpha_in" in report

@@ -7,6 +7,7 @@ asserted.
 
 import pytest
 
+from repro.experiments import run_sweep
 from repro.experiments import scenarios as sc
 
 TINY = dict(n_nodes=70, n_topics=200, events=60, seed=3)
@@ -15,9 +16,9 @@ TINY = dict(n_nodes=70, n_topics=200, events=60, seed=3)
 class TestFig4:
     @pytest.fixture(scope="class")
     def rows(self):
-        return sc.fig4_friends_vs_sw(
+        return run_sweep(sc.fig4_spec(
             friend_counts=(0, 10), patterns=("high",), **TINY
-        )
+        ))
 
     def test_row_shape(self, rows):
         assert {r["system"] for r in rows} == {"vitis", "rvr"}
@@ -34,7 +35,7 @@ class TestFig4:
 
 class TestFig5:
     def test_fractions_sum_to_one_per_series(self):
-        rows = sc.fig5_overhead_distribution(n_nodes=70, n_topics=200, events=80, seed=3)
+        rows = run_sweep(sc.fig5_spec(n_nodes=70, n_topics=200, events=80, seed=3))
         from collections import defaultdict
 
         sums = defaultdict(float)
@@ -46,31 +47,32 @@ class TestFig5:
 
 class TestFig6:
     def test_bigger_tables_reduce_overhead(self):
-        rows = sc.fig6_routing_table_size(
+        rows = run_sweep(sc.fig6_spec(
             rt_sizes=(8, 20), patterns=("high",), **TINY
-        )
+        ))
         v = {r["rt_size"]: r["traffic_overhead_pct"] for r in rows if r["system"] == "vitis"}
         assert v[20] <= v[8]
 
 
 class TestFig7:
     def test_skew_helps_random_pattern(self):
-        rows = sc.fig7_publication_rate(
+        rows = run_sweep(sc.fig7_spec(
             alphas=(0.3, 2.5), patterns=("random",), **TINY
-        )
+        ))
         v = {r["alpha"]: r["traffic_overhead_pct"] for r in rows if r["system"] == "vitis"}
         assert v[2.5] <= v[0.3] * 1.25  # skew must not hurt; usually helps
 
 
 class TestFig8and9:
     def test_degree_rows(self):
-        rows = sc.fig8_twitter_degrees(n_users=400, seed=3)
+        rows = run_sweep(sc.fig8_spec(n_users=400, seed=3))
         kinds = {r["kind"] for r in rows}
         assert kinds == {"in", "out"}
         assert sum(r["frequency"] for r in rows if r["kind"] == "in") == 400
 
     def test_summary_stats(self):
-        s = sc.fig9_twitter_summary(n_users=400, seed=3)
+        rows = run_sweep(sc.fig9_spec(n_users=400, seed=3))
+        s = {r["statistic"]: r["value"] for r in rows}
         assert s["users"] == 400
         assert s["relations"] > 0
         assert 1.0 < s["alpha_in"] < 3.0
@@ -79,9 +81,9 @@ class TestFig8and9:
 class TestFig10:
     @pytest.fixture(scope="class")
     def rows(self):
-        return sc.fig10_twitter_sweep(
+        return run_sweep(sc.fig10_spec(
             n_users=700, sample_size=150, rt_sizes=(10,), events=60, seed=3
-        )
+        ))
 
     def test_three_systems(self, rows):
         assert {r["system"] for r in rows} == {"vitis", "rvr", "opt"}
@@ -103,16 +105,16 @@ class TestFig10:
 
 class TestFig11:
     def test_degree_distribution_rows(self):
-        rows = sc.fig11_opt_degree_distribution(
+        rows = run_sweep(sc.fig11_spec(
             n_users=700, sample_size=150, cycles=15, seed=3
-        )
+        ))
         assert sum(r["frequency"] for r in rows) > 0
         assert all(r["degree"] >= 0 for r in rows)
 
 
 class TestFig12:
     def test_churn_series(self):
-        rows = sc.fig12_churn(
+        rows = run_sweep(sc.fig12_spec(
             pool=60,
             n_topics=60,
             horizon=60.0,
@@ -121,7 +123,7 @@ class TestFig12:
             events_per_window=30,
             seed=3,
             systems=("vitis",),
-        )
+        ))
         assert len(rows) == 3
         for r in rows:
             assert r["live_nodes"] >= 0
@@ -130,18 +132,18 @@ class TestFig12:
 
 class TestAblations:
     def test_gateway_depth_rows(self):
-        rows = sc.ablation_gateway_depth(depths=(1, 6), **TINY)
+        rows = run_sweep(sc.ablation_depth_spec(depths=(1, 6), **TINY))
         assert {r["gateway_depth"] for r in rows} == {1, 6}
         d = {r["gateway_depth"]: r for r in rows}
         # Tighter depth → at least as many gateways per topic.
         assert d[1]["mean_gateways_per_topic"] >= d[6]["mean_gateways_per_topic"]
 
     def test_utility_ablation_rows(self):
-        rows = sc.ablation_utility(alpha=2.0, **TINY)
+        rows = run_sweep(sc.ablation_utility_spec(alpha=2.0, **TINY))
         assert {r["rate_weighted"] for r in rows} == {True, False}
 
     def test_sampler_ablation_close_metrics(self):
-        rows = sc.ablation_sampler(**TINY)
+        rows = run_sweep(sc.ablation_sampler_spec(**TINY))
         by = {r["sampler"]: r for r in rows}
         assert set(by) == {"newscast", "cyclon"}
         for r in rows:

@@ -90,7 +90,7 @@ class TestSweepSpec:
 class TestSweepRows:
     @pytest.fixture(scope="class")
     def rows(self):
-        return scenarios.overload_sweep(seed=2, **OVERLOAD_KW)
+        return run_sweep(scenarios.overload_sweep_spec(seed=2, **OVERLOAD_KW))
 
     def test_row_grid_and_keys(self, rows):
         assert len(rows) == 4  # 2 systems x 1 rate x 2 capacities
@@ -124,8 +124,9 @@ class TestSweepRows:
             assert by_cap[0] >= by_cap[24]
 
     def test_serial_parallel_and_cache_identical(self, tmp_path, rows):
-        par = scenarios.overload_sweep(
-            seed=2, executor=ParallelExecutor(2), **OVERLOAD_KW
+        par = run_sweep(
+            scenarios.overload_sweep_spec(seed=2, **OVERLOAD_KW),
+            executor=ParallelExecutor(2),
         )
         assert json.dumps(rows, sort_keys=True) == json.dumps(par, sort_keys=True)
 
