@@ -51,7 +51,7 @@ from typing import Dict, FrozenSet, List, Optional
 
 from repro.core.config import VitisConfig
 from repro.core.gateway import Proposal, elect_round
-from repro.core.node import VitisNode, _merge_unique
+from repro.core.node import VitisNode
 from repro.core.profile import NodeProfile
 from repro.core.protocol import OverlaySystem
 from repro.core.utility import PublicationRates
@@ -78,15 +78,6 @@ from repro.sim.network import LatencyModel
 from repro.smallworld.routing import LookupResult
 
 __all__ = ["DeployedVitis", "DeployedVitisNode", "NeighborInfo"]
-
-
-def _pack(descriptors) -> List[tuple]:
-    """Descriptors → wire format (address, node_id, age)."""
-    return [(d.address, d.node_id, d.age) for d in descriptors]
-
-
-def _unpack(triples) -> List[Descriptor]:
-    return [Descriptor(a, i, g) for a, i, g in triples]
 
 
 @dataclass
@@ -173,9 +164,7 @@ class DeployedVitisNode(VitisNode):
         if peer is not None:
             send(
                 PsExchangeRequest(
-                    src=self.address,
-                    dst=peer.address,
-                    view=_pack(list(self.ps.view) + [self.ps.descriptor()]),
+                    src=self.address, dst=peer.address, view=self._view_triples()
                 )
             )
 
@@ -186,18 +175,15 @@ class DeployedVitisNode(VitisNode):
                 RtExchangeRequest(
                     src=self.address,
                     dst=target,
-                    buffer=_pack(self.exchange_buffer() + [self.descriptor()]),
+                    buffer=list(self._exchange_pool().values()),
                 )
             )
 
         # --- heartbeats: age entries, evict the silent ------------------
         # Ages are reset by *received* messages (see _heard_from); here
         # every entry ages one period and stale ones are evicted.
-        for entry in list(self.rt):
-            entry.age += 1
-            if entry.age > self.config.staleness_threshold:
-                self.rt.remove(entry.address)
-                self.neighbor_state.pop(entry.address, None)
+        for gone in self.heartbeat_step(lambda a: False):
+            self.neighbor_state.pop(gone, None)
 
         # --- election against last-received neighbor state (Alg. 5) ----
         self.gw_state.commit(elect_round(
@@ -206,7 +192,9 @@ class DeployedVitisNode(VitisNode):
             self.profile.subscriptions,
             self.rt,
             neighbor_subscriptions=self._known_subs,
-            neighbor_proposal=self._known_proposal,
+            neighbor_proposals={
+                a: info.proposals for a, info in self.neighbor_state.items()
+            },
             topic_ids=host.topic_id,
             depth=self.config.gateway_depth,
         ))
@@ -261,10 +249,6 @@ class DeployedVitisNode(VitisNode):
     def _known_subs(self, address: int) -> FrozenSet[int]:
         info = self.neighbor_state.get(address)
         return info.subscriptions if info is not None else frozenset()
-
-    def _known_proposal(self, address: int, topic: int) -> Optional[Proposal]:
-        info = self.neighbor_state.get(address)
-        return info.proposals.get(topic) if info is not None else None
 
     # ------------------------------------------------------------------
     # Relay installation by message hops
@@ -340,29 +324,28 @@ class DeployedVitisNode(VitisNode):
     def on_message(self, msg) -> None:
         self._heard_from(msg.src)
         if isinstance(msg, PsExchangeRequest):
-            reply = _pack(list(self.ps.view) + [self.ps.descriptor()])
-            self.ps.view.merge(_unpack(msg.view), exclude=self.address)
-            self.ps.view.trim(self.rng)
+            reply = self._view_triples()
+            self._merge_view(msg.view)
             self.host.send(
                 PsExchangeReply(src=self.address, dst=msg.src, view=reply)
             )
         elif isinstance(msg, PsExchangeReply):
-            self.ps.view.merge(_unpack(msg.view), exclude=self.address)
-            self.ps.view.trim(self.rng)
+            self._merge_view(msg.view)
         elif isinstance(msg, RtExchangeRequest):
-            reply = _pack(self.exchange_buffer() + [self.descriptor()])
-            merged = _merge_unique(
-                self.exchange_buffer() + _unpack(msg.buffer), self.address
+            # Two buffers, two sampler draws: one is shipped back, the
+            # other is merged into.  Seeded deployed trajectories depend
+            # on both draws, so the buffers must not be shared.
+            reply = list(self._exchange_pool().values())
+            self._merge_and_select(
+                self._exchange_pool(), msg.buffer, self._profile_from_state
             )
-            self._install_selection(merged, self._profile_from_state)
             self.host.send(
                 RtExchangeReply(src=self.address, dst=msg.src, buffer=reply)
             )
         elif isinstance(msg, RtExchangeReply):
-            merged = _merge_unique(
-                self.exchange_buffer() + _unpack(msg.buffer), self.address
+            self._merge_and_select(
+                self._exchange_pool(), msg.buffer, self._profile_from_state
             )
-            self._install_selection(merged, self._profile_from_state)
         elif isinstance(msg, ProfileMessage):
             subs, version, proposals, is_reply = msg.profile
             info = self.neighbor_state.setdefault(msg.src, NeighborInfo())
@@ -382,6 +365,20 @@ class DeployedVitisNode(VitisNode):
             self._on_relay_install(msg)
         elif isinstance(msg, Notification):
             self.on_notification(msg)
+
+    def _view_triples(self) -> List[tuple]:
+        """The wire form of a Newscast exchange: the sampling view plus
+        this node's own zero-age descriptor, as (address, node_id, age)."""
+        addrs, ids, ages = self.ps.view.snapshot_fields()
+        return [*zip(addrs, ids, ages), (self.address, self.node_id, 0)]
+
+    def _merge_view(self, triples) -> None:
+        """Fold a received Newscast view into the sampling view."""
+        view = self.ps.view
+        if triples:
+            addrs, ids, ages = zip(*triples)
+            view.merge_fields(addrs, ids, ages, exclude=self.address)
+        view.trim(self.rng)
 
     def _heard_from(self, address: int) -> None:
         """Any message doubles as a heartbeat (Alg. 7)."""

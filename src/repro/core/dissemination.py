@@ -72,28 +72,47 @@ def forwarding_targets(protocol: "VitisProtocol", address: int, topic: int) -> S
     return targets
 
 
-def _topic_cache(protocol: "VitisProtocol", topic: int) -> list:
-    """The per-(topic, topology-version) memo slot.
+class _TopicMemo:
+    """Everything dissemination memoises for one ``(topic,
+    topology_version)``: a publish phase disseminates many events over a
+    frozen overlay, so forwarding targets, the live audience and — on an
+    un-hooked flood — the whole outcome repeat event after event.
+    """
 
-    A publish phase disseminates many events over a frozen overlay, so
-    per-node forwarding targets and the live-subscriber set are identical
-    event after event.  The memo piggybacks on the protocol's
-    ``topology_version`` — the exact key ``cluster_adjacency`` (the
-    dominant input) is already cached under, and every sanctioned
-    topology or liveness write bumps it — so staleness semantics are
-    unchanged.  Slot layout: ``[version, {addr: targets_tuple},
-    live_subscribers_or_None, {publisher: (targets, injection_path)},
-    {publisher: subscribers_minus_publisher},
-    {publisher: (interested_msgs, relay_msgs, delivered_hops)}]`` — the
-    last slot replays a whole detached flood outcome (see
-    :func:`disseminate`).
+    __slots__ = (
+        "version", "targets", "live_subs", "publisher_targets", "audience",
+        "replay",
+    )
+
+    def __init__(self, version) -> None:
+        self.version = version
+        #: addr → forwarding-targets tuple (see :func:`_targets_fn`).
+        self.targets: Dict[int, tuple] = {}
+        #: The topic's live subscribers, or None until first asked.
+        self.live_subs: Optional[frozenset] = None
+        #: publisher → ``(targets, injection_path)`` of lookup-free
+        #: publishes (see :func:`_publisher_targets`).
+        self.publisher_targets: Dict[int, tuple] = {}
+        #: publisher → the live subscribers minus that publisher.
+        self.audience: Dict[int, frozenset] = {}
+        #: publisher → ``(interested_msgs, relay_msgs, delivered_hops)``
+        #: of its first un-hooked flood (see :func:`disseminate`).
+        self.replay: Dict[int, tuple] = {}
+
+
+def _topic_cache(protocol: "VitisProtocol", topic: int) -> _TopicMemo:
+    """The topic's memo for the current topology version.
+
+    It piggybacks on the protocol's ``topology_version`` — the exact key
+    ``cluster_adjacency`` (the dominant input) is already cached under,
+    and every sanctioned topology or liveness write bumps it — so
+    staleness semantics are unchanged.
     """
     version = protocol.topology_version
     cache = protocol._fwd_cache
     entry = cache.get(topic)
-    if entry is None or entry[0] != version:
-        entry = [version, {}, None, {}, {}, {}]
-        cache[topic] = entry
+    if entry is None or entry.version != version:
+        entry = cache[topic] = _TopicMemo(version)
     return entry
 
 
@@ -103,7 +122,7 @@ def _targets_fn(protocol: "VitisProtocol", topic: int):
     fresh :func:`forwarding_targets` call would build (identical within
     one version), keeping the BFS byte-identical to uncached walks.
     """
-    memo = _topic_cache(protocol, topic)[1]
+    memo = _topic_cache(protocol, topic).targets
 
     def targets_of(u: int):
         t = memo.get(u)
@@ -144,8 +163,7 @@ def _liveness_cause(protocol: "VitisProtocol", v: int) -> str:
 
 
 def _publisher_targets(
-    protocol: "VitisProtocol", publisher: int, topic: int,
-    cache_entry: Optional[list] = None,
+    protocol: "VitisProtocol", publisher: int, topic: int, memo: _TopicMemo
 ) -> Tuple[Set[int], List[int]]:
     """Initial notification targets of the publisher.
 
@@ -156,24 +174,22 @@ def _publisher_targets(
     protocol's ``_injection_miss_cause`` (e.g. RVR's backpressure
     deferral), which the tracing layer reads for attribution.
 
-    ``cache_entry`` is the topic's :func:`_topic_cache` slot; the default
-    (hook-less) result is memoised there per publisher, but only when it
-    required no rendezvous lookup — the no-lookup path reads nothing but
-    version-cached topology, so replaying the same set object is
-    observationally identical to recomputing it.
+    The default (hook-less) result is memoised per publisher in the
+    topic's ``memo``, but only when it required no rendezvous lookup —
+    the no-lookup path reads nothing but version-cached topology, so
+    replaying the same set object is observationally identical to
+    recomputing it.
     """
     protocol._injection_miss_cause = None
     hook = getattr(protocol, "publisher_targets", None)
     if hook is not None:
         return hook(publisher, topic)
-    if cache_entry is not None:
-        memo = cache_entry[3]
-        hit = memo.get(publisher)
-        if hit is not None:
-            return hit
+    hit = memo.publisher_targets.get(publisher)
+    if hit is not None:
+        return hit
     result = default_publisher_targets(protocol, publisher, topic)
-    if cache_entry is not None and result[0] and not result[1]:
-        cache_entry[3][publisher] = result
+    if result[0] and not result[1]:
+        memo.publisher_targets[publisher] = result
     return result
 
 
@@ -210,6 +226,13 @@ def disseminate(
 ) -> DisseminationRecord:
     """Disseminate one event over the current overlay (fast path).
 
+    One BFS serves every configuration.  Message counts, first receipts
+    and deliveries are accounted inline; everything optional — the
+    fault/capacity ``transmit`` gate, the ``link_cost`` hook, pulls and
+    tracing — sits behind one ``hooked`` flag, so the common experiment
+    configuration (none of them) pays a few local branches per message
+    and nothing else.
+
     With ``count_pulls``, the notify-then-pull exchange of section III-C
     is accounted as well: on *first* receipt of a notification, the
     receiver pulls the payload from its notifier — one request handled by
@@ -224,20 +247,20 @@ def disseminate(
     never calls ``fault_model.drop`` or ``capacity.offer``), preserving
     the zero-cost-off byte-identity contract.
     """
-    entry = _topic_cache(protocol, topic)
-    live_subs = entry[2]
+    memo = _topic_cache(protocol, topic)
+    live_subs = memo.live_subs
     if live_subs is None:
-        live_subs = entry[2] = frozenset(protocol.subscribers(topic))
+        live_subs = memo.live_subs = frozenset(protocol.subscribers(topic))
     # The same publisher floods many events per frozen topology, and
     # the audience is a frozenset — share one object across them.
-    rec_subs = entry[4].get(publisher)
-    if rec_subs is None:
-        rec_subs = entry[4][publisher] = live_subs - {publisher}
+    subs = memo.audience.get(publisher)
+    if subs is None:
+        subs = memo.audience[publisher] = live_subs - {publisher}
     rec = DisseminationRecord(
         topic=topic,
         event_id=event_id,
         publisher=publisher,
-        subscribers=rec_subs,
+        subscribers=subs,
     )
     tel = protocol.telemetry
     spans: Optional[SpanRecorder] = None
@@ -249,11 +272,11 @@ def disseminate(
         failures = {}
         span_of[publisher] = spans.root(
             HOP_PUBLISH, publisher, topic=topic, event=event_id,
-            publisher=publisher, subs=len(rec.subscribers),
+            publisher=publisher, subs=len(subs),
         )
     if not protocol.is_alive(publisher):
         if spans is not None:
-            for m in sorted(rec.subscribers):
+            for m in sorted(subs):
                 spans.miss(m, CAUSE_DEAD_NODE, dst=publisher)
         return rec
 
@@ -263,206 +286,153 @@ def disseminate(
     is_alive = protocol.liveness
     link_cost = protocol.link_cost
     transmit = _make_transmit(protocol, rec, failures)
-    cap = protocol.capacity
-    now = protocol.engine.now
-    net = protocol.network
+    hooked = (
+        spans is not None or transmit is not None
+        or link_cost is not None or count_pulls
+    )
     targets_of = _targets_fn(protocol, topic)
-    seen: Set[int] = {publisher}
-    # Queue entries: (address, hop_at_which_it_received, sender)
-    queue: deque = deque()
-
     # Interest is profile membership; the subscription index holds the
     # same information as a live set per topic, turning the per-delivery
     # check into one hash lookup.
     members = protocol.sub_index.get(topic, ())
-
-    def interest_of(a: int) -> bool:
-        return a in members
-
-    def receive(v: int, hop: int, sender: int, hop_kind: Optional[str] = None) -> None:
-        """Account one message delivery to v; enqueue v for forwarding on
-        first receipt."""
-        interested = interest_of(v)
-        (rec.interested_msgs if interested else rec.relay_msgs)[v] += 1
-        if link_cost is not None:
-            rec.physical_cost += link_cost(sender, v)
-        if v not in seen:
-            seen.add(v)
-            if spans is not None:
-                kind = hop_kind if hop_kind is not None else _classify_hop(
-                    protocol, topic, sender, v, publisher
-                )
-                sid = spans.hop(span_of.get(sender), kind, sender, v, hop)
-                span_of[v] = sid
-                if interested and v in rec.subscribers:
-                    spans.deliver(sid, v, hop)
-            if count_pulls:
-                # Pull round-trip along the same edge: the request is
-                # handled by the notifier, the reply by the receiver.
-                # Under a capacity model the round-trip is gated as one
-                # unit: a backpressured notifier defers the pull to a
-                # later batch, a shed request/reply cancels it.
-                if cap is not None and cap.backpressured(sender, now):
-                    rec.deferred += 1
-                else:
-                    pull_ok = True
-                    if cap is not None:
-                        pull_ok = cap.offer(v, sender, "pull", now)
-                        net.account_logical(v, sender, "pull", pull_ok)
-                        if pull_ok:
-                            pull_ok = cap.offer(sender, v, "pull", now)
-                            net.account_logical(sender, v, "pull", pull_ok)
-                        if not pull_ok:
-                            rec.shed += 1
-                    if pull_ok:
-                        rec.pull_requests += 1
-                        rec.pull_replies += 1
-                        (rec.interested_msgs if interest_of(sender) else rec.relay_msgs)[sender] += 1
-                        (rec.interested_msgs if interested else rec.relay_msgs)[v] += 1
-                        if link_cost is not None:
-                            rec.physical_cost += 2.0 * link_cost(sender, v)
-            if interested and v in rec.subscribers:
-                rec.delivered_hops[v] = hop
-            queue.append((v, hop, sender))
+    imsgs = rec.interested_msgs
+    rmsgs = rec.relay_msgs
+    delivered = rec.delivered_hops
 
     initial_targets, injection_path = _publisher_targets(
-        protocol, publisher, topic, entry
+        protocol, publisher, topic, memo
     )
     inject_cause = protocol._injection_miss_cause
 
-    if spans is None and transmit is None and link_cost is None and not count_pulls:
-        # Detached frontier: no tracing, no fault/capacity gate, no cost
-        # model, no pulls — the common experiment configuration.  The
-        # generic ``receive`` collapses to counter bumps and the seen
-        # check, so both the seeding and the flood run inline over the
-        # preallocated structures instead of paying a closure call per
-        # delivered message.  Every side effect happens in the same order
-        # as the generic loop.
-        imsgs = rec.interested_msgs
-        rmsgs = rec.relay_msgs
-        delivered = rec.delivered_hops
-        subs = rec.subscribers
-        # Whole-outcome replay: within one topology version the
-        # detached flood is fully deterministic (greedy routing is
-        # rng-free, liveness verdicts only change with a version
-        # bump, and this branch draws no randomness), so a repeat
-        # publish of the same (topic, publisher) replays the first
-        # flood's message counts and delivery hops verbatim.
-        hit = entry[5].get(publisher)
+    if not hooked:
+        # Whole-outcome replay: within one topology version the un-hooked
+        # flood is fully deterministic (greedy routing is rng-free,
+        # liveness verdicts only change with a version bump, and no hook
+        # draws randomness), so a repeat publish of the same (topic,
+        # publisher) replays the first flood's message counts and
+        # delivery hops verbatim.
+        hit = memo.replay.get(publisher)
         if hit is not None:
             imsgs.update(hit[0])
             rmsgs.update(hit[1])
             delivered.update(hit[2])
             return rec
-        if injection_path:
-            prev = publisher
-            for hop, v in enumerate(injection_path[1:], start=1):
-                if not is_alive(v):
-                    break
-                (imsgs if v in members else rmsgs)[v] += 1
-                if v not in seen:
-                    seen.add(v)
-                    if v in members and v in subs:
-                        delivered[v] = hop
-                    queue.append((v, hop, prev))
-                prev = v
-        else:
-            for v in initial_targets:
-                if not is_alive(v):
-                    continue
-                (imsgs if v in members else rmsgs)[v] += 1
-                if v not in seen:
-                    seen.add(v)
-                    if v in members and v in subs:
-                        delivered[v] = 1
-                    queue.append((v, 1, publisher))
-        while queue:
-            u, hop, sender = queue.popleft()
-            hop += 1
-            for v in targets_of(u):
-                if v == sender:
-                    continue
-                if v in seen:
-                    # Already received once this event — alive by
-                    # construction, so only the duplicate is accounted.
-                    (imsgs if v in members else rmsgs)[v] += 1
-                elif is_alive(v):
-                    seen.add(v)
-                    if v in members:
-                        imsgs[v] += 1
-                        if v in subs:
-                            delivered[v] = hop
-                    else:
-                        rmsgs[v] += 1
-                    queue.append((v, hop, u))
-        entry[5][publisher] = (imsgs.copy(), rmsgs.copy(), dict(delivered))
-        return rec
 
-    if injection_path:
-        # Hop-by-hop relay toward the rendezvous; every path node is a
-        # receiver and forwards per its own state afterwards.
-        prev = publisher
-        for hop, v in enumerate(injection_path[1:], start=1):
-            if not is_alive(v):
-                if spans is not None:
-                    cause = _liveness_cause(protocol, v)
-                    failures[(prev, v)] = cause
-                    spans.failure(
-                        span_of.get(prev), HOP_LOOKUP, prev, v, hop, cause
-                    )
-                break
-            receive(v, hop, prev, hop_kind=HOP_LOOKUP)
-            prev = v
-    else:
-        for v in initial_targets:
-            if not is_alive(v):
-                if spans is not None:
-                    cause = _liveness_cause(protocol, v)
-                    failures[(publisher, v)] = cause
-                    spans.failure(
-                        span_of.get(publisher),
-                        _classify_hop(protocol, topic, publisher, v, publisher),
-                        publisher, v, 1, cause,
-                    )
-                continue
-            if transmit is not None and not transmit(publisher, v):
-                if spans is not None:
-                    spans.failure(
-                        span_of.get(publisher),
-                        _classify_hop(protocol, topic, publisher, v, publisher),
-                        publisher, v, 1,
-                        failures.get((publisher, v), CAUSE_UNEXPLAINED),
-                    )
-                continue
-            receive(v, 1, publisher)
+    cap = protocol.capacity
+    now = protocol.engine.now
+    net = protocol.network
+
+    def first_receipt(u: int, v: int, hop: int, kind: Optional[str]) -> None:
+        """The hooked extras of ``v`` first hearing of the event from
+        ``u``: its span (tracing) and its pull round-trip (pulls)."""
+        interested = v in members
+        if spans is not None:
+            if kind is None:
+                kind = _classify_hop(protocol, topic, u, v, publisher)
+            sid = span_of[v] = spans.hop(span_of.get(u), kind, u, v, hop)
+            if interested and v in subs:
+                spans.deliver(sid, v, hop)
+        if not count_pulls:
+            return
+        # Pull round-trip along the same edge: the request is handled by
+        # the notifier, the reply by the receiver.  Under a capacity
+        # model the round-trip is gated as one unit: a backpressured
+        # notifier defers the pull to a later batch, a shed
+        # request/reply cancels it.
+        if cap is not None:
+            if cap.backpressured(u, now):
+                rec.deferred += 1
+                return
+            pull_ok = cap.offer(v, u, "pull", now)
+            net.account_logical(v, u, "pull", pull_ok)
+            if pull_ok:
+                pull_ok = cap.offer(u, v, "pull", now)
+                net.account_logical(u, v, "pull", pull_ok)
+            if not pull_ok:
+                rec.shed += 1
+                return
+        rec.pull_requests += 1
+        rec.pull_replies += 1
+        (imsgs if u in members else rmsgs)[u] += 1
+        (imsgs if interested else rmsgs)[v] += 1
+        if link_cost is not None:
+            rec.physical_cost += 2.0 * link_cost(u, v)
+
+    seen: Set[int] = {publisher}
+    # Queue entries: (address, hop_at_which_it_received, sender).  The
+    # publisher is the first entry (no sender), so its initial targets
+    # run through the same edge body as every forwarder's.
+    queue: deque = deque([(publisher, 0, None)])
+
+    # Hop-by-hop relay toward the rendezvous; every path node is a
+    # receiver and forwards per its own state afterwards.  The hops were
+    # already checked by the lookup that produced the path, so no
+    # transmit gate applies and the first dead node ends the injection.
+    prev = publisher
+    for hop, v in enumerate(injection_path[1:], start=1):
+        if not is_alive(v):
+            if spans is not None:
+                cause = failures[(prev, v)] = _liveness_cause(protocol, v)
+                spans.failure(span_of.get(prev), HOP_LOOKUP, prev, v, hop, cause)
+            break
+        interested = v in members
+        (imsgs if interested else rmsgs)[v] += 1
+        if link_cost is not None:
+            rec.physical_cost += link_cost(prev, v)
+        if v not in seen:
+            seen.add(v)
+            if interested and v in subs:
+                delivered[v] = hop
+            queue.append((v, hop, prev))
+            if hooked:
+                first_receipt(prev, v, hop, HOP_LOOKUP)
+        prev = v
 
     while queue:
         u, hop, sender = queue.popleft()
-        for v in targets_of(u):
+        hop += 1
+        for v in (targets_of(u) if sender is not None else initial_targets):
             if v == sender:
                 continue
-            if not is_alive(v):
-                if spans is not None:
-                    cause = _liveness_cause(protocol, v)
-                    failures[(u, v)] = cause
-                    spans.failure(
-                        span_of.get(u),
-                        _classify_hop(protocol, topic, u, v, publisher),
-                        u, v, hop + 1, cause,
-                    )
-                continue
-            if transmit is not None and not transmit(u, v):
-                if spans is not None:
-                    spans.failure(
-                        span_of.get(u),
-                        _classify_hop(protocol, topic, u, v, publisher),
-                        u, v, hop + 1,
-                        failures.get((u, v), CAUSE_UNEXPLAINED),
-                    )
-                continue
-            receive(v, hop + 1, u)
+            if hooked:
+                # Liveness is re-checked even for nodes already reached:
+                # a detector-shunned publisher sits in ``seen`` and must
+                # still be refused.
+                ok = is_alive(v)
+                if not ok:
+                    if spans is not None:
+                        failures[(u, v)] = _liveness_cause(protocol, v)
+                elif transmit is not None:
+                    ok = transmit(u, v)
+                if not ok:
+                    if spans is not None:
+                        spans.failure(
+                            span_of.get(u),
+                            _classify_hop(protocol, topic, u, v, publisher),
+                            u, v, hop, failures.get((u, v), CAUSE_UNEXPLAINED),
+                        )
+                    continue
+                if link_cost is not None:
+                    rec.physical_cost += link_cost(u, v)
+            if v in seen:
+                # Already received once this event: only the duplicate
+                # message is accounted.
+                (imsgs if v in members else rmsgs)[v] += 1
+            elif hooked or is_alive(v):
+                seen.add(v)
+                if v in members:
+                    imsgs[v] += 1
+                    if v in subs:
+                        delivered[v] = hop
+                else:
+                    rmsgs[v] += 1
+                queue.append((v, hop, u))
+                if hooked:
+                    first_receipt(u, v, hop, None)
 
-    if spans is not None:
+    if not hooked:
+        memo.replay[publisher] = (imsgs.copy(), rmsgs.copy(), dict(delivered))
+    elif spans is not None:
         _attribute_misses(
             protocol, topic, rec, spans, seen, failures,
             initial_targets, injection_path, inject_cause,
@@ -704,7 +674,9 @@ class _NetworkDissemination:
                 publisher=publisher, subs=len(self.record.subscribers),
             )
 
-    def send(self, src: int, dst: int, hops: int) -> None:
+    def send(self, src: int, dst: int, hops: int, kind: Optional[str] = None) -> None:
+        """One notification ``src → dst``; a forced ``kind`` marks a hop of
+        the publisher's injection walk, which is delivered in place."""
         msg = Notification(
             src=src,
             dst=dst,
@@ -717,9 +689,12 @@ class _NetworkDissemination:
             msg.span = (
                 self.spans.trace_id,
                 self.span_of.get(src),
-                _classify_hop(self.protocol, self.topic, src, dst, self.record.publisher),
+                kind or _classify_hop(self.protocol, self.topic, src, dst, self.record.publisher),
             )
-        self.protocol.network.send(msg)
+        if kind is None:
+            self.protocol.network.send(msg)
+        else:
+            self.protocol.network.send_sync(msg)
 
     def on_notification(self, node, msg: Notification) -> None:
         rec = self.record
@@ -768,7 +743,9 @@ def disseminate_via_network(
     previous = protocol.network.notification_sink
     protocol.network.notification_sink = run
     try:
-        initial_targets, injection_path = _publisher_targets(protocol, publisher, topic)
+        initial_targets, injection_path = _publisher_targets(
+            protocol, publisher, topic, _topic_cache(protocol, topic)
+        )
         inject_cause = protocol._injection_miss_cause
         if injection_path:
             # The lookup message hops through the path; model each hop as a
@@ -782,14 +759,7 @@ def disseminate_via_network(
                             CAUSE_DEAD_NODE,
                         )
                     break
-                node = protocol.nodes[v]
-                msg = Notification(
-                    src=prev, dst=v, topic=topic, event_id=event_id,
-                    hops=hops, publisher=publisher,
-                )
-                if run.spans is not None:
-                    msg.span = (run.spans.trace_id, run.span_of.get(prev), HOP_LOOKUP)
-                protocol.network.send_sync(msg)
+                run.send(prev, v, hops, HOP_LOOKUP)
                 prev = v
         else:
             for v in initial_targets:

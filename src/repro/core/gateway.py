@@ -176,11 +176,10 @@ def elect_round(
     subscriptions: FrozenSet[int],
     rt: RoutingTable,
     neighbor_subscriptions: Callable[[int], FrozenSet[int]],
-    neighbor_proposal: Callable[[int, int], Optional[Proposal]],
+    neighbor_proposals: Mapping[int, Mapping[int, Proposal]],
     topic_ids: Callable[[int], int],
     depth: int,
     stats: Optional[ElectionStats] = None,
-    neighbor_proposals: Optional[Mapping[int, Mapping[int, Proposal]]] = None,
 ) -> Dict[int, Proposal]:
     """One Alg. 5 round for one node; returns the *new* proposal map.
 
@@ -194,9 +193,11 @@ def elect_round(
     neighbor_subscriptions:
         ``addr → frozenset`` of the neighbor's topics (from its last
         profile message).
-    neighbor_proposal:
-        ``(addr, topic) → Proposal | None`` — the neighbor's proposal as of
-        the previous round.
+    neighbor_proposals:
+        ``addr → (topic → Proposal)`` — every neighbor's proposals as of
+        the previous round (a snapshot the driver builds once per round,
+        or what the neighbor's last profile message carried).  A missing
+        neighbor or topic means no proposal.
     topic_ids:
         ``topic → hash(topic)`` in the id space.
     depth:
@@ -204,12 +205,6 @@ def elect_round(
     stats:
         Optional :class:`ElectionStats` accumulating adoption counts
         across nodes within a round (telemetry).
-    neighbor_proposals:
-        Optional ``addr → (topic → Proposal)`` snapshot of every
-        neighbor's previous-round proposals.  When given it replaces the
-        per-(topic, neighbor) ``neighbor_proposal`` calls — the driver
-        builds the snapshot once per round instead of paying a callable
-        round-trip on every pair.
 
     The hot loop is restructured against the naive Alg. 5 transcription:
     per-neighbor work (profile lookup, acceptance filtering) happens once
@@ -241,12 +236,11 @@ def elect_round(
 
     by_topic: Dict[int, list] = {}
     for naddr, shared in shared_by_neighbor:
-        props = neighbor_proposals.get(naddr) if neighbor_proposals is not None else None
+        props = neighbor_proposals.get(naddr)
+        if props is None:
+            continue
         for topic in shared:
-            if neighbor_proposals is not None:
-                new = props.get(topic) if props is not None else None
-            else:
-                new = neighbor_proposal(naddr, topic)
+            new = props.get(topic)
             if new is None:
                 continue
             # Alg. 5 line 7 acceptance condition (see module docstring).

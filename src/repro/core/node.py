@@ -113,39 +113,26 @@ class VitisNode(BaseNode):
         # Seed the routing table immediately so the first T-Man exchange
         # has somewhere to go (Alg. 1 line 3).
         if bootstrap:
-            self._install_selection(
-                [d for d in bootstrap if d.address != self.address]
-            )
+            pool = {d.address: (d.address, d.node_id, d.age) for d in bootstrap}
+            pool.pop(self.address, None)
+            self.rt.replace(self._select_from_pool(pool, lambda a: None))
 
     # ------------------------------------------------------------------
     # Alg. 4 — selectNeighbors
     # ------------------------------------------------------------------
-    def select_neighbors(
-        self,
-        candidates: List[Descriptor],
-        profile_of: Callable[[int], Optional[NodeProfile]],
-    ) -> List[Tuple[Descriptor, LinkKind]]:
-        """Pick the new routing table from a candidate buffer.
-
-        Order follows Alg. 4: successor, predecessor, ``n_sw_links``
-        harmonic small-world picks, then the top-utility friends.  Each
-        pick removes the candidate from the pool, so one neighbor fills at
-        most one slot.
-        """
-        pool: Dict[int, tuple] = {
-            d.address: (d.node_id, d.age)
-            for d in candidates
-            if d.address != self.address
-        }
-        return self._select_from_pool(pool, profile_of)
-
     def _select_from_pool(
         self,
         pool: Dict[int, tuple],
         profile_of: Callable[[int], Optional[NodeProfile]],
     ) -> List[Tuple[Descriptor, LinkKind]]:
-        """Alg. 4 over an ``address → (node_id, age)`` pool (consumed
-        destructively); Descriptors are built only for the winners.
+        """Alg. 4 — selectNeighbors — over an ``address → (address,
+        node_id, age)`` pool (consumed destructively); Descriptors are
+        built only for the winners.
+
+        Order follows Alg. 4: successor, predecessor, ``n_sw_links``
+        harmonic small-world picks, then the top-utility friends.  Each
+        pick removes the candidate from the pool, so one neighbor fills at
+        most one slot.
 
         Successor and predecessor are found in one fused pass: both are
         minima by (ring distance, address), so we track the best successor
@@ -166,11 +153,11 @@ class VitisNode(BaseNode):
         self_id = self.node_id
         size = self.space.size
 
-        best_s = None  # (cw, address, (node_id, age))
-        best_p = None  # (ccw, address, (node_id, age))
+        best_s = None  # (cw, address, triple)
+        best_p = None  # (ccw, address, triple)
         second_p = None
         for addr, t in pool.items():
-            cw = (t[0] - self_id) % size
+            cw = (t[1] - self_id) % size
             if cw == 0:
                 continue
             if best_s is None or cw < best_s[0] or (cw == best_s[0] and addr < best_s[1]):
@@ -183,15 +170,14 @@ class VitisNode(BaseNode):
                 second_p = (ccw, addr, t)
 
         if best_s is not None:
-            addr, t = best_s[1], best_s[2]
-            selection.append((Descriptor(addr, t[0], t[1]), LinkKind.SUCCESSOR))
+            addr = best_s[1]
+            selection.append((Descriptor(*best_s[2]), LinkKind.SUCCESSOR))
             del pool[addr]
             if best_p is not None and best_p[1] == addr:
                 best_p = second_p
         if best_p is not None:
-            addr, t = best_p[1], best_p[2]
-            selection.append((Descriptor(addr, t[0], t[1]), LinkKind.PREDECESSOR))
-            del pool[addr]
+            selection.append((Descriptor(*best_p[2]), LinkKind.PREDECESSOR))
+            del pool[best_p[1]]
 
         # Symphony links: draw_sw_target + closest_to_target, inlined.
         rng = self.rng
@@ -207,14 +193,14 @@ class VitisNode(BaseNode):
             pick_t = None
             pick_d = None
             for addr, t in pool.items():
-                dist = (t[0] - target) % size
+                dist = (t[1] - target) % size
                 if dist > half:
                     dist = size - dist
                 if pick_d is None or dist < pick_d or (dist == pick_d and addr < pick_a):
                     pick_a, pick_t, pick_d = addr, t, dist
             if pick_a is None:
                 break
-            selection.append((Descriptor(pick_a, pick_t[0], pick_t[1]), LinkKind.SW))
+            selection.append((Descriptor(*pick_t), LinkKind.SW))
             del pool[pick_a]
 
         n_friends = self.config.rt_size - len(selection)
@@ -241,57 +227,57 @@ class VitisNode(BaseNode):
                     else:
                         u = util(my_prof, other)
                         memo[addr] = (my_ver, other.version, rates_ver, u)
-                keyed.append((-u, t[1], addr, t[0]))
+                keyed.append((-u, t[2], addr, t[1]))
             keyed.sort()
             for item in keyed[:n_friends]:
                 selection.append((Descriptor(item[2], item[3], item[1]), LinkKind.FRIEND))
 
         return selection
 
-    def _utility_to(
-        self, address: int, profile_of: Callable[[int], Optional[NodeProfile]]
-    ) -> float:
-        other = profile_of(address)
-        if other is None:
-            return 0.0
-        return self.utility(self.profile, other)
-
-    def _install_selection(self, candidates, profile_of=None) -> None:
-        profile_of = profile_of or (lambda a: None)
-        self.rt.replace(self.select_neighbors(list(candidates), profile_of))
-
     # ------------------------------------------------------------------
     # Alg. 2/3 — routing-table exchange
     # ------------------------------------------------------------------
-    def exchange_buffer(self) -> List[Descriptor]:
-        """Alg. 2 lines 3-4: fresh samples merged with the routing table."""
-        return [
-            Descriptor(addr, nid, age)
-            for addr, (nid, age) in self._exchange_pool().items()
-        ]
-
     def _exchange_pool(self) -> Dict[int, tuple]:
-        """The exchange buffer as ``address → (node_id, age)`` (insertion
-        order = the list order :meth:`exchange_buffer` reports).  Kept
-        columnar end-to-end: samples arrive as field tuples and the
+        """Alg. 2 lines 3-4: fresh samples merged with the routing table
+        (freshest wins), then this node's own zero-age descriptor last —
+        as ``address → (address, node_id, age)``.  The values are the
+        wire triples of an ``RtExchange*`` buffer, so the pool is what a
+        node ships and what it merges a received buffer into; the
         selection pass builds Descriptors only for the winners."""
         pool: Dict[int, tuple] = {}
-        sample_fields = getattr(self.ps, "sample_fields", None)
-        if sample_fields is not None:
-            for t in sample_fields(self.config.sample_size):
-                pool[t[0]] = (t[1], t[2])
-        else:  # duck-typed samplers (tests swap in Cyclon)
-            for d in self.ps.sample(self.config.sample_size):
-                pool[d.address] = (d.node_id, d.age)
+        for t in self.ps.sample_fields(self.config.sample_size):
+            pool[t[0]] = t
         for e in self.rt:
             d = e.descriptor
             addr = d.address
             age = e.age
             cur = pool.get(addr)
-            if cur is None or age < cur[1]:
-                pool[addr] = (d.node_id, age)
-        pool.pop(self.address, None)
+            if cur is None or age < cur[2]:
+                pool[addr] = (addr, d.node_id, age)
+        self_addr = self.address
+        pool.pop(self_addr, None)
+        pool[self_addr] = (self_addr, self.node_id, 0)
         return pool
+
+    def _merge_and_select(
+        self,
+        mine: Dict[int, tuple],
+        received,
+        profile_of: Callable[[int], Optional[NodeProfile]],
+    ) -> None:
+        """Alg. 2 lines 6-7 / Alg. 3 lines 4-5: merge a received buffer
+        (an iterable of wire triples) into my own — one candidate per
+        address, freshest wins, self excluded — and install Alg. 4's
+        selection from the result."""
+        merged = dict(mine)
+        for t in received:
+            cur = merged.get(t[0])
+            if cur is None or t[2] < cur[2]:
+                merged[t[0]] = t
+        # My own slot (always present: ``mine`` ends with it) kept any
+        # echo of me in ``received`` from becoming a candidate.
+        del merged[self.address]
+        self.rt.replace(self._select_from_pool(merged, profile_of))
 
     def tman_step(
         self,
@@ -309,39 +295,10 @@ class VitisNode(BaseNode):
         if peer is None or not peer.alive:
             self.rt.remove(peer_addr)
             return None
-
-        # Dict-to-dict merge of the two exchange buffers plus each side's
-        # own zero-age descriptor — same order and freshest-wins semantics
-        # as list concatenation piped through ``_merge_unique`` (dict
-        # insertion order appends new addresses and keeps the slot of
-        # updated ones), without materialising the intermediate lists.
         mine = self._exchange_pool()
         theirs = peer._exchange_pool()
-        self_addr = self.address
-
-        merged = dict(mine)
-        for addr, t in theirs.items():
-            if addr == self_addr:
-                continue
-            cur = merged.get(addr)
-            if cur is None or t[1] < cur[1]:
-                merged[addr] = t
-        cur = merged.get(peer_addr)
-        if cur is None or cur[1] > 0:
-            merged[peer_addr] = (peer.node_id, 0)
-        self.rt.replace_trusted(self._select_from_pool(merged, profile_of))
-
-        merged = dict(theirs)
-        for addr, t in mine.items():
-            if addr == peer_addr:
-                continue
-            cur = merged.get(addr)
-            if cur is None or t[1] < cur[1]:
-                merged[addr] = t
-        cur = merged.get(self_addr)
-        if cur is None or cur[1] > 0:
-            merged[self_addr] = (self.node_id, 0)
-        peer.rt.replace_trusted(peer._select_from_pool(merged, profile_of))
+        self._merge_and_select(mine, theirs.values(), profile_of)
+        peer._merge_and_select(theirs, mine.values(), profile_of)
         return peer_addr
 
     def _pick_exchange_peer(self, is_alive: Callable[[int], bool]) -> Optional[int]:
@@ -399,15 +356,3 @@ class VitisNode(BaseNode):
 
     def degree(self) -> int:
         return len(self.rt)
-
-
-def _merge_unique(descriptors: List[Descriptor], self_addr: int) -> List[Descriptor]:
-    """Unique-per-address candidate list, freshest wins, self excluded."""
-    pool: Dict[int, Descriptor] = {}
-    for d in descriptors:
-        if d.address == self_addr:
-            continue
-        cur = pool.get(d.address)
-        if cur is None or d.age < cur.age:
-            pool[d.address] = d
-    return list(pool.values())

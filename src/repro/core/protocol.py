@@ -26,6 +26,7 @@ faster (an optimisation the guides' "profile first" workflow motivated).
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Union
 
 from repro import obs
@@ -35,7 +36,7 @@ from repro.core.gateway import ElectionStats, elect_round
 from repro.core.identifiers import IdSpace
 from repro.core.node import VitisNode
 from repro.core.profile import NodeProfile
-from repro.core.relay import RelayStats, install_path
+from repro.core.relay import RelayStats, clear_topic, install_path
 from repro.core.utility import PublicationRates, UtilityFunction
 from repro.gossip.view import Descriptor
 from repro.sim.engine import CycleDriver, Engine
@@ -354,41 +355,53 @@ class OverlaySystem:
         table and peer-sampling view (the dissemination of a confirmed
         verdict, modeled as instantly consistent like the other gossip
         exchanges).  Returns the number of routing tables it was in."""
-        removed = 0
         holders: List[int] = []
         for a in self.live_addresses():
             if a == address:
                 continue
             n = self.nodes[a]
             if n.rt.remove(address):
-                removed += 1
                 holders.append(a)
             n.ps.evict(address)
-        if self.is_alive(address):
+        removed = len(holders)
+        for h in holders:
+            self._note_eviction(h, address)
+        alive = self.is_alive(address)
+        if alive:
             # The detector was wrong: a live node just lost its overlay
-            # presence.  Count at least one false eviction even when no
-            # table held it (the liveness shun alone breaks delivery).
-            self.false_evictions += max(removed, 1)
-            self.false_eviction_log[address] = self.engine.now
-            for h in holders:
-                self.false_evicted_edges.add((h, address))
-                self.false_evicted_edges.add((address, h))
-        else:
-            self.fault_evictions += removed
+            # presence in both directions.  Count at least one false
+            # eviction even when no table held it (the liveness shun
+            # alone breaks delivery).
+            self.false_evicted_edges.update((address, h) for h in holders)
+            if not holders:
+                self.false_evictions += 1
+                self.false_eviction_log[address] = self.engine.now
         self.topology_version += 1
         tel = self.telemetry
         if tel.enabled:
             tel.metrics.counter(
                 "detector_evictions_total",
                 system=self.name,
-                false=str(self.is_alive(address)).lower(),
+                false=str(alive).lower(),
             ).inc()
             if tel.tracing:
                 tel.event(
                     "evict", t=self.engine.now, addr=address,
-                    tables=removed, false=self.is_alive(address),
+                    tables=removed, false=alive,
                 )
         return removed
+
+    def _note_eviction(self, holder: int, victim: int) -> None:
+        """Attribute one routing-table eviction while it happens: a live
+        victim is a false positive (a wrong verdict, a persistently lossy
+        link or shed heartbeats masquerading as silence), a dead one the
+        intended pruning."""
+        if self.is_alive(victim):
+            self.false_evictions += 1
+            self.false_eviction_log[victim] = self.engine.now
+            self.false_evicted_edges.add((holder, victim))
+        else:
+            self.fault_evictions += 1
 
     def rejoin(self, address: int) -> None:
         """Graceful re-entry of a previously crashed node.
@@ -411,101 +424,59 @@ class OverlaySystem:
     # ------------------------------------------------------------------
     def lookup(self, start: int, target_id: int, kind: str = "lookup") -> LookupResult:
         """Greedy lookup from ``start`` toward ``target_id`` over the
-        current routing tables.
+        current routing tables, with timeout-and-retry route-around.
 
-        With an attached fault model, each next hop is one transmission
-        the model may eat; a healing policy grants bounded retries that
-        route around the links seen failing.  With an attached capacity
-        model, each hop must also be admitted by the next node's bounded
-        inbox (both gates live in ``_lookup_gated``).  ``kind`` is the
-        message kind the hops are charged as — relay installation passes
-        ``"relay_install"`` so its lookups ride the control-plane
-        priority class.
-        """
-        if self.fault_model is not None or self.capacity is not None:
-            return self._lookup_gated(start, target_id, kind)
-        result = self._walk(start, target_id)
-        tel = self.telemetry
-        if tel.enabled:
-            tel.metrics.counter("lookups_total", system=self.name).inc()
-            if not result.success:
-                tel.metrics.counter("lookups_failed_total", system=self.name).inc()
-            tel.metrics.histogram("lookup_hops", system=self.name).observe(result.hops)
-            tel.event(
-                "lookup",
-                t=self.engine.now,
-                start=start,
-                hops=result.hops,
-                ok=result.success,
-            )
-        return result
+        With nothing attached this is one ungated walk.  With a fault
+        model attached, each next hop is one transmission the model may
+        eat: the hop is treated as a timed-out next hop, remembered in
+        ``blocked`` and routed around (the walk falls back to the
+        next-closest entry immediately within an attempt, and a healing
+        policy grants further attempts).  The backoff between attempts is
+        bookkeeping-only here — within one cycle-synchronous publish all
+        attempts happen at one simulated instant, mirroring an RPC
+        timeout far shorter than the gossip period.  With a capacity
+        model attached, each surviving hop must also be admitted by the
+        next node's bounded inbox; a refusal is a shed the walk routes
+        around exactly like a fault (the lookup probe timed out because
+        the receiver's queue was full).
 
-    def _walk(self, start: int, target_id: int, link_ok=None) -> LookupResult:
-        """One greedy walk over the current routing tables along
-        perceived liveness — no gate of its own, no telemetry."""
-        nodes = self.nodes
-        return greedy_route(
-            self.space,
-            target_id,
-            start,
-            nodes[start].node_id,
-            neighbors_of=lambda a: nodes[a].rt.links(),
-            is_alive=self.liveness,
-            max_hops=self.config.max_lookup_hops,
-            link_ok=link_ok,
-        )
-
-    def _lookup_gated(
-        self, start: int, target_id: int, kind: str = "lookup"
-    ) -> LookupResult:
-        """Greedy lookup with timeout-and-retry route-around.
-
-        Each attempt walks with a ``link_ok`` gate: a hop the fault model
-        eats is treated as a timed-out next hop, remembered in ``blocked``
-        and routed around on the next attempt (the walk falls back to the
-        next-closest entry immediately within an attempt).  Attempts are
-        bounded by the healing policy (1 without one); the backoff between
-        attempts is bookkeeping-only here — within one cycle-synchronous
-        publish all attempts happen at one simulated instant, mirroring an
-        RPC timeout far shorter than the gossip period.
-
-        With a capacity model attached, each surviving hop must also be
-        admitted by the next node's bounded inbox; a refusal is a shed
-        the walk routes around exactly like a fault (the lookup probe
-        timed out because the receiver's queue was full).
+        ``kind`` is the message kind the hops are charged as — relay
+        installation passes ``"relay_install"`` so its lookups ride the
+        control-plane priority class.
         """
         fm = self.fault_model
         cap = self.capacity
-        healing = self.healing
-        attempts = healing.lookup_attempts if healing is not None else 1
         now = self.engine.now
-        net = self.network
-        blocked: Set[tuple] = set()
-        faults = 0
+        attempts = 1
+        faults = retries = 0
+        link_ok = None
+        if fm is not None or cap is not None:
+            if self.healing is not None:
+                attempts = self.healing.lookup_attempts
+            net = self.network
+            blocked: Set[tuple] = set()
 
-        def link_ok(u: int, v: int) -> bool:
-            nonlocal faults
-            if (u, v) in blocked:
-                return False
-            if fm is not None and fm.drop(u, v, kind, now):
-                blocked.add((u, v))
-                faults += 1
-                return False
-            if cap is not None:
-                admitted = cap.offer(u, v, kind, now)
-                net.account_logical(u, v, kind, admitted)
-                if not admitted:
-                    blocked.add((u, v))
+            def link_ok(u: int, v: int) -> bool:
+                nonlocal faults
+                if (u, v) in blocked:
                     return False
-            return True
+                if fm is not None and fm.drop(u, v, kind, now):
+                    blocked.add((u, v))
+                    faults += 1
+                    return False
+                if cap is not None:
+                    admitted = cap.offer(u, v, kind, now)
+                    net.account_logical(u, v, kind, admitted)
+                    if not admitted:
+                        blocked.add((u, v))
+                        return False
+                return True
 
-        result = None
-        retries = 0
         for attempt in range(attempts):
             result = self._walk(start, target_id, link_ok)
             if result.success:
                 break
-            retries = attempt + 1 if attempt + 1 < attempts else attempts - 1
+            retries = min(attempt + 1, attempts - 1)
         self.fault_retries += retries
 
         tel = self.telemetry
@@ -534,6 +505,21 @@ class OverlaySystem:
                     attempts=retries + 1, faults=faults, ok=result.success,
                 )
         return result
+
+    def _walk(self, start: int, target_id: int, link_ok=None) -> LookupResult:
+        """One greedy walk over the current routing tables along
+        perceived liveness — no gate of its own, no telemetry."""
+        nodes = self.nodes
+        return greedy_route(
+            self.space,
+            target_id,
+            start,
+            nodes[start].node_id,
+            neighbors_of=lambda a: nodes[a].rt.links(),
+            is_alive=self.liveness,
+            max_hops=self.config.max_lookup_hops,
+            link_ok=link_ok,
+        )
 
     def rendezvous_of(self, topic: int) -> Optional[int]:
         """Ground truth: the live node circularly closest to hash(topic)."""
@@ -806,7 +792,6 @@ class VitisProtocol(OverlayProtocolBase):
         now = self.engine.now
         is_alive = self.is_alive
         net = self.network
-        evicted = 0
         hb_faults = 0
         if det is not None:
             # SWIM replaces the heartbeat timeout as the liveness source:
@@ -816,23 +801,12 @@ class VitisProtocol(OverlayProtocolBase):
             # re-purges stale descriptors gossip re-admits after the
             # confirmation-time global purge.
             confirmed = det.confirmed
-            hb_pred = lambda b: not confirmed(b)
-            for node in live:
-                src = node.address
-                gone = node.heartbeat_step(hb_pred)
-                evicted += len(gone)
-                for b in gone:
-                    if is_alive(b):
-                        self.false_evictions += 1
-                        self.false_eviction_log[b] = now
-                        self.false_evicted_edges.add((src, b))
-                    else:
-                        self.fault_evictions += 1
-            return evicted
-        for node in live:
-            src = node.address
 
-            def hb_ok(b: int, src: int = src) -> bool:
+            def answered(src: int, b: int) -> bool:
+                return not confirmed(b)
+        else:
+
+            def answered(src: int, b: int) -> bool:
                 nonlocal hb_faults
                 if not is_alive(b):
                     return False
@@ -846,19 +820,13 @@ class VitisProtocol(OverlayProtocolBase):
                         return False
                 return True
 
-            gone = node.heartbeat_step(hb_ok)
+        evicted = 0
+        for node in live:
+            src = node.address
+            gone = node.heartbeat_step(partial(answered, src))
             evicted += len(gone)
             for b in gone:
-                # Attribute each eviction while it happens: a live victim
-                # is a false positive (persistently lossy link or shed
-                # heartbeats masquerading as silence), a dead one the
-                # intended pruning.
-                if is_alive(b):
-                    self.false_evictions += 1
-                    self.false_eviction_log[b] = now
-                    self.false_evicted_edges.add((src, b))
-                else:
-                    self.fault_evictions += 1
+                self._note_eviction(src, b)
         tel = self.telemetry
         if hb_faults and tel.enabled:
             tel.metrics.counter(
@@ -942,11 +910,10 @@ class VitisProtocol(OverlayProtocolBase):
                 node.profile.subscriptions,
                 rt,
                 neighbor_subscriptions=subs_of.__getitem__,
-                neighbor_proposal=self._neighbor_proposal,
+                neighbor_proposals=proposals_of,
                 topic_ids=self.topic_id,
                 depth=self.config.gateway_depth,
                 stats=stats,
-                neighbor_proposals=proposals_of,
             )
             results[a] = proposals
             n_self = 0
@@ -979,14 +946,6 @@ class VitisProtocol(OverlayProtocolBase):
                 changed=changed,
             )
 
-    def _neighbor_subs(self, address: int) -> FrozenSet[int]:
-        p = self.profile_of(address)
-        return p.subscriptions if p is not None else frozenset()
-
-    def _neighbor_proposal(self, address: int, topic: int):
-        n = self.nodes.get(address)
-        return n.gw_state.get(topic) if n is not None else None
-
     # ------------------------------------------------------------------
     # Relay paths (Alg. 5 line 21 + section III-B)
     # ------------------------------------------------------------------
@@ -1015,6 +974,24 @@ class VitisProtocol(OverlayProtocolBase):
 
         return install_path(topic, lr, tables, self.relay_stats, on_hop=on_hop)
 
+    def _reinstall(self, topics: Iterable[int], wiped: bool = False) -> None:
+        """Rebuild the relay trees of ``topics`` from their current
+        gateways: tear each topic's relay state down across the
+        population (``wiped``: the caller just cleared every table), run
+        one ``RequestRelay`` lookup per gateway and install its path.
+        A sanctioned topology write: opens a fresh ``topology_version``.
+        """
+        tables = {a: n.relay for a, n in self.nodes.items()}
+        for topic in topics:
+            if not wiped:
+                clear_topic(topic, tables.values())
+                self.relay_stats.rendezvous.pop(topic, None)
+            tid = self.topic_id(topic)
+            for gw in self.gateways_of(topic):
+                lr = self.lookup(gw, tid, kind="relay_install")
+                self._install_with_spans(topic, gw, lr, tables)
+        self.topology_version += 1
+
     def install_relays(self, topics: Optional[Iterable[int]] = None) -> RelayStats:
         """Clear and rebuild the relay trees from the current gateways.
 
@@ -1033,13 +1010,7 @@ class VitisProtocol(OverlayProtocolBase):
         for n in self.nodes.values():
             n.relay.clear()
         self.relay_stats.reset()
-        tables = {a: n.relay for a, n in self.nodes.items()}
-        for topic in topics:
-            tid = self.topic_id(topic)
-            for gw in self.gateways_of(topic):
-                lr = self.lookup(gw, tid, kind="relay_install")
-                self._install_with_spans(topic, gw, lr, tables)
-        self.topology_version += 1
+        self._reinstall(topics, wiped=True)
         if tel.enabled:
             stats = self.relay_stats
             m = tel.metrics
@@ -1129,16 +1100,7 @@ class VitisProtocol(OverlayProtocolBase):
             for _ in range(self.config.gateway_depth + 1):
                 self.election_round()
 
-        tables = {a: n.relay for a, n in self.nodes.items()}
-        for topic in sorted(broken):
-            for tbl in tables.values():
-                tbl.drop_topic(topic)
-            self.relay_stats.rendezvous.pop(topic, None)
-            tid = self.topic_id(topic)
-            for gw in self.gateways_of(topic):
-                lr = self.lookup(gw, tid, kind="relay_install")
-                self._install_with_spans(topic, gw, lr, tables)
-        self.topology_version += 1
+        self._reinstall(sorted(broken))
 
         repaired = len(broken)
         self.fault_repairs += repaired
@@ -1175,16 +1137,7 @@ class VitisProtocol(OverlayProtocolBase):
         )
         if not topics:
             return
-        tables = {a: n.relay for a, n in self.nodes.items()}
-        for topic in topics:
-            for tbl in tables.values():
-                tbl.drop_topic(topic)
-            self.relay_stats.rendezvous.pop(topic, None)
-            tid = self.topic_id(topic)
-            for gw in self.gateways_of(topic):
-                lr = self.lookup(gw, tid, kind="relay_install")
-                self._install_with_spans(topic, gw, lr, tables)
-        self.topology_version += 1
+        self._reinstall(topics)
         tel = self.telemetry
         if tel.enabled and tel.tracing:
             tel.event(

@@ -160,48 +160,27 @@ class RoutingTable:
         """Install a fresh selection (the output of Alg. 4).
 
         Ages of retained neighbors are preserved so that staleness
-        detection is not reset by reselection.
-        """
-        if len(selection) > self.max_size:
-            raise ValueError(f"selection of {len(selection)} exceeds max {self.max_size}")
-        new: Dict[int, RTEntry] = {}
-        for desc, kind in selection:
-            if desc.address == self.owner:
-                raise ValueError("routing table must not contain the owner")
-            if desc.address in new:
-                raise ValueError(f"duplicate neighbor {desc.address} in selection")
-            old = self._entries.get(desc.address)
-            age = old.age if old is not None else desc.age
-            # Descriptors are value objects that nothing mutates in place
-            # (the columnar PartialView stores fields, not references), so
-            # the entry can hold the selected descriptor directly.
-            new[desc.address] = RTEntry(desc, kind, age)
-        self._entries = new
-        self._links = None
-        self.mutations = self._bump()
-
-    def replace_trusted(self, selection: List[Tuple[Descriptor, LinkKind]]) -> None:
-        """:meth:`replace` without the owner/duplicate/size validation.
-
-        For selections produced by the node's own selection pass, which
-        is structurally incapable of emitting the owner, a duplicate
-        address, or an oversized list — the per-call validation was pure
-        overhead on the per-cycle T-Man path.
+        detection is not reset by reselection.  The selection is trusted
+        to be what Alg. 4 emits — at most ``max_size`` entries, one per
+        address, never the owner: this runs twice per T-Man exchange, and
+        validating what the node's own selection pass is structurally
+        incapable of violating was measurable there.
         """
         entries = self._entries
         new: Dict[int, RTEntry] = {}
         for desc, kind in selection:
             old = entries.get(desc.address)
-            if old is not None:
-                if old.kind is kind:
-                    # Same neighbor, same role: refresh the descriptor in
-                    # place (age already preserved) instead of allocating.
-                    old.descriptor = desc
-                    new[desc.address] = old
-                else:
-                    new[desc.address] = RTEntry(desc, kind, old.age)
-            else:
+            if old is None:
                 new[desc.address] = RTEntry(desc, kind, desc.age)
+            elif old.kind is kind:
+                # Same neighbor, same role: refresh the descriptor in
+                # place (age already preserved) instead of allocating.
+                # Descriptors are value objects nothing mutates in place,
+                # so the entry can hold the selected one directly.
+                old.descriptor = desc
+                new[desc.address] = old
+            else:
+                new[desc.address] = RTEntry(desc, kind, old.age)
         self._entries = new
         self._links = None
         self.mutations = self._bump()

@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro import obs
 from repro.experiments.spec import Sweep
 from repro.sim.capacity import SHED_POLICIES
 from repro.sim.metrics import MetricsCollector
@@ -64,8 +63,8 @@ def measure_under_load(
     """
     collector = collector if collector is not None else MetricsCollector()
     rng = np.random.default_rng(seed)
-    tel = getattr(protocol, "telemetry", obs.NULL)
-    cap = getattr(protocol, "capacity", None)
+    tel = protocol.telemetry
+    cap = protocol.capacity
     with tel.phase("measure_under_load"):
         candidates = [t for t in protocol.topics() if protocol.subscribers(t)]
         if not candidates:

@@ -200,7 +200,7 @@ def measure(
         raise ValueError(f"unknown publisher mode: {publisher!r}")
     collector = collector if collector is not None else MetricsCollector()
     rng = np.random.default_rng(seed)
-    tel = getattr(protocol, "telemetry", obs.NULL)
+    tel = protocol.telemetry
 
     with tel.phase("measure"):
         candidates = [t for t in (topics if topics is not None else protocol.topics())

@@ -5,7 +5,7 @@ model:
 
 - greedy lookups get up to ``lookup_attempts`` tries, each attempt
   routing *around* the links that failed previously (see
-  ``OverlayProtocolBase._lookup_gated``), with a backoff between
+  ``OverlaySystem.lookup``), with a backoff between
   attempts expressed in gossip cycles (the simulator charges it as
   bookkeeping only — attempts within one publish happen at one simulated
   instant, mirroring an RPC timeout far shorter than the gossip period);

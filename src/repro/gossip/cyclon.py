@@ -8,31 +8,24 @@ useful as a drop-in replacement to check that Vitis really is agnostic to
 the sampling implementation (the paper cites both [24]=Cyclon and
 [25]=Newscast as acceptable).
 
-The public API is the same as
-:class:`repro.gossip.peer_sampling.PeerSamplingService`.
+The public API is :class:`repro.gossip.peer_sampling.Sampler`'s, like
+:class:`repro.gossip.peer_sampling.PeerSamplingService`'s.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from repro.gossip.peer_sampling import Sampler
 from repro.gossip.view import Descriptor, PartialView
 
 __all__ = ["CyclonService"]
 
 
-class CyclonService:
+class CyclonService(Sampler):
     """One node's endpoint of the Cyclon shuffle protocol."""
 
-    __slots__ = (
-        "address",
-        "node_id",
-        "view",
-        "rng",
-        "shuffle_len",
-        "exchanges",
-        "failed_exchanges",
-    )
+    __slots__ = ("shuffle_len",)
 
     def __init__(
         self,
@@ -42,20 +35,8 @@ class CyclonService:
         rng,
         shuffle_len: Optional[int] = None,
     ) -> None:
-        self.address = address
-        self.node_id = node_id
-        self.view = PartialView(view_size)
-        self.rng = rng
+        super().__init__(address, node_id, view_size, rng)
         self.shuffle_len = shuffle_len if shuffle_len is not None else max(1, view_size // 2)
-        self.exchanges = 0
-        self.failed_exchanges = 0
-
-    def initialize(self, seeds: List[Descriptor]) -> None:
-        self.view.merge(seeds, exclude=self.address)
-        self.view.trim()
-
-    def descriptor(self) -> Descriptor:
-        return Descriptor(self.address, self.node_id, 0)
 
     def step(
         self,
@@ -116,14 +97,3 @@ class CyclonService:
                     sent_addrs.discard(victim)
             view.insert(d)
         view.trim()  # bound only; eviction above already randomised
-
-    def evict(self, address: int) -> bool:
-        """Drop ``address`` on external liveness evidence (same contract
-        as :meth:`PeerSamplingService.evict`)."""
-        return self.view.remove(address)
-
-    def sample(self, n: int) -> List[Descriptor]:
-        return self.view.sample(n, self.rng)
-
-    def known_addresses(self) -> List[int]:
-        return self.view.addresses

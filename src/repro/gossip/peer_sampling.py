@@ -20,10 +20,55 @@ from typing import Callable, Dict, List, Optional
 
 from repro.gossip.view import Descriptor, PartialView
 
-__all__ = ["PeerSamplingService"]
+__all__ = ["Sampler", "PeerSamplingService"]
 
 
-class PeerSamplingService:
+class Sampler:
+    """What every peer sampling implementation shares: the bounded view,
+    bootstrap, eviction on external liveness evidence, and the sampling
+    API T-Man and the overlays consume.  A subclass adds ``step`` — one
+    active gossip round against a registry of its peers' services."""
+
+    __slots__ = ("address", "node_id", "view", "rng", "exchanges", "failed_exchanges")
+
+    def __init__(self, address: int, node_id: int, view_size: int, rng) -> None:
+        self.address = address
+        self.node_id = node_id
+        self.view = PartialView(view_size)
+        self.rng = rng
+        self.exchanges = 0
+        self.failed_exchanges = 0
+
+    def initialize(self, seeds: List[Descriptor]) -> None:
+        """Fill the view from bootstrap descriptors (e.g. from a well-known
+        bootstrap node, paper Alg. 1 line 3)."""
+        self.view.merge(seeds, exclude=self.address)
+        self.view.trim()
+
+    def descriptor(self) -> Descriptor:
+        """A fresh descriptor of this node (age 0)."""
+        return Descriptor(self.address, self.node_id, 0)
+
+    def evict(self, address: int) -> bool:
+        """Drop ``address`` from the view on external liveness evidence
+        (e.g. a failure detector confirming it dead), so its descriptor
+        stops circulating.  Returns True if it was present."""
+        return self.view.remove(address)
+
+    def sample(self, n: int) -> List[Descriptor]:
+        """Up to ``n`` approximately-uniform random descriptors."""
+        return self.view.sample(n, self.rng)
+
+    def sample_fields(self, n: int) -> List[tuple]:
+        """:meth:`sample` as ``(address, node_id, age)`` tuples (same rng
+        draws); consumed by the columnar T-Man exchange buffer."""
+        return self.view.sample_fields(n, self.rng)
+
+    def known_addresses(self) -> List[int]:
+        return self.view.addresses
+
+
+class PeerSamplingService(Sampler):
     """One node's endpoint of the Newscast protocol.
 
     Parameters
@@ -41,39 +86,13 @@ class PeerSamplingService:
         longer reachable — and would otherwise circulate forever.
     """
 
-    __slots__ = (
-        "address",
-        "node_id",
-        "view",
-        "rng",
-        "max_age",
-        "exchanges",
-        "failed_exchanges",
-    )
+    __slots__ = ("max_age",)
 
     def __init__(
         self, address: int, node_id: int, view_size: int, rng, max_age: int = 10
     ) -> None:
-        self.address = address
-        self.node_id = node_id
-        self.view = PartialView(view_size)
-        self.rng = rng
+        super().__init__(address, node_id, view_size, rng)
         self.max_age = max_age
-        self.exchanges = 0
-        self.failed_exchanges = 0
-
-    # ------------------------------------------------------------------
-    # Bootstrap
-    # ------------------------------------------------------------------
-    def initialize(self, seeds: List[Descriptor]) -> None:
-        """Fill the view from bootstrap descriptors (e.g. from a well-known
-        bootstrap node, paper Alg. 1 line 3)."""
-        self.view.merge(seeds, exclude=self.address)
-        self.view.trim()
-
-    def descriptor(self) -> Descriptor:
-        """A fresh descriptor of this node (age 0)."""
-        return Descriptor(self.address, self.node_id, 0)
 
     # ------------------------------------------------------------------
     # Protocol step
@@ -118,24 +137,3 @@ class PeerSamplingService:
         peer.view.trim(peer.rng)
         self.exchanges += 1
         return peer_addr
-
-    def evict(self, address: int) -> bool:
-        """Drop ``address`` from the view on external liveness evidence
-        (e.g. a failure detector confirming it dead), so its descriptor
-        stops circulating.  Returns True if it was present."""
-        return self.view.remove(address)
-
-    # ------------------------------------------------------------------
-    # Sampling API (what T-Man and the overlays consume)
-    # ------------------------------------------------------------------
-    def sample(self, n: int) -> List[Descriptor]:
-        """Up to ``n`` approximately-uniform random descriptors."""
-        return self.view.sample(n, self.rng)
-
-    def sample_fields(self, n: int) -> List[tuple]:
-        """:meth:`sample` as ``(address, node_id, age)`` tuples (same rng
-        draws); consumed by the columnar T-Man exchange buffer."""
-        return self.view.sample_fields(n, self.rng)
-
-    def known_addresses(self) -> List[int]:
-        return self.view.addresses

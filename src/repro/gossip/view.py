@@ -109,8 +109,7 @@ class PartialView:
 
     def descriptors(self) -> List[Descriptor]:
         """A snapshot list of the current entries (caller-owned objects)."""
-        addrs, ids, ages = self._addrs, self._ids, self._ages
-        return [Descriptor(addrs[i], ids[i], ages[i]) for i in range(len(addrs))]
+        return list(self)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -132,22 +131,11 @@ class PartialView:
 
     def merge(self, descriptors: Iterable[Descriptor], exclude: int = -1) -> None:
         """Insert many descriptors, skipping address ``exclude`` (a node
-        never keeps a descriptor of itself)."""
-        slot = self._slot
-        addrs, ids, ages = self._addrs, self._ids, self._ages
+        never keeps a descriptor of itself).  The cold entry point —
+        bootstrap and tests; exchanges merge columns (:meth:`merge_fields`)."""
         for d in descriptors:
-            addr = d.address
-            if addr == exclude:
-                continue
-            i = slot.get(addr)
-            if i is None:
-                slot[addr] = len(addrs)
-                addrs.append(addr)
-                ids.append(d.node_id)
-                ages.append(d.age)
-            elif d.age < ages[i]:
-                ids[i] = d.node_id
-                ages[i] = d.age
+            if d.address != exclude:
+                self.insert(d)
 
     def snapshot_fields(self) -> tuple:
         """Copies of the three columns — the zero-object equivalent of
@@ -282,12 +270,8 @@ class PartialView:
     # ------------------------------------------------------------------
     def random_descriptor(self, rng) -> Optional[Descriptor]:
         """A uniformly random entry, or None if empty."""
-        addrs = self._addrs
-        if not addrs:
-            return None
-        addr = rng.choice(addrs)
-        i = self._slot[addr]
-        return Descriptor(addr, self._ids[i], self._ages[i])
+        addr = self.random_address(rng)
+        return None if addr is None else self.get(addr)
 
     def oldest_descriptor(self) -> Optional[Descriptor]:
         """The entry with the largest age (ties broken by address)."""
@@ -305,16 +289,11 @@ class PartialView:
 
     def sample(self, n: int, rng) -> List[Descriptor]:
         """Up to ``n`` distinct entries, uniformly at random."""
-        addrs, ids, ages = self._addrs, self._ids, self._ages
-        count = len(addrs)
-        if count <= n:
-            return self.descriptors()
-        idx = rng.sample(range(count), n)
-        return [Descriptor(addrs[i], ids[i], ages[i]) for i in idx]
+        return [Descriptor(*t) for t in self.sample_fields(n, rng)]
 
     def sample_fields(self, n: int, rng) -> List[tuple]:
-        """:meth:`sample` as ``(address, node_id, age)`` tuples — same rng
-        draws, no Descriptor objects (the T-Man exchange-buffer path)."""
+        """:meth:`sample` as ``(address, node_id, age)`` tuples — no
+        Descriptor objects (the T-Man exchange-buffer path)."""
         addrs, ids, ages = self._addrs, self._ids, self._ages
         count = len(addrs)
         if count <= n:

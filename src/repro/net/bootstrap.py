@@ -75,10 +75,6 @@ class SeedService:
     def local_addr(self) -> Tuple[str, int]:
         return self._server.sockets[0].getsockname()[:2]
 
-    @property
-    def joined_count(self) -> int:
-        return len(self.endpoints)
-
     async def wait_for(self, n: int, timeout: float = 60.0) -> None:
         """Block until ``n`` members have joined."""
         deadline = asyncio.get_running_loop().time() + timeout

@@ -122,7 +122,7 @@ def _decode_value(kind: str, name: str, value: Any) -> Any:
     if kind == "ProfileMessage" and name == "profile" and value is not None:
         return _decode_profile(value)
     if name in ("view", "buffer") and isinstance(value, list):
-        # Descriptor triples arrive as lists; _unpack destructures them
+        # Descriptor triples arrive as lists; the node indexes them
         # positionally, so tuples restore exact equality with the sender.
         return [tuple(item) for item in value]
     return value

@@ -196,15 +196,6 @@ class MetricsCollector:
                 worst = max(worst, max(r.delivered_hops.values()))
         return worst
 
-    def total_shed(self) -> int:
-        """Dissemination transmissions shed by bounded inboxes, over all
-        events (0 on an elastic transport)."""
-        return sum(r.shed for r in self.records)
-
-    def total_deferred(self) -> int:
-        """Transmissions withheld on backpressure signals, over all events."""
-        return sum(r.deferred for r in self.records)
-
     # ------------------------------------------------------------------
     # Distributions (Fig. 5)
     # ------------------------------------------------------------------

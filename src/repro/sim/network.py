@@ -184,28 +184,19 @@ class Network:
         Delivery is scheduled on the engine after the latency model's delay;
         with the default zero-delay model the event still goes through the
         engine queue, preserving causal ordering.  An attached fault model
-        may drop the message outright (counted in ``faulted``, never
-        delivered) or inflate its delay; an attached capacity model may
-        then shed it at the destination's bounded inbox (counted in
-        ``shed`` — the link worked, the receiver was full).
+        may drop the message outright or inflate its delay; an attached
+        capacity model may shed it (see :meth:`_admit`).
         """
-        self.sent[msg.kind] += 1
-        self.sent_by_addr[msg.src] += 1
-        self.bytes_sent += msg.size
         lat = self.latency
         # Constant latency (the cycle-driven default) needs no per-pair
         # method call; the type check keeps a swapped-in model honest.
+        # Drawn before admission: a per-message latency rng advances for
+        # refused messages too.
         delay = lat._delay if type(lat) is ConstantLatency else lat.delay(msg.src, msg.dst)
-        if self.fault_model is not None:
-            if self.fault_model.drop(msg.src, msg.dst, msg.kind, self.engine.now):
-                self._record_fault(msg)
-                return
-            delay += self.fault_model.extra_delay(msg.src, msg.dst, self.engine.now)
-        if self.capacity is not None and not self.capacity.offer(
-            msg.src, msg.dst, msg.kind, self.engine.now, nbytes=msg.size_bytes
-        ):
-            self._record_shed(msg)
+        if not self._admit(msg):
             return
+        if self.fault_model is not None:
+            delay += self.fault_model.extra_delay(msg.src, msg.dst, self.engine.now)
         self.engine.schedule(delay, lambda m=msg: self._deliver(m))
 
     def send_sync(self, msg: Message) -> bool:
@@ -214,6 +205,14 @@ class Network:
         Used by cycle-driven protocols that model the exchange as atomic
         within a cycle.  Returns True if the message was handled.
         """
+        return self._admit(msg) and self._deliver(msg)
+
+    def _admit(self, msg: Message) -> bool:
+        """Account ``msg`` as sent and pass it through the attached gates:
+        the fault model may drop it on the link (counted in ``faulted``,
+        never delivered), then the capacity model may shed it at the
+        destination's bounded inbox (counted in ``shed`` — the link
+        worked, the receiver was full)."""
         self.sent[msg.kind] += 1
         self.sent_by_addr[msg.src] += 1
         self.bytes_sent += msg.size
@@ -227,7 +226,7 @@ class Network:
         ):
             self._record_shed(msg)
             return False
-        return self._deliver(msg)
+        return True
 
     def _record_fault(self, msg: Message) -> None:
         self.faulted[msg.kind] += 1

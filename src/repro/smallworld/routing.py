@@ -97,7 +97,11 @@ def greedy_route(
         if current_d == 0:
             result.success = True
             return result
-        if link_ok is None:
+        # Candidates are tried best-first: the closest improving neighbor
+        # whose link passes is taken; one whose link fails is set aside
+        # for this hop only and the scan repeats for the next-closest.
+        refused: List[int] = []
+        while True:
             best_addr, best_id, best_d = None, None, current_d
             for naddr, nid in neighbors_of(current_addr):
                 if naddr in visited or not is_alive(naddr):
@@ -110,29 +114,18 @@ def greedy_route(
                 # same rendezvous node (lookup consistency).
                 if d < best_d or (d == best_d and best_addr is not None and naddr < best_addr):
                     best_addr, best_id, best_d = naddr, nid, d
-        else:
-            candidates = sorted(
-                (min((nid - target_id) % size, (target_id - nid) % size), naddr, nid)
-                for naddr, nid in neighbors_of(current_addr)
-                if naddr not in visited and is_alive(naddr)
-            )
-            improving = [c for c in candidates if c[0] < current_d]
-            if not improving:
-                # Local minimum: no link involved, same verdict as below.
-                result.success = True
-                return result
-            best_addr = best_id = None
-            for _d, naddr, nid in improving:
-                if link_ok(current_addr, naddr):
-                    best_addr, best_id = naddr, nid
-                    break
-            if best_addr is None:
-                # Every usable next hop was eaten by the fault model —
-                # abort so the caller can retry, routing around these links.
-                return result
+            if best_addr is None or link_ok is None or link_ok(current_addr, best_addr):
+                break
+            visited.add(best_addr)
+            refused.append(best_addr)
+        if refused:
+            visited.difference_update(refused)
         if best_addr is None:
-            # Local minimum: current node is the closest it can see.
-            result.success = True
+            # Local minimum: current node is the closest it can see —
+            # unless every usable next hop was eaten by the fault model;
+            # then abort so the caller can retry, routing around these
+            # links.
+            result.success = not refused
             return result
         current_addr, current_id = best_addr, best_id
         visited.add(current_addr)

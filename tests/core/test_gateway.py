@@ -48,7 +48,7 @@ class Cluster:
                 frozenset({TOPIC}),
                 self.rts[a],
                 neighbor_subscriptions=self.subs_of,
-                neighbor_proposal=lambda n, t: self.states[n].get(t),
+                neighbor_proposals={n: s.proposals for n, s in self.states.items()},
                 topic_ids=lambda t: self.topic_hash,
                 depth=self.depth,
             )

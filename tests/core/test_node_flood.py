@@ -246,3 +246,49 @@ def test_confirmed_peer_purge_clears_every_trace_of_the_peer():
     assert TOPIC not in node.relay.parent and TOPIC not in node.relay_stamp
     assert node.relay.children == {6: {2}}
     assert node.child_stamp == {(6, 2): 3.0}
+
+
+# ----------------------------------------------------------------------
+# One T-Man surface: a message round equals a cycle-driven step
+# ----------------------------------------------------------------------
+def test_rt_exchange_round_equals_one_cycle_driven_tman_step():
+    """``RtExchangeRequest`` → ``RtExchangeReply`` between two deployed
+    nodes leaves both tables exactly where one ``tman_step`` from the same
+    pools leaves them: the handlers and the cycle driver share one merge
+    and one selection."""
+    from repro.sim.messages import RtExchangeReply, RtExchangeRequest
+
+    def table(node):
+        return [
+            (e.address, e.node_id, e.kind, e.age, e.descriptor.age) for e in node.rt
+        ]
+
+    def plant():
+        d, sent = planted(({TOPIC}, {TOPIC}, {1}))
+        link(d, 0, 1)
+        link(d, 1, 2)
+        # 1's sampling view also knows 2, staler than its table does.
+        d.nodes[1].ps.view.insert(Descriptor(2, d.space.node_id(2), 3))
+        return d, sent
+
+    by_msg, sent = plant()
+    a, b = by_msg.nodes[0], by_msg.nodes[1]
+    assert a._pick_exchange_peer(by_msg.is_alive) == 1
+    b.on_message(
+        RtExchangeRequest(src=0, dst=1, buffer=list(a._exchange_pool().values()))
+    )
+    (reply,) = sent
+    assert isinstance(reply, RtExchangeReply) and reply.dst == 0
+    a.on_message(reply)
+
+    by_cycle, _ = plant()
+    peer = by_cycle.nodes[0].tman_step(
+        by_cycle.nodes.get, by_cycle.is_alive, by_cycle.profile_of
+    )
+    assert peer == 1
+
+    for addr in (0, 1):
+        assert table(by_msg.nodes[addr]) == table(by_cycle.nodes[addr])
+    # The exchange did something: 0 learned of 2 through 1.
+    assert sorted(by_msg.nodes[0].rt.addresses) == [1, 2]
+    assert sorted(by_msg.nodes[1].rt.addresses) == [0, 2]

@@ -18,21 +18,6 @@ class TestReplace:
         assert rt.get(1).kind is LinkKind.SUCCESSOR
         assert 2 in rt
 
-    def test_rejects_owner(self):
-        rt = RoutingTable(owner=0, max_size=5)
-        with pytest.raises(ValueError):
-            rt.replace([(d(0), LinkKind.FRIEND)])
-
-    def test_rejects_duplicates(self):
-        rt = RoutingTable(owner=0, max_size=5)
-        with pytest.raises(ValueError):
-            rt.replace([(d(1), LinkKind.FRIEND), (d(1), LinkKind.SW)])
-
-    def test_rejects_overflow(self):
-        rt = RoutingTable(owner=0, max_size=1)
-        with pytest.raises(ValueError):
-            rt.replace([(d(1), LinkKind.FRIEND), (d(2), LinkKind.SW)])
-
     def test_retained_neighbor_keeps_age(self):
         rt = RoutingTable(owner=0, max_size=5)
         rt.replace([(d(1), LinkKind.FRIEND)])
@@ -40,6 +25,18 @@ class TestReplace:
         rt.replace([(d(1), LinkKind.SW), (d(2), LinkKind.FRIEND)])
         assert rt.get(1).age == 3  # staleness survives reselection
         assert rt.get(2).age == 0
+
+    def test_same_role_refreshes_the_descriptor_in_place(self):
+        rt = RoutingTable(owner=0, max_size=5)
+        rt.replace([(d(1), LinkKind.FRIEND), (d(2), LinkKind.SW)])
+        kept, stamp = rt.get(1), rt.mutations
+        kept.age = 2
+        fresher = d(1, age=7)
+        rt.replace([(d(2), LinkKind.FRIEND), (fresher, LinkKind.FRIEND)])
+        assert rt.get(1) is kept and kept.descriptor is fresher and kept.age == 2
+        assert rt.get(2).kind is LinkKind.FRIEND   # role changed: new entry, age kept
+        assert rt.addresses == [2, 1]               # table order is selection order
+        assert rt.mutations > stamp
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):

@@ -29,11 +29,16 @@ def descriptors(addresses):
     return [Descriptor(a, SPACE.node_id(a)) for a in addresses]
 
 
+def pool(addresses, age=0):
+    """A candidate pool in the T-Man surface's shape:
+    ``address → (address, node_id, age)``."""
+    return {a: (a, SPACE.node_id(a), age) for a in addresses}
+
+
 class TestSelectNeighbors:
     def test_ring_links_first(self):
         node = make_node()
-        cands = descriptors(range(1, 20))
-        selection = node.select_neighbors(cands, lambda a: None)
+        selection = node._select_from_pool(pool(range(1, 20)), lambda a: None)
         kinds = [k for _, k in selection]
         assert kinds[0] is LinkKind.SUCCESSOR
         assert kinds[1] is LinkKind.PREDECESSOR
@@ -43,7 +48,10 @@ class TestSelectNeighbors:
     def test_successor_is_truly_closest_clockwise(self):
         node = make_node()
         cands = descriptors(range(1, 30))
-        selection = dict((k, d) for d, k in node.select_neighbors(cands, lambda a: None))
+        selection = dict(
+            (k, d)
+            for d, k in node._select_from_pool(pool(range(1, 30)), lambda a: None)
+        )
         succ = selection[LinkKind.SUCCESSOR]
         my = node.node_id
         for d in cands:
@@ -52,8 +60,7 @@ class TestSelectNeighbors:
 
     def test_no_duplicate_slots(self):
         node = make_node()
-        cands = descriptors(range(1, 5))
-        selection = node.select_neighbors(cands, lambda a: None)
+        selection = node._select_from_pool(pool(range(1, 5)), lambda a: None)
         addrs = [d.address for d, _ in selection]
         assert len(addrs) == len(set(addrs))
 
@@ -64,8 +71,7 @@ class TestSelectNeighbors:
             11: make_node(11, subs=(1, 2)).profile,          # utility 0.5
             12: make_node(12, subs=(9,)).profile,            # utility 0.0
         }
-        cands = descriptors([10, 11, 12])
-        selection = node.select_neighbors(cands, profiles.get)
+        selection = node._select_from_pool(pool([10, 11, 12]), profiles.get)
         friends = [d.address for d, k in selection if k is LinkKind.FRIEND]
         # One of the three fills a ring slot; the remaining friends are in
         # utility order.
@@ -73,14 +79,24 @@ class TestSelectNeighbors:
 
     def test_fewer_candidates_than_slots(self):
         node = make_node(rt_size=15)
-        selection = node.select_neighbors(descriptors([1, 2]), lambda a: None)
+        selection = node._select_from_pool(pool([1, 2]), lambda a: None)
         assert len(selection) == 2
 
     def test_self_excluded(self):
+        # Neither entry point of the selection ever installs the node
+        # itself: join drops its own bootstrap descriptor, the exchange
+        # merge drops its own triple from a received buffer.
         node = make_node(address=3)
-        cands = descriptors([3, 4, 5])
-        selection = node.select_neighbors(cands, lambda a: None)
-        assert all(d.address != 3 for d, _ in selection)
+        node.join(descriptors([3, 4, 5]))
+        assert sorted(node.rt.addresses) == [4, 5]
+        received = [(3, node.node_id, 0), (6, SPACE.node_id(6), 0)]
+        node._merge_and_select(node._exchange_pool(), received, lambda a: None)
+        assert sorted(node.rt.addresses) == [4, 5, 6]
+
+    def test_winner_keeps_its_age(self):
+        node = make_node(rt_size=15)
+        selection = node._select_from_pool(pool([1, 2], age=4), lambda a: None)
+        assert [d.age for d, _ in selection] == [4, 4]
 
 
 class TestJoin:
@@ -127,11 +143,33 @@ class TestExchange:
 
     def test_exchange_buffer_freshness(self):
         a = make_node(0)
-        a.join(descriptors([1, 2]))
-        buf = a.exchange_buffer()
-        addrs = {d.address for d in buf}
-        assert 0 not in addrs
-        assert {1, 2} <= addrs
+        a.join([Descriptor(1, SPACE.node_id(1), age=5), Descriptor(2, SPACE.node_id(2))])
+        buf = a._exchange_pool()
+        assert {1, 2} <= set(buf)
+        assert all(addr == t[0] for addr, t in buf.items())
+        # The node's own zero-age descriptor rides last.
+        assert list(buf.items())[-1] == (0, (0, a.node_id, 0))
+        # Sample vs. table: the fresher age wins.
+        a.rt.get(1).age = 2
+        assert a._exchange_pool()[1] == (1, SPACE.node_id(1), 2)
+        a.rt.get(1).age = 9
+        assert a._exchange_pool()[1] == (1, SPACE.node_id(1), 5)
+
+    def test_merge_keeps_freshest_and_heartbeat_age(self):
+        a = make_node(3, rt_size=15)
+        a.join([Descriptor(4, SPACE.node_id(4), age=6)])
+        received = [
+            (3, SPACE.node_id(3), 0),   # the receiver itself: never a neighbor
+            (4, SPACE.node_id(4), 1),   # fresher than what a holds
+            (5, SPACE.node_id(5), 7),
+            (5, SPACE.node_id(5), 2),   # duplicate on the wire: freshest wins
+        ]
+        a.rt.get(4).age = 6
+        a._merge_and_select(a._exchange_pool(), received, lambda x: None)
+        assert sorted(a.rt.addresses) == [4, 5]
+        assert a.rt.get(4).descriptor.age == 1
+        assert a.rt.get(4).age == 6   # a retained neighbor keeps its heartbeat age
+        assert a.rt.get(5).age == 2
 
 
 class TestHeartbeats:

@@ -89,3 +89,16 @@ class TestInDegreeBalance:
             for addr in s.view.addresses:
                 indeg[addr] += 1
         assert max(indeg.values()) <= 20
+
+
+class TestSamplerSurface:
+    def test_sample_fields_draws_like_sample(self):
+        """The T-Man exchange buffer reads samplers through
+        ``sample_fields`` only; it must be ``sample`` in tuple form."""
+        a, b = (build_population(30)[0] for _ in range(2))
+        for svc in (a, b):
+            svc.view.merge([Descriptor(k, k * 7919, k % 4) for k in range(1, 20)])
+        for n in (3, 50):
+            assert a.sample_fields(n) == [
+                (d.address, d.node_id, d.age) for d in b.sample(n)
+            ]

@@ -65,7 +65,7 @@ class Election:
                 frozenset({TOPIC}),
                 self.rts[a],
                 neighbor_subscriptions=lambda _: frozenset({TOPIC}),
-                neighbor_proposal=lambda nb, t: self.states[nb].get(t),
+                neighbor_proposals={nb: s.proposals for nb, s in self.states.items()},
                 topic_ids=lambda t: self.topic_hash,
                 depth=self.depth,
             )
