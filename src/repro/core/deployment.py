@@ -130,7 +130,7 @@ class DeployedVitisNode(VitisNode):
     # ------------------------------------------------------------------
     def deploy(self, bootstrap: List[Descriptor]) -> None:
         """Join and start the periodic protocol timer (phase-jittered)."""
-        self.join(bootstrap)
+        self.join(bootstrap)  # also empties the utility memo
         self.neighbor_state.clear()
         self.relay_stamp.clear()
         self.child_stamp.clear()
@@ -183,7 +183,7 @@ class DeployedVitisNode(VitisNode):
         # Ages are reset by *received* messages (see _heard_from); here
         # every entry ages one period and stale ones are evicted.
         for gone in self.heartbeat_step(lambda a: False):
-            self.neighbor_state.pop(gone, None)
+            self._learn(gone, None)
 
         # --- election against last-received neighbor state (Alg. 5) ----
         self.gw_state.commit(elect_round(
@@ -348,9 +348,9 @@ class DeployedVitisNode(VitisNode):
             )
         elif isinstance(msg, ProfileMessage):
             subs, version, proposals, is_reply = msg.profile
-            info = self.neighbor_state.setdefault(msg.src, NeighborInfo())
-            info.subscriptions = subs
-            info.version = version
+            info = self.neighbor_state.get(msg.src)
+            if info is None or info.version != version:
+                info = self._learn(msg.src, NeighborInfo(subs, version))
             info.proposals = proposals
             info.last_heard = self.host.now
             if not is_reply:
@@ -384,8 +384,21 @@ class DeployedVitisNode(VitisNode):
         """Any message doubles as a heartbeat (Alg. 7)."""
         self.rt.heartbeat(address)
 
+    def _learn(self, address: int, info: Optional[NeighborInfo]) -> Optional[NeighborInfo]:
+        """Install (or, with None, forget) what was learned about
+        ``address``.  Every write that changes ``_profile_from_state``'s
+        answer goes through here, because here the address's memoised
+        utility is dropped — the friend ranking never re-checks a hit."""
+        self._umemo.pop(address, None)
+        if info is None:
+            self.neighbor_state.pop(address, None)
+        else:
+            self.neighbor_state[address] = info
+        return info
+
     def _profile_from_state(self, address: int):
-        """Friend ranking uses *learned* profiles only.
+        """Friend ranking uses *learned* profiles only (asked on a
+        utility-memo miss).
 
         Falls back to the system's ground truth when nothing was heard
         yet — matching the paper's assumption that exchanged descriptors
@@ -406,7 +419,7 @@ class DeployedVitisNode(VitisNode):
         """Forget a peer a failure detector confirmed dead: routing
         table, learned state, and every relay edge through it."""
         self.rt.remove(address)
-        self.neighbor_state.pop(address, None)
+        self._learn(address, None)
         for topic in [t for t, p in self.relay.parent.items() if p == address]:
             self.relay.drop_topic(topic)
             self.relay_stamp.pop(topic, None)

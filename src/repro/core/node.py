@@ -18,6 +18,9 @@ protocol passes in, mirroring what a real deployment can know.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from itertools import filterfalse
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import VitisConfig
@@ -32,6 +35,10 @@ from repro.gossip.view import Descriptor
 from repro.sim.node import BaseNode
 
 __all__ = ["VitisNode"]
+
+#: Ring-index orders of ``(address, node_id, age)`` triples.
+_BY_ID = itemgetter(1)
+_BY_ID_ADDRESS = itemgetter(1, 0)
 
 
 class VitisNode(BaseNode):
@@ -51,6 +58,7 @@ class VitisNode(BaseNode):
         "n_estimate",
         "seen_events",
         "_umemo",
+        "_ustamp",
     )
 
     def __init__(
@@ -78,9 +86,10 @@ class VitisNode(BaseNode):
         self.gw_state = GatewayState(address, node_id)
         self.relay = RelayTable(address)
         self.n_estimate = max(2, config.n_estimate)
-        #: Utility memo: addr -> (my profile version, other profile
-        #: version, rates version, utility).  See _select_from_pool.
-        self._umemo: Dict[int, tuple] = {}
+        #: Utility memo: address → Eq. 1 utility to that node, valid for
+        #: the whole of ``_ustamp``.  See _select_from_pool.
+        self._umemo: Dict[int, float] = {}
+        self._ustamp: Optional[tuple] = None
         #: Event ids already handled (duplicate suppression in the
         #: message-level dissemination path).
         self.seen_events: set = set()
@@ -109,6 +118,7 @@ class VitisNode(BaseNode):
         self.gw_state.clear()
         self.relay.clear()
         self.seen_events.clear()
+        self._umemo.clear()
         self.start()
         # Seed the routing table immediately so the first T-Man exchange
         # has somewhere to go (Alg. 1 line 3).
@@ -131,103 +141,85 @@ class VitisNode(BaseNode):
 
         Order follows Alg. 4: successor, predecessor, ``n_sw_links``
         harmonic small-world picks, then the top-utility friends.  Each
-        pick removes the candidate from the pool, so one neighbor fills at
-        most one slot.
+        pick removes the candidate, so one neighbor fills at most one slot.
 
-        Successor and predecessor are found in one fused pass: both are
-        minima by (ring distance, address), so we track the best successor
-        plus the two best predecessor candidates — the runner-up covers the
-        case where the winner is claimed by the successor slot first (the
-        sequential formulation removes the successor from the pool before
-        scanning for the predecessor).
+        The ring and small-world picks read one index — the candidates
+        sorted by (node id, address) plus its id column — by bisection:
+        the successor is the first id clockwise of mine, the predecessor
+        the last id counter-clockwise, a Symphony pick the nearer of the
+        two ids around the drawn target (equal distance → lower
+        address); an equal-id run is entered at its lowest address and
+        all three wrap.  Candidates sharing my id never fill a ring slot
+        but stay eligible for the other kinds.
 
-        The small-world draw (harmonic fraction → target id → closest
-        candidate) and the friends ranking are inlined: at bench scale the
-        pools are a dozen entries, where helper-call overhead costs more
-        than the arithmetic itself.  Utilities are memoised per neighbor
-        under the (own profile version, neighbor profile version, rates
-        version) triple, so the Eq. 1 evaluation runs once per neighbor
-        per subscription change instead of once per ranking.
+        The friend ranking reads utilities from ``_umemo`` without
+        checking them: one stamp per selection empties the memo whenever
+        the rates or *any* profile (mine included) changed, ``join``
+        empties it, and a caller whose ``profile_of`` can change its
+        answer otherwise drops the address itself (see
+        ``DeployedVitisNode._learn``).  Only a memo miss reaches
+        ``profile_of`` and Eq. 1; an unknown profile ranks 0.0 and is
+        not memoised.
         """
         selection: List[Tuple[Descriptor, LinkKind]] = []
         self_id = self.node_id
         size = self.space.size
+        ring = sorted(pool.values(), key=_BY_ID)
+        ids = [t[1] for t in ring]
+        if len(set(ids)) < len(ids):
+            # Equal ids (small id spaces): order each run by address.  Not
+            # unconditionally — comparing key pairs costs 2.5x the id sort.
+            ring.sort(key=_BY_ID_ADDRESS)
 
-        best_s = None  # (cw, address, triple)
-        best_p = None  # (ccw, address, triple)
-        second_p = None
-        for addr, t in pool.items():
-            cw = (t[1] - self_id) % size
-            if cw == 0:
-                continue
-            if best_s is None or cw < best_s[0] or (cw == best_s[0] and addr < best_s[1]):
-                best_s = (cw, addr, t)
-            ccw = size - cw
-            if best_p is None or ccw < best_p[0] or (ccw == best_p[0] and addr < best_p[1]):
-                second_p = best_p
-                best_p = (ccw, addr, t)
-            elif second_p is None or ccw < second_p[0] or (ccw == second_p[0] and addr < second_p[1]):
-                second_p = (ccw, addr, t)
+        def take(i: int, kind: LinkKind) -> None:
+            del ids[i]
+            t = ring.pop(i)
+            del pool[t[0]]
+            selection.append((Descriptor(*t), kind))
 
-        if best_s is not None:
-            addr = best_s[1]
-            selection.append((Descriptor(*best_s[2]), LinkKind.SUCCESSOR))
-            del pool[addr]
-            if best_p is not None and best_p[1] == addr:
-                best_p = second_p
-        if best_p is not None:
-            selection.append((Descriptor(*best_p[2]), LinkKind.PREDECESSOR))
-            del pool[best_p[1]]
+        if ring:
+            i = bisect_right(ids, self_id) % len(ids)
+            if ids[i] != self_id:
+                take(i, LinkKind.SUCCESSOR)
+        if ring:
+            last = ids[bisect_left(ids, self_id) - 1]  # -1 wraps
+            if last != self_id:
+                take(bisect_left(ids, last), LinkKind.PREDECESSOR)
 
-        # Symphony links: draw_sw_target + closest_to_target, inlined.
+        # Symphony links: harmonic fraction → target id → closest candidate.
         rng = self.rng
         n_est = int(self.n_estimate)
         half = size >> 1
         for _ in range(self.config.n_sw_links):
-            if not pool:
+            if not ring:
                 break
             frac = math.pow(n_est, rng.random() - 1.0)
             delta = int(frac * size)
             target = (self_id + (delta if delta > 1 else 1)) % size
-            pick_a = None
-            pick_t = None
-            pick_d = None
-            for addr, t in pool.items():
-                dist = (t[1] - target) % size
-                if dist > half:
-                    dist = size - dist
-                if pick_d is None or dist < pick_d or (dist == pick_d and addr < pick_a):
-                    pick_a, pick_t, pick_d = addr, t, dist
-            if pick_a is None:
-                break
-            selection.append((Descriptor(*pick_t), LinkKind.SW))
-            del pool[pick_a]
+            k = bisect_left(ids, target)
+            above = k % len(ids)
+            below = bisect_left(ids, ids[k - 1])
+            d_above = (ids[above] - target) % size
+            d_below = (target - ids[below]) % size
+            key_above = (size - d_above if d_above > half else d_above, ring[above][0])
+            key_below = (size - d_below if d_below > half else d_below, ring[below][0])
+            take(above if key_above <= key_below else below, LinkKind.SW)
 
         n_friends = self.config.rt_size - len(selection)
-        if n_friends > 0 and pool:
+        if n_friends > 0 and ring:
             util = self.utility
             my_prof = self.profile
-            my_ver = my_prof.version
-            rates_ver = util._rates_version()
             memo = self._umemo
-            keyed = []
-            for addr, t in pool.items():
+            stamp = (util._rates_version(), NodeProfile._epoch)
+            if stamp != self._ustamp:
+                memo.clear()
+                self._ustamp = stamp
+            for addr in filterfalse(memo.__contains__, pool):
                 other = profile_of(addr)
-                if other is None:
-                    u = 0.0
-                else:
-                    e = memo.get(addr)
-                    if (
-                        e is not None
-                        and e[0] == my_ver
-                        and e[1] == other.version
-                        and e[2] == rates_ver
-                    ):
-                        u = e[3]
-                    else:
-                        u = util(my_prof, other)
-                        memo[addr] = (my_ver, other.version, rates_ver, u)
-                keyed.append((-u, t[2], addr, t[1]))
+                if other is not None:
+                    memo[addr] = util(my_prof, other)
+            get = memo.get
+            keyed = [(-get(a, 0.0), age, a, i) for a, i, age in ring]
             keyed.sort()
             for item in keyed[:n_friends]:
                 selection.append((Descriptor(item[2], item[3], item[1]), LinkKind.FRIEND))

@@ -21,6 +21,11 @@ class NodeProfile:
 
     __slots__ = ("address", "node_id", "_subscriptions", "version", "_frozen")
 
+    #: Bumped with every subscription change of *any* profile: a cache
+    #: over many profiles is valid while this stands still (the
+    #: ``GatewayState._stamp`` idiom; see ``VitisNode._select_from_pool``).
+    _epoch = 0
+
     def __init__(self, address: int, node_id: int, subscriptions: Iterable[int] = ()) -> None:
         self.address = address
         self.node_id = node_id
@@ -64,6 +69,7 @@ class NodeProfile:
 
     def _bump(self) -> None:
         self.version += 1
+        NodeProfile._epoch += 1
         self._frozen = frozenset(self._subscriptions)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

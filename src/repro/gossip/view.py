@@ -249,13 +249,14 @@ class PartialView:
         if n <= self.max_size:
             return
         addrs, ages = self._addrs, self._ages
-        # Keys are evaluated in slot (= insertion) order, so the rng draw
+        # Keys are built in slot (= insertion) order, so the rng draw
         # sequence matches a per-entry scan of the old dict layout.
         if rng is None:
-            order = sorted(range(n), key=lambda i: (ages[i], addrs[i]))
+            keys = list(zip(ages, addrs))
         else:
-            order = sorted(range(n), key=lambda i: (ages[i], rng.random()))
-        self._rebuild(order[: self.max_size])
+            draw = rng.random
+            keys = [(age, draw()) for age in ages]
+        self._rebuild(sorted(range(n), key=keys.__getitem__)[: self.max_size])
 
     def _rebuild(self, keep: List[int]) -> None:
         """Re-pack the columns to the given slots, in the given order."""

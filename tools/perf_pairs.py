@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of one contract-benchmark workload.
+
+    python tools/perf_pairs.py --parent <git-ref> --workload W --seeds A..B [--quick]
+
+Checks ``<git-ref>`` out into a temporary worktree and, for every seed,
+runs the *unchanged* ``benchmarks/perf/run.py --workload W --seed N`` in
+that worktree and in this checkout (uncommitted edits included),
+alternating which side goes first.  Within a pair ``sim_sha256``,
+``hit_ratio``, ``useful_msgs_pct`` and ``delay_hops`` must be equal and
+neither side may fail more operations than the other — otherwise the
+exit code is 1.  Prints one row per pair, then each side's median and
+quartiles, the win count, and whether the pairs support a gain by the
+rule of the ``choosing-metrics`` guide, section 8: at least ten pairs,
+the change wins nine tenths of them, and the medians differ by more than
+the distance between the parent's quartiles.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MUST_MATCH = ("hit_ratio", "useful_msgs_pct", "delay_hops")
+REPORTED = ("ops_per_s", "setup_s", "peak_rss_mb")
+
+
+def run_once(tree: Path, workload: str, seed: int, quick: bool) -> dict:
+    cmd = [sys.executable, str(tree / "benchmarks" / "perf" / "run.py"),
+           "--workload", workload, "--seed", str(seed)]
+    if quick:
+        cmd.append("--quick")
+    lines = subprocess.run(
+        cmd, cwd=tree, check=True, stdout=subprocess.PIPE, text=True
+    ).stdout.splitlines()
+    result = json.loads(lines[-1])
+    row = {name: m["value"] for name, m in result["metrics"].items()}
+    row["failed"] = result["failed"]
+    row["sim_sha256"] = next(
+        line.split()[1] for line in lines if line.strip().startswith("sim_sha256")
+    )
+    return row
+
+
+def quartiles(values) -> tuple:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="git ref of the parent commit")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, help="inclusive range A..B")
+    ap.add_argument("--quick", action="store_true", help="smoke sizes (CI); numbers mean nothing")
+    args = ap.parse_args(argv)
+    first, last = (int(s) for s in args.seeds.split(".."))
+
+    sides = {"change": ROOT}
+    pairs, mismatches = [], []
+    with tempfile.TemporaryDirectory(prefix="perf_pairs_") as tmp:
+        sides["parent"] = Path(tmp) / "parent"
+        subprocess.run(
+            ["git", "worktree", "add", "--quiet", "--detach", str(sides["parent"]), args.parent],
+            cwd=ROOT, check=True, stdout=subprocess.DEVNULL,
+        )
+        try:
+            print(f"{'seed':>5} {'first':>6} {'parent ops/s':>13} {'change ops/s':>13} "
+                  f"{'change/parent':>13}")
+            for k, seed in enumerate(range(first, last + 1)):
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                pair = {s: run_once(sides[s], args.workload, seed, args.quick) for s in order}
+                p, c = pair["parent"], pair["change"]
+                for name in ("sim_sha256", *MUST_MATCH, "failed"):
+                    if p[name] != c[name]:
+                        mismatches.append(f"seed {seed}: {name} {p[name]} != {c[name]}")
+                pairs.append((p, c))
+                print(f"{seed:>5} {order[0]:>6} {p['ops_per_s']:>13.1f} {c['ops_per_s']:>13.1f} "
+                      f"{c['ops_per_s'] / p['ops_per_s']:>13.3f}", flush=True)
+        finally:
+            subprocess.run(
+                ["git", "worktree", "remove", "--force", str(sides["parent"])],
+                cwd=ROOT, check=False,
+            )
+
+    quart = {}
+    for name in REPORTED:
+        qp, qc = quart[name] = [quartiles([pair[i][name] for pair in pairs]) for i in (0, 1)]
+        print(f"{name}: parent median {qp[1]:.4g} (quartiles {qp[0]:.4g}-{qp[2]:.4g}), "
+              f"change median {qc[1]:.4g} (quartiles {qc[0]:.4g}-{qc[2]:.4g}), "
+              f"{100 * (qc[1] / qp[1] - 1):+.1f} %")
+    wins = sum(c["ops_per_s"] > p["ops_per_s"] for p, c in pairs)
+    losses = sum(c["ops_per_s"] < p["ops_per_s"] for p, c in pairs)
+    (q1, med_p, q3), (_, med_c, _) = quart["ops_per_s"]
+    gain = len(pairs) >= 10 and wins >= 0.9 * len(pairs) and med_c - med_p > q3 - q1
+    print(f"ops_per_s: change wins {wins}/{len(pairs)}, loses {losses}; "
+          f"pairs {'support' if gain else 'do not support'} a gain")
+    for line in mismatches:
+        print(f"MISMATCH {line}", file=sys.stderr)
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
