@@ -200,6 +200,7 @@ class UdpTransport:
             return
         pending.attempts += 1
         self.retransmits += 1
+        self.bytes_sent += len(pending.data)
         self._sock.sendto(pending.data, pending.endpoint)
         pending.handle = self._loop.call_later(
             self.retry.delay(pending.attempts, self.rng), self._on_timeout, seq
@@ -215,12 +216,12 @@ class UdpTransport:
             self.loss_injected += 1
             return
         try:
-            msg, envelope = wire.decode(data)
+            msg, seq = wire.decode(data)
         except wire.WireError:
             self.malformed += 1
             return
         if msg is None:  # an ack for one of our reliable sends
-            pending = self._pending.pop(envelope["n"], None)
+            pending = self._pending.pop(seq, None)
             if pending is not None and pending.handle is not None:
                 pending.handle.cancel()
             return
@@ -228,10 +229,10 @@ class UdpTransport:
         if kind not in UNRELIABLE_KINDS:
             # Ack first — even duplicates (our previous ack may be the
             # datagram the wire ate).
-            self._sock.sendto(
-                wire.encode_ack(envelope["n"], self.address, msg.src), addr
-            )
-            if self._is_duplicate(msg.src, envelope["n"]):
+            ack = wire.encode_ack(seq, self.address, msg.src)
+            self.bytes_sent += len(ack)
+            self._sock.sendto(ack, addr)
+            if self._is_duplicate(msg.src, seq):
                 self.duplicates += 1
                 return
         # A datagram is as good as a registry row: learn the endpoint.

@@ -1,35 +1,35 @@
 """Versioned wire codec for the live UDP transport.
 
-One datagram carries one JSON envelope::
+Wire **version 2**: one datagram is one little-endian :mod:`struct`
+frame (byte-layout tables in ``docs/deployment.md``)::
 
-    {"v": 1, "k": "<kind>", "n": <seq>, "s": <src>, "d": <dst>,
-     "p": {<payload fields>}, "sp": [trace, parent_span, hop]?}
+    version:u8 | kind:u8 | seq:u64 | src:i64 | dst:i64 | body | span trailer?
 
-- ``v`` — wire version; a receiver drops datagrams whose version it does
-  not speak (never crashes on them);
-- ``k`` — the message kind, i.e. the :mod:`repro.sim.messages` class
-  name, so the priority taxonomy and byte audit apply unchanged;
-- ``n`` — per-sender sequence number, the ack/retransmit/dedup key;
-- ``p`` — the payload fields enumerated by
-  :func:`repro.sim.messages.payload_fields` — the exact field set the
-  ``size_bytes`` audit covers, so codec and accounting cannot drift;
-- ``sp`` — optional causal-span metadata (``Message.span``), carried
-  outside the payload exactly as the simulator keeps it outside
-  ``size_bytes``.
+- ``version`` — a receiver drops datagrams of versions it does not
+  speak, version-1 JSON included (never crashes on them);
+- ``kind`` — bits 0–6 the code of a :data:`MESSAGE_KINDS` row (0 = ack,
+  which is exactly this 26-byte header), bit 7 = a span trailer follows;
+- ``seq`` — per-sender sequence number, the ack/retransmit/dedup key;
+- ``body`` — the fields :func:`repro.sim.messages.payload_fields`
+  enumerates, the exact set the ``size_bytes`` audit covers;
+  :data:`MESSAGE_KINDS` is checked against it at import, so codec and
+  accounting cannot drift.  Ring ids are ``u64``, every other integer
+  ``i64`` (an ``IdSpace`` wider than 64 bits cannot ride this version);
+- span trailer — ``Message.span``, carried outside the body exactly as
+  the simulator keeps it outside ``size_bytes``.
 
-Acks are tiny control envelopes: ``{"v": 1, "k": "__ack", "n": <seq>,
-"s": <acker>, "d": <original sender>}``.
-
-JSON cannot carry frozensets or :class:`~repro.core.gateway.Proposal`
-objects, so the codec converts per kind: profile payloads and descriptor
-triples round-trip through plain lists.  Encoding is deterministic
-(sorted sets, sorted dict keys) so a resent datagram is byte-identical to
-the original.
+Encoding is a pure function of the message value (sets and dict keys
+sorted), so a resent datagram is byte-identical to the original.  The
+frame is its own schema: a field of the wrong type cannot be encoded and
+cannot arrive; :func:`encode` and :func:`decode` raise only
+:class:`WireError`.
 """
 
 from __future__ import annotations
 
-import json
+import struct
+from itertools import starmap
+from operator import attrgetter
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.gateway import Proposal
@@ -38,7 +38,6 @@ from repro.sim.messages import Message, payload_fields
 
 __all__ = [
     "WIRE_VERSION",
-    "ACK_KIND",
     "WireError",
     "encode",
     "decode",
@@ -50,153 +49,263 @@ __all__ = [
     "decode_metrics_frame",
 ]
 
-WIRE_VERSION = 1
-
-#: Envelope kind of a transport-level acknowledgement.
-ACK_KIND = "__ack"
-
-#: kind name → message class, for every codec-supported kind.
-MESSAGE_KINDS: Dict[str, type] = {
-    cls.__name__: cls
-    for cls in (
-        M.Notification,
-        M.PullRequest,
-        M.PullReply,
-        M.ProfileMessage,
-        M.LookupMessage,
-        M.PsExchangeRequest,
-        M.PsExchangeReply,
-        M.RtExchangeRequest,
-        M.RtExchangeReply,
-        M.RelayInstall,
-        M.Probe,
-        M.ProbeReq,
-        M.ProbeAck,
-        M.Suspicion,
-        M.Refutation,
-    )
-}
+WIRE_VERSION = 2
 
 
 class WireError(ValueError):
-    """A datagram that cannot be decoded (wrong version, kind, shape)."""
+    """A datagram that cannot be decoded (wrong version, kind, shape) or a
+    message the frame cannot carry (unregistered kind, out-of-range field)."""
+
+
+#: version, kind code (| ``_SPAN_BIT``), seq, src, dst — an ack is exactly this.
+_HEADER = "<BBQqq"
+_ACK = struct.Struct(_HEADER)
+_SPAN_BIT = 0x80
+_U16 = struct.Struct("<H")
+_I64 = struct.Struct("<q")
+#: ``present:u8 | count:u16`` ahead of an optional counted tail.
+_OPTIONAL = struct.Struct("<BH")
+#: One ``(address, node_id, age)`` descriptor of a view / buffer.
+_TRIPLE = struct.Struct("<qQq")
+#: ``flags:u8`` (bit 0 present, bit 1 is_reply) ``| n_subs:u16 | n_props:u16 | version:i64``.
+_PROFILE = struct.Struct("<BHHq")
+#: One proposal row: topic, gw_addr, gw_id, parent_addr, hops.
+_PROPOSAL = struct.Struct("<qqQqq")
 
 
 # ----------------------------------------------------------------------
-# Per-kind payload conversion (JSON-representable <-> native)
+# Variable tails: ``pack(head, value) -> head + tail`` (one join, so a
+# frame is allocated once) / ``unpack(data, at, n) -> (value, end)``;
+# every length is checked against ``n = len(data)`` before anything is
+# unpacked.
 # ----------------------------------------------------------------------
-def _encode_profile(profile: Tuple) -> list:
+def _counted(data: bytes, at: int, n: int, width: int):
+    """Bounds ``(start, end)`` of the ``count:u16`` items of ``width``
+    bytes that start at ``at``, checked against the datagram."""
+    start = at + 2
+    if start > n:
+        raise WireError("truncated count")
+    end = start + width * _U16.unpack_from(data, at)[0]
+    if end > n:
+        raise WireError("count overruns the datagram")
+    return start, end
+
+
+def _pack_triples(head: bytes, triples) -> bytes:
+    return b"".join([head, _U16.pack(len(triples)), *starmap(_TRIPLE.pack, triples)])
+
+
+def _unpack_triples(data: bytes, at: int, n: int):
+    start, end = _counted(data, at, n, _TRIPLE.size)
+    return list(_TRIPLE.iter_unpack(data[start:end])), end
+
+
+def _pack_profile(head: bytes, profile) -> bytes:
+    if profile is None:
+        return head + _PROFILE.pack(0, 0, 0, 0)
     subs, version, proposals, is_reply = profile
-    return [
-        sorted(subs),
-        version,
-        [
-            [t, p.gw_addr, p.gw_id, p.parent_addr, p.hops]
+    pack = _PROPOSAL.pack
+    return b"".join([
+        head,
+        _PROFILE.pack(3 if is_reply else 1, len(subs), len(proposals), version),
+        struct.pack("<%dq" % len(subs), *sorted(subs)),
+        *[
+            pack(t, p.gw_addr, p.gw_id, p.parent_addr, p.hops)
             for t, p in sorted(proposals.items())
         ],
-        bool(is_reply),
-    ]
+    ])
 
 
-def _decode_profile(obj: list) -> Tuple:
-    subs, version, proposals, is_reply = obj
+def _unpack_profile(data: bytes, at: int, n: int):
+    start = at + _PROFILE.size
+    if start > n:
+        raise WireError("truncated profile head")
+    flags, n_subs, n_props, version = _PROFILE.unpack_from(data, at)
+    rows = start + 8 * n_subs
+    end = rows + _PROPOSAL.size * n_props
+    if flags not in (1, 3) and (flags or n_subs or n_props or version):
+        raise WireError(f"bad profile flags: {flags:#x}")
+    if end > n:
+        raise WireError("profile counts overrun the datagram")
+    if not flags:
+        return None, end
     return (
-        frozenset(subs),
+        frozenset(struct.unpack_from("<%dq" % n_subs, data, start)),
         version,
-        {t: Proposal(gw, gid, parent, hops) for t, gw, gid, parent, hops in proposals},
-        bool(is_reply),
-    )
+        {
+            t: Proposal(gw, gid, parent, hops)
+            for t, gw, gid, parent, hops in _PROPOSAL.iter_unpack(data[rows:end])
+        },
+        flags == 3,
+    ), end
 
 
-def _encode_value(kind: str, name: str, value: Any) -> Any:
-    if kind == "ProfileMessage" and name == "profile" and value is not None:
-        return _encode_profile(value)
-    if isinstance(value, (set, frozenset)):
-        return sorted(value)
-    if isinstance(value, tuple):
-        return list(value)
-    return value
+def _optional_run(item: str, build):
+    """Codec pair for ``None`` or a run of ``item``s, ``present:u8 |
+    count:u16 | items`` — ``LookupMessage.trace`` (``None | list[int]``)
+    and ``PullReply.payload`` (``None | bytes``)."""
+    width = struct.calcsize(item)
+
+    def pack(head: bytes, values) -> bytes:
+        if values is None:
+            return head + _OPTIONAL.pack(0, 0)
+        count = len(values)
+        return head + _OPTIONAL.pack(1, count) + struct.pack("<%d%s" % (count, item), *values)
+
+    def unpack(data: bytes, at: int, n: int):
+        present = data[at] if at < n else -1
+        start, end = _counted(data, at + 1, n, width)
+        count = (end - start) // width
+        if present not in (0, 1) or (count and not present):
+            raise WireError("bad optional tail")
+        if not present:
+            return None, end
+        return build(struct.unpack_from("<%d%s" % (count, item), data, start)), end
+
+    return pack, unpack
 
 
-def _decode_value(kind: str, name: str, value: Any) -> Any:
-    if kind == "ProfileMessage" and name == "profile" and value is not None:
-        return _decode_profile(value)
-    if name in ("view", "buffer") and isinstance(value, list):
-        # Descriptor triples arrive as lists; the node indexes them
-        # positionally, so tuples restore exact equality with the sender.
-        return [tuple(item) for item in value]
-    return value
+def _pack_str(text: str) -> bytes:
+    raw = str.encode(text)
+    return _U16.pack(len(raw)) + raw
+
+
+def _unpack_str(data: bytes, at: int, n: int):
+    start, end = _counted(data, at, n, 1)
+    try:
+        return str(data[start:end], "utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise WireError(f"span string is not UTF-8: {exc}") from exc
+
+
+def _pack_span(span) -> bytes:
+    """``(trace: str, parent: None | int | str, hop: str)`` as
+    length-prefixed UTF-8 around a tagged parent."""
+    trace, parent, hop = span
+    if parent is None:
+        tagged = b"\x00"
+    elif isinstance(parent, str):
+        tagged = b"\x02" + _pack_str(parent)
+    else:
+        tagged = b"\x01" + _I64.pack(parent)
+    return _pack_str(trace) + tagged + _pack_str(hop)
+
+
+def _unpack_span(data: bytes, at: int, n: int):
+    trace, at = _unpack_str(data, at, n)
+    tag = data[at] if at < n else -1
+    at += 1
+    if tag == 0:
+        parent = None
+    elif tag == 1 and at + 8 <= n:
+        parent = _I64.unpack_from(data, at)[0]
+        at += 8
+    elif tag == 2:
+        parent, at = _unpack_str(data, at, n)
+    else:
+        raise WireError("bad span parent")
+    hop, at = _unpack_str(data, at, n)
+    return (trace, parent, hop), at
+
+
+_TRIPLES = (_pack_triples, _unpack_triples)
+
+#: The kind table both directions are built from: ``(code, class, fixed
+#: body layout, variable tail codec | None, payload fields)``.  The fixed
+#: layout covers the leading payload fields, the tail codec the last one.
+MESSAGE_KINDS: Tuple[Tuple[int, type, str, Optional[tuple], Tuple[str, ...]], ...] = (
+    (1, M.Notification, "qqqq", None, ("topic", "event_id", "hops", "publisher")),
+    (2, M.PullRequest, "q", None, ("event_id",)),
+    (3, M.PullReply, "q", _optional_run("B", bytes), ("event_id", "payload")),
+    (4, M.ProfileMessage, "", (_pack_profile, _unpack_profile), ("profile",)),
+    (5, M.LookupMessage, "Qqq", _optional_run("q", list),
+     ("target_id", "origin", "hops", "trace")),
+    (6, M.PsExchangeRequest, "", _TRIPLES, ("view",)),
+    (7, M.PsExchangeReply, "", _TRIPLES, ("view",)),
+    (8, M.RtExchangeRequest, "", _TRIPLES, ("buffer",)),
+    (9, M.RtExchangeReply, "", _TRIPLES, ("buffer",)),
+    (10, M.RelayInstall, "qQqq", None, ("topic", "target_id", "origin", "hops")),
+    (11, M.Probe, "qq", None, ("target", "incarnation")),
+    (12, M.ProbeReq, "qq", None, ("target", "origin")),
+    (13, M.ProbeAck, "qq", None, ("target", "incarnation")),
+    (14, M.Suspicion, "qq", None, ("target", "incarnation")),
+    (15, M.Refutation, "qq", None, ("target", "incarnation")),
+)
+
+_ENCODERS: Dict[type, tuple] = {}
+_DECODERS: Dict[int, tuple] = {}
+for _code, _cls, _layout, _tail, _fields in MESSAGE_KINDS:
+    if _fields != payload_fields(_cls) or len(_layout) + (_tail is not None) != len(_fields):
+        raise AssertionError(f"wire layout of {_cls.__name__} drifted from payload_fields")
+    if not 0 < _code < _SPAN_BIT or _code in _DECODERS:
+        raise AssertionError(f"bad or duplicate wire code {_code}")
+    _frame = struct.Struct(_HEADER + _layout)
+    _pack_tail, _unpack_tail = _tail or (None, None)
+    _ENCODERS[_cls] = (_code, _frame, attrgetter("src", "dst", *_fields), _pack_tail)
+    _DECODERS[_code] = (_cls, _frame, _unpack_tail)
 
 
 # ----------------------------------------------------------------------
-# Envelope encode/decode
+# Frame encode/decode
 # ----------------------------------------------------------------------
 def encode(msg: Message, seq: int) -> bytes:
     """Encode one message (+ its transport sequence number) to a datagram."""
-    kind = msg.kind
-    if kind not in MESSAGE_KINDS:
-        raise WireError(f"kind {kind!r} is not wire-registered")
-    payload = {
-        name: _encode_value(kind, name, getattr(msg, name))
-        for name in payload_fields(type(msg))
-    }
-    envelope: Dict[str, Any] = {
-        "v": WIRE_VERSION,
-        "k": kind,
-        "n": seq,
-        "s": msg.src,
-        "d": msg.dst,
-        "p": payload,
-    }
-    if msg.span is not None:
-        envelope["sp"] = list(msg.span)
-    return json.dumps(envelope, separators=(",", ":"), sort_keys=True).encode()
+    entry = _ENCODERS.get(type(msg))
+    if entry is None:
+        raise WireError(f"kind {msg.kind!r} is not wire-registered")
+    code, frame, fields_of, pack_tail = entry
+    span = msg.span
+    if span is not None:
+        code |= _SPAN_BIT
+    try:
+        if pack_tail is None:
+            data = frame.pack(WIRE_VERSION, code, seq, *fields_of(msg))
+        else:
+            *fixed, tail = fields_of(msg)
+            data = pack_tail(frame.pack(WIRE_VERSION, code, seq, *fixed), tail)
+        return data if span is None else data + _pack_span(span)
+    except (struct.error, TypeError, ValueError, AttributeError) as exc:
+        raise WireError(f"{msg.kind} does not fit the frame: {exc}") from exc
 
 
 def encode_ack(seq: int, src: int, dst: int) -> bytes:
     """Encode a transport ack for sequence ``seq`` (``src`` is the acker)."""
-    return json.dumps(
-        {"v": WIRE_VERSION, "k": ACK_KIND, "n": seq, "s": src, "d": dst},
-        separators=(",", ":"),
-        sort_keys=True,
-    ).encode()
+    return _ACK.pack(WIRE_VERSION, 0, seq, src, dst)
 
 
-def decode(datagram: bytes) -> Tuple[Optional[Message], Dict[str, Any]]:
-    """Decode one datagram to ``(message, envelope)``.
+def decode(datagram: bytes) -> Tuple[Optional[Message], int]:
+    """Decode one datagram to ``(message, seq)``.
 
-    Acks decode to ``(None, envelope)`` — the transport consumes them.
-    Raises :class:`WireError` on any malformed or wrong-version datagram;
-    callers drop those (an unreliable transport never trusts its input).
+    Acks decode to ``(None, seq)`` — the transport consumes them.
+    Raises :class:`WireError` (and nothing else) on any malformed or
+    wrong-version datagram; callers drop those (an unreliable transport
+    never trusts its input).
     """
-    try:
-        envelope = json.loads(datagram.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"undecodable datagram: {exc}") from exc
-    if not isinstance(envelope, dict) or envelope.get("v") != WIRE_VERSION:
-        raise WireError(f"unsupported wire version: {envelope!r:.80}")
-    kind = envelope.get("k")
-    if kind == ACK_KIND:
-        return None, envelope
-    cls = MESSAGE_KINDS.get(kind)
-    if cls is None:
-        raise WireError(f"unknown message kind: {kind!r}")
-    payload = envelope.get("p")
-    if not isinstance(payload, dict):
-        raise WireError("missing payload")
-    try:
-        kwargs = {
-            name: _decode_value(kind, name, payload[name])
-            for name in payload_fields(cls)
-            if name in payload
-        }
-        msg = cls(src=envelope["s"], dst=envelope["d"], **kwargs)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"malformed {kind} payload: {exc}") from exc
-    span = envelope.get("sp")
-    if span is not None:
-        msg.span = tuple(span)
-    return msg, envelope
+    n = len(datagram)
+    if n < _ACK.size or datagram[0] != WIRE_VERSION:
+        raise WireError(f"not a version-{WIRE_VERSION} frame: {datagram[:8]!r}")
+    code = datagram[1]
+    if code == 0:
+        if n != _ACK.size:
+            raise WireError("trailing bytes after an ack")
+        return None, _ACK.unpack(datagram)[2]
+    entry = _DECODERS.get(code & ~_SPAN_BIT)
+    if entry is None:
+        raise WireError(f"unknown kind code: {code:#x}")
+    cls, frame, unpack_tail = entry
+    end = frame.size
+    if end > n:
+        raise WireError(f"truncated {cls.__name__}")
+    _, _, seq, src, dst, *body = frame.unpack_from(datagram)
+    if unpack_tail is not None:
+        tail, end = unpack_tail(datagram, end, n)
+        body.append(tail)
+    msg = cls(src, dst, 1, *body)  # size: the abstract unit, never sent
+    if code & _SPAN_BIT:
+        msg.span, end = _unpack_span(datagram, end, n)
+    if end != n:
+        raise WireError(f"trailing bytes after {cls.__name__}")
+    return msg, seq
 
 
 # ----------------------------------------------------------------------

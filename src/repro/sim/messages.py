@@ -106,7 +106,7 @@ def priority_of(kind: str) -> int:
 
 
 #: Base-class fields that are transport framing, not payload.  The wire
-#: codec (:mod:`repro.net.wire`) carries them in its own envelope, and
+#: codec (:mod:`repro.net.wire`) carries them in its own frame header, and
 #: ``size_bytes`` already charges them as the fixed header.
 _FRAMING_FIELDS = ("src", "dst", "size")
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.faults.healing import RetryPolicy
+from repro.net import wire
 from repro.net.transport import UdpTransport
 from repro.sim import messages as M
 
@@ -100,6 +101,66 @@ def test_malformed_datagrams_are_counted_not_fatal():
         assert await a.drain(2.0)
         assert b.malformed == 1
         assert [m.kind for m in got] == ["PullRequest"]
+        a.close(); b.close()
+    asyncio.run(run())
+
+
+def test_type_confused_datagrams_never_reach_the_read_callback():
+    # Each of these either crashed asyncio's _read_ready under the JSON
+    # codec (acked, then TypeError in dedup; RecursionError in json.loads)
+    # or is a v2 frame that lies about itself.
+    v1_type_confused = (
+        b'{"v":1,"k":"Notification","n":[1],"s":"x","d":null,'
+        b'"p":{"topic":{"a":1},"hops":"many"}}'
+    )
+    exchange = wire.encode(M.PsExchangeRequest(src=0, dst=1, view=[(1, 2, 3)]), 1)
+    spanned = M.Notification(src=0, dst=1, topic=1, event_id=1)
+    spanned.span = ("e1", "n0x0", "flood")
+    spanned = wire.encode(spanned, 2)
+    hostile = [
+        v1_type_confused,
+        b"[" * 60000,
+        exchange[:1] + b"\x7f" + exchange[2:],          # wrong kind code
+        exchange[:26] + b"\xff\xff" + exchange[28:],    # count overruns the datagram
+        spanned[:58] + b"\xff\xff\xfe\xfd",             # span bit set, garbage trailer
+    ]
+
+    async def run():
+        a, b = await _pair()
+        got, loop_errors = [], []
+        b.on_message = got.append
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: loop_errors.append(context)
+        )
+        for datagram in hostile:
+            a._sock.sendto(datagram, b.local_addr)
+        await asyncio.sleep(0.1)
+        assert b.malformed == len(hostile) == 5
+        assert got == [] and b.bytes_sent == 0  # nothing delivered, nothing acked
+        a.send(M.PullRequest(src=0, dst=1, event_id=5))
+        assert await a.drain(2.0)
+        assert [m.kind for m in got] == ["PullRequest"]
+        assert loop_errors == []
+        a.close(); b.close()
+    asyncio.run(run())
+
+
+def test_bytes_sent_counts_every_datagram_on_the_wire():
+    async def run():
+        retry = RetryPolicy(max_attempts=4, base_delay=0.02, max_delay=0.05)
+        a, b = await _pair(retry=retry)
+        b.on_message = lambda m: None
+        # Lose the first ack: a retransmits, b re-acks the duplicate.
+        deliver, lost = a._on_datagram, []
+        a._on_datagram = lambda data, addr: (
+            deliver(data, addr) if lost else lost.append(data)
+        )
+        msg = M.Notification(src=0, dst=1, topic=1, event_id=1)
+        a.send(msg)
+        assert await a.drain(2.0)
+        assert (a.retransmits, b.duplicates) == (1, 1)
+        assert a.bytes_sent == 2 * len(wire.encode(msg, 1))
+        assert b.bytes_sent == 2 * len(wire.encode_ack(1, 1, 0)) == 2 * len(lost[0])
         a.close(); b.close()
     asyncio.run(run())
 

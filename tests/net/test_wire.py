@@ -1,6 +1,7 @@
-"""repro.net.wire: versioned codec round-trips and rejection paths."""
+"""repro.net.wire: versioned codec round-trips, golden frames and rejection paths."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,11 +10,36 @@ from repro.net import wire
 from repro.sim import messages as M
 from repro.sim.messages import payload_fields
 
+GOLDEN = json.loads(
+    (Path(__file__).parent.parent / "fixtures" / "wire_v2_frames.json").read_text()
+)
+EXCHANGES = (M.PsExchangeRequest, M.PsExchangeReply, M.RtExchangeRequest, M.RtExchangeReply)
+
+
+def build_golden(entry):
+    """The message a fixture entry describes (JSON cannot hold frozensets,
+    ``Proposal``s, tuples or bytes, so those are rebuilt here)."""
+    args = dict(entry["args"])
+    if args.get("profile") is not None:
+        subs, version, proposals, is_reply = args["profile"]
+        args["profile"] = (
+            frozenset(subs), version,
+            {int(t): Proposal(*p) for t, p in proposals.items()}, is_reply,
+        )
+    for name in ("view", "buffer"):
+        if name in args:
+            args[name] = [tuple(t) for t in args[name]]
+    if args.get("payload") is not None:
+        args["payload"] = bytes.fromhex(args["payload"])
+    msg = getattr(M, entry["kind"])(**args)
+    if entry["span"] is not None:
+        msg.span = tuple(entry["span"])
+    return msg
+
 
 def _roundtrip(msg):
-    decoded, envelope = wire.decode(wire.encode(msg, seq=7))
-    assert envelope["n"] == 7
-    assert envelope["v"] == wire.WIRE_VERSION
+    decoded, seq = wire.decode(wire.encode(msg, seq=7))
+    assert seq == 7
     return decoded
 
 
@@ -21,7 +47,9 @@ def test_roundtrip_simple_kinds():
     for msg in (
         M.Notification(src=1, dst=2, topic=9, event_id=4, hops=3, publisher=1),
         M.PullRequest(src=1, dst=2, event_id=4),
+        M.PullReply(src=1, dst=2, event_id=4, payload=b"body\x00"),
         M.LookupMessage(src=1, dst=2, target_id=55, origin=1, hops=2),
+        M.LookupMessage(src=1, dst=2, target_id=55, origin=1, hops=2, trace=[1, 2]),
         M.RelayInstall(src=1, dst=2, topic=3, target_id=4, origin=5, hops=6),
         M.Probe(src=1, dst=2, target=2, incarnation=3),
         M.ProbeReq(src=1, dst=2, target=5, origin=1),
@@ -50,13 +78,19 @@ def test_roundtrip_profile_with_proposals():
     assert out.profile == profile
     assert isinstance(out.profile[0], frozenset)
     assert isinstance(out.profile[2][7], Proposal)
+    assert _roundtrip(M.ProfileMessage(src=1, dst=2, profile=None)).profile is None
 
 
 def test_span_metadata_rides_the_envelope():
     msg = M.Notification(src=1, dst=2, topic=3, event_id=4)
-    msg.span = ("e5", "n1x0", "flood")
-    decoded, _ = wire.decode(wire.encode(msg, seq=1))
-    assert decoded.span == ("e5", "n1x0", "flood")
+    for span in (("e5", "n1x0", "flood"), ("e5", 17, "relay"), ("e5", None, "publish")):
+        msg.span = span
+        decoded, _ = wire.decode(wire.encode(msg, seq=1))
+        assert decoded == msg and decoded.span == span
+    # The trailer sits outside the body: same frame plus a flag bit.
+    bare = wire.encode(M.Notification(src=1, dst=2, topic=3, event_id=4), 1)
+    spanned = wire.encode(msg, 1)
+    assert spanned[2:len(bare)] == bare[2:] and spanned[1] == bare[1] | 0x80
 
 
 def test_encoding_is_deterministic():
@@ -68,40 +102,97 @@ def test_encoding_is_deterministic():
 
 
 def test_wrong_version_and_garbage_rejected():
+    good = wire.encode(M.Probe(src=0, dst=1, target=1), 1)
+    v1 = json.dumps(
+        {"v": 1, "k": "Probe", "n": 1, "s": 0, "d": 1, "p": {"target": 1, "incarnation": 0}},
+        separators=(",", ":"), sort_keys=True,
+    ).encode()
+    for datagram in (
+        b"",
+        b"\xff\x00 not a frame",
+        v1,                                 # a version-1 JSON datagram
+        bytes([wire.WIRE_VERSION + 1]) + good[1:],   # a future version
+        good[:1] + b"\x7f" + good[2:],      # unknown kind code
+        good[:1] + b"\x80" + good[2:],      # span bit on an ack code
+        good[:-1],                          # truncated
+        good + b"\x00",                     # trailing bytes
+        wire.encode_ack(1, 0, 1) + b"\x00",
+    ):
+        with pytest.raises(wire.WireError):
+            wire.decode(datagram)
+
+
+def test_encode_raises_only_wire_error():
+    class Unregistered(M.Message):
+        pass
+
+    for msg in (
+        Unregistered(src=0, dst=1),
+        M.Notification(src=0, dst=1, topic=1 << 63),            # i64 overflow
+        M.RelayInstall(src=0, dst=1, topic=1, target_id=-1),    # ring ids are u64
+        M.RelayInstall(src=0, dst=1, topic=1, target_id=1 << 64),
+        M.Probe(src=0, dst=1, target="x"),
+        M.PsExchangeRequest(src=0, dst=1, view=[(1, 2)]),
+        M.ProfileMessage(src=0, dst=1, profile=(frozenset(), 0, {1: "p"}, False)),
+        M.PullReply(src=0, dst=1, event_id=1, payload="text"),
+    ):
+        with pytest.raises(wire.WireError):
+            wire.encode(msg, 1)
     with pytest.raises(wire.WireError):
-        wire.decode(b"\xff\x00 not json")
-    with pytest.raises(wire.WireError):
-        wire.decode(json.dumps({"v": 999, "k": "Probe"}).encode())
-    with pytest.raises(wire.WireError):
-        wire.decode(json.dumps(
-            {"v": wire.WIRE_VERSION, "k": "NoSuchKind", "n": 1, "s": 0, "d": 1,
-             "p": {}}).encode())
+        wire.encode(M.Probe(src=0, dst=1, target=1), -1)
 
 
 def test_ack_roundtrip():
-    msg, envelope = wire.decode(wire.encode_ack(42, src=3, dst=9))
-    assert msg is None
-    assert envelope["k"] == wire.ACK_KIND
-    assert envelope["n"] == 42 and envelope["s"] == 3 and envelope["d"] == 9
+    ack = wire.encode_ack(42, src=3, dst=9)
+    assert wire.decode(ack) == (None, 42)
+    # The ack is exactly the fixed header every frame starts with.
+    assert len(ack) == 26
+    assert ack[2:] == wire.encode(M.Probe(src=3, dst=9, target=0), 42)[2:26]
 
 
 def test_payload_fields_excludes_framing():
     assert payload_fields(M.Notification) == ("topic", "event_id", "hops", "publisher")
     assert payload_fields(M.Probe) == ("target", "incarnation")
-    for cls in wire.MESSAGE_KINDS.values():
-        assert not set(payload_fields(cls)) & {"src", "dst", "size"}
+    for _code, cls, _layout, _tail, fields in wire.MESSAGE_KINDS:
+        assert fields == payload_fields(cls)
+        assert not set(fields) & {"src", "dst", "size"}
+
+
+def test_golden_frames_decode_and_reencode():
+    # A layout edit without a WIRE_VERSION bump fails here.
+    assert GOLDEN["wire_version"] == wire.WIRE_VERSION
+    covered = set()
+    for entry in GOLDEN["frames"]:
+        frame = bytes.fromhex(entry["hex"])
+        if entry["kind"] == "ack":
+            assert wire.decode(frame) == (None, entry["seq"])
+            assert wire.encode_ack(entry["seq"], **entry["args"]) == frame
+            continue
+        expected = build_golden(entry)
+        msg, seq = wire.decode(frame)
+        assert (msg, seq, msg.span) == (expected, entry["seq"], expected.span), entry
+        assert wire.encode(msg, seq) == frame, entry
+        covered.add(type(msg))
+    assert covered == {row[1] for row in wire.MESSAGE_KINDS}
+    assert any(e["span"] for e in GOLDEN["frames"])
 
 
 def test_encoded_size_tracks_size_bytes_audit():
-    # The codec enumerates exactly the fields size_bytes audits, so the
-    # real datagram should stay within a small constant factor of the
-    # audited estimate for representative kinds.
-    msgs = [
-        M.Notification(src=1, dst=2, topic=3, event_id=4, hops=1, publisher=1),
-        M.RtExchangeRequest(src=1, dst=2, buffer=[(i, i * 7, 0) for i in range(15)]),
-        M.RelayInstall(src=1, dst=2, topic=3, target_id=4, origin=5, hops=6),
-    ]
-    for msg in msgs:
-        actual = len(wire.encode(msg, 1))
-        audited = msg.size_bytes
-        assert audited / 4 <= actual <= audited * 4
+    # With 8-byte words the frame *is* the audit: the 26-byte header is
+    # the audited 24 plus version and kind, a count adds two more.
+    for entry in GOLDEN["frames"]:
+        if entry["kind"] == "ack" or entry["span"] is not None:
+            continue
+        msg, actual = build_golden(entry), len(bytes.fromhex(entry["hex"]))
+        if isinstance(msg, M.ProfileMessage):
+            # The audit counts a Proposal as one word; the frame carries four.
+            if msg.profile is not None:
+                assert msg.size_bytes / 4 <= actual <= msg.size_bytes * 4
+        elif isinstance(msg, EXCHANGES):
+            assert actual == msg.size_bytes + 4
+        elif isinstance(msg, (M.PullReply, M.LookupMessage)):
+            # present flag + count ahead of the optional tail.
+            if (msg.payload if isinstance(msg, M.PullReply) else msg.trace) is not None:
+                assert actual == msg.size_bytes + 5
+        else:
+            assert actual == msg.size_bytes + 2
