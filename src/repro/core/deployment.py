@@ -75,7 +75,7 @@ from repro.sim.messages import (
     RtExchangeRequest,
 )
 from repro.sim.network import LatencyModel
-from repro.smallworld.routing import LookupResult
+from repro.smallworld.routing import LookupResult, closer_first
 
 __all__ = ["DeployedVitis", "DeployedVitisNode", "NeighborInfo"]
 
@@ -242,7 +242,7 @@ class DeployedVitisNode(VitisNode):
         return (
             frozenset(self.profile.subscriptions),
             self.profile.version,
-            dict(self.gw_state.proposals),
+            self.gw_state.proposals,
             is_reply,
         )
 
@@ -285,13 +285,11 @@ class DeployedVitisNode(VitisNode):
         )
 
     def _next_hop(self, target_id: int) -> Optional[int]:
-        """The strictly-closer live routing-table neighbor, if any."""
-        best, best_d = None, self.space.distance(self.node_id, target_id)
-        for addr, nid in self.rt.links():
-            d = self.space.distance(nid, target_id)
-            if d < best_d or (d == best_d and best is not None and addr < best):
-                best, best_d = addr, d
-        return best
+        """The routing-table neighbor nearest ``target_id`` among those
+        strictly closer than this node, if any — whether or not it is
+        alive: a node only learns of a dead neighbor by its silence."""
+        step = closer_first(self.rt.ring(), self.space, target_id, self.node_id)
+        return next(step, (None, None))[0]
 
     def _on_relay_install(self, msg: RelayInstall) -> None:
         now = self.host.now

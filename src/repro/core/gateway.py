@@ -102,9 +102,15 @@ class ElectionStats:
 
 
 class GatewayState:
-    """Per-node election state: ``topic → Proposal``."""
+    """Per-node election state: ``topic → Proposal``.
 
-    __slots__ = ("address", "node_id", "proposals", "version", "_self_props")
+    :attr:`proposals` is a value: every writer installs a new dict and
+    none edits the committed one, so a reader that holds the map (the
+    election result cache, a neighbor that was sent it in a profile
+    message) keeps what it was given without copying.
+    """
+
+    __slots__ = ("address", "node_id", "proposals", "version", "_own")
 
     #: Monotonic stamp source shared by every state object, so a version
     #: uniquely identifies one proposal-map content even across node
@@ -119,11 +125,13 @@ class GatewayState:
         #: versions guarantee equal content (the election result cache
         #: keys on it).
         self.version = self._bump()
-        #: Pool of this node's own ``(self, self, 0)`` proposals, one per
-        #: topic.  Proposals are immutable and the pooled fields depend
-        #: only on ``address``/``node_id``, which never change for a state
-        #: object — so the pool needs no invalidation, ever.
-        self._self_props: Dict[int, Proposal] = {}
+        #: topic → (this node's own ``(self, self, 0)`` proposal,
+        #: ``hash(topic)``, own distance to it), pooled by
+        #: :func:`elect_round`.  Proposals are immutable and the pooled
+        #: fields depend only on ``address``/``node_id`` and the id space,
+        #: which never change for a state object — so the pool needs no
+        #: invalidation, ever.
+        self._own: Dict[int, tuple] = {}
 
     @classmethod
     def _bump(cls) -> int:
@@ -154,20 +162,22 @@ class GatewayState:
         has no liveness input of its own — in deployment the proposal dies
         with the profile message that stops arriving).
         """
-        stale = [
-            t for t, p in self.proposals.items()
-            if not is_alive(p.gw_addr) or not is_alive(p.parent_addr)
-        ]
-        for t in stale:
-            del self.proposals[t]
+        kept: Dict[int, Proposal] = {}
+        stale = []
+        for t, p in self.proposals.items():
+            if is_alive(p.gw_addr) and is_alive(p.parent_addr):
+                kept[t] = p
+            else:
+                stale.append(t)
         if stale:
+            self.proposals = kept
             self.version = self._bump()
         return stale
 
     def clear(self) -> None:
         if self.proposals:
+            self.proposals = {}
             self.version = self._bump()
-        self.proposals.clear()
 
 
 def elect_round(
@@ -206,94 +216,63 @@ def elect_round(
         Optional :class:`ElectionStats` accumulating adoption counts
         across nodes within a round (telemetry).
 
-    The hot loop is restructured against the naive Alg. 5 transcription:
-    per-neighbor work (profile lookup, acceptance filtering) happens once
-    per routing-table entry via a set intersection with the neighbor's
-    subscriptions, and candidates are bucketed per shared topic *in
-    routing-table order* — the adoption scan is order-sensitive (strict
-    improvement plus same-gateway hop shortening), so preserving that
-    order keeps results identical to the per-topic rescan.
+    One pass over the routing table in table order with running
+    per-topic state ``[gw_addr, gw_id, parent, hops, distance]`` — present
+    once a neighbor's gateway was adopted, and never back to self after
+    that (self's distance is no longer strictly smaller).  Per topic the
+    candidates arrive in table order, which is all the order-sensitive
+    adoption scan (strict improvement plus same-gateway hop shortening)
+    needs, so the result equals the per-topic rescan of Alg. 5.  A
+    gateway address names one id, so a candidate repeating the current
+    gateway can only shorten the hop count and needs no distance.
     """
-    new_proposals: Dict[int, Proposal] = {}
     self_addr = state.address
     self_id = state.node_id
     size = space.size
     half = size >> 1
+    own = state._own
+    for topic in subscriptions - own.keys():
+        t_id = topic_ids(topic)
+        own[topic] = (Proposal(self_addr, self_id, self_addr, 0), t_id, space.distance(self_id, t_id))
 
-    # Pass 1 — per neighbor: acceptance-filter its previous-round
-    # proposals for every shared topic, bucketing survivors per topic in
-    # routing-table order.
-    rt_addresses = set()
-    shared_by_neighbor = []
-    for entry in rt:
-        naddr = entry.address
-        rt_addresses.add(naddr)
+    table = rt.by_address()
+    adopted: Dict[int, list] = {}
+    for naddr in table:
         nsubs = neighbor_subscriptions(naddr)
-        if nsubs:
-            shared = subscriptions & nsubs  # Alg. 5 line 5
-            if shared:
-                shared_by_neighbor.append((naddr, shared))
-
-    by_topic: Dict[int, list] = {}
-    for naddr, shared in shared_by_neighbor:
         props = neighbor_proposals.get(naddr)
-        if props is None:
+        if not nsubs or not props:
             continue
-        for topic in shared:
+        for topic in subscriptions & nsubs:  # Alg. 5 line 5
             new = props.get(topic)
-            if new is None:
+            # A proposal naming this node as gateway can never change the
+            # state: it neither improves on self nor shortens hops below 0.
+            if new is None or new.gw_addr == self_addr:
                 continue
             # Alg. 5 line 7 acceptance condition (see module docstring).
             parent = new.parent_addr
-            if parent != naddr and parent in rt_addresses:
+            if parent != naddr and parent in table:
                 continue
-            if new.gw_addr == self_addr and parent != self_addr:
-                continue  # echoed self-proposal with stale hop count
-            by_topic.setdefault(topic, []).append((naddr, new))
+            new_hops = new.hops + 1
+            cur = adopted.get(topic)
+            if cur is not None and new.gw_addr == cur[0]:
+                if new_hops < cur[3]:
+                    cur[2], cur[3] = naddr, new_hops
+            elif new_hops < depth:
+                d = (new.gw_id - own[topic][1]) % size
+                if d > half:
+                    d = size - d
+                # Alg. 5 line 3: every round restarts from self.
+                if d < (own[topic][2] if cur is None else cur[4]):
+                    adopted[topic] = [new.gw_addr, new.gw_id, naddr, new_hops, d]
 
-    # Pass 2 — per topic: the order-sensitive adoption scan over the
-    # pre-filtered candidates, ring distances inlined.  Whenever the scan
-    # ends on self — including the common case of no candidates at all —
-    # the resulting proposal is always ``(self, self, self, 0)``: once the
-    # scan adopts a strictly closer gateway it can never return to self
-    # (self's distance is no longer strictly smaller, and the
-    # hop-shortening branch needs hops < 0 while gw is still self).  Those
-    # proposals are pooled per topic on the state instead of reallocated
-    # every round.
-    self_props = state._self_props
+    if stats is not None:
+        stats.proposals += len(subscriptions)
+        stats.adoptions += len(adopted)
+        stats.self_proposals += len(subscriptions) - len(adopted)
+    new_proposals: Dict[int, Proposal] = {}
     for topic in subscriptions:
-        cands = by_topic.get(topic)
-        if cands:
-            t_id = topic_ids(topic)
-            # Alg. 5 line 3: restart from self each round.
-            gw_addr, gw_id, parent_addr, hops = self_addr, self_id, self_addr, 0
-            d = (self_id - t_id) % size
-            current_dis = d if d <= half else size - d
-
-            for naddr, new in cands:
-                d = (new.gw_id - t_id) % size
-                new_dis = d if d <= half else size - d
-                new_hops = new.hops + 1
-                if new_dis < current_dis and new_hops < depth:
-                    gw_addr, gw_id, parent_addr, hops = new.gw_addr, new.gw_id, naddr, new_hops
-                    current_dis = new_dis
-                elif new.gw_addr == gw_addr and new_hops < hops:
-                    gw_addr, gw_id, parent_addr, hops = new.gw_addr, new.gw_id, naddr, new_hops
-        else:
-            gw_addr = self_addr
-
-        if gw_addr == self_addr:
-            p = self_props.get(topic)
-            if p is None:
-                p = self_props[topic] = Proposal(self_addr, self_id, self_addr, 0)
-            new_proposals[topic] = p
-            if stats is not None:
-                stats.proposals += 1
-                stats.self_proposals += 1
-        else:
-            new_proposals[topic] = Proposal(gw_addr, gw_id, parent_addr, hops)
-            if stats is not None:
-                stats.proposals += 1
-                stats.adoptions += 1
-
+        cur = adopted.get(topic)
+        new_proposals[topic] = (
+            own[topic][0] if cur is None else Proposal(cur[0], cur[1], cur[2], cur[3])
+        )
     return new_proposals

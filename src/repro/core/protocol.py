@@ -43,7 +43,7 @@ from repro.sim.engine import CycleDriver, Engine
 from repro.sim.metrics import DisseminationRecord
 from repro.sim.network import Network
 from repro.sim.rng import SeedTree
-from repro.smallworld.routing import LookupResult, greedy_route
+from repro.smallworld.routing import LookupResult, closer_first, greedy_route
 
 __all__ = ["OverlaySystem", "OverlayProtocolBase", "VitisProtocol"]
 
@@ -515,7 +515,7 @@ class OverlaySystem:
             target_id,
             start,
             nodes[start].node_id,
-            neighbors_of=lambda a: nodes[a].rt.links(),
+            ring_of=lambda a: nodes[a].rt.ring(),
             is_alive=self.liveness,
             max_hops=self.config.max_lookup_hops,
             link_ok=link_ok,
@@ -640,7 +640,7 @@ class OverlaySystem:
         for a in self.sub_index.get(topic, ()):
             n = self.nodes[a]
             if n.alive:
-                p = n.gw_state.get(topic)
+                p = n.gw_state.proposals.get(topic)
                 if p is not None and p.gw_addr == a:
                     out.append(a)
         return sorted(out)
@@ -724,8 +724,8 @@ class VitisProtocol(OverlayProtocolBase):
         super().__init__(*args, **kwargs)
         self.election_every = election_every
         self.relay_every = relay_every
-        #: addr → (signature, proposal-map copy, n_proposals, n_self) —
-        #: the election result cache (see election_round).
+        #: addr → (signature, proposal map) — the election result cache
+        #: (see election_round).
         self._elect_cache: Dict[int, tuple] = {}
 
     def _make_node(self, address: int, subscriptions: FrozenSet[int]) -> VitisNode:
@@ -895,14 +895,14 @@ class VitisProtocol(OverlayProtocolBase):
             )
             entry = cache.get(a)
             if entry is not None and entry[0] == sig:
-                # Hand out a copy: the committed map can later be mutated
-                # in place (drop_dead), which must not reach the cache.
-                results[a] = dict(entry[1])
+                # The map itself: a committed proposal map is replaced,
+                # never edited (see GatewayState), so it can be shared.
+                proposals = results[a] = entry[1]
                 if stats is not None:
-                    n_prop, n_self = entry[2], entry[3]
-                    stats.proposals += n_prop
+                    n_self = sum(1 for p in proposals.values() if p.gw_addr == a)
+                    stats.proposals += len(proposals)
                     stats.self_proposals += n_self
-                    stats.adoptions += n_prop - n_self
+                    stats.adoptions += len(proposals) - n_self
                 continue
             proposals = elect_round(
                 self.space,
@@ -916,11 +916,7 @@ class VitisProtocol(OverlayProtocolBase):
                 stats=stats,
             )
             results[a] = proposals
-            n_self = 0
-            for p in proposals.values():
-                if p.gw_addr == a:
-                    n_self += 1
-            cache[a] = (sig, dict(proposals), len(proposals), n_self)
+            cache[a] = (sig, proposals)
         changed = 0
         if stats is not None and tel.tracing:
             # Proposals that differ from last round — 0 means the Alg. 5
@@ -992,15 +988,11 @@ class VitisProtocol(OverlayProtocolBase):
                 self._install_with_spans(topic, gw, lr, tables)
         self.topology_version += 1
 
-    def install_relays(self, topics: Optional[Iterable[int]] = None) -> RelayStats:
-        """Clear and rebuild the relay trees from the current gateways.
+    def install_relays(self) -> RelayStats:
+        """Clear and rebuild every relay tree from the current gateways.
 
         Returns the accumulated :class:`RelayStats` for this installation.
         """
-        if topics is None:
-            topics = self.topics()
-        else:
-            topics = list(topics)
         tel = self.telemetry
         teardowns = 0
         if tel.enabled:
@@ -1010,7 +1002,7 @@ class VitisProtocol(OverlayProtocolBase):
         for n in self.nodes.values():
             n.relay.clear()
         self.relay_stats.reset()
-        self._reinstall(topics, wiped=True)
+        self._reinstall(self.topics(), wiped=True)
         if tel.enabled:
             stats = self.relay_stats
             m = tel.metrics
@@ -1069,26 +1061,21 @@ class VitisProtocol(OverlayProtocolBase):
             relay = self.nodes[a].relay
             broken.update(relay.broken_parents(reachable))
             relay.prune_children(reachable)
-        space = self.space
         for topic, rv in list(self.relay_stats.rendezvous.items()):
-            if not is_alive(rv):
+            # A dead rendezvous, or a stale one: the recorded root is no
+            # longer a local minimum for hash(topic) — some reachable
+            # neighbor sits strictly closer (e.g. after a partition heals,
+            # the other half's closer nodes become visible again).
+            # Re-rooting the tree there is what merges per-partition trees
+            # back into one.
+            node = self.nodes[rv]
+            if not is_alive(rv) or any(
+                reachable(rv, naddr)
+                for naddr, _ in closer_first(
+                    node.rt.ring(), self.space, self.topic_id(topic), node.node_id
+                )
+            ):
                 broken.add(topic)
-                continue
-            # Stale rendezvous: the recorded root is no longer a local
-            # minimum for hash(topic) — some reachable neighbor sits
-            # strictly closer (e.g. after a partition heals, the other
-            # half's closer nodes become visible again).  Re-rooting the
-            # tree there is what merges per-partition trees back into one.
-            tid = self.topic_id(topic)
-            rv_d = space.distance(self.nodes[rv].node_id, tid)
-            for naddr, nid in self.nodes[rv].rt.links():
-                if (
-                    space.distance(nid, tid) < rv_d
-                    and is_alive(naddr)
-                    and reachable(rv, naddr)
-                ):
-                    broken.add(topic)
-                    break
         broken = {t for t in broken if self.subscribers(t)}
         if not broken:
             return 0

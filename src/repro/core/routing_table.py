@@ -19,6 +19,7 @@ import enum
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.gossip.view import Descriptor
+from repro.smallworld.routing import Ring, ring_of_links
 
 __all__ = ["LinkKind", "RTEntry", "RoutingTable"]
 
@@ -64,7 +65,7 @@ class RoutingTable:
     selection logic in :mod:`repro.core.node`, not here.
     """
 
-    __slots__ = ("owner", "max_size", "_entries", "_links", "mutations")
+    __slots__ = ("owner", "max_size", "_entries", "_links", "_ring", "mutations")
 
     #: Monotonic stamp source shared by every table, so a stamp uniquely
     #: identifies one table state even across table replacement (a node
@@ -81,6 +82,8 @@ class RoutingTable:
         #: (replace / remove / eviction).  Heartbeats only touch entry
         #: ages, which links() does not expose, so they keep the cache.
         self._links: Optional[List[Tuple[int, int]]] = None
+        #: Memoised ring() result, dropped wherever ``_links`` is.
+        self._ring: Optional[Ring] = None
         #: Mutation stamp: changes whenever membership or link kinds may
         #: have changed.  Consumers (the election result cache) treat
         #: equal stamps as "same table contents in the same order".
@@ -116,6 +119,11 @@ class RoutingTable:
         order (e.g. the election result cache) want."""
         return tuple(self._entries)
 
+    def by_address(self) -> Dict[int, RTEntry]:
+        """The table's own address → entry map, in table order; treat it
+        as read-only."""
+        return self._entries
+
     def entries(self) -> List[RTEntry]:
         return list(self._entries.values())
 
@@ -136,6 +144,16 @@ class RoutingTable:
                 for e in self._entries.values()
             ]
             self._links = cached
+        return cached
+
+    def ring(self) -> Ring:
+        """The neighbors in ascending id order — the shape the greedy
+        step bisects (:func:`repro.smallworld.routing.closer_first`).
+        Cached and shared like :meth:`links`; treat it as read-only.
+        """
+        cached = self._ring
+        if cached is None:
+            cached = self._ring = ring_of_links(self.links())
         return cached
 
     def by_kind(self, kind: LinkKind) -> List[RTEntry]:
@@ -182,12 +200,12 @@ class RoutingTable:
             else:
                 new[desc.address] = RTEntry(desc, kind, old.age)
         self._entries = new
-        self._links = None
+        self._links = self._ring = None
         self.mutations = self._bump()
 
     def remove(self, address: int) -> bool:
         if self._entries.pop(address, None) is not None:
-            self._links = None
+            self._links = self._ring = None
             self.mutations = self._bump()
             return True
         return False
@@ -216,6 +234,6 @@ class RoutingTable:
         for addr in evicted:
             del self._entries[addr]
         if evicted:
-            self._links = None
+            self._links = self._ring = None
             self.mutations = self._bump()
         return evicted

@@ -15,10 +15,11 @@ import pytest
 
 from repro.core.config import VitisConfig
 from repro.core.deployment import DeployedVitis, NeighborInfo
+from repro.core.gateway import Proposal
 from repro.core.routing_table import LinkKind
 from repro.gossip.view import Descriptor
 from repro.obs.spans import build_span_trees
-from repro.sim.messages import Notification
+from repro.sim.messages import Notification, ProfileMessage
 from repro.workloads.subscriptions import bucket_subscriptions
 from tests.core.test_span_tracing import captured_telemetry, events_of
 
@@ -223,6 +224,36 @@ def test_greedy_next_hop_when_neither_flood_nor_tree_applies():
     link(d, closest, *[a for a in d.nodes if a != closest])
     forward(d.nodes[closest])
     assert sent == []
+
+
+def test_a_received_proposal_map_survives_the_senders_later_writes():
+    """A profile message ships the sender's proposal map itself; the
+    sender's next ``commit`` / ``drop_dead`` / ``clear`` must replace the
+    map, not edit the one the receiver now holds."""
+    d, _ = planted(({TOPIC, 1}, {TOPIC, 1}, set()))
+    sender, receiver = d.nodes[0], d.nodes[1]
+    sender.gw_state.commit({TOPIC: Proposal(2, d.space.node_id(2), 2, 1),
+                            1: Proposal(0, sender.node_id, 0, 0)})
+    receiver.on_message(
+        ProfileMessage(src=0, dst=1, profile=sender._profile_payload(is_reply=True))
+    )
+    learned = receiver.neighbor_state[0]
+    snapshot = dict(learned.proposals)
+    assert snapshot == sender.gw_state.proposals
+    sender.gw_state.commit({TOPIC: Proposal(0, sender.node_id, 0, 0)})
+    assert learned.proposals == snapshot
+    sender.gw_state.commit(dict(snapshot))
+    receiver.on_message(
+        ProfileMessage(src=0, dst=1, profile=sender._profile_payload(is_reply=True))
+    )
+    assert sender.gw_state.drop_dead(lambda a: a != 2) == [TOPIC]
+    assert receiver.neighbor_state[0].proposals == snapshot
+    receiver.on_message(
+        ProfileMessage(src=0, dst=1, profile=sender._profile_payload(is_reply=True))
+    )
+    after_drop = dict(receiver.neighbor_state[0].proposals)
+    sender.gw_state.clear()
+    assert receiver.neighbor_state[0].proposals == after_drop != {}
 
 
 def test_confirmed_peer_purge_clears_every_trace_of_the_peer():

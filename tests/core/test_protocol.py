@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import VitisConfig
 from repro.core.protocol import VitisProtocol
+from repro.core.routing_table import LinkKind
 from repro.gossip.cyclon import CyclonService
 from repro.smallworld.ring import is_ring_converged
 from tests.conftest import small_subscriptions
@@ -120,6 +121,36 @@ class TestElectionAndRelays:
         p.finalize()
         second = {a: dict(p.nodes[a].relay.parent) for a in p.nodes}
         assert first == second
+
+
+class TestElectionResultCache:
+    def test_hit_after_repair_purged_the_cached_node_equals_a_recompute(self):
+        """The cache holds the committed map itself.  ``repair_relays``
+        purges stale proposals from that very node (``drop_dead``); the
+        next round's hit must still return what a recompute returns, not
+        the purged map."""
+        p = VitisProtocol([{0}, {0}], VitisConfig(), seed=3,
+                          election_every=0, relay_every=0)
+        tid = p.topic_id(0)
+        gateway, follower = sorted(
+            p.nodes, key=lambda a: p.space.distance(p.nodes[a].node_id, tid)
+        )
+        for a, b in ((gateway, follower), (follower, gateway)):
+            p.nodes[a].rt.replace([(p.nodes[b].descriptor(), LinkKind.FRIEND)])
+        p.finalize()
+        state = p.nodes[follower].gw_state
+        assert state.get(0).gw_addr == gateway
+        assert p._elect_cache[follower][1] is state.proposals
+
+        # The gateway (and rendezvous) crashes; the follower still lists
+        # it, so its election signature is unchanged and the repair's own
+        # election rounds hit the cache.
+        p.leave(gateway)
+        assert p.repair_relays() == 1
+        hit = dict(state.proposals)
+        p._elect_cache.clear()
+        p.election_round()
+        assert state.proposals == hit != {}
 
 
 class TestChurnOperations:

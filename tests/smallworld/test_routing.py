@@ -4,7 +4,7 @@ import math
 import random
 
 from repro.core.identifiers import IdSpace
-from repro.smallworld.routing import greedy_route
+from repro.smallworld.routing import greedy_route, ring_of_links
 
 
 def make_ring_overlay(n, space, extra_links=0, seed=1):
@@ -32,7 +32,7 @@ def route(space, ids, neighbors, start, target_id, alive=lambda a: True, max_hop
         target_id,
         start,
         ids[start],
-        neighbors_of=lambda a: [(b, ids[b]) for b in neighbors[a]],
+        ring_of=lambda a: ring_of_links((b, ids[b]) for b in neighbors[a]),
         is_alive=alive,
         max_hops=max_hops,
     )

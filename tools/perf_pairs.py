@@ -2,7 +2,7 @@
 """Alternating parent/change pairs of one contract-benchmark workload.
 
     python tools/perf_pairs.py --parent <git-ref> --workload W --seeds A..B [--quick]
-                               [--sha-may-differ]
+                               [--sha-may-differ] [--layers a,b,...]
 
 Extracts ``<git-ref>`` (``git archive``) into a temporary directory and,
 for every seed, runs the *unchanged* ``benchmarks/perf/run.py --workload
@@ -18,6 +18,16 @@ side's median and quartiles, the win count, and whether the pairs
 support a gain by the rule of the ``choosing-metrics`` guide, section 8:
 at least ten pairs, the change wins nine tenths of them, and the medians
 differ by more than the distance between the parent's quartiles.
+
+``--layers`` names per-layer spans (``core.gateway.election_round``,
+``smallworld.lookup``, …).  After the pairs, each side runs twice more at
+the first seed with ``--trace 1``, alternating, and every named layer's
+``self_s`` is printed per run *scaled to the nominal host* (``self_s ×
+bench.host_speed``): raw ``self_s`` from two traced runs is not
+comparable on a host whose speed drifts between them.  A named layer's
+``.calls`` (and ``.hops_mean``, where it has one) must be equal in all
+four runs — a layer that got cheaper by doing different work is a
+mismatch, exit code 1.
 """
 
 from __future__ import annotations
@@ -35,11 +45,14 @@ MUST_MATCH = ("hit_ratio", "useful_msgs_pct", "delay_hops")
 REPORTED = ("ops_per_s", "setup_s", "peak_rss_mb")
 
 
-def run_once(tree: Path, workload: str, seed: int, quick: bool) -> dict:
+def run_once(tree: Path, workload: str, seed: int, quick: bool, trace: bool = False) -> dict:
+    """One run's metrics by name: end-to-end, or per-layer with ``trace``."""
     cmd = [sys.executable, str(tree / "benchmarks" / "perf" / "run.py"),
            "--workload", workload, "--seed", str(seed)]
     if quick:
         cmd.append("--quick")
+    if trace:
+        cmd += ["--trace", "1"]
     lines = subprocess.run(
         cmd, cwd=tree, check=True, stdout=subprocess.PIPE, text=True
     ).stdout.splitlines()
@@ -59,6 +72,34 @@ def quartiles(values) -> tuple:
     return q1, q2, q3
 
 
+def traced_layers(sides: dict, workload: str, seed: int, quick: bool, layers: list) -> list:
+    """Two traced runs a side, alternating; prints the named layers'
+    host-scaled self time and returns the counts that differ."""
+    runs = {"parent": [], "change": []}
+    for order in (("parent", "change"), ("change", "parent")):
+        for side in order:
+            runs[side].append(run_once(sides[side], workload, seed, quick, trace=True))
+    speeds = {side: [r["bench.host_speed"] for r in rows] for side, rows in runs.items()}
+    print(f"traced, seed {seed}, two runs a side; host speed "
+          + ", ".join(f"{side} {a:.2f} / {b:.2f}" for side, (a, b) in speeds.items()))
+    mismatches = []
+    for layer in layers:
+        scaled = {
+            side: [r[f"{layer}.self_s"] * r["bench.host_speed"] for r in rows]
+            for side, rows in runs.items()
+        }
+        print(f"{layer}.self_s x host_speed: "
+              + ", ".join(f"{side} {a:.3f} / {b:.3f}" for side, (a, b) in scaled.items()))
+        for count in (f"{layer}.calls", f"{layer}.hops_mean"):
+            if count in runs["parent"][0]:
+                values = {r[count] for rows in runs.values() for r in rows}
+                print(f"{count}: {runs['parent'][0][count]:.10g}")
+                if len(values) > 1:
+                    mismatches.append(f"seed {seed}: {count} differs across traced runs: "
+                                      + " ".join(f"{v:.10g}" for v in sorted(values)))
+    return mismatches
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git ref of the parent commit")
@@ -67,6 +108,8 @@ def main(argv=None) -> int:
     ap.add_argument("--quick", action="store_true", help="smoke sizes (CI); numbers mean nothing")
     ap.add_argument("--sha-may-differ", action="store_true",
                     help="report a sim_sha256 difference as a note, not a mismatch")
+    ap.add_argument("--layers", default="",
+                    help="comma-separated span names: host-scaled self_s from traced runs")
     args = ap.parse_args(argv)
     first, last = (int(s) for s in args.seeds.split(".."))
 
@@ -94,6 +137,10 @@ def main(argv=None) -> int:
             pairs.append((p, c))
             print(f"{seed:>5} {order[0]:>6} {p['ops_per_s']:>13.1f} {c['ops_per_s']:>13.1f} "
                   f"{c['ops_per_s'] / p['ops_per_s']:>13.3f}", flush=True)
+        if args.layers:
+            mismatches += traced_layers(
+                sides, args.workload, first, args.quick, args.layers.split(",")
+            )
 
     quart = {}
     for name in REPORTED:
