@@ -180,12 +180,13 @@ class DeployedVitisNode(VitisNode):
             )
 
         # --- heartbeats: age entries, evict the silent ------------------
-        # Ages are reset by *received* messages (see _heard_from); here
+        # Ages are reset by *received* messages (see on_message); here
         # every entry ages one period and stale ones are evicted.
         for gone in self.heartbeat_step(lambda a: False):
             self._learn(gone, None)
 
         # --- election against last-received neighbor state (Alg. 5) ----
+        known = self.neighbor_state
         self.gw_state.commit(elect_round(
             self.space,
             self.gw_state,
@@ -193,7 +194,7 @@ class DeployedVitisNode(VitisNode):
             self.rt,
             neighbor_subscriptions=self._known_subs,
             neighbor_proposals={
-                a: info.proposals for a, info in self.neighbor_state.items()
+                a: known[a].proposals for a in self.rt.by_address() if a in known
             },
             topic_ids=host.topic_id,
             depth=self.config.gateway_depth,
@@ -320,49 +321,46 @@ class DeployedVitisNode(VitisNode):
     # Message dispatch
     # ------------------------------------------------------------------
     def on_message(self, msg) -> None:
-        self._heard_from(msg.src)
-        if isinstance(msg, PsExchangeRequest):
-            reply = self._view_triples()
-            self._merge_view(msg.view)
+        # Any message doubles as a heartbeat (Alg. 7), handled or not.
+        self.rt.heartbeat(msg.src)
+        handler = self._HANDLERS.get(type(msg))
+        if handler is not None:
+            handler(self, msg)
+
+    def _on_ps_request(self, msg: PsExchangeRequest) -> None:
+        reply = self._view_triples()
+        self._merge_view(msg.view)
+        self.host.send(PsExchangeReply(src=self.address, dst=msg.src, view=reply))
+
+    def _on_ps_reply(self, msg: PsExchangeReply) -> None:
+        self._merge_view(msg.view)
+
+    def _on_rt_request(self, msg: RtExchangeRequest) -> None:
+        # Two buffers, two sampler draws: one is shipped back, the
+        # other is merged into.  Seeded deployed trajectories depend
+        # on both draws, so the buffers must not be shared.
+        reply = list(self._exchange_pool().values())
+        self._merge_and_select(self._exchange_pool(), msg.buffer, self._profile_from_state)
+        self.host.send(RtExchangeReply(src=self.address, dst=msg.src, buffer=reply))
+
+    def _on_rt_reply(self, msg: RtExchangeReply) -> None:
+        self._merge_and_select(self._exchange_pool(), msg.buffer, self._profile_from_state)
+
+    def _on_profile(self, msg: ProfileMessage) -> None:
+        subs, version, proposals, is_reply = msg.profile
+        info = self.neighbor_state.get(msg.src)
+        if info is None or info.version != version:
+            info = self._learn(msg.src, NeighborInfo(subs, version))
+        info.proposals = proposals
+        info.last_heard = self.host.now
+        if not is_reply:
             self.host.send(
-                PsExchangeReply(src=self.address, dst=msg.src, view=reply)
-            )
-        elif isinstance(msg, PsExchangeReply):
-            self._merge_view(msg.view)
-        elif isinstance(msg, RtExchangeRequest):
-            # Two buffers, two sampler draws: one is shipped back, the
-            # other is merged into.  Seeded deployed trajectories depend
-            # on both draws, so the buffers must not be shared.
-            reply = list(self._exchange_pool().values())
-            self._merge_and_select(
-                self._exchange_pool(), msg.buffer, self._profile_from_state
-            )
-            self.host.send(
-                RtExchangeReply(src=self.address, dst=msg.src, buffer=reply)
-            )
-        elif isinstance(msg, RtExchangeReply):
-            self._merge_and_select(
-                self._exchange_pool(), msg.buffer, self._profile_from_state
-            )
-        elif isinstance(msg, ProfileMessage):
-            subs, version, proposals, is_reply = msg.profile
-            info = self.neighbor_state.get(msg.src)
-            if info is None or info.version != version:
-                info = self._learn(msg.src, NeighborInfo(subs, version))
-            info.proposals = proposals
-            info.last_heard = self.host.now
-            if not is_reply:
-                self.host.send(
-                    ProfileMessage(
-                        src=self.address,
-                        dst=msg.src,
-                        profile=self._profile_payload(is_reply=True),
-                    )
+                ProfileMessage(
+                    src=self.address,
+                    dst=msg.src,
+                    profile=self._profile_payload(is_reply=True),
                 )
-        elif isinstance(msg, RelayInstall):
-            self._on_relay_install(msg)
-        elif isinstance(msg, Notification):
-            self.on_notification(msg)
+            )
 
     def _view_triples(self) -> List[tuple]:
         """The wire form of a Newscast exchange: the sampling view plus
@@ -377,10 +375,6 @@ class DeployedVitisNode(VitisNode):
             addrs, ids, ages = zip(*triples)
             view.merge_fields(addrs, ids, ages, exclude=self.address)
         view.trim(self.rng)
-
-    def _heard_from(self, address: int) -> None:
-        """Any message doubles as a heartbeat (Alg. 7)."""
-        self.rt.heartbeat(address)
 
     def _learn(self, address: int, info: Optional[NeighborInfo]) -> Optional[NeighborInfo]:
         """Install (or, with None, forget) what was learned about
@@ -524,6 +518,18 @@ class DeployedVitisNode(VitisNode):
             if trace is not None:
                 msg.span = (trace, parent_sid, targets[dst])
             send(msg)
+
+    #: Exact message class → handler; a kind not listed only resets the
+    #: sender's heartbeat age.  Nothing subclasses a concrete kind.
+    _HANDLERS = {
+        PsExchangeRequest: _on_ps_request,
+        PsExchangeReply: _on_ps_reply,
+        RtExchangeRequest: _on_rt_request,
+        RtExchangeReply: _on_rt_reply,
+        ProfileMessage: _on_profile,
+        RelayInstall: _on_relay_install,
+        Notification: on_notification,
+    }
 
 
 class DeployedVitis(OverlaySystem):

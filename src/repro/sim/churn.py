@@ -186,10 +186,7 @@ class ChurnSchedule:
                 )
         n = 0
         for e in self.events:
-            cb = (lambda a=e.address: join(a)) if e.kind == JOIN else (
-                lambda a=e.address: leave(a)
-            )
-            engine.schedule_at(e.time, cb)
+            engine.schedule_at(e.time, join if e.kind == JOIN else leave, e.address)
             n += 1
         return n
 

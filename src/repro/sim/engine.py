@@ -3,7 +3,7 @@
 Two execution styles are provided, mirroring PeerSim:
 
 - :class:`Engine` is an event-driven scheduler (PeerSim ``edsim``): a heap of
-  ``(time, sequence, callback)`` entries.  It is used for churn schedules,
+  ``(time, sequence, handle)`` entries.  It is used for churn schedules,
   message-level dissemination and anything that needs wall-clock semantics.
 - :class:`CycleDriver` reproduces cycle-driven semantics (PeerSim ``cdsim``):
   on every cycle each live node executes one protocol step, in a freshly
@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 __all__ = [
     "Engine",
@@ -33,7 +33,7 @@ __all__ = [
 
 
 class _Event:
-    """One scheduled callback.
+    """The handle of one scheduled callback.
 
     ``cancelled`` is a property so the owning engine's live-event counter
     stays exact without scanning the heap: setting it while the event is
@@ -42,18 +42,16 @@ class _Event:
     inert.
     """
 
-    __slots__ = ("time", "seq", "callback", "_cancelled", "_engine")
+    __slots__ = ("time", "callback", "args", "_cancelled", "_engine")
 
-    def __init__(self, time: float, seq: int, callback: Callable[[], None]) -> None:
+    def __init__(
+        self, time: float, callback: Callable[..., None], args: tuple, engine: "Engine"
+    ) -> None:
         self.time = time
-        self.seq = seq
         self.callback = callback
+        self.args = args
         self._cancelled = False
-        self._engine: Optional["Engine"] = None
-
-    def __lt__(self, other: "_Event") -> bool:
-        # Heap order: time, then scheduling order (FIFO within an instant).
-        return (self.time, self.seq) < (other.time, other.seq)
+        self._engine: Optional["Engine"] = engine
 
     @property
     def cancelled(self) -> bool:
@@ -77,7 +75,9 @@ class Engine:
     """
 
     def __init__(self) -> None:
-        self._queue: List[_Event] = []
+        #: Heap of ``(time, seq, handle)``: ``seq`` is unique, so the order
+        #: is settled by C float/int comparison and never reaches the handle.
+        self._queue: List[Tuple[float, int, _Event]] = []
         self._counter = itertools.count()
         self._now = 0.0
         self._processed = 0
@@ -103,27 +103,26 @@ class Engine:
         """Total number of events executed so far."""
         return self._processed
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> _Event:
-        """Schedule ``callback`` to run ``delay`` seconds from now.
+    def schedule(self, delay: float, callback: Callable[..., None], *args) -> _Event:
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
         Returns a handle whose ``cancelled`` attribute may be set to skip
         the event.
         """
-        if delay < 0:
+        if not delay >= 0:  # refuses NaN too: it would poison the clock
             raise ValueError(f"negative delay: {delay}")
-        return self._push(self._now + delay, callback)
+        return self._push(self._now + delay, callback, args)
 
-    def schedule_at(self, when: float, callback: Callable[[], None]) -> _Event:
-        """Schedule ``callback`` at absolute simulated time ``when``."""
-        if when < self._now:
+    def schedule_at(self, when: float, callback: Callable[..., None], *args) -> _Event:
+        """Schedule ``callback(*args)`` at absolute simulated time ``when``."""
+        if not when >= self._now:
             raise ValueError(f"cannot schedule in the past: {when} < {self._now}")
-        return self._push(when, callback)
+        return self._push(when, callback, args)
 
-    def _push(self, when: float, callback: Callable[[], None]) -> _Event:
-        ev = _Event(when, next(self._counter), callback)
-        ev._engine = self
+    def _push(self, when: float, callback: Callable[..., None], args: tuple) -> _Event:
+        ev = _Event(when, callback, args, self)
         self._live += 1
-        heapq.heappush(self._queue, ev)
+        heapq.heappush(self._queue, (when, next(self._counter), ev))
         return ev
 
     def _pop(self) -> _Event:
@@ -133,7 +132,7 @@ class Engine:
         when it was cancelled.  Either way the handle goes inert so a
         late ``cancelled = True`` on a fired event cannot corrupt it.
         """
-        ev = heapq.heappop(self._queue)
+        ev = heapq.heappop(self._queue)[2]
         if not ev._cancelled:
             self._live -= 1
         ev._engine = None
@@ -143,10 +142,10 @@ class Engine:
         """Execute the next event.  Returns False if the queue is empty."""
         while self._queue:
             ev = self._pop()
-            if ev.cancelled:
+            if ev._cancelled:
                 continue
             self._now = ev.time
-            ev.callback()
+            ev.callback(*ev.args)
             self._processed += 1
             return True
         return False
@@ -159,20 +158,23 @@ class Engine:
         """
         executed = 0
         queue = self._queue
+        heappop = heapq.heappop
         while queue:
             if max_events is not None and executed >= max_events:
                 return
-            nxt = queue[0]
-            if nxt._cancelled:
+            when, _, ev = queue[0]
+            if ev._cancelled:
                 self._pop()
                 continue
-            if until is not None and nxt.time > until:
+            if until is not None and when > until:
                 break
-            # Inlined step(): the head is known live, so the rescan a
-            # step() call would do is pure overhead on this loop.
-            ev = self._pop()
-            self._now = ev.time
-            ev.callback()
+            # Inlined _pop() and step(): the head is known live, so their
+            # re-checks and frames are pure overhead on this loop.
+            heappop(queue)
+            self._live -= 1
+            ev._engine = None
+            self._now = when
+            ev.callback(*ev.args)
             self._processed += 1
             executed += 1
         # Advance the clock to the horizon even when no event reached it
@@ -182,7 +184,7 @@ class Engine:
 
     def clear(self) -> None:
         """Drop all pending events (the clock is left where it is)."""
-        for ev in self._queue:
+        for _, _, ev in self._queue:
             ev._engine = None
         self._queue.clear()
         self._live = 0

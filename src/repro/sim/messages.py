@@ -187,10 +187,13 @@ class Message:
     # so capacity shedding behaves identically traced and untraced.
     span = None
 
-    @property
-    def kind(self) -> str:
-        """Short name used by traffic accounting."""
-        return type(self).__name__
+    #: Short name used by traffic accounting: the class's own name, set
+    #: once per class (un-annotated for the same reasons as ``span``).
+    kind = "Message"
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.kind = cls.__name__
 
     @property
     def priority(self) -> int:

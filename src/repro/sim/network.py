@@ -77,7 +77,8 @@ class UniformLatency(LatencyModel):
         self._rng = rng
 
     def delay(self, src: int, dst: int) -> float:
-        return self._rng.uniform(self._low, self._high)
+        # random.uniform's own expression, minus its frame per message.
+        return self._low + (self._high - self._low) * self._rng.random()
 
 
 class Network:
@@ -178,26 +179,38 @@ class Network:
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
-    def send(self, msg: Message) -> None:
-        """Send ``msg`` from ``msg.src`` to ``msg.dst``.
+    def send(self, msg: Message, *, sync: bool = False) -> bool:
+        """Send ``msg`` from ``msg.src`` to ``msg.dst``; False when a gate
+        refused it.
 
         Delivery is scheduled on the engine after the latency model's delay;
         with the default zero-delay model the event still goes through the
         engine queue, preserving causal ordering.  An attached fault model
         may drop the message outright or inflate its delay; an attached
-        capacity model may shed it (see :meth:`_admit`).
+        capacity model may shed it (see :meth:`_refused`).  ``sync`` is
+        :meth:`send_sync`'s spelling: same accounting and gates, delivered
+        in place.
         """
-        lat = self.latency
-        # Constant latency (the cycle-driven default) needs no per-pair
-        # method call; the type check keeps a swapped-in model honest.
-        # Drawn before admission: a per-message latency rng advances for
-        # refused messages too.
-        delay = lat._delay if type(lat) is ConstantLatency else lat.delay(msg.src, msg.dst)
-        if not self._admit(msg):
-            return
-        if self.fault_model is not None:
-            delay += self.fault_model.extra_delay(msg.src, msg.dst, self.engine.now)
-        self.engine.schedule(delay, lambda m=msg: self._deliver(m))
+        if not sync:
+            lat = self.latency
+            # Constant latency (the cycle-driven default) needs no per-pair
+            # method call; the type check keeps a swapped-in model honest.
+            # Drawn before admission: a per-message latency rng advances
+            # for refused messages too.
+            delay = lat._delay if type(lat) is ConstantLatency else lat.delay(msg.src, msg.dst)
+        kind = msg.kind
+        self.sent[kind] += 1
+        self.sent_by_addr[msg.src] += 1
+        self.bytes_sent += msg.size
+        fault_model = self.fault_model
+        if (fault_model is not None or self.capacity is not None) and self._refused(msg, kind):
+            return False
+        if sync:
+            return self._deliver(msg)
+        if fault_model is not None:
+            delay += fault_model.extra_delay(msg.src, msg.dst, self.engine.now)
+        self.engine.schedule(delay, self._deliver, msg)
+        return True
 
     def send_sync(self, msg: Message) -> bool:
         """Deliver ``msg`` immediately (no engine round-trip).
@@ -205,28 +218,25 @@ class Network:
         Used by cycle-driven protocols that model the exchange as atomic
         within a cycle.  Returns True if the message was handled.
         """
-        return self._admit(msg) and self._deliver(msg)
+        return self.send(msg, sync=True)
 
-    def _admit(self, msg: Message) -> bool:
-        """Account ``msg`` as sent and pass it through the attached gates:
-        the fault model may drop it on the link (counted in ``faulted``,
-        never delivered), then the capacity model may shed it at the
+    def _refused(self, msg: Message, kind: str) -> bool:
+        """Pass an accounted ``msg`` through the attached gates: the fault
+        model may drop it on the link (counted in ``faulted``, never
+        delivered), then the capacity model may shed it at the
         destination's bounded inbox (counted in ``shed`` — the link
         worked, the receiver was full)."""
-        self.sent[msg.kind] += 1
-        self.sent_by_addr[msg.src] += 1
-        self.bytes_sent += msg.size
         if self.fault_model is not None and self.fault_model.drop(
-            msg.src, msg.dst, msg.kind, self.engine.now
+            msg.src, msg.dst, kind, self.engine.now
         ):
             self._record_fault(msg)
-            return False
+            return True
         if self.capacity is not None and not self.capacity.offer(
-            msg.src, msg.dst, msg.kind, self.engine.now, nbytes=msg.size_bytes
+            msg.src, msg.dst, kind, self.engine.now, nbytes=msg.size_bytes
         ):
             self._record_shed(msg)
-            return False
-        return True
+            return True
+        return False
 
     def _record_fault(self, msg: Message) -> None:
         self.faulted[msg.kind] += 1
@@ -250,19 +260,20 @@ class Network:
 
     def _deliver(self, msg: Message) -> bool:
         node = self._nodes.get(msg.dst)
+        kind = msg.kind
         if node is None or not node.alive:
-            self.dropped[msg.kind] += 1
+            self.dropped[kind] += 1
             tel = self.telemetry
             if tel is not None and tel.enabled:
-                tel.metrics.counter("drops_total", site="network", kind=msg.kind).inc()
+                tel.metrics.counter("drops_total", site="network", kind=kind).inc()
                 if tel.tracing:
                     tel.event(
                         "drop", t=self.engine.now, site="network",
-                        kind=msg.kind, src=msg.src, dst=msg.dst,
+                        kind=kind, src=msg.src, dst=msg.dst,
                         **_span_fields(msg),
                     )
             return False
-        self.delivered[msg.kind] += 1
+        self.delivered[kind] += 1
         self.delivered_by_addr[msg.dst] += 1
         node.on_message(msg)
         return True

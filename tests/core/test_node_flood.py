@@ -14,11 +14,12 @@ from collections import deque
 import pytest
 
 from repro.core.config import VitisConfig
-from repro.core.deployment import DeployedVitis, NeighborInfo
+from repro.core.deployment import DeployedVitis, DeployedVitisNode, NeighborInfo
 from repro.core.gateway import Proposal
 from repro.core.routing_table import LinkKind
 from repro.gossip.view import Descriptor
 from repro.obs.spans import build_span_trees
+from repro.sim import messages as M
 from repro.sim.messages import Notification, ProfileMessage
 from repro.workloads.subscriptions import bucket_subscriptions
 from tests.core.test_span_tracing import captured_telemetry, events_of
@@ -277,6 +278,82 @@ def test_confirmed_peer_purge_clears_every_trace_of_the_peer():
     assert TOPIC not in node.relay.parent and TOPIC not in node.relay_stamp
     assert node.relay.children == {6: {2}}
     assert node.child_stamp == {(6, 2): 3.0}
+
+
+# ----------------------------------------------------------------------
+# Message dispatch: one table keyed by exact class
+# ----------------------------------------------------------------------
+HANDLED = {
+    M.PsExchangeRequest, M.PsExchangeReply, M.RtExchangeRequest, M.RtExchangeReply,
+    M.ProfileMessage, M.RelayInstall, M.Notification,
+}
+#: Wire kinds that must never need a handler on the node.
+NOT_FOR_THE_NODE = {
+    # consumed by the liveness layer before ``node.on_message``
+    M.Probe, M.ProbeReq, M.ProbeAck, M.Suspicion, M.Refutation,
+    # sent by no deployed node
+    M.PullRequest, M.PullReply, M.LookupMessage,
+}
+
+
+def test_every_wire_kind_is_either_handled_or_deliberately_not():
+    """A new wire kind lands in neither set and fails here: whoever adds
+    it decides whether the node handles it."""
+    from repro.net.wire import MESSAGE_KINDS
+
+    assert set(DeployedVitisNode._HANDLERS) == HANDLED
+    assert HANDLED.isdisjoint(NOT_FOR_THE_NODE)
+    assert HANDLED | NOT_FOR_THE_NODE == {row[1] for row in MESSAGE_KINDS}
+
+
+def test_an_unhandled_kind_is_a_heartbeat_and_nothing_else():
+    d, sent = planted()
+    node = d.nodes[1]
+    link(d, 1, 0, 2)
+    node.neighbor_state[0] = NeighborInfo(subscriptions=frozenset({TOPIC}), version=0)
+    node.relay.set_parent(TOPIC, 0)
+    for entry in node.rt:
+        entry.age = 3
+
+    def state():
+        return (
+            {e.address: e.age for e in node.rt if e.address != 0},
+            dict(node.neighbor_state), dict(node.relay.parent), dict(node.relay.children),
+            dict(node.relay_stamp), dict(node.child_stamp), dict(node.gw_state.proposals),
+            set(node.seen_events), node.ps.view.snapshot_fields(), node.rng.getstate(),
+        )
+
+    before = state()
+    node.on_message(M.LookupMessage(src=0, dst=1, target_id=5, origin=0, hops=1))
+    assert node.rt.by_address()[0].age == 0
+    assert state() == before and sent == []
+
+
+def test_the_tick_elects_against_its_table_neighbours_only():
+    """Alg. 5 walks the routing table, so what ``_tick`` hands the election
+    may stop at the table: a learned profile for an address outside it —
+    however good its proposal — must not move the committed map."""
+
+    def committed(table, stranger_known):
+        d, _ = planted(({TOPIC}, {TOPIC}, {TOPIC}))
+        node = d.nodes[0]
+        link(d, 0, *table)
+        everyone = frozenset({TOPIC})
+        node.neighbor_state[1] = NeighborInfo(
+            everyone, 0, {TOPIC: Proposal(1, d.space.node_id(1), 1, 0)}
+        )
+        if stranger_known:
+            # A gateway sitting exactly on hash(topic): unbeatable.
+            node.neighbor_state[2] = NeighborInfo(
+                everyone, 0, {TOPIC: Proposal(2, d.topic_id(TOPIC), 2, 0)}
+            )
+        assert node._tick() is True
+        return node.gw_state.proposals
+
+    assert committed([1], stranger_known=True) == committed([1], stranger_known=False)
+    # Not vacuous: the same profile counts as soon as 2 is a table neighbour.
+    assert committed([1, 2], stranger_known=True)[TOPIC].gw_addr == 2
+    assert committed([1], stranger_known=True)[TOPIC].gw_addr != 2
 
 
 # ----------------------------------------------------------------------

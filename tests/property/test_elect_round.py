@@ -136,3 +136,41 @@ def test_one_pass_equals_the_per_topic_rescan(case):
     assert got == want
     assert list(got) == list(want)
     assert (stats.proposals, stats.adoptions, stats.self_proposals) == counters
+
+
+@st.composite
+def rounds_with_strangers(draw):
+    """A round whose learned maps also cover addresses no table holds,
+    each proposing a gateway that sits on ``hash(topic)`` itself — the
+    deployed node's ``neighbor_state`` after its table has moved on."""
+    ids, topic_hash, table, subscriptions, subs_of, proposals_of, depth = draw(rounds())
+    everything = frozenset(range(N_TOPICS))
+    for a in draw(st.sets(st.integers(N_ADDRESSES, N_ADDRESSES + 3), min_size=1)):
+        subs_of[a] = everything
+        proposals_of[a] = {t: Proposal(a, topic_hash[t], a, 0) for t in everything}
+    return ids, topic_hash, table, subscriptions, subs_of, proposals_of, depth
+
+
+@given(rounds_with_strangers())
+@settings(max_examples=300, deadline=None)
+def test_only_the_tables_neighbours_are_read(case):
+    """What lets the deployed tick ship the proposals of its ≤ ``rt_size``
+    table neighbours instead of everything it ever learned."""
+    ids, topic_hash, table, subscriptions, subs_of, proposals_of, depth = case
+    rt = RoutingTable(SELF, N_ADDRESSES)
+    rt.replace([(Descriptor(a, ids[a]), LinkKind.FRIEND) for a in table])
+
+    def elect(proposals):
+        return elect_round(
+            SPACE, GatewayState(SELF, ids[SELF]), subscriptions, rt,
+            neighbor_subscriptions=subs_of.__getitem__,
+            neighbor_proposals=proposals,
+            topic_ids=topic_hash.__getitem__,
+            depth=depth,
+        )
+
+    everything = elect(proposals_of)
+    table_only = elect({a: proposals_of[a] for a in table if a in proposals_of})
+    assert everything == table_only
+    assert list(everything) == list(table_only)
+    assert not {p.gw_addr for p in everything.values()} & set(range(N_ADDRESSES, N_ADDRESSES + 4))

@@ -83,6 +83,69 @@ class TestEngineBasics:
         e.run()
         assert fired == []
 
+    def test_positional_arguments_reach_the_callback(self):
+        e = Engine()
+        got = []
+        e.schedule(2.0, lambda *a: got.append(a), "x", 2)
+        e.schedule_at(1.0, lambda *a: got.append(a), "y")
+        e.schedule(3.0, lambda *a: got.append(a))
+        assert e.step() is True  # step() forwards them like run() does
+        assert got == [("y",)]
+        e.run()
+        assert got == [("y",), ("x", 2), ()]
+
+    def test_handles_are_never_compared(self):
+        # Heap order is (time, seq) — both in the entry, ahead of the
+        # handle — so the handle itself defines no order.
+        e = Engine()
+        a, b = e.schedule(1.0, lambda: None), e.schedule(1.0, lambda: None)
+        with pytest.raises(TypeError):
+            a < b
+
+
+class TestNanIsRefused:
+    """``delay < 0`` and ``when < now`` are both False for NaN: an accepted
+    NaN event sorts arbitrarily, and once it fires ``now`` is NaN and
+    every later past-check passes."""
+
+    def test_nan_delay_rejected(self):
+        e = Engine()
+        with pytest.raises(ValueError):
+            e.schedule(float("nan"), lambda: None)
+        assert e.pending == 0
+
+    def test_nan_instant_rejected(self):
+        e = Engine()
+        e.schedule(1.0, lambda: None)
+        e.run()
+        with pytest.raises(ValueError):
+            e.schedule_at(float("nan"), lambda: None)
+        assert (e.now, e.pending) == (1.0, 0)
+
+    def test_nan_period_rejected(self):
+        e = Engine()
+        with pytest.raises(ValueError):
+            PeriodicTask(e, float("nan"), lambda: None)
+        assert e.pending == 0
+
+    def test_a_nan_latency_model_cannot_poison_the_clock(self):
+        from repro.sim.messages import Message
+        from repro.sim.network import LatencyModel, Network
+        from repro.sim.node import BaseNode
+
+        class Broken(LatencyModel):
+            def delay(self, src, dst):
+                return float("nan")
+
+        e = Engine()
+        net = Network(e, latency=Broken())
+        for _ in range(2):
+            net.register(BaseNode).start()
+        with pytest.raises(ValueError):
+            net.send(Message(src=0, dst=1))
+        e.run(until=1.0)
+        assert e.now == 1.0
+
 
 class TestPendingCounter:
     """``Engine.pending`` is maintained incrementally — these pin the

@@ -34,6 +34,55 @@ class TestBaseMessage:
         assert PullReply(src=0, dst=1, size=1000).size == 1000
 
 
+class TestKindIsAClassConstant:
+    """``kind`` is read once or more per simulated message, so it is set
+    once per class — and must still be the class's own name everywhere
+    a tally, a priority or the wire table keys on it."""
+
+    def _message_classes(self):
+        import repro.sim.messages as M
+
+        found = [
+            c for c in vars(M).values() if isinstance(c, type) and issubclass(c, Message)
+        ]
+        assert {Message, Notification, M.Probe} <= set(found)  # base, deployed, SWIM
+        return found
+
+    def test_every_class_answers_its_own_name(self):
+        for cls in self._message_classes():
+            assert cls.kind == cls.__name__
+            assert cls(src=0, dst=1).kind == cls.__name__
+            assert "kind" in vars(cls) and not isinstance(vars(cls)["kind"], property)
+
+    def test_a_subclass_defined_later_gets_its_own(self):
+        import dataclasses
+
+        @dataclasses.dataclass
+        class Gossip(Notification):
+            rumour: str = ""
+
+        assert Gossip.kind == "Gossip" and Notification.kind == "Notification"
+        assert Gossip(src=0, dst=1, rumour="x").kind == "Gossip"
+
+    def test_kind_is_not_a_dataclass_field(self):
+        import dataclasses
+
+        msg = Notification(src=0, dst=1, topic=3)
+        assert "kind" not in {f.name for f in dataclasses.fields(msg)}
+        assert "kind" not in vars(msg) and "kind" not in repr(msg)
+        with pytest.raises(TypeError):
+            Notification(src=0, dst=1, kind="Other")
+
+    def test_priorities_still_answer_from_it(self):
+        from repro.sim.messages import KIND_PRIORITY
+
+        for cls in self._message_classes():
+            msg = cls(src=0, dst=1)
+            assert msg.priority == priority_of(msg.kind)
+            if cls is not Message:
+                assert msg.priority == KIND_PRIORITY[cls.__name__]
+
+
 class TestNotification:
     def test_fields(self):
         n = Notification(src=1, dst=2, topic=7, event_id=9, hops=3, publisher=1)

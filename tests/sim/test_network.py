@@ -93,6 +93,27 @@ class TestTransport:
         assert net.send_sync(Message(src=0, dst=1)) is True
         assert len(b.received) == 1
 
+    def test_send_and_send_sync_account_alike(self):
+        e, net = make_net()
+        a, b = net.register(Recorder), net.register(Recorder)
+        a.start(), b.start()
+        net.send(Notification(src=0, dst=1, size=3))
+        queued = (dict(net.sent), dict(net.sent_by_addr), net.bytes_sent)
+        net.reset_traffic()
+        net.send_sync(Notification(src=0, dst=1, size=3))
+        assert (dict(net.sent), dict(net.sent_by_addr), net.bytes_sent) == queued
+        assert queued == ({"Notification": 1}, {0: 1}, 3)
+
+    def test_send_schedules_the_delivery_itself(self):
+        # No closure per message: the event is ``_deliver`` plus the
+        # message as its argument.
+        e, net = make_net()
+        net.register(Recorder).start()
+        msg = Message(src=0, dst=0)
+        net.send(msg)
+        ((_, _, event),) = e._queue
+        assert event.callback == net._deliver and event.args == (msg,)
+
     def test_drop_to_dead_node(self):
         e, net = make_net()
         a, b = net.register(Recorder), net.register(Recorder)
@@ -267,6 +288,17 @@ class TestLatencyModels:
     def test_uniform_rejects_bad_range(self, rng):
         with pytest.raises(ValueError):
             UniformLatency(2.0, 1.0, rng)
+
+    def test_uniform_draws_what_random_uniform_draws(self):
+        # ``delay`` spells out ``random.uniform``'s expression to save its
+        # frame; every seeded deployed trajectory rides on the two
+        # agreeing to the last bit.
+        import random
+
+        for low, high in ((0.01, 0.15), (0.0, 0.0), (1.0, 2.0)):
+            m = UniformLatency(low, high, random.Random(7))
+            ref = random.Random(7)
+            assert all(m.delay(0, 1) == ref.uniform(low, high) for _ in range(100_000 // 3))
 
 
 class TestBaseNode:

@@ -1,30 +1,32 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of one contract-benchmark workload.
+"""Alternating parent/change pairs of contract-benchmark workloads.
 
-    python tools/perf_pairs.py --parent <git-ref> --workload W --seeds A..B [--quick]
-                               [--sha-may-differ] [--layers a,b,...]
+    python tools/perf_pairs.py --parent <git-ref> --workload W[,W2,...] --seeds A..B
+                               [--quick] [--sha-may-differ] [--layers a,b,...]
 
 Extracts ``<git-ref>`` (``git archive``) into a temporary directory and,
-for every seed, runs the *unchanged* ``benchmarks/perf/run.py --workload
-W --seed N`` there and in this checkout (uncommitted edits included),
-alternating which side goes first.  Within a pair ``sim_sha256``,
-``hit_ratio``, ``useful_msgs_pct`` and ``delay_hops`` must be equal and
-neither side may fail more operations than the other — otherwise the
-exit code is 1.  ``--sha-may-differ`` is for a change that moves a
-fingerprint on purpose (a wire-format bump changes the byte counts
-``udp_pair`` hashes): the two ``sim_sha256`` are then printed as a note,
-everything else stays must-match.  Prints one row per pair, then each
-side's median and quartiles, the win count, and whether the pairs
-support a gain by the rule of the ``choosing-metrics`` guide, section 8:
-at least ten pairs, the change wins nine tenths of them, and the medians
-differ by more than the distance between the parent's quartiles.
+for every named workload in turn (one block each) and every seed, runs
+the *unchanged* ``benchmarks/perf/run.py --workload W --seed N`` there
+and in this checkout (uncommitted edits included), alternating which
+side goes first.  Within a pair ``sim_sha256``, ``hit_ratio``,
+``useful_msgs_pct`` and ``delay_hops`` must be equal and neither side
+may fail more operations than the other — otherwise the exit code is 1.
+``--sha-may-differ`` is for a change that moves a fingerprint on purpose
+(a wire-format bump changes the byte counts ``udp_pair`` hashes): the
+two ``sim_sha256`` are then printed as a note, everything else stays
+must-match.  Prints one row per pair, then each side's median and
+quartiles, the win count, how often whichever side ran first won (an
+order effect reads far from half), and whether the pairs support a gain
+by the rule of the ``choosing-metrics`` guide, section 8: at least ten
+pairs, the change wins nine tenths of them, and the medians differ by
+more than the distance between the parent's quartiles.
 
 ``--layers`` names per-layer spans (``core.gateway.election_round``,
-``smallworld.lookup``, …).  After the pairs, each side runs twice more at
-the first seed with ``--trace 1``, alternating, and every named layer's
-``self_s`` is printed per run *scaled to the nominal host* (``self_s ×
-bench.host_speed``): raw ``self_s`` from two traced runs is not
-comparable on a host whose speed drifts between them.  A named layer's
+``smallworld.lookup``, …).  After a workload's pairs, each side runs
+twice more at the first seed with ``--trace 1``, alternating, and every
+named layer's ``self_s`` is printed per run *scaled to the nominal host*
+(``self_s × bench.host_speed``): raw ``self_s`` from two traced runs is
+not comparable on a host whose speed drifts between them.  A named layer's
 ``.calls`` (and ``.hops_mean``, where it has one) must be equal in all
 four runs — a layer that got cheaper by doing different work is a
 mismatch, exit code 1.
@@ -100,47 +102,31 @@ def traced_layers(sides: dict, workload: str, seed: int, quick: bool, layers: li
     return mismatches
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", required=True, help="git ref of the parent commit")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", required=True, help="inclusive range A..B")
-    ap.add_argument("--quick", action="store_true", help="smoke sizes (CI); numbers mean nothing")
-    ap.add_argument("--sha-may-differ", action="store_true",
-                    help="report a sim_sha256 difference as a note, not a mismatch")
-    ap.add_argument("--layers", default="",
-                    help="comma-separated span names: host-scaled self_s from traced runs")
-    args = ap.parse_args(argv)
-    first, last = (int(s) for s in args.seeds.split(".."))
-
-    sides = {"change": ROOT}
-    pairs, mismatches, notes = [], [], []
-    with tempfile.TemporaryDirectory(prefix="perf_pairs_") as tmp:
-        sides["parent"] = Path(tmp) / "parent"
-        sides["parent"].mkdir()
-        archive = subprocess.run(
-            ["git", "archive", args.parent], cwd=ROOT, check=True, stdout=subprocess.PIPE
-        ).stdout
-        subprocess.run(["tar", "-x", "-C", str(sides["parent"])], input=archive, check=True)
-        print(f"{'seed':>5} {'first':>6} {'parent ops/s':>13} {'change ops/s':>13} "
-              f"{'change/parent':>13}")
-        for k, seed in enumerate(range(first, last + 1)):
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            pair = {s: run_once(sides[s], args.workload, seed, args.quick) for s in order}
-            p, c = pair["parent"], pair["change"]
-            for name in ("sim_sha256", *MUST_MATCH, "failed"):
-                if p[name] != c[name]:
-                    expected = name == "sim_sha256" and args.sha_may_differ
-                    (notes if expected else mismatches).append(
-                        f"seed {seed}: {name} {p[name]} != {c[name]}"
-                    )
-            pairs.append((p, c))
-            print(f"{seed:>5} {order[0]:>6} {p['ops_per_s']:>13.1f} {c['ops_per_s']:>13.1f} "
-                  f"{c['ops_per_s'] / p['ops_per_s']:>13.3f}", flush=True)
-        if args.layers:
-            mismatches += traced_layers(
-                sides, args.workload, first, args.quick, args.layers.split(",")
-            )
+def run_pairs(sides: dict, workload: str, seeds: range, args) -> list:
+    """One workload's block: a row per pair, the summary, the traced
+    layers if asked for.  Returns its mismatches (notes are printed)."""
+    pairs, mismatches, notes, first_won = [], [], [], 0
+    print(f"== {workload}")
+    print(f"{'seed':>5} {'first':>6} {'parent ops/s':>13} {'change ops/s':>13} "
+          f"{'change/parent':>13}")
+    for k, seed in enumerate(seeds):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        pair = {s: run_once(sides[s], workload, seed, args.quick) for s in order}
+        p, c = pair["parent"], pair["change"]
+        for name in ("sim_sha256", *MUST_MATCH, "failed"):
+            if p[name] != c[name]:
+                expected = name == "sim_sha256" and args.sha_may_differ
+                (notes if expected else mismatches).append(
+                    f"{workload} seed {seed}: {name} {p[name]} != {c[name]}"
+                )
+        pairs.append((p, c))
+        first_won += pair[order[0]]["ops_per_s"] > pair[order[1]]["ops_per_s"]
+        print(f"{seed:>5} {order[0]:>6} {p['ops_per_s']:>13.1f} {c['ops_per_s']:>13.1f} "
+              f"{c['ops_per_s'] / p['ops_per_s']:>13.3f}", flush=True)
+    if args.layers:
+        mismatches += traced_layers(
+            sides, workload, seeds[0], args.quick, args.layers.split(",")
+        )
 
     quart = {}
     for name in REPORTED:
@@ -152,10 +138,41 @@ def main(argv=None) -> int:
     losses = sum(c["ops_per_s"] < p["ops_per_s"] for p, c in pairs)
     (q1, med_p, q3), (_, med_c, _) = quart["ops_per_s"]
     gain = len(pairs) >= 10 and wins >= 0.9 * len(pairs) and med_c - med_p > q3 - q1
-    print(f"ops_per_s: change wins {wins}/{len(pairs)}, loses {losses}; "
+    # An order effect shows as the first runner winning far from half the
+    # pairs whichever side it is; alternation keeps it out of the win count.
+    print(f"ops_per_s: change wins {wins}/{len(pairs)}, loses {losses}, "
+          f"first-runner wins {first_won}/{len(pairs)}; "
           f"pairs {'support' if gain else 'do not support'} a gain")
     for line in notes:
         print(f"note (--sha-may-differ) {line}")
+    return mismatches
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="git ref of the parent commit")
+    ap.add_argument("--workload", required=True,
+                    help="one workload, or several comma-separated: one block each, in turn")
+    ap.add_argument("--seeds", required=True, help="inclusive range A..B")
+    ap.add_argument("--quick", action="store_true", help="smoke sizes (CI); numbers mean nothing")
+    ap.add_argument("--sha-may-differ", action="store_true",
+                    help="report a sim_sha256 difference as a note, not a mismatch")
+    ap.add_argument("--layers", default="",
+                    help="comma-separated span names: host-scaled self_s from traced runs")
+    args = ap.parse_args(argv)
+    first, last = (int(s) for s in args.seeds.split(".."))
+
+    sides = {"change": ROOT}
+    mismatches = []
+    with tempfile.TemporaryDirectory(prefix="perf_pairs_") as tmp:
+        sides["parent"] = Path(tmp) / "parent"
+        sides["parent"].mkdir()
+        archive = subprocess.run(
+            ["git", "archive", args.parent], cwd=ROOT, check=True, stdout=subprocess.PIPE
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", str(sides["parent"])], input=archive, check=True)
+        for workload in args.workload.split(","):
+            mismatches += run_pairs(sides, workload, range(first, last + 1), args)
     for line in mismatches:
         print(f"MISMATCH {line}", file=sys.stderr)
     return 1 if mismatches else 0
