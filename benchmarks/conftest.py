@@ -10,18 +10,12 @@ Scale: set ``REPRO_SCALE`` (default 1.0) to multiply population sizes;
 the paper's 10,000-node setting corresponds to roughly ``REPRO_SCALE=33``
 on the synthetic figures.
 
-Perf sidecars: set ``REPRO_BENCH_DIR`` to a directory and every ``once``
-benchmark additionally runs under :func:`repro.obs.perf.collect_callable`,
-appending a schema-valid run record to ``BENCH_<test>.json`` in that
-directory (same trajectory format as ``python -m repro bench``).  Unset —
-the default — nothing perf-related is imported and the benchmarks behave
-exactly as before.
+These are reproduction logs, not the performance instrument: throughput,
+memory and the per-layer shares are measured by ``benchmarks/perf/``
+(see ``docs/performance.md``).
 """
 
 from __future__ import annotations
-
-import os
-import re
 
 import pytest
 
@@ -35,37 +29,17 @@ def emit(title: str, rows) -> None:
     print(format_table(rows, title=title))
 
 
-def _bench_name(nodeid: str) -> str:
-    """``benchmarks/test_figures.py::test_fig4`` → ``test_fig4``."""
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", nodeid.rsplit("::", 1)[-1])
-
-
 @pytest.fixture
-def once(benchmark, request):
+def once(benchmark):
     """Run the scenario exactly once under pytest-benchmark timing.
 
     Experiment scenarios are deterministic and expensive; statistical
-    repetition would multiply minutes for no insight.  With
-    ``REPRO_BENCH_DIR`` set, the single run is also collected through the
-    perf harness and appended to a ``BENCH_<test>.json`` sidecar there.
+    repetition would multiply minutes for no insight.
     """
-    bench_dir = os.environ.get("REPRO_BENCH_DIR")
 
     def run(fn, *args, **kwargs):
-        if not bench_dir:
-            return benchmark.pedantic(
-                fn, args=args, kwargs=kwargs, rounds=1, iterations=1
-            )
-        from repro.obs.perf import append_run, collect_callable
-
-        name = _bench_name(request.node.nodeid)
-
-        def timed():
-            return collect_callable(name, lambda: fn(*args, **kwargs))
-
-        collected = benchmark.pedantic(timed, rounds=1, iterations=1)
-        os.makedirs(bench_dir, exist_ok=True)
-        append_run(os.path.join(bench_dir, f"BENCH_{name}.json"), collected.run)
-        return collected.result
+        return benchmark.pedantic(
+            fn, args=args, kwargs=kwargs, rounds=1, iterations=1
+        )
 
     return run

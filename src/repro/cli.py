@@ -1,98 +1,35 @@
-"""Command-line entry points.
+"""Command-line entry points: one sub-command tree.
 
 ::
 
-    python -m repro list                 # available experiments
-    python -m repro fig4 [--csv out.csv] [--seed N] [--scale X]
-    python -m repro fig9
+    python -m repro list                    # the experiment commands
+    python -m repro fig4 [--seed N] [--scale X] [--csv out.csv] ...
+    python -m repro fault_sweep --loss-rate 0.05 --fault-seed 7
     python -m repro trace-report TRACE.jsonl [--audit] [--trees N]
-    python -m repro live-report SERIES.json  # live cluster --series-out
-    python -m repro bench --scenario fig7 [--profile] [--compare BASE.json]
-    python -m repro bench-report BENCH_fig7.json
-    ...
+    python -m repro live-report SERIES.json
+    python -m repro live {node,cluster,status} ...
 
-Each figure command builds the corresponding scenario's sweep
-(:data:`repro.experiments.scenarios.SCENARIOS`) at its default (bench)
+``python -m repro CMD --help`` is the flag reference.  Every command
+declares exactly the flags it takes (:func:`build_parser`), so a flag on
+a command that does not declare it is argparse's own usage error (exit
+2), and values from outside are range-checked by the ``type=``
+validators below, once, at the parser.
+
+Each experiment command (``list`` prints them) builds that scenario's
+sweep (:data:`repro.experiments.scenarios.SCENARIOS`) at its default
 size multiplied by ``--scale``, runs it through the trial executor and
-prints the row table; ``--csv`` additionally writes the raw rows.
+prints the row table, whose title carries the wall time.  What the
+flags mean is documented where the feature is:
 
-Execution flags (see ``docs/experiments.md``):
-
-- ``--jobs N`` — run the sweep's trials in N worker processes.  Row
-  output is byte-identical to a serial run with the same seed;
-- ``--cache-dir DIR`` — write every completed trial result to a
-  resumable on-disk cache;
-- ``--resume`` — with ``--cache-dir``: load already-cached trials
-  instead of re-running them, so an interrupted sweep restarts where it
-  stopped;
-- ``--strict-cache`` — with ``--resume``: treat cached trials written by
-  a different repro version or code state as misses and recompute them
-  (by default they are reused with a warning).
-
-Telemetry flags (see ``docs/observability.md``):
-
-- ``--trace-out FILE.jsonl`` — structured protocol-event trace;
-- ``--metrics-out FILE.json`` — metrics registry + phase breakdown dump;
-- ``--progress`` — periodic one-line status to stderr during long runs;
-- ``--log-level LEVEL`` — stdlib logging threshold for ``repro.*``.
-
-With none of these flags the no-op telemetry backend is used and the run
-is unaffected.
-
-Fault injection (see ``docs/robustness.md``) — ``fault_sweep`` and
-``chaos_sweep``:
-
-- ``--loss-rate P`` (repeatable) — i.i.d. message-loss probabilities;
-- ``--partition CYCLES`` (repeatable) — partition durations to sweep
-  (``fault_sweep`` only);
-- ``--fault-seed N`` — replayable fault randomness, independent of
-  ``--seed``.
-
-Failure detection (see ``docs/robustness.md``) — ``chaos_sweep`` only:
-
-- ``--detector NAME`` (repeatable) — liveness sources to compare
-  (``swim`` and/or ``heartbeat``);
-- ``--suspicion-timeout F`` — SWIM suspicion timeout as a multiple of
-  log₂ N cycles (``DetectorConfig.suspicion_base``);
-- ``--probe-fanout K`` — indirect-probe proxies per missed direct probe.
-
-Overload (see ``docs/robustness.md``) — ``overload_sweep`` only:
-
-- ``--pub-rate N`` (repeatable) — publication rates (events/cycle) to
-  sweep;
-- ``--queue-capacity N`` (repeatable) — per-node inbox depths to sweep
-  (0 = unbounded: the capacity layer is not attached at all);
-- ``--shed-policy NAME`` — drop_newest / drop_lowest / red.
-
-Trace analysis (see ``docs/observability.md``) — ``trace-report`` only:
-
-- positional ``TRACE.jsonl`` — a ``--trace-out`` file to analyse;
-- ``--audit`` — exit non-zero on unexplained misses, incomplete span
-  trees, or a violated O(log² N + d) delivery-depth envelope;
-- ``--trees N`` — render the first N event span trees as ASCII;
-- ``--hotspots N`` — how many hotspot relay nodes to show (default 10).
-
-Benchmarking (see ``docs/observability.md``) — ``bench`` /
-``bench-report`` only:
-
-- ``bench --scenario NAME`` — run one pinned-seed bench of a scenario
-  through the normal executor stack, print the perf summary and append
-  the run to the ``BENCH_<NAME>.json`` trajectory at the repo root;
-- ``--profile`` — additionally wrap the trials in cProfile and print the
-  top functions by cumulative time;
-- ``--compare BASELINE.json`` — band this run's metrics against the
-  baseline trajectory's latest run; exit non-zero on a regression or on
-  reduced-row drift;
-- ``--tolerance NAME=FRAC`` (repeatable) — override one tolerance band
-  (e.g. ``--tolerance wall_s=0.5``);
-- ``--update-baseline`` — rewrite the baseline as this run instead of
-  gating against it;
-- ``--bench-out FILE.json`` — trajectory file to append to (defaults to
-  ``BENCH_<NAME>.json`` at the repo root);
-- ``--no-memory`` — skip tracemalloc collection (faster; the run is
-  marked so comparisons stay like-for-like);
-- ``bench-report TARGET`` — render a trajectory file (or a scenario
-  name, resolved to its canonical path) as run/phase-delta tables.
+- ``--jobs``, ``--cache-dir``, ``--resume``, ``--strict-cache`` —
+  ``docs/experiments.md``;
+- ``--trace-out``, ``--metrics-out``, ``--progress``, ``--log-level``,
+  and the ``trace-report`` / ``live-report`` commands —
+  ``docs/observability.md``.  With none of the four telemetry flags the
+  no-op backend is used and the run is unaffected;
+- the sweep axes of ``fault_sweep``, ``overload_sweep`` and
+  ``chaos_sweep`` (:data:`AXIS_FLAGS`) — ``docs/robustness.md``;
+- ``live …`` — :mod:`repro.net.cli` and ``docs/deployment.md``.
 """
 
 from __future__ import annotations
@@ -102,8 +39,7 @@ import json
 import logging
 import sys
 import time
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro import obs
 from repro.experiments import reporting
@@ -114,301 +50,250 @@ from repro.experiments.executor import (
     run_sweep,
 )
 from repro.experiments.scenarios import SCENARIOS
-from repro.sim.capacity import SHED_POLICIES as _SHED_POLICIES
+from repro.sim.capacity import SHED_POLICIES
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
 
 
-def main(argv: List[str] | None = None) -> int:
-    raw = sys.argv[1:] if argv is None else argv
-    if raw and raw[0] == "live":
-        # Real-network deployment commands have their own option surface
-        # (seed/collector endpoints, per-process workload params) — hand
-        # off before building the simulator parser.
-        from repro.net.cli import main as live_main
-        return live_main(raw[1:])
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduce the Vitis (IPDPS 2011) evaluation figures.",
-    )
-    parser.add_argument(
-        "command",
-        help="'list', 'fig4'..'fig12', an ablation name, 'trace-report', "
-             "'live-report', 'bench' or 'bench-report'",
-    )
-    parser.add_argument(
-        "target", nargs="?",
-        help="trace-report: the JSONL trace file to analyse; "
-             "live-report: the live series JSON (live cluster --series-out); "
-             "bench-report: the BENCH_*.json file (or scenario name)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="experiment seed")
-    parser.add_argument(
-        "--scale", type=float, default=1.0,
+# ----------------------------------------------------------------------
+# ``type=`` validators: a bad value is argparse's one-line error, exit 2
+# ----------------------------------------------------------------------
+def _checked(convert: Callable, wanted: str, ok: Callable) -> Callable:
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return value
+
+    return parse
+
+
+def at_least(minimum: int) -> Callable[[str], int]:
+    """An integer no smaller than ``minimum``."""
+    return _checked(int, f"an integer >= {minimum}", lambda v: v >= minimum)
+
+
+positive_float = _checked(float, "a number > 0", lambda v: v > 0)
+probability = _checked(float, "a probability in [0, 1]", lambda v: 0 <= v <= 1)
+
+
+# ----------------------------------------------------------------------
+# Sweep axes
+# ----------------------------------------------------------------------
+#: ``spec kwarg → (flag, add_argument kwargs)``.  The kwarg is the
+#: argparse ``dest``, so a parsed value *is* the override handed to
+#: :meth:`repro.experiments.spec.Scenario.sweep`.
+AXIS_FLAGS: Dict[str, tuple] = {
+    "loss_rates": ("--loss-rate", dict(
+        action="append", type=probability, metavar="P",
+        help="i.i.d. message-loss probability to sweep (repeatable)")),
+    "partition_cycles": ("--partition", dict(
+        action="append", type=int, metavar="CYCLES",
+        help="half/half partition duration in cycles to sweep (repeatable)")),
+    "fault_seed": ("--fault-seed", dict(
+        type=int, metavar="N",
+        help="seed for the injected faults (defaults to --seed; same value "
+             "replays the exact same faults)")),
+    "pub_rates": ("--pub-rate", dict(
+        action="append", type=int, metavar="N",
+        help="publication rate in events/cycle to sweep (repeatable)")),
+    "capacities": ("--queue-capacity", dict(
+        action="append", type=int, metavar="N",
+        help="per-node inbox depth to sweep (repeatable; 0 = unbounded: "
+             "the capacity layer is not attached at all)")),
+    "policy": ("--shed-policy", dict(
+        choices=SHED_POLICIES, metavar="NAME",
+        help=f"shedding policy ({', '.join(SHED_POLICIES)})")),
+    "detectors": ("--detector", dict(
+        action="append", choices=("swim", "heartbeat"), metavar="NAME",
+        help="liveness source to compare (repeatable; swim, heartbeat)")),
+    "suspicion_base": ("--suspicion-timeout", dict(
+        type=float, metavar="F",
+        help="SWIM suspicion timeout as a multiple of log2(N) cycles "
+             "(default 0.5)")),
+    "probe_fanout": ("--probe-fanout", dict(
+        type=int, metavar="K",
+        help="indirect-probe proxies asked per missed direct probe "
+             "(default 3)")),
+}
+
+#: The axes each sweep scenario declares; every other scenario has none.
+SCENARIO_AXES: Dict[str, tuple] = {
+    "fault_sweep": ("loss_rates", "partition_cycles", "fault_seed"),
+    "overload_sweep": ("pub_rates", "capacities", "policy"),
+    "chaos_sweep": ("loss_rates", "fault_seed", "detectors",
+                    "suspicion_base", "probe_fanout"),
+}
+
+
+def _scenario_flags() -> argparse.ArgumentParser:
+    """The flags every experiment command shares (an argparse parent)."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--seed", type=int, default=0, help="experiment seed")
+    shared.add_argument(
+        "--scale", type=positive_float, default=1.0,
         help="population multiplier over the bench defaults",
     )
-    parser.add_argument("--csv", help="also write raw rows to this CSV file")
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+    shared.add_argument("--csv", help="also write raw rows to this CSV file")
+    shared.add_argument(
+        "--jobs", type=at_least(1), default=1, metavar="N",
         help="run trials in N worker processes (output is identical to a "
              "serial run)",
     )
-    parser.add_argument(
+    shared.add_argument(
         "--cache-dir", metavar="DIR",
         help="persist every completed trial result under DIR",
     )
-    parser.add_argument(
+    shared.add_argument(
         "--resume", action="store_true",
         help="with --cache-dir: load cached trial results instead of "
              "re-running them",
     )
-    parser.add_argument(
-        "--strict-cache", action="store_true", dest="strict_cache",
+    shared.add_argument(
+        "--strict-cache", action="store_true",
         help="with --resume: recompute cached trials written by a "
              "different repro version or code state instead of reusing "
              "them",
     )
-    parser.add_argument(
+    shared.add_argument(
         "--trace-out", metavar="FILE.jsonl",
         help="write a structured JSONL protocol-event trace",
     )
-    parser.add_argument(
+    shared.add_argument(
         "--metrics-out", metavar="FILE.json",
         help="write the metrics registry + phase breakdown as JSON",
     )
-    parser.add_argument(
+    shared.add_argument(
         "--progress", action="store_true",
         help="print a periodic one-line status to stderr",
     )
-    parser.add_argument(
+    shared.add_argument(
         "--log-level", metavar="LEVEL",
         help="stdlib logging threshold (e.g. DEBUG, INFO)",
     )
-    parser.add_argument(
-        "--loss-rate", action="append", type=float, metavar="P", dest="loss_rates",
-        help="fault_sweep only: i.i.d. message-loss probability to sweep "
-             "(repeatable)",
+    return shared
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree.  Each leaf parser sets ``run`` (its
+    handler, called with the parsed namespace) and ``usage_error`` (its
+    own ``error``, so a handler's complaint prints that command's usage).
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduce the Vitis (IPDPS 2011) evaluation figures.",
     )
-    parser.add_argument(
-        "--partition", action="append", type=int, metavar="CYCLES",
-        dest="partitions",
-        help="fault_sweep only: half/half partition duration in cycles to "
-             "sweep (repeatable)",
+    commands = parser.add_subparsers(
+        dest="command", metavar="COMMAND", required=True
     )
-    parser.add_argument(
-        "--fault-seed", type=int, metavar="N",
-        help="fault_sweep only: seed for the injected faults (defaults to "
-             "--seed; same value replays the exact same faults)",
+
+    def command(name: str, run: Callable, **kwargs) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, **kwargs)
+        sub.set_defaults(run=run, usage_error=sub.error)
+        return sub
+
+    command("list", _list, help="print the experiment commands")
+
+    shared = _scenario_flags()
+    for name in sorted(SCENARIOS):
+        sub = command(name, _run_scenario, parents=[shared],
+                      help=f"run the {name} sweep and print its rows")
+        for kwarg in SCENARIO_AXES.get(name, ()):
+            flag, kwargs = AXIS_FLAGS[kwarg]
+            sub.add_argument(flag, dest=kwarg, default=argparse.SUPPRESS,
+                             **kwargs)
+
+    sub = command(
+        "trace-report", _trace_report,
+        help="delivery audit and critical-path report of a --trace-out file",
     )
-    parser.add_argument(
-        "--pub-rate", action="append", type=int, metavar="N", dest="pub_rates",
-        help="overload_sweep only: publication rate in events/cycle to "
-             "sweep (repeatable)",
-    )
-    parser.add_argument(
-        "--queue-capacity", action="append", type=int, metavar="N",
-        dest="capacities",
-        help="overload_sweep only: per-node inbox depth to sweep "
-             "(repeatable; 0 = unbounded / capacity layer off)",
-    )
-    parser.add_argument(
-        "--shed-policy", metavar="NAME", dest="shed_policy",
-        choices=_SHED_POLICIES,
-        help="overload_sweep only: shedding policy "
-             f"({', '.join(_SHED_POLICIES)})",
-    )
-    parser.add_argument(
-        "--detector", action="append", metavar="NAME", dest="detectors",
-        choices=("swim", "heartbeat"),
-        help="chaos_sweep only: liveness source to compare "
-             "(repeatable; swim, heartbeat)",
-    )
-    parser.add_argument(
-        "--suspicion-timeout", type=float, metavar="F",
-        dest="suspicion_base",
-        help="chaos_sweep only: SWIM suspicion timeout as a multiple of "
-             "log2(N) cycles (default 0.5)",
-    )
-    parser.add_argument(
-        "--probe-fanout", type=int, metavar="K", dest="probe_fanout",
-        help="chaos_sweep only: indirect-probe proxies asked per missed "
-             "direct probe (default 3)",
-    )
-    parser.add_argument(
+    sub.add_argument("target", metavar="TRACE.jsonl",
+                     help="the JSONL trace file to analyse")
+    sub.add_argument(
         "--audit", action="store_true",
-        help="trace-report only: exit non-zero on unexplained misses, "
-             "incomplete span trees, or a violated O(log² N + d) envelope",
+        help="exit non-zero on unexplained misses, incomplete span trees, "
+             "or a violated O(log² N + d) envelope",
     )
-    parser.add_argument(
-        "--trees", type=int, default=0, metavar="N",
-        help="trace-report only: render the first N event span trees",
+    sub.add_argument("--trees", type=int, default=0, metavar="N",
+                     help="render the first N event span trees")
+    sub.add_argument("--hotspots", type=int, default=10, metavar="N",
+                     help="show the N heaviest relay nodes")
+
+    sub = command(
+        "live-report", _live_report,
+        help="health timeline of a live cluster --series-out file",
     )
-    parser.add_argument(
-        "--hotspots", type=int, default=10, metavar="N",
-        help="trace-report only: show the N heaviest relay nodes",
-    )
-    parser.add_argument(
-        "--scenario", metavar="NAME",
-        help="bench only: the scenario to benchmark (try 'list')",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="bench only: wrap the trials in cProfile and print the top "
-             "functions by cumulative time",
-    )
-    parser.add_argument(
-        "--compare", metavar="BASELINE.json",
-        help="bench only: band this run against the baseline trajectory's "
-             "latest run; exit non-zero on regression or row drift",
-    )
-    parser.add_argument(
-        "--tolerance", action="append", metavar="NAME=FRAC",
-        dest="tolerances",
-        help="bench only: override one tolerance band, e.g. wall_s=0.5 "
-             "(repeatable)",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true", dest="update_baseline",
-        help="bench only: rewrite the baseline as this run instead of "
-             "gating against it",
-    )
-    parser.add_argument(
-        "--bench-out", metavar="FILE.json", dest="bench_out",
-        help="bench only: trajectory file to append to (default "
-             "BENCH_<scenario>.json at the repo root)",
-    )
-    parser.add_argument(
-        "--no-memory", action="store_true", dest="no_memory",
-        help="bench only: skip tracemalloc peak/top-allocator collection",
-    )
-    parser.add_argument(
-        "--scale-sweep", action="store_true", dest="scale_sweep",
-        help="bench only: run the scenario at populations 100, 300 and "
-             "1000 in one invocation, appending one trajectory run per "
-             "size so the wall-time scaling exponent is visible",
-    )
+    sub.add_argument("target", metavar="SERIES.json",
+                     help="the live series JSON to render")
+
+    # Imported here because repro.net.cli takes its validators from this
+    # module.
+    from repro.net.cli import add_live_commands
+
+    add_live_commands(commands)
+    # main() answers an unregistered command in one line instead of
+    # argparse's dump of every choice.
+    parser.set_defaults(commands=tuple(commands.choices))
+    return parser
+
+
+def main(argv: List[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    if (argv and not argv[0].startswith("-")
+            and argv[0] not in parser.get_default("commands")):
+        print(f"unknown command {argv[0]!r}; try 'list'", file=sys.stderr)
+        return 2
     args = parser.parse_args(argv)
+    return args.run(args)
 
-    report_flags = args.audit or args.trees or args.hotspots != 10
-    if report_flags and args.command != "trace-report":
-        parser.error("--audit/--trees/--hotspots only apply to the "
-                     "trace-report command")
-    if args.target is not None and args.command not in (
-        "trace-report", "live-report", "bench-report"
-    ):
-        parser.error("a positional target only applies to the trace-report, "
-                     "live-report and bench-report commands")
-    bench_flags = (
-        args.scenario or args.profile or args.compare or args.tolerances
-        or args.update_baseline or args.bench_out or args.no_memory
-        or args.scale_sweep
-    )
-    if bench_flags and args.command != "bench":
-        parser.error("--scenario/--profile/--compare/--tolerance/"
-                     "--update-baseline/--bench-out/--no-memory/"
-                     "--scale-sweep only apply to the bench command")
-    if args.scale_sweep and (args.compare or args.update_baseline):
-        parser.error("--scale-sweep appends one run per population and "
-                     "cannot gate or rewrite a single-run baseline; drop "
-                     "--compare/--update-baseline")
-    if args.command == "bench" and (
-        args.cache_dir or args.resume or args.csv or args.trace_out
-        or args.metrics_out
-    ):
-        parser.error("bench runs fresh trials under its own telemetry; "
-                     "--cache-dir/--resume/--csv/--trace-out/--metrics-out "
-                     "do not apply to the bench command")
-    fault_flags = args.loss_rates or args.fault_seed is not None
-    if fault_flags and args.command not in ("fault_sweep", "chaos_sweep"):
-        parser.error("--loss-rate/--fault-seed only apply to the "
-                     "fault_sweep and chaos_sweep commands")
-    if args.partitions and args.command != "fault_sweep":
-        parser.error("--partition only applies to the fault_sweep command")
-    chaos_flags = (
-        args.detectors or args.suspicion_base is not None
-        or args.probe_fanout is not None
-    )
-    if chaos_flags and args.command != "chaos_sweep":
-        parser.error("--detector/--suspicion-timeout/--probe-fanout only "
-                     "apply to the chaos_sweep command")
-    overload_flags = args.pub_rates or args.capacities or args.shed_policy
-    if overload_flags and args.command != "overload_sweep":
-        parser.error("--pub-rate/--queue-capacity/--shed-policy only apply "
-                     "to the overload_sweep command")
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+
+def _list(args) -> int:
+    print("available experiments:")
+    for name in sorted(SCENARIOS):
+        print(f"  {name}")
+    return 0
+
+
+def _run_scenario(args) -> int:
+    """Build the command's sweep, run it, print (and optionally save)
+    the rows."""
     if args.resume and not args.cache_dir:
-        parser.error("--resume requires --cache-dir")
+        args.usage_error("--resume requires --cache-dir")
     if args.strict_cache and not args.resume:
-        parser.error("--strict-cache requires --resume")
-
+        args.usage_error("--strict-cache requires --resume")
     if args.log_level:
         level = getattr(logging, args.log_level.upper(), None)
         if not isinstance(level, int):
-            parser.error(f"invalid --log-level {args.log_level!r} "
-                         "(use DEBUG, INFO, WARNING, ERROR or CRITICAL)")
+            args.usage_error(f"invalid --log-level {args.log_level!r} "
+                             "(use DEBUG, INFO, WARNING, ERROR or CRITICAL)")
         logging.basicConfig(
             level=level,
             format="%(levelname)s %(name)s: %(message)s",
         )
-
-    if args.command == "list":
-        print("available experiments:")
-        for name in sorted(SCENARIOS):
-            print(f"  {name}")
-        return 0
-
-    if args.command == "trace-report":
-        return _trace_report(parser, args)
-
-    if args.command == "live-report":
-        return _live_report(parser, args)
-
-    if args.command == "bench":
-        return _bench(parser, args)
-
-    if args.command == "bench-report":
-        return _bench_report(parser, args)
-
-    scenario = SCENARIOS.get(args.command)
-    if scenario is None:
-        print(f"unknown command {args.command!r}; try 'list'", file=sys.stderr)
-        return 2
-
     try:
         telemetry = _make_telemetry(args)
     except OSError as exc:
         # Fail before the run, not after it: the trace file opens eagerly.
-        parser.error(f"cannot open --trace-out: {exc}")
+        args.usage_error(f"cannot open --trace-out: {exc}")
 
-    overrides: Dict = {}
-    if args.command == "fault_sweep":
-        if args.loss_rates:
-            overrides["loss_rates"] = tuple(args.loss_rates)
-        if args.partitions:
-            overrides["partition_cycles"] = tuple(args.partitions)
-        if args.fault_seed is not None:
-            overrides["fault_seed"] = args.fault_seed
-    elif args.command == "overload_sweep":
-        if args.pub_rates:
-            overrides["pub_rates"] = tuple(args.pub_rates)
-        if args.capacities:
-            overrides["capacities"] = tuple(args.capacities)
-        if args.shed_policy:
-            overrides["policy"] = args.shed_policy
-    elif args.command == "chaos_sweep":
-        if args.loss_rates:
-            overrides["loss_rates"] = tuple(args.loss_rates)
-        if args.fault_seed is not None:
-            overrides["fault_seed"] = args.fault_seed
-        if args.detectors:
-            overrides["detectors"] = tuple(dict.fromkeys(args.detectors))
-        if args.suspicion_base is not None:
-            overrides["suspicion_base"] = args.suspicion_base
-        if args.probe_fanout is not None:
-            overrides["probe_fanout"] = args.probe_fanout
+    # An axis flag that was not given is absent from the namespace
+    # (default=SUPPRESS), so the spec's own default stands.
+    overrides = {
+        kwarg: tuple(value) if isinstance(value, list) else value
+        for kwarg, value in vars(args).items()
+        if kwarg in AXIS_FLAGS
+    }
+    if "detectors" in overrides:
+        # A detector named twice is still compared once.
+        overrides["detectors"] = tuple(dict.fromkeys(overrides["detectors"]))
 
-    sweep = scenario.sweep(seed=args.seed, scale=args.scale, **overrides)
+    sweep = SCENARIOS[args.command].sweep(
+        seed=args.seed, scale=args.scale, **overrides
+    )
     executor = ParallelExecutor(args.jobs) if args.jobs > 1 else SerialExecutor()
     cache = (
         ResultCache(args.cache_dir, strict=args.strict_cache)
@@ -426,7 +311,7 @@ def main(argv: List[str] | None = None) -> int:
     return 0
 
 
-def _trace_report(parser: argparse.ArgumentParser, args) -> int:
+def _trace_report(args) -> int:
     """``python -m repro trace-report TRACE.jsonl [--audit] [--trees N]``.
 
     Reconstructs the span trees of a causal trace (a ``--trace-out``
@@ -434,9 +319,6 @@ def _trace_report(parser: argparse.ArgumentParser, args) -> int:
     depth table, relay hotspots and the O(log² N + d) envelope check.
     With ``--audit`` the exit status enforces the audit contract.
     """
-    if not args.target:
-        parser.error("trace-report needs a trace file: "
-                     "repro trace-report TRACE.jsonl")
     from repro.obs.report import trace_report
 
     try:
@@ -471,7 +353,7 @@ def _trace_report(parser: argparse.ArgumentParser, args) -> int:
     return 0
 
 
-def _live_report(parser: argparse.ArgumentParser, args) -> int:
+def _live_report(args) -> int:
     """``python -m repro live-report SERIES.json``.
 
     Renders the live metrics series a cluster run persisted with
@@ -480,10 +362,6 @@ def _live_report(parser: argparse.ArgumentParser, args) -> int:
     retransmit/give-up/delivery evolution, the delivery-hops
     distribution, and ring-convergence progress.
     """
-    if not args.target:
-        parser.error("live-report needs a series file: "
-                     "repro live-report SERIES.json "
-                     "(written by live cluster --series-out)")
     from repro.obs.report import live_report
 
     try:
@@ -500,214 +378,6 @@ def _live_report(parser: argparse.ArgumentParser, args) -> int:
     except ValueError as exc:
         print(f"{args.target}: {exc}", file=sys.stderr)
         return 2
-    return 0
-
-
-def _parse_tolerances(
-    parser: argparse.ArgumentParser, items: Optional[List[str]]
-) -> Dict[str, float]:
-    """``["wall_s=0.5", ...]`` → ``{"wall_s": 0.5, ...}`` (or parser.error)."""
-    tolerances: Dict[str, float] = {}
-    for item in items or ():
-        name, sep, value = item.partition("=")
-        try:
-            if not sep or not name:
-                raise ValueError
-            tolerances[name] = float(value)
-        except ValueError:
-            parser.error(f"invalid --tolerance {item!r} "
-                         "(expected NAME=FRAC, e.g. wall_s=0.15)")
-    return tolerances
-
-
-def _bench(parser: argparse.ArgumentParser, args) -> int:
-    """``python -m repro bench --scenario fig7 [--profile] [--compare ...]``.
-
-    Runs one pinned-seed bench of the scenario through
-    :class:`repro.obs.perf.BenchHarness`, prints the summary/phase (and,
-    with ``--profile``, cProfile) tables, appends the run to the
-    trajectory file, and optionally gates against a baseline.
-    """
-    if not args.scenario:
-        parser.error("bench needs --scenario NAME (try 'list')")
-    if args.scenario not in SCENARIOS:
-        print(f"unknown scenario {args.scenario!r}; try 'list'",
-              file=sys.stderr)
-        return 2
-    from repro.obs import perf
-    from repro.obs.report import (
-        bench_compare_rows,
-        bench_phase_rows,
-        bench_summary_rows,
-    )
-    from repro.provenance import repo_root
-
-    tolerances = _parse_tolerances(parser, args.tolerances)
-    if args.scale_sweep:
-        return _bench_scale_sweep(args)
-    harness = perf.BenchHarness(
-        args.scenario,
-        seed=args.seed,
-        scale=args.scale,
-        jobs=args.jobs,
-        memory=not args.no_memory,
-        profile=args.profile,
-    )
-    run = harness.run()
-    print(reporting.format_table(
-        bench_summary_rows(run), title=f"bench {args.scenario}"
-    ))
-    p_rows = bench_phase_rows(run)
-    if p_rows:
-        print(reporting.format_table(p_rows, title="phases"))
-    if args.profile:
-        prof_rows = harness.profile_rows()
-        if prof_rows:
-            print(reporting.format_table(
-                prof_rows, title="profile (top cumulative time)"
-            ))
-
-    out_path = (
-        Path(args.bench_out) if args.bench_out
-        else perf.bench_path(args.scenario)
-    )
-    doc = perf.append_run(out_path, run)
-    print(f"appended run {len(doc['runs'])} to {out_path}", file=sys.stderr)
-
-    if args.update_baseline:
-        baseline_path = Path(args.compare) if args.compare else (
-            repo_root() / "benchmarks" / "baselines"
-            / f"BENCH_{args.scenario}.json"
-        )
-        fresh = perf.new_trajectory(args.scenario)
-        fresh["runs"].append(run)
-        perf.write_trajectory(baseline_path, fresh)
-        print(f"baseline updated: {baseline_path}", file=sys.stderr)
-        return 0
-
-    if args.compare:
-        try:
-            baseline = perf.latest_run(perf.load_trajectory(args.compare))
-        except OSError as exc:
-            print(f"cannot read baseline {args.compare}: {exc}",
-                  file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"invalid baseline {args.compare}: {exc}", file=sys.stderr)
-            return 2
-        result = perf.compare_runs(run, baseline,
-                                   tolerances=tolerances or None)
-        rows = bench_compare_rows(result)
-        if rows:
-            print(reporting.format_table(
-                rows, title=f"compare vs {args.compare}"
-            ))
-        for note in result.notes:
-            print(f"note: {note}", file=sys.stderr)
-        if not result.ok:
-            reasons = [d.metric for d in result.regressions]
-            if result.drift:
-                reasons.append("row drift")
-            print(f"bench compare: REGRESSED ({', '.join(reasons)})",
-                  file=sys.stderr)
-            return 1
-        print("bench compare: OK", file=sys.stderr)
-    return 0
-
-
-#: ``bench --scale-sweep`` populations: small / bench-default / large,
-#: one decade apart at the ends so the wall-time scaling exponent falls
-#: straight out of the trajectory.
-SCALE_SWEEP_SIZES = (100, 300, 1000)
-
-
-def _bench_scale_sweep(args) -> int:
-    """``python -m repro bench --scenario fig7 --scale-sweep``.
-
-    Runs the scenario at populations :data:`SCALE_SWEEP_SIZES` — the
-    scenario's leading scale knob (``n_nodes``, ``n_users``, …) pinned to
-    each size, everything else at the ``--scale`` defaults — and appends
-    one trajectory run per size, each stamped with its override.  A final
-    table shows wall time per population plus the fitted scaling
-    exponent (the slope of log wall over log n), so a speedup's behaviour
-    at scale is visible in ``BENCH_<scenario>.json``, not just one point.
-    """
-    import math
-
-    from repro.obs import perf
-    from repro.obs.report import bench_summary_rows
-
-    knob = next(iter(SCENARIOS[args.scenario].scale_knobs))
-    out_path = (
-        Path(args.bench_out) if args.bench_out
-        else perf.bench_path(args.scenario)
-    )
-    points = []
-    for n in SCALE_SWEEP_SIZES:
-        harness = perf.BenchHarness(
-            args.scenario,
-            seed=args.seed,
-            scale=args.scale,
-            jobs=args.jobs,
-            memory=not args.no_memory,
-            overrides={knob: n},
-        )
-        run = harness.run()
-        print(reporting.format_table(
-            bench_summary_rows(run),
-            title=f"bench {args.scenario} ({knob}={n})",
-        ))
-        doc = perf.append_run(out_path, run)
-        print(f"appended run {len(doc['runs'])} to {out_path}",
-              file=sys.stderr)
-        points.append((n, run["wall_s"]))
-
-    rows = [
-        {knob: n, "wall_s": round(w, 3),
-         "wall_per_node_ms": round(1000.0 * w / n, 3)}
-        for n, w in points
-    ]
-    print(reporting.format_table(rows, title="scale sweep"))
-    xs = [math.log(n) for n, _ in points]
-    ys = [math.log(w) for _, w in points if w > 0]
-    if len(ys) == len(xs):
-        mx = sum(xs) / len(xs)
-        my = sum(ys) / len(ys)
-        denom = sum((x - mx) ** 2 for x in xs)
-        if denom > 0:
-            exponent = sum(
-                (x - mx) * (y - my) for x, y in zip(xs, ys)
-            ) / denom
-            print(f"fitted scaling exponent: wall_s ~ n^{exponent:.2f}",
-                  file=sys.stderr)
-    return 0
-
-
-def _bench_report(parser: argparse.ArgumentParser, args) -> int:
-    """``python -m repro bench-report BENCH_fig7.json`` (or scenario name).
-
-    Renders a trajectory file as per-run and latest-vs-previous phase
-    delta tables.  A bare scenario name resolves to the canonical
-    ``BENCH_<name>.json`` at the repo root.
-    """
-    if not args.target:
-        parser.error("bench-report needs a target: a BENCH_*.json file "
-                     "or a scenario name")
-    from repro.obs import perf
-    from repro.obs.report import bench_report
-
-    path = Path(args.target)
-    if not path.exists() and args.target in SCENARIOS:
-        path = perf.bench_path(args.target)
-    try:
-        doc = perf.load_trajectory(path)
-    except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"invalid trajectory {path}: {exc}", file=sys.stderr)
-        return 2
-    print(bench_report(doc))
     return 0
 
 

@@ -41,7 +41,7 @@ engines or sockets.  It is built from its host's ``space`` / ``config`` /
   None when untraced) and accept one event for the local subscriber.
 
 Two hosts implement it: :class:`DeployedVitis` on the simulator's virtual
-clock and :class:`repro.net.node.LiveSystem` on asyncio and UDP.
+clock and :class:`repro.net.node.LiveNodeHost` on asyncio and UDP.
 """
 
 from __future__ import annotations

@@ -8,10 +8,12 @@ them into the captured output so EXPERIMENTS.md can quote them.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import json
 from typing import Dict, Iterable, List, Optional, Sequence
 
-__all__ = ["format_table", "rows_to_csv", "pivot"]
+__all__ = ["format_table", "rows_to_csv", "rows_fingerprint", "pivot"]
 
 
 def _fmt(value) -> str:
@@ -57,6 +59,17 @@ def rows_to_csv(rows: Sequence[Dict], columns: Optional[Sequence[str]] = None) -
     for r in rows:
         writer.writerow(r)
     return buf.getvalue()
+
+
+def rows_fingerprint(rows: Sequence[Dict]) -> str:
+    """Canonical sha256 of a sweep's reduced rows.
+
+    Two runs of the same (scenario, seed, scale) must produce the same
+    fingerprint — the determinism contract the golden-run tests pin — so
+    a fingerprint change flags result drift.
+    """
+    material = json.dumps(list(rows), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
 def pivot(

@@ -1,6 +1,7 @@
 """``python -m repro live ...`` — the real-network deployment commands.
 
-Three subcommands:
+:func:`add_live_commands` registers three subcommands on the command
+tree of :func:`repro.cli.build_parser`:
 
 ``live node``
     One overlay member: joins via the seed service, gossips over UDP,
@@ -32,11 +33,10 @@ Three subcommands:
 from __future__ import annotations
 
 import argparse
-import asyncio
-import sys
-from typing import List, Optional
 
-__all__ = ["main"]
+from repro.cli import at_least, positive_float, probability
+
+__all__ = ["add_live_commands"]
 
 
 def _add_workload_args(parser: argparse.ArgumentParser, with_n_nodes: bool) -> None:
@@ -53,9 +53,9 @@ def _add_workload_args(parser: argparse.ArgumentParser, with_n_nodes: bool) -> N
 def _add_shared_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bind-host", default="127.0.0.1",
                         help="host to bind UDP/TCP endpoints on")
-    parser.add_argument("--loss-rate", type=float, default=0.0,
+    parser.add_argument("--loss-rate", type=probability, default=0.0,
                         help="injected receiver-side UDP loss probability")
-    parser.add_argument("--gossip-period", type=float, default=0.25,
+    parser.add_argument("--gossip-period", type=positive_float, default=0.25,
                         help="seconds per gossip round (real time)")
     parser.add_argument("--join-timeout", type=float, default=30.0,
                         help="seconds to wait for the bootstrap handshake")
@@ -64,14 +64,19 @@ def _add_shared_args(parser: argparse.ArgumentParser) -> None:
                              "frames (0 disables streaming)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro live",
+def add_live_commands(commands) -> None:
+    """Register ``live {node,cluster,status}`` under ``commands``, the
+    sub-parsers action of the top-level parser."""
+    live = commands.add_parser(
+        "live", help="run the overlay over real UDP sockets",
         description="Run the overlay over real UDP sockets.",
     )
-    sub = parser.add_subparsers(dest="live_command", required=True)
+    sub = live.add_subparsers(
+        dest="live_command", metavar="SUBCOMMAND", required=True
+    )
 
     node = sub.add_parser("node", help="run one overlay member process")
+    node.set_defaults(run=_run_node)
     node.add_argument("--seed-host", required=True)
     node.add_argument("--seed-port", type=int, required=True)
     node.add_argument("--collector-host", required=True)
@@ -82,7 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     cluster = sub.add_parser(
         "cluster", help="launch a local multi-process cluster and measure it"
     )
-    cluster.add_argument("--procs", type=int, default=50,
+    cluster.set_defaults(run=_run_cluster)
+    # One process has no peer to deliver to: every gate would pass on
+    # zero expected deliveries.
+    cluster.add_argument("--procs", type=at_least(2), default=50,
                          help="number of node subprocesses")
     cluster.add_argument("--events", type=int, default=40,
                          help="events to publish in the measurement")
@@ -119,6 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     status = sub.add_parser(
         "status", help="top-style console over a running cluster's metrics"
     )
+    status.set_defaults(run=_run_status)
     status.add_argument("--host", default="127.0.0.1",
                         help="metrics endpoint host")
     status.add_argument("--port", type=int, required=True,
@@ -128,25 +137,28 @@ def build_parser() -> argparse.ArgumentParser:
     status.add_argument("--once", action="store_true",
                         help="print one table and exit")
 
-    return parser
+
+# The handlers import what they run: every other command shares this
+# parser and should not pay for asyncio and the live runtime.
+def _run_node(ns) -> int:
+    import asyncio
+
+    from repro.net.node import run_node
+    return asyncio.run(run_node(ns))
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    ns = build_parser().parse_args(argv)
-    if ns.live_command == "node":
-        from repro.net.node import run_node
-        return asyncio.run(run_node(ns))
-    if ns.live_command == "status":
-        from repro.net.status import run_status
-        return run_status(ns)
-    # cluster: the workload's n_nodes is the process count.
+def _run_status(ns) -> int:
+    from repro.net.status import run_status
+    return run_status(ns)
+
+
+def _run_cluster(ns) -> int:
+    # The workload's n_nodes is the process count.
     ns.n_nodes = ns.procs
+    import asyncio
+
     from repro.net.cluster import run_cluster
     result = asyncio.run(run_cluster(ns))
     for line in result.summary_lines():
         print(line)
     return 0 if result.ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -169,7 +169,7 @@ def _node_command(ns, seed_addr: Tuple[str, int], col_addr: Tuple[str, int],
         "--loss-rate", str(ns.loss_rate),
         "--gossip-period", str(ns.gossip_period),
         "--join-timeout", str(ns.join_timeout),
-        "--metrics-interval", str(getattr(ns, "metrics_interval", 0.0)),
+        "--metrics-interval", str(ns.metrics_interval),
         *workload.cli_args(),
     ]
 
@@ -277,11 +277,11 @@ async def run_cluster(ns) -> ClusterResult:
 
     seed = await SeedService.start(ns.bind_host)
     collector = await Collector.start(ns.bind_host)
-    streaming = getattr(ns, "metrics_interval", 0.0) > 0
+    streaming = ns.metrics_interval > 0
     endpoint: Optional[MetricsEndpoint] = None
     if streaming:
         endpoint = await MetricsEndpoint.start(
-            collector.store, ns.bind_host, getattr(ns, "metrics_port", 0)
+            collector.store, ns.bind_host, ns.metrics_port
         )
         host, port = endpoint.local_addr
         result.metrics_endpoint = f"{host}:{port}"
@@ -426,11 +426,10 @@ async def run_cluster(ns) -> ClusterResult:
     result.metrics_frames = sum(s.frames for s in store.nodes.values())
     result.dropped_frames = store.dropped_frames
     result.swim_transitions = len(store.swim_events)
-    series_out = getattr(ns, "series_out", None)
-    if series_out:
-        with open(series_out, "w", encoding="utf-8") as fh:
+    if ns.series_out:
+        with open(ns.series_out, "w", encoding="utf-8") as fh:
             json.dump(store.to_doc(), fh)
-        result.series_path = series_out
+        result.series_path = ns.series_out
 
     # --- audit the merged trace -----------------------------------------
     delivered: Dict[str, Set[int]] = {}

@@ -6,16 +6,16 @@ Newscast sampling, gateway election, relay maintenance, and the
 notification flood with its causal spans — is the very class the
 simulator runs; this module is only its other host:
 
-- :class:`LiveSystem` — the host surface of ``repro.core.deployment``
+- :class:`LiveNodeHost` — the host surface of ``repro.core.deployment``
   on process-local reality: wall clock, the asyncio UDP transport
   (:mod:`repro.net.transport`), :class:`~repro.net.timers.AsyncPeriodicTask`
   timers, liveness from the registry and the per-observer SWIM detector
   (:mod:`repro.net.liveness`), profiles from the workload derived from
   the shared seed, and process-unique span ids (``n<addr>x<k>``, so the
-  collector-merged trace reconstructs exactly like a single-process one);
-- :class:`LiveNodeHost` — the wiring around it: seed registry pushes and
-  driver commands (:mod:`repro.net.bootstrap`), detector hooks, the
-  collector stream and its metrics frames;
+  collector-merged trace reconstructs exactly like a single-process one)
+  — and the wiring around the node: seed registry pushes and driver
+  commands (:mod:`repro.net.bootstrap`), detector hooks, the collector
+  stream and its metrics frames;
 - :func:`run_node` — the async process entry: bind UDP on an ephemeral
   port, join via the seed, stream ``repro.obs`` JSONL to the collector
   (proc-tagged at source), run protocol + detector timers, answer the
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import random
 import socket
 import time
 from dataclasses import dataclass
@@ -57,7 +58,7 @@ from repro.sim.messages import Notification
 from repro.sim.rng import SeedTree
 from repro.workloads.subscriptions import bucket_subscriptions
 
-__all__ = ["LiveWorkload", "LiveSystem", "LiveNodeHost", "run_node"]
+__all__ = ["LiveWorkload", "LiveNodeHost", "run_node"]
 
 log = logging.getLogger(__name__)
 
@@ -116,50 +117,79 @@ class LiveWorkload:
         )
 
 
-class LiveSystem:
+class LiveNodeHost:
     """The host of one live node process: the surface
     :class:`~repro.core.deployment.DeployedVitisNode` talks to (see
     :mod:`repro.core.deployment`), answered from process-local reality —
     membership from the seed registry, liveness from the local SWIM
-    detector, time from the wall clock, the wire from UDP.
+    detector, time from the wall clock, the wire from UDP — and the
+    wiring of that node to transport callbacks, detector, seed registry
+    and collector.
     """
-
-    name = "vitis-live"
 
     def __init__(
         self,
-        address: int,
         transport: UdpTransport,
+        client: SeedClient,
         workload: LiveWorkload,
         config: VitisConfig,
         telemetry: Telemetry,
     ) -> None:
+        address = client.address
         self.address = address
         self.config = config
         self.telemetry = telemetry
-        self.space = IdSpace()
-        self.seeds = SeedTree(workload.seed)
+        self.client = client
         self.transport = transport
         self.send = transport.send
+        self.space = IdSpace()
+        self.seeds = SeedTree(workload.seed)
         self.topic_id = self.space.topic_id
         self._t0 = time.monotonic()
-        self.workload = workload
         self.subs = workload.subscriptions()
-        self.n_topics = workload.n_topics
-        self.rates = PublicationRates.uniform(max(1, self.n_topics))
-        self.utility = UtilityFunction(self.rates, config.rate_weighted_utility)
+        self.utility = UtilityFunction(
+            PublicationRates.uniform(max(1, workload.n_topics)),
+            config.rate_weighted_utility,
+        )
+        #: Stays 0 (see :meth:`backpressured`); exported so the live metric
+        #: catalogue matches the simulator's.
         self.backpressure_deferred = 0
-        #: Current registry membership (kept fresh by seed pushes).
-        self.members: Set[int] = set()
-        #: The local failure detector (installed by the host).
-        self.detector: Optional[LiveSwimDetector] = None
-        #: Events accepted for the local subscriber, and their hop counts.
+        #: Current registry membership (kept fresh by seed pushes).  The
+        #: peers of the join reply are members from the start, not rejoins.
+        self.members: Set[int] = set(client.peers)
+        transport.endpoints.update(client.peers)
+        #: Events published here, events accepted for the local
+        #: subscriber, and the latter's hop counts.
+        self.published = 0
         self.delivered = 0
         self.delivery_hops = MetricsRegistry()
         self._span_seq = 0
         self._profiles: Dict[int, NodeProfile] = {}
+        self.shutdown = asyncio.Event()
+        self._metrics_task: Optional[AsyncPeriodicTask] = None
+        self._metrics_cursor: Optional[Dict] = None
+        self._metrics_seq = 0
         self.node = DeployedVitisNode(self, address, self.subs[address])
+        self.detector = LiveSwimDetector(
+            address,
+            transport,
+            random.Random(),
+            clock=lambda: self.now,
+            period=config.gossip_period,
+            candidates=lambda: [a for a, _ in self.node.rt.links()],
+            config=DetectorConfig(),
+            on_confirm=self.evict_confirmed,
+            population=lambda: len(self.members),
+            on_transition=self.on_swim_transition,
+        )
 
+        transport.on_message = self._on_message
+        transport.on_give_up = self._on_give_up
+        client.on_registry = self._on_registry
+        client.on_push = self._on_command
+
+    # ------------------------------------------------------------------
+    # The host surface
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
@@ -181,9 +211,7 @@ class LiveSystem:
         detector-backed liveness."""
         if address == self.address:
             return self.node.alive
-        if address not in self.members:
-            return False
-        return self.detector is None or not self.detector.confirmed(address)
+        return address in self.members and not self.detector.confirmed(address)
 
     def profile_of(self, address: int) -> Optional[NodeProfile]:
         """Ground-truth profile from the shared workload derivation (the
@@ -216,47 +244,13 @@ class LiveSystem:
         self.delivered += 1
         self.delivery_hops.histogram("live_delivery_hops").observe(msg.hops)
 
-
-class LiveNodeHost:
-    """Wires one :class:`LiveSystem` (and its node) to transport
-    callbacks, detector, seed registry and collector."""
-
-    def __init__(
-        self,
-        system: LiveSystem,
-        client: SeedClient,
-        telemetry: Telemetry,
-    ) -> None:
-        self.system = system
-        self.node = system.node
-        self.client = client
-        self.telemetry = telemetry
-        self.transport: UdpTransport = system.transport
-        self.detector: Optional[LiveSwimDetector] = None
-        self.shutdown = asyncio.Event()
-        self.published = 0
-        self._metrics_task: Optional[AsyncPeriodicTask] = None
-        self._metrics_cursor: Optional[Dict] = None
-        self._metrics_seq = 0
-
-        self.transport.on_message = self._on_message
-        self.transport.on_give_up = self._on_give_up
-        client.on_registry = self._on_registry
-        client.on_push = self._on_command
-
-    @property
-    def address(self) -> int:
-        return self.system.address
-
     # ------------------------------------------------------------------
     # Inbound datagrams
     # ------------------------------------------------------------------
     def _on_message(self, msg) -> None:
-        if self.detector is not None:
-            self.detector.note_heard(msg.src)
-            if self.detector.on_message(msg):
-                return
-        self.node.on_message(msg)
+        self.detector.note_heard(msg.src)
+        if not self.detector.on_message(msg):
+            self.node.on_message(msg)
 
     def _on_give_up(self, msg) -> None:
         """A reliable send exhausted its retry budget: record the failed
@@ -264,22 +258,21 @@ class LiveNodeHost:
         peer to the liveness layer instead of blocking on it."""
         if isinstance(msg, Notification) and msg.span is not None:
             trace, parent, kind = msg.span
-            self.system.span(
+            self.span(
                 trace, kind, self.address, msg.dst, msg.hops,
                 parent=parent, status=CAUSE_FAULTED_LINK,
             )
-        if self.detector is not None:
-            self.detector.on_transport_failure(msg.dst)
+        self.detector.on_transport_failure(msg.dst)
 
     # ------------------------------------------------------------------
     # Registry / driver control plane
     # ------------------------------------------------------------------
     def _on_registry(self, peers: Dict[int, tuple]) -> None:
-        previous = self.system.members
-        self.system.members = set(peers)
+        previous = self.members
+        self.members = set(peers)
         for addr, endpoint in peers.items():
             self.transport.endpoints[addr] = endpoint
-            if addr not in previous and self.detector is not None:
+            if addr not in previous:
                 # A re-announced address starts from a fresh verdict.
                 self.detector.on_rejoin(addr)
 
@@ -332,10 +325,6 @@ class LiveNodeHost:
     # ------------------------------------------------------------------
     # Detector hooks
     # ------------------------------------------------------------------
-    def attach_detector(self, detector: LiveSwimDetector) -> None:
-        self.detector = detector
-        self.system.detector = detector
-
     def evict_confirmed(self, address: int) -> None:
         """The healing path on a SWIM confirmation: the node purges the
         peer, and the obituary goes to the registry."""
@@ -356,7 +345,7 @@ class LiveNodeHost:
         ``telemetry.metrics``.
         """
         m = MetricsRegistry()
-        m.merge(self.system.delivery_hops.snapshot())
+        m.merge(self.delivery_hops.snapshot())
         t = self.transport
         m.counter("live_sent_total").inc(sum(t.sent.values()))
         m.counter("live_delivered_total").inc(sum(t.delivered.values()))
@@ -368,16 +357,15 @@ class LiveNodeHost:
         m.counter("live_loss_injected").inc(t.loss_injected)
         m.counter("live_malformed").inc(t.malformed)
         m.counter("live_published").inc(self.published)
-        m.counter("live_delivered_events").inc(self.system.delivered)
-        m.counter("backpressure_deferred").inc(self.system.backpressure_deferred)
+        m.counter("live_delivered_events").inc(self.delivered)
+        m.counter("backpressure_deferred").inc(self.backpressure_deferred)
         m.gauge("live_queue_depth").set(t.pending_count)
-        m.gauge("live_members").set(len(self.system.members))
-        if self.detector is not None:
-            for name, value in self.detector.summary().items():
-                m.counter(name).inc(value)
-            counts = self.detector.verdict_counts()
-            m.gauge("swim_suspect_peers").set(counts["suspect"])
-            m.gauge("swim_dead_peers").set(counts["dead"])
+        m.gauge("live_members").set(len(self.members))
+        for name, value in self.detector.summary().items():
+            m.counter(name).inc(value)
+        counts = self.detector.verdict_counts()
+        m.gauge("swim_suspect_peers").set(counts["suspect"])
+        m.gauge("swim_dead_peers").set(counts["dead"])
         return m
 
     def start_metrics_stream(self, interval: float, rng) -> None:
@@ -414,7 +402,7 @@ class LiveNodeHost:
             return False
         writer.write_record(
             encode_metrics_frame(
-                self.address, self._metrics_seq, self.system.now,
+                self.address, self._metrics_seq, self.now,
                 time.time(), delta,
             )
         )
@@ -436,7 +424,7 @@ class LiveNodeHost:
         tel = self.telemetry
         if tel.tracing:
             tel.event(
-                "swim", t=self.system.now, ts=round(time.time(), 6),
+                "swim", t=self.now, ts=round(time.time(), 6),
                 peer=peer, prev=prev, state=state,
             )
 
@@ -453,8 +441,6 @@ class LiveNodeHost:
 async def run_node(ns) -> int:
     """Run one node process until the driver says shutdown (or the seed
     connection drops).  ``ns`` is the parsed ``live node`` namespace."""
-    import random
-
     workload = LiveWorkload.from_ns(ns)
     config = VitisConfig(gossip_period=ns.gossip_period)
 
@@ -474,24 +460,8 @@ async def run_node(ns) -> int:
     writer = TraceWriter(fh, flush_every=200, base={"proc": address})
     telemetry = Telemetry(trace=writer)
 
-    system = LiveSystem(address, transport, workload, config, telemetry)
-    host = LiveNodeHost(system, client, telemetry)
-    host._on_registry(client.peers)
-
-    node = system.node
-    detector = LiveSwimDetector(
-        address,
-        transport,
-        random.Random(),
-        clock=lambda: system.now,
-        period=config.gossip_period,
-        candidates=lambda: [a for a, _ in node.rt.links()],
-        config=DetectorConfig(),
-        on_confirm=host.evict_confirmed,
-        population=lambda: len(system.members),
-        on_transition=host.on_swim_transition,
-    )
-    host.attach_detector(detector)
+    host = LiveNodeHost(transport, client, workload, config, telemetry)
+    node = host.node
 
     bootstrap_addrs = [a for a in client.peers if a != address]
     if len(bootstrap_addrs) > config.peer_view_size:
@@ -499,14 +469,14 @@ async def run_node(ns) -> int:
             bootstrap_addrs, config.peer_view_size
         )
     node.deploy([
-        Descriptor(a, system.space.node_id(a), 0) for a in bootstrap_addrs
+        Descriptor(a, host.space.node_id(a), 0) for a in bootstrap_addrs
     ])
     detector_task = AsyncPeriodicTask(
         config.gossip_period,
-        detector.tick,
+        host.detector.tick,
         first_delay=jittered_period(config.gossip_period, net_rng),
     )
-    if getattr(ns, "metrics_interval", 0.0) > 0:
+    if ns.metrics_interval > 0:
         host.start_metrics_stream(ns.metrics_interval, net_rng)
 
     # Run until the driver's shutdown command — or until the seed

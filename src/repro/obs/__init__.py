@@ -17,9 +17,7 @@ The telemetry subsystem threaded through the simulation stack:
 - :mod:`repro.obs.audit` — the delivery auditor (expected vs actual
   deliveries, per-cause miss attribution, unexplained-miss detection);
 - :mod:`repro.obs.critical_path` — span-tree hop/latency breakdowns and
-  the O(log² N + d) envelope check;
-- :mod:`repro.obs.perf` — the bench harness, the ``BENCH_*.json``
-  performance trajectory, and baseline comparison with tolerance bands.
+  the O(log² N + d) envelope check.
 
 See ``docs/observability.md`` for the trace event schema and the metric
 name catalogue.
@@ -30,10 +28,8 @@ from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.spans import Span, SpanRecorder, SpanTree, build_span_trees
 from repro.obs.telemetry import NULL, NullTelemetry, Telemetry, current, scope
 from repro.obs.trace import TraceWriter, read_trace
-from repro.obs.perf import BenchHarness, collect_callable, compare_runs
 
 __all__ = [
-    "BenchHarness",
     "Counter",
     "Gauge",
     "Histogram",
@@ -47,8 +43,6 @@ __all__ = [
     "Telemetry",
     "TraceWriter",
     "build_span_trees",
-    "collect_callable",
-    "compare_runs",
     "current",
     "read_trace",
     "scope",

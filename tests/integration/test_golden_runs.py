@@ -13,7 +13,7 @@ To regenerate after a deliberate behaviour change::
     import json
     from repro.experiments.scenarios import SCENARIOS
     from repro.experiments.executor import SerialExecutor, run_sweep
-    from repro.obs.perf import rows_fingerprint
+    from repro.experiments.reporting import rows_fingerprint
     spec = json.load(open("tests/fixtures/golden_rows.json"))
     for name, g in spec.items():
         if name not in SCENARIOS:
@@ -43,9 +43,9 @@ import pytest
 from repro.core.config import VitisConfig
 from repro.core.deployment import DeployedVitis
 from repro.experiments.executor import SerialExecutor, run_sweep
+from repro.experiments.reporting import rows_fingerprint
 from repro.experiments.runner import measure
 from repro.experiments.scenarios import SCENARIOS
-from repro.obs.perf import rows_fingerprint
 from repro.sim.capacity import CapacityModel, NodeCapacity
 from repro.sim.network import UniformLatency
 from repro.workloads.subscriptions import bucket_subscriptions

@@ -3,7 +3,7 @@
 import asyncio
 import json
 
-from repro.net.cli import build_parser
+from repro.cli import build_parser
 from repro.net.cluster import _EventPlan, _attribute_misses, run_cluster
 from repro.obs.spans import CAUSE_DEAD_NODE, CAUSE_FAULTED_LINK, CAUSE_NO_PATH
 
@@ -54,7 +54,7 @@ def test_mini_cluster_end_to_end(tmp_path):
     trace_out = tmp_path / "mini_trace.jsonl"
     series_out = tmp_path / "mini_series.json"
     ns = build_parser().parse_args([
-        "cluster", "--procs", "6", "--events", "8",
+        "live", "cluster", "--procs", "6", "--events", "8",
         "--loss-rate", "0.05", "--gossip-period", "0.2",
         "--converge-timeout", "60", "--settle", "2.5",
         "--trace-out", str(trace_out),

@@ -2,13 +2,7 @@
 
 import re
 
-from repro.provenance import (
-    code_fingerprint,
-    environment,
-    git_sha,
-    provenance,
-    repo_root,
-)
+from repro.provenance import code_fingerprint
 
 
 class TestCodeFingerprint:
@@ -18,37 +12,3 @@ class TestCodeFingerprint:
 
     def test_memoised(self):
         assert code_fingerprint() is code_fingerprint()
-
-
-class TestEnvironment:
-    def test_has_interpreter_and_machine_facts(self):
-        env = environment()
-        assert {"repro_version", "python", "implementation",
-                "platform", "cpu_count"} <= set(env)
-        assert env["cpu_count"] >= 1
-
-    def test_repro_version_matches_package(self):
-        from repro import __version__
-
-        assert environment()["repro_version"] == __version__
-
-
-class TestProvenance:
-    def test_full_record(self):
-        record = provenance()
-        assert record["code_hash"] == code_fingerprint()
-        assert re.fullmatch(
-            r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", record["timestamp"]
-        )
-        assert isinstance(record["argv"], list)
-        assert "python" in record and "cpu_count" in record
-
-    def test_git_facts_consistent(self):
-        # In a checkout both are real; outside, sha is None and root is
-        # the cwd — either way the pair must agree with itself.
-        sha = git_sha()
-        root = repo_root()
-        if sha is not None:
-            assert re.fullmatch(r"[0-9a-f]{40}", sha)
-            assert (root / ".git").exists()
-        assert root.is_dir()
