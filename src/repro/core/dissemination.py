@@ -86,12 +86,15 @@ class _TopicMemo:
 
     def __init__(self, version) -> None:
         self.version = version
-        #: addr → forwarding-targets tuple (see :func:`_targets_fn`).
+        #: addr → forwarding-targets tuple.  Each tuple snapshots the
+        #: iteration order of the set a fresh :func:`forwarding_targets`
+        #: call would build (identical within one version), keeping the
+        #: BFS byte-identical to uncached walks.
         self.targets: Dict[int, tuple] = {}
         #: The topic's live subscribers, or None until first asked.
         self.live_subs: Optional[frozenset] = None
         #: publisher → ``(targets, injection_path)`` of lookup-free
-        #: publishes (see :func:`_publisher_targets`).
+        #: publishes (see :func:`default_publisher_targets`).
         self.publisher_targets: Dict[int, tuple] = {}
         #: publisher → the live subscribers minus that publisher.
         self.audience: Dict[int, frozenset] = {}
@@ -117,11 +120,8 @@ def _topic_cache(protocol: "VitisProtocol", topic: int) -> _TopicMemo:
 
 
 def _targets_fn(protocol: "VitisProtocol", topic: int):
-    """``addr → iterable of forwarding targets``, memoised per topology
-    version.  Each tuple snapshots the iteration order of the set a
-    fresh :func:`forwarding_targets` call would build (identical within
-    one version), keeping the BFS byte-identical to uncached walks.
-    """
+    """``addr → forwarding targets`` for miss attribution, sharing the
+    memo the BFS fills (the BFS itself reads the memo inline)."""
     memo = _topic_cache(protocol, topic).targets
 
     def targets_of(u: int):
@@ -162,45 +162,25 @@ def _liveness_cause(protocol: "VitisProtocol", v: int) -> str:
     return CAUSE_DEAD_NODE if not protocol.is_alive(v) else CAUSE_FALSE_EVICTION
 
 
-def _publisher_targets(
-    protocol: "VitisProtocol", publisher: int, topic: int, memo: _TopicMemo
-) -> Tuple[Set[int], List[int]]:
-    """Initial notification targets of the publisher.
-
-    Returns ``(targets, injection_path)``.  Dispatches to the protocol's
-    ``publisher_targets`` hook when it defines one (RVR routes publishers
-    to the rendezvous; Vitis publishers start inside their cluster).  A
-    hook that injects nothing may leave a miss-cause hint in the
-    protocol's ``_injection_miss_cause`` (e.g. RVR's backpressure
-    deferral), which the tracing layer reads for attribution.
-
-    The default (hook-less) result is memoised per publisher in the
-    topic's ``memo``, but only when it required no rendezvous lookup —
-    the no-lookup path reads nothing but version-cached topology, so
-    replaying the same set object is observationally identical to
-    recomputing it.
-    """
-    protocol._injection_miss_cause = None
-    hook = getattr(protocol, "publisher_targets", None)
-    if hook is not None:
-        return hook(publisher, topic)
-    hit = memo.publisher_targets.get(publisher)
-    if hit is not None:
-        return hit
-    result = default_publisher_targets(protocol, publisher, topic)
-    if result[0] and not result[1]:
-        memo.publisher_targets[publisher] = result
-    return result
-
-
 def default_publisher_targets(
     protocol: "VitisProtocol", publisher: int, topic: int
 ) -> Tuple[Set[int], List[int]]:
-    """Vitis publisher behaviour: start inside the publisher's cluster
-    and/or its relay-tree position; a publisher that is neither in a
-    cluster of the topic nor on its relay tree injects the event by a
-    rendezvous lookup (Scribe-style publishing), whose hops are accounted
-    as relay traffic."""
+    """Vitis publisher behaviour (``OverlaySystem.publisher_targets``):
+    start inside the publisher's cluster and/or its relay-tree position;
+    a publisher that is neither in a cluster of the topic nor on its
+    relay tree injects the event by a rendezvous lookup (Scribe-style
+    publishing), whose hops are accounted as relay traffic.
+
+    Returns ``(targets, injection_path)``.  The result is memoised per
+    publisher in the topic's memo, but only when it required no
+    rendezvous lookup — the no-lookup path reads nothing but
+    version-cached topology, so replaying the same set object is
+    observationally identical to recomputing it.
+    """
+    memo = _topic_cache(protocol, topic).publisher_targets
+    hit = memo.get(publisher)
+    if hit is not None:
+        return hit
     targets = forwarding_targets(protocol, publisher, topic)
     node = protocol.nodes[publisher]
     if not node.profile.subscribes_to(topic):
@@ -210,7 +190,8 @@ def default_publisher_targets(
             if p is not None and p.subscribes_to(topic):
                 targets.add(baddr)
     if targets:
-        return targets, []
+        hit = memo[publisher] = (targets, [])
+        return hit
     lr = protocol.lookup(publisher, protocol.topic_id(topic))
     if lr.success and len(lr.path) > 1:
         return set(), lr.path
@@ -231,7 +212,8 @@ def disseminate(
     fault/capacity ``transmit`` gate, the ``link_cost`` hook, pulls and
     tracing — sits behind one ``hooked`` flag, so the common experiment
     configuration (none of them) pays a few local branches per message
-    and nothing else.
+    and nothing else; the per-receipt extras (spans, pulls) sit behind a
+    second, so a flood with only faults attached enters no receipt hook.
 
     With ``count_pulls``, the notify-then-pull exchange of section III-C
     is accounted as well: on *first* receipt of a notification, the
@@ -286,11 +268,9 @@ def disseminate(
     is_alive = protocol.liveness
     link_cost = protocol.link_cost
     transmit = _make_transmit(protocol, rec, failures)
-    hooked = (
-        spans is not None or transmit is not None
-        or link_cost is not None or count_pulls
-    )
-    targets_of = _targets_fn(protocol, topic)
+    on_receipt = spans is not None or count_pulls
+    hooked = on_receipt or transmit is not None or link_cost is not None
+    targets = memo.targets
     # Interest is profile membership; the subscription index holds the
     # same information as a live set per topic, turning the per-delivery
     # check into one hash lookup.
@@ -299,9 +279,10 @@ def disseminate(
     rmsgs = rec.relay_msgs
     delivered = rec.delivered_hops
 
-    initial_targets, injection_path = _publisher_targets(
-        protocol, publisher, topic, memo
-    )
+    # A ``publisher_targets`` that injects nothing may leave a miss-cause
+    # hint (e.g. RVR's backpressure deferral) for the tracing layer.
+    protocol._injection_miss_cause = None
+    initial_targets, injection_path = protocol.publisher_targets(publisher, topic)
     inject_cause = protocol._injection_miss_cause
 
     if not hooked:
@@ -384,21 +365,33 @@ def disseminate(
             if interested and v in subs:
                 delivered[v] = hop
             queue.append((v, hop, prev))
-            if hooked:
+            if on_receipt:
                 first_receipt(prev, v, hop, HOP_LOOKUP)
         prev = v
 
+    # Perceived liveness is asked once per node per event: a target in
+    # ``seen`` passed the check when it was first reached, and no verdict
+    # changes inside an event.  The publisher alone sits in ``seen``
+    # unchecked — a detector-shunned one must still be refused.
+    publisher_ok = hooked and is_alive(publisher)
     while queue:
         u, hop, sender = queue.popleft()
         hop += 1
-        for v in (targets_of(u) if sender is not None else initial_targets):
+        if sender is None:
+            out = initial_targets
+        else:
+            out = targets.get(u)
+            if out is None:
+                out = targets[u] = tuple(forwarding_targets(protocol, u, topic))
+        for v in out:
             if v == sender:
                 continue
+            reached = v in seen
             if hooked:
-                # Liveness is re-checked even for nodes already reached:
-                # a detector-shunned publisher sits in ``seen`` and must
-                # still be refused.
-                ok = is_alive(v)
+                if reached:
+                    ok = publisher_ok or v != publisher
+                else:
+                    ok = is_alive(v)
                 if not ok:
                     if spans is not None:
                         failures[(u, v)] = _liveness_cause(protocol, v)
@@ -414,7 +407,7 @@ def disseminate(
                     continue
                 if link_cost is not None:
                     rec.physical_cost += link_cost(u, v)
-            if v in seen:
+            if reached:
                 # Already received once this event: only the duplicate
                 # message is accounted.
                 (imsgs if v in members else rmsgs)[v] += 1
@@ -427,7 +420,7 @@ def disseminate(
                 else:
                     rmsgs[v] += 1
                 queue.append((v, hop, u))
-                if hooked:
+                if on_receipt:
                     first_receipt(u, v, hop, None)
 
     if not hooked:
@@ -594,36 +587,39 @@ def _make_transmit(
     cap = protocol.capacity
     if fm is None and cap is None:
         return None
-    send_with_retries = None
-    if fm is not None:
-        from repro.faults.healing import send_with_retries
-
+    drop = fm.drop if fm is not None else None
     healing = protocol.healing
     tries = 1 + (healing.delivery_retries if healing is not None else 0)
     now = protocol.engine.now
     net = protocol.network
 
     def transmit(u: int, v: int) -> bool:
-        if fm is not None:
+        if drop is not None:
             budget = tries
             bp = cap is not None and budget > 1 and cap.backpressured(v, now)
             if bp:
                 budget = 1
-            ok, drops = send_with_retries(fm, u, v, "notify", now, budget)
+            # One trial per transmission, stopping at the first that gets
+            # through; ``drops == budget`` means the message is lost.
+            drops = 0
+            while drops < budget and drop(u, v, "notify", now):
+                drops += 1
             if drops:
                 rec.faults += drops
-                rec.retries += min(drops, budget - 1)
-                if bp and not ok:
-                    # The withheld retries might have saved this edge;
-                    # the sender chose to re-batch rather than pile on.
-                    rec.deferred += 1
-            if not ok:
-                if failures is not None:
-                    failures[(u, v)] = (
-                        CAUSE_PARTITION if fm.severed(u, v, now)
-                        else CAUSE_FAULTED_LINK
-                    )
-                return False
+                if drops < budget:
+                    rec.retries += drops
+                else:
+                    rec.retries += budget - 1
+                    if bp:
+                        # The withheld retries might have saved this edge;
+                        # the sender chose to re-batch rather than pile on.
+                        rec.deferred += 1
+                    if failures is not None:
+                        failures[(u, v)] = (
+                            CAUSE_PARTITION if fm.severed(u, v, now)
+                            else CAUSE_FAULTED_LINK
+                        )
+                    return False
         if cap is not None:
             admitted = cap.offer(u, v, "notify", now)
             net.account_logical(u, v, "notify", admitted)
@@ -743,9 +739,8 @@ def disseminate_via_network(
     previous = protocol.network.notification_sink
     protocol.network.notification_sink = run
     try:
-        initial_targets, injection_path = _publisher_targets(
-            protocol, publisher, topic, _topic_cache(protocol, topic)
-        )
+        protocol._injection_miss_cause = None
+        initial_targets, injection_path = protocol.publisher_targets(publisher, topic)
         inject_cause = protocol._injection_miss_cause
         if injection_path:
             # The lookup message hops through the path; model each hop as a

@@ -27,11 +27,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import partial
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Union
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro import obs
 from repro.core.config import VitisConfig
-from repro.core.dissemination import disseminate
+from repro.core.dissemination import default_publisher_targets, disseminate
 from repro.core.gateway import ElectionStats, elect_round
 from repro.core.identifiers import IdSpace
 from repro.core.node import VitisNode
@@ -174,7 +176,7 @@ class OverlaySystem:
         #: while the victim was alive — the auditor's reachability
         #: augmentation for reclassifying ``no_path`` misses.
         self.false_evicted_edges: Set[tuple] = set()
-        #: Miss-cause hint left by a ``publisher_targets`` hook that
+        #: Miss-cause hint left by a :meth:`publisher_targets` that
         #: injected nothing (e.g. RVR's backpressure deferral); read by
         #: the tracing layer's miss attribution, reset per publish.
         self._injection_miss_cause = None
@@ -611,6 +613,12 @@ class OverlaySystem:
         """Grade one event with the oracle BFS over the current overlay
         (OPT floods its own topic overlay instead)."""
         return disseminate(self, topic, publisher, event_id)
+
+    def publisher_targets(self, publisher: int, topic: int) -> Tuple[Set[int], List[int]]:
+        """Whom a publisher notifies first, as ``(targets,
+        injection_path)`` (strategy hook: Vitis publishers start inside
+        their cluster, RVR routes them to the rendezvous)."""
+        return default_publisher_targets(self, publisher, topic)
 
     # ------------------------------------------------------------------
     # Analysis helpers

@@ -203,28 +203,29 @@ def measure(
     tel = protocol.telemetry
 
     with tel.phase("measure"):
-        candidates = [t for t in (topics if topics is not None else protocol.topics())
-                      if protocol.subscribers(t)]
-        if not candidates:
+        # The subscriber set is static for the duration of a measurement
+        # pass (no cycles run between publishes): build it once per
+        # topic, and sort it only when a publisher is drawn from it.
+        live = {}
+        for t in (topics if topics is not None else protocol.topics()):
+            subs = protocol.subscribers(t)
+            if subs:
+                live[t] = subs
+        if not live:
             return collector
-        drawn = sample_topics(protocol.rates, n_events, rng, restrict=candidates)
+        drawn = sample_topics(protocol.rates, n_events, rng, restrict=list(live))
 
         now = protocol.engine.now
-        # The subscriber set is static for the duration of a measurement
-        # pass (no cycles run between publishes), so sort it once per
-        # topic instead of once per published event.
         sorted_subs: dict = {}
         for topic in drawn:
-            subs = sorted_subs.get(topic)
-            if subs is None:
-                subs = sorted_subs[topic] = sorted(protocol.subscribers(topic))
             if publisher == "owner":
                 pub = topic
                 if not protocol.is_alive(pub):
                     continue
             else:
-                if not subs:
-                    continue
+                subs = sorted_subs.get(topic)
+                if subs is None:
+                    subs = sorted_subs[topic] = sorted(live[topic])
                 pub = subs[int(rng.integers(len(subs)))]
             rec = protocol.publish(topic, pub)
             if min_join_age > 0:

@@ -15,7 +15,7 @@ zero-cost-off contract.
 """
 
 from repro.faults.detector import DetectorConfig, SwimDetector
-from repro.faults.healing import HealingPolicy, send_with_retries
+from repro.faults.healing import HealingPolicy
 from repro.faults.kill import crash_nodes
 from repro.faults.models import (
     CompositeFault,
@@ -36,6 +36,5 @@ __all__ = [
     "DetectorConfig",
     "SwimDetector",
     "HealingPolicy",
-    "send_with_retries",
     "crash_nodes",
 ]

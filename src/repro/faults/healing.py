@@ -1,4 +1,4 @@
-"""Self-healing policy knobs and the shared retry helper.
+"""Self-healing policy knobs.
 
 A :class:`HealingPolicy` bounds how hard the protocol fights the fault
 model:
@@ -9,7 +9,8 @@ model:
   attempts expressed in gossip cycles (the simulator charges it as
   bookkeeping only — attempts within one publish happen at one simulated
   instant, mirroring an RPC timeout far shorter than the gossip period);
-- per-hop dissemination transmissions get ``delivery_retries`` resends;
+- per-hop dissemination transmissions get ``delivery_retries`` resends
+  (spent by the transmission gate of ``repro.core.dissemination``);
 - when ``repair_relays`` is set, the cycle loop re-elects gateways and
   re-installs relay paths for topics whose parent or rendezvous died
   (``VitisProtocol.repair_relays``).
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["HealingPolicy", "RetryPolicy", "send_with_retries"]
+__all__ = ["HealingPolicy", "RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -104,17 +105,3 @@ class RetryPolicy:
             d *= 1.0 + self.jitter * (rng.random() - 0.5)
         return d
 
-
-def send_with_retries(fault_model, src: int, dst: int, kind: str,
-                      now: float, tries: int) -> tuple[bool, int]:
-    """Attempt one logical transmission up to ``tries`` times.
-
-    Returns ``(delivered, drops)`` where ``drops`` counts the transmissions
-    the fault model ate (``drops == tries`` means the message was lost for
-    good; ``drops < tries`` means attempt ``drops + 1`` got through, i.e.
-    ``drops`` retries were spent).
-    """
-    drops = 0
-    while drops < tries and fault_model.drop(src, dst, kind, now):
-        drops += 1
-    return drops < tries, drops

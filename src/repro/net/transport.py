@@ -23,7 +23,7 @@ differences a real wire forces are all here:
   first ack may have been the lost datagram).
 - **Loss injection** — an optional ``loss_rate`` drops incoming
   datagrams (data *and* acks) with i.i.d. probability, the live
-  analogue of :class:`repro.faults.models.LossyNetwork`; tests and the
+  analogue of :class:`repro.faults.models.MessageLoss`; tests and the
   CI live-smoke cluster run with it on.
 
 Counter names mirror the simulator's ``Network`` (``sent``,

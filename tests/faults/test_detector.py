@@ -177,6 +177,33 @@ class TestCrashConfirmation:
         assert p.is_alive(target)       # ground truth unchanged
         assert not p.liveness(target)   # the overlay acts on the verdict
 
+    def test_only_a_gated_flood_refuses_echoes_to_a_shunned_publisher(self):
+        """The publisher sits in the flood's ``seen`` set without ever
+        passing the liveness check.  An un-hooked flood counts a message
+        addressed back to it like any duplicate; with anything attached
+        the per-edge liveness check runs and a detector-shunned publisher
+        is refused — the asymmetry ``chaos_sweep`` pins."""
+        from tests.property.test_dissemination_paths import plant
+
+        # A chain 0 — 1 — 2 inside one cluster of topic 0, plus a stale
+        # child pointer at 2: the one edge that leads back to publisher 0.
+        p = plant([{0}, {0}, {0}], [[1], [2], []], None, seed=3)
+        p.nodes[2].relay.add_child(0, 0)
+        p.topology_version += 1
+        det = _detector()
+        p.attach_detector(det)
+        det.force_confirm(0)
+        assert p.is_alive(0) and not p.liveness(0)
+
+        plain = disseminate(p, 0, 0)
+        echoes = plain.interested_msgs[0]
+        assert echoes >= 1
+        p.attach_faults(MessageLoss(0.0, random.Random(0)))
+        gated = disseminate(p, 0, 0)
+        assert 0 not in gated.interested_msgs
+        assert gated.delivered_hops == plain.delivered_hops == {1: 1, 2: 2}
+        assert gated.total_messages == plain.total_messages - echoes
+
 
 class TestRefutation:
     def test_suspected_but_live_node_refutes_instead_of_dying(self):

@@ -1,14 +1,18 @@
-"""Tests for the healing policy, the retry helper, and the faulted
-network transport."""
+"""Tests for the healing policy, the flood's bounded-retry gate, and the
+faulted network transport."""
 
 import random
 
 import pytest
 
-from repro.faults.healing import HealingPolicy, send_with_retries
+from repro.core.config import VitisConfig
+from repro.core.dissemination import _make_transmit
+from repro.core.protocol import VitisProtocol
+from repro.faults.healing import HealingPolicy
 from repro.faults.models import FaultModel, MessageLoss, SlowLinks
 from repro.sim.engine import Engine
 from repro.sim.messages import Notification
+from repro.sim.metrics import DisseminationRecord
 from repro.sim.network import Network
 from repro.sim.node import BaseNode
 
@@ -51,20 +55,31 @@ class TestHealingPolicy:
         assert [p.backoff_cycles(a) for a in (0, 1, 2, 3)] == [0, 2, 4, 8]
 
 
+def _gate(fault_model, tries: int):
+    """The flood's per-edge transmission gate over ``fault_model`` with
+    ``tries`` transmissions per edge, and the record it accounts on."""
+    p = VitisProtocol([[0], [0]], VitisConfig(), election_every=0, relay_every=0)
+    p.attach_faults(fault_model, HealingPolicy(delivery_retries=tries - 1))
+    rec = DisseminationRecord(topic=0, event_id=0, publisher=0)
+    return _make_transmit(p, rec), rec
+
+
 class TestSendWithRetries:
     def test_clean_send_spends_no_retry(self):
-        fm = _ScriptedDrops(0)
-        assert send_with_retries(fm, 1, 2, "notify", 0.0, tries=3) == (True, 0)
+        transmit, rec = _gate(_ScriptedDrops(0), tries=3)
+        assert transmit(0, 1)
+        assert (rec.faults, rec.retries) == (0, 0)
 
     def test_recovers_within_budget(self):
-        fm = _ScriptedDrops(2)
-        delivered, drops = send_with_retries(fm, 1, 2, "notify", 0.0, tries=3)
-        assert delivered and drops == 2
+        transmit, rec = _gate(_ScriptedDrops(2), tries=3)
+        assert transmit(0, 1)
+        assert (rec.faults, rec.retries) == (2, 2)
 
     def test_lost_for_good(self):
         fm = _ScriptedDrops(5)
-        delivered, drops = send_with_retries(fm, 1, 2, "notify", 0.0, tries=3)
-        assert not delivered and drops == 3
+        transmit, rec = _gate(fm, tries=3)
+        assert not transmit(0, 1)
+        assert (rec.faults, rec.retries) == (3, 2)
         assert fm.injected == 3  # budget bounds the transmissions offered
 
 
