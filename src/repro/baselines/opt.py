@@ -25,6 +25,7 @@ from collections import Counter, deque
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.config import VitisConfig
+from repro.core.dissemination import _make_transmit
 from repro.core.profile import NodeProfile
 from repro.core.protocol import OverlayProtocolBase
 from repro.core.utility import UtilityFunction
@@ -330,9 +331,9 @@ class OptProtocol(OverlayProtocolBase):
         if not self.is_alive(publisher):
             return rec
         adj = self.topic_subgraph(topic)
-        from repro.core.dissemination import _make_transmit
-
         transmit = _make_transmit(self, rec)
+        imsgs = rec.interested_msgs
+        get = imsgs.get
 
         # Entry point: the publisher itself if subscribed, else the topic
         # overlay's access point — a uniformly random member (generous to
@@ -346,7 +347,7 @@ class OptProtocol(OverlayProtocolBase):
             if transmit is not None and not transmit(publisher, start):
                 return rec
             start_hop = 1
-            rec.interested_msgs[start] += 1
+            imsgs[start] = get(start, 0) + 1
             if start in rec.subscribers:
                 rec.delivered_hops[start] = start_hop
 
@@ -359,7 +360,7 @@ class OptProtocol(OverlayProtocolBase):
                     continue
                 if transmit is not None and not transmit(u, v):
                     continue
-                rec.interested_msgs[v] += 1
+                imsgs[v] = get(v, 0) + 1
                 if v not in seen:
                     seen.add(v)
                     if v in rec.subscribers:

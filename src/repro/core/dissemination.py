@@ -277,6 +277,8 @@ def disseminate(
     members = protocol.sub_index.get(topic, ())
     imsgs = rec.interested_msgs
     rmsgs = rec.relay_msgs
+    iget = imsgs.get
+    rget = rmsgs.get
     delivered = rec.delivered_hops
 
     # A ``publisher_targets`` that injects nothing may leave a miss-cause
@@ -334,8 +336,10 @@ def disseminate(
                 return
         rec.pull_requests += 1
         rec.pull_replies += 1
-        (imsgs if u in members else rmsgs)[u] += 1
-        (imsgs if interested else rmsgs)[v] += 1
+        tally = imsgs if u in members else rmsgs
+        tally[u] = tally.get(u, 0) + 1
+        tally = imsgs if interested else rmsgs
+        tally[v] = tally.get(v, 0) + 1
         if link_cost is not None:
             rec.physical_cost += 2.0 * link_cost(u, v)
 
@@ -357,7 +361,8 @@ def disseminate(
                 spans.failure(span_of.get(prev), HOP_LOOKUP, prev, v, hop, cause)
             break
         interested = v in members
-        (imsgs if interested else rmsgs)[v] += 1
+        tally = imsgs if interested else rmsgs
+        tally[v] = tally.get(v, 0) + 1
         if link_cost is not None:
             rec.physical_cost += link_cost(prev, v)
         if v not in seen:
@@ -410,15 +415,18 @@ def disseminate(
             if reached:
                 # Already received once this event: only the duplicate
                 # message is accounted.
-                (imsgs if v in members else rmsgs)[v] += 1
+                if v in members:
+                    imsgs[v] = iget(v, 0) + 1
+                else:
+                    rmsgs[v] = rget(v, 0) + 1
             elif hooked or is_alive(v):
                 seen.add(v)
                 if v in members:
-                    imsgs[v] += 1
+                    imsgs[v] = iget(v, 0) + 1
                     if v in subs:
                         delivered[v] = hop
                 else:
-                    rmsgs[v] += 1
+                    rmsgs[v] = rget(v, 0) + 1
                 queue.append((v, hop, u))
                 if on_receipt:
                     first_receipt(u, v, hop, None)
@@ -695,7 +703,8 @@ class _NetworkDissemination:
     def on_notification(self, node, msg: Notification) -> None:
         rec = self.record
         interested = node.profile.subscribes_to(self.topic)
-        (rec.interested_msgs if interested else rec.relay_msgs)[node.address] += 1
+        tally = rec.interested_msgs if interested else rec.relay_msgs
+        tally[node.address] = tally.get(node.address, 0) + 1
         if node.address in self.forwarded:
             return
         self.forwarded.add(node.address)

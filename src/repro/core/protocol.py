@@ -243,7 +243,8 @@ class OverlaySystem:
         subs = self.sub_index.get(topic, set())
         if not live_only:
             return set(subs)
-        return {a for a in subs if self.is_alive(a)}
+        nodes = self.nodes
+        return {a for a in subs if (n := nodes.get(a)) is not None and n.alive}
 
     def topics(self) -> List[int]:
         """All topics with at least one subscriber, ascending."""
@@ -568,10 +569,12 @@ class OverlaySystem:
                     m.counter("delivery_msgs_total", system=self.name),
                     m.counter("relay_msgs_total", system=self.name),
                 )
+            relay = rec.total_relay_messages
+            msgs = relay + sum(rec.interested_msgs.values())
             pc[1].inc()
             pc[2].inc(rec.n_delivered)
-            pc[3].inc(rec.total_messages)
-            pc[4].inc(rec.total_relay_messages)
+            pc[3].inc(msgs)
+            pc[4].inc(relay)
             if rec.faults:
                 m.counter(
                     "faults_injected_total", site="dissemination", system=self.name
@@ -601,8 +604,8 @@ class OverlaySystem:
                     subs=rec.n_subscribers,
                     delivered=rec.n_delivered,
                     max_hop=max(hops) if rec.delivered_hops else 0,
-                    msgs=rec.total_messages,
-                    relay_msgs=rec.total_relay_messages,
+                    msgs=msgs,
+                    relay_msgs=relay,
                     **extra,
                 )
         return rec

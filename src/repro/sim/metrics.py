@@ -16,7 +16,6 @@ including the per-node overhead distribution of Fig. 5.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -49,8 +48,8 @@ class DisseminationRecord:
     publisher: int
     subscribers: frozenset = field(default_factory=frozenset)
     delivered_hops: Dict[int, int] = field(default_factory=dict)
-    interested_msgs: Counter = field(default_factory=Counter)
-    relay_msgs: Counter = field(default_factory=Counter)
+    interested_msgs: Dict[int, int] = field(default_factory=dict)
+    relay_msgs: Dict[int, int] = field(default_factory=dict)
     #: Pull round-trips (only populated when dissemination runs with
     #: ``count_pulls=True``; the pull messages are folded into the two
     #: counters above as well).
@@ -119,8 +118,8 @@ def restrict_record(
         publisher=record.publisher,
         subscribers=subscribers,
         delivered_hops={a: h for a, h in record.delivered_hops.items() if a in subscribers},
-        interested_msgs=Counter(record.interested_msgs),
-        relay_msgs=Counter(record.relay_msgs),
+        interested_msgs=dict(record.interested_msgs),
+        relay_msgs=dict(record.relay_msgs),
         pull_requests=record.pull_requests,
         pull_replies=record.pull_replies,
         physical_cost=record.physical_cost,
@@ -137,14 +136,17 @@ class MetricsCollector:
 
     def __init__(self) -> None:
         self.records: List[DisseminationRecord] = []
-        self._interested = Counter()  # addr -> msgs on subscribed topics
-        self._relay = Counter()       # addr -> msgs on unsubscribed topics
+        self._interested: Dict[int, int] = {}  # addr -> msgs on subscribed topics
+        self._relay: Dict[int, int] = {}       # addr -> msgs on unsubscribed topics
 
     def add(self, record: DisseminationRecord) -> None:
         """Fold one event's outcome into the aggregate."""
         self.records.append(record)
-        self._interested.update(record.interested_msgs)
-        self._relay.update(record.relay_msgs)
+        tallies = (self._interested, record.interested_msgs), (self._relay, record.relay_msgs)
+        for agg, tally in tallies:
+            get = agg.get
+            for a, n in tally.items():
+                agg[a] = get(a, 0) + n
 
     def extend(self, records: Iterable[DisseminationRecord]) -> None:
         for r in records:

@@ -196,6 +196,7 @@ class TestCrashConfirmation:
         assert p.is_alive(0) and not p.liveness(0)
 
         plain = disseminate(p, 0, 0)
+        assert 0 in plain.interested_msgs
         echoes = plain.interested_msgs[0]
         assert echoes >= 1
         p.attach_faults(MessageLoss(0.0, random.Random(0)))

@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +70,107 @@ class TestAggregation:
         assert a.summary() == b.summary()
 
 
+# ----------------------------------------------------------------------
+# Differential: the collector against a naive transcription of section IV
+# ----------------------------------------------------------------------
+few_addresses = st.integers(min_value=0, max_value=6)  # overlap is the point
+tallies = st.dictionaries(few_addresses, st.integers(0, 4), max_size=5)
+
+
+@st.composite
+def overlapping_records(draw):
+    """Records whose tallies collide on a handful of addresses, built
+    from plain dicts or from ``Counter``s (``add`` takes any mapping),
+    empty tallies and zero counts included."""
+    build = draw(st.sampled_from([dict, Counter]))
+    subscribers = draw(st.frozensets(few_addresses, max_size=5))
+    hops = draw(st.dictionaries(st.sampled_from(sorted(subscribers)), st.integers(1, 9)))\
+        if subscribers else {}
+    return DisseminationRecord(
+        topic=0,
+        event_id=0,
+        publisher=draw(few_addresses),
+        subscribers=subscribers,
+        delivered_hops=hops,
+        interested_msgs=build(draw(tallies)),
+        relay_msgs=build(draw(tallies)),
+    )
+
+
+operations = st.lists(
+    st.tuples(st.just("add"), overlapping_records())
+    | st.tuples(st.just("extend"), st.lists(overlapping_records(), max_size=4))
+    | st.tuples(st.just("reset"), st.none()),
+    max_size=12,
+)
+
+
+class NaiveCollector:
+    """The metrics recomputed from the raw record list on every call."""
+
+    def __init__(self):
+        self.records = []
+
+    def _tallies(self):
+        interested, relay = Counter(), Counter()
+        for r in self.records:
+            for a, n in r.interested_msgs.items():
+                interested[a] += n
+            for a, n in r.relay_msgs.items():
+                relay[a] += n
+        return interested, relay
+
+    def summary(self):
+        interested, relay = self._tallies()
+        slots = sum(len(r.subscribers) for r in self.records)
+        hops = [h for r in self.records for h in r.delivered_hops.values()]
+        n_relay, n_all = sum(relay.values()), sum(relay.values()) + sum(interested.values())
+        return {
+            "events": float(len(self.records)),
+            "hit_ratio": len(hops) / slots if slots else 1.0,
+            "traffic_overhead_pct": 100.0 * n_relay / n_all if n_all else 0.0,
+            "mean_delay_hops": sum(hops) / len(hops) if hops else 0.0,
+        }
+
+    def per_node_overhead(self):
+        interested, relay = self._tallies()
+        return {
+            a: 100.0 * relay[a] / (relay[a] + interested[a])
+            for a in set(interested) | set(relay)
+            if relay[a] + interested[a]
+        }
+
+    def overhead_histogram(self):
+        per_node = list(self.per_node_overhead().values())
+        counts, _ = np.histogram(per_node, bins=np.arange(0.0, 101.0, 10.0))
+        return counts / len(per_node) if per_node else np.zeros(10)
+
+    def delay_distribution(self):
+        return [h for r in self.records for h in r.delivered_hops.values()]
+
+
+class TestCollectorDifferential:
+    @given(operations)
+    @settings(max_examples=150, deadline=None)
+    def test_any_interleaving_matches_the_naive_transcription(self, ops):
+        real, naive = MetricsCollector(), NaiveCollector()
+        for op, arg in ops:
+            if op == "add":
+                real.add(arg)
+                naive.records.append(arg)
+            elif op == "extend":
+                real.extend(arg)
+                naive.records.extend(arg)
+            else:
+                real.reset()
+                naive.records.clear()
+            assert len(real) == len(naive.records)
+            assert real.summary() == naive.summary()
+            assert real.per_node_overhead() == naive.per_node_overhead()
+            assert np.array_equal(real.overhead_histogram()[1], naive.overhead_histogram())
+            assert real.delay_distribution().tolist() == naive.delay_distribution()
+
+
 class TestRestriction:
     @given(records(), st.frozensets(addresses, max_size=20))
     @settings(max_examples=60)
@@ -84,3 +186,13 @@ class TestRestriction:
         out = restrict_record(rec, rec.subscribers)
         assert out.subscribers == rec.subscribers
         assert out.delivered_hops == rec.delivered_hops
+
+    @given(overlapping_records(), st.frozensets(few_addresses))
+    @settings(max_examples=60)
+    def test_restriction_copies_the_tallies(self, rec, keep):
+        before = dict(rec.interested_msgs), dict(rec.relay_msgs)
+        out = restrict_record(rec, keep)
+        assert (out.interested_msgs, out.relay_msgs) == before
+        out.interested_msgs[-1] = 1
+        out.relay_msgs[-1] = 1
+        assert (dict(rec.interested_msgs), dict(rec.relay_msgs)) == before
