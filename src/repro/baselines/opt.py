@@ -241,20 +241,7 @@ class OptProtocol(OverlayProtocolBase):
             # Same ``gossip_exchange`` trace schema as Vitis/RVR (the
             # coverage exchange plays the T-Man role; pruned dead links
             # play the eviction role), so runs are comparable.
-            m = tel.metrics
-            m.counter("gossip_ps_exchanges_total", system=self.name).inc(ps_ok)
-            m.counter("gossip_tman_exchanges_total", system=self.name).inc(ex_ok)
-            m.counter("rt_evictions_total", system=self.name).inc(pruned)
-            m.gauge("live_nodes", system=self.name).set(len(live))
-            tel.event(
-                "gossip_exchange",
-                t=self.engine.now,
-                cycle=cycle,
-                live=len(live),
-                ps=ps_ok,
-                tman=ex_ok,
-                evicted=pruned,
-            )
+            self._record_gossip_cycle(cycle, len(live), ps_ok, ex_ok, pruned)
 
     # ------------------------------------------------------------------
     # Topology: link negotiation under the degree bound

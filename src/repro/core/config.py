@@ -52,10 +52,6 @@ class VitisConfig:
     n_estimate:
         Network-size estimate for harmonic draws; 0 means "use the actual
         population size" (protocols fill it in).
-    relay_redundancy:
-        How many gateways per cluster may install relay paths.  The paper
-        allows multiple gateways (robustness vs overhead trade-off); 0
-        means "no limit" (every elected gateway builds a path).
     """
 
     rt_size: int = 15
@@ -68,7 +64,6 @@ class VitisConfig:
     max_lookup_hops: int = 256
     rate_weighted_utility: bool = True
     n_estimate: int = 0
-    relay_redundancy: int = 0
 
     def __post_init__(self) -> None:
         if self.rt_size < 3:

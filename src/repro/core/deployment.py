@@ -87,7 +87,6 @@ class NeighborInfo:
     subscriptions: FrozenSet[int] = frozenset()
     version: int = -1
     proposals: Dict[int, Proposal] = field(default_factory=dict)
-    last_heard: float = 0.0
 
 
 class DeployedVitisNode(VitisNode):
@@ -352,7 +351,6 @@ class DeployedVitisNode(VitisNode):
         if info is None or info.version != version:
             info = self._learn(msg.src, NeighborInfo(subs, version))
         info.proposals = proposals
-        info.last_heard = self.host.now
         if not is_reply:
             self.host.send(
                 ProfileMessage(

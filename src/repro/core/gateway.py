@@ -105,26 +105,17 @@ class GatewayState:
     """Per-node election state: ``topic → Proposal``.
 
     :attr:`proposals` is a value: every writer installs a new dict and
-    none edits the committed one, so a reader that holds the map (the
-    election result cache, a neighbor that was sent it in a profile
-    message) keeps what it was given without copying.
+    none edits the committed one, so a reader that holds the map (a
+    neighbor that was sent it in a profile message) keeps what it was
+    given without copying.
     """
 
-    __slots__ = ("address", "node_id", "proposals", "version", "_own")
-
-    #: Monotonic stamp source shared by every state object, so a version
-    #: uniquely identifies one proposal-map content even across node
-    #: rejoin (which builds a fresh GatewayState).
-    _stamp = 0
+    __slots__ = ("address", "node_id", "proposals", "_own")
 
     def __init__(self, address: int, node_id: int) -> None:
         self.address = address
         self.node_id = node_id
         self.proposals: Dict[int, Proposal] = {}
-        #: Bumped whenever ``proposals`` may have changed content; equal
-        #: versions guarantee equal content (the election result cache
-        #: keys on it).
-        self.version = self._bump()
         #: topic → (this node's own ``(self, self, 0)`` proposal,
         #: ``hash(topic)``, own distance to it), pooled by
         #: :func:`elect_round`.  Proposals are immutable and the pooled
@@ -133,18 +124,9 @@ class GatewayState:
         #: invalidation, ever.
         self._own: Dict[int, tuple] = {}
 
-    @classmethod
-    def _bump(cls) -> int:
-        cls._stamp += 1
-        return cls._stamp
-
     def commit(self, proposals: Dict[int, Proposal]) -> None:
-        """Install a new round's proposal map, bumping :attr:`version`
-        only when the content actually changed (Alg. 5 reaches a fixed
-        point quickly, so consecutive rounds are often identical)."""
-        if proposals != self.proposals:
-            self.proposals = proposals
-            self.version = self._bump()
+        """Install a new round's proposal map."""
+        self.proposals = proposals
 
     def get(self, topic: int) -> Optional[Proposal]:
         return self.proposals.get(topic)
@@ -171,13 +153,10 @@ class GatewayState:
                 stale.append(t)
         if stale:
             self.proposals = kept
-            self.version = self._bump()
         return stale
 
     def clear(self) -> None:
-        if self.proposals:
-            self.proposals = {}
-            self.version = self._bump()
+        self.proposals = {}
 
 
 def elect_round(

@@ -35,7 +35,7 @@ class IdSpace:
     entire simulation so every component agrees on the geometry.
     """
 
-    __slots__ = ("bits", "size", "half", "_mask", "_hash_cache", "_node_ids", "_topic_ids")
+    __slots__ = ("bits", "size", "half", "_hash_cache", "_node_ids", "_topic_ids")
 
     def __init__(self, bits: int = DEFAULT_BITS) -> None:
         if not 8 <= bits <= 160:
@@ -46,7 +46,6 @@ class IdSpace:
         #: loops hoist ``size``/``half`` into locals and inline the
         #: distance arithmetic instead of calling :meth:`distance`.
         self.half = self.size >> 1
-        self._mask = self.size - 1
         # Interning caches.  Hashing is pure (same key → same id forever)
         # and the key population is bounded by nodes + topics, so the
         # caches never need invalidation; unhashable keys fall through

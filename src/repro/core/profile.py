@@ -22,8 +22,8 @@ class NodeProfile:
     __slots__ = ("address", "node_id", "_subscriptions", "version", "_frozen")
 
     #: Bumped with every subscription change of *any* profile: a cache
-    #: over many profiles is valid while this stands still (the
-    #: ``GatewayState._stamp`` idiom; see ``VitisNode._select_from_pool``).
+    #: over many profiles is valid while this stands still (see
+    #: ``VitisNode._select_from_pool``).
     _epoch = 0
 
     def __init__(self, address: int, node_id: int, subscriptions: Iterable[int] = ()) -> None:

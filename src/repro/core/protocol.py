@@ -238,11 +238,9 @@ class OverlaySystem:
     def live_count(self) -> int:
         return sum(1 for n in self.nodes.values() if n.alive)
 
-    def subscribers(self, topic: int, live_only: bool = True) -> Set[int]:
-        """Addresses subscribed to ``topic`` (live ones by default)."""
-        subs = self.sub_index.get(topic, set())
-        if not live_only:
-            return set(subs)
+    def subscribers(self, topic: int) -> Set[int]:
+        """Live addresses subscribed to ``topic``."""
+        subs = self.sub_index.get(topic, ())
         nodes = self.nodes
         return {a for a in subs if (n := nodes.get(a)) is not None and n.alive}
 
@@ -706,6 +704,26 @@ class OverlayProtocolBase(OverlaySystem):
     def _protocol_round(self, cycle: int, live: List[VitisNode]) -> None:  # pragma: no cover
         raise NotImplementedError
 
+    def _record_gossip_cycle(
+        self, cycle: int, live: int, ps_ok: int, tman_ok: int, evicted: int
+    ) -> None:
+        """Fold one cycle's gossip-layer activity into the telemetry:
+        exchange counts per substrate and view churn (heartbeat evictions)."""
+        m = self.telemetry.metrics
+        m.counter("gossip_ps_exchanges_total", system=self.name).inc(ps_ok)
+        m.counter("gossip_tman_exchanges_total", system=self.name).inc(tman_ok)
+        m.counter("rt_evictions_total", system=self.name).inc(evicted)
+        m.gauge("live_nodes", system=self.name).set(live)
+        self.telemetry.event(
+            "gossip_exchange",
+            t=self.engine.now,
+            cycle=cycle,
+            live=live,
+            ps=ps_ok,
+            tman=tman_ok,
+            evicted=evicted,
+        )
+
 
 class VitisProtocol(OverlayProtocolBase):
     """A complete Vitis system (paper section III).
@@ -735,9 +753,6 @@ class VitisProtocol(OverlayProtocolBase):
         super().__init__(*args, **kwargs)
         self.election_every = election_every
         self.relay_every = relay_every
-        #: addr → (signature, proposal map) — the election result cache
-        #: (see election_round).
-        self._elect_cache: Dict[int, tuple] = {}
 
     def _make_node(self, address: int, subscriptions: FrozenSet[int]) -> VitisNode:
         node = super()._make_node(address, subscriptions)
@@ -845,26 +860,6 @@ class VitisProtocol(OverlayProtocolBase):
             ).inc(hb_faults)
         return evicted
 
-    def _record_gossip_cycle(
-        self, cycle: int, live: int, ps_ok: int, tman_ok: int, evicted: int
-    ) -> None:
-        """Fold one cycle's gossip-layer activity into the telemetry:
-        exchange counts per substrate and view churn (heartbeat evictions)."""
-        m = self.telemetry.metrics
-        m.counter("gossip_ps_exchanges_total", system=self.name).inc(ps_ok)
-        m.counter("gossip_tman_exchanges_total", system=self.name).inc(tman_ok)
-        m.counter("rt_evictions_total", system=self.name).inc(evicted)
-        m.gauge("live_nodes", system=self.name).set(live)
-        self.telemetry.event(
-            "gossip_exchange",
-            t=self.engine.now,
-            cycle=cycle,
-            live=live,
-            ps=ps_ok,
-            tman=tman_ok,
-            evicted=evicted,
-        )
-
     # ------------------------------------------------------------------
     # Gateway election (Alg. 5, two-phase so all nodes read round t-1)
     # ------------------------------------------------------------------
@@ -880,54 +875,19 @@ class VitisProtocol(OverlayProtocolBase):
         subs_of = {a: n.profile.subscriptions for a, n in self.nodes.items()}
         proposals_of = {a: n.gw_state.proposals for a, n in self.nodes.items()}
         nodes = self.nodes
-        cache = self._elect_cache
         for a in self.live_addresses():
             node = nodes[a]
-            rt = node.rt
-            # Everything elect_round reads for this node is pinned by
-            # (neighbor addresses in table order, own profile, each
-            # neighbor's profile and previous-round proposals) — the
-            # election never looks at entry ages, kinds, or descriptor
-            # contents, so age churn alone cannot invalidate.  Equal
-            # signature ⇒ identical result, so re-use it; this pays off
-            # whenever T-Man reselects the same neighbor set and Alg. 5
-            # sits at its fixed point (most converged cycles, and all of
-            # finalize's trailing rounds).
-            sig = (
-                rt.address_key(),
-                node.profile.version,
-                tuple(
-                    (
-                        nodes[e.descriptor.address].profile.version,
-                        nodes[e.descriptor.address].gw_state.version,
-                    )
-                    for e in rt
-                ),
-            )
-            entry = cache.get(a)
-            if entry is not None and entry[0] == sig:
-                # The map itself: a committed proposal map is replaced,
-                # never edited (see GatewayState), so it can be shared.
-                proposals = results[a] = entry[1]
-                if stats is not None:
-                    n_self = sum(1 for p in proposals.values() if p.gw_addr == a)
-                    stats.proposals += len(proposals)
-                    stats.self_proposals += n_self
-                    stats.adoptions += len(proposals) - n_self
-                continue
-            proposals = elect_round(
+            results[a] = elect_round(
                 self.space,
                 node.gw_state,
                 node.profile.subscriptions,
-                rt,
+                node.rt,
                 neighbor_subscriptions=subs_of.__getitem__,
                 neighbor_proposals=proposals_of,
                 topic_ids=self.topic_id,
                 depth=self.config.gateway_depth,
                 stats=stats,
             )
-            results[a] = proposals
-            cache[a] = (sig, proposals)
         changed = 0
         if stats is not None and tel.tracing:
             # Proposals that differ from last round — 0 means the Alg. 5
@@ -1029,14 +989,13 @@ class VitisProtocol(OverlayProtocolBase):
             )
         return self.relay_stats
 
-    def finalize(self, election_rounds: Optional[int] = None) -> None:
+    def finalize(self) -> None:
         """Converge the election and install relay paths once.
 
         Proposals spread one hop per round, so ``gateway_depth + 1`` rounds
         reach the Alg. 5 fixed point on a static topology.
         """
-        rounds = election_rounds or (self.config.gateway_depth + 1)
-        for _ in range(rounds):
+        for _ in range(self.config.gateway_depth + 1):
             self.election_round()
         self.install_relays()
 

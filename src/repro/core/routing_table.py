@@ -65,12 +65,7 @@ class RoutingTable:
     selection logic in :mod:`repro.core.node`, not here.
     """
 
-    __slots__ = ("owner", "max_size", "_entries", "_links", "_ring", "mutations")
-
-    #: Monotonic stamp source shared by every table, so a stamp uniquely
-    #: identifies one table state even across table replacement (a node
-    #: rejoining builds a fresh RoutingTable object).
-    _stamp = 0
+    __slots__ = ("owner", "max_size", "_entries", "_links", "_ring")
 
     def __init__(self, owner: int, max_size: int) -> None:
         if max_size < 1:
@@ -84,15 +79,6 @@ class RoutingTable:
         self._links: Optional[List[Tuple[int, int]]] = None
         #: Memoised ring() result, dropped wherever ``_links`` is.
         self._ring: Optional[Ring] = None
-        #: Mutation stamp: changes whenever membership or link kinds may
-        #: have changed.  Consumers (the election result cache) treat
-        #: equal stamps as "same table contents in the same order".
-        self.mutations = self._bump()
-
-    @classmethod
-    def _bump(cls) -> int:
-        cls._stamp += 1
-        return cls._stamp
 
     # ------------------------------------------------------------------
     # Container protocol
@@ -112,12 +98,6 @@ class RoutingTable:
     @property
     def addresses(self) -> List[int]:
         return list(self._entries)
-
-    def address_key(self) -> Tuple[int, ...]:
-        """The neighbor addresses in table order, as a hashable tuple —
-        the cache key shape consumers that only depend on membership and
-        order (e.g. the election result cache) want."""
-        return tuple(self._entries)
 
     def by_address(self) -> Dict[int, RTEntry]:
         """The table's own address → entry map, in table order; treat it
@@ -201,12 +181,10 @@ class RoutingTable:
                 new[desc.address] = RTEntry(desc, kind, old.age)
         self._entries = new
         self._links = self._ring = None
-        self.mutations = self._bump()
 
     def remove(self, address: int) -> bool:
         if self._entries.pop(address, None) is not None:
             self._links = self._ring = None
-            self.mutations = self._bump()
             return True
         return False
 
@@ -235,5 +213,4 @@ class RoutingTable:
             del self._entries[addr]
         if evicted:
             self._links = self._ring = None
-            self.mutations = self._bump()
         return evicted

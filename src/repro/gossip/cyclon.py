@@ -54,7 +54,6 @@ class CyclonService(Sampler):
         # peer is gone.  This is Cyclon's self-healing property.
         self.view.remove(peer_addr)
         if not is_alive(peer_addr) or peer_addr not in registry:
-            self.failed_exchanges += 1
             return None
 
         peer = registry[peer_addr]
@@ -67,7 +66,6 @@ class CyclonService(Sampler):
         # replace the entries it sent us.
         self._absorb(peer.view, out, sent=back, self_addr=peer_addr)
         self._absorb(self.view, back, sent=out, self_addr=self.address)
-        self.exchanges += 1
         return peer_addr
 
     @staticmethod

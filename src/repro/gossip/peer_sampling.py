@@ -29,15 +29,13 @@ class Sampler:
     API T-Man and the overlays consume.  A subclass adds ``step`` — one
     active gossip round against a registry of its peers' services."""
 
-    __slots__ = ("address", "node_id", "view", "rng", "exchanges", "failed_exchanges")
+    __slots__ = ("address", "node_id", "view", "rng")
 
     def __init__(self, address: int, node_id: int, view_size: int, rng) -> None:
         self.address = address
         self.node_id = node_id
         self.view = PartialView(view_size)
         self.rng = rng
-        self.exchanges = 0
-        self.failed_exchanges = 0
 
     def initialize(self, seeds: List[Descriptor]) -> None:
         """Fill the view from bootstrap descriptors (e.g. from a well-known
@@ -116,7 +114,6 @@ class PeerSamplingService(Sampler):
         if not is_alive(peer_addr) or peer_addr not in registry:
             # Failed exchange: the peer is gone; forget it.
             self.view.remove(peer_addr)
-            self.failed_exchanges += 1
             return None
 
         peer = registry[peer_addr]
@@ -135,5 +132,4 @@ class PeerSamplingService(Sampler):
             extra_addr=self.address, extra_id=self.node_id,
         )
         peer.view.trim(peer.rng)
-        self.exchanges += 1
         return peer_addr

@@ -62,7 +62,6 @@ class Collector:
         self.store = store if store is not None else MetricsStore()
         self._server: Optional[asyncio.AbstractServer] = None
         self._last_arrival = 0.0
-        self._open_conns = 0
 
     # ------------------------------------------------------------------
     @classmethod
@@ -83,7 +82,6 @@ class Collector:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
-        self._open_conns += 1
         peer = writer.get_extra_info("peername")
         peer_s = f"{peer[0]}:{peer[1]}" if peer else "?"
         buf = bytearray()
@@ -131,7 +129,6 @@ class Collector:
                 else:
                     if isinstance(record, dict):
                         self._ingest(record, last_proc)
-            self._open_conns -= 1
             writer.close()
 
     def _ingest_line(self, line: bytes, last_proc: Optional[int]) -> Optional[int]:

@@ -36,7 +36,6 @@ class MetricsEndpoint:
 
     def __init__(self, store: MetricsStore) -> None:
         self.store = store
-        self.requests = 0
         self._server: Optional[asyncio.AbstractServer] = None
 
     @classmethod
@@ -69,7 +68,6 @@ class MetricsEndpoint:
             if method != "GET":
                 await self._respond(writer, 405, "text/plain", "GET only\n")
                 return
-            self.requests += 1
             path = path.split("?", 1)[0]
             if path == "/metrics":
                 snapshots = {

@@ -47,9 +47,7 @@ _SAMPLED_STATS = ("count", "sum", "p50", "p99")
 class NodeSeries:
     """One node's cumulative totals plus its rolling sample window."""
 
-    __slots__ = (
-        "proc", "totals", "samples", "frames", "last_seq", "last_t", "last_ts",
-    )
+    __slots__ = ("proc", "totals", "samples", "frames", "last_seq", "last_ts")
 
     def __init__(self, proc: int, max_samples: int) -> None:
         self.proc = proc
@@ -57,7 +55,6 @@ class NodeSeries:
         self.samples: Deque[Dict] = deque(maxlen=max_samples)
         self.frames = 0
         self.last_seq = -1
-        self.last_t = 0.0
         self.last_ts = 0.0
 
     def latest(self) -> Optional[Dict]:
@@ -115,7 +112,6 @@ class MetricsStore:
             self.dropped_frames += 1
             return False
         series.last_seq = seq
-        series.last_t = t
         series.last_ts = ts
         series.frames += 1
         series.totals.merge(delta)

@@ -45,14 +45,12 @@ class AsyncPeriodicTask:
         self._callback = callback
         self._loop = loop if loop is not None else asyncio.get_event_loop()
         self._stopped = False
-        self.ticks = 0
         delay = period if first_delay is None else first_delay
         self._handle = self._loop.call_later(delay, self._fire)
 
     def _fire(self) -> None:
         if self._stopped:
             return
-        self.ticks += 1
         keep = self._callback()
         if keep is False or self._stopped:
             self._stopped = True

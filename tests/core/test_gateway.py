@@ -178,39 +178,38 @@ class TestProposal:
 
 class TestProposalMapsAreValues:
     """``GatewayState.proposals`` is replaced, never edited: whoever holds
-    a committed map (the election result cache, a neighbor that was sent
-    it) keeps what it was given."""
+    a committed map (a neighbor that was sent it in a profile message)
+    keeps what it was given."""
 
     @staticmethod
     def committed():
         s = GatewayState(1, 40)
         s.commit({TOPIC: Proposal(2, 70, 2, 1), 2: Proposal(1, 40, 1, 0)})
-        return s, s.proposals, dict(s.proposals), s.version
+        return s, s.proposals, dict(s.proposals)
 
     def test_drop_dead_installs_a_new_map(self):
-        s, held, snapshot, version = self.committed()
+        s, held, snapshot = self.committed()
         assert s.drop_dead(lambda a: a != 2) == [TOPIC]
         assert held == snapshot
         assert s.proposals == {2: Proposal(1, 40, 1, 0)}
-        assert s.version > version
 
     def test_drop_dead_with_nothing_stale_changes_nothing(self):
-        s, held, snapshot, version = self.committed()
+        s, held, snapshot = self.committed()
         assert s.drop_dead(lambda a: True) == []
-        assert s.proposals is held and held == snapshot and s.version == version
+        assert s.proposals is held and held == snapshot
 
     def test_clear_installs_a_new_map(self):
-        s, held, snapshot, version = self.committed()
+        s, held, snapshot = self.committed()
         s.clear()
         assert held == snapshot
-        assert s.proposals == {} and s.version > version
+        assert s.proposals == {}
 
     def test_commit_installs_the_new_map_and_leaves_the_old(self):
-        s, held, snapshot, version = self.committed()
+        s, held, snapshot = self.committed()
         s.commit({TOPIC: Proposal(1, 40, 1, 0)})
         assert held == snapshot
-        assert s.proposals == {TOPIC: Proposal(1, 40, 1, 0)} and s.version > version
-        # An equal map is not a change.
-        same, version = s.proposals, s.version
+        assert s.proposals == {TOPIC: Proposal(1, 40, 1, 0)}
+        # An equal map committed is an equal map.
+        same = s.proposals
         s.commit(dict(same))
-        assert s.proposals is same and s.version == version
+        assert s.proposals == same

@@ -125,10 +125,10 @@ class TestElectionAndRelays:
 
 class TestElectionResultCache:
     def test_hit_after_repair_purged_the_cached_node_equals_a_recompute(self):
-        """The cache holds the committed map itself.  ``repair_relays``
-        purges stale proposals from that very node (``drop_dead``); the
-        next round's hit must still return what a recompute returns, not
-        the purged map."""
+        """``repair_relays`` purges stale proposals from the follower
+        (``drop_dead``) and re-elects; a further round must commit the
+        same, non-empty map — the repair already sat at the fixed point,
+        and the purged map does not come back."""
         p = VitisProtocol([{0}, {0}], VitisConfig(), seed=3,
                           election_every=0, relay_every=0)
         tid = p.topic_id(0)
@@ -140,17 +140,36 @@ class TestElectionResultCache:
         p.finalize()
         state = p.nodes[follower].gw_state
         assert state.get(0).gw_addr == gateway
-        assert p._elect_cache[follower][1] is state.proposals
 
         # The gateway (and rendezvous) crashes; the follower still lists
-        # it, so its election signature is unchanged and the repair's own
-        # election rounds hit the cache.
+        # it in its routing table.
         p.leave(gateway)
         assert p.repair_relays() == 1
-        hit = dict(state.proposals)
-        p._elect_cache.clear()
+        repaired = dict(state.proposals)
         p.election_round()
-        assert state.proposals == hit != {}
+        assert state.proposals == repaired != {}
+
+    def test_rounds_at_the_fixed_point_commit_equal_maps(self):
+        """What the deleted cache assumed, as a property: on a static
+        overlay at the Alg. 5 fixed point a round recomputes exactly what
+        is committed.  Two three-node chains on one topic with no link
+        between them — two clusters, one gateway each."""
+        p = VitisProtocol([{0}] * 6, VitisConfig(), seed=3,
+                          election_every=0, relay_every=0)
+        for chain in ((0, 1, 2), (3, 4, 5)):
+            for i, a in enumerate(chain):
+                p.nodes[a].rt.replace([
+                    (p.nodes[b].descriptor(), LinkKind.FRIEND)
+                    for b in chain[max(0, i - 1):i + 2] if b != a
+                ])
+        p.finalize()
+        gateways = p.gateways_of(0)
+        assert [a // 3 for a in gateways] == [0, 1]
+        for _ in range(2):
+            before = {a: n.gw_state.proposals for a, n in p.nodes.items()}
+            p.election_round()
+            assert {a: n.gw_state.proposals for a, n in p.nodes.items()} == before
+            assert p.gateways_of(0) == gateways
 
 
 class TestChurnOperations:

@@ -29,14 +29,13 @@ class TestReplace:
     def test_same_role_refreshes_the_descriptor_in_place(self):
         rt = RoutingTable(owner=0, max_size=5)
         rt.replace([(d(1), LinkKind.FRIEND), (d(2), LinkKind.SW)])
-        kept, stamp = rt.get(1), rt.mutations
+        kept = rt.get(1)
         kept.age = 2
         fresher = d(1, age=7)
         rt.replace([(d(2), LinkKind.FRIEND), (fresher, LinkKind.FRIEND)])
         assert rt.get(1) is kept and kept.descriptor is fresher and kept.age == 2
         assert rt.get(2).kind is LinkKind.FRIEND   # role changed: new entry, age kept
         assert rt.addresses == [2, 1]               # table order is selection order
-        assert rt.mutations > stamp
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):

@@ -63,3 +63,44 @@ def test_runtime_imports_load_nothing_that_measures(module):
         text=True, check=True, timeout=120,
     )
     assert out.stdout.strip() == "[]"
+
+
+#: Attributes ``src/repro`` stores and never loads, each for a reason.
+WRITE_ONLY_ALLOWED = {
+    "cancelled",    # a property setter on the engine's event handle
+    "owner",        # RoutingTable(owner, …): constructor identity; the signature is public
+    "proc",         # NodeSeries(proc, …): same
+    "bits",         # IdSpace(bits): read by tests
+    "memberships",  # RssWorkload: the communities test_rss.py checks correlation against
+}
+
+
+def test_no_state_is_written_and_never_read():
+    """State nobody reads is a cost with no reader to notice it going
+    wrong.  An attribute assigned (``x.attr = …`` / ``x.attr += …``)
+    somewhere in ``src/repro`` must be loaded somewhere in ``src/repro``,
+    by name or through a ``getattr`` / ``hasattr`` string literal."""
+    stores, loads = {}, set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    loads.add(node.attr)
+                elif isinstance(node.ctx, ast.Store):  # AugAssign targets too
+                    stores.setdefault(node.attr, f"{path.relative_to(SRC.parent)}:{node.lineno}")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "hasattr")
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                loads.add(node.args[1].value)
+    unread = {
+        name: where for name, where in stores.items()
+        if name not in loads and name not in WRITE_ONLY_ALLOWED
+    }
+    assert not unread, "\n".join(f"{where} writes .{name}, which nothing reads"
+                                 for name, where in sorted(unread.items()))
+    stale = sorted(n for n in WRITE_ONLY_ALLOWED if n in loads or n not in stores)
+    assert not stale, f"allow-list entries no longer needed: {stale}"
