@@ -19,7 +19,7 @@ Churn scenarios skip the deferral and run the full protocol every cycle.
 from __future__ import annotations
 
 import logging
-from typing import Iterable, List, Optional
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +33,9 @@ from repro.sim.metrics import MetricsCollector, restrict_record
 from repro.smallworld.ring import is_ring_converged
 from repro.workloads.publication import sample_topics
 
-__all__ = ["build_vitis", "build_rvr", "build_opt", "converge", "measure"]
+__all__ = [
+    "build_vitis", "build_rvr", "build_opt", "converge", "event_stream", "measure",
+]
 
 log = logging.getLogger(__name__)
 
@@ -170,6 +172,34 @@ def build_opt(
     return p
 
 
+def event_stream(
+    rates: PublicationRates,
+    n_events: int,
+    rng,
+    live: Mapping[int, Collection[int]],
+    publisher: str = "subscriber",
+) -> Iterator[Tuple[int, int]]:
+    """The measurement's ``(topic, publisher)`` pairs, drawn from ``rng``.
+
+    ``live`` maps each candidate topic to its non-empty subscriber set.
+    Every topic is drawn first, rate-weighted over ``live``'s keys in
+    their order; then each ``"subscriber"``-mode event draws one index
+    into the topic's sorted subscribers (``"owner"`` mode draws nothing:
+    the publisher is the topic id).  :func:`measure` and the live
+    cluster driver both consume this, so the in-sim prediction and the
+    commanded publishes are one workload.
+    """
+    sorted_subs: dict = {}  # filled when a publisher is first drawn
+    for topic in sample_topics(rates, n_events, rng, restrict=list(live)):
+        if publisher == "owner":
+            yield topic, topic
+            continue
+        subs = sorted_subs.get(topic)
+        if subs is None:
+            subs = sorted_subs[topic] = sorted(live[topic])
+        yield topic, subs[int(rng.integers(len(subs)))]
+
+
 def measure(
     protocol,
     n_events: int,
@@ -204,8 +234,7 @@ def measure(
 
     with tel.phase("measure"):
         # The subscriber set is static for the duration of a measurement
-        # pass (no cycles run between publishes): build it once per
-        # topic, and sort it only when a publisher is drawn from it.
+        # pass (no cycles run between publishes): build it once per topic.
         live = {}
         for t in (topics if topics is not None else protocol.topics()):
             subs = protocol.subscribers(t)
@@ -213,20 +242,12 @@ def measure(
                 live[t] = subs
         if not live:
             return collector
-        drawn = sample_topics(protocol.rates, n_events, rng, restrict=list(live))
-
         now = protocol.engine.now
-        sorted_subs: dict = {}
-        for topic in drawn:
-            if publisher == "owner":
-                pub = topic
-                if not protocol.is_alive(pub):
-                    continue
-            else:
-                subs = sorted_subs.get(topic)
-                if subs is None:
-                    subs = sorted_subs[topic] = sorted(live[topic])
-                pub = subs[int(rng.integers(len(subs)))]
+        for topic, pub in event_stream(
+            protocol.rates, n_events, rng, live, publisher
+        ):
+            if publisher == "owner" and not protocol.is_alive(pub):
+                continue
             rec = protocol.publish(topic, pub)
             if min_join_age > 0:
                 eligible = [

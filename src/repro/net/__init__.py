@@ -19,11 +19,8 @@ a real, lossy transport:
 - :mod:`repro.net.collector` — the trace/metrics collector that merges
   every process's :mod:`repro.obs` stream into one auditable trace and
   folds streamed ``metrics_delta`` frames into the live store;
-- :mod:`repro.net.store` — the bounded per-node metrics time-series the
-  live read paths serve from;
-- :mod:`repro.net.exporter` — the HTTP endpoint exposing the store as
-  OpenMetrics (``/metrics``) and status JSON (``/status.json``);
-- :mod:`repro.net.status` — the ``python -m repro live status`` console;
+- :mod:`repro.net.store` — the bounded per-node metrics time-series
+  ``--series-out`` persists for ``python -m repro live-report``;
 - :mod:`repro.net.cluster` — the local-cluster launcher driving a
   fig4-style measurement end-to-end (``python -m repro live cluster``).
 

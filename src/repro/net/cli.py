@@ -1,6 +1,6 @@
 """``python -m repro live ...`` — the real-network deployment commands.
 
-:func:`add_live_commands` registers three subcommands on the command
+:func:`add_live_commands` registers two subcommands on the command
 tree of :func:`repro.cli.build_parser`:
 
 ``live node``
@@ -17,17 +17,10 @@ tree of :func:`repro.cli.build_parser`:
     fig4-style measurement, audits the merged trace (zero unexplained
     misses is a hard gate), and bands the live hit ratio against an
     in-sim run of the identical workload.  With ``--metrics-interval``
-    it also serves the streamed per-node metrics live: an OpenMetrics
-    scrape endpoint (``/metrics``) plus the ``live status`` JSON
-    (``/status.json``), and ``--series-out`` persists the stored series
-    for ``python -m repro live-report``.  Exit code 0 only when every
-    gate passes.
-
-``live status``
-    Top-style console over a running cluster's ``/status.json`` — one
-    row per node (queue depth, retransmit/give-up rates, SWIM verdict)
-    plus the cluster hit ratio so far, refreshing until interrupted
-    (``--once`` prints a single table and exits).
+    the collector also folds the streamed per-node metrics into its
+    series store, and ``--series-out`` persists that store for
+    ``python -m repro live-report``.  Exit code 0 only when every gate
+    passes.
 """
 
 from __future__ import annotations
@@ -65,7 +58,7 @@ def _add_shared_args(parser: argparse.ArgumentParser) -> None:
 
 
 def add_live_commands(commands) -> None:
-    """Register ``live {node,cluster,status}`` under ``commands``, the
+    """Register ``live {node,cluster}`` under ``commands``, the
     sub-parsers action of the top-level parser."""
     live = commands.add_parser(
         "live", help="run the overlay over real UDP sockets",
@@ -115,27 +108,11 @@ def add_live_commands(commands) -> None:
                          help="skip the in-sim prediction band")
     cluster.add_argument("--verbose", action="store_true",
                          help="inherit subprocess stdout/stderr")
-    cluster.add_argument("--metrics-port", type=int, default=0,
-                         help="OpenMetrics endpoint port (0 = ephemeral; "
-                              "only served when --metrics-interval > 0)")
     cluster.add_argument("--series-out", default=None,
                          help="persist the live metrics series store "
                               "(JSON) for `python -m repro live-report`")
     _add_shared_args(cluster)
     _add_workload_args(cluster, with_n_nodes=False)
-
-    status = sub.add_parser(
-        "status", help="top-style console over a running cluster's metrics"
-    )
-    status.set_defaults(run=_run_status)
-    status.add_argument("--host", default="127.0.0.1",
-                        help="metrics endpoint host")
-    status.add_argument("--port", type=int, required=True,
-                        help="metrics endpoint port (the cluster prints it)")
-    status.add_argument("--interval", type=float, default=2.0,
-                        help="seconds between refreshes")
-    status.add_argument("--once", action="store_true",
-                        help="print one table and exit")
 
 
 # The handlers import what they run: every other command shares this
@@ -145,11 +122,6 @@ def _run_node(ns) -> int:
 
     from repro.net.node import run_node
     return asyncio.run(run_node(ns))
-
-
-def _run_status(ns) -> int:
-    from repro.net.status import run_status
-    return run_status(ns)
 
 
 def _run_cluster(ns) -> int:

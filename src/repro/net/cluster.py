@@ -14,11 +14,10 @@ audits the merged causal trace end to end:
    connections until every successor pointer matches the true ring
    (:func:`repro.smallworld.ring.is_ring_converged`), the same predicate
    the simulator's warm-up uses.
-3. **Measurement** — the event stream replicates
-   :func:`repro.experiments.runner.measure` draw for draw (same numpy
-   generator, same topic sampling, same publisher choice over the sorted
-   subscriber set), so the identical workload can be re-run in-sim for a
-   prediction band.
+3. **Measurement** — the commanded publishes are drawn by
+   :func:`repro.experiments.runner.event_stream`, the generator
+   :func:`~repro.experiments.runner.measure` consumes in-sim, so the
+   identical workload can be re-run in-sim for a prediction band.
 4. **Audit** — deliveries are read off the merged span trees; every
    shortfall is attributed by a total decision tree (dead process →
    ``dead_node``; a recorded retry-budget failure span → ``faulted_link``;
@@ -45,17 +44,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.core.config import VitisConfig
 from repro.core.identifiers import IdSpace
 from repro.core.utility import PublicationRates
+from repro.experiments.runner import event_stream, measure
 from repro.net.bootstrap import SeedService
 from repro.net.collector import Collector
-from repro.net.exporter import MetricsEndpoint
 from repro.net.node import LiveWorkload
 from repro.obs.audit import AuditReport, audit_trace
 from repro.obs.spans import CAUSE_DEAD_NODE, CAUSE_FAULTED_LINK, CAUSE_NO_PATH
 from repro.smallworld.ring import is_ring_converged
-from repro.workloads.publication import sample_topics
 
 __all__ = ["ClusterResult", "run_cluster"]
 
@@ -71,7 +71,7 @@ class _EventPlan:
     publisher: int
     trace: str
     expected: Set[int]
-    sent: bool
+    sent: bool = False
 
 
 @dataclass
@@ -95,8 +95,6 @@ class ClusterResult:
     #: Cluster-wide counters folded from every process's final metrics
     #: snapshot (same names as the in-sim traffic report plus live_*).
     metrics: Dict[str, float] = field(default_factory=dict)
-    #: host:port of the OpenMetrics endpoint (when streaming was on).
-    metrics_endpoint: Optional[str] = None
     #: Where the live series store was persisted (``--series-out``).
     series_path: Optional[str] = None
     #: Frames the streaming pipeline saw / dropped, SWIM transitions seen.
@@ -143,12 +141,11 @@ class ClusterResult:
             lines.append(
                 "swim: " + ", ".join(f"{k}={v}" for k, v in swim.items())
             )
-        if self.metrics_endpoint:
+        if self.metrics_frames:
             lines.append(
-                f"metrics: http://{self.metrics_endpoint}/metrics "
-                f"({self.metrics_frames} frames, "
+                f"metrics: {self.metrics_frames} frames, "
                 f"{self.dropped_frames} dropped, "
-                f"{self.swim_transitions} swim transitions)"
+                f"{self.swim_transitions} swim transitions"
             )
         if self.series_path:
             lines.append(f"live series: {self.series_path}")
@@ -193,7 +190,6 @@ def _predict_in_sim(workload: LiveWorkload, config: VitisConfig,
     deployed-mode protocol — the prediction the live hit ratio is banded
     against."""
     from repro.core.deployment import DeployedVitis
-    from repro.experiments.runner import measure
 
     dv = DeployedVitis(
         workload.subscriptions(), config=config, seed=workload.seed
@@ -206,6 +202,27 @@ def _predict_in_sim(workload: LiveWorkload, config: VitisConfig,
     dv.run(10 * config.gossip_period)
     collector = measure(dv, n_events, seed=pub_seed)
     return collector.hit_ratio()
+
+
+def _plan_events(workload: LiveWorkload, n_events: int,
+                 pub_seed: int) -> List[_EventPlan]:
+    """The publishes to command, each with its ground truth: the pairs
+    ``measure(dv, n_events, seed=pub_seed)`` publishes in-sim."""
+    sub_index: Dict[int, List[int]] = {}
+    for a, s in enumerate(workload.subscriptions()):
+        for t in s:
+            sub_index.setdefault(t, []).append(a)
+    if not sub_index:
+        return []
+    live = {t: sub_index[t] for t in sorted(sub_index)}
+    rates = PublicationRates.uniform(max(1, workload.n_topics))
+    rng = np.random.default_rng(pub_seed)
+    return [
+        _EventPlan(k, topic, pub, f"e{k}", set(live[topic]) - {pub})
+        for k, (topic, pub) in enumerate(
+            event_stream(rates, n_events, rng, live)
+        )
+    ]
 
 
 def _attribute_misses(
@@ -259,8 +276,6 @@ def _attribute_misses(
 
 async def run_cluster(ns) -> ClusterResult:
     """Launch, converge, measure, audit.  Returns the graded result."""
-    import numpy as np
-
     workload = LiveWorkload.from_ns(ns)
     workload = LiveWorkload(
         n_nodes=ns.procs, n_topics=workload.n_topics,
@@ -271,22 +286,12 @@ async def run_cluster(ns) -> ClusterResult:
     )
     config = VitisConfig(gossip_period=ns.gossip_period)
     result = ClusterResult(n_procs=ns.procs, n_events=ns.events)
-    subs = workload.subscriptions()
     space = IdSpace()
     ids = {a: space.node_id(a) for a in range(ns.procs)}
 
     seed = await SeedService.start(ns.bind_host)
     collector = await Collector.start(ns.bind_host)
     streaming = ns.metrics_interval > 0
-    endpoint: Optional[MetricsEndpoint] = None
-    if streaming:
-        endpoint = await MetricsEndpoint.start(
-            collector.store, ns.bind_host, ns.metrics_port
-        )
-        host, port = endpoint.local_addr
-        result.metrics_endpoint = f"{host}:{port}"
-        print(f"metrics endpoint: http://{host}:{port}/metrics "
-              f"(status: /status.json)", flush=True)
     topo_reports: Dict[object, Dict[int, Dict]] = {}
 
     def on_node_message(addr: int, obj: Dict) -> None:
@@ -362,33 +367,18 @@ async def run_cluster(ns) -> ClusterResult:
         # the same post-convergence settling).
         await asyncio.sleep(10 * ns.gossip_period)
 
-        # --- fig4-style measurement (replicates runner.measure draws) ---
-        rates = PublicationRates.uniform(max(1, workload.n_topics))
-        rng = np.random.default_rng(ns.pub_seed)
-        sub_index: Dict[int, List[int]] = {}
-        for a, s in enumerate(subs):
-            for t in s:
-                sub_index.setdefault(t, []).append(a)
-        candidates = sorted(t for t, s in sub_index.items() if s)
-        events: List[_EventPlan] = []
+        # --- fig4-style measurement (the stream runner.measure draws) ----
+        events = _plan_events(workload, ns.events, ns.pub_seed)
         expected_cum = 0
-        if candidates:
-            drawn = sample_topics(rates, ns.events, rng, restrict=candidates)
-            for k, topic in enumerate(drawn):
-                subs_t = sorted(sub_index[topic])
-                if not subs_t:
-                    continue
-                pub = subs_t[int(rng.integers(len(subs_t)))]
-                expected = set(subs_t) - {pub}
-                sent = seed.send_to(pub, {
-                    "op": "publish", "topic": topic, "event": k,
-                    "trace": f"e{k}", "expected": len(expected),
-                })
-                events.append(_EventPlan(k, topic, pub, f"e{k}", expected, sent))
-                if streaming and sent:
-                    expected_cum += len(expected)
-                    collector.store.note_expected(time.time(), expected_cum)
-                await asyncio.sleep(ns.event_gap)
+        for plan in events:
+            plan.sent = seed.send_to(plan.publisher, {
+                "op": "publish", "topic": plan.topic, "event": plan.event,
+                "trace": plan.trace, "expected": len(plan.expected),
+            })
+            if streaming and plan.sent:
+                expected_cum += len(plan.expected)
+                collector.store.note_expected(time.time(), expected_cum)
+            await asyncio.sleep(ns.event_gap)
 
         # --- settle, then shut the cluster down -------------------------
         await asyncio.sleep(ns.settle)
@@ -418,8 +408,6 @@ async def run_cluster(ns) -> ClusterResult:
                 proc.kill()
         await seed.close()
         await collector.close()
-        if endpoint is not None:
-            await endpoint.close()
 
     # --- persist the live series store ----------------------------------
     store = collector.store

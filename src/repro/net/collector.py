@@ -14,7 +14,7 @@ is merge, not rewrite:
   the parallel executor uses for worker processes, which is what keeps
   live and in-sim metrics reports comparable column for column;
 - streamed ``metrics_delta`` frames (``--metrics-interval``) fold into a
-  :class:`~repro.net.store.MetricsStore` for the live read paths — and
+  :class:`~repro.net.store.MetricsStore` for ``--series-out`` — and
   *only* there: frames never enter ``records``, so the merged trace (and
   its ``trace-report --audit`` outcome) is identical with and without
   snapshot streaming.
@@ -144,6 +144,12 @@ class Collector:
 
     def _ingest(self, record: Dict, last_proc: Optional[int]) -> Optional[int]:
         proc = record.get("proc", -1)
+        if not isinstance(proc, int):
+            # ``proc`` keys ``snapshots`` / ``records_by_proc`` and is
+            # sorted in ``merge_into``: anything else is outside input
+            # to count and skip, not a reason to lose the stream.
+            self.malformed += 1
+            return last_proc
         ev = record.get("ev")
         if ev == "metrics_snapshot":
             self.snapshots[proc] = record.get("snapshot", {})
@@ -154,11 +160,11 @@ class Collector:
             # (and its audit outcome) identical with and without
             # ``--metrics-interval``.
             try:
-                fproc, seq, t, ts, delta = decode_metrics_frame(record)
+                fproc, seq, _t, ts, delta = decode_metrics_frame(record)
             except WireError:
                 self.store.dropped_frames += 1
-                return proc if isinstance(proc, int) else last_proc
-            self.store.ingest(fproc, seq, t, ts, delta)
+                return proc
+            self.store.ingest(fproc, seq, ts, delta)
             return fproc
         if ev == "swim":
             # Verdict transitions are teed: into the merged trace (below,
@@ -166,7 +172,7 @@ class Collector:
             # the live store's timeline.
             try:
                 self.store.note_swim(
-                    int(proc),
+                    proc,
                     float(record.get("ts", record.get("t", 0.0))),
                     int(record["peer"]),
                     str(record.get("prev")),
@@ -176,7 +182,7 @@ class Collector:
                 pass
         self.records_by_proc[proc] = self.records_by_proc.get(proc, 0) + 1
         self.records.append(record)
-        return proc if isinstance(proc, int) else last_proc
+        return proc
 
     # ------------------------------------------------------------------
     async def wait_quiescent(self, idle: float = 1.0, timeout: float = 30.0) -> bool:

@@ -19,17 +19,15 @@ their monotonic clocks at different wall instants, so samples are
 aligned on the epoch ``ts`` each frame carries, normalised to seconds
 since the store first saw data.
 
-Two consumers read the store: the OpenMetrics endpoint
-(:mod:`repro.net.exporter` rendering via
-:func:`repro.obs.openmetrics.render_openmetrics`) and the ``live
-status`` console (:meth:`MetricsStore.status_doc`).  :meth:`to_doc`
-persists everything for the post-run ``live-report`` renderer.
+One consumer reads the store: :meth:`MetricsStore.to_doc` persists
+everything (``live cluster --series-out``) for the post-run
+``python -m repro live-report`` renderer.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.obs.registry import MetricsRegistry
 
@@ -56,21 +54,6 @@ class NodeSeries:
         self.frames = 0
         self.last_seq = -1
         self.last_ts = 0.0
-
-    def latest(self) -> Optional[Dict]:
-        return self.samples[-1] if self.samples else None
-
-    def rate(self, counter: str, window: int = 2) -> Optional[float]:
-        """Per-second increase of ``counter`` over the last ``window``
-        samples (None until two samples exist or time stood still)."""
-        if len(self.samples) < 2:
-            return None
-        a = self.samples[-min(window, len(self.samples))]
-        b = self.samples[-1]
-        dt = b["t"] - a["t"]
-        if dt <= 0:
-            return None
-        return (b["c"].get(counter, 0.0) - a["c"].get(counter, 0.0)) / dt
 
 
 class MetricsStore:
@@ -104,7 +87,7 @@ class MetricsStore:
         return s
 
     # ------------------------------------------------------------------
-    def ingest(self, proc: int, seq: int, t: float, ts: float, delta: Dict) -> bool:
+    def ingest(self, proc: int, seq: int, ts: float, delta: Dict) -> bool:
         """Fold one decoded metrics frame; returns False on a stale or
         out-of-order frame (kept-but-dropped, counted)."""
         series = self.node(proc)
@@ -139,66 +122,6 @@ class MetricsStore:
 
     def note_expected(self, ts: float, cumulative: int) -> None:
         self.expected_samples.append((self._align(ts), cumulative))
-
-    # ------------------------------------------------------------------
-    # Read paths
-    # ------------------------------------------------------------------
-    def registries(self) -> Dict[int, MetricsRegistry]:
-        """proc → cumulative registry, for the OpenMetrics renderer."""
-        return {proc: s.totals for proc, s in sorted(self.nodes.items())}
-
-    def status_doc(self, now_ts: float) -> Dict:
-        """The ``live status`` JSON document: one row per node plus the
-        cluster roll-up, all computed from stored samples."""
-        rows = []
-        delivered_total = 0
-        for proc in sorted(self.nodes):
-            series = self.nodes[proc]
-            latest = series.latest()
-            if latest is None:
-                continue
-            c, g = latest["c"], latest["g"]
-            delivered = c.get("live_delivered_events", 0.0)
-            delivered_total += delivered
-            suspects = g.get("swim_suspect_peers", 0.0)
-            dead = g.get("swim_dead_peers", 0.0)
-            if dead:
-                verdict = "dead-peers"
-            elif suspects:
-                verdict = "suspecting"
-            else:
-                verdict = "alive"
-            rows.append({
-                "proc": proc,
-                "queue": g.get("live_queue_depth", 0.0),
-                "sent": c.get("live_sent_total", 0.0),
-                "retransmits": c.get("live_retransmits", 0.0),
-                "retransmit_rate": series.rate("live_retransmits"),
-                "gave_up": c.get("live_gave_up", 0.0),
-                "give_up_rate": series.rate("live_gave_up"),
-                "delivered": delivered,
-                "suspect_peers": suspects,
-                "dead_peers": dead,
-                "verdict": verdict,
-                "frames": series.frames,
-                "age_s": max(0.0, now_ts - series.last_ts),
-            })
-        expected = self.expected_samples[-1][1] if self.expected_samples else 0
-        ring = self.ring_samples[-1] if self.ring_samples else None
-        return {
-            "schema": STORE_SCHEMA,
-            "nodes": rows,
-            "cluster": {
-                "reporting": len(rows),
-                "expected_deliveries": expected,
-                "delivered": delivered_total,
-                "hit_ratio": (delivered_total / expected) if expected else None,
-                "ring_wrong": ring[1] if ring else None,
-                "ring_total": ring[2] if ring else None,
-                "swim_transitions": len(self.swim_events),
-                "dropped_frames": self.dropped_frames,
-            },
-        }
 
     # ------------------------------------------------------------------
     # Persistence (for the post-run live-report renderer)

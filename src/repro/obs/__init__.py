@@ -10,8 +10,6 @@ The telemetry subsystem threaded through the simulation stack:
   helpers the CLI uses to instrument scenarios end-to-end;
 - :mod:`repro.obs.report` — render captured telemetry as tables (plus
   the post-run ``live-report`` health timeline of a live cluster);
-- :mod:`repro.obs.openmetrics` — OpenMetrics exposition-format renderer
-  and grammar validator (the live cluster's Prometheus scrape surface);
 - :mod:`repro.obs.spans` — causal per-event span tracing (trace ids,
   hop-kind spans, miss attribution primitives);
 - :mod:`repro.obs.audit` — the delivery auditor (expected vs actual

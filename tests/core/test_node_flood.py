@@ -400,3 +400,89 @@ def test_rt_exchange_round_equals_one_cycle_driven_tman_step():
     # The exchange did something: 0 learned of 2 through 1.
     assert sorted(by_msg.nodes[0].rt.addresses) == [1, 2]
     assert sorted(by_msg.nodes[1].rt.addresses) == [0, 2]
+
+
+# ----------------------------------------------------------------------
+# Two control planes: the cycle driver's fixed point is the messages'
+# ----------------------------------------------------------------------
+def test_both_control_planes_reach_the_same_gateways_and_relay_parents():
+    """Same planted tables, same subscriptions: ``VitisProtocol.finalize``
+    (synchronous Alg. 5 rounds, then one oracle walk per gateway) and the
+    deployed nodes' ``_tick`` / ``ProfileMessage`` / ``RelayInstall``
+    traffic settle on the same gateways and the same parent pointers.
+
+    Seven nodes in order of distance to ``hash(TOPIC)``: the rendezvous and
+    one more non-subscriber sit between two clusters of the topic; cluster
+    A is a three-node chain, so hop counts and split horizon are exercised
+    and its relay path is two hops long.
+    """
+    from repro.core.identifiers import IdSpace
+    from repro.core.protocol import VitisProtocol
+    from repro.sim.messages import RelayInstall
+
+    space = IdSpace()
+    tid = space.topic_id(TOPIC)
+    root, between, gw_b, gw_a, b2, a2, a3 = sorted(
+        range(7), key=lambda a: space.distance(space.node_id(a), tid)
+    )
+    tables = {
+        a3: (a2,), a2: (a3, gw_a), gw_a: (a2, between),
+        between: (gw_a, root), root: (between, gw_b),
+        gw_b: (b2, root), b2: (gw_b,),
+    }
+    subs = [set() if a in (root, between) else {TOPIC} for a in range(7)]
+
+    def plant(system):
+        for node in system.nodes.values():
+            node.join([])
+        for a, neighbors in tables.items():
+            link(system, a, *neighbors)
+
+    def outcome(system):
+        return system.gateways_of(TOPIC), {
+            a: n.relay.parent.get(TOPIC) for a, n in system.nodes.items()
+        }
+
+    config = VitisConfig(rt_size=4)
+    by_cycle = VitisProtocol(subs, config, seed=1, auto_start=False,
+                             election_every=0, relay_every=0)
+    plant(by_cycle)
+    by_cycle.finalize()
+
+    by_msg = DeployedVitis(subs, config, seed=1, auto_start=False)
+    plant(by_msg)
+    sent = []
+    by_msg.network.send = sent.append
+
+    def state():
+        return [
+            (n.gw_state.proposals, dict(n.relay.parent),
+             {t: set(kids) for t, kids in n.relay.children.items()})
+            for n in by_msg.nodes.values()
+        ]
+
+    # One period per round: every node ticks, then only profiles and relay
+    # installs are delivered (no table exchange: the tables stay planted).
+    # Settled = nothing moved for a whole relay TTL, so the paths the
+    # not-yet-converged election requested have expired too.
+    quiet = rounds = 0
+    while quiet <= config.staleness_threshold:
+        rounds += 1
+        assert rounds < 60, "no fixed point"
+        before = state()
+        for node in by_msg.nodes.values():
+            assert node._tick() is True
+        while sent:
+            msg = sent.pop(0)
+            if isinstance(msg, (ProfileMessage, RelayInstall)):
+                by_msg.nodes[msg.dst].on_message(msg)
+        by_msg.run(config.gossip_period)
+        quiet = quiet + 1 if state() == before else 0
+
+    assert {a: tuple(n.rt.addresses) for a, n in by_msg.nodes.items()} == tables
+    assert outcome(by_msg) == outcome(by_cycle)
+    # Not vacuous: two clusters, two gateways, a two-hop and a one-hop path.
+    assert outcome(by_cycle) == (sorted([gw_a, gw_b]), {
+        gw_a: between, between: root, gw_b: root,
+        root: None, a2: None, a3: None, b2: None,
+    })

@@ -219,8 +219,8 @@ class TestLiveReport:
                 "buckets": [1, 2, 4], "bucket_counts": [1, 1, 0],
                 "count": 2, "sum": 3.0, "min": 1.0, "max": 2.0}]],
         }
-        store.ingest(7001, 0, 0.1, 100.0, delta)
-        store.ingest(7002, 0, 0.2, 100.4, delta)
+        store.ingest(7001, 0, 100.0, delta)
+        store.ingest(7002, 0, 100.4, delta)
         store.note_swim(7001, 101.0, 7002, "alive", "suspect")
         store.note_swim(7001, 102.5, 7002, "suspect", "alive")
         store.note_ring(100.5, 2, 2)
@@ -260,7 +260,7 @@ class TestLiveReport:
 
 #: Every leaf command of the tree, as an argv prefix.
 COMMANDS = [["list"], ["trace-report"], ["live-report"],
-            ["live", "node"], ["live", "cluster"], ["live", "status"],
+            ["live", "node"], ["live", "cluster"],
             *([name] for name in sorted(SCENARIOS))]
 
 LIVE_NODE = ["live", "node", "--seed-host", "h", "--seed-port", "1",
@@ -320,7 +320,7 @@ class TestRegistry:
         ["trace-report", "F", "--seed", "4"],
         ["trace-report", "F", "--scale", "3"],
         ["live-report", "F", "--audit"],
-        ["live", "status", "--port", "1", "--seed", "4"],
+        ["live", "cluster", "--metrics-port", "1"],
     ], ids=" ".join)
     def test_flag_rejected_on_a_command_that_does_not_declare_it(
             self, argv, capsys):
@@ -353,6 +353,11 @@ class TestRegistry:
     def test_removed_commands_are_unknown(self, command, capsys):
         assert main([command]) == 2
         assert "unknown command" in capsys.readouterr().err
+
+    def test_removed_live_console_is_an_invalid_choice(self, capsys):
+        assert "invalid choice: 'status'" in usage_error(
+            ["live", "status", "--port", "1"], capsys
+        )
 
 
 class TestValidators:

@@ -1,16 +1,48 @@
-"""repro.net.cluster: miss attribution and the live mini-cluster end to end."""
+"""repro.net.cluster: the commanded event stream, miss attribution and
+the live mini-cluster end to end."""
 
 import asyncio
 import json
 
 from repro.cli import build_parser
-from repro.net.cluster import _EventPlan, _attribute_misses, run_cluster
+from repro.core.deployment import DeployedVitis
+from repro.experiments.runner import measure
+from repro.net.cluster import (
+    _EventPlan, _attribute_misses, _plan_events, run_cluster,
+)
+from repro.net.node import LiveWorkload
 from repro.obs.spans import CAUSE_DEAD_NODE, CAUSE_FAULTED_LINK, CAUSE_NO_PATH
 
 
 def _plan(trace="e0", pub=0, expected=(1, 2, 3), sent=True):
     return _EventPlan(event=0, topic=5, publisher=pub, trace=trace,
                       expected=set(expected), sent=sent)
+
+
+def test_commanded_events_are_the_stream_measure_publishes_in_sim():
+    """The prediction band compares one workload with itself: same seed ⇒
+    the publishes the driver commands are the publishes ``measure``
+    makes on the in-sim twin, pair for pair."""
+    workload = LiveWorkload(n_nodes=8, n_topics=24, n_buckets=6,
+                            buckets_per_node=2, topics_per_bucket=2, seed=3)
+    subs = workload.subscriptions()
+
+    class Pairs(list):
+        def add(self, rec):
+            self.append((rec.topic, rec.publisher))
+
+    in_sim = measure(DeployedVitis(subs, seed=workload.seed), 40, seed=5,
+                     collector=Pairs())
+    plans = _plan_events(workload, 40, 5)
+    assert [(p.topic, p.publisher) for p in plans] == in_sim
+    assert len(set(in_sim)) > 10  # a stream, not one pair
+    assert [(p.event, p.trace) for p in plans] == [
+        (k, f"e{k}") for k in range(40)]
+    for p in plans:
+        assert p.topic in subs[p.publisher]
+        assert p.expected == {
+            a for a, s in enumerate(subs) if p.topic in s} - {p.publisher}
+        assert not p.sent
 
 
 def test_attribution_is_total_and_prefers_concrete_causes():
@@ -75,7 +107,6 @@ def test_mini_cluster_end_to_end(tmp_path):
     assert all("proc" in r for r in records if r.get("ev") == "span")
     # Streaming was on: every node's frames reached the store, yet the
     # merged trace stays frame-free (snapshot streaming is trace-inert).
-    assert result.metrics_endpoint is not None
     assert result.metrics_frames >= ns.procs
     assert not any(r.get("ev") == "metrics_delta" for r in records)
     from repro.net.store import MetricsStore
@@ -83,8 +114,8 @@ def test_mini_cluster_end_to_end(tmp_path):
     store = MetricsStore.from_doc(json.loads(series_out.read_text()))
     assert len(store.nodes) == ns.procs
     # Cumulative totals rebuilt from deltas are live traffic, not zeros.
-    sent = sum(reg.counter("live_sent_total").value
-               for reg in store.registries().values())
+    sent = sum(series.totals.counter("live_sent_total").value
+               for series in store.nodes.values())
     assert sent > 0
     # Every SWIM transition in the merged trace is in the series too —
     # the post-run timeline and the live view agree record for record.

@@ -72,6 +72,36 @@ class TestTruncation:
         assert collector.records[0]["pad"] == "x" * 200_000
 
 
+class TestHostileRecords:
+    def test_record_with_a_non_int_proc_is_counted_and_the_stream_survives(self):
+        # ``proc`` is a dict key and a sort key: an unhashable one costs
+        # its own record, never the rest of the connection's stream.
+        blob = (record_line(ev="span", proc=3, kind="publish") +
+                record_line(ev="span", proc=[1]) +
+                record_line(ev="span", proc=3, kind="flood") +
+                record_line(ev="span", proc=3, kind="deliver"))
+        collector = run_session([blob])
+        assert [r.get("kind") for r in collector.records] == [
+            "publish", "flood", "deliver"]
+        assert collector.malformed == 1
+
+    def test_snapshots_with_unsortable_procs_do_not_break_the_merge(self):
+        from repro.obs import Telemetry
+
+        snapshot = {"metrics": {"counters": [["x", [], 1.0]]}}
+        collector = run_session([
+            record_line(ev="metrics_snapshot", proc=2, snapshot=snapshot) +
+            record_line(ev="metrics_snapshot", proc={"a": 1}, snapshot=snapshot) +
+            record_line(ev="metrics_snapshot", proc="7", snapshot=snapshot) +
+            record_line(ev="metrics_snapshot", proc=1, snapshot=snapshot)
+        ])
+        assert sorted(collector.snapshots) == [1, 2]
+        assert collector.malformed == 2
+        merged = Telemetry()
+        collector.merge_into(merged)
+        assert merged.metrics.counter("x").value == 2.0
+
+
 class TestMetricsFrames:
     def test_frames_feed_store_but_never_records(self):
         blob = (metrics_line(seq=0, sent=5.0) +
@@ -80,7 +110,7 @@ class TestMetricsFrames:
         collector = run_session([blob])
         # Trace inertness: the merged trace is frame-free.
         assert [r["ev"] for r in collector.records] == ["span"]
-        totals = collector.store.registries()[7001]
+        totals = collector.store.nodes[7001].totals
         assert totals.counter("live_sent_total").value == 8.0
         assert collector.store.nodes[7001].frames == 2
 

@@ -7,16 +7,16 @@ import pytest
 from repro.net.store import STORE_SCHEMA, MetricsStore
 
 
-def frame(sent=5.0, queue=2.0, delivered=0.0, suspects=0.0, dead=0.0):
+def frame(sent=5.0):
     return {
         "counters": [
             ["live_sent_total", [], sent],
-            ["live_delivered_events", [], delivered],
+            ["live_delivered_events", [], 0.0],
         ],
         "gauges": [
-            ["live_queue_depth", [], queue],
-            ["swim_suspect_peers", [], suspects],
-            ["swim_dead_peers", [], dead],
+            ["live_queue_depth", [], 2.0],
+            ["swim_suspect_peers", [], 0.0],
+            ["swim_dead_peers", [], 0.0],
         ],
         "histograms": [
             ["live_delivery_hops", [], {
@@ -30,85 +30,50 @@ def frame(sent=5.0, queue=2.0, delivered=0.0, suspects=0.0, dead=0.0):
 class TestIngest:
     def test_deltas_fold_into_cumulative_totals(self):
         store = MetricsStore()
-        assert store.ingest(7001, 0, 0.5, 100.0, frame(sent=5))
-        assert store.ingest(7001, 1, 1.5, 101.0, frame(sent=3))
-        totals = store.registries()[7001]
+        assert store.ingest(7001, 0, 100.0, frame(sent=5))
+        assert store.ingest(7001, 1, 101.0, frame(sent=3))
+        totals = store.nodes[7001].totals
         assert totals.counter("live_sent_total").value == 8.0
         assert store.nodes[7001].frames == 2
 
     def test_stale_or_duplicate_seq_dropped(self):
         store = MetricsStore()
-        assert store.ingest(7001, 3, 0.5, 100.0, frame(sent=5))
-        assert not store.ingest(7001, 3, 0.6, 100.1, frame(sent=99))
-        assert not store.ingest(7001, 1, 0.7, 100.2, frame(sent=99))
-        assert store.registries()[7001].counter("live_sent_total").value == 5.0
+        assert store.ingest(7001, 3, 100.0, frame(sent=5))
+        assert not store.ingest(7001, 3, 100.1, frame(sent=99))
+        assert not store.ingest(7001, 1, 100.2, frame(sent=99))
+        assert store.nodes[7001].totals.counter("live_sent_total").value == 5.0
         assert store.dropped_frames == 2
 
     def test_samples_aligned_to_first_epoch_ts(self):
         store = MetricsStore()
-        # Two nodes whose monotonic clocks (t) started at wildly
-        # different instants: alignment must come from epoch ts.
-        store.ingest(1, 0, 5000.0, 100.0, frame())
-        store.ingest(2, 0, 17.0, 101.5, frame())
+        # Nodes start their monotonic clocks at wildly different
+        # instants: alignment comes from the epoch ts a frame carries.
+        store.ingest(1, 0, 100.0, frame())
+        store.ingest(2, 0, 101.5, frame())
         assert store.nodes[1].samples[0]["t"] == 0.0
         assert store.nodes[2].samples[0]["t"] == 1.5
 
     def test_sample_window_is_bounded(self):
         store = MetricsStore(max_samples=4)
         for i in range(10):
-            store.ingest(1, i, float(i), 100.0 + i, frame(sent=1))
+            store.ingest(1, i, 100.0 + i, frame(sent=1))
         assert len(store.nodes[1].samples) == 4
         # Totals still reflect every frame, not just the window.
-        assert store.registries()[1].counter("live_sent_total").value == 10.0
-
-    def test_rate_from_rolling_window(self):
-        store = MetricsStore()
-        store.ingest(1, 0, 0.0, 100.0, frame(sent=5))
-        assert store.nodes[1].rate("live_sent_total") is None
-        store.ingest(1, 1, 2.0, 102.0, frame(sent=6))
-        assert store.nodes[1].rate("live_sent_total") == pytest.approx(3.0)
-
-
-class TestStatusDoc:
-    def test_rows_and_cluster_rollup(self):
-        store = MetricsStore()
-        store.ingest(1, 0, 0.0, 100.0, frame(sent=5, delivered=4, queue=7))
-        store.ingest(2, 0, 0.0, 100.5, frame(sent=2, delivered=3, suspects=1))
-        store.note_expected(100.6, 10)
-        store.note_ring(100.7, 0, 2)
-        store.note_swim(1, 100.8, 2, "alive", "suspect")
-        doc = store.status_doc(now_ts=101.0)
-        rows = {r["proc"]: r for r in doc["nodes"]}
-        assert rows[1]["queue"] == 7.0
-        assert rows[1]["verdict"] == "alive"
-        assert rows[2]["verdict"] == "suspecting"
-        assert rows[1]["age_s"] == pytest.approx(1.0)
-        cluster = doc["cluster"]
-        assert cluster["reporting"] == 2
-        assert cluster["delivered"] == 7.0
-        assert cluster["expected_deliveries"] == 10
-        assert cluster["hit_ratio"] == pytest.approx(0.7)
-        assert cluster["ring_wrong"] == 0
-        assert cluster["swim_transitions"] == 1
-
-    def test_empty_store_has_no_hit_ratio(self):
-        doc = MetricsStore().status_doc(now_ts=0.0)
-        assert doc["nodes"] == []
-        assert doc["cluster"]["hit_ratio"] is None
+        assert store.nodes[1].totals.counter("live_sent_total").value == 10.0
 
 
 class TestPersistence:
     def test_doc_round_trip_is_json_safe(self):
         store = MetricsStore()
-        store.ingest(1, 0, 0.0, 100.0, frame(sent=5))
-        store.ingest(1, 1, 1.0, 101.0, frame(sent=1))
+        store.ingest(1, 0, 100.0, frame(sent=5))
+        store.ingest(1, 1, 101.0, frame(sent=1))
         store.note_swim(1, 101.2, 2, "alive", "suspect")
         store.note_ring(101.3, 1, 2)
         store.note_expected(101.4, 6)
         doc = json.loads(json.dumps(store.to_doc()))
         assert doc["schema"] == STORE_SCHEMA
         rt = MetricsStore.from_doc(doc)
-        assert rt.registries()[1].counter("live_sent_total").value == 6.0
+        assert rt.nodes[1].totals.counter("live_sent_total").value == 6.0
         assert rt.nodes[1].frames == 2
         (t, proc, peer, prev, state), = rt.swim_events
         assert (t, proc, peer, prev, state) == (
@@ -123,22 +88,3 @@ class TestPersistence:
             MetricsStore.from_doc({"schema": "something/else"})
         with pytest.raises(ValueError):
             MetricsStore.from_doc([])
-
-
-class TestStatusConsole:
-    def test_render_status_formats_rows_and_rollup(self):
-        from repro.net.status import render_status
-
-        store = MetricsStore()
-        store.ingest(7001, 0, 0.0, 100.0, frame(sent=5, delivered=2))
-        store.note_expected(100.5, 4)
-        text = render_status(store.status_doc(now_ts=101.0))
-        assert "live nodes" in text
-        assert "7001" in text
-        assert "hit so far 0.500" in text
-
-    def test_render_status_before_any_frames(self):
-        from repro.net.status import render_status
-
-        text = render_status(MetricsStore().status_doc(now_ts=0.0))
-        assert "no metrics frames received yet" in text

@@ -35,6 +35,32 @@ def imported_modules(path: Path):
                 yield node.lineno, alias.name
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
             yield node.lineno, node.module
+            # ``from repro.net import wire`` names a module too.
+            for alias in node.names:
+                yield node.lineno, f"{node.module}.{alias.name}"
+
+
+def test_every_module_has_an_importer():
+    """A module nothing imports is code nothing runs: it is either dead
+    or missing its test.  Every module under ``src/repro`` (a package's
+    ``__init__`` / ``__main__`` aside: ``import`` and ``-m`` load those)
+    is imported by another ``src/repro`` module or by something under
+    ``tests/``, ``benchmarks/`` or ``examples/``."""
+    modules = {
+        ".".join(path.relative_to(SRC.parent).with_suffix("").parts): path
+        for path in SRC.rglob("*.py")
+        if path.stem not in ("__init__", "__main__")
+    }
+    root = SRC.parent.parent
+    imported = {
+        name
+        for top in ("src", "tests", "benchmarks", "examples")
+        for path in (root / top).rglob("*.py")
+        for _, name in imported_modules(path)
+        if modules.get(name, path) != path  # known, and not by itself
+    }
+    orphans = sorted(set(modules) - imported)
+    assert not orphans, f"imported by nothing: {orphans}"
 
 
 @pytest.mark.parametrize("package", sorted(FORBIDDEN))
