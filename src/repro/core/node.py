@@ -39,6 +39,19 @@ __all__ = ["VitisNode"]
 #: Ring-index orders of ``(address, node_id, age)`` triples.
 _BY_ID = itemgetter(1)
 _BY_ID_ADDRESS = itemgetter(1, 0)
+_ADDRESS = itemgetter(0)
+
+
+def _ring_index(triples) -> Tuple[List[tuple], List[int]]:
+    """Alg. 4's index over ``(address, node_id, age)`` candidates: the
+    triples sorted by (node id, address), plus their id column."""
+    ring = sorted(triples, key=_BY_ID)
+    ids = [t[1] for t in ring]
+    if len(set(ids)) < len(ids):
+        # Equal ids (small id spaces): order each run by address.  Not
+        # unconditionally — comparing key pairs costs 2.5x the id sort.
+        ring.sort(key=_BY_ID_ADDRESS)
+    return ring, ids
 
 
 class VitisNode(BaseNode):
@@ -87,7 +100,7 @@ class VitisNode(BaseNode):
         self.relay = RelayTable(address)
         self.n_estimate = max(2, config.n_estimate)
         #: Utility memo: address → Eq. 1 utility to that node, valid for
-        #: the whole of ``_ustamp``.  See _select_from_pool.
+        #: the whole of ``_ustamp``.  See _select_neighbors.
         self._umemo: Dict[int, float] = {}
         self._ustamp: Optional[tuple] = None
         #: Event ids already handled (duplicate suppression in the
@@ -135,28 +148,45 @@ class VitisNode(BaseNode):
         pool: Dict[int, tuple],
         profile_of: Callable[[int], Optional[NodeProfile]],
     ) -> List[Tuple[Descriptor, LinkKind]]:
-        """Alg. 4 — selectNeighbors — over an ``address → (address,
-        node_id, age)`` pool (consumed destructively); Descriptors are
-        built only for the winners.
+        """Alg. 4 over an ``address → (address, node_id, age)`` pool that
+        excludes this node: :meth:`_select_neighbors` on the pool's ring
+        index.  The pool is only read."""
+        ring, ids = _ring_index(pool.values())
+        return self._select_neighbors(ring, ids, profile_of)
+
+    def _select_neighbors(
+        self,
+        ring: List[tuple],
+        ids: List[int],
+        profile_of: Callable[[int], Optional[NodeProfile]],
+    ) -> List[Tuple[Descriptor, LinkKind]]:
+        """Alg. 4 — selectNeighbors — over a ring index of the candidates
+        (:func:`_ring_index`, this node excluded; both lists consumed);
+        Descriptors are built only for the winners.
 
         Order follows Alg. 4: successor, predecessor, ``n_sw_links``
         harmonic small-world picks, then the top-utility friends.  Each
         pick removes the candidate, so one neighbor fills at most one slot.
 
-        The ring and small-world picks read one index — the candidates
-        sorted by (node id, address) plus its id column — by bisection:
-        the successor is the first id clockwise of mine, the predecessor
-        the last id counter-clockwise, a Symphony pick the nearer of the
-        two ids around the drawn target (equal distance → lower
-        address); an equal-id run is entered at its lowest address and
-        all three wrap.  Candidates sharing my id never fill a ring slot
-        but stay eligible for the other kinds.
+        The ring and small-world picks read the index by bisection: the
+        successor is the first id clockwise of mine, the predecessor the
+        last id counter-clockwise, a Symphony pick the nearer of the two
+        ids around the drawn target (equal distance → lower address); an
+        equal-id run is entered at its lowest address and all three wrap.
+        Candidates sharing my id never fill a ring slot but stay eligible
+        for the other kinds.
 
-        The friend ranking reads utilities from ``_umemo`` without
-        checking them: one stamp per selection empties the memo whenever
-        the rates or *any* profile (mine included) changed, ``join``
-        empties it, and a caller whose ``profile_of`` can change its
-        answer otherwise drops the address itself (see
+        Friends rank by (-utility, age, address).  Precondition: every
+        utility is ≥ 0 (Eq. 1 over rates :class:`PublicationRates`
+        accepts), so each nonzero utility outranks every zero: only the
+        nonzero candidates are keyed and sorted, and the zero rest is
+        sorted by (age, address) only when too few are nonzero.
+
+        The ranking reads utilities from ``_umemo`` without checking
+        them: one stamp per selection empties the memo whenever the
+        rates or *any* profile (mine included) changed, ``join`` empties
+        it, and a caller whose ``profile_of`` can change its answer
+        otherwise drops the address itself (see
         ``DeployedVitisNode._learn``).  Only a memo miss reaches
         ``profile_of`` and Eq. 1; an unknown profile ranks 0.0 and is
         not memoised.
@@ -164,18 +194,10 @@ class VitisNode(BaseNode):
         selection: List[Tuple[Descriptor, LinkKind]] = []
         self_id = self.node_id
         size = self.space.size
-        ring = sorted(pool.values(), key=_BY_ID)
-        ids = [t[1] for t in ring]
-        if len(set(ids)) < len(ids):
-            # Equal ids (small id spaces): order each run by address.  Not
-            # unconditionally — comparing key pairs costs 2.5x the id sort.
-            ring.sort(key=_BY_ID_ADDRESS)
 
         def take(i: int, kind: LinkKind) -> None:
             del ids[i]
-            t = ring.pop(i)
-            del pool[t[0]]
-            selection.append((Descriptor(*t), kind))
+            selection.append((Descriptor(*ring.pop(i)), kind))
 
         if ring:
             i = bisect_right(ids, self_id) % len(ids)
@@ -214,15 +236,21 @@ class VitisNode(BaseNode):
             if stamp != self._ustamp:
                 memo.clear()
                 self._ustamp = stamp
-            for addr in filterfalse(memo.__contains__, pool):
+            for addr in filterfalse(memo.__contains__, map(_ADDRESS, ring)):
                 other = profile_of(addr)
                 if other is not None:
                     memo[addr] = util(my_prof, other)
             get = memo.get
-            keyed = [(-get(a, 0.0), age, a, i) for a, i, age in ring]
+            keyed = [(-u, age, a, i) for a, i, age in ring if (u := get(a))]
             keyed.sort()
-            for item in keyed[:n_friends]:
-                selection.append((Descriptor(item[2], item[3], item[1]), LinkKind.FRIEND))
+            for _, age, a, i in keyed[:n_friends]:
+                selection.append((Descriptor(a, i, age), LinkKind.FRIEND))
+            n_zero = n_friends - len(keyed)
+            if n_zero > 0:
+                zero = [(age, a, i) for a, i, age in ring if not get(a)]
+                zero.sort()
+                for age, a, i in zero[:n_zero]:
+                    selection.append((Descriptor(a, i, age), LinkKind.FRIEND))
 
         return selection
 
@@ -279,6 +307,12 @@ class VitisNode(BaseNode):
     ) -> Optional[int]:
         """One active T-Man exchange (Alg. 2); the peer's passive side
         (Alg. 3) runs in the same call.  Returns the peer exchanged with.
+
+        Both sides' merges (:meth:`_merge_and_select`) are one merge here,
+        and one ring index serves both selections.  Two merged pools
+        could differ only in which of two equal-age triples a tie keeps,
+        and those are equal: an address carries one id.  Each side, mine
+        first, selects from a copy of the index without its own entry.
         """
         peer_addr = self._pick_exchange_peer(is_alive)
         if peer_addr is None:
@@ -287,10 +321,21 @@ class VitisNode(BaseNode):
         if peer is None or not peer.alive:
             self.rt.remove(peer_addr)
             return None
-        mine = self._exchange_pool()
-        theirs = peer._exchange_pool()
-        self._merge_and_select(mine, theirs.values(), profile_of)
-        peer._merge_and_select(theirs, mine.values(), profile_of)
+        merged = self._exchange_pool()
+        for t in peer._exchange_pool().values():
+            cur = merged.get(t[0])
+            if cur is None or t[2] < cur[2]:
+                merged[t[0]] = t
+        ring, ids = _ring_index(merged.values())
+        for node in (self, peer):
+            # Both pools end with their owner's zero-age triple, so the
+            # entry is there; an equal-id run is ordered by address.
+            k = bisect_left(ids, node.node_id)
+            while ring[k][0] != node.address:
+                k += 1
+            node.rt.replace(node._select_neighbors(
+                ring[:k] + ring[k + 1:], ids[:k] + ids[k + 1:], profile_of
+            ))
         return peer_addr
 
     def _pick_exchange_peer(self, is_alive: Callable[[int], bool]) -> Optional[int]:

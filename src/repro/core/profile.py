@@ -23,7 +23,7 @@ class NodeProfile:
 
     #: Bumped with every subscription change of *any* profile: a cache
     #: over many profiles is valid while this stands still (see
-    #: ``VitisNode._select_from_pool``).
+    #: ``VitisNode._select_neighbors``).
     _epoch = 0
 
     def __init__(self, address: int, node_id: int, subscriptions: Iterable[int] = ()) -> None:

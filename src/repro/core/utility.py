@@ -40,13 +40,23 @@ class PublicationRates:
     __slots__ = ("rates", "version")
 
     def __init__(self, rates: np.ndarray) -> None:
+        self.rates = self._checked(rates)
+        self.version = 0
+
+    @staticmethod
+    def _checked(rates: np.ndarray, shape: Optional[tuple] = None) -> np.ndarray:
+        """``rates`` as a float array, refused unless 1-D (of ``shape``,
+        when given), finite and non-negative — what keeps Eq. 1 ≥ 0."""
         rates = np.asarray(rates, dtype=float)
         if rates.ndim != 1:
             raise ValueError("rates must be a 1-D array indexed by topic id")
+        if shape is not None and rates.shape != shape:
+            raise ValueError("shape mismatch")
+        if not np.all(np.isfinite(rates)):
+            raise ValueError("rates must be finite")
         if np.any(rates < 0):
             raise ValueError("rates must be non-negative")
-        self.rates = rates
-        self.version = 0
+        return rates
 
     @classmethod
     def uniform(cls, n_topics: int, rate: float = 1.0) -> "PublicationRates":
@@ -61,11 +71,9 @@ class PublicationRates:
         return float(self.rates[topic])
 
     def update(self, rates: np.ndarray) -> None:
-        """Replace all rates (invalidates utility caches via version)."""
-        rates = np.asarray(rates, dtype=float)
-        if rates.shape != self.rates.shape:
-            raise ValueError("shape mismatch")
-        self.rates = rates
+        """Replace all rates (invalidates utility caches via version);
+        checked as the constructor checks them, and of the same shape."""
+        self.rates = self._checked(rates, self.rates.shape)
         self.version += 1
 
     def sum_over(self, topics) -> float:

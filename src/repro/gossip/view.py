@@ -248,15 +248,18 @@ class PartialView:
         n = len(self._addrs)
         if n <= self.max_size:
             return
-        addrs, ages = self._addrs, self._ages
-        # Keys are built in slot (= insertion) order, so the rng draw
-        # sequence matches a per-entry scan of the old dict layout.
+        # Tie-breakers are drawn in slot (= insertion) order, one per
+        # slot: the draw sequence is part of every seeded trajectory.
         if rng is None:
-            keys = list(zip(ages, addrs))
+            minor = self._addrs
         else:
             draw = rng.random
-            keys = [(age, draw()) for age in ages]
-        self._rebuild(sorted(range(n), key=keys.__getitem__)[: self.max_size])
+            minor = [draw() for _ in range(n)]
+        # The (age, tie-breaker) order as two stable sorts on plain keys:
+        # by the tie-breaker, then by age.
+        order = sorted(range(n), key=minor.__getitem__)
+        order.sort(key=self._ages.__getitem__)
+        self._rebuild(order[: self.max_size])
 
     def _rebuild(self, keep: List[int]) -> None:
         """Re-pack the columns to the given slots, in the given order."""

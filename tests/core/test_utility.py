@@ -162,3 +162,25 @@ class TestPublicationRates:
 
     def test_not_uniform(self):
         assert not PublicationRates(np.array([1.0, 2.0])).is_uniform()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_refuses_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            PublicationRates(np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("bad", [-2.0, np.nan, np.inf, -np.inf])
+    def test_update_refuses_what_the_constructor_refuses(self, bad):
+        r = PublicationRates.uniform(2)
+        before = r.rates
+        with pytest.raises(ValueError):
+            r.update([bad, 3.0])
+        assert r.rates is before and list(r.rates) == [1.0, 1.0]
+        assert r.version == 0
+
+    def test_update_cannot_make_utility_negative(self):
+        """Once accepted, a negative rate made Eq. 1 read -2.0."""
+        r = PublicationRates.uniform(2)
+        with pytest.raises(ValueError):
+            r.update([-2.0, 3.0])
+        u = UtilityFunction(r)(NodeProfile(0, 0, {0}), NodeProfile(1, 1, {0, 1}))
+        assert u == pytest.approx(0.5)

@@ -1,5 +1,7 @@
 """Property-based tests for the Eq. 1 utility function."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,12 @@ rate_arrays = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
     min_size=N_TOPICS,
     max_size=N_TOPICS,
+)
+#: Finite non-negative rates of any magnitude, or any floats at all.
+any_rate_arrays = st.one_of(
+    st.lists(st.floats(min_value=0.0, allow_infinity=False),
+             min_size=N_TOPICS, max_size=N_TOPICS),
+    st.lists(st.floats(), min_size=N_TOPICS, max_size=N_TOPICS),
 )
 
 
@@ -79,6 +87,27 @@ class TestRateWeightedProperties:
         f = UtilityFunction(PublicationRates(np.full(N_TOPICS, rate)))
         g = UtilityFunction()
         assert abs(f(prof(0, a), prof(1, b)) - g(prof(0, a), prof(1, b))) < 1e-9
+
+    @given(topic_sets, topic_sets, any_rate_arrays, st.booleans())
+    @settings(max_examples=300)
+    def test_in_unit_interval_for_any_rates_accepted(self, a, b, rates, by_update):
+        """Any float at all is offered, to the constructor or to
+        ``update``; whatever is accepted keeps Eq. 1 in [0, 1] — the
+        precondition of Alg. 4's friend ranking."""
+        valid = all(math.isfinite(r) and r >= 0 for r in rates)
+        try:
+            if by_update:
+                table = PublicationRates.uniform(N_TOPICS)
+                table.update(np.array(rates))
+            else:
+                table = PublicationRates(np.array(rates))
+        except ValueError:
+            assert not valid
+            return
+        assert valid
+        with np.errstate(over="ignore", invalid="ignore"):  # sums past 1.8e308
+            u = UtilityFunction(table)(prof(0, a), prof(1, b))
+        assert 0.0 <= u <= 1.0
 
     @given(topic_sets, topic_sets, rate_arrays)
     @settings(max_examples=50)

@@ -69,6 +69,53 @@ class TestInvariants:
         assert all(d.age == before[d.address] + by for d in v)
 
 
+def naive_trim(view, rng):
+    """``PartialView.trim`` transcribed: one ``(age, tie-breaker)`` key
+    per slot, drawn in slot order, one sort, keep the first
+    ``max_size``; returns the three columns."""
+    addrs, ids, ages = view.snapshot_fields()
+    n = len(addrs)
+    if n <= view.max_size:
+        return addrs, ids, ages
+    keys = [(ages[i], addrs[i] if rng is None else rng.random()) for i in range(n)]
+    keep = sorted(range(n), key=lambda i: keys[i])[: view.max_size]
+    return [addrs[i] for i in keep], [ids[i] for i in keep], [ages[i] for i in keep]
+
+
+@st.composite
+def trim_cases(draw):
+    """Views just under, at and just over their bound, often with every
+    age equal; ``seed`` None is the address tie-break."""
+    max_size = draw(st.integers(min_value=1, max_value=12))
+    n = max(0, max_size + draw(st.sampled_from([-2, 0, 1, 1, 2, 8])))
+    addrs = draw(st.lists(st.integers(min_value=0, max_value=200),
+                          min_size=n, max_size=n, unique=True))
+    if draw(st.booleans()):
+        ages = [draw(st.integers(min_value=0, max_value=3))] * n
+    else:
+        ages = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n))
+    seed = draw(st.none() | st.integers(min_value=0, max_value=2**32))
+    return max_size, addrs, ages, seed
+
+
+class TestTrimEqualsNaive:
+    """Mutation-checked: tie-breakers drawn after the age sort, the age
+    sort done first, and an unstable second sort each fail this test."""
+
+    @settings(max_examples=300)
+    @given(trim_cases())
+    def test_trim_equals_one_sort_on_tuple_keys(self, case):
+        max_size, addrs, ages, seed = case
+        v = PartialView(max_size, [Descriptor(a, a * 7, g) for a, g in zip(addrs, ages)])
+        rng, twin = (None, None) if seed is None else (random.Random(seed), random.Random(seed))
+        expected = naive_trim(v, twin)
+        v.trim(rng)
+        assert v.snapshot_fields() == expected
+        assert v._slot == {a: j for j, a in enumerate(expected[0])}
+        if seed is not None:
+            assert rng.getstate() == twin.getstate()
+
+
 class TestSampling:
     @given(descriptor_lists, st.integers(min_value=0, max_value=20), st.integers())
     @settings(max_examples=60)
