@@ -105,3 +105,9 @@ class RetryPolicy:
             d *= 1.0 + self.jitter * (rng.random() - 0.5)
         return d
 
+    @property
+    def min_delay(self) -> float:
+        """The shortest delay :meth:`delay` returns for any attempt and
+        any draw: the first attempt's, at the bottom of the jitter band."""
+        return self.base_delay * (1.0 - self.jitter / 2)
+

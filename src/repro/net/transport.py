@@ -13,7 +13,9 @@ differences a real wire forces are all here:
   *given up*, counted, reported via ``on_give_up`` (feeding the liveness
   layer and the failure-span trace), and dropped — the transport
   degrades into the protocol's existing fault-aware eviction path
-  instead of blocking on a dead peer.
+  instead of blocking on a dead peer.  One timer per transport sweeps
+  the pending sends' deadlines (it never sleeps past the earliest one);
+  the delay and give-up rules are those of the policy, unchanged.
 - **SWIM kinds are exempt** — probes, acks, suspicions and refutations
   ride unreliable, exactly as SWIM requires: the detector supplies its
   own end-to-end semantics, and a transport that retried probes would
@@ -58,14 +60,15 @@ _DEDUP_WINDOW = 4096
 class _Pending:
     """One unacked reliable datagram awaiting its ack."""
 
-    __slots__ = ("msg", "data", "endpoint", "attempts", "handle")
+    __slots__ = ("msg", "data", "endpoint", "attempts", "deadline")
 
-    def __init__(self, msg, data, endpoint) -> None:
+    def __init__(self, msg, data, endpoint, deadline: float) -> None:
         self.msg = msg
         self.data = data
         self.endpoint = endpoint
         self.attempts = 1
-        self.handle = None
+        #: Loop time after which the latest transmission counts as lost.
+        self.deadline = deadline
 
 
 class _Protocol(asyncio.DatagramProtocol):
@@ -130,6 +133,8 @@ class UdpTransport:
         self.malformed = 0
         self._seq = 0
         self._pending: Dict[int, _Pending] = {}
+        #: The one retransmit sweep, armed while anything is pending.
+        self._sweep: Optional[asyncio.TimerHandle] = None
         self._seen: Dict[int, set] = {}
         self._seen_order: Dict[int, deque] = {}
         self._sock = None
@@ -181,30 +186,50 @@ class UdpTransport:
         self.bytes_sent += len(data)
         self._sock.sendto(data, endpoint)
         if kind not in UNRELIABLE_KINDS:
-            pending = self._pending[seq] = _Pending(msg, data, endpoint)
-            pending.handle = self._loop.call_later(
-                self.retry.delay(1, self.rng), self._on_timeout, seq
+            now = self._loop.time()
+            self._pending[seq] = _Pending(
+                msg, data, endpoint, now + self.retry.delay(1, self.rng)
             )
+            if self._sweep is None:
+                self._sweep = self._loop.call_at(
+                    now + self.retry.min_delay, self._on_sweep
+                )
         return True
 
-    def _on_timeout(self, seq: int) -> None:
-        pending = self._pending.get(seq)
-        if pending is None or self._closed:
-            return
-        if pending.attempts >= self.retry.max_attempts:
-            del self._pending[seq]
-            self.gave_up += 1
-            self.dropped[pending.msg.kind] += 1
-            if self.on_give_up is not None:
-                self.on_give_up(pending.msg)
-            return
-        pending.attempts += 1
-        self.retransmits += 1
-        self.bytes_sent += len(pending.data)
-        self._sock.sendto(pending.data, pending.endpoint)
-        pending.handle = self._loop.call_later(
-            self.retry.delay(pending.attempts, self.rng), self._on_timeout, seq
-        )
+    def _on_sweep(self) -> None:
+        wake = self._sweep_due(self._loop.time())
+        self._sweep = None if wake is None else self._loop.call_at(wake, self._on_sweep)
+
+    def _sweep_due(self, now: float) -> Optional[float]:
+        """Retransmit, or give up at the end of its budget, every pending
+        send whose deadline has passed by ``now``, in sequence order.
+
+        Returns when to sweep next, or None when nothing is pending: the
+        earliest remaining deadline, but no later than ``now +
+        retry.min_delay`` — a send made before then arms no timer of its
+        own, and its deadline can be no earlier than that.  Reads no clock.
+        """
+        retry = self.retry
+        wake = now + retry.min_delay
+        # Over a copy: ``on_give_up`` may send.
+        for seq, pending in list(self._pending.items()):
+            if pending.deadline > now:
+                if pending.deadline < wake:
+                    wake = pending.deadline
+                continue
+            if pending.attempts >= retry.max_attempts:
+                del self._pending[seq]
+                self.gave_up += 1
+                self.dropped[pending.msg.kind] += 1
+                if self.on_give_up is not None:
+                    self.on_give_up(pending.msg)
+                continue
+            pending.attempts += 1
+            self.retransmits += 1
+            self.bytes_sent += len(pending.data)
+            self._sock.sendto(pending.data, pending.endpoint)
+            pending.deadline = now + retry.delay(pending.attempts, self.rng)
+        return wake if self._pending else None
 
     # ------------------------------------------------------------------
     # Receiving
@@ -221,9 +246,7 @@ class UdpTransport:
             self.malformed += 1
             return
         if msg is None:  # an ack for one of our reliable sends
-            pending = self._pending.pop(seq, None)
-            if pending is not None and pending.handle is not None:
-                pending.handle.cancel()
+            self._pending.pop(seq, None)
             return
         kind = msg.kind
         if kind not in UNRELIABLE_KINDS:
@@ -276,9 +299,8 @@ class UdpTransport:
 
     def close(self) -> None:
         self._closed = True
-        for pending in self._pending.values():
-            if pending.handle is not None:
-                pending.handle.cancel()
+        if self._sweep is not None:
+            self._sweep.cancel()
         self._pending.clear()
         if self._sock is not None:
             self._sock.close()

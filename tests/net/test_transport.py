@@ -1,6 +1,7 @@
 """repro.net.transport: loopback UDP pairs, loss, retry, dedup, give-up."""
 
 import asyncio
+import math
 import random
 
 import pytest
@@ -66,6 +67,115 @@ def test_retry_budget_exhaustion_reports_give_up():
         assert gave_up == [msg]
         assert a.pending_count == 0  # degraded, not blocked
         a.close()
+    asyncio.run(run())
+
+
+class _Clock:
+    """Stands in for the event loop: ``send`` reads this made-up time and
+    arms its sweep here, where nothing ever fires."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.armed = []
+
+    def time(self):
+        return self.now
+
+    def call_at(self, when, callback, *args):
+        self.armed.append(when)
+        return object()  # a handle nothing fires
+
+
+class _Wire:
+    """A socket that logs each datagram with the made-up time it left."""
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.log = []
+
+    def sendto(self, data, addr):
+        self.log.append((self.clock.now, data))
+
+
+def test_retry_budget_is_spent_at_each_deadline_without_waiting():
+    retry = RetryPolicy(max_attempts=4, base_delay=100, max_delay=1000, jitter=0)
+    t = UdpTransport(0, random.Random(1), retry=retry)
+    clock = _Clock()
+    t._loop, t._sock = clock, _Wire(clock)
+    t.endpoints[1] = ("127.0.0.1", 1)  # nothing ever acks
+    gave_up = []
+    t.on_give_up = lambda msg: gave_up.append((clock.now, msg))
+    send_at = [0.0, 0.0, 10.0, 10.0, 25.0]  # pairs share a deadline
+    msgs = [M.Notification(src=0, dst=1, topic=i, event_id=i) for i in range(len(send_at))]
+    for at, msg in zip(send_at, msgs):
+        clock.now = at
+        t.send(msg)
+    assert clock.armed == [100.0]  # one timer for all five
+
+    # Transmissions at s, s + 100, s + 300, s + 700 (delays 100, 200,
+    # 400), then the fourth waits 800 and the budget is spent.
+    events = [[s, s + 100, s + 300, s + 700, s + 1500] for s in send_at]
+    # A grid through every deadline, plus the last float before each one.
+    sweeps = {math.nextafter(e, 0) for ev in events for e in ev[1:]}
+    for now in sorted(sweeps | set(map(float, range(30, 1600, 5)))):
+        clock.now = now
+        wake = t._sweep_due(now)
+        upcoming = [min(e for e in ev if e > now) for ev in events if ev[-1] > now]
+        if upcoming:
+            assert now < wake <= min(upcoming)  # never sleeps past a deadline
+        else:
+            assert wake is None
+
+    frames = [data for _, data in t._sock.log[: len(msgs)]]
+    for i, frame in enumerate(frames):
+        assert [at for at, data in t._sock.log if data == frame] == events[i][:4]
+    assert gave_up == [(ev[-1], msg) for ev, msg in zip(events, msgs)]
+    assert (t.gave_up, t.retransmits, t.pending_count) == (5, 15, 0)
+    assert t.bytes_sent == len(msgs) * retry.max_attempts * len(wire.encode(msgs[0], 1))
+
+
+def test_one_timer_serves_a_thousand_reliable_sends():
+    async def run():
+        loop = asyncio.get_running_loop()
+        a, b = await _pair()
+        got = []
+        b.on_message = got.append
+        armed, ran_after_close = [], []
+        call_at, call_later = loop.call_at, loop.call_later
+
+        def traced(callback):
+            def fire(*args):
+                if a._closed:
+                    ran_after_close.append(callback)
+                callback(*args)
+            return fire
+
+        def arm(schedule):
+            def wrapper(when, callback, *args, **kwargs):
+                if getattr(callback, "__self__", None) not in (a, b):
+                    return schedule(when, callback, *args, **kwargs)
+                handle = schedule(when, traced(callback), *args, **kwargs)
+                armed.append(handle)
+                return handle
+            return wrapper
+
+        loop.call_at, loop.call_later = arm(call_at), arm(call_later)
+        start = loop.time()
+        for i in range(1000):
+            a.send(M.Notification(src=0, dst=1, topic=i, event_id=i))
+            if i % 50 == 49:  # bursts the loopback buffer absorbs
+                assert await a.drain(2.0)
+        elapsed = loop.time() - start
+        assert sorted(m.topic for m in got) == list(range(1000))
+        retry = a.retry
+        assert len(armed) <= 1 + elapsed / (retry.base_delay * (1 - retry.jitter / 2))
+
+        a.send(M.Notification(src=0, dst=1, topic=0, event_id=0))  # close with a sweep armed
+        a.close(); b.close()
+        closed_at = loop.time()
+        await asyncio.sleep(max(h.when() for h in armed) - closed_at + 0.05)
+        assert ran_after_close == []
+        assert all(h.cancelled() or h.when() <= closed_at for h in armed)
     asyncio.run(run())
 
 
