@@ -12,7 +12,12 @@ graph and prints the comparison of paper Fig. 10 at example scale:
   misses subscribers;
 - RVR (Scribe-like) always delivers but burns relay traffic;
 - Vitis delivers everything with a fraction of RVR's overhead.
+
+Then users follow and unfollow at runtime (paper section III-D): Vitis
+re-clusters around the new follower graph with no restart.
 """
+
+import random
 
 from repro import VitisConfig
 from repro.experiments.runner import build_opt, build_rvr, build_vitis, measure
@@ -60,6 +65,21 @@ def main() -> None:
     print(f"opt (unbounded): hit ratio {col.hit_ratio():.3f}, but "
           f"{over_15:.0%} of nodes need degree > 15 (max {max(degrees)}) — "
           f"the Fig. 11 scalability argument.")
+
+    # Interest churn: 40 users each unfollow one account and follow
+    # another.  The next gossip rounds' friend selection captures the
+    # change; elections and relay paths follow it.
+    vitis = systems["vitis"]
+    rng = random.Random(9)
+    users = vitis.live_addresses()
+    for user in rng.sample(users, 40):
+        vitis.unsubscribe(user, rng.choice(sorted(vitis.nodes[user].profile.subscriptions)))
+        vitis.subscribe(user, rng.choice(users))
+    vitis.run_cycles(20)
+    vitis.finalize()
+    col = measure(vitis, events, seed=10, publisher="owner")
+    print(f"vitis after 40 users changed whom they follow: hit ratio "
+          f"{col.hit_ratio():.3f}, overhead {col.traffic_overhead_pct():.2f}%")
 
 
 if __name__ == "__main__":

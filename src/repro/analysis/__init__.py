@@ -3,14 +3,12 @@
 - :mod:`repro.analysis.clusters` — per-topic cluster extraction (the
   paper's "maximal connected subgraph of interested nodes"), diameters,
   gateway statistics.
-- :mod:`repro.analysis.distributions` — CCDFs, log-binned histograms and
+- :mod:`repro.analysis.distributions` — log-binned histograms and
   power-law fits for the degree/overhead distribution figures.
 - :mod:`repro.analysis.navigability` — greedy-routing probes and the
   O((1/k)·log²N) yardstick (paper section III-A1).
 - :mod:`repro.analysis.control_traffic` — overlay-management cost
   accounting (the paper's scalability argument, section II).
-- :mod:`repro.analysis.graphs` — networkx exports, DOT rendering and
-  small-world statistics of the whole overlay.
 """
 
 from repro.analysis.clusters import (
@@ -18,12 +16,11 @@ from repro.analysis.clusters import (
     cluster_stats,
     topic_clusters,
 )
-from repro.analysis.distributions import ccdf, log_binned_histogram
+from repro.analysis.distributions import log_binned_histogram
 from repro.analysis.control_traffic import estimate_control_messages
 from repro.analysis.navigability import expected_bound, routing_probe
 
 __all__ = [
-    "ccdf",
     "cluster_diameter",
     "cluster_stats",
     "estimate_control_messages",

@@ -11,17 +11,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["ccdf", "frequency_histogram", "log_binned_histogram", "gini"]
-
-
-def ccdf(samples: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Complementary CDF: returns (sorted values, P(X >= value))."""
-    xs = np.sort(np.asarray(samples, dtype=float))
-    if xs.size == 0:
-        return xs, xs
-    n = xs.size
-    p = 1.0 - np.arange(n) / n
-    return xs, p
+__all__ = ["frequency_histogram", "log_binned_histogram", "gini"]
 
 
 def frequency_histogram(samples: Sequence[int]) -> Dict[int, int]:

@@ -93,13 +93,3 @@ class RvrProtocol(VitisProtocol):
             return set(), lr.path
         return set(), []
 
-    # ------------------------------------------------------------------
-    def tree_size(self, topic: int) -> int:
-        """Number of live nodes on the topic's multicast tree (subscribers
-        plus intermediary relays) — the quantity Scribe-style systems pay
-        overhead proportional to."""
-        return sum(
-            1
-            for a in self.live_addresses()
-            if self.nodes[a].relay.on_tree(topic)
-        )

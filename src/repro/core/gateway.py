@@ -56,9 +56,6 @@ class Proposal:
         self.parent_addr = parent_addr
         self.hops = hops
 
-    def is_self_proposal(self, address: int) -> bool:
-        return self.gw_addr == address
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Proposal)

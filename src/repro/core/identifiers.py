@@ -6,22 +6,21 @@ has the same behaviour).  We use a 64-bit space and ``blake2b`` with an
 8-byte digest — deterministic across runs and processes, unlike Python's
 built-in salted ``hash``.
 
-Three distance notions are needed:
+Two distance notions are needed:
 
 - :meth:`IdSpace.distance` — circular (bidirectional) distance, used to
   decide which node is *closest* to a topic id (rendezvous selection,
   greedy routing, gateway comparison, Alg. 5 lines 8–9).
-- :meth:`IdSpace.clockwise` — directed distance, used for ring maintenance
-  (successor = minimal clockwise distance; predecessor = minimal
-  counter-clockwise distance).
-- :meth:`IdSpace.fraction` — distances as a fraction of the ring, used by
-  the Symphony harmonic draw.
+- :meth:`IdSpace.fraction` — distances as a fraction of the ring, the
+  unit of the Symphony harmonic draw.
+
+Ring order (successor = minimal clockwise distance ``(b - a) % size``)
+is read off a sorted ring index in ``core/node.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Optional
 
 __all__ = ["IdSpace", "DEFAULT_BITS"]
 
@@ -100,13 +99,6 @@ class IdSpace:
         d = (a - b) % self.size
         return d if d <= self.half else self.size - d
 
-    def clockwise(self, a: int, b: int) -> int:
-        """Directed distance travelling clockwise from ``a`` to ``b``.
-
-        Zero iff ``a == b``.
-        """
-        return (b - a) % self.size
-
     def fraction(self, a: int, b: int) -> float:
         """Circular distance as a fraction of the whole ring, in [0, 0.5]."""
         return self.distance(a, b) / self.size
@@ -114,43 +106,3 @@ class IdSpace:
     def offset(self, a: int, delta: int) -> int:
         """The id ``delta`` steps clockwise from ``a`` (delta may be huge)."""
         return (a + delta) % self.size
-
-    def between(self, x: int, a: int, b: int) -> bool:
-        """True iff ``x`` lies on the clockwise arc ``(a, b]``.
-
-        The standard Chord-style membership test; with ``a == b`` the arc is
-        the whole ring minus ``a`` plus ``b``, i.e. always True for
-        ``x != a`` and also for ``x == b``.
-        """
-        if a == b:
-            return x == b or x != a
-        return self.clockwise(a, x) <= self.clockwise(a, b) and x != a
-
-    # ------------------------------------------------------------------
-    # Selection helpers
-    # ------------------------------------------------------------------
-    def closest(self, target: int, ids: Iterable[int]) -> Optional[int]:
-        """The id among ``ids`` with minimal circular distance to
-        ``target`` (ties broken toward the numerically smaller id)."""
-        size = self.size
-        half = self.half
-        best = None
-        best_d = None
-        for i in ids:
-            d = (i - target) % size
-            if d > half:
-                d = size - d
-            if best_d is None or d < best_d or (d == best_d and i < best):
-                best, best_d = i, d
-        return best
-
-    def rank_by_distance(self, target: int, ids: Iterable[int]) -> List[int]:
-        """ids sorted by ascending circular distance to ``target``."""
-        size = self.size
-        half = self.half
-
-        def key(i: int):
-            d = (i - target) % size
-            return (d if d <= half else size - d, i)
-
-        return sorted(ids, key=key)

@@ -378,18 +378,7 @@ class VitisNode(BaseNode):
                 sink.on_notification(self, msg)
 
     # ------------------------------------------------------------------
-    # Introspection helpers (analysis & tests)
+    # Introspection
     # ------------------------------------------------------------------
-    def interested_neighbors(
-        self, topic: int, profile_of: Callable[[int], Optional[NodeProfile]]
-    ) -> List[int]:
-        """Routing-table neighbors subscribed to ``topic``."""
-        out = []
-        for e in self.rt:
-            p = profile_of(e.address)
-            if p is not None and p.subscribes_to(topic):
-                out.append(e.address)
-        return out
-
     def degree(self) -> int:
         return len(self.rt)

@@ -62,11 +62,6 @@ class NodeProfile:
         self._bump()
         return True
 
-    def replace_subscriptions(self, topics: Iterable[int]) -> None:
-        """Swap the whole subscription set (bulk churn of interests)."""
-        self._subscriptions = set(topics)
-        self._bump()
-
     def _bump(self) -> None:
         self.version += 1
         NodeProfile._epoch += 1

@@ -432,10 +432,9 @@ class OverlaySystem:
         eat: the hop is treated as a timed-out next hop, remembered in
         ``blocked`` and routed around (the walk falls back to the
         next-closest entry immediately within an attempt, and a healing
-        policy grants further attempts).  The backoff between attempts is
-        bookkeeping-only here — within one cycle-synchronous publish all
-        attempts happen at one simulated instant, mirroring an RPC
-        timeout far shorter than the gossip period.  With a capacity
+        policy grants further attempts).  Within one cycle-synchronous
+        publish all attempts happen at one simulated instant, mirroring
+        an RPC timeout far shorter than the gossip period.  With a capacity
         model attached, each surviving hop must also be admitted by the
         next node's bounded inbox; a refusal is a shed the walk routes
         around exactly like a fault (the lookup probe timed out because
@@ -624,14 +623,6 @@ class OverlaySystem:
     # ------------------------------------------------------------------
     # Analysis helpers
     # ------------------------------------------------------------------
-    def overlay_edges(self) -> List[tuple]:
-        """Directed routing-table edges among live nodes."""
-        edges = []
-        for a in self.live_addresses():
-            for baddr, _ in self.nodes[a].rt.links():
-                edges.append((a, baddr))
-        return edges
-
     def successor_map(self) -> Dict[int, Optional[int]]:
         """address → successor address (for ring-convergence checks)."""
         out: Dict[int, Optional[int]] = {}

@@ -81,9 +81,6 @@ class PublicationRates:
         r = self.rates
         return float(sum(r[t] for t in topics))
 
-    def is_uniform(self) -> bool:
-        return bool(np.all(self.rates == self.rates[0])) if len(self.rates) else True
-
 
 class UtilityFunction:
     """Cached evaluator of Eq. 1.
@@ -172,11 +169,3 @@ class UtilityFunction:
             self._pair_cache.clear()
         self._pair_cache[key] = val
         return val
-
-    def cache_info(self) -> Dict[str, int]:
-        """Sizes of the internal caches (for tests and profiling)."""
-        return {"pairs": len(self._pair_cache), "sums": len(self._sum_cache)}
-
-    def clear_cache(self) -> None:
-        self._pair_cache.clear()
-        self._sum_cache.clear()

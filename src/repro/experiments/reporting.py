@@ -11,9 +11,9 @@ import csv
 import hashlib
 import io
 import json
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
-__all__ = ["format_table", "rows_to_csv", "rows_fingerprint", "pivot"]
+__all__ = ["format_table", "rows_to_csv", "rows_fingerprint"]
 
 
 def _fmt(value) -> str:
@@ -70,16 +70,3 @@ def rows_fingerprint(rows: Sequence[Dict]) -> str:
     """
     material = json.dumps(list(rows), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-
-def pivot(
-    rows: Sequence[Dict], index: str, series: str, value: str
-) -> Dict[str, List]:
-    """Reshape rows into one column per series value — the shape of a
-    multi-line figure: ``{series_value: [(index_value, value), ...]}``."""
-    out: Dict[str, List] = {}
-    for r in rows:
-        out.setdefault(str(r[series]), []).append((r[index], r[value]))
-    for v in out.values():
-        v.sort()
-    return out

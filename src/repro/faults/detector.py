@@ -189,17 +189,9 @@ class VerdictTable:
         self.confirmations = 0
         self.rejoins = 0
 
-    def state_of(self, address: int) -> str:
-        v = self._verdicts.get(address)
-        return v.state if v is not None else STATE_ALIVE
-
     def confirmed(self, address: int) -> bool:
         v = self._verdicts.get(address)
         return v is not None and v.state == STATE_DEAD
-
-    def suspected(self, address: int) -> bool:
-        v = self._verdicts.get(address)
-        return v is not None and v.state == STATE_SUSPECT
 
     def summary(self) -> Dict[str, int]:
         """The counter block scenario rows embed (stable key order)."""

@@ -5,10 +5,9 @@ model:
 
 - greedy lookups get up to ``lookup_attempts`` tries, each attempt
   routing *around* the links that failed previously (see
-  ``OverlaySystem.lookup``), with a backoff between
-  attempts expressed in gossip cycles (the simulator charges it as
-  bookkeeping only — attempts within one publish happen at one simulated
-  instant, mirroring an RPC timeout far shorter than the gossip period);
+  ``OverlaySystem.lookup``); attempts within one publish happen at one
+  simulated instant, mirroring an RPC timeout far shorter than the
+  gossip period;
 - per-hop dissemination transmissions get ``delivery_retries`` resends
   (spent by the transmission gate of ``repro.core.dissemination``);
 - when ``repair_relays`` is set, the cycle loop re-elects gateways and
@@ -32,8 +31,6 @@ class HealingPolicy:
 
     #: Total greedy-lookup attempts per publish/install (>= 1).
     lookup_attempts: int = 3
-    #: Backoff base, in gossip cycles, between lookup attempts.
-    backoff_base: int = 1
     #: Extra per-hop transmissions during dissemination (0 = fire once).
     delivery_retries: int = 2
     #: Re-run election + lookup for topics with dead parents/rendezvous.
@@ -42,28 +39,17 @@ class HealingPolicy:
     def __post_init__(self) -> None:
         if self.lookup_attempts < 1:
             raise ValueError("lookup_attempts must be >= 1")
-        if self.backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0")
         if self.delivery_retries < 0:
             raise ValueError("delivery_retries must be >= 0")
-
-    def backoff_cycles(self, attempt: int) -> int:
-        """Cycles to wait before retry number ``attempt`` (1-based),
-        doubling per attempt: base, 2*base, 4*base, ...
-        """
-        if attempt < 1:
-            return 0
-        return self.backoff_base * (2 ** (attempt - 1))
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """Wall-clock retransmission schedule for the live UDP transport.
 
-    The simulator's :class:`HealingPolicy` expresses backoff in gossip
-    cycles because retries there are bookkeeping at one simulated
-    instant; a real transport needs actual delays.  Same shape — capped
-    exponential backoff with a bounded budget — plus jitter, so the
+    The simulator's :class:`HealingPolicy` retries at one simulated
+    instant; a real transport needs actual delays: capped exponential
+    backoff with a bounded budget, plus jitter, so the
     retransmissions of many nodes recovering from one loss burst do not
     resynchronise into the next burst.
 

@@ -81,10 +81,6 @@ class FaultModel:
         """Additional one-way latency for this transmission."""
         return 0.0
 
-    def describe(self) -> Dict:
-        """Scalar summary for trace events and scenario rows."""
-        return {"model": self.name}
-
 
 class MessageLoss(FaultModel):
     """I.i.d. message loss: every transmission is dropped with ``rate``."""
@@ -103,9 +99,6 @@ class MessageLoss(FaultModel):
             self.injected += 1
             return True
         return False
-
-    def describe(self) -> Dict:
-        return {"model": self.name, "rate": self.rate}
 
 
 class LinkLoss(FaultModel):
@@ -142,13 +135,6 @@ class LinkLoss(FaultModel):
             self.injected += 1
             return True
         return False
-
-    def describe(self) -> Dict:
-        return {
-            "model": self.name,
-            "rate": self.rate,
-            "lossy_fraction": self.lossy_fraction,
-        }
 
 
 class Partition(FaultModel):
@@ -207,14 +193,6 @@ class Partition(FaultModel):
             return True
         return False
 
-    def describe(self) -> Dict:
-        return {
-            "model": self.name,
-            "start": self.start,
-            "heal_at": self.heal_at,
-            "groups": len(set(self._group_of.values())),
-        }
-
 
 class SlowLinks(FaultModel):
     """Latency inflation: a stable ``slow_fraction`` of directed links get
@@ -236,13 +214,6 @@ class SlowLinks(FaultModel):
         if _stable_unit(self._salt, src, dst) < self.slow_fraction:
             return self.extra
         return 0.0
-
-    def describe(self) -> Dict:
-        return {
-            "model": self.name,
-            "extra": self.extra,
-            "slow_fraction": self.slow_fraction,
-        }
 
 
 class CompositeFault(FaultModel):
@@ -273,6 +244,3 @@ class CompositeFault(FaultModel):
 
     def extra_delay(self, src: int, dst: int, now: float) -> float:
         return sum(m.extra_delay(src, dst, now) for m in self.models)
-
-    def describe(self) -> Dict:
-        return {"model": self.name, "parts": [m.describe() for m in self.models]}

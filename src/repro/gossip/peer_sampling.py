@@ -62,9 +62,6 @@ class Sampler:
         draws); consumed by the columnar T-Man exchange buffer."""
         return self.view.sample_fields(n, self.rng)
 
-    def known_addresses(self) -> List[int]:
-        return self.view.addresses
-
 
 class PeerSamplingService(Sampler):
     """One node's endpoint of the Newscast protocol.

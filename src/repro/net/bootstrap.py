@@ -31,6 +31,12 @@ Seed → client::
 A member whose TCP connection drops is removed from the registry and the
 change is broadcast — crash detection for the control plane; the overlay
 itself learns of deaths through SWIM on the UDP plane.
+
+Each end logs and skips a line that is not a JSON object.  The seed also
+skips a ``join`` whose ``host`` is not a string or whose ``port`` is not
+an int, a ``report_dead`` whose ``addr`` is not an int, and a second
+``join`` on a joined connection.  Either way the connection keeps being
+read.
 """
 
 from __future__ import annotations
@@ -47,6 +53,15 @@ log = logging.getLogger(__name__)
 
 def _dumps(obj: Dict) -> bytes:
     return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
+
+
+def _object(line: bytes) -> Optional[Dict]:
+    """The JSON object on *line*, or None when it holds anything else."""
+    try:
+        obj = json.loads(line)
+    except ValueError:  # not JSON, or not UTF-8
+        return None
+    return obj if isinstance(obj, dict) else None
 
 
 class SeedService:
@@ -120,16 +135,19 @@ class SeedService:
                 line = await reader.readline()
                 if not line:
                     break
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    log.warning("seed: undecodable line from %s", address)
+                obj = _object(line)
+                if obj is None:
+                    log.warning("seed: skipped a line that is not a JSON object from %s", address)
                     continue
                 op = obj.get("op")
                 if op == "join":
+                    host, port = obj.get("host"), obj.get("port")
+                    if address is not None or not isinstance(host, str) or type(port) is not int:
+                        log.warning("seed: ignored join from %s: %r", address, obj)
+                        continue
                     address = self._next_address
                     self._next_address += 1
-                    self.endpoints[address] = (obj["host"], obj["port"])
+                    self.endpoints[address] = (host, port)
                     self._writers[address] = writer
                     writer.write(_dumps({
                         "op": "welcome",
@@ -139,7 +157,11 @@ class SeedService:
                     self._broadcast_registry()
                     self._joined.set()
                 elif op == "report_dead":
-                    self.reported_dead.setdefault(obj["addr"], []).append(
+                    dead = obj.get("addr")
+                    if type(dead) is not int:
+                        log.warning("seed: ignored report_dead from %s: %r", address, obj)
+                        continue
+                    self.reported_dead.setdefault(dead, []).append(
                         address if address is not None else -1
                     )
                 elif self.on_node_message is not None and address is not None:
@@ -194,9 +216,9 @@ class SeedClient:
         )
         self._writer.write(_dumps({"op": "join", "host": udp_host, "port": udp_port}))
         line = await asyncio.wait_for(self._reader.readline(), timeout)
-        welcome = json.loads(line)
-        if welcome.get("op") != "welcome":
-            raise ConnectionError(f"unexpected seed reply: {welcome!r}")
+        welcome = _object(line)
+        if welcome is None or welcome.get("op") != "welcome":
+            raise ConnectionError(f"unexpected seed reply: {line!r}")
         self.address = welcome["address"]
         self._apply_registry(welcome["peers"])
         self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
@@ -213,9 +235,9 @@ class SeedClient:
                 line = await self._reader.readline()
                 if not line:
                     break
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
+                obj = _object(line)
+                if obj is None:
+                    log.warning("seed client: skipped a line that is not a JSON object")
                     continue
                 if obj.get("op") == "registry":
                     self._apply_registry(obj["peers"])

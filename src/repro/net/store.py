@@ -145,30 +145,5 @@ class MetricsStore:
             "dropped_frames": self.dropped_frames,
         }
 
-    @classmethod
-    def from_doc(cls, doc: Dict) -> "MetricsStore":
-        """Rebuild a store from :meth:`to_doc` output (schema-checked)."""
-        if not isinstance(doc, dict) or doc.get("schema") != STORE_SCHEMA:
-            raise ValueError(
-                f"not a {STORE_SCHEMA} document: {doc.get('schema') if isinstance(doc, dict) else type(doc).__name__!r}"
-            )
-        self = cls()
-        for proc_s, data in doc.get("nodes", {}).items():
-            series = self.node(int(proc_s))
-            series.totals.merge(data.get("totals", {}))
-            series.samples.extend(data.get("samples", ()))
-            series.frames = data.get("frames", 0)
-            series.last_seq = data.get("last_seq", -1)
-            series.last_ts = data.get("last_ts", 0.0)
-        for e in doc.get("swim", ()):
-            self.swim_events.append(tuple(e))
-        for e in doc.get("ring", ()):
-            self.ring_samples.append(tuple(e))
-        for e in doc.get("expected", ()):
-            self.expected_samples.append(tuple(e))
-        self.dropped_frames = doc.get("dropped_frames", 0)
-        self._t0 = 0.0  # doc times are already aligned
-        return self
-
     def __len__(self) -> int:
         return len(self.nodes)

@@ -91,10 +91,6 @@ class AuditReport:
         return sum(e.delivered for e in self.events)
 
     @property
-    def missed_total(self) -> int:
-        return sum(e.missed for e in self.events)
-
-    @property
     def unexplained_total(self) -> int:
         return sum(e.unexplained for e in self.events)
 

@@ -69,9 +69,6 @@ class Gauge:
     def inc(self, n: float = 1.0) -> None:
         self.value += n
 
-    def dec(self, n: float = 1.0) -> None:
-        self.value -= n
-
 
 class Histogram:
     """Bucketed distribution with count/sum/min/max.

@@ -3,7 +3,8 @@
 Bridges the observability channels back into the repository's tabular
 reporting idiom: every function returns ``list[dict]`` rows compatible
 with :func:`repro.experiments.reporting.format_table`, and
-:func:`render` assembles the full human-readable report the CLI prints.
+:func:`trace_report` / :func:`live_report` assemble the reports the CLI
+prints.
 """
 
 from __future__ import annotations
@@ -24,39 +25,11 @@ from repro.obs.telemetry import Telemetry
 
 __all__ = [
     "live_report",
-    "metrics_rows",
     "phase_rows",
     "trace_summary_rows",
-    "render",
     "span_tree_lines",
     "trace_report",
 ]
-
-
-def metrics_rows(registry: MetricsRegistry) -> List[Dict]:
-    """One row per instrument: counters and gauges verbatim, histograms as
-    count/mean/p50/p99/max."""
-    dump = registry.to_dict()
-    rows: List[Dict] = []
-    for name, value in dump["counters"].items():
-        rows.append({"metric": name, "type": "counter", "value": value})
-    for name, value in dump["gauges"].items():
-        rows.append({"metric": name, "type": "gauge", "value": value})
-    for name, h in dump["histograms"].items():
-        rows.append(
-            {
-                "metric": f"{name}.count", "type": "histogram", "value": float(h["count"]),
-            }
-        )
-        rows.append({"metric": f"{name}.mean", "type": "histogram", "value": h["mean"]})
-        for q in ("p50", "p99"):
-            if h.get(q) is not None:
-                rows.append(
-                    {"metric": f"{name}.{q}", "type": "histogram", "value": h[q]}
-                )
-        if h["max"] is not None:
-            rows.append({"metric": f"{name}.max", "type": "histogram", "value": h["max"]})
-    return rows
 
 
 def phase_rows(telemetry: Telemetry) -> List[Dict]:
@@ -386,23 +359,4 @@ def live_report(doc: Dict) -> str:
             "deliveries: nothing published yet"
         )
 
-    return "\n\n".join(sections)
-
-
-def render(telemetry: Telemetry, title: Optional[str] = None) -> str:
-    """Phase breakdown + metrics as one formatted report."""
-    sections: List[str] = []
-    if title:
-        sections.append(title)
-    p_rows = phase_rows(telemetry)
-    if p_rows:
-        sections.append(format_table(p_rows, title="phase breakdown"))
-    m_rows = metrics_rows(telemetry.metrics)
-    if m_rows:
-        sections.append(format_table(m_rows, title="metrics"))
-    probe_rows = telemetry.series.to_rows()
-    if probe_rows:
-        sections.append(format_table(probe_rows, title="probe time series"))
-    if not sections:
-        return "(no telemetry captured)"
     return "\n\n".join(sections)

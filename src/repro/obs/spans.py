@@ -38,7 +38,6 @@ back into :class:`SpanTree` objects keyed by ``(trial, trace_id)``.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -282,10 +281,6 @@ class SpanTree:
             cur = s.parent
         path.reverse()
         return path
-
-    def kind_counts(self) -> Counter:
-        """Successful spans per hop kind."""
-        return Counter(s.kind for s in self.spans.values() if s.ok)
 
     def is_complete(self) -> bool:
         """Every non-root span's parent exists, and there is a root."""

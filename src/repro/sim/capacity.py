@@ -302,16 +302,3 @@ class CapacityModel:
             return 0.0
         shed = self.shed_by_class[PRIO_NOTIFY] + self.shed_by_class[PRIO_PULL]
         return shed / offered
-
-    def describe(self) -> Dict:
-        """Scalar summary for trace events and scenario rows."""
-        cap = self.capacity
-        return {
-            "model": "capacity",
-            "service_rate": cap.service_rate,
-            "queue_depth": cap.queue_depth,
-            "policy": cap.policy,
-            "offered": sum(self.offered.values()),
-            "shed": sum(self.shed.values()),
-            "backpressure": self.backpressure_signals,
-        }

@@ -1,8 +1,8 @@
 """Churn schedules: joins, leaves, trace replay and flash crowds.
 
 A churn schedule is an ordered list of :class:`ChurnEvent` entries; it can
-be generated synthetically (Poisson churn, session models) or loaded from a
-session trace such as the synthetic Skype trace produced by
+be built from session triples, flash crowds and crash bursts, or loaded
+from a session trace such as the synthetic Skype trace produced by
 :mod:`repro.workloads.skype`.  The schedule is applied to an engine, which
 invokes user-supplied ``join`` / ``leave`` callbacks at the right simulated
 times, interleaved with gossip cycles by :class:`repro.sim.engine.CycleDriver`.
@@ -86,36 +86,6 @@ class ChurnSchedule:
         return cls(events)
 
     @classmethod
-    def poisson(
-        cls,
-        rng,
-        addresses: Sequence[int],
-        rate_per_node: float,
-        horizon: float,
-        mean_session: float,
-    ) -> "ChurnSchedule":
-        """Memoryless churn: each node alternates exponential off/on periods.
-
-        ``rate_per_node`` is the join rate while offline (1/mean off-time);
-        ``mean_session`` the mean online duration.
-        """
-        if rate_per_node <= 0 or mean_session <= 0:
-            raise ValueError("rates must be positive")
-        events: List[ChurnEvent] = []
-        for addr in addresses:
-            t = float(rng.exponential(1.0 / rate_per_node))
-            online = False
-            while t < horizon:
-                if online:
-                    events.append(ChurnEvent(t, addr, LEAVE))
-                    t += float(rng.exponential(1.0 / rate_per_node))
-                else:
-                    events.append(ChurnEvent(t, addr, JOIN))
-                    t += float(rng.exponential(mean_session))
-                online = not online
-        return cls(events)
-
-    @classmethod
     def flash_crowd(
         cls, addresses: Sequence[int], at: float, spread: float = 0.0, rng=None
     ) -> "ChurnSchedule":
@@ -151,16 +121,6 @@ class ChurnSchedule:
         """A new schedule containing both event sets."""
         return ChurnSchedule(list(self.events) + list(other.events))
 
-    def clipped(self, t_max: float) -> "ChurnSchedule":
-        """A new schedule with only the events at ``time <= t_max``."""
-        return ChurnSchedule(e for e in self.events if e.time <= t_max)
-
-    def shifted(self, dt: float) -> "ChurnSchedule":
-        """A new schedule with every event delayed by ``dt``."""
-        return ChurnSchedule(
-            ChurnEvent(e.time + dt, e.address, e.kind) for e in self.events
-        )
-
     # ------------------------------------------------------------------
     # Application
     # ------------------------------------------------------------------
@@ -172,49 +132,22 @@ class ChurnSchedule:
     ) -> int:
         """Schedule every event on ``engine``.
 
-        Events earlier than the engine's current time are rejected —
-        shift the schedule first.  All event times are validated before
-        anything is scheduled, so a rejected schedule leaves the engine
-        untouched.  Returns the number of events scheduled.
+        Events earlier than the engine's current time are rejected.  All
+        event times are validated before anything is scheduled, so a
+        rejected schedule leaves the engine untouched.  Returns the number
+        of events scheduled.
         """
         now = engine.now
         for e in self.events:
             if e.time < now:
                 raise ValueError(
-                    f"event at t={e.time} is in the past (engine at t={now}); "
-                    "use .shifted() first"
+                    f"event at t={e.time} is in the past (engine at t={now})"
                 )
         n = 0
         for e in self.events:
             engine.schedule_at(e.time, join if e.kind == JOIN else leave, e.address)
             n += 1
         return n
-
-    def population_series(self, resolution: float = 1.0) -> List[Tuple[float, int]]:
-        """Net online population over time, sampled every ``resolution`` s.
-
-        Useful for the "network size" curve plotted alongside Fig. 12.
-        """
-        series: List[Tuple[float, int]] = []
-        pop = 0
-        idx = 0
-        events = self.events
-        horizon = self.horizon
-        # Index-based sampling: repeated `t += resolution` accumulates float
-        # error and can stop one step short of the horizon, silently missing
-        # the trailing events.  Sample i*resolution until the sample time
-        # reaches the horizon, so the final sample always covers it.
-        i = 0
-        while True:
-            t = i * resolution
-            while idx < len(events) and events[idx].time <= t:
-                pop += 1 if events[idx].kind == JOIN else -1
-                idx += 1
-            series.append((t, pop))
-            if t >= horizon:
-                break
-            i += 1
-        return series
 
 
 def flash_crowd(

@@ -362,8 +362,3 @@ class CycleDriver:
                 f"events={engine.processed} queue={depth}"
             )
         )
-
-    def run_until(self, t: float) -> None:
-        """Run whole cycles until the engine clock reaches at least ``t``."""
-        while self.engine.now < t:
-            self.run_cycles(1)

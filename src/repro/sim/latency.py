@@ -54,9 +54,6 @@ class CoordinateSpace:
             )
         return cls(coords)
 
-    def coord(self, address: int) -> Tuple[float, float]:
-        return self._coords[address]
-
     def __contains__(self, address: int) -> bool:
         return address in self._coords
 

@@ -196,11 +196,6 @@ class Message:
         cls.kind = cls.__name__
 
     @property
-    def priority(self) -> int:
-        """Priority class (see module docstring; unknown kinds are data)."""
-        return KIND_PRIORITY.get(self.kind, PRIO_NOTIFY)
-
-    @property
     def size_bytes(self) -> int:
         """Audited wire size: header plus the kind's payload fields.
 

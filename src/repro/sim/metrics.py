@@ -231,13 +231,6 @@ class MetricsCollector:
         # np.histogram's last bin is closed on the right already.
         return edges, counts / per_node.size
 
-    def delay_distribution(self) -> np.ndarray:
-        """All delivered hop counts as a flat array (for percentiles)."""
-        vals: List[int] = []
-        for r in self.records:
-            vals.extend(r.delivered_hops.values())
-        return np.asarray(vals, dtype=int)
-
     # ------------------------------------------------------------------
     # Summaries
     # ------------------------------------------------------------------

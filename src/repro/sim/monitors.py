@@ -3,7 +3,7 @@
 The churn experiments report metrics as time series (Fig. 12's three
 panels).  :class:`TimeSeries` is the small building block they share with
 the examples: named series of (time, value) samples with windowed
-aggregation and tabular export compatible with
+queries and tabular export compatible with
 :mod:`repro.experiments.reporting`.
 """
 
@@ -37,11 +37,6 @@ class TimeSeries:
         ts.append(float(time))
         self._values.setdefault(series, []).append(float(value))
 
-    def record_many(self, time: float, values: Dict[str, float]) -> None:
-        """Append one sample to several series at the same instant."""
-        for series, value in values.items():
-            self.record(series, time, value)
-
     # ------------------------------------------------------------------
     def series(self, name: str) -> List[Tuple[float, float]]:
         """All samples of one series as (time, value) pairs."""
@@ -52,10 +47,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._values.values())
-
-    def latest(self, name: str) -> Optional[float]:
-        vals = self._values.get(name)
-        return vals[-1] if vals else None
 
     def latest_time(self, name: str) -> Optional[float]:
         """The newest sample time of one series (None when empty) — what
@@ -71,14 +62,6 @@ class TimeSeries:
         lo = bisect_left(ts, t0)
         hi = bisect_left(ts, t1)
         return self._values[name][lo:hi] if name in self._values else []
-
-    def window_mean(self, name: str, t0: float, t1: float) -> Optional[float]:
-        vals = self.window(name, t0, t1)
-        return sum(vals) / len(vals) if vals else None
-
-    def window_min(self, name: str, t0: float, t1: float) -> Optional[float]:
-        vals = self.window(name, t0, t1)
-        return min(vals) if vals else None
 
     # ------------------------------------------------------------------
     def to_rows(

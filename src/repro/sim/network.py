@@ -23,7 +23,7 @@ rendezvous-node hotspot load, whichever execution mode generated it.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.sim.engine import Engine
 from repro.sim.messages import Message
@@ -98,7 +98,6 @@ class Network:
         self.engine = engine
         self.latency = latency or ConstantLatency(0.0)
         self._nodes: Dict[int, BaseNode] = {}
-        self._next_address = 0
         # Traffic accounting
         self.sent = Counter()       # message kind -> count
         self.delivered = Counter()  # message kind -> count
@@ -124,24 +123,12 @@ class Network:
     # ------------------------------------------------------------------
     # Registry
     # ------------------------------------------------------------------
-    def register(self, factory: Callable[[int], BaseNode]) -> BaseNode:
-        """Create a node via ``factory(address)`` and register it."""
-        address = self._next_address
-        self._next_address += 1
-        node = factory(address)
-        if node.address != address:
-            raise ValueError("factory must construct the node with the given address")
-        node.network = self
-        self._nodes[address] = node
-        return node
-
     def add(self, node: BaseNode) -> BaseNode:
         """Register an externally constructed node (address must be fresh)."""
         if node.address in self._nodes:
             raise ValueError(f"address {node.address} already registered")
         node.network = self
         self._nodes[node.address] = node
-        self._next_address = max(self._next_address, node.address + 1)
         return node
 
     def get(self, address: int) -> Optional[BaseNode]:

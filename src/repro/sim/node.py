@@ -20,8 +20,8 @@ __all__ = ["BaseNode"]
 class BaseNode:
     """Lifecycle and transport hooks shared by all protocol nodes.
 
-    Subclasses override :meth:`on_message` for message-level protocols and
-    :meth:`gossip_step` for cycle-driven protocols.
+    Message-level protocols override :meth:`on_message`; cycle-driven
+    ones are stepped by their protocol's cycle loop.
     """
 
     __slots__ = ("address", "alive", "network", "joined_at")
@@ -56,9 +56,6 @@ class BaseNode:
     # ------------------------------------------------------------------
     def on_message(self, msg: "Message") -> None:
         """Handle a delivered message.  Default: ignore."""
-
-    def gossip_step(self, cycle: int) -> None:
-        """Execute one cycle-driven protocol step.  Default: no-op."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "down"

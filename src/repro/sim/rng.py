@@ -9,10 +9,9 @@ Every stochastic component in the repository draws from a named stream of a
 - per-node randomness is independent of the node iteration order.
 
 The tree is built on :class:`numpy.random.SeedSequence` spawning, the
-recommended mechanism for constructing independent streams.  Consumers can
-ask either for a :class:`numpy.random.Generator` (vectorised draws) or a
-:class:`random.Random` (cheap scalar draws, faster for single samples in
-tight protocol loops).
+recommended mechanism for constructing independent streams.  Consumers
+get a :class:`random.Random` per stream (cheap scalar draws, fast for
+single samples in tight protocol loops).
 """
 
 from __future__ import annotations
@@ -37,11 +36,8 @@ class SeedTree:
     Examples
     --------
     >>> tree = SeedTree(42)
-    >>> g = tree.generator("peer-sampling")
     >>> r = tree.pyrandom("tman", 17)   # stream for node 17's T-Man
-    >>> tree2 = SeedTree(42)
-    >>> int(tree2.generator("peer-sampling").integers(1 << 30)) == \\
-    ...     int(g.integers(1 << 30))
+    >>> SeedTree(42).pyrandom("tman", 17).random() == r.random()
     True
     """
 
@@ -73,15 +69,6 @@ class SeedTree:
             )
             self._children[key] = seq
         return seq
-
-    def generator(self, *name) -> np.random.Generator:
-        """Return a fresh numpy Generator for the named stream.
-
-        Each call returns a *new* generator positioned at the start of the
-        stream; callers should hold on to the generator they intend to
-        advance.
-        """
-        return np.random.default_rng(self._sequence(*name))
 
     def pyrandom(self, *name) -> random.Random:
         """Return a fresh :class:`random.Random` for the named stream."""

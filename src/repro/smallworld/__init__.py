@@ -1,26 +1,20 @@
 """Structured small-world substrate.
 
-- :mod:`repro.smallworld.ring` — ring maintenance: successor/predecessor
-  selection from candidate sets, and ring-invariant checks used in tests.
-- :mod:`repro.smallworld.symphony` — Symphony's harmonic long-link
-  distribution (Manku et al., 2003), which gives O((1/k)·log²N) greedy
-  routing with k long links per node.
+- :mod:`repro.smallworld.ring` — the ground-truth ring over a population
+  and the convergence check against it.  Vitis draws its Symphony
+  harmonic long links (Manku et al., 2003) inline in
+  :meth:`repro.core.node.VitisNode._select_neighbors`: O((1/k)·log²N)
+  greedy routing with k long links per node.
 - :mod:`repro.smallworld.routing` — greedy lookup over arbitrary routing
   tables; produces the relay paths of Vitis and the multicast trees of RVR.
 """
 
-from repro.smallworld.ring import find_predecessor, find_successor, ring_edges, is_ring_converged
+from repro.smallworld.ring import ring_edges, is_ring_converged
 from repro.smallworld.routing import greedy_route, LookupResult
-from repro.smallworld.symphony import harmonic_fraction, draw_sw_target, closest_to_target
 
 __all__ = [
     "LookupResult",
-    "closest_to_target",
-    "draw_sw_target",
-    "find_predecessor",
-    "find_successor",
     "greedy_route",
-    "harmonic_fraction",
     "is_ring_converged",
     "ring_edges",
 ]

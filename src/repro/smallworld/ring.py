@@ -6,55 +6,15 @@ greedy routing over a correct ring always terminates at the live node whose
 id is the rendezvous for the target — the property relay-path construction
 depends on (paper section III-A1).
 
-These helpers are pure functions over candidate descriptor sets, so the
-same code serves Vitis, RVR and the test suite's invariant checks.
+Vitis picks its ring links off a sorted ring index
+(``core/node.py``); these helpers are the ground truth they converge to.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.identifiers import IdSpace
-from repro.gossip.view import Descriptor
-
-__all__ = ["find_successor", "find_predecessor", "ring_edges", "is_ring_converged"]
-
-
-def find_successor(
-    space: IdSpace, self_id: int, candidates: Iterable[Descriptor]
-) -> Optional[Descriptor]:
-    """The candidate with minimal *clockwise* distance from ``self_id``.
-
-    Candidates with the node's own id are skipped (clockwise distance 0
-    would otherwise make a node its own successor).
-    """
-    size = space.size
-    best = None
-    best_d = None
-    for d in candidates:
-        cw = (d.node_id - self_id) % size
-        if cw == 0:
-            continue
-        if best_d is None or cw < best_d or (cw == best_d and d.address < best.address):
-            best, best_d = d, cw
-    return best
-
-
-def find_predecessor(
-    space: IdSpace, self_id: int, candidates: Iterable[Descriptor]
-) -> Optional[Descriptor]:
-    """The candidate with minimal *counter-clockwise* distance from
-    ``self_id`` (i.e. minimal clockwise distance toward ``self_id``)."""
-    size = space.size
-    best = None
-    best_d = None
-    for d in candidates:
-        ccw = (self_id - d.node_id) % size
-        if ccw == 0:
-            continue
-        if best_d is None or ccw < best_d or (ccw == best_d and d.address < best.address):
-            best, best_d = d, ccw
-    return best
+__all__ = ["ring_edges", "is_ring_converged"]
 
 
 def ring_edges(ids_by_address: Dict[int, int]) -> List[Tuple[int, int]]:

@@ -20,7 +20,7 @@ from repro.workloads.subscriptions import (
     low_correlation_subscriptions,
     random_subscriptions,
 )
-from repro.workloads.publication import power_law_rates, sample_topics, uniform_rates
+from repro.workloads.publication import power_law_rates, sample_topics
 from repro.workloads.twitter import TwitterTrace
 from repro.workloads.skype import SkypeTrace
 from repro.workloads.rss import RssWorkload
@@ -35,5 +35,4 @@ __all__ = [
     "power_law_rates",
     "random_subscriptions",
     "sample_topics",
-    "uniform_rates",
 ]

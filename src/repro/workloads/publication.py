@@ -18,12 +18,7 @@ import numpy as np
 
 from repro.core.utility import PublicationRates
 
-__all__ = ["uniform_rates", "power_law_rates", "sample_topics"]
-
-
-def uniform_rates(n_topics: int, rate: float = 1.0) -> PublicationRates:
-    """Every topic publishes at the same rate (the default setting)."""
-    return PublicationRates.uniform(n_topics, rate)
+__all__ = ["power_law_rates", "sample_topics"]
 
 
 def power_law_rates(

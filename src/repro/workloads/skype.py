@@ -146,25 +146,6 @@ class SkypeTrace:
         scaled = [(n, s * time_scale, e * time_scale) for n, s, e in self.sessions]
         return ChurnSchedule.from_sessions(scaled)
 
-    def population_at(self, t: float) -> int:
-        """Nodes online at hour ``t``."""
-        return sum(1 for _, s, e in self.sessions if s <= t < e)
-
-    def population_series(self, resolution: float = 10.0) -> List[Tuple[float, int]]:
-        """(hour, online count) samples — the "network size" curve of
-        Fig. 12."""
-        out = []
-        t = 0.0
-        while t <= self.horizon:
-            out.append((t, self.population_at(t)))
-            t += resolution
-        return out
-
-    def mean_session_length(self) -> float:
-        if not self.sessions:
-            return 0.0
-        return sum(e - s for _, s, e in self.sessions) / len(self.sessions)
-
 
 def _ln(x: float) -> float:
     import math

@@ -4,26 +4,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.distributions import (
-    ccdf,
     frequency_histogram,
     gini,
     log_binned_histogram,
 )
-
-
-class TestCcdf:
-    def test_monotone_decreasing(self):
-        xs, p = ccdf([3, 1, 2, 5, 4])
-        assert list(xs) == [1, 2, 3, 4, 5]
-        assert all(a >= b for a, b in zip(p, p[1:]))
-
-    def test_starts_at_one(self):
-        _, p = ccdf([7, 8, 9])
-        assert p[0] == 1.0
-
-    def test_empty(self):
-        xs, p = ccdf([])
-        assert len(xs) == 0 and len(p) == 0
 
 
 class TestFrequencyHistogram:

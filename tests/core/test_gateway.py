@@ -164,11 +164,6 @@ class TestFailureRecovery:
 
 
 class TestProposal:
-    def test_is_self_proposal(self):
-        p = Proposal(3, 98, 3, 0)
-        assert p.is_self_proposal(3)
-        assert not p.is_self_proposal(2)
-
     def test_state_clear(self):
         s = GatewayState(1, 40)
         s.proposals[TOPIC] = Proposal(1, 40, 1, 0)

@@ -50,11 +50,6 @@ class TestGeometry:
     def test_distance_zero(self):
         assert self.space.distance(7, 7) == 0
 
-    def test_clockwise(self):
-        assert self.space.clockwise(250, 10) == 16
-        assert self.space.clockwise(10, 250) == 240
-        assert self.space.clockwise(5, 5) == 0
-
     def test_fraction(self):
         assert self.space.fraction(0, 128) == 0.5
         assert self.space.fraction(0, 64) == 0.25
@@ -62,32 +57,3 @@ class TestGeometry:
     def test_offset_wraps(self):
         assert self.space.offset(250, 10) == 4
         assert self.space.offset(5, -10) == 251
-
-    def test_between(self):
-        s = self.space
-        assert s.between(20, 10, 30)
-        assert s.between(30, 10, 30)  # inclusive right
-        assert not s.between(10, 10, 30)  # exclusive left
-        assert s.between(5, 250, 30)  # wrap
-        assert not s.between(100, 250, 30)
-
-
-class TestSelection:
-    space = IdSpace(bits=8)
-
-    def test_closest(self):
-        assert self.space.closest(100, [10, 90, 200]) == 90
-
-    def test_closest_wraps(self):
-        assert self.space.closest(2, [250, 100]) == 250
-
-    def test_closest_tie_prefers_smaller(self):
-        assert self.space.closest(100, [90, 110]) == 90
-
-    def test_closest_empty(self):
-        assert self.space.closest(100, []) is None
-
-    def test_rank_by_distance(self):
-        ranked = self.space.rank_by_distance(100, [10, 90, 200, 110])
-        assert ranked == [90, 110, 10, 200] or ranked[0] in (90, 110)
-        assert set(ranked) == {10, 90, 200, 110}

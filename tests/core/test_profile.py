@@ -24,11 +24,6 @@ class TestSubscriptions:
         assert not p.subscribes_to(7)
         assert p.unsubscribe(7) is False
 
-    def test_replace(self):
-        p = NodeProfile(1, 100, {1, 2})
-        p.replace_subscriptions({8, 9})
-        assert p.subscriptions == frozenset({8, 9})
-
 
 class TestVersioning:
     def test_version_bumps_on_change(self):
@@ -38,8 +33,6 @@ class TestVersioning:
         assert p.version == v0 + 1
         p.unsubscribe(1)
         assert p.version == v0 + 2
-        p.replace_subscriptions({5})
-        assert p.version == v0 + 3
 
     def test_no_bump_on_noop(self):
         p = NodeProfile(1, 100, {1})

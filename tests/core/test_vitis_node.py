@@ -56,7 +56,7 @@ class TestSelectNeighbors:
         my = node.node_id
         for d in cands:
             if d.address != succ.address:
-                assert SPACE.clockwise(my, succ.node_id) <= SPACE.clockwise(my, d.node_id)
+                assert (succ.node_id - my) % SPACE.size <= (d.node_id - my) % SPACE.size
 
     def test_no_duplicate_slots(self):
         node = make_node()
@@ -183,15 +183,3 @@ class TestHeartbeats:
         assert evicted == [2]
         assert 2 not in node.rt
         assert node.rt.get(1).age == 0
-
-
-class TestIntrospection:
-    def test_interested_neighbors(self):
-        node = make_node(0, subs=(1, 2))
-        node.join(descriptors([1, 2]))
-        profiles = {
-            1: make_node(1, subs=(1,)).profile,
-            2: make_node(2, subs=(9,)).profile,
-        }
-        assert node.interested_neighbors(1, profiles.get) == [1]
-        assert node.degree() == 2

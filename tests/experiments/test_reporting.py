@@ -2,7 +2,6 @@
 
 from repro.experiments.reporting import (
     format_table,
-    pivot,
     rows_fingerprint,
     rows_to_csv,
 )
@@ -68,10 +67,3 @@ class TestRowsFingerprint:
     def test_row_order_matters(self):
         rows = [{"a": 1}, {"a": 2}]
         assert rows_fingerprint(rows) != rows_fingerprint(list(reversed(rows)))
-
-
-class TestPivot:
-    def test_series_split(self):
-        p = pivot(ROWS, index="x", series="system", value="y")
-        assert p["vitis"] == [(1, 0.25), (2, 0.5)]
-        assert p["rvr"] == [(1, 0.75)]

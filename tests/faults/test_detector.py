@@ -25,7 +25,7 @@ from repro.faults import (
     SwimDetector,
     crash_nodes,
 )
-from repro.faults.detector import STATE_ALIVE, STATE_DEAD, STATE_SUSPECT
+from repro.faults.detector import STATE_ALIVE
 from repro.obs.audit import audit_trace
 from tests.conftest import small_subscriptions
 
@@ -158,7 +158,7 @@ class TestCrashConfirmation:
         victim = sorted(p.live_addresses())[3]
         crash_nodes(p, (victim,))
         p.run_cycles(12)
-        assert det.state_of(victim) == STATE_DEAD
+        assert det.confirmed(victim)
         assert det.confirmations >= 1
         assert victim in det.confirmed_at
         for a in p.live_addresses():
@@ -220,7 +220,7 @@ class TestRefutation:
         assert det.suspicions >= 1
         assert det.refutations >= 1
         assert det.confirmations == 0
-        assert det.state_of(target) in (STATE_ALIVE, STATE_SUSPECT)
+        assert not det.confirmed(target)
         assert p.false_evictions == 0
         # Each refutation of the target rode an incarnation bump (total
         # order of verdicts about one node).
@@ -235,7 +235,7 @@ class TestRefutation:
         target = sorted(p.live_addresses())[10]
         p.attach_faults(_Mute(target), HealingPolicy())
         p.run_cycles(25)
-        assert det.state_of(target) == STATE_DEAD
+        assert det.confirmed(target)
         assert p.false_evictions >= 1
         assert target in p.false_eviction_log
         assert any(target in e for e in p.false_evicted_edges)
@@ -249,11 +249,11 @@ class TestGracefulRejoin:
         victim = sorted(p.live_addresses())[3]
         crash_nodes(p, (victim,))
         p.run_cycles(12)
-        assert det.state_of(victim) == STATE_DEAD
+        assert det.confirmed(victim)
         inc = det.incarnation(victim)
         p.rejoin(victim)
         assert p.is_alive(victim) and p.liveness(victim)
-        assert det.state_of(victim) == STATE_ALIVE
+        assert det._verdicts[victim].state == STATE_ALIVE
         assert det.incarnation(victim) == inc + 1
         assert det.rejoins == 1
 

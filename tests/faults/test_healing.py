@@ -41,18 +41,12 @@ class TestHealingPolicy:
         with pytest.raises(ValueError):
             HealingPolicy(lookup_attempts=0)
         with pytest.raises(ValueError):
-            HealingPolicy(backoff_base=-1)
-        with pytest.raises(ValueError):
             HealingPolicy(delivery_retries=-1)
 
     def test_immutable(self):
         p = HealingPolicy()
         with pytest.raises(Exception):
             p.lookup_attempts = 5
-
-    def test_backoff_doubles(self):
-        p = HealingPolicy(backoff_base=2)
-        assert [p.backoff_cycles(a) for a in (0, 1, 2, 3)] == [0, 2, 4, 8]
 
 
 def _gate(fault_model, tries: int):

@@ -29,7 +29,6 @@ class TestFaultModelBase:
         assert not m.severed(1, 2, 0.0)
         assert m.extra_delay(1, 2, 0.0) == 0.0
         assert m.injected == 0
-        assert m.describe() == {"model": "none"}
 
 
 class TestMessageLoss:
@@ -191,9 +190,3 @@ class TestCompositeFault:
         c = CompositeFault([SlowLinks(1.0, slow_fraction=1.0),
                             SlowLinks(0.5, slow_fraction=1.0)])
         assert c.extra_delay(1, 2, 0.0) == pytest.approx(1.5)
-
-    def test_describe_nests_parts(self):
-        c = CompositeFault([MessageLoss(0.1, random.Random(0))])
-        d = c.describe()
-        assert d["model"] == "composite"
-        assert d["parts"][0]["model"] == "loss"

@@ -108,4 +108,4 @@ class TestSampling:
         services = build_population(30)
         run_rounds(services, 10)
         s = services[5]
-        assert set(d.address for d in s.sample(5)) <= set(s.known_addresses())
+        assert set(d.address for d in s.sample(5)) <= set(s.view.addresses)

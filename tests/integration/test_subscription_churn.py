@@ -27,6 +27,15 @@ def build():
     return p
 
 
+def move(p, address, topics):
+    """Swap *address*'s interests for *topics* through the protocol."""
+    old = p.nodes[address].profile.subscriptions
+    for t in old.difference(topics):
+        p.unsubscribe(address, t)
+    for t in set(topics).difference(old):
+        p.subscribe(address, t)
+
+
 class TestInterestMigration:
     def test_index_follows_subscription_changes(self):
         p = build()
@@ -47,13 +56,7 @@ class TestInterestMigration:
         movers = p.live_addresses()[: N // 4]
         target_bucket = range(0, 10)
         for a in movers:
-            p.nodes[a].profile.replace_subscriptions(target_bucket)
-        # Rebuild the index (replace_subscriptions bypasses the protocol
-        # helpers deliberately, to model a bulk change).
-        p.sub_index.clear()
-        for a, node in p.nodes.items():
-            for t in node.profile.subscriptions:
-                p.sub_index[t].add(a)
+            move(p, a, target_bucket)
 
         p.run_cycles(25)     # friend selection re-clusters
         p.finalize()
@@ -63,11 +66,7 @@ class TestInterestMigration:
     def test_movers_get_reclustered(self):
         p = build()
         mover = p.live_addresses()[0]
-        p.nodes[mover].profile.replace_subscriptions(range(0, 10))
-        p.sub_index.clear()
-        for a, node in p.nodes.items():
-            for t in node.profile.subscriptions:
-                p.sub_index[t].add(a)
+        move(p, mover, range(0, 10))
         p.run_cycles(25)
         p.finalize()
         # The mover's friends now overlap its new interests.

@@ -1,7 +1,10 @@
 """repro.net.bootstrap + collector: registry handshake and stream merge."""
 
 import asyncio
+import json
 import socket
+
+import pytest
 
 from repro.net.bootstrap import SeedClient, SeedService
 from repro.net.collector import Collector
@@ -66,6 +69,71 @@ def test_dead_reports_and_driver_commands():
         assert inbox == [(0, {"op": "topo_report", "links": [1, 2]})]
         assert pushes == [{"op": "publish", "topic": 3}]
         await a.close(); await seed.close()
+    asyncio.run(run())
+
+
+JOIN = b'{"op":"join","host":"127.0.0.1","port":5001}\n'
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(b"[1]", id="list"),
+    pytest.param(b"5", id="number"),
+    pytest.param(b"\xff", id="not-utf8"),
+    pytest.param(b'{"op":"join"}', id="join-without-endpoint"),
+    pytest.param(b'{"op":"join","host":"127.0.0.1","port":"5001"}', id="join-port-not-int"),
+    pytest.param(b'{"op":"join","host":7,"port":5001}', id="join-host-not-str"),
+    pytest.param(b'{"op":"report_dead","addr":[1]}', id="report-dead-addr-not-int"),
+])
+def test_a_bad_line_is_skipped_and_the_join_after_it_is_welcomed(bad):
+    async def run():
+        seed = await SeedService.start()
+        reader, writer = await asyncio.open_connection(*seed.local_addr)
+        writer.write(bad + b"\n" + JOIN)
+        reply = json.loads(await asyncio.wait_for(reader.readline(), 5))
+        assert (reply["op"], reply["address"]) == ("welcome", 0)
+        assert seed.endpoints == {0: ("127.0.0.1", 5001)}
+        assert seed.reported_dead == {}
+        writer.close()
+        await seed.close()
+    asyncio.run(run())
+
+
+def test_a_second_join_on_one_connection_leaves_no_ghost():
+    async def run():
+        seed = await SeedService.start()
+        reader, writer = await asyncio.open_connection(*seed.local_addr)
+        writer.write(JOIN)
+        assert json.loads(await asyncio.wait_for(reader.readline(), 5))["address"] == 0
+        writer.write(JOIN.replace(b"5001", b"5002"))
+        writer.write(b'{"op":"report_dead","addr":9}\n')  # ordered after the join
+        for _ in range(100):
+            if seed.reported_dead:
+                break
+            await asyncio.sleep(0.02)
+        assert seed.endpoints == {0: ("127.0.0.1", 5001)}  # kept its first address
+        writer.close()
+        for _ in range(100):
+            if not seed.endpoints:
+                break
+            await asyncio.sleep(0.02)
+        assert seed.endpoints == {}
+        await seed.close()
+    asyncio.run(run())
+
+
+def test_client_skips_a_push_that_is_not_an_object():
+    async def run():
+        seed = await SeedService.start()
+        host, port = seed.local_addr
+        a = await SeedClient.connect(host, port, "127.0.0.1", 5001)
+        seed._writers[0].write(b"[1]\n")
+        b = await SeedClient.connect(host, port, "127.0.0.1", 5002)
+        for _ in range(100):
+            if 1 in a.peers:
+                break
+            await asyncio.sleep(0.02)
+        assert a.peers[1] == ("127.0.0.1", 5002)  # the registry push after it landed
+        await a.close(); await b.close(); await seed.close()
     asyncio.run(run())
 
 

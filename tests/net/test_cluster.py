@@ -109,24 +109,26 @@ def test_mini_cluster_end_to_end(tmp_path):
     # merged trace stays frame-free (snapshot streaming is trace-inert).
     assert result.metrics_frames >= ns.procs
     assert not any(r.get("ev") == "metrics_delta" for r in records)
-    from repro.net.store import MetricsStore
+    from repro.obs.registry import MetricsRegistry
+    from repro.obs.report import live_report
 
-    store = MetricsStore.from_doc(json.loads(series_out.read_text()))
-    assert len(store.nodes) == ns.procs
+    doc = json.loads(series_out.read_text())
+    assert len(doc["nodes"]) == ns.procs
     # Cumulative totals rebuilt from deltas are live traffic, not zeros.
-    sent = sum(series.totals.counter("live_sent_total").value
-               for series in store.nodes.values())
+    sent = 0.0
+    for series in doc["nodes"].values():
+        totals = MetricsRegistry()
+        totals.merge(series["totals"])
+        sent += totals.counter("live_sent_total").value
     assert sent > 0
     # Every SWIM transition in the merged trace is in the series too —
     # the post-run timeline and the live view agree record for record.
     traced = [(r["proc"], r["peer"], r["prev"], r["state"])
               for r in records if r.get("ev") == "swim"]
     stored = [(proc, peer, prev, state)
-              for _t, proc, peer, prev, state in store.swim_events]
+              for _t, proc, peer, prev, state in doc["swim"]]
     assert sorted(traced) == sorted(stored)
     # The persisted series renders as a live-report health timeline.
-    from repro.obs.report import live_report
-
-    text = live_report(json.loads(series_out.read_text()))
+    text = live_report(doc)
     assert "per-node streams" in text
     assert "ring convergence" in text

@@ -19,7 +19,7 @@ import random
 from repro.core.config import VitisConfig
 from repro.core.protocol import VitisProtocol
 from repro.faults import DetectorConfig, HealingPolicy, MessageLoss, SwimDetector
-from repro.faults.detector import STATE_DEAD
+from repro.faults.detector import STATE_ALIVE
 from repro.net.liveness import LiveSwimDetector
 from repro.net.transport import UdpTransport
 from tests.conftest import small_subscriptions
@@ -46,7 +46,7 @@ def test_in_sim_refutation_survives_sustained_ten_percent_loss():
     assert det.confirmations == 0
     assert p.false_evictions == 0
     for a in p.live_addresses():
-        assert det.state_of(a) != STATE_DEAD
+        assert not det.confirmed(a)
 
 
 def test_live_refutation_over_lossy_loopback_udp():
@@ -79,7 +79,7 @@ def test_live_refutation_over_lossy_loopback_udp():
             # B heard its obituary, outbid it, and the refutation (or a
             # delivered probe-ack) cleared A's suspicion before expiry.
             assert da.suspicions >= 1
-            assert not da.suspected(1) and not da.confirmed(1)
+            assert da._verdicts[1].state == STATE_ALIVE
             assert da.confirmations == 0
             assert db.incarnation >= 1  # B bumped to outbid the obituary
         finally:

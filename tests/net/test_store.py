@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.net.store import STORE_SCHEMA, MetricsStore
+from repro.obs.registry import MetricsRegistry
+from repro.obs.report import live_report
 
 
 def frame(sent=5.0):
@@ -72,19 +74,20 @@ class TestPersistence:
         store.note_expected(101.4, 6)
         doc = json.loads(json.dumps(store.to_doc()))
         assert doc["schema"] == STORE_SCHEMA
-        rt = MetricsStore.from_doc(doc)
-        assert rt.nodes[1].totals.counter("live_sent_total").value == 6.0
-        assert rt.nodes[1].frames == 2
-        (t, proc, peer, prev, state), = rt.swim_events
+        totals = MetricsRegistry()
+        totals.merge(doc["nodes"]["1"]["totals"])
+        assert totals.counter("live_sent_total").value == 6.0
+        assert doc["nodes"]["1"]["frames"] == 2
+        (t, proc, peer, prev, state), = doc["swim"]
         assert (t, proc, peer, prev, state) == (
             pytest.approx(1.2), 1, 2, "alive", "suspect")
-        (t, wrong, total), = rt.ring_samples
+        (t, wrong, total), = doc["ring"]
         assert (t, wrong, total) == (pytest.approx(1.3), 1, 2)
-        (t, cum), = rt.expected_samples
+        (t, cum), = doc["expected"]
         assert (t, cum) == (pytest.approx(1.4), 6)
 
-    def test_from_doc_rejects_wrong_schema(self):
+    def test_live_report_rejects_wrong_schema(self):
         with pytest.raises(ValueError):
-            MetricsStore.from_doc({"schema": "something/else"})
+            live_report({"schema": "something/else"})
         with pytest.raises(ValueError):
-            MetricsStore.from_doc([])
+            live_report([])

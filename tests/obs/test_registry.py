@@ -23,7 +23,7 @@ class TestGauge:
         g = Gauge()
         g.set(10)
         g.inc(5)
-        g.dec(2)
+        g.inc(-2)  # a gauge goes down through inc
         assert g.value == 13.0
 
 

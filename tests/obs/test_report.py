@@ -1,7 +1,7 @@
 """Tests for the telemetry report rendering."""
 
 from repro.obs import Telemetry
-from repro.obs.report import metrics_rows, phase_rows, render, trace_summary_rows
+from repro.obs.report import phase_rows, trace_summary_rows
 
 
 class TestReport:
@@ -14,13 +14,6 @@ class TestReport:
             pass
         return tel
 
-    def test_metrics_rows_cover_all_instruments(self):
-        rows = metrics_rows(self._telemetry().metrics)
-        names = {r["metric"] for r in rows}
-        assert "lookups_total{system=vitis}" in names
-        assert "live_nodes" in names
-        assert any(n.startswith("lookup_hops") for n in names)
-
     def test_phase_rows(self):
         rows = phase_rows(self._telemetry())
         assert [r["phase"] for r in rows] == ["run"]
@@ -29,8 +22,3 @@ class TestReport:
         events = [{"ev": "lookup"}, {"ev": "lookup"}, {"ev": "delivery"}]
         rows = {r["event"]: r["count"] for r in trace_summary_rows(events)}
         assert rows == {"lookup": 2, "delivery": 1}
-
-    def test_render_is_printable(self):
-        text = render(self._telemetry(), title="smoke")
-        assert "lookups_total" in text
-        assert "run" in text

@@ -102,12 +102,6 @@ class TestBuildSpanTrees:
         assert [s.kind for s in path] == [HOP_PUBLISH, HOP_FLOOD, HOP_DELIVER]
         assert path[0].span == tree.root
 
-    def test_kind_counts_exclude_failures(self):
-        tree = build_span_trees(self.make_trace())[(None, "e0")]
-        counts = tree.kind_counts()
-        assert counts[HOP_RELAY] == 1  # the failed relay span is excluded
-        assert counts[HOP_FLOOD] == 1
-
     def test_missing_parent_is_incomplete(self):
         events = self.make_trace()
         events = [e for e in events if e.get("span") != 1]  # drop a mid span

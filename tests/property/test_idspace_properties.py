@@ -1,6 +1,6 @@
 """Property-based tests for the circular id space."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.identifiers import IdSpace
@@ -35,17 +35,8 @@ class TestDistanceMetric:
 
 class TestClockwise:
     @given(ids, ids)
-    def test_clockwise_splits_ring(self, a, b):
-        cw = SPACE.clockwise(a, b)
-        ccw = SPACE.clockwise(b, a)
-        if a == b:
-            assert cw == ccw == 0
-        else:
-            assert cw + ccw == SPACE.size
-
-    @given(ids, ids)
     def test_distance_is_min_of_arcs(self, a, b):
-        cw = SPACE.clockwise(a, b)
+        cw = (b - a) % SPACE.size
         assert SPACE.distance(a, b) == min(cw, SPACE.size - cw)
 
     @given(ids, st.integers(min_value=-(1 << 40), max_value=1 << 40))
@@ -61,20 +52,3 @@ class TestHashing:
     @given(st.text(max_size=40))
     def test_hash_stable(self, key):
         assert SPACE.hash_key(key) == IdSpace(bits=32).hash_key(key)
-
-
-class TestSelection:
-    @given(ids, st.lists(ids, min_size=1, max_size=30))
-    def test_closest_is_argmin(self, target, pool):
-        best = SPACE.closest(target, pool)
-        assert SPACE.distance(best, target) == min(
-            SPACE.distance(i, target) for i in pool
-        )
-
-    @given(ids, st.lists(ids, min_size=1, max_size=30))
-    @settings(max_examples=50)
-    def test_rank_sorted(self, target, pool):
-        ranked = SPACE.rank_by_distance(target, pool)
-        dists = [SPACE.distance(i, target) for i in ranked]
-        assert dists == sorted(dists)
-        assert sorted(ranked) == sorted(pool)

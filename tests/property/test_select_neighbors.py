@@ -34,6 +34,12 @@ N_TOPICS = 6
 N_ESTIMATE = 50
 
 
+def harmonic_fraction(rng, n_estimate):
+    """Symphony's draw: a ring fraction with density 1/(x ln n) on [1/n, 1]
+    (inverse CDF of ``u ~ U[0, 1)``)."""
+    return math.pow(n_estimate, rng.random() - 1.0)
+
+
 def naive_select(node, pool, profile_of, rng):
     """Alg. 4, one full scan per slot.  ``rng`` stands in for the node's."""
     pool = dict(pool)
@@ -56,7 +62,7 @@ def naive_select(node, pool, profile_of, rng):
     for _ in range(node.config.n_sw_links):
         if not pool:
             break
-        delta = int(math.pow(int(node.n_estimate), rng.random() - 1.0) * size)
+        delta = int(harmonic_fraction(rng, int(node.n_estimate)) * size)
         target = (me + max(delta, 1)) % size
         pick(list(pool.values()),
              lambda t: (min((t[1] - target) % size, (target - t[1]) % size), t[0]),

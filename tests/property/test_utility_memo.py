@@ -46,8 +46,15 @@ bootstraps = st.sets(st.sampled_from(CANDIDATES), min_size=3)
 profile_writes = st.one_of(
     st.tuples(st.just("subscribe"), topics),
     st.tuples(st.just("unsubscribe"), topics),
-    st.tuples(st.just("replace_subscriptions"), topic_sets),
 )
+
+
+def resubscribe(profile, topics):
+    """Change *profile*'s subscriptions to *topics*, one write per topic."""
+    for t in profile.subscriptions - topics:
+        profile.unsubscribe(t)
+    for t in topics - profile.subscriptions:
+        profile.subscribe(t)
 
 
 def flat(selection):
@@ -212,7 +219,7 @@ def test_message_driven_hit_equals_recompute(subs, later, ops):
             node.on_message(
                 ProfileMessage(src=a, dst=0, profile=d.nodes[a]._profile_payload(True))
             )
-            d.nodes[a].profile.replace_subscriptions(later[a])
+            resubscribe(d.nodes[a].profile, later[a])
     agree()
     for op in ops:
         for d, node in ((dw, warm), (dc, cold)):

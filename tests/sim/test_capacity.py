@@ -235,9 +235,3 @@ class TestReads:
         assert set(CLASS_SHARE) == {PRIO_PULL, PRIO_NOTIFY, 2, PRIO_CONTROL}
         assert CLASS_SHARE[PRIO_PULL] < CLASS_SHARE[PRIO_NOTIFY] \
             < CLASS_SHARE[2] < CLASS_SHARE[PRIO_CONTROL] == 1.0
-
-    def test_describe_is_scalar(self):
-        m = CapacityModel(NodeCapacity(), rng=_PoisonedRng())
-        d = m.describe()
-        assert d["model"] == "capacity"
-        assert all(isinstance(v, (int, float, str)) for v in d.values())

@@ -42,14 +42,6 @@ class TestSchedule:
         with pytest.raises(ValueError):
             ChurnSchedule.from_sessions([(1, 2.0, 1.0)])
 
-    def test_clipped(self):
-        s = ChurnSchedule.from_sessions([(1, 0.0, 10.0)])
-        assert len(s.clipped(5.0)) == 1
-
-    def test_shifted(self):
-        s = ChurnSchedule([ChurnEvent(1.0, 1, "join")]).shifted(2.0)
-        assert s.events[0].time == 3.0
-
     def test_merged(self):
         a = ChurnSchedule([ChurnEvent(1.0, 1, "join")])
         b = ChurnSchedule([ChurnEvent(2.0, 2, "join")])
@@ -57,26 +49,6 @@ class TestSchedule:
 
 
 class TestGenerators:
-    def test_poisson_alternates_join_leave(self):
-        import numpy as np
-
-        rng = np.random.default_rng(1)
-        s = ChurnSchedule.poisson(rng, range(10), rate_per_node=0.1, horizon=100, mean_session=5)
-        per_node = {}
-        for e in s:
-            per_node.setdefault(e.address, []).append(e.kind)
-        for kinds in per_node.values():
-            assert kinds[0] == "join"
-            for a, b in zip(kinds, kinds[1:]):
-                assert a != b  # strict alternation
-
-    def test_poisson_rejects_bad_rates(self):
-        import numpy as np
-
-        rng = np.random.default_rng(1)
-        with pytest.raises(ValueError):
-            ChurnSchedule.poisson(rng, [1], rate_per_node=0, horizon=10, mean_session=5)
-
     def test_flash_crowd(self):
         s = ChurnSchedule.flash_crowd([1, 2, 3], at=10.0)
         assert all(e.time == 10.0 and e.kind == "join" for e in s)
@@ -194,27 +166,3 @@ class TestApply:
         e.run()
         assert log == []
         assert e.now == 5.0  # nothing was scheduled, so time never advanced
-
-
-class TestPopulationSeries:
-    def test_counts_net_population(self):
-        s = ChurnSchedule.from_sessions([(1, 0.0, 10.0), (2, 5.0, 10.0)])
-        series = dict(s.population_series(resolution=5.0))
-        assert series[0.0] == 1
-        assert series[5.0] == 2
-        assert series[10.0] == 0
-
-    def test_fractional_resolution_reaches_the_horizon(self):
-        """Regression: with resolution=0.1, accumulated float error used to
-        stop the sampling loop one step short of the horizon, silently
-        dropping the trailing events from the series."""
-        s = ChurnSchedule.from_sessions([(1, 0.0, 1.0)])
-        series = s.population_series(resolution=0.1)
-        t_last, pop_last = series[-1]
-        assert t_last >= s.horizon
-        assert pop_last == 0  # the leave at t=1.0 is included
-        # Every event is folded in exactly once overall.
-        assert series[0][1] == 1
-
-    def test_empty_schedule_yields_one_sample(self):
-        assert ChurnSchedule([]).population_series() == [(0.0, 0)]

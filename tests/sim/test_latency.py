@@ -15,7 +15,7 @@ def coords(rng):
 class TestCoordinateSpace:
     def test_random_in_unit_square(self, coords):
         for a in range(20):
-            x, y = coords.coord(a)
+            x, y = coords._coords[a]
             assert 0 <= x <= 1 and 0 <= y <= 1
 
     def test_distance_metric(self, coords):

@@ -96,11 +96,6 @@ class TestMetricsCollector:
         edges, fractions = MetricsCollector().overhead_histogram()
         assert fractions.sum() == 0.0
 
-    def test_delay_distribution(self):
-        c = MetricsCollector()
-        c.add(record(delivered={2: 1, 3: 4}))
-        assert sorted(c.delay_distribution()) == [1, 4]
-
     def test_summary_keys(self):
         s = MetricsCollector().summary()
         assert set(s) == {"events", "hit_ratio", "traffic_overhead_pct", "mean_delay_hops"}

@@ -11,7 +11,6 @@ class TestRecording:
         ts.record("hit", 1.0, 0.9)
         ts.record("hit", 2.0, 1.0)
         assert ts.series("hit") == [(1.0, 0.9), (2.0, 1.0)]
-        assert ts.latest("hit") == 1.0
         assert len(ts) == 2
 
     def test_time_order_enforced(self):
@@ -26,11 +25,6 @@ class TestRecording:
         ts.record("x", 5.0, 2)
         assert len(ts.series("x")) == 2
 
-    def test_record_many(self):
-        ts = TimeSeries()
-        ts.record_many(1.0, {"a": 1, "b": 2})
-        assert ts.latest("a") == 1 and ts.latest("b") == 2
-
     def test_names_sorted(self):
         ts = TimeSeries()
         ts.record("b", 0, 1)
@@ -40,7 +34,6 @@ class TestRecording:
     def test_missing_series(self):
         ts = TimeSeries()
         assert ts.series("nope") == []
-        assert ts.latest("nope") is None
         assert ts.latest_time("nope") is None
 
     def test_latest_time(self):
@@ -48,7 +41,6 @@ class TestRecording:
         ts.record("x", 3.0, 7.0)
         ts.record("x", 5.0, 9.0)
         assert ts.latest_time("x") == 5.0
-        assert ts.latest("x") == 9.0
 
 
 class TestWindows:
@@ -60,15 +52,8 @@ class TestWindows:
     def test_window_half_open(self):
         assert self.ts.window("v", 2.0, 5.0) == [4.0, 9.0, 16.0]
 
-    def test_window_mean(self):
-        assert self.ts.window_mean("v", 0.0, 3.0) == pytest.approx((0 + 1 + 4) / 3)
-
-    def test_window_min(self):
-        assert self.ts.window_min("v", 3.0, 6.0) == 9.0
-
     def test_empty_window(self):
         assert self.ts.window("v", 100.0, 200.0) == []
-        assert self.ts.window_mean("v", 100.0, 200.0) is None
 
 
 class TestRows:
@@ -101,6 +86,6 @@ class TestRows:
         from repro.experiments.reporting import format_table
 
         ts = TimeSeries()
-        ts.record_many(0.0, {"hit": 1.0})
+        ts.record("hit", 0.0, 1.0)
         out = format_table(ts.to_rows())
         assert "hit" in out

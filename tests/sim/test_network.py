@@ -23,23 +23,11 @@ def make_net(latency=None):
 
 
 class TestRegistry:
-    def test_register_assigns_sequential_addresses(self):
-        _, net = make_net()
-        a = net.register(Recorder)
-        b = net.register(Recorder)
-        assert (a.address, b.address) == (0, 1)
-
-    def test_factory_must_honor_address(self):
-        _, net = make_net()
-        with pytest.raises(ValueError):
-            net.register(lambda addr: Recorder(addr + 1))
-
     def test_add_external_node(self):
         _, net = make_net()
         n = Recorder(5)
         net.add(n)
         assert net.get(5) is n
-        assert net.register(Recorder).address == 6
 
     def test_add_duplicate_rejected(self):
         _, net = make_net()
@@ -58,7 +46,7 @@ class TestRegistry:
 
     def test_liveness(self):
         _, net = make_net()
-        n = net.register(Recorder)
+        n = net.add(Recorder(0))
         assert not net.is_alive(n.address)
         n.start()
         assert net.is_alive(n.address)
@@ -67,7 +55,7 @@ class TestRegistry:
 
     def test_live_counts(self):
         _, net = make_net()
-        nodes = [net.register(Recorder) for _ in range(4)]
+        nodes = [net.add(Recorder(a)) for a in range(4)]
         for n in nodes[:3]:
             n.start()
         assert net.live_count() == 3
@@ -79,7 +67,7 @@ class TestRegistry:
 class TestTransport:
     def test_send_delivers_via_engine(self):
         e, net = make_net()
-        a, b = net.register(Recorder), net.register(Recorder)
+        a, b = net.add(Recorder(0)), net.add(Recorder(1))
         a.start(), b.start()
         net.send(Message(src=a.address, dst=b.address))
         assert b.received == []  # not yet: engine hasn't run
@@ -88,14 +76,14 @@ class TestTransport:
 
     def test_send_sync_is_immediate(self):
         _, net = make_net()
-        a, b = net.register(Recorder), net.register(Recorder)
+        a, b = net.add(Recorder(0)), net.add(Recorder(1))
         a.start(), b.start()
         assert net.send_sync(Message(src=0, dst=1)) is True
         assert len(b.received) == 1
 
     def test_send_and_send_sync_account_alike(self):
         e, net = make_net()
-        a, b = net.register(Recorder), net.register(Recorder)
+        a, b = net.add(Recorder(0)), net.add(Recorder(1))
         a.start(), b.start()
         net.send(Notification(src=0, dst=1, size=3))
         queued = (dict(net.sent), dict(net.sent_by_addr), net.bytes_sent)
@@ -108,7 +96,7 @@ class TestTransport:
         # No closure per message: the event is ``_deliver`` plus the
         # message as its argument.
         e, net = make_net()
-        net.register(Recorder).start()
+        net.add(Recorder(0)).start()
         msg = Message(src=0, dst=0)
         net.send(msg)
         ((_, _, event),) = e._queue
@@ -116,7 +104,7 @@ class TestTransport:
 
     def test_drop_to_dead_node(self):
         e, net = make_net()
-        a, b = net.register(Recorder), net.register(Recorder)
+        a, b = net.add(Recorder(0)), net.add(Recorder(1))
         a.start()  # b stays down
         net.send(Message(src=0, dst=1))
         e.run()
@@ -125,7 +113,7 @@ class TestTransport:
 
     def test_drop_to_unknown_address(self):
         e, net = make_net()
-        a = net.register(Recorder)
+        a = net.add(Recorder(0))
         a.start()
         net.send(Message(src=0, dst=77))
         e.run()
@@ -133,7 +121,7 @@ class TestTransport:
 
     def test_traffic_accounting(self):
         e, net = make_net()
-        a, b = net.register(Recorder), net.register(Recorder)
+        a, b = net.add(Recorder(0)), net.add(Recorder(1))
         a.start(), b.start()
         net.send(Notification(src=0, dst=1, topic=3, size=10))
         e.run()
@@ -143,7 +131,7 @@ class TestTransport:
 
     def test_reset_traffic(self):
         _, net = make_net()
-        a, b = net.register(Recorder), net.register(Recorder)
+        a, b = net.add(Recorder(0)), net.add(Recorder(1))
         a.start(), b.start()
         net.send_sync(Message(src=0, dst=1))
         net.reset_traffic()
@@ -152,7 +140,7 @@ class TestTransport:
     def test_constant_latency_delays_delivery(self):
         e = Engine()
         net = Network(e, ConstantLatency(2.5))
-        a, b = net.register(Recorder), net.register(Recorder)
+        a, b = net.add(Recorder(0)), net.add(Recorder(1))
         a.start(), b.start()
         net.send(Message(src=0, dst=1))
         e.run()
@@ -162,7 +150,7 @@ class TestTransport:
 class TestPerAddressAccounting:
     def test_sent_delivered_tallies(self):
         e, net = make_net()
-        a, b = net.register(Recorder), net.register(Recorder)
+        a, b = net.add(Recorder(0)), net.add(Recorder(1))
         a.start(), b.start()
         net.send(Message(src=0, dst=1))
         net.send(Message(src=0, dst=1))
@@ -175,7 +163,7 @@ class TestPerAddressAccounting:
         from repro.sim.capacity import CapacityModel, NodeCapacity
 
         e, net = make_net()
-        a, b = net.register(Recorder), net.register(Recorder)
+        a, b = net.add(Recorder(0)), net.add(Recorder(1))
         a.start(), b.start()
         net.capacity = CapacityModel(
             NodeCapacity(service_rate=1, queue_depth=1, policy="drop_newest")
@@ -253,8 +241,8 @@ class TestDropEvent:
         from repro import obs
 
         e, net = make_net()
-        net.register(Recorder).start()
-        net.register(Recorder)  # stays down
+        net.add(Recorder(0)).start()
+        net.add(Recorder(1))  # stays down
         buf = io.StringIO()
         tel = obs.Telemetry(trace=buf)
         net.telemetry = tel
@@ -304,7 +292,7 @@ class TestLatencyModels:
 class TestBaseNode:
     def test_joined_at_records_time(self):
         e, net = make_net()
-        n = net.register(Recorder)
+        n = net.add(Recorder(0))
         e.schedule(5.0, n.start)
         e.run()
         assert n.joined_at == 5.0

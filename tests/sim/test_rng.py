@@ -7,9 +7,9 @@ from repro.sim.rng import SeedTree
 
 class TestDeterminism:
     def test_same_seed_same_stream(self):
-        a = SeedTree(7).generator("x")
-        b = SeedTree(7).generator("x")
-        assert list(a.integers(1000, size=10)) == list(b.integers(1000, size=10))
+        a = SeedTree(7).pyrandom("node", 3)
+        b = SeedTree(7).pyrandom("node", 3)
+        assert [a.getrandbits(64) for _ in range(10)] == [b.getrandbits(64) for _ in range(10)]
 
     def test_pyrandom_same_seed_same_stream(self):
         a = SeedTree(7).pyrandom("x")
@@ -18,13 +18,13 @@ class TestDeterminism:
 
     def test_different_names_differ(self):
         t = SeedTree(7)
-        a = t.generator("x").integers(1 << 60)
-        b = t.generator("y").integers(1 << 60)
+        a = t.pyrandom("x").getrandbits(60)
+        b = t.pyrandom("y").getrandbits(60)
         assert a != b
 
     def test_different_seeds_differ(self):
-        a = SeedTree(1).generator("x").integers(1 << 60)
-        b = SeedTree(2).generator("x").integers(1 << 60)
+        a = SeedTree(1).pyrandom("x").getrandbits(60)
+        b = SeedTree(2).pyrandom("x").getrandbits(60)
         assert a != b
 
     def test_multi_part_names(self):
@@ -35,10 +35,10 @@ class TestDeterminism:
 
     def test_repeated_request_restarts_stream(self):
         t = SeedTree(5)
-        g1 = t.generator("s")
-        first = g1.integers(1 << 30)
-        g2 = t.generator("s")
-        assert g2.integers(1 << 30) == first
+        r1 = t.pyrandom("s")
+        first = r1.getrandbits(30)
+        r2 = t.pyrandom("s")
+        assert r2.getrandbits(30) == first
 
 
 class TestChildTrees:

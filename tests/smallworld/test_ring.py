@@ -1,50 +1,49 @@
-"""Tests for ring maintenance helpers."""
+"""Tests for the ring: Alg. 4's ring picks and the ground truth."""
 
+import random
+
+from repro.core.config import VitisConfig
 from repro.core.identifiers import IdSpace
-from repro.gossip.view import Descriptor
-from repro.smallworld.ring import (
-    find_predecessor,
-    find_successor,
-    is_ring_converged,
-    ring_edges,
-)
+from repro.core.node import VitisNode
+from repro.core.routing_table import LinkKind
+from repro.core.utility import UtilityFunction
+from repro.smallworld.ring import is_ring_converged, ring_edges
 
 SPACE = IdSpace(bits=8)  # size 256 for readable tests
 
 
-def d(addr, node_id):
-    return Descriptor(addr, node_id)
+def ring_picks(space, self_id, cands, address=0):
+    """(successor, predecessor) addresses Alg. 4 picks for a node with id
+    *self_id* out of ``(address, node_id)`` candidates; None if unfilled."""
+    node = VitisNode(address, self_id, (), VitisConfig(rt_size=3, n_sw_links=0),
+                     space, UtilityFunction(), random.Random(0))
+    pool = {a: (a, i, 0) for a, i in cands}
+    picks = {kind: d.address for d, kind in node._select_from_pool(pool, lambda a: None)}
+    return picks.get(LinkKind.SUCCESSOR), picks.get(LinkKind.PREDECESSOR)
 
 
 class TestSuccessorPredecessor:
     def test_successor_is_min_clockwise(self):
-        cands = [d(1, 50), d(2, 200), d(3, 10)]
-        assert find_successor(SPACE, 40, cands).address == 1
+        assert ring_picks(SPACE, 40, [(1, 50), (2, 200), (3, 10)])[0] == 1
 
     def test_successor_wraps(self):
-        cands = [d(1, 10), d(2, 30)]
-        assert find_successor(SPACE, 250, cands).address == 1
+        assert ring_picks(SPACE, 250, [(1, 10), (2, 30)])[0] == 1
 
     def test_predecessor_is_min_counterclockwise(self):
-        cands = [d(1, 50), d(2, 200), d(3, 10)]
-        assert find_predecessor(SPACE, 40, cands).address == 3
+        assert ring_picks(SPACE, 40, [(1, 50), (2, 200), (3, 10)])[1] == 3
 
     def test_predecessor_wraps(self):
-        cands = [d(1, 200), d(2, 100)]
-        assert find_predecessor(SPACE, 50, cands).address == 1
+        assert ring_picks(SPACE, 50, [(1, 200), (2, 100)])[1] == 1
 
     def test_same_id_skipped(self):
-        cands = [d(1, 40), d(2, 60)]
-        assert find_successor(SPACE, 40, cands).address == 2
-        assert find_predecessor(SPACE, 40, [d(1, 40)]) is None
+        assert ring_picks(SPACE, 40, [(1, 40), (2, 60)]) == (2, None)
+        assert ring_picks(SPACE, 40, [(1, 40)]) == (None, None)
 
     def test_empty_candidates(self):
-        assert find_successor(SPACE, 40, []) is None
-        assert find_predecessor(SPACE, 40, []) is None
+        assert ring_picks(SPACE, 40, []) == (None, None)
 
     def test_tie_broken_by_address(self):
-        cands = [d(5, 50), d(2, 50)]
-        assert find_successor(SPACE, 40, cands).address == 2
+        assert ring_picks(SPACE, 40, [(5, 50), (2, 50)])[0] == 2
 
 
 class TestRingEdges:

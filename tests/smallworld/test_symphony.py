@@ -1,17 +1,22 @@
-"""Tests for Symphony harmonic long links."""
+"""Symphony's harmonic long links.
+
+``VitisNode._select_from_pool`` draws its small-world targets inline;
+``tests/property/test_select_neighbors.py`` proves it makes exactly the
+draw of :func:`harmonic_fraction`.  This file checks that draw has
+Symphony's shape, and pins the pick around a known target by example.
+"""
 
 import math
 import random
 
 import numpy as np
 
+from repro.core.config import VitisConfig
 from repro.core.identifiers import IdSpace
-from repro.gossip.view import Descriptor
-from repro.smallworld.symphony import (
-    closest_to_target,
-    draw_sw_target,
-    harmonic_fraction,
-)
+from repro.core.node import VitisNode
+from repro.core.routing_table import LinkKind
+from repro.core.utility import UtilityFunction
+from tests.property.test_select_neighbors import harmonic_fraction
 
 
 class TestHarmonicFraction:
@@ -33,9 +38,11 @@ class TestHarmonicFraction:
         assert all(800 < h < 1200 for h in hist)
 
     def test_small_n_clamped(self, rng):
-        # n below 2 must not blow up (log(1) == 0 division).
-        x = harmonic_fraction(rng, 1)
-        assert 0 < x <= 1.0
+        # A node never draws with n below 2 (log(1) == 0 flattens the pdf).
+        node = VitisNode(0, 0, (), VitisConfig(n_estimate=1), IdSpace(16),
+                         UtilityFunction(), rng)
+        assert node.n_estimate == 2
+        assert 0.5 <= harmonic_fraction(rng, node.n_estimate) <= 1.0
 
     def test_deterministic_given_rng(self):
         a = harmonic_fraction(random.Random(3), 100)
@@ -43,31 +50,42 @@ class TestHarmonicFraction:
         assert a == b
 
 
-class TestDrawTarget:
-    def test_target_in_space(self, rng):
-        space = IdSpace(bits=16)
-        for _ in range(100):
-            t = draw_sw_target(space, 1234, rng, 500)
-            assert 0 <= t < space.size
+class _Draw:
+    """An RNG whose every draw is *u*."""
 
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def sw_pick(cands, u, n_estimate):
+    """The address the one small-world slot of node id 0 (256 ids) picks
+    out of ``(address, id)`` candidates when the harmonic draw reads *u*.
+    Ids 1 and 255 are in the pool to fill the two ring slots first."""
+    node = VitisNode(0, 0, (), VitisConfig(rt_size=3, n_sw_links=1, n_estimate=n_estimate),
+                     IdSpace(8), UtilityFunction(), _Draw(u))
+    pool = {a: (a, i, 0) for a, i in [(1, 1), (2, 255)] + cands}
+    picks = {kind: d.address for d, kind in node._select_from_pool(pool, lambda a: None)}
+    return picks.get(LinkKind.SW)
+
+
+class TestDrawTarget:
     def test_target_is_clockwise_offset(self):
-        space = IdSpace(bits=16)
-        rng = random.Random(1)
-        node = 1000
-        t = draw_sw_target(space, node, rng, 500)
-        assert t != node  # delta floored at 1
+        # 256 / 2**20 ids floors to 0; the offset is floored at 1, so the
+        # target is id 1 (a tie, lower address wins), never my own id 0.
+        assert sw_pick([(4, 0), (3, 2)], u=0.0, n_estimate=2**20) == 3
 
 
 class TestClosestToTarget:
     def test_picks_minimal_circular_distance(self):
-        space = IdSpace(bits=8)
-        cands = [Descriptor(1, 10), Descriptor(2, 100), Descriptor(3, 250)]
-        assert closest_to_target(space, 0, cands).address == 3  # dist 6 wraps
+        # Target id 1: id 250 is 7 away across the wrap, id 10 is 9 away.
+        assert sw_pick([(3, 10), (4, 250)], u=0.0, n_estimate=256) == 4
 
     def test_empty(self):
-        assert closest_to_target(IdSpace(8), 0, []) is None
+        assert sw_pick([], u=0.0, n_estimate=2) is None
 
     def test_tie_broken_by_address(self):
-        space = IdSpace(bits=8)
-        cands = [Descriptor(9, 10), Descriptor(2, 30)]
-        assert closest_to_target(space, 20, cands).address == 2
+        # Target id 128 (n = 2, u = 0: half the ring): both are 8 away.
+        assert sw_pick([(9, 120), (6, 136)], u=0.0, n_estimate=2) == 6

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workloads.publication import power_law_rates, sample_topics, uniform_rates
-
-
-class TestUniform:
-    def test_all_equal(self):
-        r = uniform_rates(10, rate=2.0)
-        assert r.is_uniform()
-        assert r.rate(7) == 2.0
+from repro.workloads.publication import power_law_rates, sample_topics
 
 
 class TestPowerLaw:
@@ -28,7 +21,7 @@ class TestPowerLaw:
 
     def test_alpha_zero_is_uniform(self):
         r = power_law_rates(10, 0.0)
-        assert r.is_uniform()
+        assert np.all(r.rates == r.rates[0])
 
     def test_permutation_preserves_multiset(self):
         a = power_law_rates(50, 1.5, seed=None)

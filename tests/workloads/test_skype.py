@@ -5,6 +5,11 @@ import pytest
 from repro.workloads.skype import SkypeTrace
 
 
+def online(trace, t):
+    """Nodes online at hour *t*."""
+    return sum(1 for _, s, e in trace.sessions if s <= t < e)
+
+
 @pytest.fixture(scope="module")
 def trace():
     return SkypeTrace(n_nodes=150, horizon=400, flash_crowd_at=250, seed=2)
@@ -40,13 +45,13 @@ class TestGeneration:
 class TestPopulationDynamics:
     def test_initial_population(self, trace):
         # Half the non-crowd pool starts online.
-        pop0 = trace.population_at(0.0)
+        pop0 = online(trace, 0.0)
         non_crowd = trace.n_nodes * (1 - trace.flash_crowd_fraction)
         assert pop0 == pytest.approx(non_crowd * 0.5, rel=0.35)
 
     def test_flash_crowd_spike(self, trace):
-        before = trace.population_at(trace.flash_crowd_at - 5)
-        after = trace.population_at(trace.flash_crowd_at + 2)
+        before = online(trace, trace.flash_crowd_at - 5)
+        after = online(trace, trace.flash_crowd_at + 2)
         assert after > before * 1.5
 
     def test_crowd_nodes_absent_before(self, trace):
@@ -57,15 +62,8 @@ class TestPopulationDynamics:
 
     def test_no_flash_crowd_mode(self):
         t = SkypeTrace(n_nodes=60, horizon=200, flash_crowd_at=None, seed=1)
-        series = [p for _, p in t.population_series(20)]
+        series = [online(t, h) for h in range(0, 201, 20)]
         assert max(series) < 60  # no synchronized spike to full pool
-
-    def test_population_series_resolution(self, trace):
-        series = trace.population_series(resolution=100.0)
-        assert len(series) == 5  # 0,100,200,300,400
-
-    def test_mean_session_positive(self, trace):
-        assert trace.mean_session_length() > 0
 
 
 class TestScheduleExport:
