@@ -9,8 +9,9 @@ a real, lossy transport:
   the simulated deployment mode and the live runtime;
 - :mod:`repro.net.wire` — versioned wire codec for the message classes of
   :mod:`repro.sim.messages`;
-- :mod:`repro.net.transport` — asyncio-UDP transport with per-destination
-  ack/retransmit (exponential backoff + jitter, bounded retry budget);
+- :mod:`repro.net.transport` — UDP transport on the asyncio loop with
+  per-destination ack/retransmit (one ack per drained batch, exponential
+  backoff + jitter, bounded retry budget);
 - :mod:`repro.net.bootstrap` — seed-node registry service and client, so
   processes discover the overlay without shared memory;
 - :mod:`repro.net.liveness` — the SWIM failure detector of

@@ -1,4 +1,4 @@
-"""Asyncio-UDP transport with per-destination ack/retransmit.
+"""UDP transport with per-destination ack/retransmit, on the asyncio loop.
 
 The live counterpart of :class:`repro.sim.network.Network`: protocol code
 calls ``transport.send(message)`` with the same
@@ -6,16 +6,26 @@ calls ``transport.send(message)`` with the same
 received messages surface through one ``on_message`` callback.  The
 differences a real wire forces are all here:
 
+- **Its own socket** — the transport binds a non-blocking UDP socket and
+  registers one ``loop.add_reader`` callback, so it needs a selector
+  event loop (POSIX, which the live runtime targets).  Each readiness
+  drains up to ``_DRAIN_BATCH`` datagrams; ``send``, the retransmit
+  sweep and the ack flush call ``socket.sendto`` directly.  A socket
+  error (``BlockingIOError``, or an ICMP port-unreachable reported as
+  ``ECONNREFUSED``) never escapes: it is logged at debug level, and the
+  retry discipline below covers the datagram it cost.
 - **Reliability discipline** — control-plane and data-plane kinds are
-  acked per datagram and retransmitted on a capped exponential backoff
-  with jitter (:class:`repro.faults.healing.RetryPolicy`).  The retry
-  budget is bounded: a message still unacked after the last attempt is
-  *given up*, counted, reported via ``on_give_up`` (feeding the liveness
-  layer and the failure-span trace), and dropped — the transport
-  degrades into the protocol's existing fault-aware eviction path
-  instead of blocking on a dead peer.  One timer per transport sweeps
-  the pending sends' deadlines (it never sleeps past the earliest one);
-  the delay and give-up rules are those of the policy, unchanged.
+  acked per drained batch — one ack datagram per source address,
+  carrying every reliable seq that batch read from it — and
+  retransmitted on a capped exponential backoff with jitter
+  (:class:`repro.faults.healing.RetryPolicy`).  The retry budget is
+  bounded: a message still unacked after the last attempt is *given
+  up*, counted, reported via ``on_give_up`` (feeding the liveness layer
+  and the failure-span trace), and dropped — the transport degrades
+  into the protocol's existing fault-aware eviction path instead of
+  blocking on a dead peer.  One timer per transport sweeps the pending
+  sends' deadlines (it never sleeps past the earliest one); the delay
+  and give-up rules are those of the policy, unchanged.
 - **SWIM kinds are exempt** — probes, acks, suspicions and refutations
   ride unreliable, exactly as SWIM requires: the detector supplies its
   own end-to-end semantics, and a transport that retried probes would
@@ -37,8 +47,9 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import socket
 from collections import Counter, deque
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults.healing import RetryPolicy
 from repro.net import wire
@@ -56,6 +67,13 @@ UNRELIABLE_KINDS = frozenset(
 #: Per-sender dedup window: remembered ``seq`` values per peer.
 _DEDUP_WINDOW = 4096
 
+#: Datagrams read per readiness at most, so one busy socket cannot hold
+#: the loop; an ack run is at most this long.
+_DRAIN_BATCH = 64
+
+#: Receive buffer: the largest UDP payload.
+_MAX_DATAGRAM = 65535
+
 
 class _Pending:
     """One unacked reliable datagram awaiting its ack."""
@@ -69,21 +87,6 @@ class _Pending:
         self.attempts = 1
         #: Loop time after which the latest transmission counts as lost.
         self.deadline = deadline
-
-
-class _Protocol(asyncio.DatagramProtocol):
-    def __init__(self, owner: "UdpTransport") -> None:
-        self._owner = owner
-
-    def connection_made(self, transport) -> None:
-        self._owner._sock = transport
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        self._owner._on_datagram(data, addr)
-
-    def error_received(self, exc) -> None:
-        # ICMP unreachable etc.; retransmission handles it.
-        log.debug("transport error: %s", exc)
 
 
 class UdpTransport:
@@ -135,9 +138,12 @@ class UdpTransport:
         self._pending: Dict[int, _Pending] = {}
         #: The one retransmit sweep, armed while anything is pending.
         self._sweep: Optional[asyncio.TimerHandle] = None
+        #: Reliable seqs read since the last ack flush, per source
+        #: address: ``[acked overlay address, seq, seq, ...]``.
+        self._acks: Dict[Tuple[str, int], List[int]] = {}
         self._seen: Dict[int, set] = {}
         self._seen_order: Dict[int, deque] = {}
-        self._sock = None
+        self._sock: Optional[socket.socket] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._closed = False
 
@@ -155,22 +161,31 @@ class UdpTransport:
         """Bind a UDP socket (port 0 = OS-assigned) and start receiving."""
         self = cls(address, rng, retry=retry, loss_rate=loss_rate)
         self._loop = asyncio.get_running_loop()
-        await self._loop.create_datagram_endpoint(
-            lambda: _Protocol(self), local_addr=(host, port)
-        )
+        family, kind, proto, _, local = (
+            await self._loop.getaddrinfo(host, port, type=socket.SOCK_DGRAM)
+        )[0]
+        sock = self._sock = socket.socket(family, kind, proto)
+        try:
+            sock.setblocking(False)
+            sock.bind(local)
+            self._loop.add_reader(sock.fileno(), self._on_readable)
+        except BaseException:
+            sock.close()
+            raise
         return self
 
     @property
     def local_addr(self) -> Tuple[str, int]:
         """The bound ``(host, port)`` — report this to the seed registry."""
-        return self._sock.get_extra_info("sockname")[:2]
+        return self._sock.getsockname()[:2]
 
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
     def send(self, msg: Message) -> bool:
         """Send one message; returns False when it was dropped outright
-        (unknown destination or closed transport)."""
+        (unknown destination, closed transport, or an unreliable kind
+        the socket refused)."""
         if self._closed:
             return False
         kind = msg.kind
@@ -184,7 +199,14 @@ class UdpTransport:
         self.sent[kind] += 1
         self.sent_by_addr[self.address] += 1
         self.bytes_sent += len(data)
-        self._sock.sendto(data, endpoint)
+        try:
+            self._sock.sendto(data, endpoint)
+        except OSError as exc:
+            # A reliable kind stays pending below: the sweep resends it.
+            log.debug("transport error: %s", exc)
+            if kind in UNRELIABLE_KINDS:
+                self.dropped[kind] += 1
+                return False
         if kind not in UNRELIABLE_KINDS:
             now = self._loop.time()
             self._pending[seq] = _Pending(
@@ -227,13 +249,48 @@ class UdpTransport:
             pending.attempts += 1
             self.retransmits += 1
             self.bytes_sent += len(pending.data)
-            self._sock.sendto(pending.data, pending.endpoint)
+            try:
+                self._sock.sendto(pending.data, pending.endpoint)
+            except OSError as exc:  # a lost attempt, like any other
+                log.debug("transport error: %s", exc)
             pending.deadline = now + retry.delay(pending.attempts, self.rng)
         return wake if self._pending else None
 
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
+    def _on_readable(self) -> None:
+        """The socket's reader: drain up to ``_DRAIN_BATCH`` datagrams,
+        then send each source one ack for every reliable seq it sent —
+        even if ``on_message`` raised part-way."""
+        recvfrom = self._sock.recvfrom
+        try:
+            for _ in range(_DRAIN_BATCH):
+                try:
+                    data, addr = recvfrom(_MAX_DATAGRAM)
+                except BlockingIOError:  # drained
+                    return
+                except OSError as exc:
+                    log.debug("transport error: %s", exc)
+                    return
+                self._on_datagram(data, addr)
+                if self._closed:
+                    return
+        finally:
+            self._flush_acks()
+
+    def _flush_acks(self) -> None:
+        if not self._acks:  # also after close(), which drops the runs
+            return
+        acks, self._acks = self._acks, {}
+        for addr, (dst, *seqs) in acks.items():
+            ack = wire.encode_ack(seqs, self.address, dst)
+            self.bytes_sent += len(ack)
+            try:
+                self._sock.sendto(ack, addr)
+            except OSError as exc:  # the sender retransmits; we re-ack
+                log.debug("transport error: %s", exc)
+
     def _on_datagram(self, data: bytes, addr) -> None:
         if self._closed:
             return
@@ -245,16 +302,20 @@ class UdpTransport:
         except wire.WireError:
             self.malformed += 1
             return
-        if msg is None:  # an ack for one of our reliable sends
-            self._pending.pop(seq, None)
+        if msg is None:  # an ack for a run of our reliable sends
+            pop = self._pending.pop
+            for acked in seq:
+                pop(acked, None)
             return
         kind = msg.kind
         if kind not in UNRELIABLE_KINDS:
-            # Ack first — even duplicates (our previous ack may be the
-            # datagram the wire ate).
-            ack = wire.encode_ack(seq, self.address, msg.src)
-            self.bytes_sent += len(ack)
-            self._sock.sendto(ack, addr)
+            # Ack at the flush — even duplicates (our previous ack may be
+            # the datagram the wire ate).
+            run = self._acks.get(addr)
+            if run is None:
+                self._acks[addr] = [msg.src, seq]
+            else:
+                run.append(seq)
             if self._is_duplicate(msg.src, seq):
                 self.duplicates += 1
                 return
@@ -298,9 +359,14 @@ class UdpTransport:
         return not self._pending
 
     def close(self) -> None:
+        """Stop receiving and sending; a second call does nothing."""
         self._closed = True
         if self._sweep is not None:
             self._sweep.cancel()
+            self._sweep = None
         self._pending.clear()
-        if self._sock is not None:
-            self._sock.close()
+        self._acks.clear()
+        sock = self._sock
+        if sock is not None and sock.fileno() != -1:
+            self._loop.remove_reader(sock.fileno())
+            sock.close()

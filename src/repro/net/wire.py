@@ -1,14 +1,17 @@
 """Versioned wire codec for the live UDP transport.
 
-Wire **version 2**: one datagram is one little-endian :mod:`struct`
+Wire **version 3**: one datagram is one little-endian :mod:`struct`
 frame (byte-layout tables in ``docs/deployment.md``)::
 
     version:u8 | kind:u8 | seq:u64 | src:i64 | dst:i64 | body | span trailer?
 
 - ``version`` — a receiver drops datagrams of versions it does not
-  speak, version-1 JSON included (never crashes on them);
-- ``kind`` — bits 0–6 the code of a :data:`MESSAGE_KINDS` row (0 = ack,
-  which is exactly this 26-byte header), bit 7 = a span trailer follows;
+  speak, version-1 JSON and version-2 frames included (never crashes on
+  them);
+- ``kind`` — bits 0–6 the code of a :data:`MESSAGE_KINDS` row, bit 7 = a
+  span trailer follows.  Code 0 is an ack for a run of sequence numbers:
+  the header (``seq`` the first of the run), then ``n:u16`` and ``n``
+  further ``u64`` seqs;
 - ``seq`` — per-sender sequence number, the ack/retransmit/dedup key;
 - ``body`` — the fields :func:`repro.sim.messages.payload_fields`
   enumerates, the exact set the ``size_bytes`` audit covers;
@@ -30,7 +33,7 @@ from __future__ import annotations
 import struct
 from itertools import starmap
 from operator import attrgetter
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.gateway import Proposal
 from repro.sim import messages as M
@@ -49,7 +52,7 @@ __all__ = [
     "decode_metrics_frame",
 ]
 
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 
 class WireError(ValueError):
@@ -57,9 +60,12 @@ class WireError(ValueError):
     message the frame cannot carry (unregistered kind, out-of-range field)."""
 
 
-#: version, kind code (| ``_SPAN_BIT``), seq, src, dst — an ack is exactly this.
+#: version, kind code (| ``_SPAN_BIT``), seq, src, dst.
 _HEADER = "<BBQqq"
-_ACK = struct.Struct(_HEADER)
+_HEADER_SIZE = struct.calcsize(_HEADER)
+#: An ack: the header (``seq`` the first of the run), then how many
+#: further ``u64`` seqs follow it.
+_ACK = struct.Struct(_HEADER + "H")
 _SPAN_BIT = 0x80
 _U16 = struct.Struct("<H")
 _I64 = struct.Struct("<q")
@@ -268,27 +274,39 @@ def encode(msg: Message, seq: int) -> bytes:
         raise WireError(f"{msg.kind} does not fit the frame: {exc}") from exc
 
 
-def encode_ack(seq: int, src: int, dst: int) -> bytes:
-    """Encode a transport ack for sequence ``seq`` (``src`` is the acker)."""
-    return _ACK.pack(WIRE_VERSION, 0, seq, src, dst)
+def encode_ack(seqs: Sequence[int], src: int, dst: int) -> bytes:
+    """Encode one transport ack for the run of sequence numbers ``seqs``
+    (at least one; ``src`` is the acker)."""
+    try:
+        first, *rest = seqs
+        count = len(rest)
+        return _ACK.pack(WIRE_VERSION, 0, first, src, dst, count) + struct.pack(
+            "<%dQ" % count, *rest
+        )
+    except (struct.error, TypeError, ValueError) as exc:
+        raise WireError(f"an ack cannot carry {seqs!r:.80}: {exc}") from exc
 
 
-def decode(datagram: bytes) -> Tuple[Optional[Message], int]:
+def decode(datagram: bytes) -> Tuple[Optional[Message], Union[int, Tuple[int, ...]]]:
     """Decode one datagram to ``(message, seq)``.
 
-    Acks decode to ``(None, seq)`` — the transport consumes them.
+    An ack decodes to ``(None, seqs)``: the tuple of sequence numbers it
+    acks, in the order they arrived — the transport consumes them.
     Raises :class:`WireError` (and nothing else) on any malformed or
     wrong-version datagram; callers drop those (an unreliable transport
     never trusts its input).
     """
     n = len(datagram)
-    if n < _ACK.size or datagram[0] != WIRE_VERSION:
+    if n < _HEADER_SIZE or datagram[0] != WIRE_VERSION:
         raise WireError(f"not a version-{WIRE_VERSION} frame: {datagram[:8]!r}")
     code = datagram[1]
     if code == 0:
-        if n != _ACK.size:
-            raise WireError("trailing bytes after an ack")
-        return None, _ACK.unpack(datagram)[2]
+        if n < _ACK.size:
+            raise WireError("truncated ack")
+        _, _, first, _, _, count = _ACK.unpack_from(datagram)
+        if n != _ACK.size + 8 * count:
+            raise WireError("ack count does not match the datagram")
+        return None, (first, *struct.unpack_from("<%dQ" % count, datagram, _ACK.size))
     entry = _DECODERS.get(code & ~_SPAN_BIT)
     if entry is None:
         raise WireError(f"unknown kind code: {code:#x}")

@@ -11,7 +11,7 @@ from repro.sim import messages as M
 from repro.sim.messages import payload_fields
 
 GOLDEN = json.loads(
-    (Path(__file__).parent.parent / "fixtures" / "wire_v2_frames.json").read_text()
+    (Path(__file__).parent.parent / "fixtures" / "wire_v3_frames.json").read_text()
 )
 EXCHANGES = (M.PsExchangeRequest, M.PsExchangeReply, M.RtExchangeRequest, M.RtExchangeReply)
 
@@ -111,12 +111,16 @@ def test_wrong_version_and_garbage_rejected():
         b"",
         b"\xff\x00 not a frame",
         v1,                                 # a version-1 JSON datagram
+        b"\x02" + good[1:],                 # a version-2 frame
         bytes([wire.WIRE_VERSION + 1]) + good[1:],   # a future version
         good[:1] + b"\x7f" + good[2:],      # unknown kind code
         good[:1] + b"\x80" + good[2:],      # span bit on an ack code
+        good[:1] + b"\x00" + good[2:],      # a data frame relabelled as an ack
         good[:-1],                          # truncated
         good + b"\x00",                     # trailing bytes
-        wire.encode_ack(1, 0, 1) + b"\x00",
+        wire.encode_ack([1], 0, 1)[:26],    # an ack without its count
+        wire.encode_ack([1], 0, 1) + b"\x00",
+        wire.encode_ack([1, 2], 0, 1)[:-1], # the count overruns the datagram
     ):
         with pytest.raises(wire.WireError):
             wire.decode(datagram)
@@ -140,14 +144,24 @@ def test_encode_raises_only_wire_error():
             wire.encode(msg, 1)
     with pytest.raises(wire.WireError):
         wire.encode(M.Probe(src=0, dst=1, target=1), -1)
+    for seqs in ([], [-1], [1, 1 << 64], 5, [1] * ((1 << 16) + 1)):  # ...the count is a u16
+        with pytest.raises(wire.WireError):
+            wire.encode_ack(seqs, 0, 1)
 
 
 def test_ack_roundtrip():
-    ack = wire.encode_ack(42, src=3, dst=9)
-    assert wire.decode(ack) == (None, 42)
-    # The ack is exactly the fixed header every frame starts with.
-    assert len(ack) == 26
-    assert ack[2:] == wire.encode(M.Probe(src=3, dst=9, target=0), 42)[2:26]
+    ack = wire.encode_ack([42], src=3, dst=9)
+    assert wire.decode(ack) == (None, (42,))
+    # The fixed header every frame starts with (seq = the first of the
+    # run), then a count of the further seqs: zero here.
+    assert len(ack) == 28
+    assert ack[2:26] == wire.encode(M.Probe(src=3, dst=9, target=0), 42)[2:26]
+    assert ack[26:] == b"\x00\x00"
+    # A run keeps its order and its repeats (duplicates are re-acked).
+    run = [42, 7, 42, (1 << 64) - 1]
+    ack = wire.encode_ack(run, src=3, dst=9)
+    assert wire.decode(ack) == (None, tuple(run))
+    assert len(ack) == 28 + 8 * (len(run) - 1)
 
 
 def test_payload_fields_excludes_framing():
@@ -161,12 +175,13 @@ def test_payload_fields_excludes_framing():
 def test_golden_frames_decode_and_reencode():
     # A layout edit without a WIRE_VERSION bump fails here.
     assert GOLDEN["wire_version"] == wire.WIRE_VERSION
-    covered = set()
+    covered, acks = set(), []
     for entry in GOLDEN["frames"]:
         frame = bytes.fromhex(entry["hex"])
         if entry["kind"] == "ack":
-            assert wire.decode(frame) == (None, entry["seq"])
-            assert wire.encode_ack(entry["seq"], **entry["args"]) == frame
+            assert wire.decode(frame) == (None, tuple(entry["seqs"]))
+            assert wire.encode_ack(entry["seqs"], **entry["args"]) == frame
+            acks.append(len(entry["seqs"]))
             continue
         expected = build_golden(entry)
         msg, seq = wire.decode(frame)
@@ -175,6 +190,7 @@ def test_golden_frames_decode_and_reencode():
         covered.add(type(msg))
     assert covered == {row[1] for row in wire.MESSAGE_KINDS}
     assert any(e["span"] for e in GOLDEN["frames"])
+    assert 1 in acks and max(acks) > 1  # a one-seq and a many-seq ack
 
 
 def test_encoded_size_tracks_size_bytes_audit():

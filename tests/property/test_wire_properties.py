@@ -1,6 +1,7 @@
 """Property-based tests for the wire codec, written against its API
 (``encode`` / ``decode`` / ``encode_ack`` / ``WireError``), not its bytes:
-any codec that replaces this one inherits them unchanged."""
+any codec that replaces this one inherits them unchanged.  The hostility
+properties cover message frames and ack runs alike."""
 
 import random
 
@@ -62,11 +63,20 @@ def messages():
     return messages_of(kinds) | messages_of([M.ProfileMessage])
 
 
+#: Ack runs: up to the transport's drain bound and past it.
+seq_runs = st.lists(u64, min_size=1, max_size=80)
+
+
+def frames():
+    """Any datagram the codec produces: a message frame, or an ack run."""
+    return st.builds(wire.encode, messages(), u64) | st.builds(wire.encode_ack, seq_runs, i64, i64)
+
+
 def decodes_or_rejects(datagram):
-    """The decoded message, or None for a rejected datagram; anything
-    but ``WireError`` propagates and fails the test."""
+    """The decoded ``(message, seq)`` pair, or None for a rejected
+    datagram; anything but ``WireError`` propagates and fails the test."""
     try:
-        return wire.decode(datagram)[0]
+        return wire.decode(datagram)
     except wire.WireError:
         return None
 
@@ -89,9 +99,9 @@ class TestRoundTrip:
         for t in getattr(out, "view", None) or getattr(out, "buffer", None) or ():
             assert isinstance(t, tuple)
 
-    @given(u64, i64, i64)
-    def test_ack_carries_its_sequence_number(self, seq, src, dst):
-        assert wire.decode(wire.encode_ack(seq, src, dst)) == (None, seq)
+    @given(seq_runs, i64, i64)
+    def test_ack_carries_its_sequence_number(self, seqs, src, dst):
+        assert wire.decode(wire.encode_ack(seqs, src, dst)) == (None, tuple(seqs))
 
 
 class TestDeterminism:
@@ -124,11 +134,13 @@ class _Socket:
 
 
 def _feed(datagram):
-    """A socket-less transport that was handed ``datagram``."""
+    """A socket-less transport that was handed ``datagram`` and flushed
+    its acks."""
     t = UdpTransport(1, random.Random(0))
     t._sock, delivered = _Socket(), []
     t.on_message = delivered.append
     t._on_datagram(datagram, ("127.0.0.1", 9))
+    t._flush_acks()
     return t, delivered
 
 
@@ -148,24 +160,23 @@ class TestHostility:
             assert delivered == [] and t._sock.sent == []
 
     @settings(max_examples=300, deadline=None)
-    @given(messages(), u64, st.data())
-    def test_every_proper_prefix_is_rejected(self, msg, seq, data):
-        frame = wire.encode(msg, seq)
+    @given(frames(), st.data())
+    def test_every_proper_prefix_is_rejected(self, frame, data):
         cut = frame[: data.draw(st.integers(0, len(frame) - 1))]
         assert decodes_or_rejects(cut) is None
         _assert_dropped(cut)
 
     @settings(max_examples=300, deadline=None)
-    @given(messages(), u64, st.binary(min_size=1, max_size=16))
-    def test_appended_bytes_are_rejected(self, msg, seq, extra):
-        padded = wire.encode(msg, seq) + extra
+    @given(frames(), st.binary(min_size=1, max_size=16))
+    def test_appended_bytes_are_rejected(self, frame, extra):
+        padded = frame + extra
         assert decodes_or_rejects(padded) is None
         _assert_dropped(padded)
 
     @settings(max_examples=400, deadline=None)
-    @given(messages(), u64, st.data())
-    def test_a_flipped_bit_decodes_or_is_rejected(self, msg, seq, data):
-        frame = bytearray(wire.encode(msg, seq))
+    @given(frames(), st.data())
+    def test_a_flipped_bit_decodes_or_is_rejected(self, frame, data):
+        frame = bytearray(frame)
         frame[data.draw(st.integers(0, len(frame) - 1))] ^= 1 << data.draw(st.integers(0, 7))
         flipped = bytes(frame)
         rejected = decodes_or_rejects(flipped) is None

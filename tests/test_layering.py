@@ -165,9 +165,6 @@ REACHABLE_ONLY_FROM_TESTS = {
     "disseminate_via_network": "the message-level reference flood the fast path is checked against",
     "rows_fingerprint": "the hash of the golden-run contract",
     "force_confirm": "the seam the planted false-eviction audit plants a verdict through",
-    "connection_made": "asyncio protocol callback: the event loop calls it",
-    "datagram_received": "asyncio protocol callback: the event loop calls it",
-    "error_received": "asyncio protocol callback: the event loop calls it",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
