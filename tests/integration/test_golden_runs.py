@@ -4,8 +4,9 @@ The hot-path refactor (cached id geometry, columnar views, dissemination
 frontier, engine fast path) promises *byte-identical* results: same seeds
 in, same reduced rows out.  These tests pin that promise to fingerprints
 captured on the pre-refactor code — fig7 is the detached fast path,
-fig4 exercises all three systems, and chaos_sweep composes faults,
-capacity, detector and healing on top.
+fig4 exercises all three systems, chaos_sweep composes faults,
+capacity, detector and healing on top, and fault_sweep floods all three
+systems under i.i.d. ``MessageLoss`` with bounded delivery retries.
 
 To regenerate after a deliberate behaviour change::
 
