@@ -25,7 +25,7 @@ from collections import Counter, deque
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.config import VitisConfig
-from repro.core.dissemination import _make_transmit
+from repro.core.dissemination import _inline_loss, _make_transmit
 from repro.core.profile import NodeProfile
 from repro.core.protocol import OverlayProtocolBase
 from repro.core.utility import UtilityFunction
@@ -319,6 +319,7 @@ class OptProtocol(OverlayProtocolBase):
             return rec
         adj = self.topic_subgraph(topic)
         transmit = _make_transmit(self, rec)
+        loss_rate, loss_draw = _inline_loss(self.fault_model, self.capacity)
         imsgs = rec.interested_msgs
         get = imsgs.get
 
@@ -345,7 +346,11 @@ class OptProtocol(OverlayProtocolBase):
             for v in adj.get(u, ()):
                 if v == sender or not self.is_alive(v):
                     continue
-                if transmit is not None and not transmit(u, v):
+                if loss_rate:
+                    # The first trial in place; only a lost one is gated.
+                    if loss_draw() < loss_rate and not transmit(u, v, 1):
+                        continue
+                elif transmit is not None and not transmit(u, v):
                     continue
                 imsgs[v] = get(v, 0) + 1
                 if v not in seen:

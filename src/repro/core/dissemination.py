@@ -30,8 +30,9 @@ Two implementations are provided:
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.faults.models import MessageLoss
 from repro.obs.spans import (
     CAUSE_DEAD_NODE,
     CAUSE_FALSE_EVICTION,
@@ -214,6 +215,9 @@ def disseminate(
     configuration (none of them) pays a few local branches per message
     and nothing else; the per-receipt extras (spans, pulls) sit behind a
     second, so a flood with only faults attached enters no receipt hook.
+    Under an exact :class:`~repro.faults.models.MessageLoss` and no
+    inbox the edge body draws each transmission's first trial itself
+    (:func:`_inline_loss`) and enters the gate only when it was lost.
 
     With ``count_pulls``, the notify-then-pull exchange of section III-C
     is accounted as well: on *first* receipt of a notification, the
@@ -268,6 +272,8 @@ def disseminate(
     is_alive = protocol.liveness
     link_cost = protocol.link_cost
     transmit = _make_transmit(protocol, rec, failures)
+    cap = protocol.capacity
+    loss_rate, loss_draw = _inline_loss(protocol.fault_model, cap)
     on_receipt = spans is not None or count_pulls
     hooked = on_receipt or transmit is not None or link_cost is not None
     targets = memo.targets
@@ -301,7 +307,6 @@ def disseminate(
             delivered.update(hit[2])
             return rec
 
-    cap = protocol.capacity
     now = protocol.engine.now
     net = protocol.network
 
@@ -400,6 +405,11 @@ def disseminate(
                 if not ok:
                     if spans is not None:
                         failures[(u, v)] = _liveness_cause(protocol, v)
+                elif loss_rate:
+                    # The first trial, drawn as ``MessageLoss.drop`` draws
+                    # it; only a lost one enters the gate.
+                    if loss_draw() < loss_rate:
+                        ok = transmit(u, v, 1)
                 elif transmit is not None:
                     ok = transmit(u, v)
                 if not ok:
@@ -565,6 +575,23 @@ def _attribute_misses(
         spans.miss(m, cause, src, dst)
 
 
+def _inline_loss(fm, cap=None) -> Tuple[float, Optional[Callable[[], float]]]:
+    """``(rate, draw)`` when a loss trial may be drawn in place of a
+    ``fm.drop`` call, else ``(0.0, None)``.
+
+    Only an exact :class:`MessageLoss` with a nonzero rate qualifies: its
+    ``drop`` is the one expression ``draw() < rate`` on its own RNG plus
+    the ``injected`` count, so evaluating it in place draws the same
+    numbers in the same order without a Python frame per trial.  A
+    subclass, or any other model, keeps its ``drop``.  With an inbox
+    ``cap`` attached the flood enters the gate for admission anyway, so
+    nothing is drawn ahead of it.
+    """
+    if cap is None and type(fm) is MessageLoss and fm.rate:
+        return fm.rate, fm._rng.random
+    return 0.0, None
+
+
 def _make_transmit(
     protocol: "VitisProtocol",
     rec: DisseminationRecord,
@@ -590,18 +617,25 @@ def _make_transmit(
     for miss attribution; classifying a fault as partition-vs-loss uses
     the RNG-free ``fault_model.severed`` predicate, so recording causes
     never perturbs the run.
+
+    ``transmit(u, v, lost)`` finishes a transmission whose first
+    ``lost`` trials the caller already drew and lost (see
+    :func:`_inline_loss`); an exact ``MessageLoss`` has its remaining
+    trials drawn in place too, and the gate counts every inline loss in
+    its ``injected``.
     """
     fm = protocol.fault_model
     cap = protocol.capacity
     if fm is None and cap is None:
         return None
     drop = fm.drop if fm is not None else None
+    rate, draw = _inline_loss(fm)
     healing = protocol.healing
     tries = 1 + (healing.delivery_retries if healing is not None else 0)
     now = protocol.engine.now
     net = protocol.network
 
-    def transmit(u: int, v: int) -> bool:
+    def transmit(u: int, v: int, lost: int = 0) -> bool:
         if drop is not None:
             budget = tries
             bp = cap is not None and budget > 1 and cap.backpressured(v, now)
@@ -609,10 +643,16 @@ def _make_transmit(
                 budget = 1
             # One trial per transmission, stopping at the first that gets
             # through; ``drops == budget`` means the message is lost.
-            drops = 0
-            while drops < budget and drop(u, v, "notify", now):
-                drops += 1
+            drops = lost
+            if draw is None:
+                while drops < budget and drop(u, v, "notify", now):
+                    drops += 1
+            else:
+                while drops < budget and draw() < rate:
+                    drops += 1
             if drops:
+                if draw is not None:
+                    fm.injected += drops
                 rec.faults += drops
                 if drops < budget:
                     rec.retries += drops

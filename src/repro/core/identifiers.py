@@ -6,13 +6,9 @@ has the same behaviour).  We use a 64-bit space and ``blake2b`` with an
 8-byte digest — deterministic across runs and processes, unlike Python's
 built-in salted ``hash``.
 
-Two distance notions are needed:
-
-- :meth:`IdSpace.distance` — circular (bidirectional) distance, used to
-  decide which node is *closest* to a topic id (rendezvous selection,
-  greedy routing, gateway comparison, Alg. 5 lines 8–9).
-- :meth:`IdSpace.fraction` — distances as a fraction of the ring, the
-  unit of the Symphony harmonic draw.
+:meth:`IdSpace.distance` is the circular (bidirectional) distance, used
+to decide which node is *closest* to a topic id (rendezvous selection,
+greedy routing, gateway comparison, Alg. 5 lines 8–9).
 
 Ring order (successor = minimal clockwise distance ``(b - a) % size``)
 is read off a sorted ring index in ``core/node.py``.
@@ -99,10 +95,3 @@ class IdSpace:
         d = (a - b) % self.size
         return d if d <= self.half else self.size - d
 
-    def fraction(self, a: int, b: int) -> float:
-        """Circular distance as a fraction of the whole ring, in [0, 0.5]."""
-        return self.distance(a, b) / self.size
-
-    def offset(self, a: int, delta: int) -> int:
-        """The id ``delta`` steps clockwise from ``a`` (delta may be huge)."""
-        return (a + delta) % self.size

@@ -376,9 +376,3 @@ class VitisNode(BaseNode):
             sink = self.network.notification_sink
             if sink is not None:
                 sink.on_notification(self, msg)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def degree(self) -> int:
-        return len(self.rt)

@@ -37,9 +37,11 @@ class HealingPolicy:
     repair_relays: bool = True
 
     def __post_init__(self) -> None:
-        if self.lookup_attempts < 1:
+        # ``not x >= …`` refuses NaN too: a NaN retry budget would make
+        # the transmission gate draw no trial at all.
+        if not self.lookup_attempts >= 1:
             raise ValueError("lookup_attempts must be >= 1")
-        if self.delivery_retries < 0:
+        if not self.delivery_retries >= 0:
             raise ValueError("delivery_retries must be >= 0")
 
 
@@ -71,11 +73,13 @@ class RetryPolicy:
     jitter: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
+        # ``not x >= …`` refuses NaN too: a NaN delay, or a NaN cap that
+        # ``min`` silently ignores, would otherwise pass.
+        if not self.max_attempts >= 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.base_delay <= 0:
+        if not self.base_delay > 0:
             raise ValueError("base_delay must be > 0")
-        if self.max_delay < self.base_delay:
+        if not self.max_delay >= self.base_delay:
             raise ValueError("max_delay must be >= base_delay")
         if not 0 <= self.jitter <= 1:
             raise ValueError("jitter must be in [0, 1]")

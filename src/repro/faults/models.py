@@ -83,7 +83,12 @@ class FaultModel:
 
 
 class MessageLoss(FaultModel):
-    """I.i.d. message loss: every transmission is dropped with ``rate``."""
+    """I.i.d. message loss: every transmission is dropped with ``rate``.
+
+    The fast-path flood evaluates ``drop``'s expression in place for an
+    exact ``MessageLoss`` (``core/dissemination.py``, ``_inline_loss``):
+    a change here changes it there too.
+    """
 
     name = "loss"
 
@@ -155,8 +160,8 @@ class Partition(FaultModel):
         heal_at: float = float("inf"),
     ) -> None:
         super().__init__()
-        if heal_at < start:
-            raise ValueError("heal_at must be >= start")
+        if not heal_at >= start:  # refuses NaN too: it would never activate
+            raise ValueError(f"heal_at must be >= start, got {start}, {heal_at}")
         self.start = start
         self.heal_at = heal_at
         self._group_of: Dict[int, int] = {}
@@ -202,8 +207,8 @@ class SlowLinks(FaultModel):
 
     def __init__(self, extra: float, slow_fraction: float = 0.1, salt: int = 0) -> None:
         super().__init__()
-        if extra < 0:
-            raise ValueError("extra delay must be >= 0")
+        if not extra >= 0:  # refuses NaN too: it would poison the clock
+            raise ValueError(f"extra delay must be >= 0, got {extra}")
         if not 0.0 <= slow_fraction <= 1.0:
             raise ValueError(f"slow_fraction must be in [0, 1], got {slow_fraction}")
         self.extra = extra

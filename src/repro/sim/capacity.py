@@ -115,23 +115,23 @@ class NodeCapacity:
     queue_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.service_rate < 1:
+        if not self.service_rate >= 1:
             raise ValueError(f"service_rate must be >= 1, got {self.service_rate}")
-        if self.queue_depth < 1:
+        if not self.queue_depth >= 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.policy not in SHED_POLICIES:
             raise ValueError(
                 f"unknown shedding policy {self.policy!r}; pick one of {SHED_POLICIES}"
             )
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not self.period > 0:  # refuses NaN too
+            raise ValueError(f"period must be positive, got {self.period}")
         if not 0.0 < self.backpressure_at <= 1.0:
             raise ValueError(
                 f"backpressure_at must be in (0, 1], got {self.backpressure_at}"
             )
         if not 0.0 <= self.red_start < 1.0:
             raise ValueError(f"red_start must be in [0, 1), got {self.red_start}")
-        if self.queue_bytes is not None and self.queue_bytes < 1:
+        if self.queue_bytes is not None and not self.queue_bytes >= 1:
             raise ValueError(f"queue_bytes must be >= 1, got {self.queue_bytes}")
 
 

@@ -2,8 +2,7 @@
 
 The churn experiments report metrics as time series (Fig. 12's three
 panels).  :class:`TimeSeries` is the small building block they share with
-the examples: named series of (time, value) samples with windowed
-queries and tabular export compatible with
+the examples: named series of (time, value) samples with tabular export compatible with
 :mod:`repro.experiments.reporting`.
 """
 
@@ -19,7 +18,8 @@ class TimeSeries:
     """Named series of time-stamped samples.
 
     Samples must arrive in non-decreasing time order per series (the
-    simulation clock is monotone), which keeps windowed queries O(log n).
+    simulation clock is monotone), which lets :meth:`to_rows` find each
+    timestamp's samples by bisection.
     """
 
     def __init__(self) -> None:
@@ -54,14 +54,6 @@ class TimeSeries:
         rewound (e.g. a run-level probe series fed by per-trial clocks)."""
         times = self._times.get(name)
         return times[-1] if times else None
-
-    # ------------------------------------------------------------------
-    def window(self, name: str, t0: float, t1: float) -> List[float]:
-        """Values with t0 <= time < t1."""
-        ts = self._times.get(name, [])
-        lo = bisect_left(ts, t0)
-        hi = bisect_left(ts, t1)
-        return self._values[name][lo:hi] if name in self._values else []
 
     # ------------------------------------------------------------------
     def to_rows(

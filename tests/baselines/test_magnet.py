@@ -32,19 +32,19 @@ class TestInterestEmbedding:
     def test_identical_interests_embed_nearby(self):
         a = embed({1, 2, 3}, address=10)
         b = embed({1, 2, 3}, address=20)
-        assert SPACE.fraction(a, b) < 1e-3  # only jitter apart
+        assert SPACE.distance(a, b) / SPACE.size < 1e-3  # only jitter apart
 
     def test_distinct_addresses_break_ties(self):
         assert embed({1, 2, 3}, 10) != embed({1, 2, 3}, 20)
 
     def test_single_topic_sits_on_topic(self):
         t = 7
-        assert SPACE.fraction(embed({t}, 1), topic_position(t)) < 1e-3
+        assert SPACE.distance(embed({t}, 1), topic_position(t)) / SPACE.size < 1e-3
 
     def test_adjacent_topics_embed_adjacent(self):
         """Bucket structure survives: consecutive topics map to nearby
         positions (the property the hashed-id average lacks)."""
-        assert SPACE.fraction(embed({10, 11}, 1), topic_position(10)) < 0.05
+        assert SPACE.distance(embed({10, 11}, 1), topic_position(10)) / SPACE.size < 0.05
 
     def test_empty_subscriptions_fall_back_to_hash(self):
         assert embed(set(), 3) == SPACE.node_id(3)
@@ -57,8 +57,8 @@ class TestInterestEmbedding:
         communities sits near *neither* — its embedding is the midpoint."""
         t1, t2 = 10, 35  # a quarter-circle apart in interest space
         pos = embed({t1, t2}, 1)
-        assert SPACE.fraction(pos, topic_position(t1)) > 0.05
-        assert SPACE.fraction(pos, topic_position(t2)) > 0.05
+        assert SPACE.distance(pos, topic_position(t1)) / SPACE.size > 0.05
+        assert SPACE.distance(pos, topic_position(t2)) / SPACE.size > 0.05
 
     def test_antipodal_interests_fall_back(self):
         t1, t2 = 0, N_TOPICS // 2  # exactly opposite

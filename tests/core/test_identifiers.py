@@ -49,11 +49,3 @@ class TestGeometry:
 
     def test_distance_zero(self):
         assert self.space.distance(7, 7) == 0
-
-    def test_fraction(self):
-        assert self.space.fraction(0, 128) == 0.5
-        assert self.space.fraction(0, 64) == 0.25
-
-    def test_offset_wraps(self):
-        assert self.space.offset(250, 10) == 4
-        assert self.space.offset(5, -10) == 251

@@ -13,6 +13,8 @@ from repro.faults.models import (
     SlowLinks,
     _stable_unit,
 )
+from repro.faults.healing import HealingPolicy, RetryPolicy
+from repro.sim.capacity import NodeCapacity
 
 
 class _PoisonedRng:
@@ -190,3 +192,44 @@ class TestCompositeFault:
         c = CompositeFault([SlowLinks(1.0, slow_fraction=1.0),
                             SlowLinks(0.5, slow_fraction=1.0)])
         assert c.extra_delay(1, 2, 0.0) == pytest.approx(1.5)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MessageLoss(NAN, random.Random(0)),
+    lambda: LinkLoss(NAN, random.Random(0)),
+    lambda: LinkLoss(0.5, random.Random(0), lossy_fraction=NAN),
+    lambda: SlowLinks(extra=NAN),
+    lambda: Partition(([1], [2]), start=NAN),
+    lambda: Partition(([1], [2]), heal_at=NAN),
+    lambda: HealingPolicy(lookup_attempts=NAN),
+    lambda: HealingPolicy(delivery_retries=NAN),
+    lambda: RetryPolicy(max_attempts=NAN),
+    lambda: RetryPolicy(base_delay=NAN),
+    lambda: RetryPolicy(max_delay=NAN),
+    lambda: RetryPolicy(jitter=NAN),
+    lambda: NodeCapacity(service_rate=NAN),
+    lambda: NodeCapacity(queue_depth=NAN),
+    lambda: NodeCapacity(period=NAN),
+    lambda: NodeCapacity(backpressure_at=NAN),
+    lambda: NodeCapacity(red_start=NAN),
+    lambda: NodeCapacity(queue_bytes=NAN),
+], ids=[
+    "MessageLoss.rate", "LinkLoss.rate", "LinkLoss.lossy_fraction",
+    "SlowLinks.extra", "Partition.start", "Partition.heal_at",
+    "HealingPolicy.lookup_attempts", "HealingPolicy.delivery_retries",
+    "RetryPolicy.max_attempts", "RetryPolicy.base_delay",
+    "RetryPolicy.max_delay", "RetryPolicy.jitter",
+    "NodeCapacity.service_rate", "NodeCapacity.queue_depth",
+    "NodeCapacity.period", "NodeCapacity.backpressure_at",
+    "NodeCapacity.red_start", "NodeCapacity.queue_bytes",
+])
+def test_a_nan_parameter_is_refused(build):
+    """Every comparison a constructor validates with is false for NaN,
+    so each check is written ``not x >= …``: a NaN delay poisons the
+    clock, a NaN partition window never activates, and a NaN cap or
+    retry budget silently turns its limit off."""
+    with pytest.raises(ValueError):
+        build()

@@ -29,7 +29,7 @@ class TestDistanceMetric:
     @given(ids, ids, ids)
     def test_translation_invariance(self, a, b, k):
         assert SPACE.distance(a, b) == SPACE.distance(
-            SPACE.offset(a, k), SPACE.offset(b, k)
+            (a + k) % SPACE.size, (b + k) % SPACE.size
         )
 
 
@@ -38,10 +38,6 @@ class TestClockwise:
     def test_distance_is_min_of_arcs(self, a, b):
         cw = (b - a) % SPACE.size
         assert SPACE.distance(a, b) == min(cw, SPACE.size - cw)
-
-    @given(ids, st.integers(min_value=-(1 << 40), max_value=1 << 40))
-    def test_offset_round_trip(self, a, delta):
-        assert SPACE.offset(SPACE.offset(a, delta), -delta) == a
 
 
 class TestHashing:

@@ -43,19 +43,6 @@ class TestRecording:
         assert ts.latest_time("x") == 5.0
 
 
-class TestWindows:
-    def setup_method(self):
-        self.ts = TimeSeries()
-        for t in range(10):
-            self.ts.record("v", float(t), float(t * t))
-
-    def test_window_half_open(self):
-        assert self.ts.window("v", 2.0, 5.0) == [4.0, 9.0, 16.0]
-
-    def test_empty_window(self):
-        assert self.ts.window("v", 100.0, 200.0) == []
-
-
 class TestRows:
     def test_alignment_with_gaps(self):
         ts = TimeSeries()
