@@ -99,8 +99,9 @@ class _TopicMemo:
         self.publisher_targets: Dict[int, tuple] = {}
         #: publisher → the live subscribers minus that publisher.
         self.audience: Dict[int, frozenset] = {}
-        #: publisher → ``(interested_msgs, relay_msgs, delivered_hops)``
-        #: of its first un-hooked flood (see :func:`disseminate`).
+        #: publisher → ``(interested_msgs, relay_msgs, delivered_hops,
+        #: transmissions)`` of its first un-hooked flood or gated flood
+        #: that lost no transmission in full (see :func:`disseminate`).
         self.replay: Dict[int, tuple] = {}
 
 
@@ -110,12 +111,15 @@ def _topic_cache(protocol: "VitisProtocol", topic: int) -> _TopicMemo:
     It piggybacks on the protocol's ``topology_version`` — the exact key
     ``cluster_adjacency`` (the dominant input) is already cached under,
     and every sanctioned topology or liveness write bumps it — so
-    staleness semantics are unchanged.
+    staleness semantics are unchanged.  The cache holds the current
+    version only: the first memo of a new version drops every older one.
     """
     version = protocol.topology_version
     cache = protocol._fwd_cache
     entry = cache.get(topic)
     if entry is None or entry.version != version:
+        if cache and next(iter(cache.values())).version != version:
+            cache.clear()
         entry = cache[topic] = _TopicMemo(version)
     return entry
 
@@ -219,6 +223,16 @@ def disseminate(
     inbox the edge body draws each transmission's first trial itself
     (:func:`_inline_loss`) and enters the gate only when it was lost.
 
+    A repeat publish of a ``(topic, publisher)`` within one topology
+    version replays the memoised outcome instead of walking: verbatim
+    when un-hooked, and under that loss alone (no spans, pulls or
+    ``link_cost``; a live publisher with a lookup-free start) by drawing
+    the first trials of the recorded transmission count in the walk's
+    order, a lost one entering the gate as in the walk.  A transmission
+    lost in full resumes the walk there: the transmissions before it are settled without a draw
+    and it is refused, so every RNG value is drawn once, as the walk
+    draws it.
+
     With ``count_pulls``, the notify-then-pull exchange of section III-C
     is accounted as well: on *first* receipt of a notification, the
     receiver pulls the payload from its notifier — one request handled by
@@ -293,19 +307,43 @@ def disseminate(
     initial_targets, injection_path = protocol.publisher_targets(publisher, topic)
     inject_cause = protocol._injection_miss_cause
 
-    if not hooked:
-        # Whole-outcome replay: within one topology version the un-hooked
-        # flood is fully deterministic (greedy routing is rng-free,
-        # liveness verdicts only change with a version bump, and no hook
-        # draws randomness), so a repeat publish of the same (topic,
-        # publisher) replays the first flood's message counts and
-        # delivery hops verbatim.
+    # Perceived liveness is asked once per node per event: a target in
+    # ``seen`` passed the check when it was first reached, and no verdict
+    # changes inside an event.  The publisher alone sits in ``seen``
+    # unchecked — a detector-shunned one must still be refused.
+    publisher_ok = hooked and is_alive(publisher)
+    # Whole-outcome replay: within one topology version the un-hooked
+    # flood is fully deterministic (greedy routing is rng-free, liveness
+    # verdicts only change with a version bump, and no hook draws
+    # randomness), so a repeat publish of the same (topic, publisher)
+    # replays the first flood's message counts and delivery hops
+    # verbatim.  A flood gated only by an exact ``MessageLoss`` takes the
+    # same trajectory whenever no transmission is lost in full — given a
+    # live publisher and a lookup-free start, every counted message is
+    # one gated transmission — so its repeat draws the loss trials of
+    # the recorded transmission count instead of walking.
+    replays = not hooked or bool(
+        loss_rate and not on_receipt and link_cost is None
+        and initial_targets and not injection_path and publisher_ok
+    )
+    # Gated transmissions whose trials a replay already drew: all but
+    # the last got through, the last was lost in full.
+    settle = 0
+    if replays:
         hit = memo.replay.get(publisher)
         if hit is not None:
-            imsgs.update(hit[0])
-            rmsgs.update(hit[1])
-            delivered.update(hit[2])
-            return rec
+            if hooked:
+                # The recorded transmissions' trials, in walk order; the
+                # gate reads no endpoint without an inbox or tracing.
+                for k in range(hit[3]):
+                    if loss_draw() < loss_rate and not transmit(publisher, publisher, 1):
+                        settle = k + 1
+                        break
+            if not settle:
+                imsgs.update(hit[0])
+                rmsgs.update(hit[1])
+                delivered.update(hit[2])
+                return rec
 
     now = protocol.engine.now
     net = protocol.network
@@ -379,11 +417,6 @@ def disseminate(
                 first_receipt(prev, v, hop, HOP_LOOKUP)
         prev = v
 
-    # Perceived liveness is asked once per node per event: a target in
-    # ``seen`` passed the check when it was first reached, and no verdict
-    # changes inside an event.  The publisher alone sits in ``seen``
-    # unchecked — a detector-shunned one must still be refused.
-    publisher_ok = hooked and is_alive(publisher)
     while queue:
         u, hop, sender = queue.popleft()
         hop += 1
@@ -406,9 +439,13 @@ def disseminate(
                     if spans is not None:
                         failures[(u, v)] = _liveness_cause(protocol, v)
                 elif loss_rate:
+                    if settle:
+                        # Drawn by the replay this walk resumes.
+                        settle -= 1
+                        ok = settle > 0
                     # The first trial, drawn as ``MessageLoss.drop`` draws
                     # it; only a lost one enters the gate.
-                    if loss_draw() < loss_rate:
+                    elif loss_draw() < loss_rate:
                         ok = transmit(u, v, 1)
                 elif transmit is not None:
                     ok = transmit(u, v)
@@ -441,8 +478,12 @@ def disseminate(
                 if on_receipt:
                     first_receipt(u, v, hop, None)
 
-    if not hooked:
-        memo.replay[publisher] = (imsgs.copy(), rmsgs.copy(), dict(delivered))
+    if replays and rec.faults == rec.retries:
+        # No transmission was lost in full: the ungated trajectory.
+        memo.replay[publisher] = (
+            imsgs.copy(), rmsgs.copy(), dict(delivered),
+            sum(imsgs.values()) + sum(rmsgs.values()),
+        )
     elif spans is not None:
         _attribute_misses(
             protocol, topic, rec, spans, seen, failures,
@@ -585,7 +626,9 @@ def _inline_loss(fm, cap=None) -> Tuple[float, Optional[Callable[[], float]]]:
     numbers in the same order without a Python frame per trial.  A
     subclass, or any other model, keeps its ``drop``.  With an inbox
     ``cap`` attached the flood enters the gate for admission anyway, so
-    nothing is drawn ahead of it.
+    nothing is drawn ahead of it.  The same condition lets a repeat
+    publish replay its flood by drawing the trials alone (see
+    :func:`disseminate`).
     """
     if cap is None and type(fm) is MessageLoss and fm.rate:
         return fm.rate, fm._rng.random

@@ -33,7 +33,7 @@ from typing import (
 
 from repro import obs
 from repro.core.config import VitisConfig
-from repro.core.dissemination import default_publisher_targets, disseminate
+from repro.core.dissemination import _TopicMemo, default_publisher_targets, disseminate
 from repro.core.gateway import ElectionStats, elect_round
 from repro.core.identifiers import IdSpace
 from repro.core.node import VitisNode
@@ -186,9 +186,9 @@ class OverlaySystem:
         self._rng = self.seeds.pyrandom(self._rng_stream)
         #: topic → (topology_version, adjacency); see cluster_adjacency.
         self._cluster_cache: Dict[int, tuple] = {}
-        #: topic → per-version dissemination memo (see
-        #: ``repro.core.dissemination._topic_cache``).
-        self._fwd_cache: Dict[int, list] = {}
+        #: topic → dissemination memo of the current topology version
+        #: (see ``repro.core.dissemination._topic_cache``).
+        self._fwd_cache: Dict[int, _TopicMemo] = {}
         self._event_counter = 0
         self.relay_stats = RelayStats()
         #: (metrics registry, 4 hot counters) memo for publish(); rebuilt

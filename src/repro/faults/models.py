@@ -86,8 +86,9 @@ class MessageLoss(FaultModel):
     """I.i.d. message loss: every transmission is dropped with ``rate``.
 
     The fast-path flood evaluates ``drop``'s expression in place for an
-    exact ``MessageLoss`` (``core/dissemination.py``, ``_inline_loss``):
-    a change here changes it there too.
+    exact ``MessageLoss`` (``core/dissemination.py``, ``_inline_loss``),
+    and a repeat publish replays its flood by drawing the same trials
+    alone (``disseminate``): a change here changes both there too.
     """
 
     name = "loss"

@@ -252,13 +252,14 @@ class MetricsRegistry:
         """Incremental snapshot: what changed since ``cursor``.
 
         Returns ``(delta, new_cursor)``.  ``delta`` has the same shape as
-        :meth:`snapshot` but lists only instruments that changed, with
-        counters and histogram counts carrying *increments* (gauges carry
-        their current value; histogram min/max stay cumulative, which is
-        merge-safe because :meth:`merge` folds them with min/max).  Merging
-        every delta of a session, in order, into an empty registry yields
-        the same state as one final :meth:`snapshot` — that equivalence is
-        what lets the live collector rebuild per-node totals from frames.
+        :meth:`snapshot` but lists only instruments that changed or are
+        new (a new one even at zero), with counters and histogram counts
+        carrying *increments* (gauges carry their current value; histogram
+        min/max stay cumulative, which is merge-safe because :meth:`merge`
+        folds them with min/max).  Merging every delta of a session, in
+        order, into an empty registry yields the same state as one final
+        :meth:`snapshot` — that equivalence is what lets the live
+        collector rebuild per-node totals from frames.
 
         ``cursor`` is opaque: pass ``None`` on the first call, then the
         returned ``new_cursor`` on each subsequent one.  When nothing
@@ -272,9 +273,9 @@ class MetricsRegistry:
         new_c: Dict[Tuple[str, LabelKey], float] = {}
         for (n, k), c in sorted(self._counters.items()):
             new_c[(n, k)] = c.value
-            inc = c.value - prev_c.get((n, k), 0.0)
-            if inc:
-                counters.append([n, list(k), inc])
+            prev = prev_c.get((n, k))
+            if prev is None or c.value != prev:
+                counters.append([n, list(k), c.value - (prev or 0.0)])
 
         gauges = []
         new_g: Dict[Tuple[str, LabelKey], float] = {}
@@ -290,7 +291,7 @@ class MetricsRegistry:
             old_count, old_buckets, old_sum = prev_h.get(
                 (n, k), (0, (0,) * len(h.bucket_counts), 0.0)
             )
-            if h.count == old_count:
+            if h.count == old_count and (n, k) in prev_h:
                 continue
             histograms.append(
                 [

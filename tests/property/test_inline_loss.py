@@ -17,6 +17,16 @@ disagree — is common.  After every publish the twins must agree on every
 record field, ``injected``, ``fault_retries``, inbox sheds, the trace,
 and the model RNG's state; and the subclass must have been asked once
 per draw.
+
+A repeat publish under an exact ``MessageLoss`` replays the recorded
+flood instead of walking it: it draws the trials of the recorded
+transmission count, and a transmission lost in full resumes the walk
+there.  The twins therefore also publish one ``(topic, publisher)`` 4–8
+times in one topology version, sometimes after an un-hooked publish of
+it (``attach_faults`` bumps no version, so that flood's record is the
+one replayed).  The publisher is sometimes shunned, sometimes one that
+injects by a rendezvous walk; neither may replay.  The subclass twin
+walks every time; both RNGs must have drawn equally often.
 """
 
 import dataclasses
@@ -116,11 +126,68 @@ def test_the_inline_trial_is_the_drop_call(case):
         assert fa.injected == fb.injected
         assert exact.fault_retries == via.fault_retries
         assert fa._rng.getstate() == fb._rng.getstate()
+        assert fa._rng.draws == fb._rng.draws
         assert exact.network.shed_by_addr == via.network.shed_by_addr
         # The subclass was asked for every trial it drew.
         assert fb.calls == fb._rng.draws if fb.rate else fb._rng.draws == 0
     if exact_buf is not None:
         assert simulated(exact_buf) == simulated(via_buf)
+
+
+@st.composite
+def repeats(draw):
+    subs, links, topic, publisher, crashed, seed = draw(overlays())
+    # Half the time a publisher that neither subscribes nor knows a
+    # subscriber: it injects the event by a rendezvous walk, if any.
+    outsiders = [
+        a for a, s in enumerate(subs)
+        if topic not in s and not any(topic in subs[b] for b in links[a])
+    ]
+    if outsiders and draw(st.booleans()):
+        publisher = draw(st.sampled_from(outsiders))
+    overlay = subs, links, topic, publisher, crashed, seed
+    rate = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0))
+    retries = draw(st.integers(min_value=0, max_value=3))
+    shunned = draw(st.sets(st.integers(min_value=0, max_value=MAX_NODES - 1), max_size=3))
+    if draw(st.booleans()):
+        shunned.add(publisher)
+    # A stale relay pointer at the publisher, as churn leaves them: the
+    # one way a flood sends the event back to its publisher, which a
+    # shunned publisher refuses and an un-hooked flood counts.
+    stale = draw(st.sampled_from(range(len(subs))))
+    unhooked_first = draw(st.booleans())
+    times = draw(st.integers(min_value=4, max_value=8))
+    publishes = [(topic, publisher)] * times
+    case = (overlay, "vitis", rate, retries, frozenset(shunned), None, False, publishes)
+    return case, stale, unhooked_first
+
+
+@settings(max_examples=500, deadline=None)
+@given(repeats())
+def test_a_repeat_publish_draws_what_its_walk_would(repeat):
+    case, stale, unhooked_first = repeat
+    exact, _ = twin(case, MessageLoss)
+    via, _ = twin(case, ViaDrop)
+    topic, publisher = case[-1][0]
+    for p in (exact, via):
+        if stale != publisher:
+            p.nodes[stale].relay.set_parent(topic, publisher)
+            p.topology_version += 1
+    if unhooked_first:
+        for p in (exact, via):
+            model, healing = p.fault_model, p.healing
+            p.attach_faults(None)
+            p.publish(topic, publisher)
+            p.attach_faults(model, healing)
+    for _ in case[-1]:
+        a = exact.publish(topic, publisher)
+        b = via.publish(topic, publisher)
+        assert dataclasses.asdict(a) == dataclasses.asdict(b)
+        fa, fb = exact.fault_model, via.fault_model
+        assert fa.injected == fb.injected
+        assert exact.fault_retries == via.fault_retries
+        assert fa._rng.getstate() == fb._rng.getstate()
+        assert fa._rng.draws == fb._rng.draws
 
 
 def simulated(buf):
