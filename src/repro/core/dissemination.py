@@ -30,7 +30,7 @@ Two implementations are provided:
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Optional, Set, Tuple
 
 from repro.faults.models import MessageLoss
 from repro.obs.spans import (
@@ -78,6 +78,12 @@ class _TopicMemo:
     topology_version)``: a publish phase disseminates many events over a
     frozen overlay, so forwarding targets, the live audience and — on an
     un-hooked flood — the whole outcome repeat event after event.
+
+    The topic is compiled when its memo first serves a flood: every live
+    subscriber's forwarding-targets tuple is written in one pass over the
+    topic's cluster adjacency (:func:`_compile_topic`).  Other nodes —
+    relay-only and injection-path nodes — are filled lazily as the BFS
+    first forwards from them.
     """
 
     __slots__ = (
@@ -90,9 +96,11 @@ class _TopicMemo:
         #: addr → forwarding-targets tuple.  Each tuple snapshots the
         #: iteration order of the set a fresh :func:`forwarding_targets`
         #: call would build (identical within one version), keeping the
-        #: BFS byte-identical to uncached walks.
+        #: BFS byte-identical to uncached walks.  Complete for the live
+        #: subscribers once ``live_subs`` is set.
         self.targets: Dict[int, tuple] = {}
-        #: The topic's live subscribers, or None until first asked.
+        #: The topic's live subscribers, or None until the topic is
+        #: compiled.
         self.live_subs: Optional[frozenset] = None
         #: publisher → ``(targets, injection_path)`` of lookup-free
         #: publishes (see :func:`default_publisher_targets`).
@@ -122,6 +130,39 @@ def _topic_cache(protocol: "VitisProtocol", topic: int) -> _TopicMemo:
             cache.clear()
         entry = cache[topic] = _TopicMemo(version)
     return entry
+
+
+def _compile_topic(protocol: "VitisProtocol", topic: int, memo: _TopicMemo) -> frozenset:
+    """Set ``memo.live_subs`` and write every live subscriber's
+    forwarding-targets tuple, reading the cluster adjacency once.
+
+    The set operations are :func:`forwarding_targets`' own, in its
+    order — the adjacency set copied, the tree neighbours added from a
+    list ``[parent, *children]`` (an update from the children *set*
+    would take CPython's set-merge path, which resizes differently), the
+    node itself discarded — so every tuple iterates as the lazy fill's
+    would.  A subscriber the version's adjacency does not hold (possible
+    in message mode, where the version is the clock) floods along its
+    tree neighbours alone, as there.  RVR's adjacency is empty, so it
+    compiles nothing.
+    """
+    live_subs = memo.live_subs = frozenset(protocol.subscribers(topic))
+    adj = protocol.cluster_adjacency(topic)
+    if adj:
+        nodes = protocol.nodes
+        targets = memo.targets
+        for a in live_subs:
+            out = set(adj.get(a, ()))
+            relay = nodes[a].relay
+            p = relay.parent.get(topic)
+            kids = relay.children.get(topic)
+            if kids:
+                out.update([p, *kids] if p is not None else [*kids])
+            elif p is not None:
+                out.add(p)
+            out.discard(a)
+            targets[a] = tuple(out)
+    return live_subs
 
 
 def _targets_fn(protocol: "VitisProtocol", topic: int):
@@ -169,7 +210,7 @@ def _liveness_cause(protocol: "VitisProtocol", v: int) -> str:
 
 def default_publisher_targets(
     protocol: "VitisProtocol", publisher: int, topic: int
-) -> Tuple[Set[int], List[int]]:
+) -> Tuple[Collection[int], List[int]]:
     """Vitis publisher behaviour (``OverlaySystem.publisher_targets``):
     start inside the publisher's cluster and/or its relay-tree position;
     a publisher that is neither in a cluster of the topic nor on its
@@ -179,13 +220,23 @@ def default_publisher_targets(
     Returns ``(targets, injection_path)``.  The result is memoised per
     publisher in the topic's memo, but only when it required no
     rendezvous lookup — the no-lookup path reads nothing but
-    version-cached topology, so replaying the same set object is
-    observationally identical to recomputing it.
+    version-cached topology, so replaying the same object is
+    observationally identical to recomputing it.  A live subscriber of a
+    compiled topic with non-empty forwarding targets is served its
+    compiled tuple, which iterates in the order of the set it was made
+    from; every other publisher gets a fresh set.
     """
-    memo = _topic_cache(protocol, topic).publisher_targets
+    topic_memo = _topic_cache(protocol, topic)
+    memo = topic_memo.publisher_targets
     hit = memo.get(publisher)
     if hit is not None:
         return hit
+    live_subs = topic_memo.live_subs
+    if live_subs is not None and publisher in live_subs:
+        compiled = topic_memo.targets.get(publisher)
+        if compiled:
+            hit = memo[publisher] = (compiled, [])
+            return hit
     targets = forwarding_targets(protocol, publisher, topic)
     node = protocol.nodes[publisher]
     if not node.profile.subscribes_to(topic):
@@ -250,7 +301,7 @@ def disseminate(
     memo = _topic_cache(protocol, topic)
     live_subs = memo.live_subs
     if live_subs is None:
-        live_subs = memo.live_subs = frozenset(protocol.subscribers(topic))
+        live_subs = _compile_topic(protocol, topic, memo)
     # The same publisher floods many events per frozen topology, and
     # the audience is a frozenset — share one object across them.
     subs = memo.audience.get(publisher)
@@ -499,7 +550,7 @@ def _attribute_misses(
     spans: SpanRecorder,
     seen: Set[int],
     failures: Dict[Tuple[int, int], str],
-    initial_targets: Set[int],
+    initial_targets: Collection[int],
     injection_path: List[int],
     inject_cause: Optional[str],
 ) -> None:

@@ -28,7 +28,8 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import partial
 from typing import (
-    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+    Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set,
+    Tuple, Union,
 )
 
 from repro import obs
@@ -614,7 +615,9 @@ class OverlaySystem:
         (OPT floods its own topic overlay instead)."""
         return disseminate(self, topic, publisher, event_id)
 
-    def publisher_targets(self, publisher: int, topic: int) -> Tuple[Set[int], List[int]]:
+    def publisher_targets(
+        self, publisher: int, topic: int
+    ) -> Tuple[Collection[int], List[int]]:
         """Whom a publisher notifies first, as ``(targets,
         injection_path)`` (strategy hook: Vitis publishers start inside
         their cluster, RVR routes them to the rendezvous)."""
@@ -658,11 +661,15 @@ class OverlaySystem:
             return cached[1]
         members = self.subscribers(topic)
         adj: Dict[int, Set[int]] = {a: set() for a in members}
+        nodes = self.nodes
+        get = adj.get
         for a in members:
-            for baddr, _ in self.nodes[a].rt.links():
-                if baddr in adj:
-                    adj[a].add(baddr)
-                    adj[baddr].add(a)
+            mine = adj[a]
+            for baddr, _ in nodes[a].rt.links():
+                theirs = get(baddr)
+                if theirs is not None:
+                    mine.add(baddr)
+                    theirs.add(a)
         self._cluster_cache[topic] = (self.topology_version, adj)
         return adj
 

@@ -82,7 +82,13 @@ def converge(protocol, min_cycles: int = 30, max_cycles: int = 120) -> int:
             cycles += CONVERGE_CHUNK
     if tel.enabled:
         tel.metrics.gauge("converge_cycles", system=protocol.name).set(cycles)
-    log.debug("%s converged in %d cycles (cap %d)", protocol.name, cycles, max_cycles)
+    if converged:
+        log.debug("%s converged in %d cycles (cap %d)", protocol.name, cycles, max_cycles)
+    else:
+        log.warning(
+            "%s ring not converged at the %d-cycle cap; measuring it as it is",
+            protocol.name, max_cycles,
+        )
     return cycles
 
 
@@ -183,21 +189,26 @@ def event_stream(
 
     ``live`` maps each candidate topic to its non-empty subscriber set.
     Every topic is drawn first, rate-weighted over ``live``'s keys in
-    their order; then each ``"subscriber"``-mode event draws one index
-    into the topic's sorted subscribers (``"owner"`` mode draws nothing:
-    the publisher is the topic id).  :func:`measure` and the live
-    cluster driver both consume this, so the in-sim prediction and the
-    commanded publishes are one workload.
+    their order; then, in ``"subscriber"`` mode, one ``rng.integers``
+    call over the drawn topics' subscriber counts picks every event's
+    index into its topic's sorted subscribers.  That call yields the
+    values, and leaves ``rng`` in the state, that one scalar draw per
+    event would (``"owner"`` mode draws nothing: the publisher is the
+    topic id).  All draws happen before the first pair is yielded.
+    :func:`measure` and the live cluster driver both consume this, so
+    the in-sim prediction and the commanded publishes are one workload.
     """
-    sorted_subs: dict = {}  # filled when a publisher is first drawn
-    for topic in sample_topics(rates, n_events, rng, restrict=list(live)):
-        if publisher == "owner":
+    topics = sample_topics(rates, n_events, rng, restrict=list(live))
+    if publisher == "owner":
+        for topic in topics:
             yield topic, topic
-            continue
-        subs = sorted_subs.get(topic)
-        if subs is None:
-            subs = sorted_subs[topic] = sorted(live[topic])
-        yield topic, subs[int(rng.integers(len(subs)))]
+        return
+    if not topics:
+        return
+    sorted_subs = {t: sorted(live[t]) for t in dict.fromkeys(topics)}
+    picks = rng.integers([len(sorted_subs[t]) for t in topics]).tolist()
+    for topic, k in zip(topics, picks):
+        yield topic, sorted_subs[topic][k]
 
 
 def measure(
@@ -243,12 +254,15 @@ def measure(
         if not live:
             return collector
         now = protocol.engine.now
+        owner = publisher == "owner"
+        publish = protocol.publish
+        add = collector.add
         for topic, pub in event_stream(
             protocol.rates, n_events, rng, live, publisher
         ):
-            if publisher == "owner" and not protocol.is_alive(pub):
+            if owner and not protocol.is_alive(pub):
                 continue
-            rec = protocol.publish(topic, pub)
+            rec = publish(topic, pub)
             if min_join_age > 0:
                 eligible = [
                     a
@@ -256,5 +270,5 @@ def measure(
                     if protocol.nodes[a].joined_at <= now - min_join_age
                 ]
                 rec = restrict_record(rec, eligible)
-            collector.add(rec)
+            add(rec)
     return collector

@@ -132,21 +132,29 @@ def restrict_record(
 
 
 class MetricsCollector:
-    """Aggregates dissemination records into the paper's metrics."""
+    """Aggregates dissemination records into the paper's metrics.
+
+    ``add`` folds each record once, into what every run reads: the record
+    list and the two message totals behind :meth:`traffic_overhead_pct`.
+    The per-node tallies only Fig. 5 reads are folded when asked —
+    :meth:`per_node_overhead` and :meth:`overhead_histogram` fold the
+    records added since their last read, in the order they were added,
+    so the tallies are the ones an eager fold would build.
+    """
 
     def __init__(self) -> None:
         self.records: List[DisseminationRecord] = []
+        self._interested_total = 0  # msgs on subscribed topics, all nodes
+        self._relay_total = 0       # msgs on unsubscribed topics, all nodes
         self._interested: Dict[int, int] = {}  # addr -> msgs on subscribed topics
         self._relay: Dict[int, int] = {}       # addr -> msgs on unsubscribed topics
+        self._folded = 0  # records[:_folded] are in the per-node tallies
 
     def add(self, record: DisseminationRecord) -> None:
         """Fold one event's outcome into the aggregate."""
         self.records.append(record)
-        tallies = (self._interested, record.interested_msgs), (self._relay, record.relay_msgs)
-        for agg, tally in tallies:
-            get = agg.get
-            for a, n in tally.items():
-                agg[a] = get(a, 0) + n
+        self._interested_total += sum(record.interested_msgs.values())
+        self._relay_total += sum(record.relay_msgs.values())
 
     def extend(self, records: Iterable[DisseminationRecord]) -> None:
         for r in records:
@@ -168,8 +176,8 @@ class MetricsCollector:
 
     def traffic_overhead_pct(self) -> float:
         """Global traffic overhead: relay messages as % of all messages."""
-        relay = sum(self._relay.values())
-        total = relay + sum(self._interested.values())
+        relay = self._relay_total
+        total = relay + self._interested_total
         if total == 0:
             return 0.0
         return 100.0 * relay / total
@@ -201,11 +209,24 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     # Distributions (Fig. 5)
     # ------------------------------------------------------------------
+    def _fold(self) -> None:
+        """Fold the records added since the last read into the per-node
+        tallies."""
+        records = self.records
+        interested, relay = self._interested, self._relay
+        for rec in records[self._folded:]:
+            for agg, tally in (interested, rec.interested_msgs), (relay, rec.relay_msgs):
+                get = agg.get
+                for a, n in tally.items():
+                    agg[a] = get(a, 0) + n
+        self._folded = len(records)
+
     def per_node_overhead(self) -> Dict[int, float]:
         """Per-node traffic overhead %, over all events.
 
         Only nodes that handled at least one message appear.
         """
+        self._fold()
         out: Dict[int, float] = {}
         for addr in set(self._interested) | set(self._relay):
             relay = self._relay.get(addr, 0)
@@ -246,5 +267,7 @@ class MetricsCollector:
     def reset(self) -> None:
         """Drop all accumulated records and counters."""
         self.records.clear()
+        self._interested_total = self._relay_total = 0
         self._interested.clear()
         self._relay.clear()
+        self._folded = 0

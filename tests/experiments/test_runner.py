@@ -1,12 +1,18 @@
 """Tests for the build/converge/measure pipeline."""
 
+import logging
+
+import numpy as np
 import pytest
 
 from repro.core.config import VitisConfig
-from repro.experiments.runner import build_opt, build_rvr, build_vitis, converge, measure
+from repro.core.protocol import VitisProtocol
+from repro.experiments.runner import (
+    build_opt, build_rvr, build_vitis, converge, event_stream, measure,
+)
 from repro.sim.metrics import MetricsCollector
 from repro.smallworld.ring import is_ring_converged
-from repro.workloads.publication import power_law_rates
+from repro.workloads.publication import power_law_rates, sample_topics
 from tests.conftest import small_subscriptions
 
 CFG = VitisConfig(rt_size=8)
@@ -56,6 +62,71 @@ class TestBuilders:
         with obs.scope(tel):
             build_vitis(subs, CFG, seed=1, min_cycles=20, max_cycles=100)
         assert tel.series.latest_time("ring_converged") == 500.0
+
+
+    def test_a_capped_warm_up_is_logged_as_a_warning(self, subs, caplog):
+        # Ten cycles are never enough for this ring: the cap binds.
+        p = VitisProtocol(subs, CFG, seed=1, election_every=0, relay_every=0)
+        with caplog.at_level(logging.DEBUG, logger="repro.experiments.runner"):
+            cycles = converge(p, min_cycles=0, max_cycles=0)
+        assert cycles == 0
+        assert not is_ring_converged(p.ids_by_address(), p.successor_map())
+        [rec] = caplog.records
+        assert rec.levelno == logging.WARNING
+        assert "not converged" in rec.getMessage()
+
+    def test_a_converged_warm_up_stays_at_debug(self, subs, caplog):
+        p = VitisProtocol(subs, CFG, seed=1, election_every=0, relay_every=0)
+        with caplog.at_level(logging.DEBUG, logger="repro.experiments.runner"):
+            converge(p, min_cycles=20, max_cycles=200)
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+
+
+def per_event_stream(rates, n_events, rng, live, publisher="subscriber"):
+    """The event stream with one scalar publisher draw per event: the
+    reference ``event_stream``'s one-call draw must equal."""
+    sorted_subs = {}
+    for topic in sample_topics(rates, n_events, rng, restrict=list(live)):
+        if publisher == "owner":
+            yield topic, topic
+            continue
+        subs = sorted_subs.get(topic)
+        if subs is None:
+            subs = sorted_subs[topic] = sorted(live[topic])
+        yield topic, subs[int(rng.integers(len(subs)))]
+
+
+class TestEventStream:
+    #: Subscriber sets of every size from one up, over wide addresses;
+    #: topic 5 and topic 11 have a single subscriber.
+    LIVE = {
+        t: {(97 * t + 31 * k) % 5003 for k in range(1 + (t * 7) % 40)}
+        for t in range(12)
+    }
+    LIVE[5] = {4242}
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n_events", [0, 1, 3000])
+    @pytest.mark.parametrize("publisher", ["subscriber", "owner"])
+    def test_one_draw_equals_a_scalar_draw_per_event(self, seed, n_events, publisher):
+        rates = power_law_rates(12, 1.0, seed=seed)
+        got_rng = np.random.default_rng(seed)
+        want_rng = np.random.default_rng(seed)
+        got = list(event_stream(rates, n_events, got_rng, self.LIVE, publisher))
+        want = list(per_event_stream(rates, n_events, want_rng, self.LIVE, publisher))
+        assert got == want
+        assert len(got) == n_events
+        # The generator is left where the scalar draws leave it, so a
+        # later draw from it is unchanged too.
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_one_subscriber_topics_alone(self):
+        live = {3: {17}, 8: {2048}}
+        rates = power_law_rates(10, 1.0, seed=1)
+        got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = list(event_stream(rates, 50, got_rng, live))
+        assert got == list(per_event_stream(rates, 50, want_rng, live))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestMeasure:

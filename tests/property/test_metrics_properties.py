@@ -192,3 +192,98 @@ class TestRestriction:
         out.interested_msgs[-1] = 1
         out.relay_msgs[-1] = 1
         assert (dict(rec.interested_msgs), dict(rec.relay_msgs)) == before
+
+
+# ----------------------------------------------------------------------
+# The running totals and the fold-on-read against an eager collector
+# ----------------------------------------------------------------------
+class EagerCollector:
+    """Every tally folded at ``add``, and the overhead summed over the
+    per-node tallies at each read: the eager reference a collector that
+    folds on read must equal."""
+
+    def __init__(self):
+        self.records = []
+        self._interested, self._relay = {}, {}
+
+    def add(self, record):
+        self.records.append(record)
+        for agg, tally in (self._interested, record.interested_msgs), (self._relay, record.relay_msgs):
+            for a, n in tally.items():
+                agg[a] = agg.get(a, 0) + n
+
+    def reset(self):
+        self.records.clear()
+        self._interested.clear()
+        self._relay.clear()
+
+    def traffic_overhead_pct(self):
+        relay = sum(self._relay.values())
+        total = relay + sum(self._interested.values())
+        return 100.0 * relay / total if total else 0.0
+
+    def per_node_overhead(self):
+        out = {}
+        for addr in set(self._interested) | set(self._relay):
+            relay = self._relay.get(addr, 0)
+            total = relay + self._interested.get(addr, 0)
+            if total:
+                out[addr] = 100.0 * relay / total
+        return out
+
+
+READERS = ("traffic_overhead_pct", "per_node_overhead", "overhead_histogram", "summary")
+wide_tallies = st.dictionaries(st.integers(0, 2000), st.integers(0, 4), max_size=12)
+
+
+@st.composite
+def spread_records(draw):
+    """Records over a wide address range, so that the per-node dict's
+    insertion order shows in ``per_node_overhead``'s iteration order."""
+    return DisseminationRecord(
+        topic=0, event_id=0, publisher=0,
+        interested_msgs=draw(wide_tallies), relay_msgs=draw(wide_tallies),
+    )
+
+
+interleavings = st.lists(
+    st.tuples(st.just("add"), overlapping_records() | spread_records())
+    | st.tuples(st.just("extend"), st.lists(overlapping_records() | spread_records(), max_size=4))
+    | st.tuples(st.just("reset"), st.none())
+    | st.tuples(st.just("read"), st.sampled_from(READERS)),
+    max_size=20,
+)
+
+
+class TestFoldOnRead:
+    @given(interleavings)
+    @settings(max_examples=200, deadline=None)
+    def test_reads_anywhere_in_an_interleaving_match_the_eager_fold(self, ops):
+        real, eager = MetricsCollector(), EagerCollector()
+        for op, arg in ops:
+            if op == "add":
+                real.add(arg)
+                eager.add(arg)
+            elif op == "extend":
+                real.extend(arg)
+                for r in arg:
+                    eager.add(r)
+            elif op == "reset":
+                real.reset()
+                eager.reset()
+            elif arg == "per_node_overhead":
+                # Item order too: Fig. 5's rows list the values in it.
+                assert list(real.per_node_overhead().items()) \
+                    == list(eager.per_node_overhead().items())
+            elif arg == "overhead_histogram":
+                per_node = list(eager.per_node_overhead().values())
+                counts, _ = np.histogram(per_node, bins=np.arange(0.0, 101.0, 10.0))
+                expected = counts / len(per_node) if per_node else np.zeros(10)
+                assert np.array_equal(real.overhead_histogram()[1], expected)
+            else:
+                pct = eager.traffic_overhead_pct()
+                got = getattr(real, arg)()
+                assert (got["traffic_overhead_pct"] if arg == "summary" else got) == pct
+        # A final read of every reader agrees too.
+        assert real.traffic_overhead_pct() == eager.traffic_overhead_pct()
+        assert list(real.per_node_overhead().items()) == list(eager.per_node_overhead().items())
