@@ -35,10 +35,6 @@ class RoutingProbe:
     hops: List[int]
 
     @property
-    def success_rate(self) -> float:
-        return self.successes / self.samples if self.samples else 1.0
-
-    @property
     def consistency_rate(self) -> float:
         """Fraction of lookups ending at the true global rendezvous."""
         return self.exact_rendezvous / self.samples if self.samples else 1.0
@@ -50,15 +46,6 @@ class RoutingProbe:
     @property
     def p95_hops(self) -> float:
         return float(np.percentile(self.hops, 95)) if self.hops else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "success_rate": self.success_rate,
-            "consistency_rate": self.consistency_rate,
-            "mean_hops": self.mean_hops,
-            "p95_hops": self.p95_hops,
-        }
 
 
 def expected_bound(n_live: int, n_sw_links: int = 1) -> float:

@@ -82,21 +82,6 @@ class VitisConfig:
         if self.gossip_period <= 0:
             raise ValueError("gossip_period must be positive")
 
-    @property
-    def n_ring_links(self) -> int:
-        """Always two: predecessor and successor."""
-        return 2
-
-    @property
-    def n_structural_links(self) -> int:
-        """The paper's ``k``: ring links plus long links."""
-        return self.n_ring_links + self.n_sw_links
-
-    @property
-    def n_friends(self) -> int:
-        """Routing-table entries left for similarity links."""
-        return self.rt_size - self.n_structural_links
-
     def with_friends(self, n_friends: int) -> "VitisConfig":
         """A copy with the friend/sw split changed at fixed ``rt_size``
         (the Fig. 4 sweep knob)."""

@@ -92,11 +92,6 @@ class ElectionStats:
         self.adoptions = 0
         self.self_proposals = 0
 
-    def reset(self) -> None:
-        self.proposals = 0
-        self.adoptions = 0
-        self.self_proposals = 0
-
 
 class GatewayState:
     """Per-node election state: ``topic → Proposal``.
@@ -124,9 +119,6 @@ class GatewayState:
     def commit(self, proposals: Dict[int, Proposal]) -> None:
         """Install a new round's proposal map."""
         self.proposals = proposals
-
-    def get(self, topic: int) -> Optional[Proposal]:
-        return self.proposals.get(topic)
 
     def gateway_topics(self) -> List[int]:
         """Topics for which this node currently considers itself gateway."""

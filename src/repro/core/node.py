@@ -102,7 +102,7 @@ class VitisNode(BaseNode):
         #: Utility memo: address → Eq. 1 utility to that node, valid for
         #: the whole of ``_ustamp``.  See _select_neighbors.
         self._umemo: Dict[int, float] = {}
-        self._ustamp: Optional[tuple] = None
+        self._ustamp: Optional[int] = None
         #: Event ids already handled (duplicate suppression in the
         #: message-level dissemination path).
         self.seen_events: set = set()
@@ -183,10 +183,10 @@ class VitisNode(BaseNode):
         sorted by (age, address) only when too few are nonzero.
 
         The ranking reads utilities from ``_umemo`` without checking
-        them: one stamp per selection empties the memo whenever the
-        rates or *any* profile (mine included) changed, ``join`` empties
-        it, and a caller whose ``profile_of`` can change its answer
-        otherwise drops the address itself (see
+        them: one stamp per selection empties the memo whenever *any*
+        profile (mine included) changed (the rates never change),
+        ``join`` empties it, and a caller whose ``profile_of`` can change
+        its answer otherwise drops the address itself (see
         ``DeployedVitisNode._learn``).  Only a memo miss reaches
         ``profile_of`` and Eq. 1; an unknown profile ranks 0.0 and is
         not memoised.
@@ -232,7 +232,7 @@ class VitisNode(BaseNode):
             util = self.utility
             my_prof = self.profile
             memo = self._umemo
-            stamp = (util._rates_version(), NodeProfile._epoch)
+            stamp = NodeProfile._epoch
             if stamp != self._ustamp:
                 memo.clear()
                 self._ustamp = stamp

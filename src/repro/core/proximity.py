@@ -47,7 +47,7 @@ class ProximityUtility(UtilityFunction):
         The coordinate space the closeness term reads.
     beta:
         Blend weight in [0, 1]; 0 reduces to plain Eq. 1.
-    rates, rate_weighted, max_cache:
+    rates, rate_weighted:
         Forwarded to :class:`UtilityFunction`.
     """
 
@@ -57,11 +57,10 @@ class ProximityUtility(UtilityFunction):
         beta: float = 0.2,
         rates: Optional[PublicationRates] = None,
         rate_weighted: bool = True,
-        max_cache: int = 2_000_000,
     ) -> None:
         if not 0.0 <= beta <= 1.0:
             raise ValueError("beta must be in [0, 1]")
-        super().__init__(rates, rate_weighted, max_cache)
+        super().__init__(rates, rate_weighted)
         self.coords = coords
         self.beta = beta
 

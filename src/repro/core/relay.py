@@ -88,9 +88,6 @@ class RelayTable:
         self.parent.clear()
         self.children.clear()
 
-    def topics(self) -> Set[int]:
-        return set(self.parent) | set(self.children)
-
 
 class RelayStats:
     """Aggregate bookkeeping about the installed relay infrastructure,

@@ -47,10 +47,6 @@ class RTEntry:
     def address(self) -> int:
         return self.descriptor.address
 
-    @property
-    def node_id(self) -> int:
-        return self.descriptor.node_id
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RTEntry({self.descriptor!r}, {self.kind.value}, age={self.age})"
 
@@ -92,9 +88,6 @@ class RoutingTable:
     def __iter__(self) -> Iterator[RTEntry]:
         return iter(self._entries.values())
 
-    def get(self, address: int) -> Optional[RTEntry]:
-        return self._entries.get(address)
-
     @property
     def addresses(self) -> List[int]:
         return list(self._entries)
@@ -103,12 +96,6 @@ class RoutingTable:
         """The table's own address → entry map, in table order; treat it
         as read-only."""
         return self._entries
-
-    def entries(self) -> List[RTEntry]:
-        return list(self._entries.values())
-
-    def descriptors(self) -> List[Descriptor]:
-        return [e.descriptor for e in self._entries.values()]
 
     def links(self) -> List[Tuple[int, int]]:
         """(address, node_id) pairs — the shape greedy routing consumes.
@@ -136,18 +123,9 @@ class RoutingTable:
             cached = self._ring = ring_of_links(self.links())
         return cached
 
-    def by_kind(self, kind: LinkKind) -> List[RTEntry]:
-        return [e for e in self._entries.values() if e.kind is kind]
-
     def successor(self) -> Optional[RTEntry]:
         for e in self._entries.values():
             if e.kind is LinkKind.SUCCESSOR:
-                return e
-        return None
-
-    def predecessor(self) -> Optional[RTEntry]:
-        for e in self._entries.values():
-            if e.kind is LinkKind.PREDECESSOR:
                 return e
         return None
 

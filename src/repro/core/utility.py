@@ -14,7 +14,7 @@ The union sum is computed as ``sum(i) + sum(j) - intersection`` so only the
 intersection needs a set walk; per-node sums and pairwise values are cached
 (subscriptions change rarely relative to how often T-Man ranks candidates,
 and the cache key includes the profile versions so changes invalidate
-precisely).
+precisely; the rates never change once built).
 """
 
 from __future__ import annotations
@@ -37,21 +37,18 @@ class PublicationRates:
     class).
     """
 
-    __slots__ = ("rates", "version")
+    __slots__ = ("rates",)
 
     def __init__(self, rates: np.ndarray) -> None:
         self.rates = self._checked(rates)
-        self.version = 0
 
     @staticmethod
-    def _checked(rates: np.ndarray, shape: Optional[tuple] = None) -> np.ndarray:
-        """``rates`` as a float array, refused unless 1-D (of ``shape``,
-        when given), finite and non-negative — what keeps Eq. 1 ≥ 0."""
+    def _checked(rates: np.ndarray) -> np.ndarray:
+        """``rates`` as a float array, refused unless 1-D, finite and
+        non-negative — what keeps Eq. 1 ≥ 0."""
         rates = np.asarray(rates, dtype=float)
         if rates.ndim != 1:
             raise ValueError("rates must be a 1-D array indexed by topic id")
-        if shape is not None and rates.shape != shape:
-            raise ValueError("shape mismatch")
         if not np.all(np.isfinite(rates)):
             raise ValueError("rates must be finite")
         if np.any(rates < 0):
@@ -66,15 +63,6 @@ class PublicationRates:
     @property
     def n_topics(self) -> int:
         return len(self.rates)
-
-    def rate(self, topic: int) -> float:
-        return float(self.rates[topic])
-
-    def update(self, rates: np.ndarray) -> None:
-        """Replace all rates (invalidates utility caches via version);
-        checked as the constructor checks them, and of the same shape."""
-        self.rates = self._checked(rates, self.rates.shape)
-        self.version += 1
 
     def sum_over(self, topics) -> float:
         """Σ rate(t) over an iterable of topic ids."""
@@ -91,10 +79,6 @@ class UtilityFunction:
         Publication-rate table, or None for uniform rates (pure Jaccard).
     rate_weighted:
         When False, ignore rates even if provided — the ablation knob.
-    max_cache:
-        Bound on the pairwise cache; on overflow the cache is cleared
-        (simple and allocation-free, adequate since re-computation is
-        cheap and hit patterns are bursty within a cycle).
 
     Examples
     --------
@@ -110,30 +94,30 @@ class UtilityFunction:
     (0.25, 0.125, 0.333)
     """
 
+    #: Bound on each cache; on overflow the cache is cleared (simple and
+    #: allocation-free, adequate since re-computation is cheap and hit
+    #: patterns are bursty within a cycle).
+    MAX_CACHE = 2_000_000
+
     def __init__(
         self,
         rates: Optional[PublicationRates] = None,
         rate_weighted: bool = True,
-        max_cache: int = 2_000_000,
     ) -> None:
         self.rates = rates
         self.rate_weighted = rate_weighted and rates is not None
         self._pair_cache: Dict[Tuple, float] = {}
         self._sum_cache: Dict[Tuple[int, int], float] = {}
-        self._max_cache = max_cache
 
     # ------------------------------------------------------------------
-    def _rates_version(self) -> int:
-        return self.rates.version if self.rates is not None else 0
-
     def _node_sum(self, profile: NodeProfile) -> float:
         """Σ rate(t) over the node's subscriptions, cached per profile
-        version and rates version."""
-        key = (profile.address, profile.version, self._rates_version())
+        version."""
+        key = (profile.address, profile.version)
         val = self._sum_cache.get(key)
         if val is None:
             val = self.rates.sum_over(profile.subscriptions)
-            if len(self._sum_cache) >= self._max_cache:
+            if len(self._sum_cache) >= self.MAX_CACHE:
                 self._sum_cache.clear()
             self._sum_cache[key] = val
         return val
@@ -144,9 +128,9 @@ class UtilityFunction:
             return 1.0
         # Symmetric cache key; versions make stale entries unreachable.
         if a.address < b.address:
-            key = (a.address, a.version, b.address, b.version, self._rates_version())
+            key = (a.address, a.version, b.address, b.version)
         else:
-            key = (b.address, b.version, a.address, a.version, self._rates_version())
+            key = (b.address, b.version, a.address, a.version)
         cached = self._pair_cache.get(key)
         if cached is not None:
             return cached
@@ -165,7 +149,7 @@ class UtilityFunction:
             union_sum = self._node_sum(a) + self._node_sum(b) - inter_sum
             val = inter_sum / union_sum if union_sum > 0 else 0.0
 
-        if len(self._pair_cache) >= self._max_cache:
+        if len(self._pair_cache) >= self.MAX_CACHE:
             self._pair_cache.clear()
         self._pair_cache[key] = val
         return val

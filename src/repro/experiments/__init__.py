@@ -14,9 +14,10 @@
 - :mod:`repro.experiments.reporting` — text tables and CSV emission.
 
 Scale: every scenario takes explicit sizes with defaults chosen so the
-whole suite finishes on one machine; set the ``REPRO_SCALE`` environment
-variable (e.g. ``REPRO_SCALE=4``) to multiply node counts toward the
-paper's 10,000.
+whole suite finishes on one machine; the CLI's ``--scale 4`` multiplies
+node counts toward the paper's 10,000.  :func:`scale` / :func:`scaled`
+read the ``REPRO_SCALE`` environment variable for ``benchmarks/`` only;
+``python -m repro`` never reads it.
 """
 
 import os
@@ -39,7 +40,6 @@ from repro.experiments.spec import (
     Scenario,
     Sweep,
     Trial,
-    derive_seed,
     trial_key,
 )
 
@@ -54,7 +54,6 @@ __all__ = [
     "build_rvr",
     "build_vitis",
     "converge",
-    "derive_seed",
     "format_table",
     "measure",
     "rows_to_csv",

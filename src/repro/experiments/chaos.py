@@ -224,7 +224,7 @@ def chaos_sweep_spec(
             f"unknown detectors {unknown}; expected subset of {sorted(DETECTORS)}"
         )
     fault_seed = seed if fault_seed is None else fault_seed
-    sweep = Sweep("chaos_sweep", seed=seed, reduce=flat_reduce)
+    sweep = Sweep("chaos_sweep", reduce=flat_reduce)
     for i, rate in enumerate(loss_rates):
         for det in detectors:
             sweep.trial(

@@ -218,11 +218,6 @@ class ResultCache:
 
         return {"repro_version": __version__, "code_hash": code_fingerprint()}
 
-    def load(self, sweep_name: str, key: str) -> Any:
-        """The cached result, or ``_MISSING`` on absence or corruption."""
-        result, _stale = self.load_checked(sweep_name, key)
-        return result
-
     def load_checked(self, sweep_name: str, key: str) -> Tuple[Any, bool]:
         """``(result, stale)`` — the cached result plus whether the entry
         predates the current code.

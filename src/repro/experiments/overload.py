@@ -196,7 +196,7 @@ def overload_sweep_spec(
             f"unknown shedding policy {policy!r}; pick one of {SHED_POLICIES}"
         )
     cap_seed = seed if cap_seed is None else cap_seed
-    sweep = Sweep("overload_sweep", seed=seed)
+    sweep = Sweep("overload_sweep")
     for system in systems:
         for rate in pub_rates:
             for cap in capacities:

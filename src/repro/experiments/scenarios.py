@@ -18,7 +18,8 @@ parallel runs produce identical row lists.
 
 Node/topic counts default to sizes that keep the whole suite tractable
 on one machine; the paper runs 10,000 nodes (4,000 under churn) — pass
-larger sizes, set ``REPRO_SCALE``, or use ``--scale`` to approach that.
+larger sizes, or use the CLI's ``--scale`` to approach that
+(``REPRO_SCALE`` scales ``benchmarks/`` only).
 The bench sizes the CLI scales live in :data:`SCENARIOS`, next to each
 scenario.
 
@@ -138,7 +139,7 @@ def fig4_spec(
     on high correlation); RVR is a flat reference line; hit ratio is 100%
     everywhere.
     """
-    sweep = Sweep("fig4", seed=seed)
+    sweep = Sweep("fig4")
     for pattern in patterns:
         for f in friend_counts:
             sweep.trial(
@@ -200,7 +201,7 @@ def fig5_spec(
     Paper: Vitis shifts mass into the lowest bin and empties the >20%
     bins relative to RVR.
     """
-    sweep = Sweep("fig5", seed=seed, reduce=flat_reduce)
+    sweep = Sweep("fig5", reduce=flat_reduce)
     for system in ("vitis", "rvr"):
         for pattern in ("high", "random"):
             sweep.trial(
@@ -240,7 +241,7 @@ def fig6_spec(
     entries become friends (fewer relay paths), RVR's become small-world
     links (shorter lookups).
     """
-    sweep = Sweep("fig6", seed=seed)
+    sweep = Sweep("fig6")
     for pattern in patterns:
         for rt in rt_sizes:
             sweep.trial(
@@ -286,7 +287,7 @@ def fig7_spec(
     mix; the random-subscription curve approaches the high-correlation
     one.
     """
-    sweep = Sweep("fig7", seed=seed)
+    sweep = Sweep("fig7")
     for alpha in alphas:
         for pattern in patterns:
             sweep.trial(
@@ -316,7 +317,7 @@ def _fig8_trial(n_users, alpha, seed):
 
 def fig8_spec(n_users: int = 20000, alpha: float = 1.65, seed: int = 0) -> Sweep:
     """Log-log degree/frequency series of the synthetic follower graph."""
-    sweep = Sweep("fig8", seed=seed, reduce=flat_reduce)
+    sweep = Sweep("fig8", reduce=flat_reduce)
     sweep.trial(_fig8_trial, key=("trace",), seed=seed, n_users=n_users, alpha=alpha)
     return sweep
 
@@ -331,7 +332,7 @@ def fig9_spec(n_users: int = 20000, alpha: float = 1.65, seed: int = 0) -> Sweep
         [summary] = results
         return [{"statistic": k, "value": v} for k, v in summary.items()]
 
-    sweep = Sweep("fig9", seed=seed, reduce=reduce)
+    sweep = Sweep("fig9", reduce=reduce)
     sweep.trial(_fig9_trial, key=("trace",), seed=seed, n_users=n_users, alpha=alpha)
     return sweep
 
@@ -375,7 +376,7 @@ def fig10_spec(
     samples need proportionally fewer subscriptions per node, else every
     topic subgraph connects trivially and OPT is never stressed.
     """
-    sweep = Sweep("fig10", seed=seed)
+    sweep = Sweep("fig10")
     for rt in rt_sizes:
         for system in ("vitis", "rvr", "opt"):
             if system in systems:
@@ -415,7 +416,7 @@ def fig11_spec(
     Paper: over two thirds of nodes exceed degree 15; 0.3% exceed 200
     (max observed 708) — unbounded correlation-only overlays do not scale.
     """
-    sweep = Sweep("fig11", seed=seed, reduce=flat_reduce)
+    sweep = Sweep("fig11", reduce=flat_reduce)
     sweep.trial(
         _fig11_trial, key=("opt-unbounded",), seed=seed,
         n_users=n_users, sample_size=sample_size, cycles=cycles, min_out=min_out,
@@ -497,7 +498,7 @@ def fig12_spec(
     unknown = [s for s in systems if s not in ("vitis", "rvr")]
     if unknown:
         raise ValueError(f"unknown churn system {unknown[0]!r}")
-    sweep = Sweep("fig12", seed=seed, reduce=flat_reduce)
+    sweep = Sweep("fig12", reduce=flat_reduce)
     for system in systems:
         sweep.trial(
             _fig12_trial, key=(system,), seed=seed,
@@ -557,7 +558,7 @@ def ablation_depth_spec(
     Small ``d`` → more gateways per cluster → more relay paths (overhead)
     but shorter intra-cluster detours; the paper fixes d=5.
     """
-    sweep = Sweep("ablation_depth", seed=seed)
+    sweep = Sweep("ablation_depth")
     for d in depths:
         sweep.trial(
             _ablation_depth_trial, key=(d,), seed=seed,
@@ -589,7 +590,7 @@ def ablation_utility_spec(
     With hot topics, weighting should cluster hot-topic subscribers
     harder and lower the (rate-weighted) average overhead.
     """
-    sweep = Sweep("ablation_utility", seed=seed)
+    sweep = Sweep("ablation_utility")
     for weighted in (True, False):
         sweep.trial(
             _ablation_utility_trial, key=(weighted,), seed=seed,
@@ -632,7 +633,7 @@ def ablation_sw_spec(
     friend links for sw links buys navigability at the price of traffic
     overhead — the quantitative backbone of Fig. 4.
     """
-    sweep = Sweep("ablation_sw", seed=seed)
+    sweep = Sweep("ablation_sw")
     for k in sw_links:
         sweep.trial(
             _ablation_sw_trial, key=(k,), seed=seed,
@@ -676,7 +677,7 @@ def ablation_proximity_spec(
     dissemination at full delivery; large beta erodes interest clustering
     and the traffic overhead climbs.
     """
-    sweep = Sweep("ablation_proximity", seed=seed)
+    sweep = Sweep("ablation_proximity")
     for beta in betas:
         sweep.trial(
             _ablation_proximity_trial, key=(beta,), seed=seed,
@@ -725,7 +726,7 @@ def management_cost_spec(
     subscription counts; unbounded OPT's cost follows its degree, which
     follows the (heavy-tailed) subscription distribution.
     """
-    sweep = Sweep("management_cost", seed=seed)
+    sweep = Sweep("management_cost")
     for system in ("vitis", "rvr", "opt-bounded", "opt-unbounded"):
         sweep.trial(
             _management_cost_trial, key=(system,), seed=seed,
@@ -757,7 +758,7 @@ def ablation_sampler_spec(
     The paper claims any gossip sampling service works (section III-A);
     the metrics should be statistically indistinguishable.
     """
-    sweep = Sweep("ablation_sampler", seed=seed)
+    sweep = Sweep("ablation_sampler")
     for sampler in ("newscast", "cyclon"):
         sweep.trial(
             _ablation_sampler_trial, key=(sampler,), seed=seed,
@@ -909,7 +910,7 @@ def fault_sweep_spec(
             f"unknown systems {unknown}; expected subset of {sorted(known)}"
         )
     fault_seed = seed if fault_seed is None else fault_seed
-    sweep = Sweep("fault_sweep", seed=seed, reduce=flat_reduce)
+    sweep = Sweep("fault_sweep", reduce=flat_reduce)
     for i, rate in enumerate(loss_rates):
         for system in systems:
             sweep.trial(

@@ -7,10 +7,10 @@ results into the row dicts the figure plots.  This module is the spec
 layer of that architecture:
 
 - :class:`Trial` — one picklable sweep point: a module-level callable,
-  its keyword arguments (plain JSON-able values only), and a
-  deterministically derived seed.  Because trials are self-contained they
-  can run in worker processes (:mod:`repro.experiments.executor`) and be
-  cached on disk keyed by :func:`trial_key`.
+  its keyword arguments (plain JSON-able values only), and its seed.
+  Because trials are self-contained they can run in worker processes
+  (:mod:`repro.experiments.executor`) and be cached on disk keyed by
+  :func:`trial_key`.
 - :class:`Sweep` — an ordered list of trials plus the ``reduce`` function
   mapping the trial results (in trial order) to row dicts.  Row order is
   a function of trial order alone, never of completion order, so serial
@@ -19,10 +19,8 @@ layer of that architecture:
   population knobs that ``--scale`` multiplies (previously a dict inside
   ``cli.py``).
 
-Seed discipline: a trial's seed is either given explicitly (scenarios
-that reproduce the paper's published numbers pin it) or derived from the
-sweep seed and the trial key via :func:`derive_seed`, which is stable
-across processes and Python versions (no salted ``hash()``).
+Seed discipline: every trial is given its seed explicitly, so a trial
+computes the same thing whether it runs inline or in a worker.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ __all__ = [
     "Scenario",
     "Sweep",
     "Trial",
-    "derive_seed",
     "flat_reduce",
     "rows_reduce",
     "trial_key",
@@ -45,21 +42,6 @@ __all__ = [
 #: Cache-format version; bump when trial result encoding changes so stale
 #: cache entries never masquerade as current ones.
 SPEC_VERSION = 1
-
-
-def derive_seed(base: int, *parts) -> int:
-    """A deterministic 31-bit seed derived from ``base`` and a name path.
-
-    Stable across processes and platforms (sha256, not ``hash()``), so a
-    trial computes the same seed whether it runs inline or in a worker.
-    Distinct name paths give independent seeds::
-
-        >>> derive_seed(0, "fig4", "vitis", 3) != derive_seed(0, "fig4", "vitis", 6)
-        True
-    """
-    material = json.dumps([int(base), [str(p) for p in parts]])
-    digest = hashlib.sha256(material.encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "big") & 0x7FFFFFFF
 
 
 def _canonical(obj):
@@ -131,9 +113,6 @@ class Sweep:
     name:
         Sweep identity; namespaces the cache directory and telemetry
         labels.
-    seed:
-        Base seed used by :meth:`trial` when a trial does not pin its own
-        (per-trial seeds are then derived from it and the trial key).
     reduce:
         ``reduce(results) -> list[dict]`` over trial results *in trial
         order*.  Defaults to :func:`rows_reduce`.
@@ -142,33 +121,20 @@ class Sweep:
     def __init__(
         self,
         name: str,
-        seed: int = 0,
         reduce: Callable[[Sequence[Any]], List[Dict]] = rows_reduce,
     ) -> None:
         self.name = name
-        self.seed = int(seed)
         self.reduce = reduce
         self.trials: List[Trial] = []
 
-    def trial(
-        self, fn: Callable[..., Any], key: Tuple = (), seed: Optional[int] = None, **kwargs
-    ) -> Trial:
-        """Append one trial; derive its seed from the sweep seed and
-        ``key`` unless pinned explicitly."""
-        if seed is None:
-            seed = derive_seed(self.seed, self.name, *key)
+    def trial(self, fn: Callable[..., Any], key: Tuple = (), *, seed: int, **kwargs) -> Trial:
+        """Append one trial with its ``seed``."""
         t = Trial(fn=fn, kwargs=kwargs, seed=int(seed), key=tuple(key))
         self.trials.append(t)
         return t
 
     def __len__(self) -> int:
         return len(self.trials)
-
-    def run(self, executor=None, cache=None, resume: bool = False) -> List[Dict]:
-        """Execute via :func:`repro.experiments.executor.run_sweep`."""
-        from repro.experiments.executor import run_sweep
-
-        return run_sweep(self, executor=executor, cache=cache, resume=resume)
 
 
 def trial_key(sweep: "Sweep | str", trial: Trial) -> str:

@@ -244,9 +244,6 @@ class SwimDetector(VerdictTable):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def incarnation(self, address: int) -> int:
-        v = self._verdicts.get(address)
-        return v.incarnation if v is not None else 0
 
     # ------------------------------------------------------------------
     # Lifecycle hooks

@@ -44,10 +44,6 @@ class Descriptor:
         self.node_id = node_id
         self.age = age
 
-    def copy(self, age: Optional[int] = None) -> "Descriptor":
-        """A fresh copy, optionally with a different age."""
-        return Descriptor(self.address, self.node_id, self.age if age is None else age)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Descriptor)
@@ -102,14 +98,6 @@ class PartialView:
         if i is None:
             return None
         return Descriptor(address, self._ids[i], self._ages[i])
-
-    @property
-    def addresses(self) -> List[int]:
-        return list(self._addrs)
-
-    def descriptors(self) -> List[Descriptor]:
-        """A snapshot list of the current entries (caller-owned objects)."""
-        return list(self)
 
     # ------------------------------------------------------------------
     # Mutation

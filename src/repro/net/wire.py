@@ -14,12 +14,11 @@ frame (byte-layout tables in ``docs/deployment.md``)::
   further ``u64`` seqs;
 - ``seq`` — per-sender sequence number, the ack/retransmit/dedup key;
 - ``body`` — the fields :func:`repro.sim.messages.payload_fields`
-  enumerates, the exact set the ``size_bytes`` audit covers;
-  :data:`MESSAGE_KINDS` is checked against it at import, so codec and
-  accounting cannot drift.  Ring ids are ``u64``, every other integer
+  enumerates; :data:`MESSAGE_KINDS` is checked against it at import, so
+  a field added to a message class cannot go missing from the wire.  Ring ids are ``u64``, every other integer
   ``i64`` (an ``IdSpace`` wider than 64 bits cannot ride this version);
 - span trailer — ``Message.span``, carried outside the body exactly as
-  the simulator keeps it outside ``size_bytes``.
+  the simulator keeps it outside ``payload_fields``.
 
 Encoding is a pure function of the message value (sets and dict keys
 sorted), so a resent datagram is byte-identical to the original.  The

@@ -71,10 +71,6 @@ class PathBreakdown:
     relay: int = 0
     rendezvous: int = 0
 
-    @property
-    def edges(self) -> int:
-        return self.publish + self.flood + self.lookup + self.relay + self.rendezvous
-
 
 def delivery_breakdown(tree: SpanTree, deliver_span: int) -> PathBreakdown:
     """Decompose the chain from the root to one ``deliver`` span."""

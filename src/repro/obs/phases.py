@@ -133,12 +133,6 @@ class PhaseTimer:
     def __len__(self) -> int:
         return len(self._totals)
 
-    def total(self, path: str) -> float:
-        return self._totals.get(path, 0.0)
-
-    def calls(self, path: str) -> int:
-        return self._calls.get(path, 0)
-
     def to_rows(self) -> List[Dict]:
         """Breakdown rows (sorted by path) for
         :func:`repro.experiments.reporting.format_table`: top-level phases

@@ -66,9 +66,6 @@ class Gauge:
     def set(self, v: float) -> None:
         self.value = float(v)
 
-    def inc(self, n: float = 1.0) -> None:
-        self.value += n
-
 
 class Histogram:
     """Bucketed distribution with count/sum/min/max.

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.sim.messages import (
     PRIO_CONTROL,
@@ -100,10 +100,6 @@ class NodeCapacity:
     red_start:
         Backlog fraction of a class's share where the ``red`` policy
         starts ramping its drop probability.
-    queue_bytes:
-        Optional byte bound: an arrival is also refused when its
-        ``size_bytes`` would push the queued bytes past this (meaningful
-        thanks to the audited per-kind sizes in :mod:`repro.sim.messages`).
     """
 
     service_rate: int = 8
@@ -112,7 +108,6 @@ class NodeCapacity:
     period: float = 1.0
     backpressure_at: float = 0.75
     red_start: float = 0.5
-    queue_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.service_rate >= 1:
@@ -131,18 +126,15 @@ class NodeCapacity:
             )
         if not 0.0 <= self.red_start < 1.0:
             raise ValueError(f"red_start must be in [0, 1), got {self.red_start}")
-        if self.queue_bytes is not None and not self.queue_bytes >= 1:
-            raise ValueError(f"queue_bytes must be >= 1, got {self.queue_bytes}")
 
 
 class _Inbox:
     """One destination's backlog and last-serviced window index."""
 
-    __slots__ = ("backlog", "backlog_bytes", "window")
+    __slots__ = ("backlog", "window")
 
     def __init__(self) -> None:
         self.backlog = 0
-        self.backlog_bytes = 0
         self.window = 0
 
 
@@ -190,18 +182,12 @@ class CapacityModel:
 
     def _advance(self, box: _Inbox, now: float) -> None:
         """Drain the service budget of every window elapsed since the
-        inbox was last consulted (queued bytes shrink proportionally)."""
+        inbox was last consulted."""
         w = int(now // self.capacity.period)
         if w <= box.window:
             return
         drained = (w - box.window) * self.capacity.service_rate
-        if drained >= box.backlog:
-            box.backlog = 0
-            box.backlog_bytes = 0
-        else:
-            remaining = box.backlog - drained
-            box.backlog_bytes = box.backlog_bytes * remaining // box.backlog
-            box.backlog = remaining
+        box.backlog = max(box.backlog - drained, 0)
         box.window = w
 
     def _admit(self, box: _Inbox, prio: int) -> bool:
@@ -220,7 +206,7 @@ class CapacityModel:
             return False
         return self._rng.random() >= (backlog - start) / (limit - start)
 
-    def offer(self, src: int, dst: int, kind: str, now: float, nbytes: int = 0) -> bool:
+    def offer(self, src: int, dst: int, kind: str, now: float) -> bool:
         """Admit one message into ``dst``'s inbox, or shed it.
 
         Returns True when the message is queued (it will be delivered);
@@ -233,11 +219,8 @@ class CapacityModel:
         self.offered[kind] += 1
         self.offered_by_class[prio] += 1
         admitted = self._admit(box, prio)
-        if admitted and self.capacity.queue_bytes is not None and nbytes:
-            admitted = box.backlog_bytes + nbytes <= self.capacity.queue_bytes
         if admitted:
             box.backlog += 1
-            box.backlog_bytes += nbytes
             if box.backlog > self.peak_backlog:
                 self.peak_backlog = box.backlog
         else:
@@ -277,11 +260,6 @@ class CapacityModel:
         return True
 
     # -- reads ----------------------------------------------------------
-    def queue_depth(self, dst: int) -> int:
-        """Current backlog of ``dst`` (0 for never-offered destinations)."""
-        box = self._inboxes.get(dst)
-        return box.backlog if box is not None else 0
-
     def shed_fraction(self) -> float:
         """Refused / offered, over all kinds (0.0 before any offer)."""
         offered = sum(self.offered.values())

@@ -59,11 +59,6 @@ class ChurnSchedule:
     def __iter__(self):
         return iter(self.events)
 
-    @property
-    def horizon(self) -> float:
-        """Time of the last event (0 for an empty schedule)."""
-        return self.events[-1].time if self.events else 0.0
-
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
@@ -113,13 +108,6 @@ class ChurnSchedule:
             jitter = float(rng.uniform(0.0, spread)) if (rng is not None and spread > 0) else 0.0
             events.append(ChurnEvent(at + jitter, addr, LEAVE))
         return cls(events)
-
-    # ------------------------------------------------------------------
-    # Combinators
-    # ------------------------------------------------------------------
-    def merged(self, other: "ChurnSchedule") -> "ChurnSchedule":
-        """A new schedule containing both event sets."""
-        return ChurnSchedule(list(self.events) + list(other.events))
 
     # ------------------------------------------------------------------
     # Application

@@ -138,18 +138,6 @@ class Engine:
         ev._engine = None
         return ev
 
-    def step(self) -> bool:
-        """Execute the next event.  Returns False if the queue is empty."""
-        while self._queue:
-            ev = self._pop()
-            if ev._cancelled:
-                continue
-            self._now = ev.time
-            ev.callback(*ev.args)
-            self._processed += 1
-            return True
-        return False
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached, or
         ``max_events`` have been executed.
@@ -168,8 +156,8 @@ class Engine:
                 continue
             if until is not None and when > until:
                 break
-            # Inlined _pop() and step(): the head is known live, so their
-            # re-checks and frames are pure overhead on this loop.
+            # Inlined _pop(): the head is known live, so its re-check and
+            # frame are pure overhead on this loop.
             heappop(queue)
             self._live -= 1
             ev._engine = None
@@ -181,13 +169,6 @@ class Engine:
         # (or the queue drained early) so callers can rely on time moving.
         if until is not None and self._now < until:
             self._now = until
-
-    def clear(self) -> None:
-        """Drop all pending events (the clock is left where it is)."""
-        for _, _, ev in self._queue:
-            ev._engine = None
-        self._queue.clear()
-        self._live = 0
 
 
 class PeriodicTask:

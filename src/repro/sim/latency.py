@@ -33,10 +33,6 @@ class CoordinateSpace:
         self._coords = dict(coords)
 
     @classmethod
-    def random(cls, addresses: Sequence[int], rng) -> "CoordinateSpace":
-        return cls({a: (rng.random(), rng.random()) for a in addresses})
-
-    @classmethod
     def clustered(
         cls, addresses: Sequence[int], rng, n_sites: int = 5, spread: float = 0.05
     ) -> "CoordinateSpace":

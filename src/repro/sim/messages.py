@@ -5,11 +5,10 @@ message-level simulations — used by the reference dissemination path and the
 examples — send instances of these classes through
 :class:`repro.sim.network.Network`.
 
-Every message carries an abstract ``size`` in bytes so that byte-level
-traffic accounting is possible in addition to message counts; the paper's
-traffic-overhead metric is message-based, so size defaults to 1 unit.
-``size_bytes`` is the audited wire-size estimate (fixed header plus the
-kind's actual payload fields) used by byte-bounded inbox capacities.
+Every message carries an abstract ``size`` so that traffic accounting
+can weigh messages; the paper's traffic-overhead metric is message-based,
+so size defaults to 1 unit.  :func:`payload_fields` names each kind's
+payload (everything but the framing) for the wire codec.
 
 Priorities
 ----------
@@ -106,8 +105,7 @@ def priority_of(kind: str) -> int:
 
 
 #: Base-class fields that are transport framing, not payload.  The wire
-#: codec (:mod:`repro.net.wire`) carries them in its own frame header, and
-#: ``size_bytes`` already charges them as the fixed header.
+#: codec (:mod:`repro.net.wire`) carries them in its own frame header.
 _FRAMING_FIELDS = ("src", "dst", "size")
 
 _PAYLOAD_FIELD_CACHE: Dict[type, Tuple[str, ...]] = {}
@@ -116,9 +114,8 @@ _PAYLOAD_FIELD_CACHE: Dict[type, Tuple[str, ...]] = {}
 def payload_fields(message_cls: type) -> Tuple[str, ...]:
     """The payload field names of a message class, in declaration order.
 
-    This is the same field set ``size_bytes`` audits (everything beyond
-    the fixed header): the wire codec enumerates payloads with it so the
-    encoded form and the byte-accounting model can never drift apart.
+    The wire codec checks its frame layouts against this at import, so
+    a field added to a message class cannot go missing from the wire.
     """
     cached = _PAYLOAD_FIELD_CACHE.get(message_cls)
     if cached is None:
@@ -127,40 +124,6 @@ def payload_fields(message_cls: type) -> Tuple[str, ...]:
         )
         _PAYLOAD_FIELD_CACHE[message_cls] = cached
     return cached
-
-
-#: Fixed per-message overhead: src + dst addresses and a kind tag, 8 bytes
-#: each — the UDP-datagram framing a real deployment would pay.
-_HEADER_BYTES = 24
-#: Encoded width of a scalar (int/float) payload field.
-_WORD = 8
-#: Nominal event-body size when a :class:`PullReply` carries no explicit
-#: payload — pulls exist precisely to move the bulky body, so a reply must
-#: never count as small.
-_NOMINAL_EVENT_BYTES = 1024
-
-
-def _encoded_size(value: Any) -> int:
-    """Deterministic wire-size estimate of one payload value.
-
-    Scalars take one word, strings/bytes their length, containers the sum
-    of their elements (dicts: keys and values).  This is an accounting
-    model, not a codec — it only needs to rank message kinds realistically
-    so byte-based queue bounds are meaningful.
-    """
-    if value is None:
-        return 0
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, (int, float)):
-        return _WORD
-    if isinstance(value, (str, bytes, bytearray)):
-        return len(value)
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return sum(_encoded_size(v) for v in value)
-    if isinstance(value, dict):
-        return sum(_encoded_size(k) + _encoded_size(v) for k, v in value.items())
-    return _WORD
 
 
 @dataclass
@@ -182,9 +145,8 @@ class Message:
     # Causal-tracing metadata: ``(trace_id, span_id)`` stamped by traced
     # runs only (see repro.obs.spans).  Deliberately NOT a dataclass
     # field and deliberately unannotated: constructor signature, __eq__
-    # and __repr__ stay identical, and it never contributes to
-    # ``size_bytes`` — it is observability metadata, not wire payload,
-    # so capacity shedding behaves identically traced and untraced.
+    # and __repr__ stay identical, and it is not a payload field — it is
+    # observability metadata, so a traced run sends the same payloads.
     span = None
 
     #: Short name used by traffic accounting: the class's own name, set
@@ -194,18 +156,6 @@ class Message:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls.kind = cls.__name__
-
-    @property
-    def size_bytes(self) -> int:
-        """Audited wire size: header plus the kind's payload fields.
-
-        ``size`` stays the abstract unit the paper's message-count
-        overhead metric uses; byte-bounded queue capacities use this.
-        """
-        return _HEADER_BYTES + self._payload_bytes()
-
-    def _payload_bytes(self) -> int:
-        return 0
 
 
 @dataclass
@@ -220,18 +170,12 @@ class Notification(Message):
     hops: int = 0
     publisher: int = -1
 
-    def _payload_bytes(self) -> int:
-        return 4 * _WORD  # topic, event_id, hops, publisher
-
 
 @dataclass
 class PullRequest(Message):
     """Request to fetch the payload of ``event_id`` from the notifier."""
 
     event_id: int = -1
-
-    def _payload_bytes(self) -> int:
-        return _WORD
 
 
 @dataclass
@@ -241,19 +185,12 @@ class PullReply(Message):
     event_id: int = -1
     payload: Any = None
 
-    def _payload_bytes(self) -> int:
-        body = _NOMINAL_EVENT_BYTES if self.payload is None else _encoded_size(self.payload)
-        return _WORD + body
-
 
 @dataclass
 class ProfileMessage(Message):
     """Periodic profile/heartbeat exchange (paper Alg. 6/7)."""
 
     profile: Any = None
-
-    def _payload_bytes(self) -> int:
-        return _encoded_size(self.profile)
 
 
 @dataclass
@@ -264,9 +201,6 @@ class LookupMessage(Message):
     origin: int = -1
     hops: int = 0
     trace: Optional[list] = field(default=None)
-
-    def _payload_bytes(self) -> int:
-        return 3 * _WORD + _encoded_size(self.trace)
 
 
 # ----------------------------------------------------------------------
@@ -279,18 +213,12 @@ class PsExchangeRequest(Message):
 
     view: list = field(default_factory=list)
 
-    def _payload_bytes(self) -> int:
-        return _encoded_size(self.view)
-
 
 @dataclass
 class PsExchangeReply(Message):
     """Passive half: the responder's pre-merge view snapshot."""
 
     view: list = field(default_factory=list)
-
-    def _payload_bytes(self) -> int:
-        return _encoded_size(self.view)
 
 
 @dataclass
@@ -300,18 +228,12 @@ class RtExchangeRequest(Message):
 
     buffer: list = field(default_factory=list)
 
-    def _payload_bytes(self) -> int:
-        return _encoded_size(self.buffer)
-
 
 @dataclass
 class RtExchangeReply(Message):
     """Passive half (paper Alg. 3): the responder's pre-merge buffer."""
 
     buffer: list = field(default_factory=list)
-
-    def _payload_bytes(self) -> int:
-        return _encoded_size(self.buffer)
 
 
 @dataclass
@@ -329,9 +251,6 @@ class RelayInstall(Message):
     origin: int = -1
     hops: int = 0
 
-    def _payload_bytes(self) -> int:
-        return 4 * _WORD  # topic, target_id, origin, hops
-
 
 # ----------------------------------------------------------------------
 # SWIM failure detection (repro.faults.detector)
@@ -343,9 +262,6 @@ class Probe(Message):
     target: int = -1
     incarnation: int = 0
 
-    def _payload_bytes(self) -> int:
-        return 2 * _WORD  # target, incarnation
-
 
 @dataclass
 class ProbeReq(Message):
@@ -354,9 +270,6 @@ class ProbeReq(Message):
 
     target: int = -1
     origin: int = -1
-
-    def _payload_bytes(self) -> int:
-        return 2 * _WORD  # target, origin
 
 
 @dataclass
@@ -367,9 +280,6 @@ class ProbeAck(Message):
     target: int = -1
     incarnation: int = 0
 
-    def _payload_bytes(self) -> int:
-        return 2 * _WORD  # target, incarnation
-
 
 @dataclass
 class Suspicion(Message):
@@ -379,9 +289,6 @@ class Suspicion(Message):
     target: int = -1
     incarnation: int = 0
 
-    def _payload_bytes(self) -> int:
-        return 2 * _WORD  # target, incarnation
-
 
 @dataclass
 class Refutation(Message):
@@ -390,6 +297,3 @@ class Refutation(Message):
 
     target: int = -1
     incarnation: int = 0
-
-    def _payload_bytes(self) -> int:
-        return 2 * _WORD  # target, incarnation

@@ -91,13 +91,6 @@ class DisseminationRecord:
     def total_relay_messages(self) -> int:
         return sum(self.relay_msgs.values())
 
-    def hit_ratio(self) -> float:
-        """Fraction of this event's subscribers that received it (1.0 when
-        the topic had no other subscriber — nothing was missed)."""
-        if not self.subscribers:
-            return 1.0
-        return len(self.delivered_hops) / len(self.subscribers)
-
 
 def restrict_record(
     record: DisseminationRecord, eligible: Iterable[int]
@@ -263,11 +256,3 @@ class MetricsCollector:
             "traffic_overhead_pct": self.traffic_overhead_pct(),
             "mean_delay_hops": self.mean_delay(),
         }
-
-    def reset(self) -> None:
-        """Drop all accumulated records and counters."""
-        self.records.clear()
-        self._interested_total = self._relay_total = 0
-        self._interested.clear()
-        self._relay.clear()
-        self._folded = 0

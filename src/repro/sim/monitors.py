@@ -2,14 +2,12 @@
 
 The churn experiments report metrics as time series (Fig. 12's three
 panels).  :class:`TimeSeries` is the small building block they share with
-the examples: named series of (time, value) samples with tabular export compatible with
-:mod:`repro.experiments.reporting`.
+the examples: named series of (time, value) samples.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["TimeSeries"]
 
@@ -18,8 +16,7 @@ class TimeSeries:
     """Named series of time-stamped samples.
 
     Samples must arrive in non-decreasing time order per series (the
-    simulation clock is monotone), which lets :meth:`to_rows` find each
-    timestamp's samples by bisection.
+    simulation clock is monotone).
     """
 
     def __init__(self) -> None:
@@ -54,33 +51,3 @@ class TimeSeries:
         rewound (e.g. a run-level probe series fed by per-trial clocks)."""
         times = self._times.get(name)
         return times[-1] if times else None
-
-    # ------------------------------------------------------------------
-    def to_rows(
-        self, names: Optional[Sequence[str]] = None, time_key: str = "time"
-    ) -> List[Dict]:
-        """Align series on their union of timestamps into row dicts
-        (missing samples render as None) — the shape
-        :func:`repro.experiments.reporting.format_table` consumes."""
-        if names is None:
-            names = self.names()
-        all_times = sorted({t for n in names for t in self._times.get(n, ())})
-        rows: List[Dict] = []
-        for t in all_times:
-            # A series may hold several samples at the same instant (e.g.
-            # repeated probes within one cycle); emit one row per
-            # occurrence, aligning the k-th duplicate of each series.
-            spans: Dict[str, tuple] = {}
-            occurrences = 1
-            for n in names:
-                ts = self._times.get(n, [])
-                lo, hi = bisect_left(ts, t), bisect_right(ts, t)
-                spans[n] = (lo, hi)
-                occurrences = max(occurrences, hi - lo)
-            for k in range(occurrences):
-                row: Dict = {time_key: t}
-                for n in names:
-                    lo, hi = spans[n]
-                    row[n] = self._values[n][lo + k] if lo + k < hi else None
-                rows.append(row)
-        return rows

@@ -131,37 +131,11 @@ class Network:
         self._nodes[node.address] = node
         return node
 
-    def get(self, address: int) -> Optional[BaseNode]:
-        """The node at ``address``, or None if never registered."""
-        return self._nodes.get(address)
-
-    def node(self, address: int) -> BaseNode:
-        """The node at ``address``; raises KeyError if unknown."""
-        return self._nodes[address]
-
-    def is_alive(self, address: int) -> bool:
-        """True iff the address is registered and the node is up."""
-        n = self._nodes.get(address)
-        return n is not None and n.alive
-
     def __len__(self) -> int:
         return len(self._nodes)
 
     def __iter__(self) -> Iterator[BaseNode]:
         return iter(self._nodes.values())
-
-    @property
-    def addresses(self) -> List[int]:
-        """All registered addresses (alive or not), ascending."""
-        return sorted(self._nodes)
-
-    def live_nodes(self) -> List[BaseNode]:
-        """All nodes currently up."""
-        return [n for n in self._nodes.values() if n.alive]
-
-    def live_count(self) -> int:
-        """Number of nodes currently up."""
-        return sum(1 for n in self._nodes.values() if n.alive)
 
     # ------------------------------------------------------------------
     # Transport
@@ -219,7 +193,7 @@ class Network:
             self._record_fault(msg)
             return True
         if self.capacity is not None and not self.capacity.offer(
-            msg.src, msg.dst, kind, self.engine.now, nbytes=msg.size_bytes
+            msg.src, msg.dst, kind, self.engine.now
         ):
             self._record_shed(msg)
             return True

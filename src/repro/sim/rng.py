@@ -43,16 +43,10 @@ class SeedTree:
 
     def __init__(self, seed: int) -> None:
         self._root = np.random.SeedSequence(seed)
-        self._seed = int(seed)
         # Cache of spawned child sequences so that repeated requests for the
         # same name return *the same underlying entropy*, while distinct
         # names map to independent streams.
         self._children: Dict[tuple, np.random.SeedSequence] = {}
-
-    @property
-    def seed(self) -> int:
-        """The root seed this tree was built from."""
-        return self._seed
 
     def _sequence(self, *name) -> np.random.SeedSequence:
         key = tuple(name)
@@ -60,8 +54,7 @@ class SeedTree:
         if seq is None:
             # Derive a child deterministically from the root entropy and the
             # name.  Hash the name parts into integers so arbitrary strings
-            # and ints can be mixed.  The root's own spawn key is kept as a
-            # prefix so sub-trees stay independent namespaces.
+            # and ints can be mixed.
             extra = tuple(_name_to_int(part) for part in key)
             seq = np.random.SeedSequence(
                 entropy=self._root.entropy,
@@ -76,20 +69,6 @@ class SeedTree:
         # A 128-bit state is plenty to seed the Mersenne twister.
         state = int(seq.generate_state(2, dtype=np.uint64)[0])
         return random.Random(state)
-
-    def child(self, *name) -> "SeedTree":
-        """Return a sub-tree rooted at the named stream.
-
-        Useful to hand a component its own namespace:
-        ``tree.child("vitis").pyrandom("node", 3)`` never collides with
-        streams drawn from ``tree.child("rvr")``.
-        """
-        seq = self._sequence(*name)
-        sub = SeedTree.__new__(SeedTree)
-        sub._root = seq
-        sub._seed = int(seq.generate_state(1, dtype=np.uint64)[0])
-        sub._children = {}
-        return sub
 
 
 def _name_to_int(part) -> int:

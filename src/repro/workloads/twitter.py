@@ -247,11 +247,6 @@ class TwitterSample:
         """Per-node topic sets (topic id = dense node id of the followee)."""
         return list(self.following)
 
-    def mean_subscriptions(self) -> float:
-        if not self.following:
-            return 0.0
-        return sum(len(s) for s in self.following) / len(self.following)
-
     def in_degrees(self) -> List[int]:
         counts = [0] * len(self.users)
         for subs in self.following:

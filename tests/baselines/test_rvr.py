@@ -29,8 +29,7 @@ class TestStructure:
             assert LinkKind.FRIEND not in kinds
 
     def test_all_slots_structural(self, rvr):
-        assert rvr.config.n_sw_links == rvr.config.rt_size - 2
-        assert rvr.config.n_friends == 0
+        assert rvr.config.n_sw_links == rvr.config.rt_size - 2  # no friend slot
 
     def test_ring_converges(self, rvr):
         assert is_ring_converged(rvr.ids_by_address(), rvr.successor_map())
@@ -67,7 +66,7 @@ class TestDissemination:
             if not subs:
                 continue
             rec = rvr.publish(topic, subs[0])
-            assert rec.hit_ratio() == 1.0, f"topic {topic}"
+            assert rec.n_delivered == rec.n_subscribers, f"topic {topic}"
 
     def test_relay_traffic_exists(self, rvr):
         """Scribe trees route through uninterested intermediaries."""
@@ -86,5 +85,5 @@ class TestDissemination:
             if a not in subs and not rvr.nodes[a].relay.on_tree(topic)
         )
         rec = rvr.publish(topic, outsider)
-        assert rec.hit_ratio() == 1.0
+        assert rec.n_delivered == rec.n_subscribers
         assert rec.total_relay_messages > 0

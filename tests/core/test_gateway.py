@@ -63,7 +63,7 @@ class Cluster:
         return sorted(
             a
             for a in self.subscribed
-            if self.states[a].get(TOPIC) and self.states[a].get(TOPIC).gw_addr == a
+            if self.states[a].proposals.get(TOPIC) and self.states[a].proposals.get(TOPIC).gw_addr == a
         )
 
 
@@ -78,9 +78,9 @@ class TestSingleCluster:
         c.run(5)
         assert c.gateways() == [3]
         # Everyone's proposal names node 3 with correct hop counts.
-        assert c.states[0].get(TOPIC).gw_addr == 3
-        assert c.states[0].get(TOPIC).hops == 3
-        assert c.states[2].get(TOPIC).hops == 1
+        assert c.states[0].proposals.get(TOPIC).gw_addr == 3
+        assert c.states[0].proposals.get(TOPIC).hops == 3
+        assert c.states[2].proposals.get(TOPIC).hops == 1
 
     def test_isolated_node_is_its_own_gateway(self):
         c = Cluster(ids={0: 10}, edges=[], topic_hash=100)
@@ -99,7 +99,7 @@ class TestSingleCluster:
         assert len(gws) >= 2
         # Every node is within depth of its proposed gateway.
         for a in ids:
-            assert c.states[a].get(TOPIC).hops < 2
+            assert c.states[a].proposals.get(TOPIC).hops < 2
 
     def test_two_phase_round_reads_previous_state(self):
         # Proposals spread exactly one hop per round: round 1 initialises
@@ -111,9 +111,9 @@ class TestSingleCluster:
             topic_hash=100,
         )
         c.run(1)
-        assert c.states[0].get(TOPIC).gw_addr == 0  # only self known
+        assert c.states[0].proposals.get(TOPIC).gw_addr == 0  # only self known
         c.run(1)
-        assert c.states[0].get(TOPIC).gw_addr == 1  # one hop of spread
+        assert c.states[0].proposals.get(TOPIC).gw_addr == 1  # one hop of spread
 
     def test_gateway_topics_accessor(self):
         c = Cluster(ids={0: 10, 1: 99}, edges=[(0, 1)], topic_hash=100)
@@ -168,7 +168,7 @@ class TestProposal:
         s = GatewayState(1, 40)
         s.proposals[TOPIC] = Proposal(1, 40, 1, 0)
         s.clear()
-        assert s.get(TOPIC) is None
+        assert s.proposals.get(TOPIC) is None
 
 
 class TestProposalMapsAreValues:

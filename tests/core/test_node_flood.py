@@ -368,7 +368,7 @@ def test_rt_exchange_round_equals_one_cycle_driven_tman_step():
 
     def table(node):
         return [
-            (e.address, e.node_id, e.kind, e.age, e.descriptor.age) for e in node.rt
+            (e.address, e.descriptor.node_id, e.kind, e.age, e.descriptor.age) for e in node.rt
         ]
 
     def plant():

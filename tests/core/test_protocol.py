@@ -104,7 +104,7 @@ class TestElectionAndRelays:
         topic = p.topics()[0]
         tid = p.topic_id(topic)
         for a in p.sub_index[topic]:
-            prop = p.nodes[a].gw_state.get(topic)
+            prop = p.nodes[a].gw_state.proposals.get(topic)
             assert prop is not None
             assert prop.hops < p.config.gateway_depth
 
@@ -144,7 +144,7 @@ class TestElectionResultCache:
             p.nodes[a].rt.replace([(p.nodes[b].descriptor(), LinkKind.FRIEND)])
         p.finalize()
         state = p.nodes[follower].gw_state
-        assert state.get(0).gw_addr == gateway
+        assert state.proposals.get(0).gw_addr == gateway
 
         # The gateway (and rendezvous) crashes; the follower still lists
         # it in its routing table.

@@ -150,9 +150,9 @@ class TestExchange:
         # The node's own zero-age descriptor rides last.
         assert list(buf.items())[-1] == (0, (0, a.node_id, 0))
         # Sample vs. table: the fresher age wins.
-        a.rt.get(1).age = 2
+        a.rt.by_address().get(1).age = 2
         assert a._exchange_pool()[1] == (1, SPACE.node_id(1), 2)
-        a.rt.get(1).age = 9
+        a.rt.by_address().get(1).age = 9
         assert a._exchange_pool()[1] == (1, SPACE.node_id(1), 5)
 
     def test_merge_keeps_freshest_and_heartbeat_age(self):
@@ -164,12 +164,12 @@ class TestExchange:
             (5, SPACE.node_id(5), 7),
             (5, SPACE.node_id(5), 2),   # duplicate on the wire: freshest wins
         ]
-        a.rt.get(4).age = 6
+        a.rt.by_address().get(4).age = 6
         a._merge_and_select(a._exchange_pool(), received, lambda x: None)
         assert sorted(a.rt.addresses) == [4, 5]
-        assert a.rt.get(4).descriptor.age == 1
-        assert a.rt.get(4).age == 6   # a retained neighbor keeps its heartbeat age
-        assert a.rt.get(5).age == 2
+        assert a.rt.by_address().get(4).descriptor.age == 1
+        assert a.rt.by_address().get(4).age == 6   # a retained neighbor keeps its heartbeat age
+        assert a.rt.by_address().get(5).age == 2
 
 
 class TestHeartbeats:
@@ -182,4 +182,4 @@ class TestHeartbeats:
             evicted += node.heartbeat_step(lambda a: a == 1)
         assert evicted == [2]
         assert 2 not in node.rt
-        assert node.rt.get(1).age == 0
+        assert node.rt.by_address().get(1).age == 0

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.experiments.executor import run_sweep
 from repro.experiments.scenarios import SCENARIOS
 from repro.experiments.spec import (
     Scenario,
     Sweep,
-    derive_seed,
     flat_reduce,
     rows_reduce,
     trial_key,
@@ -21,66 +21,43 @@ def _many_rows(n, seed):
     return [{"i": i} for i in range(n)]
 
 
-class TestDeriveSeed:
-    def test_deterministic(self):
-        assert derive_seed(0, "fig4", "vitis", 3) == derive_seed(0, "fig4", "vitis", 3)
-
-    def test_distinct_paths_differ(self):
-        seeds = {
-            derive_seed(0, "fig4", "vitis", f) for f in (0, 3, 6, 9, 12)
-        }
-        assert len(seeds) == 5
-
-    def test_base_seed_matters(self):
-        assert derive_seed(0, "a") != derive_seed(1, "a")
-
-    def test_31_bit_range(self):
-        for base in range(20):
-            s = derive_seed(base, "x")
-            assert 0 <= s < 2**31
-
-
 class TestSweep:
     def test_trials_keep_insertion_order(self):
-        sw = Sweep("t", seed=0)
+        sw = Sweep("t")
         for x in (5, 1, 9):
-            sw.trial(_one_row, key=(x,), x=x)
+            sw.trial(_one_row, key=(x,), seed=x, x=x)
         assert [t.kwargs["x"] for t in sw.trials] == [5, 1, 9]
 
-    def test_derived_seeds_stable_and_distinct(self):
-        sw1 = Sweep("t", seed=0)
-        sw2 = Sweep("t", seed=0)
-        a = [sw1.trial(_one_row, key=(x,), x=x).seed for x in range(4)]
-        b = [sw2.trial(_one_row, key=(x,), x=x).seed for x in range(4)]
-        assert a == b
-        assert len(set(a)) == 4
+    def test_seed_is_required(self):
+        with pytest.raises(TypeError):
+            Sweep("t").trial(_one_row, key=(1,), x=1)
 
     def test_pinned_seed_wins(self):
-        sw = Sweep("t", seed=0)
+        sw = Sweep("t")
         t = sw.trial(_one_row, key=("p",), seed=77, x=1)
         assert t.seed == 77
 
     def test_default_reduce_is_rows(self):
-        sw = Sweep("t", seed=0)
+        sw = Sweep("t")
         assert sw.reduce is rows_reduce
 
     def test_run_reduces_in_trial_order(self):
-        sw = Sweep("t", seed=0)
+        sw = Sweep("t")
         for x in (3, 1, 2):
             sw.trial(_one_row, key=(x,), seed=x, x=x)
-        rows = sw.run()
+        rows = run_sweep(sw)
         assert [r["x"] for r in rows] == [3, 1, 2]
 
     def test_flat_reduce(self):
-        sw = Sweep("t", seed=0, reduce=flat_reduce)
+        sw = Sweep("t", reduce=flat_reduce)
         sw.trial(_many_rows, key=("a",), seed=0, n=2)
         sw.trial(_many_rows, key=("b",), seed=0, n=1)
-        assert sw.run() == [{"i": 0}, {"i": 1}, {"i": 0}]
+        assert run_sweep(sw) == [{"i": 0}, {"i": 1}, {"i": 0}]
 
 
 class TestTrialKey:
     def _trial(self, **kw):
-        sw = Sweep("t", seed=0)
+        sw = Sweep("t")
         return sw, sw.trial(_one_row, key=("k",), seed=1, **kw)
 
     def test_stable(self):
@@ -98,13 +75,13 @@ class TestTrialKey:
         assert trial_key("other", t) != trial_key(sw, t)
 
     def test_seed_changes_key(self):
-        sw = Sweep("t", seed=0)
+        sw = Sweep("t")
         t1 = sw.trial(_one_row, key=("a",), seed=1, x=3)
         t2 = sw.trial(_one_row, key=("b",), seed=2, x=3)
         assert trial_key(sw, t1) != trial_key(sw, t2)
 
     def test_unpicklable_kwargs_rejected(self):
-        sw = Sweep("t", seed=0)
+        sw = Sweep("t")
         t = sw.trial(_one_row, key=("bad",), seed=1, x=object())
         with pytest.raises(TypeError):
             trial_key(sw, t)

@@ -224,7 +224,7 @@ class TestRefutation:
         assert p.false_evictions == 0
         # Each refutation of the target rode an incarnation bump (total
         # order of verdicts about one node).
-        assert det.incarnation(target) >= 1
+        assert det._verdicts[target].incarnation >= 1
 
     def test_unhearable_node_is_falsely_confirmed(self):
         """The converse: when the obituary can neither be heard nor
@@ -250,11 +250,11 @@ class TestGracefulRejoin:
         crash_nodes(p, (victim,))
         p.run_cycles(12)
         assert det.confirmed(victim)
-        inc = det.incarnation(victim)
+        inc = det._verdicts[victim].incarnation
         p.rejoin(victim)
         assert p.is_alive(victim) and p.liveness(victim)
         assert det._verdicts[victim].state == STATE_ALIVE
-        assert det.incarnation(victim) == inc + 1
+        assert det._verdicts[victim].incarnation == inc + 1
         assert det.rejoins == 1
 
     def test_rejoin_clears_false_eviction_bookkeeping(self):

@@ -215,7 +215,6 @@ NAN = float("nan")
     lambda: NodeCapacity(period=NAN),
     lambda: NodeCapacity(backpressure_at=NAN),
     lambda: NodeCapacity(red_start=NAN),
-    lambda: NodeCapacity(queue_bytes=NAN),
 ], ids=[
     "MessageLoss.rate", "LinkLoss.rate", "LinkLoss.lossy_fraction",
     "SlowLinks.extra", "Partition.start", "Partition.heal_at",
@@ -224,7 +223,7 @@ NAN = float("nan")
     "RetryPolicy.max_delay", "RetryPolicy.jitter",
     "NodeCapacity.service_rate", "NodeCapacity.queue_depth",
     "NodeCapacity.period", "NodeCapacity.backpressure_at",
-    "NodeCapacity.red_start", "NodeCapacity.queue_bytes",
+    "NodeCapacity.red_start",
 ])
 def test_a_nan_parameter_is_refused(build):
     """Every comparison a constructor validates with is false for NaN,

@@ -223,7 +223,7 @@ class TestAgeAndEvictUnit:
         for _ in range(50):
             assert rt.age_and_evict(lambda a: True, 5) == []
         assert sorted(rt.addresses) == [1, 2, 3]
-        assert all(e.age == 0 for e in rt.entries())
+        assert all(e.age == 0 for e in rt)
 
     def test_reappearing_neighbor_resets_its_age(self):
         rt = self._table()

@@ -53,7 +53,7 @@ class TestShuffle:
         run_rounds(services, 20)
         known = set()
         for s in services.values():
-            known.update(s.view.addresses)
+            known.update(d.address for d in s.view)
         assert len(known) >= 25
 
     def test_empty_view_step_is_safe(self):
@@ -85,7 +85,7 @@ class TestInDegreeBalance:
         run_rounds(services, 25)
         indeg = {a: 0 for a in services}
         for s in services.values():
-            for addr in s.view.addresses:
+            for addr in (d.address for d in s.view):
                 indeg[addr] += 1
         assert max(indeg.values()) <= 20
 

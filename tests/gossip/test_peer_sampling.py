@@ -65,7 +65,7 @@ class TestConvergence:
         # behaviour; nodes stay connected because they keep initiating).
         known = set()
         for s in services.values():
-            known.update(s.view.addresses)
+            known.update(d.address for d in s.view)
         assert len(known) >= 20
 
     def test_in_degree_not_degenerate(self):
@@ -73,7 +73,7 @@ class TestConvergence:
         run_rounds(services, 20)
         indeg = {a: 0 for a in services}
         for s in services.values():
-            for addr in s.view.addresses:
+            for addr in (d.address for d in s.view):
                 indeg[addr] += 1
         # Nobody should be referenced by everyone or by no one.
         assert max(indeg.values()) < 40
@@ -108,4 +108,4 @@ class TestSampling:
         services = build_population(30)
         run_rounds(services, 10)
         s = services[5]
-        assert set(d.address for d in s.sample(5)) <= set(s.view.addresses)
+        assert set(d.address for d in s.sample(5)) <= {d.address for d in s.view}

@@ -16,13 +16,6 @@ class TestDescriptor:
     def test_hashable(self):
         assert len({Descriptor(1, 5, 0), Descriptor(1, 5, 3)}) == 1
 
-    def test_copy_with_age(self):
-        c = d(1, age=4).copy(age=0)
-        assert c.age == 0 and c.address == 1
-
-    def test_copy_preserves_age(self):
-        assert d(1, age=4).copy().age == 4
-
 
 class TestPartialViewBasics:
     def test_size_bound_validated(self):
@@ -56,8 +49,8 @@ class TestPartialViewBasics:
 
     def test_addresses_and_descriptors(self):
         v = PartialView(5, [d(1), d(2)])
-        assert sorted(v.addresses) == [1, 2]
-        assert len(v.descriptors()) == 2
+        assert sorted(e.address for e in v) == [1, 2]
+        assert len(list(v)) == 2
 
 
 class TestAging:
@@ -76,14 +69,14 @@ class TestAging:
         for i, age in [(1, 3), (2, 0), (3, 1)]:
             v.insert(d(i, age))
         v.trim()
-        assert sorted(v.addresses) == [2, 3]
+        assert sorted(e.address for e in v) == [2, 3]
 
     def test_trim_ties_broken_by_address(self):
         v = PartialView(1)
         v.insert(d(5, 0))
         v.insert(d(2, 0))
         v.trim()
-        assert v.addresses == [2]
+        assert [e.address for e in v] == [2]
 
     def test_trim_noop_when_small(self):
         v = PartialView(5, [d(1)])
@@ -113,7 +106,7 @@ class TestNoAliasing:
 
     def test_returned_descriptors_are_snapshots(self):
         v = PartialView(5, [d(1, 2)])
-        for got in (v.get(1), v.descriptors()[0], next(iter(v))):
+        for got in (v.get(1), next(iter(v))):
             got.age = 77
         assert v.get(1).age == 2
 

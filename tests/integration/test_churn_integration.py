@@ -86,7 +86,7 @@ class TestVitisVsRvrUnderFlashCrowd:
                 [(a, 0.0, 1000.0) for a in range(POOL // 2)]
             )
             crowd = ChurnSchedule.flash_crowd(list(range(POOL // 2, POOL)), at=30.0)
-            base.merged(crowd).apply(p.engine, p.join, p.leave)
+            ChurnSchedule([*base, *crowd]).apply(p.engine, p.join, p.leave)
             p.run_cycles(33)  # 3 cycles after the crowd lands
             col = measure(p, 80, seed=7, min_join_age=2.0)
             results[name] = col.hit_ratio()

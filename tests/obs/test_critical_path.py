@@ -46,7 +46,6 @@ class TestBreakdown:
         bd = delivery_breakdown(tree, deep.span)
         assert bd.addr == 6 and bd.hops == 3
         assert (bd.flood, bd.relay, bd.rendezvous, bd.lookup) == (1, 1, 1, 0)
-        assert bd.edges == 3
 
     def test_event_path_stats_picks_deepest(self):
         st = event_path_stats(tree_of(two_branch_event()))

@@ -16,8 +16,8 @@ class TestPhaseTimer:
         pt = make_timer([0.0, 2.5])
         with pt.phase("build"):
             pass
-        assert pt.total("build") == 2.5
-        assert pt.calls("build") == 1
+        assert pt._totals.get("build", 0.0) == 2.5
+        assert pt._calls.get("build", 0) == 1
 
     def test_nesting_joins_paths(self):
         # Enter fig4 at 0, converge at 1; exit converge at 4, fig4 at 10.
@@ -25,17 +25,17 @@ class TestPhaseTimer:
         with pt.phase("fig4"):
             with pt.phase("converge"):
                 pass
-        assert pt.total("fig4/converge") == 3.0
-        assert pt.total("fig4") == 10.0  # inclusive of children
-        assert pt.calls("fig4") == 1
+        assert pt._totals.get("fig4/converge", 0.0) == 3.0
+        assert pt._totals.get("fig4", 0.0) == 10.0  # inclusive of children
+        assert pt._calls.get("fig4", 0) == 1
 
     def test_reentry_accumulates(self):
         pt = make_timer([0.0, 1.0, 5.0, 7.0])
         for _ in range(2):
             with pt.phase("measure"):
                 pass
-        assert pt.calls("measure") == 2
-        assert pt.total("measure") == 3.0  # 1.0 + 2.0
+        assert pt._calls.get("measure", 0) == 2
+        assert pt._totals.get("measure", 0.0) == 3.0  # 1.0 + 2.0
 
     def test_same_name_different_parents_are_distinct(self):
         pt = make_timer([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
@@ -45,9 +45,9 @@ class TestPhaseTimer:
         with pt.phase("b"):
             with pt.phase("x"):
                 pass
-        assert pt.calls("a/x") == 1
-        assert pt.calls("b/x") == 1
-        assert pt.calls("x") == 0
+        assert pt._calls.get("a/x", 0) == 1
+        assert pt._calls.get("b/x", 0) == 1
+        assert pt._calls.get("x", 0) == 0
 
     def test_slash_in_name_rejected(self):
         with pytest.raises(ValueError):
@@ -106,8 +106,8 @@ class TestMerge:
         with parent.phase("converge"):
             pass
         parent.merge({"totals": {"converge": 2.5}, "calls": {"converge": 3}})
-        assert parent.total("converge") == 3.5
-        assert parent.calls("converge") == 4
+        assert parent._totals.get("converge", 0.0) == 3.5
+        assert parent._calls.get("converge", 0) == 4
 
     def test_prefix_nests_worker_paths(self):
         # A worker's 'converge' lands under the parent's 'fig4', exactly
@@ -117,9 +117,9 @@ class TestMerge:
             {"totals": {"converge": 2.0}, "calls": {"converge": 1}},
             prefix="fig4",
         )
-        assert parent.total("fig4/converge") == 2.0
-        assert parent.calls("fig4/converge") == 1
-        assert parent.total("converge") == 0.0
+        assert parent._totals.get("fig4/converge", 0.0) == 2.0
+        assert parent._calls.get("fig4/converge", 0) == 1
+        assert parent._totals.get("converge", 0.0) == 0.0
 
     def test_prefix_preserves_nested_worker_subpaths(self):
         # Workers nest internally too: 'converge/probe' must become
@@ -132,9 +132,9 @@ class TestMerge:
             },
             prefix="fig4",
         )
-        assert parent.total("fig4/converge") == 5.0
-        assert parent.total("fig4/converge/probe") == 2.0
-        assert parent.calls("fig4/converge/probe") == 4
+        assert parent._totals.get("fig4/converge", 0.0) == 5.0
+        assert parent._totals.get("fig4/converge/probe", 0.0) == 2.0
+        assert parent._calls.get("fig4/converge/probe", 0) == 4
 
     def test_worker_snapshots_fold_to_serial_totals(self):
         # Run two 'trials' serially on one timer, then the same trials on
@@ -166,8 +166,8 @@ class TestMerge:
             parent.merge(snap)
 
         assert parent.to_dict() == serial.to_dict()
-        assert parent.calls("trial") == 2
-        assert parent.total("trial/converge") == serial.total("trial/converge")
+        assert parent._calls.get("trial", 0) == 2
+        assert parent._totals.get("trial/converge", 0.0) == serial._totals.get("trial/converge", 0.0)
 
     def test_merge_does_not_fire_on_exit(self):
         # Merged entries were already reported in the worker; re-firing
@@ -177,12 +177,12 @@ class TestMerge:
         parent.on_exit = lambda path, dur: seen.append((path, dur))
         parent.merge({"totals": {"p": 1.0}, "calls": {"p": 1}})
         assert seen == []
-        assert parent.total("p") == 1.0
+        assert parent._totals.get("p", 0.0) == 1.0
 
     def test_missing_calls_default_to_one(self):
         parent = PhaseTimer()
         parent.merge({"totals": {"p": 1.0}, "calls": {}})
-        assert parent.calls("p") == 1
+        assert parent._calls.get("p", 0) == 1
 
     def test_merge_into_open_phase_via_telemetry(self):
         # Telemetry.merge_snapshot prefixes with the parent's *currently
@@ -201,5 +201,5 @@ class TestMerge:
                     },
                 }
             )
-        assert telemetry.phases.total("fig4/converge") == 2.0
-        assert telemetry.phases.calls("fig4/converge") == 1
+        assert telemetry.phases._totals.get("fig4/converge", 0.0) == 2.0
+        assert telemetry.phases._calls.get("fig4/converge", 0) == 1

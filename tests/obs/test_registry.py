@@ -19,12 +19,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_holds_the_last_value(self):
         g = Gauge()
         g.set(10)
-        g.inc(5)
-        g.inc(-2)  # a gauge goes down through inc
-        assert g.value == 13.0
+        g.set(-2)  # a gauge goes down as well as up
+        assert g.value == -2.0
 
 
 class TestHistogram:

@@ -131,7 +131,7 @@ class TestScope:
         assert counters["events_published_total{system=vitis}"] == 20
         assert "gossip_ps_exchanges_total{system=vitis}" in counters
         for phase in ("build", "converge", "finalize", "measure"):
-            assert tel.phases.calls(phase) == 1
+            assert tel.phases._calls.get(phase, 0) == 1
         # The trace carries the four headline event types.
         events = [json.loads(l) for l in tel.trace._fh.getvalue().splitlines()]
         kinds = {e["ev"] for e in events}

@@ -30,7 +30,8 @@ class TestEventOrdering:
         for d in ds:
             e.schedule(d, lambda: stamps.append(e.now))
         last = -1.0
-        while e.step():
+        while e.pending:
+            e.run(max_events=1)
             assert e.now >= last
             last = e.now
 
@@ -89,7 +90,7 @@ class ModelEngine:
 
     ``pending`` is counted by scanning, a handle that left the list is
     inert because nothing looks at it again, and a cancelled entry is
-    dropped when it reaches the head of a ``step`` / ``run`` — the one
+    dropped when it reaches the head of a ``run`` — the one
     laziness of the real engine a program can observe (by un-cancelling
     afterwards).
     """
@@ -116,14 +117,6 @@ class ModelEngine:
         h.callback(*h.args)
         self.processed += 1
 
-    def step(self):
-        while self.queue:
-            h = self.queue.pop(0)
-            if not h.cancelled:
-                self._fire(h)
-                return True
-        return False
-
     def run(self, until=None, max_events=None):
         executed = 0
         while self.queue:
@@ -138,9 +131,6 @@ class ModelEngine:
                 executed += 1
         if until is not None and self.now < until:
             self.now = until
-
-    def clear(self):
-        del self.queue[:]
 
 
 class _Interpreter:
@@ -167,16 +157,14 @@ class _Interpreter:
             self.handles.append(getattr(self.engine, name)(when, callback, *args))
         elif name == "cancel":
             index, value = rest
-            if self.handles:  # fired, cleared and queued handles alike
+            if self.handles:  # fired and queued handles alike
                 self.handles[index % len(self.handles)].cancelled = value
-        elif name == "run":
+        else:
             until, max_events = rest
             self.engine.run(
                 until=None if until is None else self.engine.now + until,
                 max_events=max_events,
             )
-        else:
-            getattr(self.engine, name)()  # step, clear
 
     def observe(self):
         e = self.engine
@@ -198,8 +186,6 @@ _from_inside = st.one_of(st.none(), _cancel, _scheduling(st.one_of(st.none(), _c
 _ops = st.one_of(
     _scheduling(_from_inside),
     _cancel,
-    st.just(("step",)),
-    st.just(("clear",)),
     st.tuples(
         st.just("run"), st.one_of(st.none(), _offsets), st.one_of(st.none(), st.integers(0, 4))
     ),

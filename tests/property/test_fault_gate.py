@@ -58,9 +58,9 @@ class RecordingInboxes(CapacityModel):
         super().__init__(capacity)
         self.calls = []
 
-    def offer(self, src, dst, kind, now, nbytes=0):
+    def offer(self, src, dst, kind, now):
         self.calls.append((src, dst, kind, now))
-        return super().offer(src, dst, kind, now, nbytes)
+        return super().offer(src, dst, kind, now)
 
 
 @st.composite

@@ -120,7 +120,7 @@ class TestElectionInvariants:
         e = Election(*graph)
         e.run_to_fixed_point()
         gateways = {
-            a for a in e.ids if e.states[a].get(TOPIC).gw_addr == a
+            a for a in e.ids if e.states[a].proposals.get(TOPIC).gw_addr == a
         }
         for comp in e.components():
             assert gateways & comp, f"component {comp} has no gateway"
@@ -132,7 +132,7 @@ class TestElectionInvariants:
         e.run_to_fixed_point()
         for comp in e.components():
             for a in comp:
-                assert e.states[a].get(TOPIC).gw_addr in comp
+                assert e.states[a].proposals.get(TOPIC).gw_addr in comp
 
     @given(cluster_graphs())
     @settings(max_examples=80, deadline=None)
@@ -140,7 +140,7 @@ class TestElectionInvariants:
         e = Election(*graph)
         e.run_to_fixed_point()
         for a in e.ids:
-            prop = e.states[a].get(TOPIC)
+            prop = e.states[a].proposals.get(TOPIC)
             assert prop.hops < e.depth
             real = e.hops_to(a, prop.gw_addr)
             assert real is not None and real <= prop.hops
@@ -159,7 +159,7 @@ class TestElectionInvariants:
         e = Election(*graph)
         e.run_to_fixed_point()
         for a, node_id in e.ids.items():
-            prop = e.states[a].get(TOPIC)
+            prop = e.states[a].proposals.get(TOPIC)
             own = SPACE.distance(node_id, e.topic_hash)
             got = SPACE.distance(prop.gw_id, e.topic_hash)
             assert got <= own

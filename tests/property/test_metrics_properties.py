@@ -159,7 +159,7 @@ class TestCollectorDifferential:
                 real.extend(arg)
                 naive.records.extend(arg)
             else:
-                real.reset()
+                real = MetricsCollector()
                 naive.records.clear()
             assert len(real) == len(naive.records)
             assert real.summary() == naive.summary()
@@ -269,7 +269,7 @@ class TestFoldOnRead:
                 for r in arg:
                     eager.add(r)
             elif op == "reset":
-                real.reset()
+                real = MetricsCollector()
                 eager.reset()
             elif arg == "per_node_overhead":
                 # Item order too: Fig. 5's rows list the values in it.

@@ -30,7 +30,6 @@ ops = st.lists(
     st.one_of(
         st.tuples(st.just("inc"), names, labels, st.integers(0, 5)),
         st.tuples(st.just("set"), names, labels, st.integers(-20, 20)),
-        st.tuples(st.just("gauge_inc"), names, labels, st.integers(-5, 5)),
         st.tuples(st.just("observe"), names, labels, st.integers(0, 12)),
         st.tuples(st.just("lookup"), names, labels, st.sampled_from("cgh")),
         st.just(("cursor",)),
@@ -45,8 +44,6 @@ def apply(registry, op) -> None:
         registry.counter(name, **label).inc(value)
     elif kind == "set":
         registry.gauge(name, **label).set(value)
-    elif kind == "gauge_inc":
-        registry.gauge(name, **label).inc(value)
     elif kind == "observe":
         registry.histogram(name, buckets=BUCKETS, **label).observe(value)
     elif value == "c":

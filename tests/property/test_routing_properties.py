@@ -241,7 +241,7 @@ class TestRingCache:
                 rt.age_and_evict(lambda a: a not in arg, threshold=0)
             else:
                 rt.heartbeat(arg)
-            pairs = sorted((e.node_id, e.address) for e in rt.entries())
+            pairs = sorted((e.descriptor.node_id, e.address) for e in rt)
             assert rt.ring() == ([i for i, _ in pairs], [a for _, a in pairs])
             assert rt.ring() is rt.ring()
 

@@ -93,7 +93,7 @@ def build(case):
 
 
 def state(node):
-    table = [(e.address, e.node_id, e.kind, e.age, e.descriptor.age) for e in node.rt]
+    table = [(e.address, e.descriptor.node_id, e.kind, e.age, e.descriptor.age) for e in node.rt]
     return table, node.rng.getstate(), node._umemo
 
 

@@ -2,8 +2,8 @@
 
 ``VitisNode._select_from_pool`` ranks friends from ``_umemo`` without
 validating what it reads, so the memo has to be right *by construction*:
-one stamp (rates version, ``NodeProfile`` epoch — which every profile
-write bumps, the node's own included) empties it, ``join`` empties it,
+one stamp (the ``NodeProfile`` epoch, which every profile write bumps,
+the node's own included) empties it, ``join`` empties it,
 and the message-driven node drops an address whenever what it learned
 about that address changes (``DeployedVitisNode._learn``).  Hypothesis
 interleaves every kind of write with selections on two identical nodes;
@@ -11,8 +11,8 @@ the twin's memo is emptied after each selection (nothing it reads was
 ever remembered), the warm node's never — and they must always agree,
 in what they select and in every utility read.
 
-Mutation-checked, one invalidation point at a time: dropping either
-stamp field, the clear in ``join``, or the memo drop in ``_learn`` for a
+Mutation-checked, one invalidation point at a time: dropping the
+stamp, the clear in ``join``, or the memo drop in ``_learn`` for a
 new-version ``ProfileMessage``, for the heartbeat eviction or for
 ``evict_confirmed`` makes this file fail (each in 4 of 4 fresh runs).
 """
@@ -62,7 +62,7 @@ def flat(selection):
 
 
 def table(node):
-    return [(e.address, e.node_id, e.kind, e.age) for e in node.rt]
+    return [(e.address, e.descriptor.node_id, e.kind, e.age) for e in node.rt]
 
 
 def pool():
@@ -101,7 +101,6 @@ candidates = st.sampled_from(contested())
 cycle_ops = st.one_of(
     st.tuples(st.just("own"), profile_writes),
     st.tuples(st.just("candidate"), candidates, profile_writes),
-    st.tuples(st.just("rates"), st.integers(min_value=0, max_value=2**16)),
     st.tuples(st.just("join"), bootstraps),
 )
 
@@ -138,8 +137,6 @@ def test_cycle_driven_hit_equals_recompute(subs, unknown, ops):
                 getattr(profiles[op[1]], name)(arg)
             else:  # an unknown profile becomes known
                 profiles[op[1]] = NodeProfile(op[1], SPACE.node_id(op[1]), subs[op[1]])
-        elif op[0] == "rates":
-            rates.update(np.random.default_rng(op[1]).uniform(0.1, 10.0, N_TOPICS))
         else:
             # The bootstrap selection knows no profile: a rejoining node
             # must not rank by what it remembered from before the crash.

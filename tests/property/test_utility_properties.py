@@ -88,19 +88,15 @@ class TestRateWeightedProperties:
         g = UtilityFunction()
         assert abs(f(prof(0, a), prof(1, b)) - g(prof(0, a), prof(1, b))) < 1e-9
 
-    @given(topic_sets, topic_sets, any_rate_arrays, st.booleans())
+    @given(topic_sets, topic_sets, any_rate_arrays)
     @settings(max_examples=300)
-    def test_in_unit_interval_for_any_rates_accepted(self, a, b, rates, by_update):
-        """Any float at all is offered, to the constructor or to
-        ``update``; whatever is accepted keeps Eq. 1 in [0, 1] — the
-        precondition of Alg. 4's friend ranking."""
+    def test_in_unit_interval_for_any_rates_accepted(self, a, b, rates):
+        """Any float at all is offered to the constructor; whatever is
+        accepted keeps Eq. 1 in [0, 1] — the precondition of Alg. 4's
+        friend ranking."""
         valid = all(math.isfinite(r) and r >= 0 for r in rates)
         try:
-            if by_update:
-                table = PublicationRates.uniform(N_TOPICS)
-                table.update(np.array(rates))
-            else:
-                table = PublicationRates(np.array(rates))
+            table = PublicationRates(np.array(rates))
         except ValueError:
             assert not valid
             return

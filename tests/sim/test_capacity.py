@@ -43,7 +43,6 @@ class TestNodeCapacityValidation:
             {"backpressure_at": 1.5},
             {"red_start": 1.0},
             {"red_start": -0.1},
-            {"queue_bytes": 0},
         ],
     )
     def test_bad_values_are_rejected(self, kwargs):
@@ -69,7 +68,7 @@ class TestDropNewest:
         # Queue full: even control is tail-dropped.
         assert not m.offer(0, 1, "heartbeat", 0.0)
         assert m.shed["heartbeat"] == 1
-        assert m.queue_depth(1) == 4
+        assert m._inboxes[1].backlog == 4
 
     def test_window_advance_drains_service_rate(self):
         m = self._model(depth=4, rate=2)
@@ -77,10 +76,10 @@ class TestDropNewest:
             m.offer(0, 1, "notify", 0.0)
         # One elapsed window frees exactly service_rate slots.
         assert m.offer(0, 1, "notify", 1.0)
-        assert m.queue_depth(1) == 3
+        assert m._inboxes[1].backlog == 3
         # Three elapsed windows drain everything (no negative backlog).
         assert m.offer(0, 1, "notify", 4.0)
-        assert m.queue_depth(1) == 1
+        assert m._inboxes[1].backlog == 1
 
     def test_inboxes_are_independent(self):
         m = self._model(depth=1)
@@ -105,7 +104,7 @@ class TestDropLowest:
                                 (17, "lookup"), (20, "heartbeat")]:
             while m.offer(0, 1, kind, 0.0):
                 pass
-            assert m.queue_depth(1) == threshold
+            assert m._inboxes[1].backlog == threshold
         assert m.shed["pull"] == 1 and m.shed["heartbeat"] == 1
 
     def test_decision_depends_only_on_backlog(self):
@@ -118,7 +117,7 @@ class TestDropLowest:
         for kind in ("heartbeat", "lookup", "notify", "heartbeat",
                      "lookup", "heartbeat", "heartbeat"):
             b.offer(0, 1, kind, 0.0)
-        assert a.queue_depth(1) == b.queue_depth(1) == 7
+        assert a._inboxes[1].backlog == b._inboxes[1].backlog == 7
         assert a.offer(0, 1, "notify", 0.0) == b.offer(0, 1, "notify", 0.0) is False
 
     def test_unknown_kind_is_treated_as_data(self):
@@ -196,19 +195,6 @@ class TestBackpressure:
             m.offer(0, 1, "notify", 0.0)
         assert m.backpressured(1, 0.0)
         assert not m.backpressured(1, 6.0)  # 6 windows x rate 1 → backlog 2
-
-
-class TestByteBound:
-    def test_oversized_arrival_is_refused(self):
-        m = CapacityModel(
-            NodeCapacity(service_rate=1, queue_depth=100, policy="drop_newest",
-                         queue_bytes=100),
-            rng=_PoisonedRng(),
-        )
-        assert m.offer(0, 1, "notify", 0.0, nbytes=60)
-        assert not m.offer(0, 1, "notify", 0.0, nbytes=60)  # 120 > 100
-        assert m.offer(0, 1, "notify", 0.0, nbytes=40)
-        assert m.shed["notify"] == 1
 
 
 class TestReads:

@@ -27,11 +27,6 @@ class TestSchedule:
         s = ChurnSchedule([ChurnEvent(2.0, 1, "join"), ChurnEvent(1.0, 2, "join")])
         assert [e.time for e in s] == [1.0, 2.0]
 
-    def test_horizon(self):
-        s = ChurnSchedule([ChurnEvent(5.0, 1, "join")])
-        assert s.horizon == 5.0
-        assert ChurnSchedule([]).horizon == 0.0
-
     def test_from_sessions(self):
         s = ChurnSchedule.from_sessions([(1, 0.0, 2.0), (2, 1.0, 3.0)])
         assert len(s) == 4
@@ -41,11 +36,6 @@ class TestSchedule:
     def test_from_sessions_rejects_inverted(self):
         with pytest.raises(ValueError):
             ChurnSchedule.from_sessions([(1, 2.0, 1.0)])
-
-    def test_merged(self):
-        a = ChurnSchedule([ChurnEvent(1.0, 1, "join")])
-        b = ChurnSchedule([ChurnEvent(2.0, 2, "join")])
-        assert len(a.merged(b)) == 2
 
 
 class TestGenerators:
@@ -85,16 +75,15 @@ class TestSimultaneousJoinCrash:
     def test_merge_order_invariant(self):
         crash = ChurnSchedule.crashes([1], at=5.0)
         restart = ChurnSchedule.flash_crowd([1], at=5.0)
-        a = [e.kind for e in crash.merged(restart)]
-        b = [e.kind for e in restart.merged(crash)]
+        a = [e.kind for e in ChurnSchedule([*crash, *restart])]
+        b = [e.kind for e in ChurnSchedule([*restart, *crash])]
         assert a == b == ["leave", "join"]
 
     def test_applied_pair_leaves_the_node_online(self):
         e = Engine()
         online = set()
-        s = ChurnSchedule.crashes([1], at=5.0).merged(
-            ChurnSchedule.flash_crowd([1], at=5.0)
-        )
+        s = ChurnSchedule([*ChurnSchedule.crashes([1], at=5.0),
+                           *ChurnSchedule.flash_crowd([1], at=5.0)])
         s.apply(e, join=online.add, leave=online.discard)
         e.run()
         assert online == {1}

@@ -45,9 +45,6 @@ class TestEngineBasics:
         e.run()
         assert order == [1, 2, 3]
 
-    def test_step_returns_false_when_empty(self):
-        assert Engine().step() is False
-
     def test_cancelled_events_skipped(self):
         e = Engine()
         fired = []
@@ -75,21 +72,13 @@ class TestEngineBasics:
         # longer pending work.
         assert e.pending == 2
 
-    def test_clear_drops_pending(self):
-        e = Engine()
-        fired = []
-        e.schedule(1.0, lambda: fired.append(1))
-        e.clear()
-        e.run()
-        assert fired == []
-
     def test_positional_arguments_reach_the_callback(self):
         e = Engine()
         got = []
         e.schedule(2.0, lambda *a: got.append(a), "x", 2)
         e.schedule_at(1.0, lambda *a: got.append(a), "y")
         e.schedule(3.0, lambda *a: got.append(a))
-        assert e.step() is True  # step() forwards them like run() does
+        e.run(max_events=1)
         assert got == [("y",)]
         e.run()
         assert got == [("y",), ("x", 2), ()]
@@ -195,14 +184,6 @@ class TestPendingCounter:
         e.run()  # pops the tombstone and the live event
         assert e.pending == 0
         h.cancelled = False  # detached handle: no effect on the engine
-        assert e.pending == 0
-
-    def test_clear_resets_counter(self):
-        e = Engine()
-        handles = [e.schedule(1.0, lambda: None) for _ in range(3)]
-        e.clear()
-        assert e.pending == 0
-        handles[0].cancelled = True  # detached: must stay at zero
         assert e.pending == 0
 
 

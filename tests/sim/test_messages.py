@@ -170,46 +170,9 @@ class TestPriorities:
         assert priority_of("frobnicate") == PRIO_NOTIFY
 
 
-class TestSizeBytes:
-    """Regression pins: the nominal wire size of every kind.
-
-    These numbers feed the capacity model's optional byte bound; a size
-    change is a protocol-cost change and must be deliberate.
-    """
-
-    @pytest.mark.parametrize(
-        "msg, nbytes",
-        [
-            (Message(src=0, dst=1), 24),            # bare header
-            (Notification(src=0, dst=1), 56),       # header + 4 words
-            (PullRequest(src=0, dst=1), 32),        # header + event id
-            (PullReply(src=0, dst=1), 1056),        # nominal 1 KiB event
-            (ProfileMessage(src=0, dst=1), 24),     # empty profile
-            (LookupMessage(src=0, dst=1), 48),      # header + 3 words
-            (RelayInstall(src=0, dst=1), 56),       # header + 4 words
-            (PsExchangeRequest(src=0, dst=1), 24),  # empty view
-            (RtExchangeReply(src=0, dst=1), 24),    # empty buffer
-        ],
-    )
-    def test_pinned_default_sizes(self, msg, nbytes):
-        assert msg.size_bytes == nbytes
-
-    def test_pull_reply_payload_overrides_the_nominal_size(self):
-        assert PullReply(src=0, dst=1, payload=b"x" * 10).size_bytes == 24 + 8 + 10
-
-    def test_exchange_size_grows_with_the_view(self):
-        empty = PsExchangeRequest(src=0, dst=1)
-        loaded = PsExchangeRequest(src=0, dst=1, view=[(2, 22, 0), (3, 33, 1)])
-        assert loaded.size_bytes > empty.size_bytes
-
-    def test_rt_exchange_size_grows_with_the_buffer(self):
-        empty = RtExchangeRequest(src=0, dst=1)
-        loaded = RtExchangeRequest(src=0, dst=1, buffer=[(2, 22, 0)])
-        assert loaded.size_bytes > empty.size_bytes
-
+class TestAbstractSize:
     def test_abstract_size_field_is_unchanged(self):
-        # ``size`` is the abstract unit cost used by bytes_sent; the
-        # byte audit must not disturb it.
+        # ``size`` is the abstract unit cost used by bytes_sent.
         assert Message(src=0, dst=1).size == 1
         assert Notification(src=0, dst=1).size == 1
 
@@ -227,13 +190,6 @@ class TestSpanMetadata:
 
         names = {f.name for f in dataclasses.fields(Notification)}
         assert "span" not in names
-
-    def test_stamping_does_not_change_size_bytes(self):
-        plain = Notification(src=0, dst=1, topic=3, event_id=4, hops=2)
-        stamped = Notification(src=0, dst=1, topic=3, event_id=4, hops=2)
-        stamped.span = ("e0", 5, "flood")
-        assert stamped.size_bytes == plain.size_bytes
-        assert plain.size_bytes == 24 + 4 * 8  # pinned: header + 4 words
 
     def test_stamping_does_not_affect_equality_or_repr(self):
         plain = Notification(src=0, dst=1, topic=3)

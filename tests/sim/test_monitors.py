@@ -41,38 +41,3 @@ class TestRecording:
         ts.record("x", 3.0, 7.0)
         ts.record("x", 5.0, 9.0)
         assert ts.latest_time("x") == 5.0
-
-
-class TestRows:
-    def test_alignment_with_gaps(self):
-        ts = TimeSeries()
-        ts.record("a", 1.0, 10)
-        ts.record("a", 2.0, 20)
-        ts.record("b", 2.0, 200)
-        rows = ts.to_rows()
-        assert rows == [
-            {"time": 1.0, "a": 10.0, "b": None},
-            {"time": 2.0, "a": 20.0, "b": 200.0},
-        ]
-
-    def test_duplicate_timestamps_emit_one_row_each(self):
-        ts = TimeSeries()
-        ts.record("a", 1.0, 10)
-        ts.record("a", 1.0, 11)
-        ts.record("a", 1.0, 12)
-        ts.record("b", 1.0, 100)
-        rows = ts.to_rows()
-        # One row per occurrence, k-th duplicates aligned across series.
-        assert rows == [
-            {"time": 1.0, "a": 10.0, "b": 100.0},
-            {"time": 1.0, "a": 11.0, "b": None},
-            {"time": 1.0, "a": 12.0, "b": None},
-        ]
-
-    def test_renders_with_reporting(self):
-        from repro.experiments.reporting import format_table
-
-        ts = TimeSeries()
-        ts.record("hit", 0.0, 1.0)
-        out = format_table(ts.to_rows())
-        assert "hit" in out

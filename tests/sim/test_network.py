@@ -27,7 +27,7 @@ class TestRegistry:
         _, net = make_net()
         n = Recorder(5)
         net.add(n)
-        assert net.get(5) is n
+        assert list(net) == [n] and n.network is net
 
     def test_add_duplicate_rejected(self):
         _, net = make_net()
@@ -35,33 +35,22 @@ class TestRegistry:
         with pytest.raises(ValueError):
             net.add(Recorder(1))
 
-    def test_get_unknown_returns_none(self):
-        _, net = make_net()
-        assert net.get(99) is None
-
-    def test_node_unknown_raises(self):
-        _, net = make_net()
-        with pytest.raises(KeyError):
-            net.node(99)
-
     def test_liveness(self):
         _, net = make_net()
         n = net.add(Recorder(0))
-        assert not net.is_alive(n.address)
+        assert not n.alive
         n.start()
-        assert net.is_alive(n.address)
+        assert n.alive
         n.stop()
-        assert not net.is_alive(n.address)
+        assert not n.alive
 
     def test_live_counts(self):
         _, net = make_net()
         nodes = [net.add(Recorder(a)) for a in range(4)]
         for n in nodes[:3]:
             n.start()
-        assert net.live_count() == 3
-        assert len(net.live_nodes()) == 3
+        assert [n.address for n in net if n.alive] == [0, 1, 2]
         assert len(net) == 4
-        assert net.addresses == [0, 1, 2, 3]
 
 
 class TestTransport:

@@ -41,26 +41,6 @@ class TestDeterminism:
         assert r2.getrandbits(30) == first
 
 
-class TestChildTrees:
-    def test_child_namespaces_are_independent(self):
-        t = SeedTree(11)
-        a = t.child("vitis").pyrandom("node", 3).random()
-        b = t.child("rvr").pyrandom("node", 3).random()
-        assert a != b
-
-    def test_child_deterministic(self):
-        a = SeedTree(11).child("vitis").pyrandom("node", 3).random()
-        b = SeedTree(11).child("vitis").pyrandom("node", 3).random()
-        assert a == b
-
-    def test_child_seed_property(self):
-        t = SeedTree(11)
-        assert isinstance(t.child("x").seed, int)
-
-    def test_root_seed_property(self):
-        assert SeedTree(99).seed == 99
-
-
 class TestNameHashing:
     def test_string_and_int_names_coexist(self):
         t = SeedTree(0)

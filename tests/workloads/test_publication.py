@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.utility import PublicationRates
 from repro.workloads.publication import power_law_rates, sample_topics
 
 
@@ -52,7 +53,6 @@ class TestSampleTopics:
 
     def test_zero_rate_restriction_rejected(self):
         rng = np.random.default_rng(1)
-        r = power_law_rates(10, 1.0, seed=None)
-        r.update(np.zeros(10))
+        r = PublicationRates(np.zeros(10))
         with pytest.raises(ValueError):
             sample_topics(r, 5, rng)

@@ -76,7 +76,7 @@ class TestStatistics:
     def test_rates_track_popularity(self, workload):
         rates = workload.rates()
         assert rates.n_topics == workload.n_feeds
-        assert rates.rate(0) > rates.rate(workload.n_feeds - 1)
+        assert rates.rates[0] > rates.rates[workload.n_feeds - 1]
         assert np.mean(rates.rates) == pytest.approx(1.0)
 
 

@@ -73,4 +73,4 @@ class TestScheduleExport:
 
     def test_time_scaling(self, trace):
         sched = trace.schedule(time_scale=2.0)
-        assert sched.horizon == pytest.approx(2.0 * max(e for _, _, e in trace.sessions))
+        assert sched.events[-1].time == pytest.approx(2.0 * max(e for _, _, e in trace.sessions))

@@ -109,4 +109,5 @@ class TestBfsSample:
         assert a.users == b.users
 
     def test_mean_subscriptions_positive(self, trace):
-        assert trace.bfs_sample(300, seed=1).mean_subscriptions() > 1
+        sample = trace.bfs_sample(300, seed=1)
+        assert sum(map(len, sample.following)) / len(sample.following) > 1
