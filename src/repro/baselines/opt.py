@@ -202,7 +202,7 @@ class OptProtocol(OverlayProtocolBase):
             subscriptions,
             self.utility,
             self.seeds.pyrandom("node", address),
-            view_size=self.config.peer_view_size,
+            view_size=self.config.PEER_VIEW_SIZE,
             max_degree=self._max_degree,
             coverage=self._coverage,
         )
@@ -217,7 +217,7 @@ class OptProtocol(OverlayProtocolBase):
                 ps_ok += 1
         for node in live:
             peer = node.gossip_exchange(
-                self.nodes.get, self.is_alive, self.profile_of, self.config.sample_size
+                self.nodes.get, self.is_alive, self.profile_of, self.config.SAMPLE_SIZE
             )
             if peer is not None:
                 ex_ok += 1

@@ -21,8 +21,7 @@ size multiplied by ``--scale``, runs it through the trial executor and
 prints the row table, whose title carries the wall time.  What the
 flags mean is documented where the feature is:
 
-- ``--jobs``, ``--cache-dir``, ``--resume``, ``--strict-cache`` —
-  ``docs/experiments.md``;
+- ``--jobs``, ``--cache-dir`` — ``docs/experiments.md``;
 - ``--trace-out``, ``--metrics-out``, ``--progress``, ``--log-level``,
   and the ``trace-report`` / ``live-report`` commands —
   ``docs/observability.md``.  With none of the four telemetry flags the
@@ -145,18 +144,8 @@ def _scenario_flags() -> argparse.ArgumentParser:
     )
     shared.add_argument(
         "--cache-dir", metavar="DIR",
-        help="persist every completed trial result under DIR",
-    )
-    shared.add_argument(
-        "--resume", action="store_true",
-        help="with --cache-dir: load cached trial results instead of "
-             "re-running them",
-    )
-    shared.add_argument(
-        "--strict-cache", action="store_true",
-        help="with --resume: recompute cached trials written by a "
-             "different repro version or code state instead of reusing "
-             "them",
+        help="load current cached trial results from DIR instead of "
+             "re-running them, and persist every trial computed there",
     )
     shared.add_argument(
         "--trace-out", metavar="FILE.jsonl",
@@ -261,10 +250,6 @@ def _list(args) -> int:
 def _run_scenario(args) -> int:
     """Build the command's sweep, run it, print (and optionally save)
     the rows."""
-    if args.resume and not args.cache_dir:
-        args.usage_error("--resume requires --cache-dir")
-    if args.strict_cache and not args.resume:
-        args.usage_error("--strict-cache requires --resume")
     if args.log_level:
         level = getattr(logging, args.log_level.upper(), None)
         if not isinstance(level, int):
@@ -295,14 +280,11 @@ def _run_scenario(args) -> int:
         seed=args.seed, scale=args.scale, **overrides
     )
     executor = ParallelExecutor(args.jobs) if args.jobs > 1 else SerialExecutor()
-    cache = (
-        ResultCache(args.cache_dir, strict=args.strict_cache)
-        if args.cache_dir else None
-    )
+    cache = ResultCache(args.cache_dir) if args.cache_dir else None
 
     t0 = time.time()
     with obs.scope(telemetry), telemetry.phase(args.command):
-        rows = run_sweep(sweep, executor=executor, cache=cache, resume=args.resume)
+        rows = run_sweep(sweep, executor=executor, cache=cache)
     elapsed = time.time() - t0
     print(reporting.format_table(rows, title=f"{args.command} ({elapsed:.1f}s)"))
     if args.csv:

@@ -205,7 +205,7 @@ class DeployedVitisNode(VitisNode):
         # never hear back from a neighbor that does not link to us).
         # A backpressured neighbor is skipped this period (re-batched
         # next tick) rather than stuffed — the entry keeps aging, so a
-        # neighbor saturated for staleness_threshold periods is evicted
+        # neighbor saturated for STALENESS_THRESHOLD periods is evicted
         # like a silent one.
         payload = self._profile_payload(is_reply=False)
         backpressured = host.backpressured
@@ -215,7 +215,7 @@ class DeployedVitisNode(VitisNode):
             send(ProfileMessage(src=self.address, dst=entry.address, profile=payload))
 
         # --- relay maintenance ------------------------------------------
-        ttl = self.config.staleness_threshold * self.config.gossip_period
+        ttl = self.config.STALENESS_THRESHOLD * self.config.gossip_period
         for (topic, child), stamp in list(self.child_stamp.items()):
             if now - stamp > ttl:
                 kids = self.relay.children.get(topic)
@@ -296,7 +296,7 @@ class DeployedVitisNode(VitisNode):
         self.relay.add_child(msg.topic, msg.src)
         self.child_stamp[(msg.topic, msg.src)] = now
         self.relay_stamp[msg.topic] = now
-        if msg.hops >= self.config.max_lookup_hops:
+        if msg.hops >= self.config.MAX_LOOKUP_HOPS:
             return
         existing = self.relay.parent.get(msg.topic)
         if existing is not None and self.host.is_alive(existing):
@@ -503,7 +503,7 @@ class DeployedVitisNode(VitisNode):
         targets.pop(self.address, None)
         if exclude is not None:
             targets.pop(exclude, None)
-        if not targets and hops <= self.config.max_lookup_hops:
+        if not targets and hops <= self.config.MAX_LOOKUP_HOPS:
             nxt = self._next_hop(self.host.topic_id(topic))
             if nxt is not None and nxt != exclude:
                 targets[nxt] = HOP_PUBLISH if injecting else HOP_LOOKUP
@@ -577,7 +577,7 @@ class DeployedVitis(OverlaySystem):
     # ------------------------------------------------------------------
     def join(self, address: int) -> None:
         self.nodes[address].deploy(
-            self.bootstrap_descriptors(self.config.peer_view_size, address)
+            self.bootstrap_descriptors(self.config.PEER_VIEW_SIZE, address)
         )
 
     def leave(self, address: int) -> None:

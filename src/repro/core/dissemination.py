@@ -696,7 +696,7 @@ def _make_transmit(
     None on a perfect, unbounded transport (zero-cost-off: the BFS takes
     the exact pre-fault branches and consumes no RNG).  With a fault
     model attached, each notify edge is one logical transmission the
-    model may eat; a healing policy grants ``delivery_retries`` resends
+    model may eat; a healing policy grants ``DELIVERY_RETRIES`` resends
     per edge.  With a capacity model attached, each surviving
     transmission must also be admitted by the receiver's bounded inbox
     (a refusal is a shed the sender does not resend), and backpressure
@@ -725,7 +725,7 @@ def _make_transmit(
     drop = fm.drop if fm is not None else None
     rate, draw = _inline_loss(fm)
     healing = protocol.healing
-    tries = 1 + (healing.delivery_retries if healing is not None else 0)
+    tries = 1 + (healing.DELIVERY_RETRIES if healing is not None else 0)
     now = protocol.engine.now
     net = protocol.network
 

@@ -95,10 +95,12 @@ class VitisNode(BaseNode):
         #: Peer sampling implementation — the paper notes any gossip
         #: sampling service works; tests swap in Cyclon to verify.
         self.sampler_cls = sampler_cls
-        self.ps = sampler_cls(address, node_id, config.peer_view_size, rng)
+        self.ps = sampler_cls(address, node_id, config.PEER_VIEW_SIZE, rng)
         self.gw_state = GatewayState(address, node_id)
         self.relay = RelayTable(address)
-        self.n_estimate = max(2, config.n_estimate)
+        #: Population estimate for the harmonic draws: 2 until the cycle
+        #: driver sets the live population.
+        self.n_estimate = 2
         #: Utility memo: address → Eq. 1 utility to that node, valid for
         #: the whole of ``_ustamp``.  See _select_neighbors.
         self._umemo: Dict[int, float] = {}
@@ -125,7 +127,7 @@ class VitisNode(BaseNode):
         """
         self.rt = RoutingTable(self.address, self.config.rt_size)
         self.ps = self.sampler_cls(
-            self.address, self.node_id, self.config.peer_view_size, self.rng
+            self.address, self.node_id, self.config.PEER_VIEW_SIZE, self.rng
         )
         self.ps.initialize(bootstrap)
         self.gw_state.clear()
@@ -265,7 +267,7 @@ class VitisNode(BaseNode):
         node ships and what it merges a received buffer into; the
         selection pass builds Descriptors only for the winners."""
         pool: Dict[int, tuple] = {}
-        for t in self.ps.sample_fields(self.config.sample_size):
+        for t in self.ps.sample_fields(self.config.SAMPLE_SIZE):
             pool[t[0]] = t
         for e in self.rt:
             d = e.descriptor
@@ -358,7 +360,7 @@ class VitisNode(BaseNode):
     def heartbeat_step(self, is_alive: Callable[[int], bool]) -> List[int]:
         """Age neighbors; evict those silent past the staleness threshold.
         Returns evicted addresses."""
-        return self.rt.age_and_evict(is_alive, self.config.staleness_threshold)
+        return self.rt.age_and_evict(is_alive, self.config.STALENESS_THRESHOLD)
 
     # ------------------------------------------------------------------
     # Message-level path (reference dissemination)

@@ -260,7 +260,7 @@ class OverlaySystem:
     def join(self, address: int) -> None:
         """Bring a node online and bootstrap it."""
         node = self.nodes[address]
-        seeds = self.bootstrap_descriptors(self.config.peer_view_size, address)
+        seeds = self.bootstrap_descriptors(self.config.PEER_VIEW_SIZE, address)
         node.join(seeds)
         self.topology_version += 1
         # A joining node starts with a clean liveness slate: stale
@@ -328,7 +328,7 @@ class OverlaySystem:
         self.capacity = model
         self.network.capacity = model
         if model is not None:
-            model.bind(self.network, self.telemetry)
+            model.bind(self.network, self.config.gossip_period, self.telemetry)
 
     def attach_detector(self, detector) -> None:
         """Install a SWIM-style failure detector (see docs/robustness.md,
@@ -453,7 +453,7 @@ class OverlaySystem:
         link_ok = None
         if fm is not None or cap is not None:
             if self.healing is not None:
-                attempts = self.healing.lookup_attempts
+                attempts = self.healing.LOOKUP_ATTEMPTS
             net = self.network
             blocked: Set[tuple] = set()
 
@@ -518,7 +518,7 @@ class OverlaySystem:
             nodes[start].node_id,
             ring_of=lambda a: nodes[a].rt.ring(),
             is_alive=self.liveness,
-            max_hops=self.config.max_lookup_hops,
+            max_hops=self.config.MAX_LOOKUP_HOPS,
             link_ok=link_ok,
         )
 
@@ -757,7 +757,7 @@ class VitisProtocol(OverlayProtocolBase):
         if self._sampler_cls is not None:
             node.sampler_cls = self._sampler_cls
             node.ps = self._sampler_cls(
-                node.address, node.node_id, self.config.peer_view_size, node.rng
+                node.address, node.node_id, self.config.PEER_VIEW_SIZE, node.rng
             )
         return node
 
@@ -787,7 +787,7 @@ class VitisProtocol(OverlayProtocolBase):
             self.election_round()
         if self.relay_every and (cycle % self.relay_every == 0):
             self.install_relays()
-        elif self.healing is not None and self.healing.repair_relays:
+        elif self.healing is not None:
             # No full reinstall this cycle — repair just the severed trees.
             self.repair_relays()
 
@@ -798,7 +798,7 @@ class VitisProtocol(OverlayProtocolBase):
         predicate of ``age_and_evict`` is itself subject to loss: a
         heartbeat the model eats ages the entry as if the neighbor were
         silent.  A partitioned neighbor therefore gets evicted within
-        ``staleness_threshold`` cycles, exactly like a dead one; an i.i.d.
+        ``STALENESS_THRESHOLD`` cycles, exactly like a dead one; an i.i.d.
         loss model merely delays the age reset now and then.
 
         With a capacity model attached, each heartbeat is one control

@@ -113,7 +113,6 @@ def _chaos_trial(
                 NodeCapacity(
                     service_rate=service_rate,
                     queue_depth=queue_capacity,
-                    period=cfg.gossip_period,
                 ),
                 rng=froot.pyrandom("red", detector, index),
             )

@@ -37,20 +37,18 @@ Caching
 :class:`ResultCache` stores each completed trial's result as JSON under
 ``<root>/<sweep>/<trial-hash>.json``, keyed by
 :func:`~repro.experiments.spec.trial_key` (sweep name, trial function,
-canonical kwargs, seed).  With ``resume=True`` cached trials are loaded
-instead of re-run, so an interrupted sweep restarts where it stopped and
-re-running an identical spec is a pure cache read.  Writes are atomic
-(temp file + rename), so a killed run never leaves a torn entry.
+canonical kwargs, seed).  Cached trials are loaded instead of re-run,
+so an interrupted sweep restarts where it stopped and re-running an
+identical spec is a pure cache read.  Writes are atomic (temp file +
+rename), so a killed run never leaves a torn entry.
 
 Every entry additionally records the repro version and the package code
 fingerprint (:func:`repro.provenance.code_fingerprint`) that produced
 it.  The trial hash only covers the *spec* — same kwargs, same seed —
 so after a code change an old entry still matches its key while the
-result it holds may no longer be what the current code computes.
-``run_sweep`` warns when such stale entries are reused; a
-``ResultCache(root, strict=True)`` (CLI ``--strict-cache``) treats them
-as misses and recomputes instead, which is what keeps the bench
-trajectory honest.
+result it holds may no longer be what the current code computes.  Such
+a stale entry reads as a miss: the trial re-runs and its entry is
+overwritten, so a cache hit is indistinguishable from a recompute.
 """
 
 from __future__ import annotations
@@ -200,14 +198,12 @@ class ParallelExecutor:
 class ResultCache:
     """Completed-trial results on disk, one JSON file per trial hash.
 
-    ``strict=True`` refuses to reuse entries written by a different repro
-    version or code state (they read as misses and the trials re-run);
-    the default reuses them but lets :func:`run_sweep` warn.
+    An entry written by a different repro version or code state reads as
+    a miss, so its trial re-runs.
     """
 
-    def __init__(self, root, strict: bool = False) -> None:
+    def __init__(self, root) -> None:
         self.root = Path(root)
-        self.strict = strict
 
     def path(self, sweep_name: str, key: str) -> Path:
         return self.root / sweep_name / f"{key}.json"
@@ -218,28 +214,22 @@ class ResultCache:
 
         return {"repro_version": __version__, "code_hash": code_fingerprint()}
 
-    def load_checked(self, sweep_name: str, key: str) -> Tuple[Any, bool]:
-        """``(result, stale)`` — the cached result plus whether the entry
-        predates the current code.
+    def load(self, sweep_name: str, key: str) -> Any:
+        """The cached result, or ``_MISSING``.
 
-        Absence and corruption read as ``(_MISSING, False)``.  A stale
-        entry (recorded repro version/code fingerprint differs from the
-        running package, or no provenance recorded at all) reads as
-        ``(result, True)`` — or ``(_MISSING, True)`` under ``strict``,
-        forcing a recompute.
+        Absence, corruption and a stale entry (recorded repro
+        version/code fingerprint differs from the running package, or no
+        provenance recorded at all) all read as ``_MISSING``.
         """
         path = self.path(sweep_name, key)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 entry = json.load(fh)
         except (OSError, json.JSONDecodeError):
-            return _MISSING, False
-        if entry.get("key") != key:
-            return _MISSING, False
-        stale = entry.get("meta") != self._meta()
-        if stale and self.strict:
-            return _MISSING, True
-        return entry["result"], stale
+            return _MISSING
+        if entry.get("key") != key or entry.get("meta") != self._meta():
+            return _MISSING
+        return entry["result"]
 
     def cleanup_orphans(self, sweep_name: str, max_age: float = 3600.0) -> int:
         """Remove ``.tmp`` files a crashed writer left mid-atomic-write.
@@ -290,7 +280,6 @@ def run_sweep(
     sweep: Sweep,
     executor=None,
     cache: Optional[ResultCache] = None,
-    resume: bool = False,
 ) -> List[Dict]:
     """Execute a sweep's trials and reduce the results to figure rows.
 
@@ -299,34 +288,18 @@ def run_sweep(
     executor:
         ``SerialExecutor`` (default) or ``ParallelExecutor(jobs=N)``.
     cache:
-        When set, every completed trial result is written through to the
-        cache.
-    resume:
-        When set (requires ``cache``), trials whose result is already
-        cached are loaded instead of re-run; only the missing trials hit
-        the executor.
+        When set, trials with a current cached result are loaded instead
+        of re-run, and every result computed is written through to it.
     """
-    if resume and cache is None:
-        raise ValueError("resume=True requires a cache")
     executor = executor if executor is not None else SerialExecutor()
     telemetry = obs.current()
 
     keys = [trial_key(sweep, t) for t in sweep.trials]
-    results: List[Any] = [_MISSING] * len(sweep.trials)
-
-    cached = 0
-    stale_reused = 0
-    stale_skipped = 0
-    if cache is not None and resume:
-        for i, key in enumerate(keys):
-            hit, stale = cache.load_checked(sweep.name, key)
-            if hit is not _MISSING:
-                results[i] = hit
-                cached += 1
-                if stale:
-                    stale_reused += 1
-            elif stale:
-                stale_skipped += 1
+    results: List[Any] = (
+        [cache.load(sweep.name, key) for key in keys]
+        if cache is not None else [_MISSING] * len(keys)
+    )
+    cached = sum(r is not _MISSING for r in results)
 
     pending = [i for i, r in enumerate(results) if r is _MISSING]
     if pending and cache is not None:
@@ -347,13 +320,4 @@ def run_sweep(
     if cached:
         log.info("sweep %s: %d/%d trials served from cache",
                  sweep.name, cached, len(results))
-    if stale_reused:
-        log.warning(
-            "sweep %s: %d cached trial(s) predate the current code "
-            "(repro version or code fingerprint changed); results may not "
-            "match a fresh run — use --strict-cache to recompute",
-            sweep.name, stale_reused)
-    if stale_skipped:
-        log.info("sweep %s: %d stale cached trial(s) skipped (strict cache), "
-                 "recomputed", sweep.name, stale_skipped)
     return sweep.reduce(results)

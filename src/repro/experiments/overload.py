@@ -120,7 +120,6 @@ def _overload_trial(
                 service_rate=service_rate,
                 queue_depth=capacity,
                 policy=policy,
-                period=cfg.gossip_period,
             ),
             rng=SeedTree(cap_seed).pyrandom("red", system, pub_rate, capacity),
         )

@@ -1,7 +1,7 @@
 """SWIM-style failure detection with suspicion and refutation.
 
 The paper's liveness story is a plain heartbeat timeout: a neighbor whose
-profile messages stop arriving is evicted after ``staleness_threshold``
+profile messages stop arriving is evicted after ``STALENESS_THRESHOLD``
 silent cycles.  Under the injected faults of :mod:`repro.faults.models`
 that rule *mis-evicts live nodes* — a persistently lossy link looks
 exactly like a crash — tearing down healthy relay trees and inflating
@@ -17,7 +17,7 @@ the SWIM protocol (Das et al., DSN 2002; see SNIPPETS.md pattern 3):
    independently.
 3. **Suspicion** — only when direct and all indirect probes miss is the
    target *suspected*, with a grace deadline of
-   ``max(min_suspicion_cycles, round(suspicion_base · log2 N))`` cycles
+   ``max(MIN_SUSPICION_CYCLES, round(suspicion_base · log2 N))`` cycles
    (SWIM scales the timeout with the log of the group size so the
    dissemination of the suspicion can outrun the verdict).
 4. **Refutation** — a suspected-but-live node that hears its own obituary
@@ -83,26 +83,24 @@ class DetectorConfig:
         miss (SWIM's ``k``).
     suspicion_base:
         Multiplier on ``log2 N`` for the suspicion deadline, in cycles.
-    min_suspicion_cycles:
-        Floor on the deadline, so tiny groups still get a grace period.
     """
+
+    #: Floor on the deadline, so tiny groups still get a grace period.
+    MIN_SUSPICION_CYCLES = 2
 
     probe_fanout: int = 3
     suspicion_base: float = 0.5
-    min_suspicion_cycles: int = 2
 
     def __post_init__(self) -> None:
         if self.probe_fanout < 0:
             raise ValueError("probe_fanout must be >= 0")
         if self.suspicion_base < 0:
             raise ValueError("suspicion_base must be >= 0")
-        if self.min_suspicion_cycles < 1:
-            raise ValueError("min_suspicion_cycles must be >= 1")
 
     def suspicion_cycles(self, n: int) -> int:
         """Grace period before a suspicion confirms, for group size ``n``."""
         return max(
-            self.min_suspicion_cycles,
+            self.MIN_SUSPICION_CYCLES,
             round(self.suspicion_base * math.log2(max(2, n))),
         )
 

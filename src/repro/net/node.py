@@ -464,9 +464,9 @@ async def run_node(ns) -> int:
     node = host.node
 
     bootstrap_addrs = [a for a in client.peers if a != address]
-    if len(bootstrap_addrs) > config.peer_view_size:
+    if len(bootstrap_addrs) > config.PEER_VIEW_SIZE:
         bootstrap_addrs = random.Random(workload.seed + address).sample(
-            bootstrap_addrs, config.peer_view_size
+            bootstrap_addrs, config.PEER_VIEW_SIZE
         )
     node.deploy([
         Descriptor(a, host.space.node_id(a), 0) for a in bootstrap_addrs

@@ -239,7 +239,7 @@ class UdpTransport:
                 if pending.deadline < wake:
                     wake = pending.deadline
                 continue
-            if pending.attempts >= retry.max_attempts:
+            if pending.attempts >= retry.MAX_ATTEMPTS:
                 del self._pending[seq]
                 self.gave_up += 1
                 self.dropped[pending.msg.kind] += 1

@@ -68,8 +68,6 @@ _ACK = struct.Struct(_HEADER + "H")
 _SPAN_BIT = 0x80
 _U16 = struct.Struct("<H")
 _I64 = struct.Struct("<q")
-#: ``present:u8 | count:u16`` ahead of an optional counted tail.
-_OPTIONAL = struct.Struct("<BH")
 #: One ``(address, node_id, age)`` descriptor of a view / buffer.
 _TRIPLE = struct.Struct("<qQq")
 #: ``flags:u8`` (bit 0 present, bit 1 is_reply) ``| n_subs:u16 | n_props:u16 | version:i64``.
@@ -145,31 +143,6 @@ def _unpack_profile(data: bytes, at: int, n: int):
     ), end
 
 
-def _optional_run(item: str, build):
-    """Codec pair for ``None`` or a run of ``item``s, ``present:u8 |
-    count:u16 | items`` — ``LookupMessage.trace`` (``None | list[int]``)
-    and ``PullReply.payload`` (``None | bytes``)."""
-    width = struct.calcsize(item)
-
-    def pack(head: bytes, values) -> bytes:
-        if values is None:
-            return head + _OPTIONAL.pack(0, 0)
-        count = len(values)
-        return head + _OPTIONAL.pack(1, count) + struct.pack("<%d%s" % (count, item), *values)
-
-    def unpack(data: bytes, at: int, n: int):
-        present = data[at] if at < n else -1
-        start, end = _counted(data, at + 1, n, width)
-        count = (end - start) // width
-        if present not in (0, 1) or (count and not present):
-            raise WireError("bad optional tail")
-        if not present:
-            return None, end
-        return build(struct.unpack_from("<%d%s" % (count, item), data, start)), end
-
-    return pack, unpack
-
-
 def _pack_str(text: str) -> bytes:
     raw = str.encode(text)
     return _U16.pack(len(raw)) + raw
@@ -220,11 +193,7 @@ _TRIPLES = (_pack_triples, _unpack_triples)
 #: layout covers the leading payload fields, the tail codec the last one.
 MESSAGE_KINDS: Tuple[Tuple[int, type, str, Optional[tuple], Tuple[str, ...]], ...] = (
     (1, M.Notification, "qqqq", None, ("topic", "event_id", "hops", "publisher")),
-    (2, M.PullRequest, "q", None, ("event_id",)),
-    (3, M.PullReply, "q", _optional_run("B", bytes), ("event_id", "payload")),
     (4, M.ProfileMessage, "", (_pack_profile, _unpack_profile), ("profile",)),
-    (5, M.LookupMessage, "Qqq", _optional_run("q", list),
-     ("target_id", "origin", "hops", "trace")),
     (6, M.PsExchangeRequest, "", _TRIPLES, ("view",)),
     (7, M.PsExchangeReply, "", _TRIPLES, ("view",)),
     (8, M.RtExchangeRequest, "", _TRIPLES, ("buffer",)),
@@ -317,7 +286,7 @@ def decode(datagram: bytes) -> Tuple[Optional[Message], Union[int, Tuple[int, ..
     if unpack_tail is not None:
         tail, end = unpack_tail(datagram, end, n)
         body.append(tail)
-    msg = cls(src, dst, 1, *body)  # size: the abstract unit, never sent
+    msg = cls(src, dst, *body)
     if code & _SPAN_BIT:
         msg.span, end = _unpack_span(datagram, end, n)
     if end != n:

@@ -5,7 +5,7 @@ The base transport is infinitely elastic — every message is delivered no
 matter how many are in flight — so flash crowds and hot rendezvous nodes
 can never actually saturate anything.  A :class:`CapacityModel` makes
 overload real: each destination gets a bounded inbox that drains
-``service_rate`` messages per ``period`` (one gossip cycle by default);
+``service_rate`` messages per gossip period of the attached system;
 a message that arrives at a full inbox is *shed*, and senders can poll
 :meth:`CapacityModel.backpressured` to defer traffic toward a saturated
 destination instead of blindly resending into it.
@@ -25,7 +25,7 @@ Shedding policies
     instantaneous cycle-driven dissemination and the message-driven
     deployment path semantically identical.
 ``red``
-    Probabilistic early drop (WRED-style): below ``red_start`` of a
+    Probabilistic early drop (WRED-style): below ``RED_START`` of a
     class's share everything is admitted; from there the drop
     probability ramps linearly to 1 at the share boundary.  The only
     policy that consumes randomness — construct the model with an
@@ -86,28 +86,25 @@ class NodeCapacity:
     Attributes
     ----------
     service_rate:
-        Messages drained from an inbox per ``period`` of simulated time.
+        Messages drained from an inbox per service window: one gossip
+        period of the system the model is attached to, so "msgs/cycle"
+        reads literally.
     queue_depth:
         Maximum backlog (messages awaiting service) an inbox holds.
     policy:
         One of :data:`SHED_POLICIES`.
-    period:
-        Seconds per service window; align with the gossip period so
-        "msgs/cycle" reads literally.
-    backpressure_at:
-        Backlog fraction of ``queue_depth`` at which the destination
-        starts signalling backpressure to polling senders.
-    red_start:
-        Backlog fraction of a class's share where the ``red`` policy
-        starts ramping its drop probability.
     """
+
+    #: Backlog fraction of ``queue_depth`` at which the destination
+    #: starts signalling backpressure to polling senders.
+    BACKPRESSURE_AT = 0.75
+    #: Backlog fraction of a class's share where the ``red`` policy
+    #: starts ramping its drop probability.
+    RED_START = 0.5
 
     service_rate: int = 8
     queue_depth: int = 32
     policy: str = "drop_lowest"
-    period: float = 1.0
-    backpressure_at: float = 0.75
-    red_start: float = 0.5
 
     def __post_init__(self) -> None:
         if not self.service_rate >= 1:
@@ -118,14 +115,6 @@ class NodeCapacity:
             raise ValueError(
                 f"unknown shedding policy {self.policy!r}; pick one of {SHED_POLICIES}"
             )
-        if not self.period > 0:  # refuses NaN too
-            raise ValueError(f"period must be positive, got {self.period}")
-        if not 0.0 < self.backpressure_at <= 1.0:
-            raise ValueError(
-                f"backpressure_at must be in (0, 1], got {self.backpressure_at}"
-            )
-        if not 0.0 <= self.red_start < 1.0:
-            raise ValueError(f"red_start must be in [0, 1), got {self.red_start}")
 
 
 class _Inbox:
@@ -155,6 +144,9 @@ class CapacityModel:
             raise ValueError("the 'red' policy needs an rng (it is probabilistic)")
         self.capacity = capacity
         self._rng = rng
+        #: Seconds per service window: the attached system's gossip
+        #: period, set by :meth:`bind`.
+        self.period = 1.0
         self._inboxes: Dict[int, _Inbox] = {}
         #: Admission attempts / refusals by message kind.
         self.offered: Counter = Counter()
@@ -167,10 +159,11 @@ class CapacityModel:
         self.peak_backlog = 0
         self.telemetry = None
 
-    def bind(self, network, telemetry=None) -> None:
-        """Hook the model to a transport's telemetry (``attach_capacity``
-        calls this; the network itself consults the model via its own
-        ``capacity`` attribute)."""
+    def bind(self, network, period: float, telemetry=None) -> None:
+        """Hook the model to a transport's telemetry and its system's
+        gossip period (``attach_capacity`` calls this; the network itself
+        consults the model via its own ``capacity`` attribute)."""
+        self.period = period
         self.telemetry = telemetry
 
     # -- admission ------------------------------------------------------
@@ -183,7 +176,7 @@ class CapacityModel:
     def _advance(self, box: _Inbox, now: float) -> None:
         """Drain the service budget of every window elapsed since the
         inbox was last consulted."""
-        w = int(now // self.capacity.period)
+        w = int(now // self.period)
         if w <= box.window:
             return
         drained = (w - box.window) * self.capacity.service_rate
@@ -198,8 +191,8 @@ class CapacityModel:
         limit = CLASS_SHARE[prio] * cap.queue_depth
         if cap.policy == "drop_lowest":
             return backlog < limit
-        # red: linear drop-probability ramp from red_start*limit to limit.
-        start = cap.red_start * limit
+        # red: linear drop-probability ramp from RED_START*limit to limit.
+        start = cap.RED_START * limit
         if backlog < start:
             return True
         if backlog >= limit:
@@ -241,7 +234,7 @@ class CapacityModel:
     def backpressured(self, dst: int, now: float) -> bool:
         """Would a well-behaved sender defer traffic toward ``dst``?
 
-        True once the backlog crosses ``backpressure_at`` of the queue
+        True once the backlog crosses ``BACKPRESSURE_AT`` of the queue
         depth — the signal a real transport surfaces as ECN marks or
         receive-window shrinkage.  Each positive poll is counted (and
         fed to ``backpressure_total``): it means a sender deferred.
@@ -251,7 +244,7 @@ class CapacityModel:
             return False
         self._advance(box, now)
         cap = self.capacity
-        if box.backlog < cap.backpressure_at * cap.queue_depth:
+        if box.backlog < cap.BACKPRESSURE_AT * cap.queue_depth:
             return False
         self.backpressure_signals += 1
         tel = self.telemetry

@@ -5,10 +5,9 @@ message-level simulations — used by the reference dissemination path and the
 examples — send instances of these classes through
 :class:`repro.sim.network.Network`.
 
-Every message carries an abstract ``size`` so that traffic accounting
-can weigh messages; the paper's traffic-overhead metric is message-based,
-so size defaults to 1 unit.  :func:`payload_fields` names each kind's
-payload (everything but the framing) for the wire codec.
+The paper's traffic-overhead metric is message-based, so every message
+counts as one unit.  :func:`payload_fields` names each kind's payload
+(everything but the framing) for the wire codec.
 
 Priorities
 ----------
@@ -23,15 +22,12 @@ volume, which is what makes graceful degradation possible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 __all__ = [
     "Message",
     "Notification",
-    "PullRequest",
-    "PullReply",
     "ProfileMessage",
-    "LookupMessage",
     "PsExchangeRequest",
     "PsExchangeReply",
     "RtExchangeRequest",
@@ -65,14 +61,11 @@ PRIO_CONTROL = 3  #: ring/ps/rt maintenance and relay installs — never shed fi
 #: message objects.
 KIND_PRIORITY: Dict[str, int] = {
     # Payload pulls
-    "PullRequest": PRIO_PULL,
-    "PullReply": PRIO_PULL,
     "pull": PRIO_PULL,
     # Data plane
     "Notification": PRIO_NOTIFY,
     "notify": PRIO_NOTIFY,
     # Lookups
-    "LookupMessage": PRIO_LOOKUP,
     "lookup": PRIO_LOOKUP,
     # Control plane
     "ProfileMessage": PRIO_CONTROL,
@@ -106,7 +99,7 @@ def priority_of(kind: str) -> int:
 
 #: Base-class fields that are transport framing, not payload.  The wire
 #: codec (:mod:`repro.net.wire`) carries them in its own frame header.
-_FRAMING_FIELDS = ("src", "dst", "size")
+_FRAMING_FIELDS = ("src", "dst")
 
 _PAYLOAD_FIELD_CACHE: Dict[type, Tuple[str, ...]] = {}
 
@@ -134,13 +127,10 @@ class Message:
     ----------
     src, dst:
         Node addresses (opaque ints managed by the network).
-    size:
-        Abstract size used for byte accounting.
     """
 
     src: int
     dst: int
-    size: int = 1
 
     # Causal-tracing metadata: ``(trace_id, span_id)`` stamped by traced
     # runs only (see repro.obs.spans).  Deliberately NOT a dataclass
@@ -162,7 +152,8 @@ class Message:
 class Notification(Message):
     """An event notification: "something new was published on ``topic``".
 
-    Notifications are small; the payload is fetched with a pull.
+    Notifications are small; the payload is fetched with a pull (the
+    fast path charges it as a ``"pull"``).
     """
 
     topic: int = -1
@@ -172,35 +163,10 @@ class Notification(Message):
 
 
 @dataclass
-class PullRequest(Message):
-    """Request to fetch the payload of ``event_id`` from the notifier."""
-
-    event_id: int = -1
-
-
-@dataclass
-class PullReply(Message):
-    """The event payload travelling back to the puller."""
-
-    event_id: int = -1
-    payload: Any = None
-
-
-@dataclass
 class ProfileMessage(Message):
     """Periodic profile/heartbeat exchange (paper Alg. 6/7)."""
 
     profile: Any = None
-
-
-@dataclass
-class LookupMessage(Message):
-    """A greedy-routing lookup step toward ``target_id``."""
-
-    target_id: int = -1
-    origin: int = -1
-    hops: int = 0
-    trace: Optional[list] = field(default=None)
 
 
 # ----------------------------------------------------------------------

@@ -104,7 +104,6 @@ class Network:
         self.dropped = Counter()    # message kind -> count
         self.faulted = Counter()    # message kind -> count (fault-model drops)
         self.shed = Counter()       # message kind -> count (capacity refusals)
-        self.bytes_sent = 0
         # Per-address tallies (hotspot reads; see hotspots()).
         self.sent_by_addr = Counter()       # src address -> messages sent
         self.delivered_by_addr = Counter()  # dst address -> messages delivered
@@ -162,7 +161,6 @@ class Network:
         kind = msg.kind
         self.sent[kind] += 1
         self.sent_by_addr[msg.src] += 1
-        self.bytes_sent += msg.size
         fault_model = self.fault_model
         if (fault_model is not None or self.capacity is not None) and self._refused(msg, kind):
             return False
@@ -286,7 +284,6 @@ class Network:
         self.dropped.clear()
         self.faulted.clear()
         self.shed.clear()
-        self.bytes_sent = 0
         self.sent_by_addr.clear()
         self.delivered_by_addr.clear()
         self.shed_by_addr.clear()

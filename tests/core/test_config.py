@@ -35,13 +35,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             VitisConfig(gateway_depth=0)
 
-    def test_staleness_positive(self):
-        with pytest.raises(ValueError):
-            VitisConfig(staleness_threshold=0)
-
     def test_gossip_period_positive(self):
         with pytest.raises(ValueError):
             VitisConfig(gossip_period=0)
+        with pytest.raises(ValueError):
+            VitisConfig(gossip_period=float("nan"))
 
 
 class TestSweepKnobs:

@@ -113,7 +113,7 @@ class TestRelayMaintenance:
         for a in d.live_addresses():
             if a != victim:
                 d.nodes[a].undeploy()
-        ttl = d.config.staleness_threshold * d.config.gossip_period
+        ttl = d.config.STALENESS_THRESHOLD * d.config.gossip_period
         d.run(ttl + 3)
         # Everything expires except branches the victim itself still
         # refreshes as the (now only) gateway of its own topics.
@@ -135,7 +135,7 @@ class TestRelayMaintenance:
         d.run(30)
         victim = d.live_addresses()[0]
         d.leave(victim)
-        d.run(d.config.staleness_threshold * 3 + 12)
+        d.run(d.config.STALENESS_THRESHOLD * 3 + 12)
         for a in d.live_addresses():
             assert victim not in d.nodes[a].rt
 

@@ -38,7 +38,7 @@ def reference_targets(d, u, topic, sender, hops):
                 targets.add(a)
     targets.update(node.relay.tree_neighbors(topic))
     targets -= {u, sender}
-    if not targets and hops <= d.config.max_lookup_hops:
+    if not targets and hops <= d.config.MAX_LOOKUP_HOPS:
         nxt = node._next_hop(d.topic_id(topic))
         if nxt is not None and nxt != sender:
             targets.add(nxt)
@@ -291,8 +291,6 @@ HANDLED = {
 NOT_FOR_THE_NODE = {
     # consumed by the liveness layer before ``node.on_message``
     M.Probe, M.ProbeReq, M.ProbeAck, M.Suspicion, M.Refutation,
-    # sent by no deployed node
-    M.PullRequest, M.PullReply, M.LookupMessage,
 }
 
 
@@ -324,7 +322,7 @@ def test_an_unhandled_kind_is_a_heartbeat_and_nothing_else():
         )
 
     before = state()
-    node.on_message(M.LookupMessage(src=0, dst=1, target_id=5, origin=0, hops=1))
+    node.on_message(M.Probe(src=0, dst=1, target=1))
     assert node.rt.by_address()[0].age == 0
     assert state() == before and sent == []
 
@@ -466,7 +464,7 @@ def test_both_control_planes_reach_the_same_gateways_and_relay_parents():
     # Settled = nothing moved for a whole relay TTL, so the paths the
     # not-yet-converged election requested have expired too.
     quiet = rounds = 0
-    while quiet <= config.staleness_threshold:
+    while quiet <= config.STALENESS_THRESHOLD:
         rounds += 1
         assert rounds < 60, "no fixed point"
         before = state()

@@ -198,10 +198,10 @@ class TestChurnOperations:
         p = tiny_protocol()
         p.run_cycles(20)
         p.leave(3)
-        # Full cleanup takes staleness_threshold cycles for the routing
+        # Full cleanup takes STALENESS_THRESHOLD cycles for the routing
         # table *plus* the peer-sampling TTL during which stale descriptors
         # can still be re-selected from sample buffers.
-        p.run_cycles(p.config.staleness_threshold + 10 + 5)
+        p.run_cycles(p.config.STALENESS_THRESHOLD + 10 + 5)
         for a in p.live_addresses():
             assert 3 not in p.nodes[a].rt
 

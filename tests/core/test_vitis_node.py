@@ -13,8 +13,8 @@ SPACE = IdSpace()
 
 
 def make_node(address=0, subs=(1, 2, 3), rt_size=8, n_sw=1, seed=0):
-    cfg = VitisConfig(rt_size=rt_size, n_sw_links=n_sw, n_estimate=50)
-    return VitisNode(
+    cfg = VitisConfig(rt_size=rt_size, n_sw_links=n_sw)
+    node = VitisNode(
         address,
         SPACE.node_id(address),
         set(subs),
@@ -23,6 +23,8 @@ def make_node(address=0, subs=(1, 2, 3), rt_size=8, n_sw=1, seed=0):
         UtilityFunction(),
         random.Random(seed),
     )
+    node.n_estimate = 50
+    return node
 
 
 def descriptors(addresses):
@@ -176,7 +178,7 @@ class TestHeartbeats:
     def test_eviction_after_threshold(self):
         node = make_node()
         node.join(descriptors([1, 2]))
-        threshold = node.config.staleness_threshold
+        threshold = node.config.STALENESS_THRESHOLD
         evicted = []
         for _ in range(threshold + 1):
             evicted += node.heartbeat_step(lambda a: a == 1)

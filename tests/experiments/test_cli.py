@@ -37,10 +37,6 @@ class TestCli:
 
 
 class TestExecutionFlags:
-    def test_resume_requires_cache_dir(self):
-        with pytest.raises(SystemExit):
-            main(["fig8", "--resume"])
-
     def test_jobs_must_be_positive(self):
         with pytest.raises(SystemExit):
             main(["fig8", "--jobs", "0"])
@@ -60,7 +56,7 @@ class TestExecutionFlags:
                 "--cache-dir", str(cache)]
         assert main(argv + ["--csv", str(one)]) == 0
         assert (cache / "fig8").exists()
-        assert main(argv + ["--resume", "--csv", str(two)]) == 0
+        assert main(argv + ["--csv", str(two)]) == 0
         assert one.read_text() == two.read_text()
 
 
@@ -161,11 +157,8 @@ class TestTraceReport:
 
 
 class TestStrictCacheFlag:
-    def test_strict_cache_requires_resume(self):
-        with pytest.raises(SystemExit):
-            main(["fig8", "--strict-cache"])
-        with pytest.raises(SystemExit):
-            main(["fig8", "--cache-dir", "x", "--strict-cache"])
+    """The cache behind ``--cache-dir`` is strict: an entry another code
+    state wrote is recomputed, never served."""
 
     def test_strict_cache_recomputes_stale_entries(self, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -180,10 +173,9 @@ class TestStrictCacheFlag:
             entry["meta"] = {"repro_version": "0.0.0", "code_hash": "old"}
             path.write_text(json.dumps(entry))
 
-        assert main(argv + ["--resume", "--strict-cache",
-                            "--csv", str(two)]) == 0
+        assert main(argv + ["--csv", str(two)]) == 0
         assert one.read_text() == two.read_text()
-        # The strict pass rewrote the entries with current provenance.
+        # The second pass rewrote the entries with current provenance.
         from repro import __version__
 
         entry = json.loads(next((cache / "fig8").glob("*.json")).read_text())

@@ -13,7 +13,7 @@ from repro.experiments.executor import (
     SerialExecutor,
     run_sweep,
 )
-from repro.experiments.spec import Sweep, trial_key
+from repro.experiments.spec import trial_key
 
 # Tiny sizes: these exercise the plumbing, not the physics.
 FIG4_KW = dict(n_nodes=40, n_topics=100, friend_counts=(0, 6),
@@ -61,7 +61,7 @@ class TestResultCache:
 
         rec = RecordingExecutor()
         again = scenarios.fig4_spec(seed=1, **FIG4_KW)
-        second = run_sweep(again, executor=rec, cache=cache, resume=True)
+        second = run_sweep(again, executor=rec, cache=cache)
         assert rec.ran == []  # identical spec: nothing re-runs
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
@@ -77,7 +77,7 @@ class TestResultCache:
             cache.path(sweep2.name, trial_key(sweep2, t)).unlink()
 
         rec = RecordingExecutor()
-        resumed = run_sweep(sweep2, executor=rec, cache=cache, resume=True)
+        resumed = run_sweep(sweep2, executor=rec, cache=cache)
         assert rec.ran == [t.key for t in killed]
         assert json.dumps(full, sort_keys=True) == json.dumps(resumed, sort_keys=True)
 
@@ -86,7 +86,7 @@ class TestResultCache:
         run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW), cache=cache)
         rec = RecordingExecutor()
         other = scenarios.fig4_spec(seed=2, **FIG4_KW)
-        run_sweep(other, executor=rec, cache=cache, resume=True)
+        run_sweep(other, executor=rec, cache=cache)
         assert len(rec.ran) == len(other.trials)
 
     def test_corrupt_entry_treated_as_miss(self, tmp_path):
@@ -99,13 +99,9 @@ class TestResultCache:
         victim.write_text("{not json")
 
         rec = RecordingExecutor()
-        resumed = run_sweep(sweep2, executor=rec, cache=cache, resume=True)
+        resumed = run_sweep(sweep2, executor=rec, cache=cache)
         assert len(rec.ran) == 1
         assert json.dumps(full, sort_keys=True) == json.dumps(resumed, sort_keys=True)
-
-    def test_resume_without_cache_rejected(self):
-        with pytest.raises(ValueError):
-            run_sweep(Sweep("t"), resume=True)
 
     def test_orphaned_tmp_from_crashed_writer_is_cleaned(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -124,7 +120,7 @@ class TestResultCache:
         os.utime(orphan, (old, old))
 
         rec = RecordingExecutor()
-        resumed = run_sweep(sweep2, executor=rec, cache=cache, resume=True)
+        resumed = run_sweep(sweep2, executor=rec, cache=cache)
         assert rec.ran == [sweep2.trials[0].key]
         assert not orphan.exists()
         assert not list(victim.parent.glob("*.tmp"))
@@ -168,8 +164,8 @@ class TestResultCache:
 
 
 class TestStaleCache:
-    """Cached trials written by a different code state: reused with a
-    warning by default, recomputed under ``strict=True``."""
+    """Cached trials written by a different code state read as misses:
+    they re-run, and their entries are rewritten."""
 
     def _age_entries(self, cache, sweep):
         """Rewrite every cached entry as if an older build produced it."""
@@ -182,55 +178,31 @@ class TestStaleCache:
             n += 1
         return n
 
-    def test_stale_entries_reused_with_warning(self, tmp_path, caplog):
-        cache = ResultCache(tmp_path)
-        sweep = scenarios.fig4_spec(seed=1, **FIG4_KW)
-        full = run_sweep(sweep, cache=cache)
-        self._age_entries(cache, sweep)
-
-        rec = RecordingExecutor()
-        with caplog.at_level("WARNING", logger="repro.experiments.executor"):
-            again = run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW),
-                              executor=rec, cache=cache, resume=True)
-        assert rec.ran == []  # still served from cache
-        assert json.dumps(full, sort_keys=True) == json.dumps(again, sort_keys=True)
-        assert any("predate the current code" in r.message for r in caplog.records)
-
-    def test_fresh_entries_do_not_warn(self, tmp_path, caplog):
-        cache = ResultCache(tmp_path)
-        run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW), cache=cache)
-        with caplog.at_level("WARNING", logger="repro.experiments.executor"):
-            run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW),
-                      executor=RecordingExecutor(), cache=cache, resume=True)
-        assert not any("predate" in r.message for r in caplog.records)
-
-    def test_strict_cache_recomputes_stale_entries(self, tmp_path):
+    def test_strict_cache_recomputes_stale_entries(self, tmp_path, caplog):
         cache = ResultCache(tmp_path)
         sweep = scenarios.fig4_spec(seed=1, **FIG4_KW)
         full = run_sweep(sweep, cache=cache)
         n = self._age_entries(cache, sweep)
 
-        strict = ResultCache(tmp_path, strict=True)
         rec = RecordingExecutor()
-        again = run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW),
-                          executor=rec, cache=strict, resume=True)
+        with caplog.at_level("WARNING", logger="repro.experiments.executor"):
+            again = run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW),
+                              executor=rec, cache=cache)
         assert len(rec.ran) == n  # every stale entry re-ran
         assert json.dumps(full, sort_keys=True) == json.dumps(again, sort_keys=True)
+        assert not caplog.records
 
     def test_strict_recompute_refreshes_meta(self, tmp_path):
-        # After a strict re-run the entries carry current provenance, so
-        # the next strict resume is a pure cache read again.
+        # After a re-run the entries carry current provenance, so the
+        # next run is a pure cache read again.
         cache = ResultCache(tmp_path)
         sweep = scenarios.fig4_spec(seed=1, **FIG4_KW)
         run_sweep(sweep, cache=cache)
         self._age_entries(cache, sweep)
 
-        strict = ResultCache(tmp_path, strict=True)
-        run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW),
-                  cache=strict, resume=True)
+        run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW), cache=cache)
         rec = RecordingExecutor()
-        run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW),
-                  executor=rec, cache=strict, resume=True)
+        run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW), executor=rec, cache=cache)
         assert rec.ran == []
 
     def test_pre_upgrade_entries_count_as_stale(self, tmp_path):
@@ -244,15 +216,8 @@ class TestStaleCache:
             del entry["meta"]
             path.write_text(json.dumps(entry))
 
-        _, stale = cache.load_checked(
-            sweep.name, trial_key(sweep, sweep.trials[0])
-        )
-        assert stale
-
-        strict = ResultCache(tmp_path, strict=True)
         rec = RecordingExecutor()
-        run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW),
-                  executor=rec, cache=strict, resume=True)
+        run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW), executor=rec, cache=cache)
         assert len(rec.ran) == len(sweep.trials)
 
 
@@ -329,7 +294,7 @@ class TestTelemetryMerge:
         with obs.scope(tel):
             run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW), cache=cache)
             run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW),
-                      cache=cache, resume=True)
+                      cache=cache)
         n = len(scenarios.fig4_spec(seed=1, **FIG4_KW).trials)
         assert tel.metrics.counter("trials_total", sweep="fig4").value == 2 * n
         assert tel.metrics.counter("trials_cached_total", sweep="fig4").value == n

@@ -86,23 +86,24 @@ class TestDetectorConfig:
         cfg = DetectorConfig()
         assert cfg.probe_fanout == 3
         assert cfg.suspicion_base == 0.5
-        assert cfg.min_suspicion_cycles == 2
+        assert cfg.MIN_SUSPICION_CYCLES == 2
 
     def test_suspicion_scales_with_log_n(self):
-        cfg = DetectorConfig(suspicion_base=1.0, min_suspicion_cycles=1)
+        floor = type("Floor", (DetectorConfig,), {"MIN_SUSPICION_CYCLES": 1})
+        cfg = floor(suspicion_base=1.0)
         assert cfg.suspicion_cycles(2) == 1
         assert cfg.suspicion_cycles(1024) == 10
         assert cfg.suspicion_cycles(2048) > cfg.suspicion_cycles(64)
 
     def test_floor_applies_to_tiny_groups(self):
-        cfg = DetectorConfig(suspicion_base=0.5, min_suspicion_cycles=4)
+        floor = type("Floor", (DetectorConfig,), {"MIN_SUSPICION_CYCLES": 4})
+        cfg = floor(suspicion_base=0.5)
         assert cfg.suspicion_cycles(2) == 4
         assert cfg.suspicion_cycles(1) == 4  # degenerate n clamps to 2
 
     @pytest.mark.parametrize("knobs", [
         {"probe_fanout": -1},
         {"suspicion_base": -0.1},
-        {"min_suspicion_cycles": 0},
     ])
     def test_rejects_bad_knobs(self, knobs):
         with pytest.raises(ValueError):

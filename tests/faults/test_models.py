@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.config import VitisConfig
 from repro.faults.models import (
     CompositeFault,
     FaultModel,
@@ -13,7 +14,6 @@ from repro.faults.models import (
     SlowLinks,
     _stable_unit,
 )
-from repro.faults.healing import HealingPolicy, RetryPolicy
 from repro.sim.capacity import NodeCapacity
 
 
@@ -204,26 +204,14 @@ NAN = float("nan")
     lambda: SlowLinks(extra=NAN),
     lambda: Partition(([1], [2]), start=NAN),
     lambda: Partition(([1], [2]), heal_at=NAN),
-    lambda: HealingPolicy(lookup_attempts=NAN),
-    lambda: HealingPolicy(delivery_retries=NAN),
-    lambda: RetryPolicy(max_attempts=NAN),
-    lambda: RetryPolicy(base_delay=NAN),
-    lambda: RetryPolicy(max_delay=NAN),
-    lambda: RetryPolicy(jitter=NAN),
     lambda: NodeCapacity(service_rate=NAN),
     lambda: NodeCapacity(queue_depth=NAN),
-    lambda: NodeCapacity(period=NAN),
-    lambda: NodeCapacity(backpressure_at=NAN),
-    lambda: NodeCapacity(red_start=NAN),
+    lambda: VitisConfig(gossip_period=NAN),
 ], ids=[
     "MessageLoss.rate", "LinkLoss.rate", "LinkLoss.lossy_fraction",
     "SlowLinks.extra", "Partition.start", "Partition.heal_at",
-    "HealingPolicy.lookup_attempts", "HealingPolicy.delivery_retries",
-    "RetryPolicy.max_attempts", "RetryPolicy.base_delay",
-    "RetryPolicy.max_delay", "RetryPolicy.jitter",
     "NodeCapacity.service_rate", "NodeCapacity.queue_depth",
-    "NodeCapacity.period", "NodeCapacity.backpressure_at",
-    "NodeCapacity.red_start",
+    "VitisConfig.gossip_period",
 ])
 def test_a_nan_parameter_is_refused(build):
     """Every comparison a constructor validates with is false for NaN,

@@ -112,7 +112,7 @@ class TestLookupHealing:
         )
         p.attach_faults(
             MessageLoss(1.0, random.Random(0)),
-            HealingPolicy(lookup_attempts=3),
+            HealingPolicy(),
         )
         result = p.lookup(start, tid)
         assert not result.success
@@ -128,7 +128,7 @@ class TestLookupHealing:
             if p.lookup(start, p.topic_id(t)).hops > 0
         )
         model = _DropFirstLookups(1)
-        p.attach_faults(model, HealingPolicy(lookup_attempts=3))
+        p.attach_faults(model, HealingPolicy())
         result = p.lookup(start, tid)
         assert result.success
         assert model.injected == 1
@@ -244,7 +244,7 @@ class TestEvictionUnderChurn:
         restarts its age clock — the exact one-threshold bound holds at
         the table level, see ``TestAgeAndEvictUnit``)."""
         p = _small_vitis()
-        threshold = p.config.staleness_threshold
+        threshold = p.config.STALENESS_THRESHOLD
         rng = random.Random(17)
         dead = set()
 

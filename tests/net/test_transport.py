@@ -14,6 +14,11 @@ from repro.net.transport import _DRAIN_BATCH, UdpTransport
 from repro.sim import messages as M
 
 
+def _retry(**constants):
+    """A :class:`RetryPolicy` with some of its class constants replaced."""
+    return type("TestRetry", (RetryPolicy,), constants)()
+
+
 async def _pair(loss_a=0.0, loss_b=0.0, retry=None):
     a = await UdpTransport.create(0, random.Random(1), retry=retry, loss_rate=loss_a)
     b = await UdpTransport.create(1, random.Random(2), retry=retry, loss_rate=loss_b)
@@ -40,7 +45,7 @@ def test_reliable_delivery_under_sustained_loss():
     async def run():
         # 20% loss on both directions; the retry budget still gets every
         # message through, with no duplicate deliveries to the app.
-        retry = RetryPolicy(max_attempts=8, base_delay=0.02, max_delay=0.1)
+        retry = _retry(MAX_ATTEMPTS=8, BASE_DELAY=0.02, MAX_DELAY=0.1)
         a, b = await _pair(loss_a=0.2, loss_b=0.2, retry=retry)
         got = []
         b.on_message = got.append
@@ -56,7 +61,7 @@ def test_reliable_delivery_under_sustained_loss():
 
 def test_retry_budget_exhaustion_reports_give_up():
     async def run():
-        retry = RetryPolicy(max_attempts=3, base_delay=0.02, max_delay=0.05)
+        retry = _retry(MAX_ATTEMPTS=3, BASE_DELAY=0.02, MAX_DELAY=0.05)
         a = await UdpTransport.create(0, random.Random(1), retry=retry)
         # Endpoint points at a port nobody listens on: every attempt dies.
         a.endpoints[1] = ("127.0.0.1", 1)  # privileged port, nothing there
@@ -111,7 +116,7 @@ class _Wire:
 
 
 def test_retry_budget_is_spent_at_each_deadline_without_waiting():
-    retry = RetryPolicy(max_attempts=4, base_delay=100, max_delay=1000, jitter=0)
+    retry = _retry(MAX_ATTEMPTS=4, BASE_DELAY=100, MAX_DELAY=1000, JITTER=0)
     t = UdpTransport(0, random.Random(1), retry=retry)
     clock = _Clock()
     t._loop, t._sock = clock, _Wire(clock)
@@ -144,7 +149,7 @@ def test_retry_budget_is_spent_at_each_deadline_without_waiting():
         assert [at for at, data in t._sock.log if data == frame] == events[i][:4]
     assert gave_up == [(ev[-1], msg) for ev, msg in zip(events, msgs)]
     assert (t.gave_up, t.retransmits, t.pending_count) == (5, 15, 0)
-    assert t.bytes_sent == len(msgs) * retry.max_attempts * len(wire.encode(msgs[0], 1))
+    assert t.bytes_sent == len(msgs) * retry.MAX_ATTEMPTS * len(wire.encode(msgs[0], 1))
 
 
 def test_one_timer_serves_a_thousand_reliable_sends():
@@ -181,7 +186,7 @@ def test_one_timer_serves_a_thousand_reliable_sends():
         elapsed = loop.time() - start
         assert sorted(m.topic for m in got) == list(range(1000))
         retry = a.retry
-        assert len(armed) <= 1 + elapsed / (retry.base_delay * (1 - retry.jitter / 2))
+        assert len(armed) <= 1 + elapsed / (retry.BASE_DELAY * (1 - retry.JITTER / 2))
 
         a.send(M.Notification(src=0, dst=1, topic=0, event_id=0))  # close with a sweep armed
         a.close(); b.close()
@@ -220,10 +225,10 @@ def test_malformed_datagrams_are_counted_not_fatal():
         got = []
         b.on_message = got.append
         a._sock.sendto(b"garbage{{{", b.local_addr)
-        a.send(M.PullRequest(src=0, dst=1, event_id=5))
+        a.send(M.RelayInstall(src=0, dst=1, topic=5, target_id=5, origin=0, hops=1))
         assert await a.drain(2.0)
         assert b.malformed == 1
-        assert [m.kind for m in got] == ["PullRequest"]
+        assert [m.kind for m in got] == ["RelayInstall"]
         a.close(); b.close()
     asyncio.run(run())
 
@@ -244,7 +249,7 @@ def test_type_confused_datagrams_never_reach_the_read_callback():
     hostile = [
         v1_type_confused,
         b"[" * 60000,
-        b"\x02" + wire.encode(M.PullRequest(src=0, dst=1, event_id=5), 1)[1:],  # v2
+        b"\x02" + wire.encode(M.RelayInstall(src=0, dst=1, topic=5, target_id=5), 1)[1:],  # v2
         exchange[:1] + b"\x7f" + exchange[2:],          # wrong kind code
         exchange[:26] + b"\xff\xff" + exchange[28:],    # count overruns the datagram
         spanned[:58] + b"\xff\xff\xfe\xfd",             # span bit set, garbage trailer
@@ -262,9 +267,9 @@ def test_type_confused_datagrams_never_reach_the_read_callback():
         await asyncio.sleep(0.1)
         assert b.malformed == len(hostile) == 6
         assert got == [] and b.bytes_sent == 0  # nothing delivered, nothing acked
-        a.send(M.PullRequest(src=0, dst=1, event_id=5))
+        a.send(M.RelayInstall(src=0, dst=1, topic=5, target_id=5, origin=0, hops=1))
         assert await a.drain(2.0)
-        assert [m.kind for m in got] == ["PullRequest"]
+        assert [m.kind for m in got] == ["RelayInstall"]
         assert loop_errors == []
         a.close(); b.close()
     asyncio.run(run())
@@ -272,7 +277,7 @@ def test_type_confused_datagrams_never_reach_the_read_callback():
 
 def test_bytes_sent_counts_every_datagram_on_the_wire():
     async def run():
-        retry = RetryPolicy(max_attempts=4, base_delay=0.02, max_delay=0.05)
+        retry = _retry(MAX_ATTEMPTS=4, BASE_DELAY=0.02, MAX_DELAY=0.05)
         a, b = await _pair(retry=retry)
         b.on_message = lambda m: None
         # Lose the first ack: a retransmits, b re-acks the duplicate.

@@ -134,6 +134,6 @@ class TestSweepRows:
         sweep = overload_sweep_spec(seed=2, **OVERLOAD_KW)
         first = run_sweep(sweep, cache=cache)
         resumed = run_sweep(overload_sweep_spec(seed=2, **OVERLOAD_KW),
-                            executor=SerialExecutor(), cache=cache, resume=True)
+                            executor=SerialExecutor(), cache=cache)
         assert json.dumps(first, sort_keys=True) == json.dumps(rows, sort_keys=True)
         assert json.dumps(resumed, sort_keys=True) == json.dumps(rows, sort_keys=True)

@@ -10,7 +10,7 @@ tiny bounded inbox per node — then publishes one event twice: through
 :func:`by_the_book`, a naive transcription of the gate's contract:
 
     per BFS edge, in forwarding order: perceived liveness first (a
-    refused target costs no trial); then up to ``1 + delivery_retries``
+    refused target costs no trial); then up to ``1 + DELIVERY_RETRIES``
     trials, stopping at the first that gets through (one trial only
     toward a backpressured inbox); then the inbox's admission.
 
@@ -51,6 +51,13 @@ class ScriptedFaults(FaultModel):
         return verdict
 
 
+class HalfWatermark(NodeCapacity):
+    """Inboxes that signal backpressure at half depth, so small queues
+    cross the watermark often."""
+
+    BACKPRESSURE_AT = 0.5
+
+
 class RecordingInboxes(CapacityModel):
     """The real bounded inboxes, recording every message offered."""
 
@@ -79,10 +86,11 @@ def gated(overlay, shunned, script, retries, queue_depth):
     subs, links, _topic, _publisher, crashed, seed = overlay
     p = plant(subs, links, crashed, seed)
     p.liveness = lambda a: p.is_alive(a) and a not in shunned
-    p.attach_faults(ScriptedFaults(script), HealingPolicy(delivery_retries=retries))
+    healing = type("DrawnHealing", (HealingPolicy,), {"DELIVERY_RETRIES": retries})()
+    p.attach_faults(ScriptedFaults(script), healing)
     if queue_depth is not None:
-        p.attach_capacity(RecordingInboxes(NodeCapacity(
-            queue_depth=queue_depth, policy="drop_newest", backpressure_at=0.5,
+        p.attach_capacity(RecordingInboxes(HalfWatermark(
+            queue_depth=queue_depth, policy="drop_newest",
         )))
     return p
 
@@ -96,7 +104,7 @@ def by_the_book(p, topic, publisher):
     if not p.is_alive(publisher):
         return out
     fm, cap, now = p.fault_model, p.capacity, p.engine.now
-    tries = 1 + p.healing.delivery_retries
+    tries = 1 + p.healing.DELIVERY_RETRIES
     members = p.sub_index.get(topic, ())
     audience = p.subscribers(topic) - {publisher}
     seen = {publisher}

@@ -38,9 +38,10 @@ from hypothesis import strategies as st
 from repro.baselines.opt import OptProtocol
 from repro.core.config import VitisConfig
 from repro.faults import HealingPolicy, MessageLoss
-from repro.sim.capacity import CapacityModel, NodeCapacity
+from repro.sim.capacity import CapacityModel
 from tests.core.test_span_tracing import captured_telemetry, events_of
 from tests.property.test_dissemination_paths import MAX_NODES, MAX_TOPICS, overlays, plant
+from tests.property.test_fault_gate import HalfWatermark
 
 
 class CoarseRandom(random.Random):
@@ -100,10 +101,11 @@ def twin(case, model_cls):
         p.topology_version += 1
         if crashed is not None:
             p.leave(crashed)
-    p.attach_faults(model_cls(rate, CoarseRandom(seed)), HealingPolicy(delivery_retries=retries))
+    healing = type("DrawnHealing", (HealingPolicy,), {"DELIVERY_RETRIES": retries})()
+    p.attach_faults(model_cls(rate, CoarseRandom(seed)), healing)
     if queue_depth is not None:
-        p.attach_capacity(CapacityModel(NodeCapacity(
-            queue_depth=queue_depth, policy="drop_newest", backpressure_at=0.5,
+        p.attach_capacity(CapacityModel(HalfWatermark(
+            queue_depth=queue_depth, policy="drop_newest",
         )))
     buf = None
     if traced:

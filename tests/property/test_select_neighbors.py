@@ -113,9 +113,10 @@ def test_selection_equals_naive_alg4(case):
     bits, n_sw, rt_size, my_id, my_subs, candidates, seed = case
     node = VitisNode(
         0, my_id, my_subs,
-        VitisConfig(rt_size=rt_size, n_sw_links=n_sw, n_estimate=N_ESTIMATE),
+        VitisConfig(rt_size=rt_size, n_sw_links=n_sw),
         IdSpace(bits), UtilityFunction(), random.Random(seed),
     )
+    node.n_estimate = N_ESTIMATE
     pool = {a: (a, nid, age) for a, (nid, age, _) in candidates.items()}
     profiles = {
         a: NodeProfile(a, nid, s) for a, (nid, _, s) in candidates.items() if s is not None

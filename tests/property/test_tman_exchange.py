@@ -54,12 +54,15 @@ def pairs(draw):
         for a in ADDRESSES
     }
     n_sw = draw(st.integers(min_value=0, max_value=2))
-    config = VitisConfig(
+    # The sample and view sizes are class constants: a drawn subclass
+    # substitutes them.
+    drawn = type("DrawnConfig", (VitisConfig,), {
+        "SAMPLE_SIZE": draw(st.integers(min_value=1, max_value=6)),
+        "PEER_VIEW_SIZE": 8,
+    })
+    config = drawn(
         rt_size=draw(st.integers(min_value=max(3, n_sw + 2), max_value=8)),
         n_sw_links=n_sw,
-        sample_size=draw(st.integers(min_value=1, max_value=6)),
-        peer_view_size=8,
-        n_estimate=20,
     )
     planted = {}
     for me, other in ((A, B), (B, A)):
@@ -79,6 +82,7 @@ def build(case):
     for me, (rt, view, seed) in planted.items():
         node = VitisNode(me, ids[me], subs_of[me] or (), config, space, utility,
                          random.Random(seed))
+        node.n_estimate = 20
         node.start()
         node.rt.replace([
             (Descriptor(a, ids[a], age), kind)

@@ -232,7 +232,7 @@ def test_message_driven_hit_equals_recompute(subs, later, ops):
                 # evicted by the next tick's heartbeat step.
                 node.rt.replace([(Descriptor(op[1], SPACE.node_id(op[1]), 0), LinkKind.FRIEND)])
                 for entry in node.rt:
-                    entry.age = CONFIG.staleness_threshold
+                    entry.age = CONFIG.STALENESS_THRESHOLD
                 node._tick()
                 assert op[1] not in node.rt and op[1] not in node.neighbor_state
             elif op[0] == "confirm_dead":

@@ -26,13 +26,7 @@ target = {"target": i64, "incarnation": i64}
 #: Payload strategies of every kind the codec registers.
 PAYLOADS = {
     M.Notification: {"topic": i64, "event_id": i64, "hops": i64, "publisher": i64},
-    M.PullRequest: {"event_id": i64},
-    M.PullReply: {"event_id": i64, "payload": st.none() | st.binary(max_size=300)},
     M.ProfileMessage: {"profile": st.none() | profiles},
-    M.LookupMessage: {
-        "target_id": u64, "origin": i64, "hops": i64,
-        "trace": st.none() | st.lists(i64, max_size=40),
-    },
     M.PsExchangeRequest: {"view": triples},
     M.PsExchangeReply: {"view": triples},
     M.RtExchangeRequest: {"buffer": triples},
@@ -240,7 +234,6 @@ class TestEncodeRefusesWhatTheFrameCannotCarry:
     def test_ring_ids_are_unsigned(self):
         for msg in (
             M.RelayInstall(1, 2, topic=1, target_id=-1),
-            M.LookupMessage(1, 2, target_id=-1),
             M.PsExchangeReply(1, 2, view=[(1, -1, 0)]),
             M.ProfileMessage(1, 2, profile=(frozenset(), 0, {1: Proposal(1, -1, 1, 1)}, False)),
         ):

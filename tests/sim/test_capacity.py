@@ -38,11 +38,6 @@ class TestNodeCapacityValidation:
             {"service_rate": 0},
             {"queue_depth": 0},
             {"policy": "newest-ish"},
-            {"period": 0.0},
-            {"backpressure_at": 0.0},
-            {"backpressure_at": 1.5},
-            {"red_start": 1.0},
-            {"red_start": -0.1},
         ],
     )
     def test_bad_values_are_rejected(self, kwargs):
@@ -131,10 +126,9 @@ class TestDropLowest:
 
 class TestRed:
     def _model(self, rng, depth=20, start=0.5):
+        red = type("Red", (NodeCapacity,), {"RED_START": start})
         return CapacityModel(
-            NodeCapacity(service_rate=1, queue_depth=depth, policy="red",
-                         red_start=start),
-            rng=rng,
+            red(service_rate=1, queue_depth=depth, policy="red"), rng=rng
         )
 
     def test_below_start_admits_without_drawing(self):
@@ -168,9 +162,9 @@ class TestRed:
 
 class TestBackpressure:
     def _model(self, depth=8, at=0.75):
+        watermark = type("Watermark", (NodeCapacity,), {"BACKPRESSURE_AT": at})
         return CapacityModel(
-            NodeCapacity(service_rate=1, queue_depth=depth, policy="drop_newest",
-                         backpressure_at=at),
+            watermark(service_rate=1, queue_depth=depth, policy="drop_newest"),
             rng=_PoisonedRng(),
         )
 

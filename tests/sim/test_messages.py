@@ -7,14 +7,14 @@ from repro.sim.messages import (
     PRIO_LOOKUP,
     PRIO_NOTIFY,
     PRIO_PULL,
-    LookupMessage,
     Message,
     Notification,
+    Probe,
+    ProbeAck,
+    ProbeReq,
     ProfileMessage,
     PsExchangeReply,
     PsExchangeRequest,
-    PullReply,
-    PullRequest,
     RelayInstall,
     RtExchangeReply,
     RtExchangeRequest,
@@ -26,12 +26,6 @@ class TestBaseMessage:
     def test_kind_is_class_name(self):
         assert Message(src=0, dst=1).kind == "Message"
         assert Notification(src=0, dst=1).kind == "Notification"
-
-    def test_default_size(self):
-        assert Message(src=0, dst=1).size == 1
-
-    def test_size_override(self):
-        assert PullReply(src=0, dst=1, size=1000).size == 1000
 
 
 class TestKindIsAClassConstant:
@@ -91,14 +85,6 @@ class TestNotification:
         assert n.topic == -1 and n.event_id == -1 and n.hops == 0
 
 
-class TestPullMessages:
-    def test_request_reply_pair(self):
-        req = PullRequest(src=2, dst=1, event_id=9)
-        rep = PullReply(src=1, dst=2, event_id=9, payload=b"data")
-        assert req.event_id == rep.event_id
-        assert rep.payload == b"data"
-
-
 class TestExchangeMessages:
     def test_ps_exchange_carries_views(self):
         req = PsExchangeRequest(src=0, dst=1, view=[(2, 22, 0)])
@@ -119,10 +105,6 @@ class TestExchangeMessages:
 
 
 class TestRoutingMessages:
-    def test_lookup_fields(self):
-        m = LookupMessage(src=0, dst=1, target_id=55, origin=0, hops=2)
-        assert m.target_id == 55 and m.hops == 2
-
     def test_relay_install_fields(self):
         m = RelayInstall(src=0, dst=1, topic=4, target_id=55, origin=0, hops=1)
         assert m.topic == 4 and m.origin == 0
@@ -141,9 +123,9 @@ class TestPriorities:
         "msg, prio",
         [
             (Notification(src=0, dst=1), PRIO_NOTIFY),
-            (PullRequest(src=0, dst=1), PRIO_PULL),
-            (PullReply(src=0, dst=1), PRIO_PULL),
-            (LookupMessage(src=0, dst=1), PRIO_LOOKUP),
+            (Probe(src=0, dst=1), PRIO_CONTROL),
+            (ProbeReq(src=0, dst=1), PRIO_CONTROL),
+            (ProbeAck(src=0, dst=1), PRIO_CONTROL),
             (ProfileMessage(src=0, dst=1), PRIO_CONTROL),
             (PsExchangeRequest(src=0, dst=1), PRIO_CONTROL),
             (RtExchangeReply(src=0, dst=1), PRIO_CONTROL),
@@ -168,13 +150,6 @@ class TestPriorities:
 
     def test_unknown_kind_defaults_to_data(self):
         assert priority_of("frobnicate") == PRIO_NOTIFY
-
-
-class TestAbstractSize:
-    def test_abstract_size_field_is_unchanged(self):
-        # ``size`` is the abstract unit cost used by bytes_sent.
-        assert Message(src=0, dst=1).size == 1
-        assert Notification(src=0, dst=1).size == 1
 
 
 class TestSpanMetadata:

@@ -74,12 +74,12 @@ class TestTransport:
         e, net = make_net()
         a, b = net.add(Recorder(0)), net.add(Recorder(1))
         a.start(), b.start()
-        net.send(Notification(src=0, dst=1, size=3))
-        queued = (dict(net.sent), dict(net.sent_by_addr), net.bytes_sent)
+        net.send(Notification(src=0, dst=1))
+        queued = (dict(net.sent), dict(net.sent_by_addr))
         net.reset_traffic()
-        net.send_sync(Notification(src=0, dst=1, size=3))
-        assert (dict(net.sent), dict(net.sent_by_addr), net.bytes_sent) == queued
-        assert queued == ({"Notification": 1}, {0: 1}, 3)
+        net.send_sync(Notification(src=0, dst=1))
+        assert (dict(net.sent), dict(net.sent_by_addr)) == queued
+        assert queued == ({"Notification": 1}, {0: 1})
 
     def test_send_schedules_the_delivery_itself(self):
         # No closure per message: the event is ``_deliver`` plus the
@@ -112,11 +112,10 @@ class TestTransport:
         e, net = make_net()
         a, b = net.add(Recorder(0)), net.add(Recorder(1))
         a.start(), b.start()
-        net.send(Notification(src=0, dst=1, topic=3, size=10))
+        net.send(Notification(src=0, dst=1, topic=3))
         e.run()
         assert net.sent["Notification"] == 1
         assert net.delivered["Notification"] == 1
-        assert net.bytes_sent == 10
 
     def test_reset_traffic(self):
         _, net = make_net()
@@ -124,7 +123,7 @@ class TestTransport:
         a.start(), b.start()
         net.send_sync(Message(src=0, dst=1))
         net.reset_traffic()
-        assert net.sent == {} and net.bytes_sent == 0
+        assert net.sent == {}
 
     def test_constant_latency_delays_delivery(self):
         e = Engine()

@@ -38,9 +38,9 @@ class TestHarmonicFraction:
         assert all(800 < h < 1200 for h in hist)
 
     def test_small_n_clamped(self, rng):
-        # A node never draws with n below 2 (log(1) == 0 flattens the pdf).
-        node = VitisNode(0, 0, (), VitisConfig(n_estimate=1), IdSpace(16),
-                         UtilityFunction(), rng)
+        # A node starts at n = 2, never below (log(1) == 0 flattens the
+        # pdf); the cycle driver raises it to the live population.
+        node = VitisNode(0, 0, (), VitisConfig(), IdSpace(16), UtilityFunction(), rng)
         assert node.n_estimate == 2
         assert 0.5 <= harmonic_fraction(rng, node.n_estimate) <= 1.0
 
@@ -64,8 +64,9 @@ def sw_pick(cands, u, n_estimate):
     """The address the one small-world slot of node id 0 (256 ids) picks
     out of ``(address, id)`` candidates when the harmonic draw reads *u*.
     Ids 1 and 255 are in the pool to fill the two ring slots first."""
-    node = VitisNode(0, 0, (), VitisConfig(rt_size=3, n_sw_links=1, n_estimate=n_estimate),
+    node = VitisNode(0, 0, (), VitisConfig(rt_size=3, n_sw_links=1),
                      IdSpace(8), UtilityFunction(), _Draw(u))
+    node.n_estimate = n_estimate
     pool = {a: (a, i, 0) for a, i in [(1, 1), (2, 255)] + cands}
     picks = {kind: d.address for d, kind in node._select_from_pool(pool, lambda a: None)}
     return picks.get(LinkKind.SW)

@@ -1,7 +1,9 @@
 """``tools/census.py`` on a synthetic source tree: what it counts as
-entered, and which child processes it still sees."""
+entered, which child processes it still sees, and which config fields it
+finds one-valued."""
 
 import importlib.util
+import json
 import sys
 import textwrap
 from pathlib import Path
@@ -122,3 +124,84 @@ def test_a_displaced_hook_fails_the_check(tree, tmp_path):
     failures = census.check(out, tree, {})
     assert any(f.startswith("profile hook displaced") for f in failures), failures
     assert "pkg/mod.py::entered" in _never(failures)
+
+
+CONFIG_MODULE = '''
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Knobs:
+    fixed: int = 1
+    varied: str = "a"
+
+    def __post_init__(self):
+        pass
+
+
+@dataclass(frozen=True)
+class Unbuilt:
+    x: int = 0
+
+    def __post_init__(self):
+        pass
+'''
+
+CONFIGS = ["pkg/conf.py::Knobs", "pkg/conf.py::Unbuilt"]
+
+
+def _dump(out, knobs):
+    """One synthetic process dump with these ``(class, field, repr)`` rows."""
+    out.mkdir(exist_ok=True)
+    n = len(list(out.glob("*.json")))
+    (out / f"{n}.json").write_text(json.dumps(
+        {"argv": ["x"], "displaced": False, "calls": [], "knobs": knobs}))
+
+
+def test_the_hook_records_each_config_field_at_post_init(tree, tmp_path):
+    (tree / "conf.py").write_text(CONFIG_MODULE)
+    out = tmp_path / "out"
+    path = tree.parent.parent / "script.py"
+    path.write_text(textwrap.dedent("""
+        import pkg.conf as c
+        class Sub(c.Knobs):  # a subclass counts as the listed base
+            pass
+        c.Knobs(varied="b")
+        Sub()
+    """))
+    assert census.run(out, [f"{sys.executable} {path}"], tree.parent.parent,
+                      src=tree, configs=CONFIGS) == 0
+    (dump,) = [json.loads(p.read_text()) for p in out.glob("*.json")]
+    assert dump["knobs"] == [
+        ["pkg/conf.py::Knobs", "fixed", "1"],
+        ["pkg/conf.py::Knobs", "varied", "'a'"],
+        ["pkg/conf.py::Knobs", "varied", "'b'"],
+    ]
+
+
+def test_a_one_valued_field_fails_unless_allow_listed(tmp_path):
+    out = tmp_path / "out"
+    _dump(out, [["m::Knobs", "fixed", "1"], ["m::Knobs", "varied", "'a'"]])
+    _dump(out, [["m::Knobs", "fixed", "1"], ["m::Knobs", "varied", "'b'"]])
+    assert census.check_knobs(out, ["m::Knobs"], {}) == [
+        "one-valued config field: m::Knobs.fixed = 1"]
+    assert census.check_knobs(out, ["m::Knobs"], {"m::Knobs.fixed": "set by a flag"}) == []
+
+
+def test_a_stale_knob_entry_fails(tmp_path):
+    out = tmp_path / "out"
+    _dump(out, [["m::Knobs", "varied", "'a'"]])
+    _dump(out, [["m::Knobs", "varied", "'b'"]])
+    allowed = {"m::Knobs.varied": "no longer one-valued", "m::Knobs.gone": "no such field"}
+    assert census.check_knobs(out, ["m::Knobs"], allowed) == [
+        "stale knob allow-list entry: m::Knobs.gone",
+        "stale knob allow-list entry: m::Knobs.varied",
+    ]
+
+
+def test_a_config_class_no_root_constructs_fails(tmp_path):
+    out = tmp_path / "out"
+    _dump(out, [["m::Knobs", "varied", "'a'"]])
+    _dump(out, [["m::Knobs", "varied", "'b'"]])
+    assert census.check_knobs(out, ["m::Knobs", "m::Unbuilt"], {}) == [
+        "config class never constructed: m::Unbuilt"]

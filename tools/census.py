@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Call census: which functions in ``src/repro`` no entry point ever enters.
+"""Call census: which functions in ``src/repro`` no entry point ever
+enters, and which config fields no entry point ever varies.
 
     python tools/census.py run OUT --group G     # one root group (see ROOTS)
     python tools/census.py run OUT -- CMD ...    # any command
@@ -22,6 +23,13 @@ on one no dump entered that is not in ``ALLOWED``, on a stale
 ``ALLOWED`` entry, and on a displaced hook.  The static reachability
 lint in ``tests/test_layering.py`` is the fast check that follows
 names; this is the slow one that follows calls.
+
+The knob census rides the same dumps: when the ``__post_init__`` of a
+``CONFIGS`` class is entered, the hook records the ``repr`` of each of
+the instance's dataclass fields.  ``check`` also fails on a field that
+took one value across all dumps and is not in ``ALLOWED_KNOBS``, on a
+stale ``ALLOWED_KNOBS`` entry, and on a ``CONFIGS`` class no root
+constructed: a setting nothing sets is a constant.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ ROOTS = {
         "python -m repro fig4 --scale 0.2 --jobs 2 --csv par.csv",
         "python -m repro fig4 --scale 0.2 --cache-dir cache --csv c1.csv"
         " && rm \"$(ls cache/fig4/*.json | head -1)\""
-        " && python -m repro fig4 --scale 0.2 --cache-dir cache --resume --csv c2.csv",
+        " && python -m repro fig4 --scale 0.2 --cache-dir cache --csv c2.csv",
         "python -m repro fault_sweep --scale 0.4 --loss-rate 0.05 --fault-seed 7"
         " --csv faults.csv --trace-out faults.jsonl --metrics-out faults.json",
         "python -m repro chaos_sweep --scale 0.4 --loss-rate 0.05 --loss-rate 0.1 --fault-seed 7",
@@ -81,7 +89,6 @@ _LIVE = "the live failure path: no root kills a live node (ROADMAP item 6)"
 _MISS = "miss attribution or the audit's failure path: no root misses a delivery"
 _JOBS = "traced --jobs merge: no root traces with --jobs"
 _NULL = "the null-object telemetry: a method the real sink overrides"
-_WIRE = "the codec of an optional field that only arrives from outside"
 _TREES = "trace-report --trees N: no root renders span trees"
 
 #: ``path::Qual.name`` -> why it stays although no root enters it.
@@ -117,8 +124,6 @@ ALLOWED = {
     "repro/net/node.py::LiveNodeHost.evict_confirmed": _LIVE,
     "repro/net/node.py::LiveNodeHost.on_swim_transition": _LIVE,
     "repro/net/store.py::MetricsStore.note_swim": _LIVE,
-    "repro/net/wire.py::_optional_run.pack": _WIRE,
-    "repro/net/wire.py::_optional_run.unpack": _WIRE,
     "repro/obs/audit.py::AuditReport.failures": _MISS,
     "repro/obs/audit.py::EventAudit.missed": _MISS,
     "repro/obs/report.py::span_tree_lines": _TREES,
@@ -143,14 +148,48 @@ ALLOWED = {
     "repro/sim/node.py::BaseNode.on_message": _REF,
 }
 
+#: ``path::Class`` of the config dataclasses whose field values the
+#: knob census records.
+CONFIGS = [
+    "repro/core/config.py::VitisConfig",
+    "repro/faults/detector.py::DetectorConfig",
+    "repro/sim/capacity.py::NodeCapacity",
+]
+
+#: ``path::Class.field`` -> why the field stays although it took one
+#: value in every root.
+ALLOWED_KNOBS = {
+    "repro/faults/detector.py::DetectorConfig.probe_fanout": "set by chaos_sweep --probe-fanout",
+    "repro/faults/detector.py::DetectorConfig.suspicion_base":
+        "set by chaos_sweep --suspicion-timeout",
+    "repro/sim/capacity.py::NodeCapacity.policy": "set by overload_sweep --shed-policy",
+    "repro/sim/capacity.py::NodeCapacity.service_rate":
+        "the deployed capacity golden pins it at 14",
+}
+
 HOOK = r'''
-import atexit, json, os, signal, subprocess, sys, threading
+import atexit, dataclasses, json, os, signal, subprocess, sys, threading
 _SRC, _BASE, _OUT, _HOOK = {src!r}, {base!r}, {out!r}, {hook!r}
-_codes, _displaced = {{}}, []
+_CONFIGS = {configs!r}
+_codes, _displaced, _knobs = {{}}, [], set()
+
+def _knob(frame):
+    names = _CONFIGS.get(frame.f_code.co_filename)
+    if not names:
+        return
+    obj = frame.f_locals["self"]
+    for cls in type(obj).__mro__:
+        key = names.get(cls.__qualname__)
+        if key is not None:
+            _knobs.update((key, f.name, repr(getattr(obj, f.name)))
+                          for f in dataclasses.fields(obj))
+            return
 
 def _prof(frame, event, arg):
     if event == "call":
         _codes[id(frame.f_code)] = frame.f_code
+        if frame.f_code.co_name == "__post_init__":
+            _knob(frame)
 
 def _dump():
     calls = sorted({{(os.path.relpath(c.co_filename, _BASE), c.co_firstlineno, c.co_name)
@@ -158,7 +197,7 @@ def _dump():
     path = os.path.join(_OUT, "%d-%s.json" % (os.getpid(), os.urandom(4).hex()))
     with open(path + ".tmp", "w") as f:
         json.dump({{"argv": sys.argv, "displaced": bool(_displaced) or sys.getprofile() is not _prof,
-                   "calls": calls}}, f)
+                   "calls": calls, "knobs": sorted(_knobs)}}, f)
     os.replace(path + ".tmp", path)
 
 def _setprofile(fn, _orig=sys.setprofile):
@@ -189,14 +228,19 @@ if signal.getsignal(signal.SIGTERM) == signal.SIG_DFL:
 '''
 
 
-def run(out: Path, commands, cwd: Path, src: Path = SRC) -> int:
+def run(out: Path, commands, cwd: Path, src: Path = SRC, configs=CONFIGS) -> int:
     """Run each shell command under the hook in *cwd*; the first nonzero
     exit status."""
     hook = out / ".hook"
     hook.mkdir(parents=True, exist_ok=True)
     src, hook = src.resolve(), hook.resolve()
+    by_file = {}
+    for key in configs:
+        path, cls = key.split("::")
+        by_file.setdefault(str(src.parent / path), {})[cls] = key
     (hook / "sitecustomize.py").write_text(HOOK.format(
-        src=str(src) + os.sep, base=str(src.parent), out=str(out.resolve()), hook=str(hook)))
+        src=str(src) + os.sep, base=str(src.parent), out=str(out.resolve()), hook=str(hook),
+        configs=by_file))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(hook), str(src.parent), os.environ.get("PYTHONPATH")])))
     status = 0
@@ -230,9 +274,13 @@ def definitions(src: Path):
         yield from walk(ast.parse(path.read_text(), filename=str(path)), rel, "")
 
 
+def _dumps(out: Path) -> list:
+    return [json.loads(p.read_text()) for p in sorted(out.glob("*.json"))]
+
+
 def check(out: Path, src: Path = SRC, allowed: dict = ALLOWED) -> list:
-    """The census's failures over the dumps in *out* (empty: it passes)."""
-    dumps = [json.loads(p.read_text()) for p in sorted(out.glob("*.json"))]
+    """The call census's failures over the dumps in *out* (empty: it passes)."""
+    dumps = _dumps(out)
     if not dumps:
         return [f"no dumps in {out}"]
     failures = [f"profile hook displaced in {d['argv']}" for d in dumps if d["displaced"]]
@@ -246,13 +294,31 @@ def check(out: Path, src: Path = SRC, allowed: dict = ALLOWED) -> list:
     return failures
 
 
+def check_knobs(out: Path, configs=CONFIGS, allowed: dict = ALLOWED_KNOBS) -> list:
+    """The knob census's failures over the dumps in *out* (empty: it passes)."""
+    values = {}
+    for d in _dumps(out):
+        for cls, name, value in d["knobs"]:
+            values.setdefault(f"{cls}.{name}", set()).add(value)
+    fixed = {k: v for k, v in values.items() if len(v) == 1}
+    print(f"census: {len(values)} config fields of {len(configs)} classes;"
+          f" {len(fixed)} took one value, {len(allowed)} allow-listed", file=sys.stderr)
+    built = {k.rsplit(".", 1)[0] for k in values}
+    failures = [f"config class never constructed: {c}" for c in configs if c not in built]
+    failures += [f"one-valued config field: {k} = {next(iter(fixed[k]))}"
+                 for k in sorted(fixed) if k not in allowed]
+    failures += [f"stale knob allow-list entry: {k}" for k in sorted(allowed) if k not in fixed]
+    return failures
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
     r = sub.add_parser("run", help="run a root group or a command under the hook")
     r.add_argument("out", type=Path)
     r.add_argument("--group", choices=sorted(ROOTS))
-    c = sub.add_parser("check", help="fail on never-entered definitions not allow-listed")
+    c = sub.add_parser("check", help="fail on never-entered definitions and one-valued config"
+                       " fields not allow-listed")
     c.add_argument("out", type=Path)
     argv = sys.argv[1:] if argv is None else argv
     cut = argv.index("--") if "--" in argv else len(argv)
@@ -264,7 +330,7 @@ def main(argv=None) -> int:
             return run(args.out, [shlex.join(command)], Path.cwd())
         (args.out / ".work").mkdir(parents=True, exist_ok=True)  # what the roots write
         return run(args.out, ROOTS[args.group], args.out / ".work")
-    failures = check(args.out)
+    failures = check(args.out) + check_knobs(args.out)
     print("\n".join(failures) or "census: ok")
     return 1 if failures else 0
 
