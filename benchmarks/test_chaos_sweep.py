@@ -2,7 +2,7 @@
 
 Not a paper figure: the paper's liveness rule is timeout-equals-death,
 which under composed faults (crash burst + i.i.d. loss + persistently
-lossy links + slow links + bounded inboxes) evicts live nodes whose
+lossy links + bounded inboxes) evicts live nodes whose
 links merely look bad.  This sweep runs the identical chaos timeline
 under both liveness sources and asserts the PR's acceptance gate: the
 SWIM detector (probe, indirect probe, suspicion, incarnation-refutation)

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional
 
 from repro.core.config import VitisConfig
+from repro.core.dissemination import forwarding_rule
 from repro.core.gateway import Proposal, elect_round
 from repro.core.node import VitisNode
 from repro.core.profile import NodeProfile
@@ -87,6 +88,10 @@ class NeighborInfo:
     subscriptions: FrozenSet[int] = frozenset()
     version: int = -1
     proposals: Dict[int, Proposal] = field(default_factory=dict)
+    #: Host time of the neighbor's last profile *request*: it sends one
+    #: every period to each of its table entries, so a recent stamp
+    #: names an in-neighbor of the routing-table graph.
+    requested: float = float("-inf")
 
 
 class DeployedVitisNode(VitisNode):
@@ -352,6 +357,7 @@ class DeployedVitisNode(VitisNode):
             info = self._learn(msg.src, NeighborInfo(subs, version))
         info.proposals = proposals
         if not is_reply:
+            info.requested = self.host.now
             self.host.send(
                 ProfileMessage(
                     src=self.address,
@@ -474,48 +480,73 @@ class DeployedVitisNode(VitisNode):
         parent_sid,
         injecting: bool = False,
     ) -> None:
-        """Forward one event along the paper's edge classes (the node-local
-        equivalent of the oracle's ``forwarding_targets``):
+        """Forward one event by :func:`~repro.core.dissemination.forwarding_rule`,
+        the oracle's rule, over what this node has learned:
 
-        - intra-cluster flood — to every routing-table neighbor whose
-          *learned* profile shares the topic, when this node subscribes;
+        - flood — when this node subscribes, to every learned neighbor
+          that shares the topic and is a routing-table entry or sent a
+          profile request within the freshness window (the in-neighbors
+          the symmetric ``cluster_adjacency`` counts).  A publisher that
+          does not subscribe starts at its table entries that do, as the
+          oracle's ``default_publisher_targets`` does;
         - relay tree — to the topic's parent and children (``rendezvous``
           kind when dispatched by the tree root);
-        - greedy rendezvous routing — when neither applies, one hop
-          strictly closer to ``hash(topic)`` (the Scribe-style publisher
-          injection and its continuation by non-subscribed relays).
+        - greedy rendezvous routing — when neither leaves anyone, one hop
+          strictly closer to ``hash(topic)``, but only for the publisher's
+          injection (Scribe-style) and its continuation by a node that
+          neither subscribes nor sits on the tree.  A subscriber with
+          nobody left to notify stops.
         """
-        targets: Dict[int, str] = {}
-        if topic in self.profile.subscriptions:
-            for addr, _nid in self.rt.links():
-                info = self.neighbor_state.get(addr)
-                if info is not None and topic in info.subscriptions:
-                    targets.setdefault(addr, HOP_FLOOD)
+        subscribed = topic in self.profile.subscriptions
+        flood = (
+            self._sharing(topic, in_neighbors=subscribed)
+            if subscribed or injecting else ()
+        )
         tree = self.relay.tree_neighbors(topic)
-        if tree:
-            is_root = (
-                self.relay.parent.get(topic) is None
-                and topic in self.relay.children
-            )
-            tree_kind = HOP_RENDEZVOUS if is_root else HOP_RELAY
-            for addr in tree:
-                targets.setdefault(addr, tree_kind)
-        targets.pop(self.address, None)
-        if exclude is not None:
-            targets.pop(exclude, None)
-        if not targets and hops <= self.config.MAX_LOOKUP_HOPS:
-            nxt = self._next_hop(self.host.topic_id(topic))
-            if nxt is not None and nxt != exclude:
-                targets[nxt] = HOP_PUBLISH if injecting else HOP_LOOKUP
+        greedy = (injecting or not subscribed) and hops <= self.config.MAX_LOOKUP_HOPS
+        targets = forwarding_rule(
+            self.address, flood, tree,
+            (lambda: self._next_hop(self.host.topic_id(topic))) if greedy else None,
+        )
+        targets.discard(exclude)
         send = self.host.send
-        for dst in sorted(targets):
+        for dst in targets:
             msg = Notification(
                 src=self.address, dst=dst, topic=topic,
                 event_id=event_id, hops=hops, publisher=publisher,
             )
             if trace is not None:
-                msg.span = (trace, parent_sid, targets[dst])
+                msg.span = (trace, parent_sid, self._hop_kind(
+                    topic, dst, flood, tree, subscribed, injecting
+                ))
             send(msg)
+
+    def _hop_kind(self, topic, dst, flood, tree, subscribed, injecting) -> str:
+        """The span kind of one ``_forward`` edge: a subscriber's flood
+        beats the tree (the cheaper explanation), a tree edge leaving the
+        root is a rendezvous dispatch, and anything else is the
+        publisher's injection or the greedy walk continuing it."""
+        if subscribed and dst in flood:
+            return HOP_FLOOD
+        if dst in tree:
+            relay = self.relay
+            is_root = relay.parent.get(topic) is None and topic in relay.children
+            return HOP_RENDEZVOUS if is_root else HOP_RELAY
+        return HOP_PUBLISH if injecting else HOP_LOOKUP
+
+    def _sharing(self, topic: int, in_neighbors: bool) -> List[int]:
+        """The learned neighbors that share ``topic``: the routing-table
+        entries and, with ``in_neighbors``, every address whose last
+        profile request is at most ``STALENESS_THRESHOLD`` gossip periods
+        old — the age at which a silent table entry is evicted."""
+        table = self.rt.by_address()
+        config = self.config
+        horizon = self.host.now - config.STALENESS_THRESHOLD * config.gossip_period
+        return [
+            a for a, info in self.neighbor_state.items()
+            if topic in info.subscriptions
+            and (a in table or in_neighbors and info.requested >= horizon)
+        ]
 
     #: Exact message class → handler; a kind not listed only resets the
     #: sender's heartbeat age.  Nothing subclasses a concrete kind.

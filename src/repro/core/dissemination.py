@@ -14,23 +14,24 @@ A node forwards a given event only once (duplicate suppression), but
 duplicate *deliveries* still count as traffic — that is what the overhead
 metric measures.
 
-Two implementations are provided:
-
-- :func:`disseminate` — the fast path: a BFS over the current overlay that
-  counts exactly the messages the protocol would send.  The experiment
-  harness uses this (profiling showed per-message engine round-trips
-  dominate at paper scale; the algorithmic shortcut is the standard
-  optimisation the HPC guides recommend once equivalence is tested).
-- :func:`disseminate_via_network` — the reference path: real
-  :class:`~repro.sim.messages.Notification` messages through the network
-  and engine.  Tests assert both produce identical deliveries, hop counts
-  and message counts on static overlays.
+The rule a node applies is stated once, in :func:`forwarding_rule`.
+:func:`disseminate` is the one implementation of the flood: a BFS over
+the current overlay that counts exactly the messages the protocol would
+send, feeding the rule the oracle's view (the symmetric
+``cluster_adjacency`` and the relay trees).  The experiment harness
+grades every figure with it; per-message engine round-trips dominate at
+paper scale.  The node a deployment runs
+(:class:`~repro.core.deployment.DeployedVitisNode`) feeds the same rule
+the state it has learned from messages, and on a frozen, zero-latency
+overlay whose learned state is fresh its own flood is the message-level
+reference the BFS is tested against: the same deliveries, hop counts and
+message counts.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.faults.models import MessageLoss
 from repro.obs.spans import (
@@ -48,29 +49,57 @@ from repro.obs.spans import (
     HOP_RENDEZVOUS,
     SpanRecorder,
 )
-from repro.sim.messages import Notification
 from repro.sim.metrics import DisseminationRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.protocol import VitisProtocol
 
-__all__ = ["disseminate", "disseminate_via_network", "forwarding_targets"]
+__all__ = ["disseminate", "forwarding_rule", "forwarding_targets"]
+
+
+def forwarding_rule(
+    address: int,
+    flood: Iterable[int],
+    tree: Iterable[int],
+    next_hop: Optional[Callable[[], Optional[int]]] = None,
+) -> Set[int]:
+    """Whom node ``address`` notifies when it forwards an event: section
+    III-C's rule over whichever view of the overlay the caller holds.
+
+    ``flood`` is the node's cluster-adjacent neighbours that share the
+    topic (empty unless the node subscribes) and ``tree`` its relay-tree
+    neighbours for the topic; the node never notifies itself.  When
+    neither leaves anyone, ``next_hop`` — handed in only for a
+    publisher's injection and for a node that neither subscribes nor
+    sits on the tree — names one greedy step toward ``hash(topic)``, or
+    None where no neighbour is closer.
+
+    The set is built in a fixed order (``flood`` copied, ``tree``
+    added, the node discarded), which :func:`_compile_topic` mirrors: a
+    forwarding table iterates as the set it snapshots.
+    """
+    targets = set(flood)
+    targets.update(tree)
+    targets.discard(address)
+    if not targets and next_hop is not None:
+        nxt = next_hop()
+        if nxt is not None:
+            targets.add(nxt)
+    return targets
 
 
 def forwarding_targets(protocol: "VitisProtocol", address: int, topic: int) -> Set[int]:
-    """The set of addresses a node notifies when forwarding ``topic``.
-
-    Interested nodes flood to their cluster-adjacent interested neighbors;
-    any node on the topic's relay tree also forwards along the tree.
+    """The oracle's :func:`forwarding_rule` for ``address``: interested
+    nodes flood to their neighbours in the topic's symmetric cluster
+    adjacency, and any node on the topic's relay tree also forwards
+    along the tree.
     """
     node = protocol.nodes[address]
-    targets: Set[int] = set()
-    if node.profile.subscribes_to(topic):
-        adj = protocol.cluster_adjacency(topic)
-        targets.update(adj.get(address, ()))
-    targets.update(node.relay.tree_neighbors(topic))
-    targets.discard(address)
-    return targets
+    flood = (
+        protocol.cluster_adjacency(topic).get(address, ())
+        if node.profile.subscribes_to(topic) else ()
+    )
+    return forwarding_rule(address, flood, node.relay.tree_neighbors(topic))
 
 
 class _TopicMemo:
@@ -136,7 +165,7 @@ def _compile_topic(protocol: "VitisProtocol", topic: int, memo: _TopicMemo) -> f
     """Set ``memo.live_subs`` and write every live subscriber's
     forwarding-targets tuple, reading the cluster adjacency once.
 
-    The set operations are :func:`forwarding_targets`' own, in its
+    The set operations are :func:`forwarding_rule`'s own, in its
     order — the adjacency set copied, the tree neighbours added from a
     list ``[parent, *children]`` (an update from the children *set*
     would take CPython's set-merge path, which resizes differently), the
@@ -773,153 +802,3 @@ def _make_transmit(
         return True
 
     return transmit
-
-
-# ----------------------------------------------------------------------
-# Reference implementation: real messages through the network
-# ----------------------------------------------------------------------
-class _NetworkDissemination:
-    """Drives one event through the network with Notification messages.
-
-    Installed as the temporary message sink of the participating nodes via
-    the protocol's ``_active_dissemination`` attribute; VitisNode has no
-    messaging logic of its own for notifications, keeping the fast path
-    and the reference path driven by the same :func:`forwarding_targets`.
-    """
-
-    def __init__(self, protocol: "VitisProtocol", topic: int, publisher: int, event_id: int):
-        self.protocol = protocol
-        self.topic = topic
-        self.event_id = event_id
-        self.record = DisseminationRecord(
-            topic=topic,
-            event_id=event_id,
-            publisher=publisher,
-            subscribers=frozenset(protocol.subscribers(topic) - {publisher}),
-        )
-        self.forwarded: Set[int] = {publisher}
-        # Causal tracing (mirrors the fast path): messages are stamped
-        # with (trace_id, parent_span_id, hop_kind); span events fire on
-        # first receipt so both paths reconstruct to the same tree.
-        tel = protocol.telemetry
-        self.spans: Optional[SpanRecorder] = None
-        self.span_of: Dict[int, int] = {}
-        if tel.tracing:
-            self.spans = SpanRecorder(tel, tel.next_trace_id(), protocol.engine.now)
-            self.record.trace_id = self.spans.trace_id
-            self.span_of[publisher] = self.spans.root(
-                HOP_PUBLISH, publisher, topic=topic, event=event_id,
-                publisher=publisher, subs=len(self.record.subscribers),
-            )
-
-    def send(self, src: int, dst: int, hops: int, kind: Optional[str] = None) -> None:
-        """One notification ``src → dst``; a forced ``kind`` marks a hop of
-        the publisher's injection walk, which is delivered in place."""
-        msg = Notification(
-            src=src,
-            dst=dst,
-            topic=self.topic,
-            event_id=self.event_id,
-            hops=hops,
-            publisher=self.record.publisher,
-        )
-        if self.spans is not None:
-            msg.span = (
-                self.spans.trace_id,
-                self.span_of.get(src),
-                kind or _classify_hop(self.protocol, self.topic, src, dst, self.record.publisher),
-            )
-        if kind is None:
-            self.protocol.network.send(msg)
-        else:
-            self.protocol.network.send_sync(msg)
-
-    def on_notification(self, node, msg: Notification) -> None:
-        rec = self.record
-        interested = node.profile.subscribes_to(self.topic)
-        tally = rec.interested_msgs if interested else rec.relay_msgs
-        tally[node.address] = tally.get(node.address, 0) + 1
-        if node.address in self.forwarded:
-            return
-        self.forwarded.add(node.address)
-        delivered = interested and node.address in rec.subscribers
-        if self.spans is not None:
-            meta = msg.span
-            parent, kind = (meta[1], meta[2]) if meta is not None else (None, HOP_PUBLISH)
-            sid = self.spans.hop(parent, kind, msg.src, node.address, msg.hops)
-            self.span_of[node.address] = sid
-            if delivered:
-                self.spans.deliver(sid, node.address, msg.hops)
-        if delivered:
-            rec.delivered_hops.setdefault(node.address, msg.hops)
-        for v in forwarding_targets(self.protocol, node.address, self.topic):
-            if v != msg.src:
-                self.send(node.address, v, msg.hops + 1)
-
-
-def disseminate_via_network(
-    protocol: "VitisProtocol",
-    topic: int,
-    publisher: int,
-    event_id: int = 0,
-    drain_horizon: float = 0.0,
-) -> DisseminationRecord:
-    """Disseminate one event with real messages (reference path).
-
-    ``drain_horizon`` bounds how far past the current simulated time the
-    cascade is allowed to run; leave at 0 for the default zero-latency
-    network, set to an upper bound on total delivery time when a non-zero
-    latency model is installed.
-    """
-    run = _NetworkDissemination(protocol, topic, publisher, event_id)
-    if not protocol.is_alive(publisher):
-        if run.spans is not None:
-            for m in sorted(run.record.subscribers):
-                run.spans.miss(m, CAUSE_DEAD_NODE, dst=publisher)
-        return run.record
-
-    # Route notifications to this run while it is active.
-    previous = protocol.network.notification_sink
-    protocol.network.notification_sink = run
-    try:
-        protocol._injection_miss_cause = None
-        initial_targets, injection_path = protocol.publisher_targets(publisher, topic)
-        inject_cause = protocol._injection_miss_cause
-        if injection_path:
-            # The lookup message hops through the path; model each hop as a
-            # notification delivery so accounting matches the fast path.
-            prev = publisher
-            for hops, v in enumerate(injection_path[1:], start=1):
-                if not protocol.is_alive(v):
-                    if run.spans is not None:
-                        run.spans.failure(
-                            run.span_of.get(prev), HOP_LOOKUP, prev, v, hops,
-                            CAUSE_DEAD_NODE,
-                        )
-                    break
-                run.send(prev, v, hops, HOP_LOOKUP)
-                prev = v
-        else:
-            for v in initial_targets:
-                run.send(publisher, v, 1)
-        # Drain the notification cascade without touching events scheduled
-        # for later (e.g. a pending churn schedule).
-        protocol.engine.run(until=protocol.engine.now + drain_horizon)
-    finally:
-        protocol.network.notification_sink = previous
-    if (
-        run.spans is not None
-        and protocol.fault_model is None
-        and protocol.capacity is None
-    ):
-        # Attribute misses on the reference path too.  Limitation: only
-        # fault/capacity-free runs — the network gates transmissions
-        # internally, so per-edge causes are not observable here (the
-        # fast path, which every experiment uses, attributes them all;
-        # the network's fault/drop events still carry trace/span fields
-        # for offline joins).
-        _attribute_misses(
-            protocol, topic, run.record, run.spans, run.forwarded,
-            {}, initial_targets, injection_path, inject_cause,
-        )
-    return run.record

@@ -361,20 +361,3 @@ class VitisNode(BaseNode):
         """Age neighbors; evict those silent past the staleness threshold.
         Returns evicted addresses."""
         return self.rt.age_and_evict(is_alive, self.config.STALENESS_THRESHOLD)
-
-    # ------------------------------------------------------------------
-    # Message-level path (reference dissemination)
-    # ------------------------------------------------------------------
-    def on_message(self, msg) -> None:
-        """Dispatch notifications to the active dissemination run.
-
-        The message-level dissemination (reference path) installs itself
-        as ``notification_sink`` on the network; outside such a run
-        notifications are ignored.
-        """
-        from repro.sim.messages import Notification
-
-        if isinstance(msg, Notification):
-            sink = self.network.notification_sink
-            if sink is not None:
-                sink.on_notification(self, msg)

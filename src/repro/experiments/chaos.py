@@ -5,9 +5,9 @@ get all of them at once.  Each chaos trial composes **massive churn**
 (a crash burst killing ``kill_frac`` of the population, half of which
 later rejoins gracefully), **i.i.d. loss**, **persistently lossy links**
 (the false-eviction driver: to a heartbeat timeout a 50%-loss link is
-indistinguishable from a crash), **slow links** and — when
-``queue_capacity`` is nonzero — **overload** via bounded inboxes, on one
-converged Vitis overlay with healing active throughout.
+indistinguishable from a crash) and — when ``queue_capacity`` is
+nonzero — **overload** via bounded inboxes, on one converged Vitis
+overlay with healing active throughout.
 
 The swept axis is the *liveness source*:
 
@@ -59,7 +59,7 @@ def _chaos_trial(
     detector, loss_rate, index, n_nodes, n_topics, kill_frac, rejoin_frac,
     chaos_cycles, recover_cycles, events, seed, fault_seed,
     probe_fanout, suspicion_base, lossy_rate, lossy_fraction,
-    slow_extra, slow_fraction, queue_capacity, service_rate,
+    queue_capacity, service_rate,
 ):
     """One (detector, loss rate) chaos point.
 
@@ -80,7 +80,6 @@ def _chaos_trial(
         HealingPolicy,
         LinkLoss,
         MessageLoss,
-        SlowLinks,
         SwimDetector,
         crash_nodes,
     )
@@ -101,8 +100,6 @@ def _chaos_trial(
                 lossy_fraction=lossy_fraction,
             )
         )
-    if slow_extra > 0:
-        models.append(SlowLinks(slow_extra, slow_fraction=slow_fraction))
     model = CompositeFault(models)
     proto.attach_faults(model, HealingPolicy())
     if queue_capacity:
@@ -205,8 +202,6 @@ def chaos_sweep_spec(
     suspicion_base: float = 0.5,
     lossy_rate: float = 0.5,
     lossy_fraction: float = 0.2,
-    slow_extra: float = 0.2,
-    slow_fraction: float = 0.1,
     queue_capacity: int = 64,
     service_rate: int = 25,
 ) -> Sweep:
@@ -235,7 +230,6 @@ def chaos_sweep_spec(
                 events=events, fault_seed=fault_seed,
                 probe_fanout=probe_fanout, suspicion_base=suspicion_base,
                 lossy_rate=lossy_rate, lossy_fraction=lossy_fraction,
-                slow_extra=slow_extra, slow_fraction=slow_fraction,
                 queue_capacity=queue_capacity, service_rate=service_rate,
             )
     return sweep

@@ -1,9 +1,9 @@
 """Fault injection and self-healing (see ``docs/robustness.md``).
 
 ``repro.faults.models`` provides composable transport fault models
-(message loss, per-link loss, partitions with scheduled heal, slow
-links); ``repro.faults.healing`` provides the bounded retry/repair
-policy the protocols apply against them.  Attach both to a protocol with
+(message loss, per-link loss, partitions with scheduled heal);
+``repro.faults.healing`` provides the bounded retry/repair policy the
+protocols apply against them.  Attach both to a protocol with
 :meth:`repro.core.protocol.OverlayProtocolBase.attach_faults`; with no
 model attached every fault hook is skipped entirely (zero-cost-off, like
 ``obs.NULL``).
@@ -23,7 +23,6 @@ from repro.faults.models import (
     LinkLoss,
     MessageLoss,
     Partition,
-    SlowLinks,
 )
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "MessageLoss",
     "LinkLoss",
     "Partition",
-    "SlowLinks",
     "CompositeFault",
     "DetectorConfig",
     "SwimDetector",

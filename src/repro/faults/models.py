@@ -1,14 +1,13 @@
 """Composable fault models for the simulated transport.
 
-A :class:`FaultModel` answers three questions about a prospective message
+A :class:`FaultModel` answers two questions about a prospective message
 from ``src`` to ``dst`` at simulated time ``now``:
 
 - :meth:`~FaultModel.drop` — is this particular transmission lost?
   (may be stochastic; each call is one Bernoulli trial);
 - :meth:`~FaultModel.severed` — is the link *surely* unusable right now?
   (deterministic; partitions say yes, loss models say no — repair logic
-  keys off this to distinguish "lossy" from "gone");
-- :meth:`~FaultModel.extra_delay` — additional one-way latency.
+  keys off this to distinguish "lossy" from "gone").
 
 Models are installed on a :class:`repro.sim.network.Network` (transport
 level) and, via :meth:`repro.core.protocol.OverlayProtocolBase.attach_faults`,
@@ -19,7 +18,7 @@ Determinism: every stochastic model draws from the RNG handed to it (use a
 :class:`repro.sim.rng.SeedTree` stream keyed on the fault seed).  The
 simulation itself is deterministic, so the query order — and therefore the
 exact set of injected faults — replays exactly for a given fault seed.
-Per-link parameters (which links are lossy/slow) are derived from a stable
+Per-link parameters (which links are lossy) are derived from a stable
 hash of the endpoint pair, independent of query order.
 
 Every model counts the faults it injects in ``injected``; the consulting
@@ -36,7 +35,6 @@ __all__ = [
     "MessageLoss",
     "LinkLoss",
     "Partition",
-    "SlowLinks",
     "CompositeFault",
 ]
 
@@ -59,7 +57,7 @@ def _stable_unit(salt: int, src: int, dst: int) -> float:
 class FaultModel:
     """Base model: a perfectly reliable network (injects nothing).
 
-    Subclasses override the three queries; ``injected`` counts every
+    Subclasses override the two queries; ``injected`` counts every
     transmission the model has dropped so far (tests and scenario rows
     read it without needing telemetry).
     """
@@ -76,10 +74,6 @@ class FaultModel:
     def severed(self, src: int, dst: int, now: float) -> bool:
         """Deterministically unusable right now (partitioned)?"""
         return False
-
-    def extra_delay(self, src: int, dst: int, now: float) -> float:
-        """Additional one-way latency for this transmission."""
-        return 0.0
 
 
 class MessageLoss(FaultModel):
@@ -200,34 +194,12 @@ class Partition(FaultModel):
         return False
 
 
-class SlowLinks(FaultModel):
-    """Latency inflation: a stable ``slow_fraction`` of directed links get
-    ``extra`` seconds of additional one-way delay (no loss)."""
-
-    name = "slow_links"
-
-    def __init__(self, extra: float, slow_fraction: float = 0.1, salt: int = 0) -> None:
-        super().__init__()
-        if not extra >= 0:  # refuses NaN too: it would poison the clock
-            raise ValueError(f"extra delay must be >= 0, got {extra}")
-        if not 0.0 <= slow_fraction <= 1.0:
-            raise ValueError(f"slow_fraction must be in [0, 1], got {slow_fraction}")
-        self.extra = extra
-        self.slow_fraction = slow_fraction
-        self._salt = salt
-
-    def extra_delay(self, src: int, dst: int, now: float) -> float:
-        if _stable_unit(self._salt, src, dst) < self.slow_fraction:
-            return self.extra
-        return 0.0
-
-
 class CompositeFault(FaultModel):
     """Several fault models layered on one transport.
 
     A transmission is dropped by the first constituent that claims it
     (later models are not consulted for that transmission, so each drop
-    is attributed to exactly one model); delays add up.
+    is attributed to exactly one model).
     """
 
     name = "composite"
@@ -247,6 +219,3 @@ class CompositeFault(FaultModel):
 
     def severed(self, src: int, dst: int, now: float) -> bool:
         return any(m.severed(src, dst, now) for m in self.models)
-
-    def extra_delay(self, src: int, dst: int, now: float) -> float:
-        return sum(m.extra_delay(src, dst, now) for m in self.models)

@@ -8,8 +8,8 @@ way UDP datagrams to a vanished peer would be.
 Two optional layers can be attached, both off by default and zero-cost
 when off (a single ``is None`` check per message):
 
-- a :class:`repro.faults.FaultModel` drops or delays transmissions on the
-  link (loss, partitions, slow links);
+- a :class:`repro.faults.FaultModel` drops transmissions on the link
+  (loss, partitions);
 - a :class:`repro.sim.capacity.CapacityModel` bounds every destination's
   inbox, shedding arrivals the service rate cannot absorb.
 
@@ -115,9 +115,6 @@ class Network:
         #: Optional telemetry for fault/drop counters and events
         #: (None = uninstrumented).
         self.telemetry = None
-        #: The message-level dissemination run notifications are routed
-        #: to while it is active (``disseminate_via_network``).
-        self.notification_sink = None
 
     # ------------------------------------------------------------------
     # Registry
@@ -139,45 +136,29 @@ class Network:
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
-    def send(self, msg: Message, *, sync: bool = False) -> bool:
+    def send(self, msg: Message) -> bool:
         """Send ``msg`` from ``msg.src`` to ``msg.dst``; False when a gate
         refused it.
 
         Delivery is scheduled on the engine after the latency model's delay;
         with the default zero-delay model the event still goes through the
         engine queue, preserving causal ordering.  An attached fault model
-        may drop the message outright or inflate its delay; an attached
-        capacity model may shed it (see :meth:`_refused`).  ``sync`` is
-        :meth:`send_sync`'s spelling: same accounting and gates, delivered
-        in place.
+        may drop the message outright; an attached capacity model may shed
+        it (see :meth:`_refused`).
         """
-        if not sync:
-            lat = self.latency
-            # Constant latency (the cycle-driven default) needs no per-pair
-            # method call; the type check keeps a swapped-in model honest.
-            # Drawn before admission: a per-message latency rng advances
-            # for refused messages too.
-            delay = lat._delay if type(lat) is ConstantLatency else lat.delay(msg.src, msg.dst)
+        lat = self.latency
+        # Constant latency (the cycle-driven default) needs no per-pair
+        # method call; the type check keeps a swapped-in model honest.
+        # Drawn before admission: a per-message latency rng advances
+        # for refused messages too.
+        delay = lat._delay if type(lat) is ConstantLatency else lat.delay(msg.src, msg.dst)
         kind = msg.kind
         self.sent[kind] += 1
         self.sent_by_addr[msg.src] += 1
-        fault_model = self.fault_model
-        if (fault_model is not None or self.capacity is not None) and self._refused(msg, kind):
+        if (self.fault_model is not None or self.capacity is not None) and self._refused(msg, kind):
             return False
-        if sync:
-            return self._deliver(msg)
-        if fault_model is not None:
-            delay += fault_model.extra_delay(msg.src, msg.dst, self.engine.now)
         self.engine.schedule(delay, self._deliver, msg)
         return True
-
-    def send_sync(self, msg: Message) -> bool:
-        """Deliver ``msg`` immediately (no engine round-trip).
-
-        Used by cycle-driven protocols that model the exchange as atomic
-        within a cycle.  Returns True if the message was handled.
-        """
-        return self.send(msg, sync=True)
 
     def _refused(self, msg: Message, kind: str) -> bool:
         """Pass an accounted ``msg`` through the attached gates: the fault
@@ -217,7 +198,7 @@ class Network:
         self.shed[msg.kind] += 1
         self.shed_by_addr[msg.dst] += 1
 
-    def _deliver(self, msg: Message) -> bool:
+    def _deliver(self, msg: Message) -> None:
         node = self._nodes.get(msg.dst)
         kind = msg.kind
         if node is None or not node.alive:
@@ -231,11 +212,10 @@ class Network:
                         kind=kind, src=msg.src, dst=msg.dst,
                         **_span_fields(msg),
                     )
-            return False
+            return
         self.delivered[kind] += 1
         self.delivered_by_addr[msg.dst] += 1
         node.on_message(msg)
-        return True
 
     def account_logical(self, src: int, dst: int, kind: str, delivered: bool) -> None:
         """Fold one fast-path transmission into the per-address tallies.

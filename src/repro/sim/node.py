@@ -11,17 +11,17 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.sim.messages import Message
     from repro.sim.network import Network
 
 __all__ = ["BaseNode"]
 
 
 class BaseNode:
-    """Lifecycle and transport hooks shared by all protocol nodes.
+    """Lifecycle shared by all protocol nodes.
 
-    Message-level protocols override :meth:`on_message`; cycle-driven
-    ones are stepped by their protocol's cycle loop.
+    The network hands a delivered message to its destination's
+    ``on_message(msg)``, which only message-driven nodes define;
+    cycle-driven ones are stepped by their protocol's cycle loop.
     """
 
     __slots__ = ("address", "alive", "network", "joined_at")
@@ -50,12 +50,6 @@ class BaseNode:
         crash-with-amnesia by overriding and resetting their tables.
         """
         self.alive = False
-
-    # ------------------------------------------------------------------
-    # Hooks
-    # ------------------------------------------------------------------
-    def on_message(self, msg: "Message") -> None:
-        """Handle a delivered message.  Default: ignore."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "down"

@@ -1,17 +1,18 @@
 """Tests for event dissemination — fast path and message-level reference.
 
-The critical test is equivalence: the BFS fast path and the real-message
-reference path must produce identical deliveries, hop counts and message
-counts on a static overlay.
+The critical test is equivalence: the BFS fast path and the nodes' own
+flood (real messages through the engine) must produce identical
+deliveries, hop counts and message counts on a frozen overlay whose
+learned state is fresh.
 """
 
 import pytest
 
-from repro.core.dissemination import (
-    disseminate,
-    disseminate_via_network,
-    forwarding_targets,
-)
+from repro.core.config import VitisConfig
+from repro.core.deployment import DeployedVitis
+from repro.core.dissemination import disseminate, forwarding_targets
+from repro.workloads.subscriptions import bucket_subscriptions
+from tests.core.test_node_flood import freeze, node_flood, outcome, refresh
 
 
 def topics_with_subs(p, k):
@@ -134,25 +135,45 @@ class TestForwardingTargets:
 
 
 class TestEquivalence:
-    """Fast path == reference message-level path, event by event."""
+    """Fast path == the nodes' own message-level flood, event by event."""
 
-    def test_records_identical(self, converged_vitis):
-        p = converged_vitis
+    @pytest.fixture(scope="class")
+    def frozen(self):
+        subs = bucket_subscriptions(
+            60, 60, n_buckets=6, buckets_per_node=2, topics_per_bucket=5, seed=3
+        )
+        d = DeployedVitis(subs, VitisConfig(rt_size=10), seed=4)
+        d.run(25)
+        freeze(d)
+        refresh(d)
+        return d
+
+    def test_records_identical(self, frozen):
+        """Deliveries and hops exactly, message counts per receiver set.
+        Senders equally early in the flood are met in set order by the
+        fast path and in learned order by the nodes, so which of them a
+        node hears first — the one it does not notify back — may differ,
+        moving a duplicate between two receivers.  On addresses below 8
+        every set iterates in address order and the per-node counts
+        agree exactly (``tests/property/test_dissemination_paths.py``)."""
+        d = frozen
         checked = 0
-        for topic in topics_with_subs(p, 12):
-            pub = sorted(p.subscribers(topic))[0]
-            fast = disseminate(p, topic, pub, event_id=1)
-            slow = disseminate_via_network(p, topic, pub, event_id=1)
-            assert fast.delivered_hops == slow.delivered_hops
-            assert fast.interested_msgs == slow.interested_msgs
-            assert fast.relay_msgs == slow.relay_msgs
+        for topic in topics_with_subs(d, 12):
+            pub = sorted(d.subscribers(topic))[0]
+            initial, path = d.publisher_targets(pub, topic)
+            assert initial and not path  # a subscriber of a converged overlay
+            fast = outcome(disseminate(d, topic, pub, event_id=1))
+            slow = node_flood(d, topic, pub, event_id=topic)
+            assert fast[0] == slow[0]
+            for f, s in zip(fast[1:], slow[1:]):
+                assert set(f) == set(s) and sum(f.values()) == sum(s.values())
             checked += 1
         assert checked == 12
 
-    def test_network_counters_move(self, converged_vitis):
-        p = converged_vitis
-        topic = topics_with_subs(p, 1)[0]
-        pub = sorted(p.subscribers(topic))[0]
-        before = sum(p.network.sent.values())
-        disseminate_via_network(p, topic, pub)
-        assert sum(p.network.sent.values()) > before
+    def test_network_counters_move(self, frozen):
+        d = frozen
+        topic = topics_with_subs(d, 1)[0]
+        pub = sorted(d.subscribers(topic))[0]
+        before = d.network.sent["Notification"]
+        node_flood(d, topic, pub, event_id=-1)
+        assert d.network.sent["Notification"] > before

@@ -7,14 +7,22 @@ assertions — one publish root per event, complete span trees, every
 reachable subscriber delivered exactly once — hold deterministically and
 in a fraction of the six-process run's time.  To reproduce a live flood
 bug, start here: plant the reported topology on three nodes and step it.
+
+The node applies the oracle's :func:`~repro.core.dissemination.forwarding_rule`
+to what it has learned, so on a frozen, zero-latency overlay whose learned
+state is fresh (:func:`freeze`, :func:`refresh`) its flood
+(:func:`node_flood`) is the message-level reference the fast path
+:func:`~repro.core.dissemination.disseminate` is checked against.
 """
 
-from collections import deque
+from collections import Counter
 
 import pytest
 
+from repro import obs
 from repro.core.config import VitisConfig
 from repro.core.deployment import DeployedVitis, DeployedVitisNode, NeighborInfo
+from repro.core.dissemination import disseminate
 from repro.core.gateway import Proposal
 from repro.core.routing_table import LinkKind
 from repro.gossip.view import Descriptor
@@ -24,38 +32,68 @@ from repro.sim.messages import Notification, ProfileMessage
 from repro.workloads.subscriptions import bucket_subscriptions
 from tests.core.test_span_tracing import captured_telemetry, events_of
 
+#: How long a profile request names its sender an in-neighbour.
+WINDOW = VitisConfig.STALENESS_THRESHOLD * VitisConfig().gossip_period
+
 
 # ----------------------------------------------------------------------
-# Reference: the forwarding rule, re-stated over frozen node state
+# The reference: the nodes' own flood on a frozen overlay
 # ----------------------------------------------------------------------
-def reference_targets(d, u, topic, sender, hops):
-    node = d.nodes[u]
-    targets = set()
-    if topic in node.profile.subscriptions:
-        for a, _ in node.rt.links():
-            info = node.neighbor_state.get(a)
-            if info is not None and topic in info.subscriptions:
-                targets.add(a)
-    targets.update(node.relay.tree_neighbors(topic))
-    targets -= {u, sender}
-    if not targets and hops <= d.config.MAX_LOOKUP_HOPS:
-        nxt = node._next_hop(d.topic_id(topic))
-        if nxt is not None and nxt != sender:
-            targets.add(nxt)
-    return sorted(targets)
+def freeze(d):
+    """Stop every node's timer and drain what is in flight: from here on
+    the tables, the trees and the learned state only change by hand."""
+    for node in d.nodes.values():
+        if node._task is not None:
+            node._task.stop()
+    d.run(1)
 
 
-def reference_reach(d, topic, publisher):
-    """address → hop of first receipt (zero latency ⇒ BFS order)."""
-    hop_of = {publisher: 0}
-    queue = deque([(publisher, None)])
-    while queue:
-        u, sender = queue.popleft()
-        for v in reference_targets(d, u, topic, sender, hop_of[u] + 1):
-            if v not in hop_of and d.is_alive(v):
-                hop_of[v] = hop_of[u] + 1
-                queue.append((v, u))
-    return hop_of
+def refresh(d):
+    """Make every live node's learned state fresh for the frozen tables:
+    let every profile-request stamp age out of the window, then deliver
+    one round of profile requests along the routing-table edges, and the
+    replies they draw, through the nodes' own handlers."""
+    d.run(WINDOW + 1)
+    for node in d.nodes.values():
+        if node.alive:
+            payload = node._profile_payload(is_reply=False)
+            for entry in node.rt:
+                d.network.send(
+                    ProfileMessage(src=node.address, dst=entry.address, profile=payload)
+                )
+    d.run(0)
+
+
+def node_flood(d, topic, publisher, event_id, trace=None):
+    """One event through the nodes' own flood at zero latency, as the
+    ``(delivered_hops, interested_msgs, relay_msgs)`` a
+    :class:`~repro.sim.metrics.DisseminationRecord` reports: first-receipt
+    hops of the subscribers, and every node's notification receipts split
+    by the topic's subscription index."""
+    net = d.network
+    before = Counter(net.delivered_by_addr)
+    expected = d.subscribers(topic) - {publisher}
+    d.nodes[publisher].publish(topic, event_id, trace, len(expected))
+    d.run(0)
+    members = d.sub_index.get(topic, ())
+    receipts = Counter(net.delivered_by_addr)
+    receipts.subtract(before)
+    interested = {a: n for a, n in receipts.items() if n and a in members}
+    relay = {a: n for a, n in receipts.items() if n and a not in members}
+    return dict(d.delivered.get(event_id, {})), interested, relay
+
+
+def outcome(rec):
+    return dict(rec.delivered_hops), dict(rec.interested_msgs), dict(rec.relay_msgs)
+
+
+def span_edges(buf, trace):
+    """``(src, dst, hop)`` of every successful hop span of one trace."""
+    (tree,) = [t for t in build_span_trees(events_of(buf)).values() if t.trace_id == trace]
+    return sorted(
+        (s.src, s.dst, s.hop) for s in tree.spans.values()
+        if s.parent is not None and s.kind != "deliver" and s.ok
+    )
 
 
 # ----------------------------------------------------------------------
@@ -69,17 +107,17 @@ def flooded():
     )
     d = DeployedVitis(subs, VitisConfig(), seed=0, telemetry=tel)
     d.run(40)
-    # Freeze the overlay: stop every timer and drain what is in flight,
-    # so the reference walk and the flood see the same state.
-    for node in d.nodes.values():
-        node._task.stop()
-    d.run(1)
+    freeze(d)
+    refresh(d)
 
     plans = []
+    d.telemetry = obs.NULL  # the fast path's spans stay out of the buffer
     for k, topic in enumerate(d.topics()[:8]):
         publisher = min(d.subscribers(topic))
         expected = d.subscribers(topic) - {publisher}
-        plans.append((k, topic, publisher, expected, reference_reach(d, topic, publisher)))
+        plans.append((k, topic, publisher, expected, disseminate(d, topic, publisher)))
+    d.telemetry = tel
+    for k, topic, publisher, expected, _ in plans:
         d.nodes[publisher].publish(topic, k, f"e{k}", len(expected))
     d.run(1)
     return d, plans, buf
@@ -107,14 +145,13 @@ def test_every_reachable_subscriber_is_delivered_at_bfs_depth(flooded):
     d, plans, buf = flooded
     trees = trees_of(buf)
     wanted = got = 0
-    for k, topic, publisher, expected, reach in plans:
-        reachable = {a: h for a, h in reach.items() if a in expected}
-        assert d.delivered.get(k, {}) == reachable
+    for k, topic, publisher, expected, rec in plans:
+        assert d.delivered.get(k, {}) == rec.delivered_hops
         assert sorted((s.dst, s.hop) for s in trees[f"e{k}"].deliveries()) == sorted(
-            reachable.items()
+            rec.delivered_hops.items()
         )
         wanted += len(expected)
-        got += len(reachable)
+        got += len(rec.delivered_hops)
     # The converged overlay reaches (nearly) everyone — the equalities
     # above are not vacuous.
     assert wanted > 20 and got >= 0.95 * wanted
@@ -130,7 +167,8 @@ def test_duplicates_are_suppressed_by_seen_events(flooded):
         if s.parent is not None and s.kind != "deliver"
     )
     assert d.network.delivered["Notification"] > receipts
-    k, topic, publisher, expected, reach = plans[0]
+    k, topic, publisher, expected, rec = plans[0]
+    reach = set(rec.interested_msgs) | set(rec.relay_msgs)
     for a in reach:
         assert k in d.nodes[a].seen_events
     # A late duplicate is dropped on the floor: no span, no forward.
@@ -144,8 +182,33 @@ def test_duplicates_are_suppressed_by_seen_events(flooded):
     d.nodes[receiver].on_message(late)
     d.run(1)
     assert d.network.sent["Notification"] == sent
-    assert d.delivered[k] == {a: h for a, h in reach.items() if a in expected}
+    assert d.delivered[k] == rec.delivered_hops
     assert len(trees_of(buf)[f"e{k}"].spans) == len(trees[f"e{k}"].spans)
+
+
+def test_the_node_misses_no_more_than_the_oracle_on_a_freshly_frozen_overlay():
+    """Regression: the node used to flood its own routing-table entries
+    only, so a subscriber linked to its cluster by in-links alone was
+    missed (12 deliveries over 8 topics at this seed).  Frozen straight
+    from a run — learned state as the messages left it — and every topic
+    published within one period, the nodes miss no delivery the oracle
+    makes."""
+    subs = bucket_subscriptions(
+        60, 60, n_buckets=6, buckets_per_node=2, topics_per_bucket=5, seed=3
+    )
+    d = DeployedVitis(subs, VitisConfig(rt_size=12), seed=3)
+    d.run(30)
+    freeze(d)
+    plans = []
+    for k, topic in enumerate(d.topics()):
+        publisher = min(d.subscribers(topic))
+        plans.append((k, topic, publisher, disseminate(d, topic, publisher)))
+    for k, topic, publisher, rec in plans:
+        d.nodes[publisher].publish(topic, k, None, len(rec.subscribers))
+    d.run(VitisConfig().gossip_period)
+    for k, topic, publisher, rec in plans:
+        missed = rec.subscribers - set(d.delivered.get(k, {}))
+        assert len(missed) <= len(rec.subscribers - set(rec.delivered_hops)), topic
 
 
 # ----------------------------------------------------------------------
@@ -178,6 +241,14 @@ def forward(node, hops=1, exclude=None, injecting=False):
     node._forward(TOPIC, 7, node.address, hops, exclude, "e0", None, injecting)
 
 
+def hear_request(d, receiver, sender):
+    """``sender``'s profile request reaches ``receiver`` now (its reply is
+    captured with everything else ``receiver`` sends)."""
+    d.nodes[receiver].on_message(ProfileMessage(
+        src=sender, dst=receiver, profile=d.nodes[sender]._profile_payload(is_reply=False),
+    ))
+
+
 def test_flood_goes_to_learned_interested_neighbours_only():
     d, sent = planted(({TOPIC}, {TOPIC}, {TOPIC}))
     link(d, 0, 1, 2)
@@ -187,9 +258,69 @@ def test_flood_goes_to_learned_interested_neighbours_only():
     assert forwarded(sent) == [(1, "flood", 1)]
     del sent[:]
     forward(d.nodes[0], exclude=1)
-    # Nobody left to flood to: falls through to the greedy step (or to
-    # nothing when this node is the closest it knows to hash(topic)).
-    assert all(kind == "lookup" for _, kind, _ in forwarded(sent))
+    # A subscriber with nobody left to notify stops: no greedy step.
+    assert sent == []
+
+
+def test_an_in_neighbour_is_flooded_while_its_requests_are_fresh():
+    d, sent = planted(({TOPIC}, {TOPIC}, {TOPIC}))
+    # 1 links to 0, not the other way round: 0 knows 1 only by its
+    # profile requests, as the symmetric cluster adjacency counts it.
+    link(d, 1, 0)
+    hear_request(d, 0, 1)
+    del sent[:]  # the reply
+    assert 1 not in d.nodes[0].rt
+    d.run(WINDOW)
+    forward(d.nodes[0])
+    assert forwarded(sent) == [(1, "flood", 1)]
+
+
+def test_an_in_neighbour_whose_requests_stopped_is_not_flooded():
+    d, sent = planted(({TOPIC}, {TOPIC}, {TOPIC}))
+    link(d, 1, 0)
+    hear_request(d, 0, 1)
+    del sent[:]
+    d.run(WINDOW + 0.5)
+    forward(d.nodes[0])
+    assert sent == []
+    # A table entry needs no request: learning its profile is enough.
+    link(d, 0, 1)
+    forward(d.nodes[0])
+    assert forwarded(sent) == [(1, "flood", 1)]
+
+
+def by_distance(d):
+    """The planted nodes, nearest ``hash(TOPIC)`` first."""
+    tid = d.topic_id(TOPIC)
+    return sorted(d.nodes, key=lambda a: d.space.distance(d.space.node_id(a), tid))
+
+
+def test_a_publisher_with_no_targets_still_injects():
+    d, sent = planted(({TOPIC}, {TOPIC}, {TOPIC}))
+    closest, _, farthest = by_distance(d)
+    # Everyone subscribes, but nobody's profile has been heard.
+    link(d, farthest, *[a for a in d.nodes if a != farthest])
+    d.nodes[farthest].publish(TOPIC, 7, "e0", 2)
+    assert forwarded(sent) == [(closest, "publish", 1)]
+
+
+def test_a_node_off_the_clusters_and_the_tree_continues_the_greedy_walk():
+    d, sent = planted((set(), set(), set()))
+    d.telemetry, _ = captured_telemetry()  # a traced hop stamps its kind
+    closest, middle, farthest = by_distance(d)
+    link(d, middle, closest, farthest)
+    hop = Notification(
+        src=farthest, dst=middle, topic=TOPIC, event_id=7, hops=1, publisher=farthest,
+    )
+    hop.span = ("e0", 1, "publish")
+    d.nodes[middle].on_message(hop)
+    assert forwarded(sent) == [(closest, "lookup", 2)]
+    # A subscriber that receives the same hop stops there.
+    del sent[:]
+    d.nodes[middle].seen_events.clear()
+    d.nodes[middle].profile.subscribe(TOPIC)
+    d.nodes[middle].on_message(hop)
+    assert sent == []
 
 
 def test_tree_edges_are_rendezvous_kind_at_the_root_and_relay_below():

@@ -1,8 +1,8 @@
 """The shape of a :class:`~repro.sim.metrics.DisseminationRecord`, pinned.
 
-Every producer — the three overlays, the fast path and the reference
-path, each configuration that switches a branch of the flood, a replayed
-publish, ``restrict_record`` — hands out the same thing: two plain
+Every producer — the three overlays, each configuration that switches a
+branch of the flood, a replayed publish, ``restrict_record`` — hands out
+the same thing: two plain
 ``dict`` tallies ``{address: count >= 1}``, interested keys inside the
 topic's subscription index and relay keys outside it, owned by the
 record alone.
@@ -16,12 +16,12 @@ import pytest
 from repro.baselines.opt import OptProtocol
 from repro.baselines.rvr import RvrProtocol
 from repro.core.config import VitisConfig
-from repro.core.dissemination import disseminate, disseminate_via_network
+from repro.core.dissemination import disseminate
 from repro.core.protocol import VitisProtocol
 from repro.faults import HealingPolicy, MessageLoss
 from repro.sim.metrics import restrict_record
 from tests.conftest import small_subscriptions
-from tests.property.test_dissemination_paths import outcome
+from tests.core.test_node_flood import outcome
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +68,10 @@ def assert_shape(p, rec):
     assert members.isdisjoint(rec.relay_msgs)
 
 
-def flood(p, path, variant, topic, publisher):
-    """One record of ``variant`` through ``path``; anything attached is
-    detached again (the overlays are shared by the module)."""
-    if path == "network":
-        send = partial(disseminate_via_network, p, topic, publisher)
-    elif variant == "pulls":
+def flood(p, variant, topic, publisher):
+    """One record of ``variant``; anything attached is detached again
+    (the overlays are shared by the module)."""
+    if variant == "pulls":
         send = partial(disseminate, p, topic, publisher, count_pulls=True)
     else:
         send = partial(p.publish, topic, publisher)
@@ -91,18 +89,15 @@ def flood(p, path, variant, topic, publisher):
     return rec
 
 
-# The reference path has neither pulls nor a memo to replay from; OPT
-# floods its own topic overlay: no reference path, no pull accounting.
-VARIANTS = {
-    "fast": ("plain", "faults", "pulls", "replayed", "restricted"),
-    "network": ("plain", "faults", "restricted"),
-}
+# Records come from the fast path alone (the nodes' own flood, its
+# reference, reports no record).  OPT floods its own topic overlay: no
+# pull accounting.
+VARIANTS = ("plain", "faults", "pulls", "replayed", "restricted")
 CASES = [
-    (system, path, variant)
+    (system, "fast", variant)
     for system in ("vitis", "rvr", "opt")
-    for path, variants in VARIANTS.items()
-    for variant in variants
-    if not (system == "opt" and (path == "network" or variant == "pulls"))
+    for variant in VARIANTS
+    if not (system == "opt" and variant == "pulls")
 ]
 
 
@@ -113,7 +108,7 @@ def test_tallies_are_plain_dicts_split_by_the_subscription_index(
     p = request.getfixturevalue(system)
     topic = max(p.topics(), key=lambda t: (len(p.subscribers(t)), -t))
     for publisher in publishers(p, topic):
-        assert_shape(p, flood(p, path, variant, topic, publisher))
+        assert_shape(p, flood(p, variant, topic, publisher))
 
 
 @pytest.mark.parametrize("system", ["vitis", "rvr", "opt"])

@@ -5,8 +5,8 @@ Two concerns, tested separately:
 - **Fidelity** — on a hand-built 3-cluster topology with a known relay
   tree, the reconstructed span tree must match the planted
   flood/lookup/relay/rendezvous/delivery hops *exactly*, including under
-  an injected link fault (partition), and the fast path and the
-  network reference path must reconstruct the same tree.
+  an injected link fault (partition), and the nodes' own flood over
+  the same topology must reconstruct the same tree.
 - **Zero cost off** — tracing must never change results: untraced runs
   have no span machinery at all, and a traced run's dissemination
   records are identical to an untraced run's, even with a fault model
@@ -21,7 +21,7 @@ import pytest
 
 from repro import obs
 from repro.core.config import VitisConfig
-from repro.core.dissemination import disseminate, disseminate_via_network
+from repro.core.dissemination import disseminate
 from repro.core.protocol import VitisProtocol
 from repro.faults import MessageLoss, Partition
 from repro.obs.audit import audit_trace
@@ -143,16 +143,36 @@ class TestPlantedTopology:
         assert len(tree.deliveries()) == 9
 
     def test_network_path_reconstructs_same_tree(self):
-        tel_a, buf_a = captured_telemetry()
-        rec_a = disseminate(planted_protocol(tel_a), TOPIC, publisher=2)
-        tel_b, buf_b = captured_telemetry()
-        rec_b = disseminate_via_network(planted_protocol(tel_b), TOPIC, publisher=2)
-        assert rec_a.delivered_hops == rec_b.delivered_hops
-        tree_a = next(iter(build_span_trees(events_of(buf_a)).values()))
-        tree_b = next(iter(build_span_trees(events_of(buf_b)).values()))
-        assert edges_of(tree_a) == edges_of(tree_b)
-        assert deliveries_of(tree_a) == deliveries_of(tree_b)
-        assert tree_a.meta == tree_b.meta
+        """The planted topology as routing-table edges on a
+        :class:`DeployedVitis`, learned by one round of profile messages
+        (each chain edge planted in one direction, the other end learns
+        it by requests): the nodes' own flood reconstructs the planted
+        span tree, kinds included, exactly as the fast path does."""
+        from repro.core.deployment import DeployedVitis
+        from tests.core.test_node_flood import link, node_flood, outcome, refresh
+
+        tel, buf = captured_telemetry()
+        subs = [{TOPIC}] * 9 + [set(), set()]
+        d = DeployedVitis(subs, VitisConfig(rt_size=6), seed=3, auto_start=False, telemetry=tel)
+        for node in d.nodes.values():
+            node.join([])
+        for a, b in ((0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)):
+            link(d, a, b)
+        for gw in (0, 3, 6):
+            d.nodes[gw].relay.set_parent(TOPIC, 9)
+            d.nodes[9].relay.add_child(TOPIC, gw)
+        d.relay_stats.rendezvous[TOPIC] = 9
+        refresh(d)
+
+        rec = disseminate(d, TOPIC, publisher=2)
+        assert node_flood(d, TOPIC, 2, event_id=7, trace="node") == outcome(rec)
+        trees = {t.trace_id: t for t in build_span_trees(events_of(buf)).values()}
+        fast, node = trees[rec.trace_id], trees["node"]
+        for tree in (fast, node):
+            assert tree.is_complete()
+            assert edges_of(tree) == PLANTED_EDGES
+            assert deliveries_of(tree) == PLANTED_DELIVERIES
+        assert fast.meta == node.meta | {"event": 0}
 
     def test_partitioned_cluster_attributed_exactly(self):
         """Sever cluster C from the rest: its three subscribers miss with

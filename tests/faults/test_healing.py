@@ -9,7 +9,7 @@ from repro.core.config import VitisConfig
 from repro.core.dissemination import _make_transmit
 from repro.core.protocol import VitisProtocol
 from repro.faults.healing import HealingPolicy
-from repro.faults.models import FaultModel, MessageLoss, SlowLinks
+from repro.faults.models import FaultModel, MessageLoss
 from repro.sim.engine import Engine
 from repro.sim.messages import Notification
 from repro.sim.metrics import DisseminationRecord
@@ -102,20 +102,13 @@ class TestNetworkFaultHook:
         assert net.delivered["Notification"] == 0
         assert net.sent["Notification"] == 1  # still charged as traffic
 
-    def test_send_sync_reports_the_drop(self):
-        _, net, _, b = _two_node_net()
+    def test_send_reports_the_drop(self):
+        engine, net, _, b = _two_node_net()
         net.fault_model = MessageLoss(1.0, random.Random(0))
-        assert net.send_sync(Notification(src=0, dst=1)) is False
+        assert net.send(Notification(src=0, dst=1)) is False
+        assert engine._queue == []  # nothing scheduled
         assert b.received == []
         assert net.faulted["Notification"] == 1
-
-    def test_extra_delay_applied(self):
-        engine, net, _, b = _two_node_net()
-        net.fault_model = SlowLinks(3.0, slow_fraction=1.0)
-        net.send(Notification(src=0, dst=1))
-        engine.run()
-        assert len(b.received) == 1
-        assert engine.now == pytest.approx(3.0)
 
     def test_no_model_is_the_perfect_transport(self):
         engine, net, _, b = _two_node_net()
@@ -128,6 +121,6 @@ class TestNetworkFaultHook:
     def test_reset_traffic_clears_fault_counts(self):
         _, net, _, _ = _two_node_net()
         net.fault_model = MessageLoss(1.0, random.Random(0))
-        net.send_sync(Notification(src=0, dst=1))
+        net.send(Notification(src=0, dst=1))
         net.reset_traffic()
         assert net.faulted == {}

@@ -11,7 +11,6 @@ from repro.faults.models import (
     LinkLoss,
     MessageLoss,
     Partition,
-    SlowLinks,
     _stable_unit,
 )
 from repro.sim.capacity import NodeCapacity
@@ -29,7 +28,6 @@ class TestFaultModelBase:
         m = FaultModel()
         assert not m.drop(1, 2, "notify", 0.0)
         assert not m.severed(1, 2, 0.0)
-        assert m.extra_delay(1, 2, 0.0) == 0.0
         assert m.injected == 0
 
 
@@ -150,29 +148,6 @@ class TestPartition:
         assert p3._group_of == p4._group_of
 
 
-class TestSlowLinks:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SlowLinks(-1.0)
-        with pytest.raises(ValueError):
-            SlowLinks(1.0, slow_fraction=1.5)
-
-    def test_delay_is_stable_and_fractional(self):
-        m = SlowLinks(2.5, slow_fraction=0.25, salt=2)
-        links = [(s, d) for s in range(40) for d in range(40) if s != d]
-        delays = {l: m.extra_delay(*l, 0.0) for l in links}
-        assert set(delays.values()) <= {0.0, 2.5}
-        slow = sum(v > 0 for v in delays.values())
-        assert 0.15 < slow / len(links) < 0.35
-        for (s, d), v in delays.items():
-            assert m.extra_delay(s, d, 99.0) == v
-
-    def test_never_drops(self):
-        m = SlowLinks(5.0, slow_fraction=1.0)
-        assert not m.drop(1, 2, "notify", 0.0)
-        assert m.injected == 0
-
-
 class TestCompositeFault:
     def test_first_model_claims_the_drop(self):
         always = MessageLoss(1.0, random.Random(0))
@@ -188,11 +163,6 @@ class TestCompositeFault:
         assert c.severed(1, 2, 5.0)
         assert not c.severed(1, 1, 5.0)
 
-    def test_delays_add(self):
-        c = CompositeFault([SlowLinks(1.0, slow_fraction=1.0),
-                            SlowLinks(0.5, slow_fraction=1.0)])
-        assert c.extra_delay(1, 2, 0.0) == pytest.approx(1.5)
-
 
 NAN = float("nan")
 
@@ -201,7 +171,6 @@ NAN = float("nan")
     lambda: MessageLoss(NAN, random.Random(0)),
     lambda: LinkLoss(NAN, random.Random(0)),
     lambda: LinkLoss(0.5, random.Random(0), lossy_fraction=NAN),
-    lambda: SlowLinks(extra=NAN),
     lambda: Partition(([1], [2]), start=NAN),
     lambda: Partition(([1], [2]), heal_at=NAN),
     lambda: NodeCapacity(service_rate=NAN),
@@ -209,13 +178,13 @@ NAN = float("nan")
     lambda: VitisConfig(gossip_period=NAN),
 ], ids=[
     "MessageLoss.rate", "LinkLoss.rate", "LinkLoss.lossy_fraction",
-    "SlowLinks.extra", "Partition.start", "Partition.heal_at",
+    "Partition.start", "Partition.heal_at",
     "NodeCapacity.service_rate", "NodeCapacity.queue_depth",
     "VitisConfig.gossip_period",
 ])
 def test_a_nan_parameter_is_refused(build):
     """Every comparison a constructor validates with is false for NaN,
-    so each check is written ``not x >= …``: a NaN delay poisons the
+    so each check is written ``not x >= …``: a NaN period poisons the
     clock, a NaN partition window never activates, and a NaN cap or
     retry budget silently turns its limit off."""
     with pytest.raises(ValueError):

@@ -27,13 +27,13 @@ from repro.core.dissemination import (
     _compile_topic,
     _topic_cache,
     disseminate,
-    disseminate_via_network,
     forwarding_targets,
 )
 from repro.core.protocol import VitisProtocol
 from repro.core.routing_table import LinkKind
 from repro.gossip.view import Descriptor
 from repro.workloads.subscriptions import bucket_subscriptions
+from tests.core.test_node_flood import node_flood, outcome
 
 MAX_NODES = 24
 MAX_TOPICS = 3
@@ -159,18 +159,40 @@ def test_every_publisher_starts_in_the_order_of_the_rule(overlay):
 
 @settings(max_examples=60, deadline=None)
 @given(overlays())
-def test_rvr_compiles_nothing_and_floods_as_the_network_reference(overlay):
+def test_rvr_compiles_nothing(overlay):
     p = plant(RvrProtocol, *overlay)
     for topic in range(p.n_topics):
         memo = _topic_cache(p, topic)
         assert _compile_topic(p, topic, memo) == frozenset(p.subscribers(topic))
         assert memo.targets == {}
-        for a in sorted(p.live_addresses()):
-            fast = disseminate(p, topic, a)
-            ref = disseminate_via_network(p, topic, a)
-            assert fast.delivered_hops == ref.delivered_hops
-            assert fast.interested_msgs == ref.interested_msgs
-            assert fast.relay_msgs == ref.relay_msgs
+
+
+@settings(max_examples=60, deadline=None)
+@given(overlays())
+def test_a_tree_only_overlay_floods_as_its_nodes_do(overlay):
+    """The relay pointers of the overlay — installed and planted, self-
+    pointers, dangling and dead ends included — on a frozen
+    :class:`DeployedVitis` with empty routing tables, whose nodes have
+    learned no profile: the adjacency is empty, every flood is tree-only
+    and no greedy step has a next hop, so for every publisher the fast
+    path and the nodes' own flood agree exactly, whatever the addresses
+    (both build each target set from the same tree list, in the same
+    order)."""
+    subs, links, planted, dead, seed = overlay
+    p = plant(VitisProtocol, *overlay)
+    d = DeployedVitis(subs, VitisConfig(rt_size=MAX_LINKS + 1), seed=seed, auto_start=False)
+    for a, node in d.nodes.items():
+        node.join([])
+        node.relay.parent.update(p.nodes[a].relay.parent)
+        node.relay.children.update(
+            {t: set(kids) for t, kids in p.nodes[a].relay.children.items()}
+        )
+    for a in dead:
+        d.leave(a)
+    for topic in range(MAX_TOPICS):
+        for a in sorted(d.live_addresses()):
+            rec = disseminate(d, topic, a)
+            assert node_flood(d, topic, a, event_id=(topic, a)) == outcome(rec), (topic, a)
 
 
 def test_a_deployed_system_mid_run_compiles_to_the_rule():

@@ -63,24 +63,6 @@ class TestTransport:
         e.run()
         assert len(b.received) == 1
 
-    def test_send_sync_is_immediate(self):
-        _, net = make_net()
-        a, b = net.add(Recorder(0)), net.add(Recorder(1))
-        a.start(), b.start()
-        assert net.send_sync(Message(src=0, dst=1)) is True
-        assert len(b.received) == 1
-
-    def test_send_and_send_sync_account_alike(self):
-        e, net = make_net()
-        a, b = net.add(Recorder(0)), net.add(Recorder(1))
-        a.start(), b.start()
-        net.send(Notification(src=0, dst=1))
-        queued = (dict(net.sent), dict(net.sent_by_addr))
-        net.reset_traffic()
-        net.send_sync(Notification(src=0, dst=1))
-        assert (dict(net.sent), dict(net.sent_by_addr)) == queued
-        assert queued == ({"Notification": 1}, {0: 1})
-
     def test_send_schedules_the_delivery_itself(self):
         # No closure per message: the event is ``_deliver`` plus the
         # message as its argument.
@@ -121,7 +103,7 @@ class TestTransport:
         _, net = make_net()
         a, b = net.add(Recorder(0)), net.add(Recorder(1))
         a.start(), b.start()
-        net.send_sync(Message(src=0, dst=1))
+        net.send(Message(src=0, dst=1))
         net.reset_traffic()
         assert net.sent == {}
 
@@ -157,7 +139,7 @@ class TestPerAddressAccounting:
             NodeCapacity(service_rate=1, queue_depth=1, policy="drop_newest")
         )
         net.send(Message(src=0, dst=1))
-        assert net.send_sync(Message(src=0, dst=1)) is False  # inbox full
+        assert net.send(Message(src=0, dst=1)) is False  # inbox full
         e.run()
         assert len(b.received) == 1
         assert net.shed["Message"] == 1

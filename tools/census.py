@@ -67,6 +67,9 @@ ROOTS = {
         " && python -m repro trace-report fig7.jsonl --audit",
         "python -m repro overload_sweep --scale 0.4 --pub-rate 4 --queue-capacity 0"
         " --queue-capacity 32 --queue-capacity 20 --jobs 2 --cache-dir ocache",
+        "python -m repro overload_sweep --scale 0.4 --shed-policy red",
+        "python -m repro overload_sweep --scale 0.4 --shed-policy drop_newest",
+        "python -m repro chaos_sweep --scale 0.4 --probe-fanout 1 --suspicion-timeout 1.0",
         f"python {_ROOT}/benchmarks/perf/run.py --quick --seed 1",
         f"python {_ROOT}/benchmarks/perf/run.py --quick --seed 1 --trace 1",
         "python -m repro live cluster --procs 8 --events 10 --loss-rate 0.05 --gossip-period 0.25"
@@ -83,7 +86,6 @@ ROOTS = {
 }
 
 # Reasons shared by several entries of ALLOWED.
-_REF = "the message-level reference flood the fast path is checked against"
 _GATE = "message-driven fault/latency gate or virtual-time churn and tracing (ROADMAP item 3)"
 _LIVE = "the live failure path: no root kills a live node (ROADMAP item 6)"
 _MISS = "miss attribution or the audit's failure path: no root misses a delivery"
@@ -98,21 +100,15 @@ ALLOWED = {
     "repro/core/deployment.py::DeployedVitis.leave": _GATE,
     "repro/core/deployment.py::DeployedVitis.span": _GATE,
     "repro/core/deployment.py::DeployedVitisNode.evict_confirmed": _GATE,
-    "repro/core/dissemination.py::_NetworkDissemination.on_notification": _REF,
-    "repro/core/dissemination.py::_NetworkDissemination.send": _REF,
     "repro/core/dissemination.py::_attribute_misses.reached_via_false_edges": _MISS,
     "repro/core/dissemination.py::_liveness_cause": _MISS,
-    "repro/core/dissemination.py::disseminate_via_network": _REF,
-    "repro/core/node.py::VitisNode.on_message": _REF,
     "repro/core/protocol.py::OverlayProtocolBase._protocol_round": "abstract: each protocol overrides it",
     "repro/experiments/executor.py::ParallelExecutor._merge_trace": _JOBS,
     "repro/experiments/executor.py::ParallelExecutor._trace_path": _JOBS,
     "repro/experiments/executor.py::_json_default": _JOBS,
     "repro/experiments/reporting.py::rows_fingerprint": "the hash of the golden-run contract",
     "repro/faults/detector.py::SwimDetector.force_confirm": "the seam the planted false-eviction audit plants a verdict through",
-    "repro/faults/models.py::CompositeFault.extra_delay": _GATE,
-    "repro/faults/models.py::FaultModel.extra_delay": _GATE,
-    "repro/faults/models.py::SlowLinks.extra_delay": _GATE,
+    "repro/faults/models.py::FaultModel.drop": "the base model's no-loss answer: every fault model overrides it",
     "repro/net/bootstrap.py::SeedClient.report_dead": _LIVE,
     "repro/net/cluster.py::_attribute_misses.miss": _MISS,
     "repro/net/liveness.py::LiveSwimDetector._note": _LIVE,
@@ -143,9 +139,7 @@ ALLOWED = {
     "repro/sim/network.py::Network._record_fault": _GATE,
     "repro/sim/network.py::Network._record_shed": _GATE,
     "repro/sim/network.py::Network._refused": _GATE,
-    "repro/sim/network.py::Network.send_sync": _REF,
     "repro/sim/network.py::_span_fields": _GATE,
-    "repro/sim/node.py::BaseNode.on_message": _REF,
 }
 
 #: ``path::Class`` of the config dataclasses whose field values the
@@ -159,10 +153,6 @@ CONFIGS = [
 #: ``path::Class.field`` -> why the field stays although it took one
 #: value in every root.
 ALLOWED_KNOBS = {
-    "repro/faults/detector.py::DetectorConfig.probe_fanout": "set by chaos_sweep --probe-fanout",
-    "repro/faults/detector.py::DetectorConfig.suspicion_base":
-        "set by chaos_sweep --suspicion-timeout",
-    "repro/sim/capacity.py::NodeCapacity.policy": "set by overload_sweep --shed-policy",
     "repro/sim/capacity.py::NodeCapacity.service_rate":
         "the deployed capacity golden pins it at 14",
 }
