@@ -21,13 +21,17 @@ pipeline on it:
 In the pub/sub mapping each user is simultaneously a *node* and a *topic*:
 following user ``u`` = subscribing to topic ``u``; user ``u`` publishes on
 its own topic.
+
+Storage is one CSR pair: ``u`` follows ``indices[indptr[u]:indptr[u + 1]]``
+(``int32`` ids at ``int64`` offsets), each row in its draw's set order.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from array import array
+from collections import Counter, deque
 from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
@@ -107,8 +111,6 @@ class TwitterTrace:
         self.min_out = min_out
         self.max_out = max_out if max_out is not None else max(min_out, n_users // 4)
         self.max_weight_ratio = max_weight_ratio
-        self.following: Dict[int, Set[int]] = {}
-        self.followers: Dict[int, Set[int]] = {}
         self._generate()
 
     # ------------------------------------------------------------------
@@ -132,43 +134,44 @@ class TwitterTrace:
         weights = (1.0 - rng.random(n)) ** (-1.0 / (self.alpha - 1.0))
         cap = float(np.median(weights)) * self.max_weight_ratio
         weights = np.minimum(weights, cap)
-        p = weights / weights.sum()
-
-        following: Dict[int, Set[int]] = {u: set() for u in range(n)}
-        followers: Dict[int, Set[int]] = {u: set() for u in range(n)}
+        # rng.choice(n, size, p=p)'s own algorithm, its CDF built once.
+        cdf = np.cumsum(weights / weights.sum())
+        cdf /= cdf[-1]
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        indices = array("i")
         for u in range(n):
-            k = int(out_deg[u])
             # Oversample to absorb self-follows and duplicates, then trim.
-            want = min(k, n - 1)
+            want = min(int(out_deg[u]), n - 1)
             chosen: Set[int] = set()
             attempts = 0
             while len(chosen) < want and attempts < 6:
-                draw = rng.choice(n, size=min(n, 2 * (want - len(chosen)) + 4), p=p)
-                for v in draw:
-                    v = int(v)
+                draw = rng.random(min(n, 2 * (want - len(chosen)) + 4))
+                for v in cdf.searchsorted(draw, side="right").tolist():
                     if v != u:
                         chosen.add(v)
                         if len(chosen) >= want:
                             break
                 attempts += 1
-            following[u] = chosen
-            for v in chosen:
-                followers[v].add(u)
-        self.following = following
-        self.followers = followers
+            indices.extend(chosen)  # set order: bfs_sample may stop mid-row
+            self.indptr[u + 1] = len(indices)
+        self.indices = np.frombuffer(indices, dtype=np.intc)
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
+    def followees(self, u: int) -> List[int]:
+        """The users ``u`` follows, in generation order."""
+        return self.indices[self.indptr[u]:self.indptr[u + 1]].tolist()
+
     @property
     def n_relations(self) -> int:
-        return sum(len(s) for s in self.following.values())
+        return int(self.indptr[-1])
 
     def out_degrees(self) -> List[int]:
-        return [len(self.following[u]) for u in range(self.n_users)]
+        return np.diff(self.indptr).tolist()
 
     def in_degrees(self) -> List[int]:
-        return [len(self.followers[u]) for u in range(self.n_users)]
+        return np.bincount(self.indices, minlength=self.n_users).tolist()
 
     def summary(self) -> Dict[str, float]:
         """The Fig. 9-style statistics table of the synthetic trace."""
@@ -190,10 +193,7 @@ class TwitterTrace:
     def degree_histogram(self, kind: str = "in") -> Dict[int, int]:
         """degree → frequency (the Fig. 8 log-log series)."""
         degs = self.in_degrees() if kind == "in" else self.out_degrees()
-        hist: Dict[int, int] = {}
-        for d in degs:
-            hist[d] = hist.get(d, 0) + 1
-        return dict(sorted(hist.items()))
+        return dict(sorted(Counter(degs).items()))
 
     # ------------------------------------------------------------------
     # Section IV-E sampling pipeline
@@ -214,7 +214,7 @@ class TwitterTrace:
         while queue and len(sample) < target_size:
             u = queue.popleft()
             sample.add(u)
-            for v in self.following[u]:
+            for v in self.followees(u):
                 if len(sample) >= target_size:
                     break
                 sample.add(v)
@@ -233,9 +233,8 @@ class TwitterSample:
         self.trace = trace
         self.users = users
         self.index = {u: i for i, u in enumerate(users)}
-        inside = set(users)
         self.following: List[frozenset] = [
-            frozenset(self.index[v] for v in trace.following[u] if v in inside)
+            frozenset(self.index[v] for v in trace.followees(u) if v in self.index)
             for u in users
         ]
 

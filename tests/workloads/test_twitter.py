@@ -1,5 +1,8 @@
 """Tests for the synthetic Twitter trace."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,25 +14,61 @@ def trace():
     return TwitterTrace(2000, seed=3)
 
 
+def _rows(trace):
+    return [trace.followees(u) for u in range(trace.n_users)]
+
+
 class TestGeneration:
     def test_deterministic(self):
         a = TwitterTrace(300, seed=1)
         b = TwitterTrace(300, seed=1)
-        assert a.following == b.following
+        assert _rows(a) == _rows(b)
 
     def test_seed_changes_graph(self):
         a = TwitterTrace(300, seed=1)
         b = TwitterTrace(300, seed=2)
-        assert a.following != b.following
+        assert _rows(a) != _rows(b)
 
     def test_no_self_follows(self, trace):
-        for u, f in trace.following.items():
+        for u, f in enumerate(_rows(trace)):
             assert u not in f
+            assert len(set(f)) == len(f)
 
     def test_followers_is_inverse(self, trace):
-        for u, f in trace.following.items():
+        """A user's in-degree is the number of rows that name it."""
+        rows = _rows(trace)
+        counts = [0] * trace.n_users
+        for f in rows:
             for v in f:
-                assert u in trace.followers[v]
+                counts[v] += 1
+        assert trace.in_degrees() == counts
+        assert trace.out_degrees() == [len(f) for f in rows]
+
+    # sha256 of indptr (int64, little-endian) followed by indices (int32).
+    # Each was computed from the rows of the set-per-user generator this
+    # CSR one replaced, every row in its set's iteration order: the order
+    # is part of the graph because bfs_sample stops part-way through a row.
+    @pytest.mark.parametrize("n_users, min_out, seed, digest", [
+        (300, 8, 1, "6074c44538ac35e7e219f48c8d38a53e6342f63db228d7b5719c3c1152f27478"),
+        (2000, 8, 3, "06c6a5d8e6a2d691280b3a60fe82946efd33c7cb8ae63800e618683e619c924a"),
+        (8000, 3, 1, "17d5c443bd24d4897f709fffbbc1bbf41139e3e52eea7b6fdd2dd001b5a33ce6"),
+    ])
+    def test_graph_bytes_pinned(self, n_users, min_out, seed, digest):
+        t = TwitterTrace(n_users, min_out=min_out, seed=seed)
+        raw = t.indptr.astype("<i8").tobytes() + t.indices.astype("<i4").tobytes()
+        assert hashlib.sha256(raw).hexdigest() == digest
+
+    def test_retains_little_memory(self):
+        """The graph is two flat arrays; per-user sets of Python ints
+        would retain ~24 MB here."""
+        tracemalloc.start()
+        try:
+            t = TwitterTrace(2000, seed=3)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert t.n_relations > 100_000
+        assert retained < 3_000_000
 
     def test_out_degrees_respect_floor_and_cap(self, trace):
         outs = trace.out_degrees()
@@ -94,7 +133,7 @@ class TestBfsSample:
     def test_subscriptions_match_graph(self, trace):
         sample = trace.bfs_sample(300, seed=1)
         for i, u in enumerate(sample.users):
-            original = {v for v in trace.following[u] if v in sample.index}
+            original = {v for v in trace.followees(u) if v in sample.index}
             assert sample.following[i] == frozenset(sample.index[v] for v in original)
 
     def test_sample_preserves_degree_law(self, trace):

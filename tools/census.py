@@ -65,6 +65,8 @@ ROOTS = {
         "python -m repro chaos_sweep --scale 0.4 --loss-rate 0.05 --loss-rate 0.1 --fault-seed 7",
         "python -m repro fig7 --scale 0.15 --seed 1 --trace-out fig7.jsonl"
         " && python -m repro trace-report fig7.jsonl --audit",
+        "python -m repro fig7 --scale 0.15 --seed 1 --jobs 2 --trace-out fig7j.jsonl"
+        " && python -m repro trace-report fig7j.jsonl --trees 3",
         "python -m repro overload_sweep --scale 0.4 --pub-rate 4 --queue-capacity 0"
         " --queue-capacity 32 --queue-capacity 20 --jobs 2 --cache-dir ocache",
         "python -m repro overload_sweep --scale 0.4 --shed-policy red",
@@ -89,9 +91,7 @@ ROOTS = {
 _GATE = "message-driven fault/latency gate or virtual-time churn and tracing (ROADMAP item 3)"
 _LIVE = "the live failure path: no root kills a live node (ROADMAP item 6)"
 _MISS = "miss attribution or the audit's failure path: no root misses a delivery"
-_JOBS = "traced --jobs merge: no root traces with --jobs"
 _NULL = "the null-object telemetry: a method the real sink overrides"
-_TREES = "trace-report --trees N: no root renders span trees"
 
 #: ``path::Qual.name`` -> why it stays although no root enters it.
 ALLOWED = {
@@ -103,9 +103,7 @@ ALLOWED = {
     "repro/core/dissemination.py::_attribute_misses.reached_via_false_edges": _MISS,
     "repro/core/dissemination.py::_liveness_cause": _MISS,
     "repro/core/protocol.py::OverlayProtocolBase._protocol_round": "abstract: each protocol overrides it",
-    "repro/experiments/executor.py::ParallelExecutor._merge_trace": _JOBS,
-    "repro/experiments/executor.py::ParallelExecutor._trace_path": _JOBS,
-    "repro/experiments/executor.py::_json_default": _JOBS,
+    "repro/experiments/executor.py::_json_default": "runs only for a trial result holding a numpy scalar",
     "repro/experiments/reporting.py::rows_fingerprint": "the hash of the golden-run contract",
     "repro/faults/detector.py::SwimDetector.force_confirm": "the seam the planted false-eviction audit plants a verdict through",
     "repro/faults/models.py::FaultModel.drop": "the base model's no-loss answer: every fault model overrides it",
@@ -122,8 +120,6 @@ ALLOWED = {
     "repro/net/store.py::MetricsStore.note_swim": _LIVE,
     "repro/obs/audit.py::AuditReport.failures": _MISS,
     "repro/obs/audit.py::EventAudit.missed": _MISS,
-    "repro/obs/report.py::span_tree_lines": _TREES,
-    "repro/obs/report.py::span_tree_lines.walk": _TREES,
     "repro/obs/spans.py::SpanTree.failures": _MISS,
     "repro/obs/telemetry.py::NullTelemetry.event": _NULL,
     "repro/obs/telemetry.py::NullTelemetry.merge_snapshot": _NULL,

@@ -14,12 +14,14 @@ may fail more operations than the other — otherwise the exit code is 1.
 ``--sha-may-differ`` is for a change that moves a fingerprint on purpose
 (a wire-format bump changes the byte counts ``udp_pair`` hashes): the
 two ``sim_sha256`` are then printed as a note, everything else stays
-must-match.  Prints one row per pair, then each side's median and
-quartiles, the win count, how often whichever side ran first won (an
-order effect reads far from half), and whether the pairs support a gain
-by the rule of the ``choosing-metrics`` guide, section 8: at least ten
-pairs, the change wins nine tenths of them, and the medians differ by
-more than the distance between the parent's quartiles.
+must-match.  Prints one row per pair, then for ``ops_per_s``,
+``setup_s`` and ``peak_rss_mb`` each side's median and quartiles, the
+win count and whether the pairs support a gain, plus how often whichever
+side ran first won on ``ops_per_s`` (an order effect reads far from
+half).  A gain is judged by the rule of the ``choosing-metrics`` guide,
+section 8: at least ten pairs, the change wins nine tenths of them, and
+the medians differ by more than the distance between the parent's
+quartiles.
 
 ``--layers`` names per-layer spans (``core.gateway.election_round``,
 ``smallworld.lookup``, …).  After a workload's pairs, each side runs
@@ -44,7 +46,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MUST_MATCH = ("hit_ratio", "useful_msgs_pct", "delay_hops")
-REPORTED = ("ops_per_s", "setup_s", "peak_rss_mb")
+#: Reported metric -> +1 when higher is better, -1 when lower is.
+REPORTED = {"ops_per_s": 1, "setup_s": -1, "peak_rss_mb": -1}
 
 
 def run_once(tree: Path, workload: str, seed: int, quick: bool, trace: bool = False) -> dict:
@@ -134,15 +137,16 @@ def run_pairs(sides: dict, workload: str, seeds: range, args) -> list:
         print(f"{name}: parent median {qp[1]:.4g} (quartiles {qp[0]:.4g}-{qp[2]:.4g}), "
               f"change median {qc[1]:.4g} (quartiles {qc[0]:.4g}-{qc[2]:.4g}), "
               f"{100 * (qc[1] / qp[1] - 1):+.1f} %")
-    wins = sum(c["ops_per_s"] > p["ops_per_s"] for p, c in pairs)
-    losses = sum(c["ops_per_s"] < p["ops_per_s"] for p, c in pairs)
-    (q1, med_p, q3), (_, med_c, _) = quart["ops_per_s"]
-    gain = len(pairs) >= 10 and wins >= 0.9 * len(pairs) and med_c - med_p > q3 - q1
-    # An order effect shows as the first runner winning far from half the
-    # pairs whichever side it is; alternation keeps it out of the win count.
-    print(f"ops_per_s: change wins {wins}/{len(pairs)}, loses {losses}, "
-          f"first-runner wins {first_won}/{len(pairs)}; "
-          f"pairs {'support' if gain else 'do not support'} a gain")
+    for name, sign in REPORTED.items():
+        wins = sum(sign * (c[name] - p[name]) > 0 for p, c in pairs)
+        losses = sum(sign * (c[name] - p[name]) < 0 for p, c in pairs)
+        (q1, med_p, q3), (_, med_c, _) = quart[name]
+        gain = len(pairs) >= 10 and wins >= 0.9 * len(pairs) and sign * (med_c - med_p) > q3 - q1
+        # An order effect shows as the first runner winning far from half the
+        # pairs whichever side it is; alternation keeps it out of the win count.
+        extra = f", first-runner wins {first_won}/{len(pairs)}" if name == "ops_per_s" else ""
+        print(f"{name}: change wins {wins}/{len(pairs)}, loses {losses}{extra}; "
+              f"pairs {'support' if gain else 'do not support'} a gain")
     for line in notes:
         print(f"note (--sha-may-differ) {line}")
     return mismatches
