@@ -105,28 +105,33 @@ def forwarding_targets(protocol: "VitisProtocol", address: int, topic: int) -> S
 class _TopicMemo:
     """Everything dissemination memoises for one ``(topic,
     topology_version)``: a publish phase disseminates many events over a
-    frozen overlay, so forwarding targets, the live audience and — on an
-    un-hooked flood — the whole outcome repeat event after event.
+    frozen overlay, so forwarding targets, liveness, the live audience
+    and — on an un-hooked flood — the whole outcome repeat event after
+    event.
 
-    The topic is compiled when its memo first serves a flood: every live
-    subscriber's forwarding-targets tuple is written in one pass over the
-    topic's cluster adjacency (:func:`_compile_topic`).  Other nodes —
-    relay-only and injection-path nodes — are filled lazily as the BFS
-    first forwards from them.
+    The topic is compiled when its memo first serves a flood: the
+    forwarding-targets tuple of every live subscriber and of every
+    relay-tree node reachable from one is written in one pass over the
+    topic's cluster adjacency and relay tables (:func:`_compile_topic`).
+    Only nodes off that graph — injection-path nodes, stale tree
+    fragments — are filled lazily as the BFS first forwards from them.
     """
 
     __slots__ = (
-        "version", "targets", "live_subs", "publisher_targets", "audience",
-        "replay",
+        "version", "live", "targets", "live_subs", "publisher_targets",
+        "audience", "replay",
     )
 
-    def __init__(self, version) -> None:
+    def __init__(self, version, live: frozenset) -> None:
         self.version = version
+        #: The perceived-live addresses of this version, one object shared
+        #: by every topic's memo: the BFS reads liveness here.
+        self.live = live
         #: addr → forwarding-targets tuple.  Each tuple snapshots the
         #: iteration order of the set a fresh :func:`forwarding_targets`
         #: call would build (identical within one version), keeping the
-        #: BFS byte-identical to uncached walks.  Complete for the live
-        #: subscribers once ``live_subs`` is set.
+        #: BFS byte-identical to uncached walks.  Complete for the
+        #: compiled graph once ``live_subs`` is set.
         self.targets: Dict[int, tuple] = {}
         #: The topic's live subscribers, or None until the topic is
         #: compiled.
@@ -139,6 +144,9 @@ class _TopicMemo:
         #: publisher → ``(interested_msgs, relay_msgs, delivered_hops,
         #: transmissions)`` of its first un-hooked flood or gated flood
         #: that lost no transmission in full (see :func:`disseminate`).
+        #: The three tallies are that flood's record's own dicts, and
+        #: every replay hands the same objects to its record: records
+        #: are read-only.
         self.replay: Dict[int, tuple] = {}
 
 
@@ -149,27 +157,37 @@ def _topic_cache(protocol: "VitisProtocol", topic: int) -> _TopicMemo:
     ``cluster_adjacency`` (the dominant input) is already cached under,
     and every sanctioned topology or liveness write bumps it — so
     staleness semantics are unchanged.  The cache holds the current
-    version only: the first memo of a new version drops every older one.
+    version only: the first memo of a new version drops every older one
+    and asks perceived liveness once per node, for the set every memo of
+    the version shares.
     """
     version = protocol.topology_version
     cache = protocol._fwd_cache
     entry = cache.get(topic)
     if entry is None or entry.version != version:
-        if cache and next(iter(cache.values())).version != version:
+        other = next(iter(cache.values()), None)
+        if other is not None and other.version == version:
+            live = other.live
+        else:
             cache.clear()
-        entry = cache[topic] = _TopicMemo(version)
+            liveness = protocol.liveness
+            live = frozenset([a for a in protocol.nodes if liveness(a)])
+        entry = cache[topic] = _TopicMemo(version, live)
     return entry
 
 
 def _compile_topic(protocol: "VitisProtocol", topic: int, memo: _TopicMemo) -> frozenset:
-    """Set ``memo.live_subs`` and write every live subscriber's
-    forwarding-targets tuple, reading the cluster adjacency once.
+    """Set ``memo.live_subs`` and write the forwarding-targets tuple of
+    every node of the topic's flood graph, reading the cluster adjacency
+    once: every live subscriber, then every perceived-live relay-tree
+    node reachable from one over tree edges.
 
     The set operations are :func:`forwarding_rule`'s own, in its
-    order — the adjacency set copied, the tree neighbours added from a
-    list ``[parent, *children]`` (an update from the children *set*
-    would take CPython's set-merge path, which resizes differently), the
-    node itself discarded — so every tuple iterates as the lazy fill's
+    order — the adjacency set copied (none for a relay-only node, which
+    does not subscribe), the tree neighbours added from a list
+    ``[parent, *children]`` (an update from the children *set* would
+    take CPython's set-merge path, which resizes differently), the node
+    itself discarded — so every tuple iterates as the lazy fill's
     would.  A subscriber the version's adjacency does not hold (possible
     in message mode, where the version is the clock) floods along its
     tree neighbours alone, as there.  RVR's adjacency is empty, so it
@@ -180,15 +198,28 @@ def _compile_topic(protocol: "VitisProtocol", topic: int, memo: _TopicMemo) -> f
     if adj:
         nodes = protocol.nodes
         targets = memo.targets
-        for a in live_subs:
-            out = set(adj.get(a, ()))
+        live = memo.live
+        frontier = [*live_subs]
+        while frontier:
+            a = frontier.pop()
+            if a in targets:
+                continue
+            if a in live_subs:
+                out = set(adj.get(a, ()))
+            elif a in live:
+                out = set()
+            else:
+                continue  # the BFS never forwards from it
             relay = nodes[a].relay
             p = relay.parent.get(topic)
             kids = relay.children.get(topic)
             if kids:
-                out.update([p, *kids] if p is not None else [*kids])
+                tree = [p, *kids] if p is not None else [*kids]
+                out.update(tree)
+                frontier += tree
             elif p is not None:
                 out.add(p)
+                frontier.append(p)
             out.discard(a)
             targets[a] = tuple(out)
     return live_subs
@@ -363,11 +394,18 @@ def disseminate(
     # The BFS forwards along *perceived* liveness: with a detector
     # attached, confirmed-dead nodes are shunned even while ground-truth
     # alive — their missed deliveries are attributed to false_eviction.
-    is_alive = protocol.liveness
+    # No verdict changes inside a topology version, so the version's
+    # perceived-live set answers every check.
+    live = memo.live
     link_cost = protocol.link_cost
-    transmit = _make_transmit(protocol, rec, failures)
+    fm = protocol.fault_model
     cap = protocol.capacity
-    loss_rate, loss_draw = _inline_loss(protocol.fault_model, cap)
+    if fm is None and cap is None:
+        transmit = None
+        loss_rate, loss_draw = 0.0, None
+    else:
+        transmit = _make_transmit(protocol, rec, failures)
+        loss_rate, loss_draw = _inline_loss(fm, cap)
     on_receipt = spans is not None or count_pulls
     hooked = on_receipt or transmit is not None or link_cost is not None
     targets = memo.targets
@@ -388,10 +426,10 @@ def disseminate(
     inject_cause = protocol._injection_miss_cause
 
     # Perceived liveness is asked once per node per event: a target in
-    # ``seen`` passed the check when it was first reached, and no verdict
-    # changes inside an event.  The publisher alone sits in ``seen``
-    # unchecked — a detector-shunned one must still be refused.
-    publisher_ok = hooked and is_alive(publisher)
+    # ``seen`` passed the check when it was first reached.  The publisher
+    # alone sits in ``seen`` unchecked — a detector-shunned one must
+    # still be refused.
+    publisher_ok = hooked and publisher in live
     # Whole-outcome replay: within one topology version the un-hooked
     # flood is fully deterministic (greedy routing is rng-free, liveness
     # verdicts only change with a version bump, and no hook draws
@@ -420,9 +458,8 @@ def disseminate(
                         settle = k + 1
                         break
             if not settle:
-                imsgs.update(hit[0])
-                rmsgs.update(hit[1])
-                delivered.update(hit[2])
+                # The recorded tallies themselves: records are read-only.
+                rec.interested_msgs, rec.relay_msgs, rec.delivered_hops, _ = hit
                 return rec
 
     now = protocol.engine.now
@@ -478,7 +515,7 @@ def disseminate(
     # transmit gate applies and the first dead node ends the injection.
     prev = publisher
     for hop, v in enumerate(injection_path[1:], start=1):
-        if not is_alive(v):
+        if v not in live:
             if spans is not None:
                 cause = failures[(prev, v)] = _liveness_cause(protocol, v)
                 spans.failure(span_of.get(prev), HOP_LOOKUP, prev, v, hop, cause)
@@ -514,7 +551,7 @@ def disseminate(
                 if reached:
                     ok = publisher_ok or v != publisher
                 else:
-                    ok = is_alive(v)
+                    ok = v in live
                 if not ok:
                     if spans is not None:
                         failures[(u, v)] = _liveness_cause(protocol, v)
@@ -546,7 +583,7 @@ def disseminate(
                     imsgs[v] = iget(v, 0) + 1
                 else:
                     rmsgs[v] = rget(v, 0) + 1
-            elif hooked or is_alive(v):
+            elif hooked or v in live:
                 seen.add(v)
                 if v in members:
                     imsgs[v] = iget(v, 0) + 1
@@ -559,10 +596,10 @@ def disseminate(
                     first_receipt(u, v, hop, None)
 
     if replays and rec.faults == rec.retries:
-        # No transmission was lost in full: the ungated trajectory.
+        # No transmission was lost in full: the ungated trajectory.  The
+        # record's own tallies are kept, uncopied.
         memo.replay[publisher] = (
-            imsgs.copy(), rmsgs.copy(), dict(delivered),
-            sum(imsgs.values()) + sum(rmsgs.values()),
+            imsgs, rmsgs, delivered, sum(imsgs.values()) + sum(rmsgs.values()),
         )
     elif spans is not None:
         _attribute_misses(

@@ -338,7 +338,8 @@ class OverlaySystem:
         the detector-aware predicate: confirmed-dead nodes are shunned by
         gossip exchanges, lookups and relay repair, and globally purged on
         confirmation.  Pass ``None`` to detach and return to oracle
-        liveness (zero-cost-off, like :meth:`attach_faults`).
+        liveness (zero-cost-off, like :meth:`attach_faults`).  A
+        sanctioned liveness write: opens a fresh ``topology_version``.
         """
         self.detector = detector
         if detector is not None:
@@ -346,6 +347,7 @@ class OverlaySystem:
             self.liveness = self._detector_liveness
         else:
             self.liveness = self.is_alive
+        self.topology_version += 1
 
     def _detector_liveness(self, address: int) -> bool:
         """Liveness as the overlay perceives it: ground-truth alive *and*

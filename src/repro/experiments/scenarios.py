@@ -31,7 +31,8 @@ rates unless the scenario sweeps them.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.clusters import cluster_stats
 from repro.analysis.distributions import frequency_histogram, gini
@@ -340,10 +341,22 @@ def fig9_spec(n_users: int = 20000, alpha: float = 1.65, seed: int = 0) -> Sweep
 # ----------------------------------------------------------------------
 # Fig. 10 — real-world (Twitter) subscriptions, three systems
 # ----------------------------------------------------------------------
-def _fig10_trial(system, rt_size, n_users, sample_size, events, seed, min_out):
+@lru_cache(maxsize=1)
+def _twitter_subscriptions(
+    n_users: int, min_out: int, sample_size: int, seed: int
+) -> Tuple[frozenset, ...]:
+    """The per-node topic sets of a BFS sample of the Twitter trace.
+
+    Every trial of fig10, fig11 and management_cost samples the same
+    trace, so a process keeps the last sample it built; the result is
+    immutable, so trials cannot see each other's use of it.
+    """
     trace = TwitterTrace(n_users, min_out=min_out, seed=seed)
-    sample = trace.bfs_sample(sample_size, seed=seed)
-    subs = sample.subscriptions()
+    return tuple(trace.bfs_sample(sample_size, seed=seed).subscriptions())
+
+
+def _fig10_trial(system, rt_size, n_users, sample_size, events, seed, min_out):
+    subs = _twitter_subscriptions(n_users, min_out, sample_size, seed)
     cfg = VitisConfig().with_rt_size(rt_size)
     if system == "vitis":
         proto = build_vitis(subs, cfg, seed=seed)
@@ -392,10 +405,8 @@ def fig10_spec(
 # Fig. 11 — OPT with unbounded degree
 # ----------------------------------------------------------------------
 def _fig11_trial(n_users, sample_size, cycles, seed, min_out):
-    trace = TwitterTrace(n_users, min_out=min_out, seed=seed)
-    sample = trace.bfs_sample(sample_size, seed=seed)
-    opt = build_opt(sample.subscriptions(), VitisConfig(), seed=seed,
-                    cycles=cycles, max_degree=None)
+    subs = _twitter_subscriptions(n_users, min_out, sample_size, seed)
+    opt = build_opt(subs, VitisConfig(), seed=seed, cycles=cycles, max_degree=None)
     degrees = opt.degree_distribution()
     return [
         {"degree": d, "frequency": f}
@@ -692,8 +703,7 @@ def _management_cost_trial(system, n_users, sample_size, rt_size, seed):
         per_node_link_load,
     )
 
-    trace = TwitterTrace(n_users, min_out=3, seed=seed)
-    subs = trace.bfs_sample(sample_size, seed=seed).subscriptions()
+    subs = _twitter_subscriptions(n_users, 3, sample_size, seed)
     cfg = VitisConfig(rt_size=rt_size)
     if system == "vitis":
         proto = build_vitis(subs, cfg, seed=seed)

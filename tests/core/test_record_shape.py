@@ -4,8 +4,8 @@ Every producer — the three overlays, each configuration that switches a
 branch of the flood, a replayed publish, ``restrict_record`` — hands out
 the same thing: two plain
 ``dict`` tallies ``{address: count >= 1}``, interested keys inside the
-topic's subscription index and relay keys outside it, owned by the
-record alone.
+topic's subscription index and relay keys outside it.  Records are
+read-only: a replayed record shares its tallies with the topic memo.
 """
 
 import random
@@ -16,8 +16,9 @@ import pytest
 from repro.baselines.opt import OptProtocol
 from repro.baselines.rvr import RvrProtocol
 from repro.core.config import VitisConfig
-from repro.core.dissemination import disseminate
+from repro.core.dissemination import _topic_cache, disseminate
 from repro.core.protocol import VitisProtocol
+from repro.experiments.runner import measure
 from repro.faults import HealingPolicy, MessageLoss
 from repro.sim.metrics import restrict_record
 from tests.conftest import small_subscriptions
@@ -111,17 +112,46 @@ def test_tallies_are_plain_dicts_split_by_the_subscription_index(
         assert_shape(p, flood(p, variant, topic, publisher))
 
 
+def tallies(rec):
+    return rec.interested_msgs, rec.relay_msgs, rec.delivered_hops
+
+
 @pytest.mark.parametrize("system", ["vitis", "rvr", "opt"])
-def test_a_replayed_record_does_not_alias_the_memo(request, system):
+def test_a_replayed_record_shares_the_memo_tallies(request, monkeypatch, system):
+    """Records are read-only: a flood that records its outcome keeps its
+    own tallies in the topic memo, every replay hands out those same
+    objects, and ``measure``'s join-age restriction builds new ones
+    instead of editing them.  OPT floods its own topic overlay and keeps
+    no memo, so each of its records owns fresh tallies."""
     p = request.getfixturevalue(system)
+    p.topology_version += 1  # a cold memo: the overlay is the module's
     topic = sorted(p.topics(), key=lambda t: (-len(p.subscribers(t)), t))[1]
     publisher = min(p.subscribers(topic))
     first = p.publish(topic, publisher)
-    expected = outcome(first)
     replayed = p.publish(topic, publisher)
-    assert outcome(replayed) == expected
+    assert outcome(replayed) == outcome(first)
+    if system == "opt":
+        assert all(a is not b for a, b in zip(tallies(first), tallies(replayed)))
+        return
+    hit = _topic_cache(p, topic).replay[publisher]
     for rec in (first, replayed):
-        rec.interested_msgs[-1] = 99
-        rec.relay_msgs.clear()
-        rec.delivered_hops[-1] = 0
-    assert outcome(p.publish(topic, publisher)) == expected
+        assert all(a is b for a, b in zip(tallies(rec), hit))
+
+    full = measure(p, 300, seed=3)
+    kept = [
+        (entry, [dict(d) for d in entry[:3]])
+        for memo in p._fwd_cache.values() for entry in memo.replay.values()
+    ]
+    # Half the population joined too recently to count toward hits; the
+    # same seed draws the same events, so every one of them replays.
+    young = frozenset(sorted(p.live_addresses())[::2])
+    for a in young:
+        monkeypatch.setattr(p.nodes[a], "joined_at", p.engine.now)
+    restricted = measure(p, 300, seed=3, min_join_age=1.0)
+    assert all(young.isdisjoint(r.subscribers) for r in restricted.records)
+    assert sum(r.n_delivered for r in restricted.records) < sum(
+        r.n_delivered for r in full.records
+    )
+    assert sum(len(m.replay) for m in p._fwd_cache.values()) == len(kept)
+    for entry, before in kept:
+        assert [dict(d) for d in entry[:3]] == before

@@ -354,3 +354,49 @@ class TestTraceMerge:
                 executor=ParallelExecutor(2),
             )
         assert tel.trace is None
+
+
+def test_concurrent_cli_writers_share_one_cache_dir(tmp_path):
+    """Two ``--jobs 2`` runs of one sweep started together on one
+    ``--cache-dir``: four workers race to store the same entries.  Every
+    write is a temp file renamed into place, so none is left behind,
+    every entry loads, and both runs print the rows of a cold serial
+    run."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.experiments.executor import _MISSING
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    cache = tmp_path / "cache"
+
+    def repro(csv, *extra):
+        return [sys.executable, "-m", "repro", "fig4", "--scale", "0.05", "--seed", "1",
+                "--csv", str(tmp_path / csv), *extra]
+
+    racers = [
+        subprocess.Popen(repro(csv, "--jobs", "2", "--cache-dir", str(cache)), env=env,
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        for csv in ("a.csv", "b.csv")
+    ]
+    try:
+        errors = [p.communicate(timeout=240)[1] for p in racers]
+    finally:
+        for p in racers:
+            p.kill()
+    assert [p.returncode for p in racers] == [0, 0], errors
+    subprocess.run(repro("cold.csv"), env=env, stdout=subprocess.DEVNULL, check=True,
+                   timeout=240)
+
+    assert not list(cache.rglob("*.tmp"))
+    entries = sorted((cache / "fig4").glob("*.json"))
+    assert len(entries) == len(scenarios.SCENARIOS["fig4"].sweep(seed=1, scale=0.05).trials)
+    store = ResultCache(cache)
+    assert all(store.load("fig4", path.stem) is not _MISSING for path in entries)
+    cold = (tmp_path / "cold.csv").read_bytes()
+    assert (tmp_path / "a.csv").read_bytes() == cold
+    assert (tmp_path / "b.csv").read_bytes() == cold

@@ -205,3 +205,24 @@ def test_a_config_class_no_root_constructs_fails(tmp_path):
     _dump(out, [["m::Knobs", "varied", "'b'"]])
     assert census.check_knobs(out, ["m::Knobs", "m::Unbuilt"], {}) == [
         "config class never constructed: m::Unbuilt"]
+
+
+def _public_methods(cls):
+    return {
+        name for name, value in vars(cls).items()
+        if not name.startswith("_") and (callable(value) or isinstance(value, property))
+    }
+
+
+def test_the_null_telemetry_defines_only_the_real_sinks_methods():
+    """The premise of the census's null-object exemption: each public
+    method ``NullTelemetry`` defines overrides one ``Telemetry`` defines,
+    so no method of the null object escapes the census by its name.  The
+    one it inherits, ``next_trace_id``, runs only while tracing."""
+    from repro.obs.telemetry import NullTelemetry, Telemetry
+
+    assert _public_methods(NullTelemetry) <= _public_methods(Telemetry)
+    assert _public_methods(Telemetry) - _public_methods(NullTelemetry) == {"next_trace_id"}
+    assert census.null_overrides(k for k, _, _ in census.definitions(census.SRC)) == {
+        f"repro/obs/telemetry.py::NullTelemetry.{name}" for name in _public_methods(NullTelemetry)
+    }
