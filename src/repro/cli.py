@@ -287,6 +287,8 @@ def _run_scenario(args) -> int:
         rows = run_sweep(sweep, executor=executor, cache=cache)
     elapsed = time.time() - t0
     print(reporting.format_table(rows, title=f"{args.command} ({elapsed:.1f}s)"))
+    # Same seed and scale, same line: the value tools/contract.py pins.
+    print(f"{len(rows)} rows, rows_sha256 {reporting.rows_fingerprint(rows)}")
     if args.csv:
         _write_csv(args.csv, rows)
     _finish_telemetry(telemetry, args)

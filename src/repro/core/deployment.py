@@ -618,12 +618,21 @@ class DeployedVitis(OverlaySystem):
         """Advance simulated time; timers and messages interleave freely."""
         self.engine.run(until=self.engine.now + seconds)
 
+    #: What the base's topology writes (a runtime ``subscribe``) added
+    #: to the clock; see ``topology_version``.
+    _version_offset = 0.0
+
     @property
     def topology_version(self) -> float:
         # Message mode has no cycle counter and nodes mutate their own
         # tables; time is the version, so the base's caches are shared
-        # within one instant and dropped as soon as the clock moves.
-        return self.engine.now
+        # within one instant and dropped as soon as the clock moves.  A
+        # write (``+= 1``) moves the offset, so a version never repeats.
+        return self.engine.now + self._version_offset
+
+    @topology_version.setter
+    def topology_version(self, value: float) -> None:
+        self._version_offset = value - self.engine.now
 
     def lookup(self, start: int, target_id: int) -> LookupResult:
         # Ungated and silent: this is the measuring oracle's walk, and

@@ -292,12 +292,16 @@ class OverlaySystem:
     # Subscriptions at runtime
     # ------------------------------------------------------------------
     def subscribe(self, address: int, topic: int) -> None:
+        """A changed profile opens a fresh ``topology_version``: the
+        topic memo's audience and compiled tables are keyed on it."""
         if self.nodes[address].profile.subscribe(topic):
             self.sub_index[topic].add(address)
+            self.topology_version += 1
 
     def unsubscribe(self, address: int, topic: int) -> None:
         if self.nodes[address].profile.unsubscribe(topic):
             self.sub_index[topic].discard(address)
+            self.topology_version += 1
 
     # ------------------------------------------------------------------
     # Fault injection and capacity (see docs/robustness.md)

@@ -36,7 +36,7 @@ differences a real wire forces are all here:
 - **Loss injection** — an optional ``loss_rate`` drops incoming
   datagrams (data *and* acks) with i.i.d. probability, the live
   analogue of :class:`repro.faults.models.MessageLoss`; tests and the
-  CI live-smoke cluster run with it on.
+  `live` contract entry's cluster run with it on.
 
 Counter names mirror the simulator's ``Network`` (``sent``,
 ``delivered``, ``dropped`` per kind, plus per-address tallies), so the

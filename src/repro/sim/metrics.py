@@ -101,7 +101,8 @@ def restrict_record(
     Implements the paper's measurement rule for churn/Twitter experiments:
     "the hit ratio for a node is calculated 10 seconds after the node
     joins" — nodes that joined more recently are excluded from the
-    denominator (traffic accounting is unchanged).
+    denominator.  Traffic accounting is unchanged, so the copy shares the
+    source's two tallies: records are read-only once built.
     """
     keep = frozenset(eligible)
     subscribers = record.subscribers & keep
@@ -111,8 +112,8 @@ def restrict_record(
         publisher=record.publisher,
         subscribers=subscribers,
         delivered_hops={a: h for a, h in record.delivered_hops.items() if a in subscribers},
-        interested_msgs=dict(record.interested_msgs),
-        relay_msgs=dict(record.relay_msgs),
+        interested_msgs=record.interested_msgs,
+        relay_msgs=record.relay_msgs,
         pull_requests=record.pull_requests,
         pull_replies=record.pull_replies,
         physical_cost=record.physical_cost,

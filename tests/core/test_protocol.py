@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import VitisConfig
+from repro.core.deployment import DeployedVitis
 from repro.core.protocol import VitisProtocol
 from repro.core.routing_table import LinkKind
 from repro.gossip.cyclon import CyclonService
@@ -211,6 +212,30 @@ class TestChurnOperations:
         assert 0 in p.subscribers(99)
         p.unsubscribe(0, 99)
         assert 0 not in p.subscribers(99)
+
+    @pytest.mark.parametrize("deployed", [False, True], ids=["cycles", "messages"])
+    def test_a_runtime_subscription_reaches_the_next_publish(self, deployed):
+        """The topic memo is keyed on ``topology_version`` (in message
+        mode the clock, which does not move here), so a changed profile
+        must open a new one: the next event's audience follows it."""
+        if deployed:
+            p = DeployedVitis([frozenset({i % 5, (i + 1) % 5}) for i in range(40)],
+                              VitisConfig(rt_size=6), seed=7)
+            p.run(5)
+        else:
+            p = tiny_protocol(n=40)
+            p.run_cycles(10)
+        publisher = min(p.subscribers(0))
+        joiner = next(a for a in p.live_addresses() if a not in p.subscribers(0))
+        assert joiner not in p.publish(0, publisher).subscribers
+        p.subscribe(joiner, 0)
+        assert joiner in p.publish(0, publisher).subscribers
+        p.unsubscribe(joiner, 0)
+        assert joiner not in p.publish(0, publisher).subscribers
+        p.subscribe(joiner, 0)
+        assert joiner in p.publish(0, publisher).subscribers
+        p.unsubscribe(joiner, 0)
+        assert joiner not in p.publish(0, publisher).subscribers
 
 
 class TestSamplerSwap:

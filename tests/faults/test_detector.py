@@ -123,21 +123,25 @@ class TestAttachDetach:
         assert p.liveness == p.is_alive
 
     def test_detached_runs_are_byte_identical(self):
-        """Attach-then-detach must leave no trace: routing tables and
-        dissemination records match a run that never saw a detector."""
-        def run(touch_detector: bool):
-            p = _small_vitis()
+        """Attach-then-detach must leave no trace, also under message loss
+        and a crash burst with healing: routing tables and dissemination
+        records match a run that never saw a detector."""
+        def run(touch_detector: bool, faulted: bool):
+            p = _small_vitis(cycles=30)
             if touch_detector:
                 p.attach_detector(_detector())
                 p.attach_detector(None)
+            if faulted:
+                p.attach_faults(MessageLoss(0.05, random.Random(2)), HealingPolicy())
+                crash_nodes(p, sorted(p.live_addresses())[:4])
             p.run_cycles(10)
-            topic = p.topics()[0]
-            pub = sorted(p.subscribers(topic))[0]
-            rec = p.publish(topic, pub)
             tables = {a: sorted(n.rt.addresses) for a, n in p.nodes.items()}
-            return tables, sorted(rec.delivered_hops.items())
+            records = [sorted(p.publish(t, min(p.subscribers(t))).delivered_hops.items())
+                       for t in p.topics()[:15] if p.subscribers(t)]
+            return tables, records
 
-        assert run(False) == run(True)
+        for faulted in (False, True):
+            assert run(False, faulted) == run(True, faulted)
 
     def test_detached_runs_consume_no_detector_rng(self):
         class _NoDraw:

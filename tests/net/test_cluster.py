@@ -81,7 +81,7 @@ def test_mini_cluster_end_to_end(tmp_path):
 
     This is the full live path — seed bootstrap, UDP gossip, SWIM,
     fig4-style measurement, collector merge, total miss attribution —
-    and the same gates the CI live-smoke job enforces, at pytest scale.
+    and the same gates the `live` contract entry enforces, at pytest scale.
     """
     trace_out = tmp_path / "mini_trace.jsonl"
     series_out = tmp_path / "mini_series.json"

@@ -1,5 +1,6 @@
 """Property-based tests for metric aggregation."""
 
+import copy
 from collections import Counter
 
 import numpy as np
@@ -185,13 +186,11 @@ class TestRestriction:
 
     @given(overlapping_records(), st.frozensets(few_addresses))
     @settings(max_examples=60)
-    def test_restriction_copies_the_tallies(self, rec, keep):
-        before = dict(rec.interested_msgs), dict(rec.relay_msgs)
+    def test_restriction_keeps_the_tallies_and_the_source(self, rec, keep):
+        before = copy.deepcopy(rec)
         out = restrict_record(rec, keep)
-        assert (out.interested_msgs, out.relay_msgs) == before
-        out.interested_msgs[-1] = 1
-        out.relay_msgs[-1] = 1
-        assert (dict(rec.interested_msgs), dict(rec.relay_msgs)) == before
+        assert (out.interested_msgs, out.relay_msgs) == (rec.interested_msgs, rec.relay_msgs)
+        assert rec == before
 
 
 # ----------------------------------------------------------------------

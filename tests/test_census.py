@@ -2,7 +2,6 @@
 entered, which child processes it still sees, and which config fields it
 finds one-valued."""
 
-import importlib.util
 import json
 import sys
 import textwrap
@@ -10,10 +9,8 @@ from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "census.py"
-_spec = importlib.util.spec_from_file_location("census", TOOL)
-census = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(census)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import census  # noqa: E402
 
 MODULE = '''
 def deco(*names):

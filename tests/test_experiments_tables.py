@@ -3,7 +3,7 @@
 Each ``## Fig. N`` section's table is parsed cell by cell; a cell holds
 one or more numbers separated by `` / `` (``″`` repeats the cell above),
 and each must equal the CSV value formatted to the decimals printed.
-CI's ``results-smoke`` job keeps the CSVs byte-identical to a fresh run,
+The ``results`` entry of ``tools/contract.py`` keeps the CSVs byte-identical to a fresh run,
 so together the two keep the document from drifting off the code.
 """
 

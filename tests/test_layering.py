@@ -162,7 +162,6 @@ def test_no_state_is_written_and_never_read():
 #: Definitions ``src/repro`` keeps although only tests name them, each
 #: for a reason.
 REACHABLE_ONLY_FROM_TESTS = {
-    "rows_fingerprint": "the hash of the golden-run contract",
     "force_confirm": "the seam the planted false-eviction audit plants a verdict through",
 }
 
