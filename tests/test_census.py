@@ -1,8 +1,11 @@
-"""``tools/census.py`` on a synthetic source tree: what it counts as
-entered, which child processes it still sees, and which config fields it
-finds one-valued."""
+"""``tools/census.py`` on a synthetic source tree, its hook installed
+by :func:`census.hooked` as ``tools/contract.py check --census`` installs
+it: what it counts as entered, which child processes it still sees, and
+which config fields it finds one-valued."""
 
 import json
+import os
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -60,10 +63,13 @@ def tree(tmp_path):
     return src
 
 
-def _run(tree, out, script):
+def _run(tree, out, script, configs=()):
+    """Run *script* with the hook over *tree* on its ``PYTHONPATH``."""
     path = tree.parent.parent / "script.py"
     path.write_text(textwrap.dedent(script))
-    assert census.run(out, [f"{sys.executable} {path}"], tree.parent.parent, src=tree) == 0
+    env = census.hooked(out, dict(os.environ, PYTHONPATH=str(tree.parent)), src=tree,
+                        configs=configs)
+    subprocess.run([sys.executable, str(path)], cwd=path.parent, env=env, check=True)
 
 
 def _never(failures):
@@ -158,16 +164,13 @@ def _dump(out, knobs):
 def test_the_hook_records_each_config_field_at_post_init(tree, tmp_path):
     (tree / "conf.py").write_text(CONFIG_MODULE)
     out = tmp_path / "out"
-    path = tree.parent.parent / "script.py"
-    path.write_text(textwrap.dedent("""
+    _run(tree, out, """
         import pkg.conf as c
         class Sub(c.Knobs):  # a subclass counts as the listed base
             pass
         c.Knobs(varied="b")
         Sub()
-    """))
-    assert census.run(out, [f"{sys.executable} {path}"], tree.parent.parent,
-                      src=tree, configs=CONFIGS) == 0
+    """, CONFIGS)
     (dump,) = [json.loads(p.read_text()) for p in out.glob("*.json")]
     assert dump["knobs"] == [
         ["pkg/conf.py::Knobs", "fixed", "1"],

@@ -1,6 +1,7 @@
 """``tools/contract.py`` on a synthetic entry: a drifted pin fails the
-check by name, ``repin`` writes the manifest back byte for byte, and the
-census runs exactly the table's commands."""
+check by name, ``repin`` writes the manifest back byte for byte, and
+``--census`` records what the entry's commands enter, not what the
+contract process does."""
 
 import json
 import re
@@ -13,6 +14,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import census  # noqa: E402
 import contract  # noqa: E402
+from repro.experiments.reporting import rows_to_csv  # noqa: E402
 
 PRINT = f"{shlex.quote(sys.executable)} -c \"print('pinned')\" > out.txt"
 
@@ -59,16 +61,25 @@ def test_a_changed_committed_file_fails_the_check(table, tmp_path, capsys):
     assert (tmp_path / "committed.txt").read_text() == "pinned\n"
 
 
-def test_the_census_cli_root_is_the_tables_commands():
-    assert census.ROOTS["cli"] == contract.commands()
-    source = Path(census.__file__).read_text()
-    assert not [c for e in contract.ENTRIES.values() for c in e.commands if c in source]
+def test_the_census_records_the_entrys_child_and_not_the_contract(table, tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", str(census.SRC.parent))
+    call = "from repro.experiments.reporting import rows_to_csv; rows_to_csv([])"
+    monkeypatch.setitem(contract.ENTRIES, "hooked", contract.Entry(
+        (f"{shlex.quote(sys.executable)} -c {shlex.quote(call)}",)))
+    out = tmp_path / "census"
+    assert contract.main(["check", "hooked", "--census", str(out)]) == 0
+    # One dump, the child's: the contract process, which ran the entry
+    # and imports repro itself, is not hooked.
+    (dump,) = [json.loads(p.read_text()) for p in out.glob("*.json")]
+    assert dump["argv"] == ["-c"] and not dump["displaced"]
+    code = rows_to_csv.__code__
+    assert ["repro/experiments/reporting.py", code.co_firstlineno, "rows_to_csv"] in dump["calls"]
 
 
 def test_ci_checks_every_entry():
-    """Each entry is named by one CI job, or replayed by the golden tests."""
+    """Each entry that runs commands is named by exactly one CI row; the
+    in-process ``deployed`` pin is replayed by the golden tests."""
     ci = (contract.ROOT / ".github" / "workflows" / "ci.yml").read_text()
     matrix = ci[ci.index("        entries:\n"):ci.index("    steps:", ci.index("  contract:"))]
     named = [n for line in re.findall(r"^ +- (.+)$", matrix, re.M) for n in line.split()]
-    replayed = [n for n in contract.ENTRIES if n.startswith("rows-") or n == "deployed"]
-    assert sorted(named + replayed) == sorted(contract.ENTRIES)
+    assert sorted(named) == sorted(n for n, e in contract.ENTRIES.items() if e.commands)

@@ -2,7 +2,7 @@
 """The repo's contract: every command CI runs outside the test suite,
 what each must produce, and the pinned values it must reproduce.
 
-    python tools/contract.py check [NAME ...] [--work DIR]
+    python tools/contract.py check [NAME ...] [--work DIR] [--census OUT]
     python tools/contract.py repin NAME ... [--work DIR]
 
 ``check`` runs each named entry of ``ENTRIES`` (all by default) in a
@@ -10,8 +10,10 @@ fresh ``DIR/NAME``, compares its pin with ``MANIFEST`` and its outputs
 with the committed files, runs its check function, and exits 1 on a
 failure, each printed with its entry's name.  ``repin`` rewrites an
 entry's manifest values, each beside the command that produced it, or
-its committed files: the only re-pin procedure.  ``tools/census.py``'s
-``cli`` root runs ``commands()``.
+its committed files: the only re-pin procedure.  ``check --census OUT``
+runs the entries' commands under the call census's hook
+(``tools/census.py``), which dumps what each of their processes enters
+into OUT; this process runs unhooked.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ import tempfile
 import time
 from pathlib import Path
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
+
+import census
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "fixtures" / "contract.json"
@@ -347,7 +351,6 @@ ENTRIES: Dict[str, Entry] = {
     "perf-quick": Entry(("python {repo}/benchmarks/perf/run.py --quick --seed 1",),
                         pin=_perf_pin),
     "perf-trace": Entry(("python {repo}/benchmarks/perf/run.py --quick --seed 1 --trace 1",)),
-    "perf-harness": Entry(("python -m pytest -q -p no:cacheprovider {repo}/benchmarks/perf/tests",)),
     # The pair runner, HEAD against itself.  A pair requires equal .calls,
     # so --layers names boundaries whose counts do not move by design (not
     # udp_pair's wire.decode: one ack per drained batch; not publish_faulty's
@@ -370,6 +373,13 @@ ENTRIES: Dict[str, Entry] = {
         " --metrics-interval 1 --series-out live_series.json",
         "python -m repro trace-report live_trace.jsonl --audit",
         "python -m repro live-report live_series.json")),
+    # The figure benchmarks assert the paper's shapes at the default
+    # scale; their run includes benchmarks/perf/tests.  Timing is off so
+    # that pytest-benchmark leaves the census hook alone.
+    "benchmarks": Entry(
+        ("python -m pytest -q -p no:cacheprovider {repo}/benchmarks --benchmark-disable",)),
+    "examples": Entry(tuple(f"python {{repo}}/examples/{p.name}"
+                            for p in sorted((ROOT / "examples").glob("*.py")))),
     "results": Entry(
         tuple(f"python -m repro {n} --seed 1 --jobs 2 --csv {n}.csv > /dev/null"
               for n in _RESULTS),
@@ -397,11 +407,6 @@ def _expand(cmd: str) -> str:
     return cmd.replace("{repo}", shlex.quote(str(ROOT)))
 
 
-def commands() -> list:
-    """Every shell command of the table, in table order."""
-    return [_expand(c) for e in ENTRIES.values() for c in e.commands]
-
-
 def producer(entry: Entry) -> str:
     """The command the manifest records beside an entry's values."""
     return " && ".join(entry.commands) or "in process: deployed_fingerprint(capacity=False|True)"
@@ -411,12 +416,10 @@ def load_manifest() -> dict:
     return json.loads(MANIFEST.read_text())
 
 
-def _execute(name: str, entry: Entry, work: Path) -> Optional[str]:
+def _execute(name: str, entry: Entry, work: Path, env: dict) -> Optional[str]:
     """Run *entry*'s commands in a fresh *work*; the failure, if any."""
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     with open(work / "stdout.txt", "w") as log:
         for cmd in map(_expand, entry.commands):
             print(f"contract: {name}: {cmd}", file=sys.stderr, flush=True)
@@ -452,16 +455,21 @@ def _verify(name: str, entry: Entry, work: Path, pinned: dict) -> list:
     return found
 
 
-def run(names, work_root: Path, repin: bool = False) -> list:
-    """Check each named entry, or re-pin it; the failures (empty: all hold)."""
+def run(names, work_root: Path, repin: bool = False, census_out: Optional[Path] = None) -> list:
+    """Check each named entry, or re-pin it; the failures (empty: all hold).
+    With *census_out*, the entries' commands run under the census hook."""
     pinned = load_manifest() if MANIFEST.exists() else {}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    if census_out is not None:
+        env = census.hooked(census_out, env)
     failures = []
     for name in names:
         entry, work = ENTRIES[name], work_root / name
         if repin and entry.pin is None and not entry.files:
             failures.append(f"{name}: pins nothing")
             continue
-        failure = _execute(name, entry, work)
+        failure = _execute(name, entry, work, env)
         if failure:
             failures.append(failure)
         elif not repin:
@@ -485,6 +493,9 @@ def main(argv=None) -> int:
         p = sub.add_parser(cmd, help=f"{cmd} the named entries (check: all by default)")
         p.add_argument("names", nargs=nargs, metavar="NAME")
         p.add_argument("--work", type=Path, help="keep each entry's outputs in WORK/NAME")
+    sub.choices["check"].add_argument(
+        "--census", type=Path, metavar="OUT", help="dump what the commands enter into OUT")
+    ap.set_defaults(census=None)
     args = ap.parse_args(argv)
     unknown = [n for n in args.names if n not in ENTRIES]
     if unknown:
@@ -492,7 +503,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))  # the check functions import repro
     names = args.names or list(ENTRIES)
     with tempfile.TemporaryDirectory() as tmp:
-        failures = run(names, (args.work or Path(tmp)).resolve(), args.cmd == "repin")
+        failures = run(names, (args.work or Path(tmp)).resolve(), args.cmd == "repin",
+                       args.census)
     print("\n".join(failures) or f"contract: {args.cmd} ok: {' '.join(names)}")
     return 1 if failures else 0
 
