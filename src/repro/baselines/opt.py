@@ -318,8 +318,8 @@ class OptProtocol(OverlayProtocolBase):
         if not self.is_alive(publisher):
             return rec
         adj = self.topic_subgraph(topic)
-        transmit = _make_transmit(self, rec)
         loss_rate, loss_draw = _inline_loss(self.fault_model, self.capacity)
+        transmit = _make_transmit(self, rec, None, loss_rate, loss_draw)
         imsgs = rec.interested_msgs
         get = imsgs.get
 

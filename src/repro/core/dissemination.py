@@ -404,8 +404,8 @@ def disseminate(
         transmit = None
         loss_rate, loss_draw = 0.0, None
     else:
-        transmit = _make_transmit(protocol, rec, failures)
         loss_rate, loss_draw = _inline_loss(fm, cap)
+        transmit = _make_transmit(protocol, rec, failures, loss_rate, loss_draw)
     on_receipt = spans is not None or count_pulls
     hooked = on_receipt or transmit is not None or link_cost is not None
     targets = memo.targets
@@ -494,8 +494,6 @@ def disseminate(
             if not pull_ok:
                 rec.shed += 1
                 return
-        rec.pull_requests += 1
-        rec.pull_replies += 1
         tally = imsgs if u in members else rmsgs
         tally[u] = tally.get(u, 0) + 1
         tally = imsgs if interested else rmsgs
@@ -756,6 +754,8 @@ def _make_transmit(
     protocol: "VitisProtocol",
     rec: DisseminationRecord,
     failures: Optional[Dict[Tuple[int, int], str]] = None,
+    rate: float = 0.0,
+    draw: Optional[Callable[[], float]] = None,
 ):
     """The per-edge transmission gate of the fast path, or None.
 
@@ -778,18 +778,17 @@ def _make_transmit(
     the RNG-free ``fault_model.severed`` predicate, so recording causes
     never perturbs the run.
 
-    ``transmit(u, v, lost)`` finishes a transmission whose first
-    ``lost`` trials the caller already drew and lost (see
-    :func:`_inline_loss`); an exact ``MessageLoss`` has its remaining
-    trials drawn in place too, and the gate counts every inline loss in
-    its ``injected``.
+    ``(rate, draw)`` is the caller's :func:`_inline_loss` of the same
+    flood.  ``transmit(u, v, lost)`` finishes a transmission whose first
+    ``lost`` trials the caller already drew in place and lost; with a
+    ``draw`` the remaining trials are drawn in place too, and the gate
+    counts every inline loss in the model's ``injected``.
     """
     fm = protocol.fault_model
     cap = protocol.capacity
     if fm is None and cap is None:
         return None
     drop = fm.drop if fm is not None else None
-    rate, draw = _inline_loss(fm)
     healing = protocol.healing
     tries = 1 + (healing.DELIVERY_RETRIES if healing is not None else 0)
     now = protocol.engine.now

@@ -60,10 +60,6 @@ class EventAudit:
     unexplained: int = 0
 
     @property
-    def missed(self) -> int:
-        return self.expected - self.delivered
-
-    @property
     def ok(self) -> bool:
         return self.complete and self.unexplained == 0
 

@@ -263,10 +263,6 @@ class SpanTree:
         """The ``deliver`` spans — one per subscriber actually reached."""
         return [s for s in self.spans.values() if s.kind == HOP_DELIVER]
 
-    def failures(self) -> List[Span]:
-        """Spans recording transmissions that did not go through."""
-        return [s for s in self.spans.values() if s.status is not None]
-
     def path_to_root(self, span_id: int) -> List[Span]:
         """Spans from the root down to ``span_id`` (root first)."""
         path: List[Span] = []

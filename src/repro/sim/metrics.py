@@ -50,11 +50,6 @@ class DisseminationRecord:
     delivered_hops: Dict[int, int] = field(default_factory=dict)
     interested_msgs: Dict[int, int] = field(default_factory=dict)
     relay_msgs: Dict[int, int] = field(default_factory=dict)
-    #: Pull round-trips (only populated when dissemination runs with
-    #: ``count_pulls=True``; the pull messages are folded into the two
-    #: counters above as well).
-    pull_requests: int = 0
-    pull_replies: int = 0
     #: Summed link cost of every message (only populated when the
     #: protocol defines a ``link_cost`` hook; units are the hook's).
     physical_cost: float = 0.0
@@ -114,8 +109,6 @@ def restrict_record(
         delivered_hops={a: h for a, h in record.delivered_hops.items() if a in subscribers},
         interested_msgs=record.interested_msgs,
         relay_msgs=record.relay_msgs,
-        pull_requests=record.pull_requests,
-        pull_replies=record.pull_replies,
         physical_cost=record.physical_cost,
         faults=record.faults,
         retries=record.retries,

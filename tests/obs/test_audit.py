@@ -33,14 +33,15 @@ class TestAudit:
         assert report.ok
         assert report.n_events == 1
         assert report.expected_total == 2 and report.delivered_total == 2
-        assert sum(e.missed for e in report.events) == 0 and report.unexplained_total == 0
+        assert sum(e.expected - e.delivered for e in report.events) == 0
+        assert report.unexplained_total == 0
         assert report.failures() == []
 
     def test_attributed_miss_passes(self):
         events = healthy_event(subs=3) + [miss("e0", 5, "faulted_link", src=1, dst=5)]
         report = audit_trace(events)
         assert report.ok
-        assert sum(e.missed for e in report.events) == 1
+        assert sum(e.expected - e.delivered for e in report.events) == 1
         assert report.cause_totals() == {"faulted_link": 1}
 
     def test_explicit_unexplained_miss_fails(self):
