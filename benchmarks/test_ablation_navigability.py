@@ -18,7 +18,6 @@ def test_ablation_sw_links(once):
     rows = once(run_sweep, ablation_sw_spec(
         n_nodes=scaled(300),
         n_topics=scaled(1000),
-        sw_links=(1, 3, 7, 13),
         seed=1,
     ))
     emit("Ablation — greedy-lookup cost vs #sw links (rt=15, random subs)", rows)
@@ -67,7 +66,6 @@ def test_ablation_proximity(once):
     rows = once(run_sweep, ablation_proximity_spec(
         n_nodes=scaled(300),
         n_topics=scaled(1000),
-        betas=(0.0, 0.2, 0.5),
         seed=1,
     ))
     emit("Ablation — proximity-aware utility (section III-A2 extension)", rows)

@@ -40,7 +40,7 @@ def test_ablation_gateway_depth(once):
 
 
 def test_ablation_utility_weighting(once):
-    rows = once(run_sweep, ablation_utility_spec(alpha=2.0, **sized()))
+    rows = once(run_sweep, ablation_utility_spec(**sized()))
     emit("Ablation — rate-weighted utility vs plain Jaccard (α=2)", rows)
     by = {r["rate_weighted"]: r for r in rows}
     # Rate weighting should not hurt, and typically helps, the

@@ -24,11 +24,6 @@ def test_chaos_sweep(once):
         n_nodes=scaled(200),
         n_topics=400,
         loss_rates=LOSS_RATES,
-        kill_frac=0.15,
-        rejoin_frac=0.5,
-        chaos_cycles=20,
-        recover_cycles=12,
-        events=120,
         seed=0,
     ))
     emit("Chaos sweep — SWIM vs heartbeat under composed faults", rows)

@@ -23,7 +23,6 @@ def test_fault_sweep(once):
         n_topics=200,
         loss_rates=LOSS_RATES,
         partition_cycles=(6,),
-        kill_frac=0.1,
         heal_cycles=10,
         events=100,
         seed=3,

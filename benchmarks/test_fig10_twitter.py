@@ -18,7 +18,6 @@ def test_fig10_twitter_sweep(once):
     rows = once(run_sweep, fig10_spec(
         n_users=scaled(6000),
         sample_size=scaled(600),
-        rt_sizes=RT_SIZES,
         events=200,
         seed=1,
     ))

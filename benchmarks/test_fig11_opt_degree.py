@@ -20,7 +20,6 @@ def test_fig11_opt_degree_distribution(once):
     rows = once(run_sweep, fig11_spec(
         n_users=scaled(6000),
         sample_size=scaled(600),
-        cycles=40,
         seed=1,
     ))
     emit("Fig. 11 — OPT (unbounded) node-degree distribution", rows)

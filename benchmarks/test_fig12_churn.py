@@ -20,8 +20,6 @@ def test_fig12_churn(once):
         n_topics=200,
         horizon=240.0,
         flash_crowd_at=160.0,
-        measure_every=20.0,
-        events_per_window=120,
         seed=1,
     ))
     emit("Fig. 12 — churn: hit ratio / overhead / delay over time", rows)

@@ -15,7 +15,6 @@ def test_fig4_friends_vs_sw(once):
     rows = once(run_sweep, fig4_spec(
         n_nodes=scaled(300),
         n_topics=scaled(1000),
-        friend_counts=(0, 3, 6, 9, 12),
         events=200,
         seed=1,
     ))

@@ -22,7 +22,6 @@ def test_fig5_overhead_distribution(once):
     rows = once(run_sweep, fig5_spec(
         n_nodes=scaled(300),
         n_topics=scaled(1000),
-        events=400,
         seed=1,
     ))
     emit("Fig. 5 — fraction of nodes per traffic-overhead bin", rows)

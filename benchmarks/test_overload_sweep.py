@@ -24,8 +24,6 @@ def test_overload_sweep(once):
         n_topics=400,
         pub_rates=PUB_RATES,
         capacities=CAPACITIES,
-        service_rate=25,
-        load_cycles=10,
         seed=0,
     ))
     emit("Overload sweep — hit ratio / shedding vs queue capacity", rows)

@@ -34,6 +34,7 @@ flags mean is documented where the feature is:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import sys
@@ -82,9 +83,10 @@ probability = _checked(float, "a probability in [0, 1]", lambda v: 0 <= v <= 1)
 # ----------------------------------------------------------------------
 # Sweep axes
 # ----------------------------------------------------------------------
-#: ``spec kwarg → (flag, add_argument kwargs)``.  The kwarg is the
-#: argparse ``dest``, so a parsed value *is* the override handed to
-#: :meth:`repro.experiments.spec.Scenario.sweep`.
+#: ``spec kwarg → (flag, add_argument kwargs)``.  An experiment command
+#: takes the flag when its sweep builder has a parameter of that name.
+#: The kwarg is the argparse ``dest``, so a parsed value *is* the
+#: override handed to :meth:`repro.experiments.spec.Scenario.sweep`.
 AXIS_FLAGS: Dict[str, tuple] = {
     "loss_rates": ("--loss-rate", dict(
         action="append", type=probability, metavar="P",
@@ -117,14 +119,6 @@ AXIS_FLAGS: Dict[str, tuple] = {
         type=int, metavar="K",
         help="indirect-probe proxies asked per missed direct probe "
              "(default 3)")),
-}
-
-#: The axes each sweep scenario declares; every other scenario has none.
-SCENARIO_AXES: Dict[str, tuple] = {
-    "fault_sweep": ("loss_rates", "partition_cycles", "fault_seed"),
-    "overload_sweep": ("pub_rates", "capacities", "policy"),
-    "chaos_sweep": ("loss_rates", "fault_seed", "detectors",
-                    "suspicion_base", "probe_fanout"),
 }
 
 
@@ -190,10 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in sorted(SCENARIOS):
         sub = command(name, _run_scenario, parents=[shared],
                       help=f"run the {name} sweep and print its rows")
-        for kwarg in SCENARIO_AXES.get(name, ()):
-            flag, kwargs = AXIS_FLAGS[kwarg]
-            sub.add_argument(flag, dest=kwarg, default=argparse.SUPPRESS,
-                             **kwargs)
+        params = inspect.signature(SCENARIOS[name].spec).parameters
+        for kwarg, (flag, kwargs) in AXIS_FLAGS.items():
+            if kwarg in params:
+                sub.add_argument(flag, dest=kwarg, default=argparse.SUPPRESS,
+                                 **kwargs)
 
     sub = command(
         "trace-report", _trace_report,

@@ -2,12 +2,13 @@
 
 The ``fault_sweep`` exercises one fault class at a time; real deployments
 get all of them at once.  Each chaos trial composes **massive churn**
-(a crash burst killing ``kill_frac`` of the population, half of which
-later rejoins gracefully), **i.i.d. loss**, **persistently lossy links**
-(the false-eviction driver: to a heartbeat timeout a 50%-loss link is
-indistinguishable from a crash) and — when ``queue_capacity`` is
-nonzero — **overload** via bounded inboxes, on one converged Vitis
-overlay with healing active throughout.
+(a crash burst killing 15% of the population, half of which later
+rejoins gracefully), **i.i.d. loss**, **persistently lossy links** (a
+fifth of the links lose half their messages: the false-eviction driver,
+since to a heartbeat timeout a 50%-loss link is indistinguishable from a
+crash) and **overload** via bounded inboxes (64 messages deep, 25 served
+per cycle), on one converged Vitis overlay with healing active
+throughout.
 
 The swept axis is the *liveness source*:
 
@@ -21,8 +22,8 @@ The swept axis is the *liveness source*:
 Each row reports, next to the usual hit-ratio metrics:
 
 - ``detection_latency`` — mean cycles from the crash burst until a
-  victim is gone from every live routing table (censored at
-  ``chaos_cycles`` for victims never fully forgotten; ``undetected``
+  victim is gone from every live routing table (censored at the 20
+  detection cycles for victims never fully forgotten; ``undetected``
   counts those);
 - ``false_evictions`` / ``false_eviction_rate`` — live nodes evicted as
   if dead, and their share of all evictions (the detection-accuracy
@@ -36,7 +37,20 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
+from repro.experiments.runner import build_vitis, make_subscriptions, measure, metrics_row
 from repro.experiments.spec import Sweep, flat_reduce
+from repro.faults import (
+    CompositeFault,
+    DetectorConfig,
+    HealingPolicy,
+    LinkLoss,
+    MessageLoss,
+    SwimDetector,
+    crash_nodes,
+)
+from repro.sim.capacity import CapacityModel, NodeCapacity
+from repro.sim.churn import flash_crowd
+from repro.sim.rng import SeedTree
 
 __all__ = ["chaos_sweep_spec"]
 
@@ -56,64 +70,35 @@ _DET_ZERO = {
 
 
 def _chaos_trial(
-    detector, loss_rate, index, n_nodes, n_topics, kill_frac, rejoin_frac,
-    chaos_cycles, recover_cycles, events, seed, fault_seed,
-    probe_fanout, suspicion_base, lossy_rate, lossy_fraction,
-    queue_capacity, service_rate,
+    detector, loss_rate, index, n_nodes, n_topics, seed, fault_seed,
+    probe_fanout, suspicion_base,
 ):
     """One (detector, loss rate) chaos point.
 
     Build and convergence run fault-free (every point stresses the same
-    converged overlay); then the composed fault model, the optional
-    capacity model and — for ``detector="swim"`` — the detector are
-    attached and the timeline runs crash burst → ``chaos_cycles`` of
-    detection (scanning per-victim forget cycles) → graceful rejoin of
-    ``rejoin_frac`` of the victims → ``recover_cycles`` of healing →
-    measurement with every fault still active.
+    converged overlay); then the composed fault model, the capacity
+    model and — for ``detector="swim"`` — the detector are attached and
+    the timeline runs crash burst → 20 cycles of detection (scanning
+    per-victim forget cycles) → graceful rejoin of half the victims →
+    12 cycles of healing → 120 events measured with every fault still
+    active.
     """
-    from repro.core.config import VitisConfig
-    from repro.experiments.runner import build_vitis, measure
-    from repro.experiments.scenarios import _metrics_row, make_subscriptions
-    from repro.faults import (
-        CompositeFault,
-        DetectorConfig,
-        HealingPolicy,
-        LinkLoss,
-        MessageLoss,
-        SwimDetector,
-        crash_nodes,
-    )
-    from repro.sim.churn import flash_crowd
-    from repro.sim.rng import SeedTree
-
-    cfg = VitisConfig()
     subs = make_subscriptions("high", n_nodes, n_topics, seed)
     froot = SeedTree(fault_seed)
-    proto = build_vitis(subs, cfg, seed=seed)
+    proto = build_vitis(subs, seed=seed)
+    period = proto.config.gossip_period
 
-    models = [MessageLoss(loss_rate, froot.pyrandom("loss", detector, index))]
-    if lossy_rate > 0 and lossy_fraction > 0:
-        models.append(
-            LinkLoss(
-                lossy_rate,
-                froot.pyrandom("lossy", detector, index),
-                lossy_fraction=lossy_fraction,
-            )
-        )
-    model = CompositeFault(models)
+    model = CompositeFault([
+        MessageLoss(loss_rate, froot.pyrandom("loss", detector, index)),
+        LinkLoss(0.5, froot.pyrandom("lossy", detector, index), lossy_fraction=0.2),
+    ])
     proto.attach_faults(model, HealingPolicy())
-    if queue_capacity:
-        from repro.sim.capacity import CapacityModel, NodeCapacity
-
-        proto.attach_capacity(
-            CapacityModel(
-                NodeCapacity(
-                    service_rate=service_rate,
-                    queue_depth=queue_capacity,
-                ),
-                rng=froot.pyrandom("red", detector, index),
-            )
+    proto.attach_capacity(
+        CapacityModel(
+            NodeCapacity(service_rate=25, queue_depth=64),
+            rng=froot.pyrandom("red", detector, index),
         )
+    )
     if detector == "swim":
         proto.attach_detector(
             SwimDetector(
@@ -126,7 +111,7 @@ def _chaos_trial(
 
     kill_rng = froot.pyrandom("kill", detector, index)
     live = sorted(proto.live_addresses())
-    victims = sorted(kill_rng.sample(live, int(len(live) * kill_frac)))
+    victims = sorted(kill_rng.sample(live, int(len(live) * 0.15)))
     crash_nodes(proto, victims)
     crash_cycle = proto.cycle
 
@@ -135,7 +120,7 @@ def _chaos_trial(
     # descriptors afterwards; first disappearance is the fair latency for
     # both liveness sources).
     forget: Dict[int, int] = {}
-    for _ in range(chaos_cycles):
+    for _ in range(20):
         proto.run_cycles(1)
         live_nodes = [proto.nodes[a] for a in proto.live_addresses()]
         for v in victims:
@@ -145,28 +130,26 @@ def _chaos_trial(
     # Graceful rejoin: a flash crowd of returning victims re-enters via
     # protocol.rejoin — bootstrap re-entry, subscription recovery from
     # the surviving profile, targeted relay re-install.
-    back = victims[: int(round(len(victims) * rejoin_frac))]
+    back = victims[: int(round(len(victims) * 0.5))]
     if back:
         sched = flash_crowd(
             cycle=proto.cycle + 1,
             addresses=back,
-            period=cfg.gossip_period,
-            spread=cfg.gossip_period,
+            period=period,
+            spread=period,
             rng=froot.pyrandom("rejoin", detector, index),
         )
         sched.apply(proto.engine, join=proto.rejoin, leave=proto.leave)
-    proto.run_cycles(recover_cycles)
+    proto.run_cycles(12)
 
-    collector = measure(proto, events, seed=seed)
-    detection_latency = (
-        sum(forget.values()) / len(forget) if forget else float(chaos_cycles)
-    )
+    collector = measure(proto, 120, seed=seed)
+    detection_latency = sum(forget.values()) / len(forget) if forget else 20.0
     false = proto.false_evictions
     dead = proto.fault_evictions
     det = proto.detector
     det_counts = det.summary() if det is not None else dict(_DET_ZERO)
     return [
-        _metrics_row(
+        metrics_row(
             collector,
             system="vitis",
             detector=detector,
@@ -189,21 +172,12 @@ def _chaos_trial(
 def chaos_sweep_spec(
     n_nodes: int = 200,
     n_topics: int = 400,
-    detectors: Sequence[str] = ("heartbeat", "swim"),
+    detectors: Sequence[str] = DETECTORS,
     loss_rates: Sequence[float] = (0.05, 0.1),
-    kill_frac: float = 0.15,
-    rejoin_frac: float = 0.5,
-    chaos_cycles: int = 20,
-    recover_cycles: int = 12,
-    events: int = 120,
     seed: int = 0,
     fault_seed: Optional[int] = None,
     probe_fanout: int = 3,
     suspicion_base: float = 0.5,
-    lossy_rate: float = 0.5,
-    lossy_fraction: float = 0.2,
-    queue_capacity: int = 64,
-    service_rate: int = 25,
 ) -> Sweep:
     """Detection accuracy/latency and delivery under composed faults.
 
@@ -224,12 +198,7 @@ def chaos_sweep_spec(
             sweep.trial(
                 _chaos_trial, key=("chaos", det, i), seed=seed,
                 detector=det, loss_rate=rate, index=i,
-                n_nodes=n_nodes, n_topics=n_topics,
-                kill_frac=kill_frac, rejoin_frac=rejoin_frac,
-                chaos_cycles=chaos_cycles, recover_cycles=recover_cycles,
-                events=events, fault_seed=fault_seed,
+                n_nodes=n_nodes, n_topics=n_topics, fault_seed=fault_seed,
                 probe_fanout=probe_fanout, suspicion_base=suspicion_base,
-                lossy_rate=lossy_rate, lossy_fraction=lossy_fraction,
-                queue_capacity=queue_capacity, service_rate=service_rate,
             )
     return sweep

@@ -30,9 +30,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.experiments.runner import build_system, make_subscriptions, metrics_row
 from repro.experiments.spec import Sweep
-from repro.sim.capacity import SHED_POLICIES
+from repro.sim.capacity import SHED_POLICIES, CapacityModel, NodeCapacity
 from repro.sim.metrics import MetricsCollector
+from repro.sim.rng import SeedTree
 from repro.workloads.publication import sample_topics
 
 __all__ = ["measure_under_load", "overload_sweep_spec"]
@@ -90,43 +92,26 @@ def measure_under_load(
     return collector
 
 
-def _overload_trial(
-    system, pub_rate, capacity, policy, service_rate, load_cycles,
-    n_nodes, n_topics, seed, cap_seed,
-):
+def _overload_trial(system, pub_rate, capacity, policy, n_nodes, n_topics, seed):
     """One (system, publication rate, queue capacity) sweep point.
 
     Build and convergence run unbounded (the paper's warm-up assumption);
     the capacity model is attached only for the measurement window, so
     every sweep point stresses the same converged overlay.
     """
-    from repro.core.config import VitisConfig
-    from repro.experiments.runner import build_rvr, build_vitis
-    from repro.experiments.scenarios import _metrics_row, make_subscriptions
-    from repro.sim.capacity import CapacityModel, NodeCapacity
-    from repro.sim.rng import SeedTree
-
-    cfg = VitisConfig()
     subs = make_subscriptions("high", n_nodes, n_topics, seed)
-    if system == "vitis":
-        proto = build_vitis(subs, cfg, seed=seed)
-    else:
-        proto = build_rvr(subs, cfg, seed=seed)
+    proto = build_system(system, subs, seed=seed)
 
     model = None
     if capacity:
         model = CapacityModel(
-            NodeCapacity(
-                service_rate=service_rate,
-                queue_depth=capacity,
-                policy=policy,
-            ),
-            rng=SeedTree(cap_seed).pyrandom("red", system, pub_rate, capacity),
+            NodeCapacity(service_rate=25, queue_depth=capacity, policy=policy),
+            rng=SeedTree(seed).pyrandom("red", system, pub_rate, capacity),
         )
         proto.attach_capacity(model)
 
-    col = measure_under_load(proto, pub_rate, load_cycles, seed=seed + 1)
-    row = _metrics_row(
+    col = measure_under_load(proto, pub_rate, 10, seed=seed + 1)
+    row = metrics_row(
         col, system=system, pub_rate=pub_rate, capacity=capacity, policy=policy,
     )
     if model is not None:
@@ -159,50 +144,37 @@ def overload_sweep_spec(
     pub_rates: Sequence[int] = (4, 16),
     capacities: Sequence[int] = (0, 64, 48, 32, 24),
     policy: str = "drop_lowest",
-    service_rate: int = 25,
-    load_cycles: int = 10,
     seed: int = 0,
-    cap_seed: Optional[int] = None,
-    systems: Sequence[str] = ("vitis", "rvr"),
 ) -> Sweep:
     """Graceful degradation under overload: rate × capacity, Vitis vs RVR.
 
     For every ``(system, pub_rate, capacity)`` point, a converged overlay
-    is driven for ``load_cycles`` cycles at ``pub_rate`` events/cycle
-    through :func:`measure_under_load`, with every node's inbox bounded
-    to ``capacity`` messages served at ``service_rate`` msgs/cycle under
-    ``policy`` (one of ``drop_newest`` / ``drop_lowest`` / ``red``; see
+    is driven for 10 cycles at ``pub_rate`` events/cycle through
+    :func:`measure_under_load`, with every node's inbox bounded to
+    ``capacity`` messages served at 25 msgs/cycle under ``policy`` (one
+    of ``drop_newest`` / ``drop_lowest`` / ``red``; see
     :mod:`repro.sim.capacity`).  ``capacity=0`` disables the layer
     entirely — those rows are the elastic-transport baseline.
 
-    Build randomness stays pinned to ``seed``; the only extra stream,
-    used by the probabilistic ``red`` policy, derives from ``cap_seed``
-    (defaults to ``seed``), so the same arguments replay the exact same
-    sheds.  Rows carry shed/survival/backpressure/hotspot columns next
-    to the standard metrics — graceful degradation reads as
+    All randomness derives from ``seed``, the probabilistic ``red``
+    policy's stream included, so the same arguments replay the exact
+    same sheds.  Rows carry shed/survival/backpressure/hotspot columns
+    next to the standard metrics — graceful degradation reads as
     ``control_survival`` staying near 1.0 while ``data_shed_fraction``
     absorbs the overload and ``hit_ratio`` declines smoothly with
     shrinking capacity.
     """
-    known = ("vitis", "rvr")
-    unknown = [s for s in systems if s not in known]
-    if unknown:
-        raise ValueError(
-            f"unknown systems {unknown}; expected subset of {sorted(known)}"
-        )
     if policy not in SHED_POLICIES:
         raise ValueError(
             f"unknown shedding policy {policy!r}; pick one of {SHED_POLICIES}"
         )
-    cap_seed = seed if cap_seed is None else cap_seed
     sweep = Sweep("overload_sweep")
-    for system in systems:
+    for system in ("vitis", "rvr"):
         for rate in pub_rates:
             for cap in capacities:
                 sweep.trial(
                     _overload_trial, key=(system, rate, cap), seed=seed,
                     system=system, pub_rate=rate, capacity=cap, policy=policy,
-                    service_rate=service_rate, load_cycles=load_cycles,
-                    n_nodes=n_nodes, n_topics=n_topics, cap_seed=cap_seed,
+                    n_nodes=n_nodes, n_topics=n_topics,
                 )
     return sweep

@@ -14,12 +14,15 @@ The standard static-topology pipeline is:
    uniformly random subscriber publishers and aggregate the three metrics.
 
 Churn scenarios skip the deferral and run the full protocol every cycle.
+Every scenario module draws its subscriptions through
+:func:`make_subscriptions`, picks its system through :func:`build_system`
+and turns a collector into a row through :func:`metrics_row`.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Collection, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -32,9 +35,15 @@ from repro.core.utility import PublicationRates
 from repro.sim.metrics import MetricsCollector, restrict_record
 from repro.smallworld.ring import is_ring_converged
 from repro.workloads.publication import sample_topics
+from repro.workloads.subscriptions import (
+    high_correlation_subscriptions,
+    low_correlation_subscriptions,
+    random_subscriptions,
+)
 
 __all__ = [
-    "build_vitis", "build_rvr", "build_opt", "converge", "event_stream", "measure",
+    "PATTERNS", "build_opt", "build_rvr", "build_system", "build_vitis", "converge",
+    "event_stream", "make_subscriptions", "measure", "metrics_row",
 ]
 
 log = logging.getLogger(__name__)
@@ -176,6 +185,42 @@ def build_opt(
     with telemetry.phase("converge"):
         p.run_cycles(cycles)
     return p
+
+
+def build_system(system: str, subscriptions, config: VitisConfig = VitisConfig(),
+                 seed: int = 0, **kwargs):
+    """:func:`build_vitis`, :func:`build_rvr` or :func:`build_opt` by
+    ``system`` name (``"vitis"``, ``"rvr"``, ``"opt"``); ``kwargs`` go to
+    that builder."""
+    builder = {"vitis": build_vitis, "rvr": build_rvr, "opt": build_opt}[system]
+    return builder(subscriptions, config, seed=seed, **kwargs)
+
+
+PATTERNS = ("high", "low", "random")
+
+_PATTERN_FNS = {
+    "high": high_correlation_subscriptions,
+    "low": low_correlation_subscriptions,
+    "random": random_subscriptions,
+}
+
+
+def make_subscriptions(pattern: str, n_nodes: int, n_topics: int, seed: int):
+    """The three synthetic patterns of section IV-A by name."""
+    try:
+        fn = _PATTERN_FNS[pattern]
+    except KeyError:
+        raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
+    if pattern == "random":
+        return fn(n_nodes, n_topics, per_node=50, seed=seed)
+    return fn(n_nodes, n_topics, seed=seed)
+
+
+def metrics_row(collector: MetricsCollector, **params) -> Dict:
+    """A scenario row: ``params`` followed by the collector's summary."""
+    row = dict(params)
+    row.update(collector.summary())
+    return row
 
 
 def event_stream(

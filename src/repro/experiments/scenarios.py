@@ -19,45 +19,51 @@ parallel runs produce identical row lists.
 Node/topic counts default to sizes that keep the whole suite tractable
 on one machine; the paper runs 10,000 nodes (4,000 under churn) — pass
 larger sizes, or use the CLI's ``--scale`` to approach that
-(``REPRO_SCALE`` scales ``benchmarks/`` only).
-The bench sizes the CLI scales live in :data:`SCENARIOS`, next to each
-scenario.
+(``REPRO_SCALE`` scales ``benchmarks/`` only).  Each :data:`SCENARIOS`
+entry names the builder parameters ``--scale`` multiplies; their values
+are the builder's defaults.
 
-Defaults shared with the paper: routing table 15 (1 sw link + 2 ring
-links + 12 friends, section IV-B), gateway depth d=5, 50 subscriptions
-per node over a 10:1 node:bucket topic universe, uniform publication
-rates unless the scenario sweeps them.
+A builder takes a parameter only where some entry point (the CLI, a
+contract command, a figure benchmark) passes it two values; everything
+else the paper's section IV fixes is a constant of the trial function,
+stated in the builder's docstring (``tools/census.py`` fails on a
+parameter that takes one value across the entry points).  Settings
+shared with the paper: routing table 15 (1 sw link + 2 ring links + 12
+friends, section IV-B), gateway depth d=5, 50 subscriptions per node
+over a 10:1 node:bucket topic universe, uniform publication rates
+unless the scenario sweeps them.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.clusters import cluster_stats
 from repro.analysis.distributions import frequency_histogram, gini
+from repro.baselines.rvr import RvrProtocol
 from repro.core.config import VitisConfig
-from repro.experiments.runner import (
-    build_opt,
-    build_rvr,
-    build_vitis,
-    measure,
-)
+from repro.core.protocol import VitisProtocol
 from repro.experiments.chaos import chaos_sweep_spec
 from repro.experiments.overload import overload_sweep_spec
-from repro.experiments.spec import Scenario, Sweep, flat_reduce, rows_reduce
-from repro.sim.metrics import MetricsCollector
+from repro.experiments.runner import (
+    PATTERNS,
+    build_opt,
+    build_rvr,
+    build_system,
+    build_vitis,
+    make_subscriptions,
+    measure,
+    metrics_row,
+)
+from repro.experiments.spec import Scenario, Sweep, flat_reduce
 from repro.workloads.publication import power_law_rates
 from repro.workloads.skype import SkypeTrace
-from repro.workloads.subscriptions import (
-    high_correlation_subscriptions,
-    low_correlation_subscriptions,
-    random_subscriptions,
-)
+from repro.workloads.subscriptions import low_correlation_subscriptions
 from repro.workloads.twitter import TwitterTrace
 
 __all__ = [
-    "PATTERNS",
     "SCENARIOS",
     "make_subscriptions",
     "fig4_spec",
@@ -80,84 +86,58 @@ __all__ = [
     "management_cost_spec",
 ]
 
-PATTERNS = ("high", "low", "random")
-
-_PATTERN_FNS = {
-    "high": high_correlation_subscriptions,
-    "low": low_correlation_subscriptions,
-    "random": random_subscriptions,
-}
-
-
-def make_subscriptions(pattern: str, n_nodes: int, n_topics: int, seed: int):
-    """The three synthetic patterns of section IV-A by name."""
-    try:
-        fn = _PATTERN_FNS[pattern]
-    except KeyError:
-        raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
-    if pattern == "random":
-        return fn(n_nodes, n_topics, per_node=50, seed=seed)
-    return fn(n_nodes, n_topics, seed=seed)
-
-
-def _metrics_row(collector: MetricsCollector, **params) -> Dict:
-    row = dict(params)
-    row.update(collector.summary())
-    return row
-
 
 # ----------------------------------------------------------------------
 # Fig. 4 — friends vs sw-neighbors (section IV-B)
 # ----------------------------------------------------------------------
-def _fig4_vitis_trial(pattern, n_nodes, n_topics, rt_size, n_friends, events, seed):
+FRIEND_COUNTS = (0, 3, 6, 9, 12)
+
+
+def _fig4_vitis_trial(pattern, n_nodes, n_topics, n_friends, events, seed):
     subs = make_subscriptions(pattern, n_nodes, n_topics, seed)
-    cfg = VitisConfig(rt_size=rt_size).with_friends(n_friends)
-    vitis = build_vitis(subs, cfg, seed=seed)
+    vitis = build_vitis(subs, VitisConfig().with_friends(n_friends), seed=seed)
     col = measure(vitis, events, seed=seed + 1)
-    return _metrics_row(col, system="vitis", pattern=pattern, n_friends=n_friends)
+    return metrics_row(col, system="vitis", pattern=pattern, n_friends=n_friends)
 
 
-def _fig4_rvr_trial(n_nodes, n_topics, rt_size, events, seed):
+def _fig4_rvr_trial(n_nodes, n_topics, events, seed):
     # RVR has no friend knob and behaves alike across patterns: one line.
     subs = make_subscriptions("random", n_nodes, n_topics, seed)
-    rvr = build_rvr(subs, VitisConfig(rt_size=rt_size), seed=seed)
-    col = measure(rvr, events, seed=seed + 1)
-    return _metrics_row(col, system="rvr", pattern="any")
+    col = measure(build_rvr(subs, seed=seed), events, seed=seed + 1)
+    return metrics_row(col, system="rvr", pattern="any")
 
 
 def fig4_spec(
     n_nodes: int = 300,
     n_topics: int = 1000,
-    rt_size: int = 15,
-    friend_counts: Sequence[int] = (0, 3, 6, 9, 12),
-    patterns: Sequence[str] = PATTERNS,
     events: int = 250,
     seed: int = 0,
 ) -> Sweep:
-    """Traffic overhead and delay as friend links replace sw links.
+    """Traffic overhead and delay as friend links replace sw links: 0–12
+    of the 15 routing-table entries, on each synthetic pattern.
 
     Paper: Vitis overhead drops steeply with more friends (88% reduction
     on high correlation); RVR is a flat reference line; hit ratio is 100%
     everywhere.
     """
     sweep = Sweep("fig4")
-    for pattern in patterns:
-        for f in friend_counts:
+    for pattern in PATTERNS:
+        for f in FRIEND_COUNTS:
             sweep.trial(
                 _fig4_vitis_trial, key=("vitis", pattern, f), seed=seed,
                 pattern=pattern, n_nodes=n_nodes, n_topics=n_topics,
-                rt_size=rt_size, n_friends=f, events=events,
+                n_friends=f, events=events,
             )
     sweep.trial(
         _fig4_rvr_trial, key=("rvr",), seed=seed,
-        n_nodes=n_nodes, n_topics=n_topics, rt_size=rt_size, events=events,
+        n_nodes=n_nodes, n_topics=n_topics, events=events,
     )
 
     def reduce(results):
         *vitis_rows, rvr_row = results
         rows = [dict(r) for r in vitis_rows]
         metrics = {k: v for k, v in rvr_row.items() if k not in ("system", "pattern")}
-        for f in friend_counts:
+        for f in FRIEND_COUNTS:
             rows.append({"system": "rvr", "pattern": "any", "n_friends": f, **metrics})
         return rows
 
@@ -168,12 +148,10 @@ def fig4_spec(
 # ----------------------------------------------------------------------
 # Fig. 5 — distribution of traffic overhead over nodes
 # ----------------------------------------------------------------------
-def _fig5_trial(system, pattern, n_nodes, n_topics, events, seed, bin_edges):
+def _fig5_trial(system, pattern, n_nodes, n_topics, seed):
     subs = make_subscriptions(pattern, n_nodes, n_topics, seed)
-    build = build_vitis if system == "vitis" else build_rvr
-    proto = build(subs, VitisConfig(), seed=seed)
-    col = measure(proto, events, seed=seed + 1)
-    edges, fractions = col.overhead_histogram(tuple(bin_edges))
+    col = measure(build_system(system, subs, seed=seed), 400, seed=seed + 1)
+    edges, fractions = col.overhead_histogram()
     per_node = list(col.per_node_overhead().values())
     g = gini(per_node) if per_node else 0.0
     return [
@@ -189,15 +167,9 @@ def _fig5_trial(system, pattern, n_nodes, n_topics, events, seed, bin_edges):
     ]
 
 
-def fig5_spec(
-    n_nodes: int = 300,
-    n_topics: int = 1000,
-    events: int = 400,
-    seed: int = 0,
-    bin_edges: Sequence[float] = (0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100),
-) -> Sweep:
-    """Fraction of nodes per traffic-overhead bin, Vitis vs RVR on
-    correlated and random subscriptions.
+def fig5_spec(n_nodes: int = 300, n_topics: int = 1000, seed: int = 0) -> Sweep:
+    """Fraction of nodes per 10%-wide traffic-overhead bin over 400
+    events, Vitis vs RVR on correlated and random subscriptions.
 
     Paper: Vitis shifts mass into the lowest bin and empties the >20%
     bins relative to RVR.
@@ -207,8 +179,7 @@ def fig5_spec(
         for pattern in ("high", "random"):
             sweep.trial(
                 _fig5_trial, key=(system, pattern), seed=seed,
-                system=system, pattern=pattern, n_nodes=n_nodes,
-                n_topics=n_topics, events=events, bin_edges=list(bin_edges),
+                system=system, pattern=pattern, n_nodes=n_nodes, n_topics=n_topics,
             )
     return sweep
 
@@ -217,22 +188,18 @@ def fig5_spec(
 # Fig. 6 — routing-table size sweep
 # ----------------------------------------------------------------------
 def _fig6_trial(system, pattern, n_nodes, n_topics, rt_size, events, seed):
-    cfg = VitisConfig().with_rt_size(rt_size)
-    if system == "vitis":
-        subs = make_subscriptions(pattern, n_nodes, n_topics, seed)
-        proto = build_vitis(subs, cfg, seed=seed)
-    else:
-        subs = make_subscriptions("random", n_nodes, n_topics, seed)
-        proto = build_rvr(subs, cfg, seed=seed)
+    # RVR ignores correlation: its one line runs on random subscriptions.
+    subs = make_subscriptions("random" if system == "rvr" else pattern,
+                              n_nodes, n_topics, seed)
+    proto = build_system(system, subs, VitisConfig().with_rt_size(rt_size), seed=seed)
     col = measure(proto, events, seed=seed + 1)
-    return _metrics_row(col, system=system, pattern=pattern, rt_size=rt_size)
+    return metrics_row(col, system=system, pattern=pattern, rt_size=rt_size)
 
 
 def fig6_spec(
     n_nodes: int = 300,
     n_topics: int = 1000,
     rt_sizes: Sequence[int] = (15, 20, 25, 30, 35),
-    patterns: Sequence[str] = PATTERNS,
     events: int = 250,
     seed: int = 0,
 ) -> Sweep:
@@ -243,7 +210,7 @@ def fig6_spec(
     links (shorter lookups).
     """
     sweep = Sweep("fig6")
-    for pattern in patterns:
+    for pattern in PATTERNS:
         for rt in rt_sizes:
             sweep.trial(
                 _fig6_trial, key=("vitis", pattern, rt), seed=seed,
@@ -264,21 +231,16 @@ def fig6_spec(
 # ----------------------------------------------------------------------
 def _fig7_trial(system, pattern, alpha, n_nodes, n_topics, events, seed):
     rates = power_law_rates(n_topics, alpha, seed=seed)
-    if system == "vitis":
-        subs = make_subscriptions(pattern, n_nodes, n_topics, seed)
-        proto = build_vitis(subs, VitisConfig(), seed=seed, rates=rates)
-    else:
-        subs = make_subscriptions("random", n_nodes, n_topics, seed)
-        proto = build_rvr(subs, VitisConfig(), seed=seed, rates=rates)
-    col = measure(proto, events, seed=seed + 1)
-    return _metrics_row(col, system=system, pattern=pattern, alpha=alpha)
+    subs = make_subscriptions("random" if system == "rvr" else pattern,
+                              n_nodes, n_topics, seed)
+    col = measure(build_system(system, subs, seed=seed, rates=rates), events, seed=seed + 1)
+    return metrics_row(col, system=system, pattern=pattern, alpha=alpha)
 
 
 def fig7_spec(
     n_nodes: int = 300,
     n_topics: int = 1000,
     alphas: Sequence[float] = (0.3, 0.5, 1.0, 2.0, 3.0),
-    patterns: Sequence[str] = PATTERNS,
     events: int = 250,
     seed: int = 0,
 ) -> Sweep:
@@ -290,7 +252,7 @@ def fig7_spec(
     """
     sweep = Sweep("fig7")
     for alpha in alphas:
-        for pattern in patterns:
+        for pattern in PATTERNS:
             sweep.trial(
                 _fig7_trial, key=("vitis", pattern, alpha), seed=seed,
                 system="vitis", pattern=pattern, alpha=alpha,
@@ -305,10 +267,10 @@ def fig7_spec(
 
 
 # ----------------------------------------------------------------------
-# Figs. 8 & 9 — the (synthetic) Twitter trace itself
+# Figs. 8 & 9 — the (synthetic) Twitter trace itself, exponent 1.65
 # ----------------------------------------------------------------------
-def _fig8_trial(n_users, alpha, seed):
-    trace = TwitterTrace(n_users, alpha=alpha, seed=seed)
+def _fig8_trial(n_users, seed):
+    trace = TwitterTrace(n_users, seed=seed)
     rows = []
     for kind in ("in", "out"):
         for degree, freq in trace.degree_histogram(kind).items():
@@ -316,25 +278,25 @@ def _fig8_trial(n_users, alpha, seed):
     return rows
 
 
-def fig8_spec(n_users: int = 20000, alpha: float = 1.65, seed: int = 0) -> Sweep:
+def fig8_spec(n_users: int = 20000, seed: int = 0) -> Sweep:
     """Log-log degree/frequency series of the synthetic follower graph."""
     sweep = Sweep("fig8", reduce=flat_reduce)
-    sweep.trial(_fig8_trial, key=("trace",), seed=seed, n_users=n_users, alpha=alpha)
+    sweep.trial(_fig8_trial, key=("trace",), seed=seed, n_users=n_users)
     return sweep
 
 
-def _fig9_trial(n_users, alpha, seed):
-    return TwitterTrace(n_users, alpha=alpha, seed=seed).summary()
+def _fig9_trial(n_users, seed):
+    return TwitterTrace(n_users, seed=seed).summary()
 
 
-def fig9_spec(n_users: int = 20000, alpha: float = 1.65, seed: int = 0) -> Sweep:
+def fig9_spec(n_users: int = 20000, seed: int = 0) -> Sweep:
     """The Fig. 9 statistics table for the synthetic trace."""
     def reduce(results):
         [summary] = results
         return [{"statistic": k, "value": v} for k, v in summary.items()]
 
     sweep = Sweep("fig9", reduce=reduce)
-    sweep.trial(_fig9_trial, key=("trace",), seed=seed, n_users=n_users, alpha=alpha)
+    sweep.trial(_fig9_trial, key=("trace",), seed=seed, n_users=n_users)
     return sweep
 
 
@@ -342,87 +304,70 @@ def fig9_spec(n_users: int = 20000, alpha: float = 1.65, seed: int = 0) -> Sweep
 # Fig. 10 — real-world (Twitter) subscriptions, three systems
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=1)
-def _twitter_subscriptions(
-    n_users: int, min_out: int, sample_size: int, seed: int
-) -> Tuple[frozenset, ...]:
+def _twitter_subscriptions(n_users: int, sample_size: int, seed: int) -> Tuple[frozenset, ...]:
     """The per-node topic sets of a BFS sample of the Twitter trace.
 
     Every trial of fig10, fig11 and management_cost samples the same
     trace, so a process keeps the last sample it built; the result is
     immutable, so trials cannot see each other's use of it.
+
+    Each user follows at least 3 others, which keeps the scaled-down
+    sample at a realistic density: the paper's 10k sample averages 80
+    subscriptions (0.8% density); smaller samples need proportionally
+    fewer subscriptions per node, else every topic subgraph connects
+    trivially and OPT is never stressed.
     """
-    trace = TwitterTrace(n_users, min_out=min_out, seed=seed)
+    trace = TwitterTrace(n_users, min_out=3, seed=seed)
     return tuple(trace.bfs_sample(sample_size, seed=seed).subscriptions())
 
 
-def _fig10_trial(system, rt_size, n_users, sample_size, events, seed, min_out):
-    subs = _twitter_subscriptions(n_users, min_out, sample_size, seed)
-    cfg = VitisConfig().with_rt_size(rt_size)
-    if system == "vitis":
-        proto = build_vitis(subs, cfg, seed=seed)
-    elif system == "rvr":
-        proto = build_rvr(subs, cfg, seed=seed)
-    else:
-        proto = build_opt(subs, cfg, seed=seed, max_degree=rt_size)
+def _fig10_trial(system, rt_size, n_users, sample_size, events, seed):
+    subs = _twitter_subscriptions(n_users, sample_size, seed)
+    proto = build_system(system, subs, VitisConfig().with_rt_size(rt_size), seed=seed)
     col = measure(proto, events, seed=seed + 1, publisher="owner")
-    return _metrics_row(col, system=system, rt_size=rt_size)
+    return metrics_row(col, system=system, rt_size=rt_size)
 
 
 def fig10_spec(
     n_users: int = 6000,
     sample_size: int = 600,
-    rt_sizes: Sequence[int] = (15, 25, 35),
     events: int = 250,
     seed: int = 0,
-    systems: Sequence[str] = ("vitis", "rvr", "opt"),
-    min_out: int = 3,
 ) -> Sweep:
-    """Hit ratio / overhead / delay vs routing-table size on the Twitter
-    workload, for Vitis, RVR and OPT.
+    """Hit ratio / overhead / delay vs routing-table size (15, 25, 35)
+    on the Twitter workload, for Vitis, RVR and OPT (its degree bounded
+    by the table size).
 
     Paper: Vitis and RVR hit 100%; bounded OPT climbs from ~55% toward
     ~80%; Vitis's overhead is 30–40% below RVR's; OPT's overhead is 0.
     Publishers are the topic owners (a user publishes on its own topic).
-
-    ``min_out`` keeps the scaled-down sample at a realistic density: the
-    paper's 10k sample averages 80 subscriptions (0.8% density); smaller
-    samples need proportionally fewer subscriptions per node, else every
-    topic subgraph connects trivially and OPT is never stressed.
     """
     sweep = Sweep("fig10")
-    for rt in rt_sizes:
+    for rt in (15, 25, 35):
         for system in ("vitis", "rvr", "opt"):
-            if system in systems:
-                sweep.trial(
-                    _fig10_trial, key=(system, rt), seed=seed,
-                    system=system, rt_size=rt, n_users=n_users,
-                    sample_size=sample_size, events=events, min_out=min_out,
-                )
+            sweep.trial(
+                _fig10_trial, key=(system, rt), seed=seed,
+                system=system, rt_size=rt, n_users=n_users,
+                sample_size=sample_size, events=events,
+            )
     return sweep
 
 
 # ----------------------------------------------------------------------
 # Fig. 11 — OPT with unbounded degree
 # ----------------------------------------------------------------------
-def _fig11_trial(n_users, sample_size, cycles, seed, min_out):
-    subs = _twitter_subscriptions(n_users, min_out, sample_size, seed)
-    opt = build_opt(subs, VitisConfig(), seed=seed, cycles=cycles, max_degree=None)
-    degrees = opt.degree_distribution()
+def _fig11_trial(n_users, sample_size, seed):
+    subs = _twitter_subscriptions(n_users, sample_size, seed)
+    degrees = build_opt(subs, seed=seed, max_degree=None).degree_distribution()
     return [
         {"degree": d, "frequency": f}
         for d, f in frequency_histogram(degrees).items()
     ]
 
 
-def fig11_spec(
-    n_users: int = 6000,
-    sample_size: int = 600,
-    cycles: int = 40,
-    seed: int = 0,
-    min_out: int = 3,
-) -> Sweep:
+def fig11_spec(n_users: int = 6000, sample_size: int = 600, seed: int = 0) -> Sweep:
     """Node-degree frequency distribution of unbounded-degree OPT on the
-    Twitter workload.
+    Twitter workload, after 40 gossip cycles.
 
     Paper: over two thirds of nodes exceed degree 15; 0.3% exceed 200
     (max observed 708) — unbounded correlation-only overlays do not scale.
@@ -430,7 +375,7 @@ def fig11_spec(
     sweep = Sweep("fig11", reduce=flat_reduce)
     sweep.trial(
         _fig11_trial, key=("opt-unbounded",), seed=seed,
-        n_users=n_users, sample_size=sample_size, cycles=cycles, min_out=min_out,
+        n_users=n_users, sample_size=sample_size,
     )
     return sweep
 
@@ -438,60 +383,48 @@ def fig11_spec(
 # ----------------------------------------------------------------------
 # Fig. 12 — churn (Skype trace)
 # ----------------------------------------------------------------------
-def _fig12_trial(
-    system, pool, n_topics, horizon, flash_crowd_at, measure_every,
-    events_per_window, seed, min_join_age, median_session, median_offtime,
-):
+def _fig12_trial(system, pool, n_topics, horizon, flash_crowd_at, seed):
     """One system's full churn timeline — inherently sequential, so the
     whole time series is a single trial."""
     trace = SkypeTrace(
         n_nodes=pool,
         horizon=horizon,
         flash_crowd_at=flash_crowd_at,
-        median_session=median_session,
-        median_offtime=median_offtime,
+        median_session=60.0,
+        median_offtime=120.0,
         seed=seed,
     )
     subs = low_correlation_subscriptions(pool, n_topics, seed=seed)
     if system == "vitis":
-        proto = _churn_vitis(subs, seed)
-    elif system == "rvr":
-        proto = _churn_rvr(subs, seed)
+        proto = VitisProtocol(subs, VitisConfig(), seed=seed, auto_start=False,
+                              election_every=1, relay_every=1)
     else:
-        raise ValueError(f"unknown churn system {system!r}")
+        proto = RvrProtocol(subs, VitisConfig(), seed=seed, auto_start=False, relay_every=1)
     trace.schedule().apply(proto.engine, proto.join, proto.leave)
 
     rows = []
     t = 0.0
     while t < horizon:
-        proto.run_cycles(int(measure_every / proto.config.gossip_period))
+        proto.run_cycles(int(20.0 / proto.config.gossip_period))
         t = proto.engine.now
-        col = measure(
-            proto,
-            events_per_window,
-            seed=seed + int(t),
-            min_join_age=min_join_age,
-        )
+        # The paper's 10-second rule: only subscribers that joined at
+        # least 10 s ago count towards the hit ratio.
+        col = measure(proto, 120, seed=seed + int(t), min_join_age=10.0)
         rows.append(
-            _metrics_row(col, system=system, time=t, live_nodes=proto.live_count())
+            metrics_row(col, system=system, time=t, live_nodes=proto.live_count())
         )
     return rows
 
 
 def fig12_spec(
-    pool: int = 300,
+    pool: int = 250,
     n_topics: int = 300,
     horizon: float = 280.0,
     flash_crowd_at: Optional[float] = 180.0,
-    measure_every: float = 20.0,
-    events_per_window: int = 120,
     seed: int = 0,
-    systems: Sequence[str] = ("vitis", "rvr"),
-    min_join_age: float = 10.0,
-    median_session: float = 60.0,
-    median_offtime: float = 120.0,
 ) -> Sweep:
-    """Hit ratio / overhead / delay over time under Skype-like churn.
+    """Hit ratio / overhead / delay over time under Skype-like churn,
+    Vitis and RVR, measured with 120 events every 20 cycles.
 
     Paper: both systems ride out moderate churn; the flash crowd dents
     RVR's hit ratio to ~87% while Vitis stays ≈99%; Vitis's overhead
@@ -500,58 +433,29 @@ def fig12_spec(
 
     Time mapping: one gossip cycle per simulated "hour" of the trace.
     The paper's gossip period is seconds, so a 5.5 h median session spans
-    thousands of maintenance rounds; the default session/offtime medians
-    here (30/60 cycles) keep the same regime — sessions much longer than
-    the failure-detection time — at a simulable cycle count.  Pass the
-    measured medians (5.5/12) to reproduce the *relative* churn of
-    1 cycle = 1 hour instead, which is far harsher than the paper's.
+    thousands of maintenance rounds; the session/offtime medians here
+    (60/120 cycles) keep the same regime — sessions much longer than the
+    failure-detection time — at a simulable cycle count.
     """
-    unknown = [s for s in systems if s not in ("vitis", "rvr")]
-    if unknown:
-        raise ValueError(f"unknown churn system {unknown[0]!r}")
     sweep = Sweep("fig12", reduce=flat_reduce)
-    for system in systems:
+    for system in ("vitis", "rvr"):
         sweep.trial(
             _fig12_trial, key=(system,), seed=seed,
             system=system, pool=pool, n_topics=n_topics, horizon=horizon,
-            flash_crowd_at=flash_crowd_at, measure_every=measure_every,
-            events_per_window=events_per_window, min_join_age=min_join_age,
-            median_session=median_session, median_offtime=median_offtime,
+            flash_crowd_at=flash_crowd_at,
         )
     return sweep
-
-
-def _churn_vitis(subs, seed):
-    from repro.core.protocol import VitisProtocol
-
-    return VitisProtocol(
-        subs,
-        VitisConfig(),
-        seed=seed,
-        auto_start=False,
-        election_every=1,
-        relay_every=1,
-    )
-
-
-def _churn_rvr(subs, seed):
-    from repro.baselines.rvr import RvrProtocol
-
-    return RvrProtocol(subs, VitisConfig(), seed=seed, auto_start=False, relay_every=1)
 
 
 # ----------------------------------------------------------------------
 # Ablations (DESIGN.md section 7)
 # ----------------------------------------------------------------------
 def _ablation_depth_trial(gateway_depth, n_nodes, n_topics, events, seed):
-    from dataclasses import replace
-
     subs = make_subscriptions("high", n_nodes, n_topics, seed)
-    cfg = replace(VitisConfig(), gateway_depth=gateway_depth)
-    vitis = build_vitis(subs, cfg, seed=seed)
+    vitis = build_vitis(subs, replace(VitisConfig(), gateway_depth=gateway_depth), seed=seed)
     col = measure(vitis, events, seed=seed + 1)
     cstats = cluster_stats(vitis)
-    row = _metrics_row(col, system="vitis", gateway_depth=gateway_depth)
+    row = metrics_row(col, system="vitis", gateway_depth=gateway_depth)
     row["mean_gateways_per_topic"] = cstats.mean_gateways_per_topic
     row["relay_paths"] = vitis.relay_stats.paths_installed
     return row
@@ -578,25 +482,22 @@ def ablation_depth_spec(
     return sweep
 
 
-def _ablation_utility_trial(rate_weighted, alpha, n_nodes, n_topics, events, seed):
-    from dataclasses import replace
-
-    rates = power_law_rates(n_topics, alpha, seed=seed)
+def _ablation_utility_trial(rate_weighted, n_nodes, n_topics, events, seed):
+    rates = power_law_rates(n_topics, 2.0, seed=seed)
     subs = make_subscriptions("random", n_nodes, n_topics, seed)
     cfg = replace(VitisConfig(), rate_weighted_utility=rate_weighted)
     vitis = build_vitis(subs, cfg, seed=seed, rates=rates)
     col = measure(vitis, events, seed=seed + 1)
-    return _metrics_row(col, system="vitis", rate_weighted=rate_weighted, alpha=alpha)
+    return metrics_row(col, system="vitis", rate_weighted=rate_weighted, alpha=2.0)
 
 
 def ablation_utility_spec(
     n_nodes: int = 300,
     n_topics: int = 1000,
-    alpha: float = 2.0,
     events: int = 250,
     seed: int = 0,
 ) -> Sweep:
-    """Rate-weighted Eq. 1 vs plain Jaccard under skewed rates.
+    """Rate-weighted Eq. 1 vs plain Jaccard under skewed rates (α = 2).
 
     With hot topics, weighting should cluster hot-topic subscribers
     harder and lower the (rate-weighted) average overhead.
@@ -605,19 +506,17 @@ def ablation_utility_spec(
     for weighted in (True, False):
         sweep.trial(
             _ablation_utility_trial, key=(weighted,), seed=seed,
-            rate_weighted=weighted, alpha=alpha,
-            n_nodes=n_nodes, n_topics=n_topics, events=events,
+            rate_weighted=weighted, n_nodes=n_nodes, n_topics=n_topics, events=events,
         )
     return sweep
 
 
-def _ablation_sw_trial(n_sw_links, rt_size, probes, n_nodes, n_topics, seed):
+def _ablation_sw_trial(n_sw_links, n_nodes, n_topics, seed):
     from repro.analysis.navigability import expected_bound, routing_probe
 
     subs = make_subscriptions("random", n_nodes, n_topics, seed)
-    cfg = VitisConfig(rt_size=rt_size, n_sw_links=n_sw_links)
-    vitis = build_vitis(subs, cfg, seed=seed)
-    probe = routing_probe(vitis, n_samples=probes, seed=seed + 1)
+    vitis = build_vitis(subs, VitisConfig(n_sw_links=n_sw_links), seed=seed)
+    probe = routing_probe(vitis, n_samples=300, seed=seed + 1)
     col = measure(vitis, 150, seed=seed + 2)
     return {
         "system": "vitis",
@@ -630,31 +529,24 @@ def _ablation_sw_trial(n_sw_links, rt_size, probes, n_nodes, n_topics, seed):
     }
 
 
-def ablation_sw_spec(
-    n_nodes: int = 300,
-    n_topics: int = 1000,
-    rt_size: int = 15,
-    sw_links: Sequence[int] = (1, 3, 7, 13),
-    probes: int = 300,
-    seed: int = 0,
-) -> Sweep:
-    """Routing cost vs number of small-world links (Symphony's claim).
+def ablation_sw_spec(n_nodes: int = 300, n_topics: int = 1000, seed: int = 0) -> Sweep:
+    """Routing cost vs number of small-world links (1, 3, 7 and 13 of the
+    15 routing-table entries; 300 greedy lookups each) — Symphony's claim.
 
     With k structural links greedy routing costs O((1/k)·log²N); trading
     friend links for sw links buys navigability at the price of traffic
     overhead — the quantitative backbone of Fig. 4.
     """
     sweep = Sweep("ablation_sw")
-    for k in sw_links:
+    for k in (1, 3, 7, 13):
         sweep.trial(
             _ablation_sw_trial, key=(k,), seed=seed,
-            n_sw_links=k, rt_size=rt_size, probes=probes,
-            n_nodes=n_nodes, n_topics=n_topics,
+            n_sw_links=k, n_nodes=n_nodes, n_topics=n_topics,
         )
     return sweep
 
 
-def _ablation_proximity_trial(beta, n_nodes, n_topics, events, seed):
+def _ablation_proximity_trial(beta, n_nodes, n_topics, seed):
     from repro.core.proximity import ProximityUtility
     from repro.sim.latency import CoordinateLatency, CoordinateSpace
     from repro.sim.rng import SeedTree
@@ -664,55 +556,47 @@ def _ablation_proximity_trial(beta, n_nodes, n_topics, events, seed):
     coords = CoordinateSpace.clustered(range(n_nodes), coord_rng, n_sites=5)
     cost_model = CoordinateLatency(coords)
     utility = ProximityUtility(coords, beta=beta)
-    vitis = build_vitis(subs, VitisConfig(), seed=seed, utility=utility)
+    vitis = build_vitis(subs, seed=seed, utility=utility)
     vitis.link_cost = cost_model.cost
-    col = measure(vitis, events, seed=seed + 1)
-    row = _metrics_row(col, system="vitis", beta=beta)
+    col = measure(vitis, 250, seed=seed + 1)
+    row = metrics_row(col, system="vitis", beta=beta)
     row["mean_physical_cost"] = col.mean_physical_cost()
     return row
 
 
 def ablation_proximity_spec(
-    n_nodes: int = 300,
-    n_topics: int = 1000,
-    betas: Sequence[float] = (0.0, 0.2, 0.5),
-    events: int = 250,
-    seed: int = 0,
+    n_nodes: int = 300, n_topics: int = 1000, seed: int = 0
 ) -> Sweep:
     """Proximity-aware preference function (the paper's suggested
     extension, section III-A2), evaluated.
 
     Nodes sit in a clustered coordinate space (regional sites); the
-    utility blends Eq. 1 with physical closeness (weight ``beta``).
-    Expected trade-off: moderate beta cuts the physical cost of event
-    dissemination at full delivery; large beta erodes interest clustering
-    and the traffic overhead climbs.
+    utility blends Eq. 1 with physical closeness (weight ``beta`` of 0,
+    0.2 and 0.5; 250 events each).  Expected trade-off: moderate beta
+    cuts the physical cost of event dissemination at full delivery;
+    large beta erodes interest clustering and the traffic overhead
+    climbs.
     """
     sweep = Sweep("ablation_proximity")
-    for beta in betas:
+    for beta in (0.0, 0.2, 0.5):
         sweep.trial(
             _ablation_proximity_trial, key=(beta,), seed=seed,
-            beta=beta, n_nodes=n_nodes, n_topics=n_topics, events=events,
+            beta=beta, n_nodes=n_nodes, n_topics=n_topics,
         )
     return sweep
 
 
-def _management_cost_trial(system, n_users, sample_size, rt_size, seed):
+def _management_cost_trial(system, n_users, sample_size, seed):
     from repro.analysis.control_traffic import (
         estimate_control_messages,
         per_node_link_load,
     )
 
-    subs = _twitter_subscriptions(n_users, 3, sample_size, seed)
-    cfg = VitisConfig(rt_size=rt_size)
-    if system == "vitis":
-        proto = build_vitis(subs, cfg, seed=seed)
-    elif system == "rvr":
-        proto = build_rvr(subs, cfg, seed=seed)
-    elif system == "opt-bounded":
-        proto = build_opt(subs, cfg, seed=seed, max_degree=rt_size)
+    subs = _twitter_subscriptions(n_users, sample_size, seed)
+    if system == "opt-unbounded":
+        proto = build_opt(subs, seed=seed, max_degree=None)
     else:
-        proto = build_opt(subs, cfg, seed=seed, max_degree=None)
+        proto = build_system(system.removesuffix("-bounded"), subs, seed=seed)
     est = estimate_control_messages(proto)
     load = sorted(per_node_link_load(proto).values())
     return {
@@ -726,7 +610,6 @@ def _management_cost_trial(system, n_users, sample_size, rt_size, seed):
 def management_cost_spec(
     n_users: int = 4000,
     sample_size: int = 400,
-    rt_size: int = 15,
     seed: int = 0,
 ) -> Sweep:
     """Overlay-management message cost per node, across the three systems
@@ -741,7 +624,6 @@ def management_cost_spec(
         sweep.trial(
             _management_cost_trial, key=(system,), seed=seed,
             system=system, n_users=n_users, sample_size=sample_size,
-            rt_size=rt_size,
         )
     return sweep
 
@@ -752,9 +634,9 @@ def _ablation_sampler_trial(sampler, n_nodes, n_topics, events, seed):
 
     cls = {"newscast": PeerSamplingService, "cyclon": CyclonService}[sampler]
     subs = make_subscriptions("high", n_nodes, n_topics, seed)
-    vitis = build_vitis(subs, VitisConfig(), seed=seed, sampler_cls=cls)
+    vitis = build_vitis(subs, seed=seed, sampler_cls=cls)
     col = measure(vitis, events, seed=seed + 1)
-    return _metrics_row(col, system="vitis", sampler=sampler)
+    return metrics_row(col, system="vitis", sampler=sampler)
 
 
 def ablation_sampler_spec(
@@ -780,17 +662,11 @@ def ablation_sampler_spec(
 # ----------------------------------------------------------------------
 # Fault sweep (docs/robustness.md): delivery under faults, healing active
 # ----------------------------------------------------------------------
-def _fault_build(system, subs, seed):
-    cfg = VitisConfig()
-    if system == "vitis":
-        return build_vitis(subs, cfg, seed=seed)
-    if system == "rvr":
-        return build_rvr(subs, cfg, seed=seed)
-    return build_opt(subs, cfg, seed=seed)
+FAULT_SYSTEMS = ("vitis", "rvr", "opt")
 
 
 def _fault_row(collector, proto, model, **params) -> Dict:
-    row = _metrics_row(collector, **params)
+    row = metrics_row(collector, **params)
     row.update(
         faults_injected=model.injected,
         retries=proto.fault_retries,
@@ -800,29 +676,27 @@ def _fault_row(collector, proto, model, **params) -> Dict:
 
 
 def _fault_loss_trial(
-    system, loss_rate, index, n_nodes, n_topics, kill_frac, heal_cycles,
-    events, seed, fault_seed,
+    system, loss_rate, index, n_nodes, n_topics, heal_cycles, events, seed, fault_seed,
 ):
-    """Loss axis: i.i.d. loss plus a crash burst, healed, then measured
-    with the loss still active."""
+    """Loss axis: i.i.d. loss plus a crash burst of 10% of the nodes,
+    healed, then measured with the loss still active."""
     from repro.faults import HealingPolicy, MessageLoss, crash_nodes
     from repro.sim.churn import ChurnSchedule
     from repro.sim.rng import SeedTree
 
-    cfg = VitisConfig()
     subs = make_subscriptions("high", n_nodes, n_topics, seed)
     froot = SeedTree(fault_seed)
-    proto = _fault_build(system, subs, seed)
+    proto = build_system(system, subs, seed=seed)
     model = MessageLoss(loss_rate, froot.pyrandom("loss", system, index))
     proto.attach_faults(model, HealingPolicy())
     kill_rng = froot.pyrandom("kill", system, index)
     live = sorted(proto.live_addresses())
-    victims = sorted(kill_rng.sample(live, int(len(live) * kill_frac)))
+    victims = sorted(kill_rng.sample(live, int(len(live) * 0.1)))
     if victims:
         sched = ChurnSchedule.crashes(
             victims,
             at=proto.engine.now,
-            spread=2 * cfg.gossip_period,
+            spread=2 * proto.config.gossip_period,
             rng=kill_rng,
         )
         sched.apply(
@@ -847,17 +721,16 @@ def _fault_partition_trial(
     from repro.faults import HealingPolicy, Partition
     from repro.sim.rng import SeedTree
 
-    cfg = VitisConfig()
     subs = make_subscriptions("high", n_nodes, n_topics, seed)
     froot = SeedTree(fault_seed)
-    proto = _fault_build(system, subs, seed)
+    proto = build_system(system, subs, seed=seed)
     now = proto.engine.now
     # Heal mid-cycle so the measurement after d cycles still falls
     # inside the partition window regardless of driver phase.
     model = Partition.halves(
         proto.live_addresses(),
         start=now,
-        heal_at=now + (duration + 0.5) * cfg.gossip_period,
+        heal_at=now + (duration + 0.5) * proto.config.gossip_period,
         rng=froot.pyrandom("partition", system, duration),
     )
     proto.attach_faults(model, HealingPolicy())
@@ -883,20 +756,18 @@ def fault_sweep_spec(
     n_topics: int = 400,
     loss_rates: Sequence[float] = (0.0, 0.05, 0.1, 0.2),
     partition_cycles: Sequence[int] = (),
-    kill_frac: float = 0.1,
     heal_cycles: int = 12,
     events: int = 150,
     seed: int = 0,
     fault_seed: Optional[int] = None,
-    systems: Sequence[str] = ("vitis", "rvr", "opt"),
 ) -> Sweep:
     """Hit ratio / delay / overhead under injected faults, repair running.
 
-    Two swept axes, same three systems:
+    Two swept axes, for Vitis, RVR and OPT alike:
 
     - **loss axis** — for each rate in ``loss_rates``: i.i.d. message
       loss (``repro.faults.MessageLoss``) plus a crash burst killing
-      ``kill_frac`` of the population (scheduled through
+      10% of the population (scheduled through
       ``ChurnSchedule.crashes``), then ``heal_cycles`` gossip cycles for
       heartbeat eviction and relay repair, then measurement with the loss
       still active (rows with ``fault="loss"``, ``phase="steady"``);
@@ -913,24 +784,18 @@ def fault_sweep_spec(
     (from the protocol) so the healing machinery is visible without
     telemetry.
     """
-    known = ("vitis", "rvr", "opt")
-    unknown = [s for s in systems if s not in known]
-    if unknown:
-        raise ValueError(
-            f"unknown systems {unknown}; expected subset of {sorted(known)}"
-        )
     fault_seed = seed if fault_seed is None else fault_seed
     sweep = Sweep("fault_sweep", reduce=flat_reduce)
     for i, rate in enumerate(loss_rates):
-        for system in systems:
+        for system in FAULT_SYSTEMS:
             sweep.trial(
                 _fault_loss_trial, key=("loss", system, i), seed=seed,
                 system=system, loss_rate=rate, index=i,
-                n_nodes=n_nodes, n_topics=n_topics, kill_frac=kill_frac,
+                n_nodes=n_nodes, n_topics=n_topics,
                 heal_cycles=heal_cycles, events=events, fault_seed=fault_seed,
             )
     for d in partition_cycles:
-        for system in systems:
+        for system in FAULT_SYSTEMS:
             sweep.trial(
                 _fault_partition_trial, key=("partition", system, d), seed=seed,
                 system=system, duration=d,
@@ -941,46 +806,39 @@ def fault_sweep_spec(
 
 
 # ----------------------------------------------------------------------
-# Scenario registry — one entry per CLI command, each owning the bench
-# sizes the CLI multiplies by --scale (previously a dict in cli.py).
+# Scenario registry — one entry per CLI command, each naming the builder
+# parameters the CLI multiplies by --scale.
 # ----------------------------------------------------------------------
 def _fault_sweep_adjust(kwargs: Dict[str, int]) -> Dict[str, int]:
     # The bucketed subscription generator needs n_topics divisible by
     # its bucket count (n_topics/50 for the "high" pattern).
-    nt = kwargs.get("n_topics", 400)
-    kwargs["n_topics"] = max(100, 50 * round(nt / 50))
+    kwargs["n_topics"] = max(100, 50 * round(kwargs["n_topics"] / 50))
     return kwargs
 
+
+_NODES = ("n_nodes", "n_topics")
+_USERS = ("n_users", "sample_size")
 
 SCENARIOS: Dict[str, Scenario] = {
     s.name: s
     for s in (
-        Scenario("fig4", fig4_spec, {"n_nodes": 300, "n_topics": 1000}),
-        Scenario("fig5", fig5_spec, {"n_nodes": 300, "n_topics": 1000}),
-        Scenario("fig6", fig6_spec, {"n_nodes": 300, "n_topics": 1000}),
-        Scenario("fig7", fig7_spec, {"n_nodes": 300, "n_topics": 1000}),
-        Scenario("fig8", fig8_spec, {"n_users": 20000}),
-        Scenario("fig9", fig9_spec, {"n_users": 20000}),
-        Scenario("fig10", fig10_spec, {"n_users": 6000, "sample_size": 600}),
-        Scenario("fig11", fig11_spec, {"n_users": 6000, "sample_size": 600}),
-        Scenario("fig12", fig12_spec, {"pool": 250}),
-        Scenario("ablation_depth", ablation_depth_spec,
-                 {"n_nodes": 300, "n_topics": 1000}),
-        Scenario("ablation_utility", ablation_utility_spec,
-                 {"n_nodes": 300, "n_topics": 1000}),
-        Scenario("ablation_sampler", ablation_sampler_spec,
-                 {"n_nodes": 300, "n_topics": 1000}),
-        Scenario("ablation_sw", ablation_sw_spec,
-                 {"n_nodes": 300, "n_topics": 1000}),
-        Scenario("ablation_proximity", ablation_proximity_spec,
-                 {"n_nodes": 300, "n_topics": 1000}),
-        Scenario("management_cost", management_cost_spec,
-                 {"n_users": 4000, "sample_size": 400}),
-        Scenario("fault_sweep", fault_sweep_spec,
-                 {"n_nodes": 200, "n_topics": 400}, adjust=_fault_sweep_adjust),
-        Scenario("overload_sweep", overload_sweep_spec,
-                 {"n_nodes": 200, "n_topics": 400}, adjust=_fault_sweep_adjust),
-        Scenario("chaos_sweep", chaos_sweep_spec,
-                 {"n_nodes": 200, "n_topics": 400}, adjust=_fault_sweep_adjust),
+        Scenario("fig4", fig4_spec, _NODES),
+        Scenario("fig5", fig5_spec, _NODES),
+        Scenario("fig6", fig6_spec, _NODES),
+        Scenario("fig7", fig7_spec, _NODES),
+        Scenario("fig8", fig8_spec, ("n_users",)),
+        Scenario("fig9", fig9_spec, ("n_users",)),
+        Scenario("fig10", fig10_spec, _USERS),
+        Scenario("fig11", fig11_spec, _USERS),
+        Scenario("fig12", fig12_spec, ("pool",)),
+        Scenario("ablation_depth", ablation_depth_spec, _NODES),
+        Scenario("ablation_utility", ablation_utility_spec, _NODES),
+        Scenario("ablation_sampler", ablation_sampler_spec, _NODES),
+        Scenario("ablation_sw", ablation_sw_spec, _NODES),
+        Scenario("ablation_proximity", ablation_proximity_spec, _NODES),
+        Scenario("management_cost", management_cost_spec, _USERS),
+        Scenario("fault_sweep", fault_sweep_spec, _NODES, adjust=_fault_sweep_adjust),
+        Scenario("overload_sweep", overload_sweep_spec, _NODES, adjust=_fault_sweep_adjust),
+        Scenario("chaos_sweep", chaos_sweep_spec, _NODES, adjust=_fault_sweep_adjust),
     )
 }

@@ -15,9 +15,10 @@ layer of that architecture:
   mapping the trial results (in trial order) to row dicts.  Row order is
   a function of trial order alone, never of completion order, so serial
   and parallel executors produce identical row lists.
-- :class:`Scenario` — one CLI command: a sweep builder plus the
-  population knobs that ``--scale`` multiplies (previously a dict inside
-  ``cli.py``).
+- :class:`Scenario` — one CLI command: a sweep builder plus the names
+  of its population parameters that ``--scale`` multiplies; their bench
+  values are the builder's own defaults, and the builder's signature is
+  the CLI's record of which sweep-axis flags the command takes.
 
 Seed discipline: every trial is given its seed explicitly, so a trial
 computes the same thing whether it runs inline or in a worker.
@@ -26,8 +27,9 @@ computes the same thing whether it runs inline or in a worker.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -154,21 +156,22 @@ def trial_key(sweep: "Sweep | str", trial: Trial) -> str:
 class Scenario:
     """One CLI command: a sweep builder plus its bench-size knobs.
 
-    ``scale_knobs`` are the population kwargs the CLI multiplies by
-    ``--scale`` (each scenario owns its sizes; the CLI no longer keeps a
-    per-figure dict).  ``adjust`` post-processes the scaled kwargs for
-    scenarios with structural constraints (e.g. ``fault_sweep`` needs its
-    topic count divisible by the subscription-bucket size).
+    ``scale_knobs`` names the builder's population parameters that the
+    CLI multiplies by ``--scale``, starting from the builder's defaults.
+    ``adjust`` post-processes the scaled kwargs for scenarios with
+    structural constraints (e.g. ``fault_sweep`` needs its topic count
+    divisible by the subscription-bucket size).
     """
 
     name: str
     spec: Callable[..., Sweep]
-    scale_knobs: Mapping[str, int] = field(default_factory=dict)
+    scale_knobs: Tuple[str, ...]
     adjust: Optional[Callable[[Dict[str, int]], Dict[str, int]]] = None
 
     def scaled_kwargs(self, scale: float = 1.0) -> Dict[str, int]:
-        """The population kwargs at ``scale`` times the bench defaults."""
-        kwargs = {k: max(2, int(v * scale)) for k, v in self.scale_knobs.items()}
+        """The population kwargs at ``scale`` times the builder's defaults."""
+        params = inspect.signature(self.spec).parameters
+        kwargs = {k: max(2, int(params[k].default * scale)) for k in self.scale_knobs}
         if self.adjust is not None:
             kwargs = self.adjust(kwargs)
         return kwargs

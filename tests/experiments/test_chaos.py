@@ -7,10 +7,7 @@ from repro.experiments import run_sweep
 from repro.experiments.chaos import chaos_sweep_spec
 from repro.experiments.scenarios import SCENARIOS
 
-SMALL = dict(
-    n_nodes=60, n_topics=100, loss_rates=(0.05,), kill_frac=0.15,
-    chaos_cycles=8, recover_cycles=5, events=40, seed=0,
-)
+SMALL = dict(n_nodes=60, n_topics=100, loss_rates=(0.05,), seed=0)
 
 
 @pytest.fixture(scope="module")

@@ -16,8 +16,15 @@ from repro.experiments.executor import (
 from repro.experiments.spec import trial_key
 
 # Tiny sizes: these exercise the plumbing, not the physics.
-FIG4_KW = dict(n_nodes=40, n_topics=100, friend_counts=(0, 6),
-               patterns=("high",), events=40)
+FIG4_KW = dict(n_nodes=40, n_topics=100, events=40)
+
+
+def _sweep(seed):
+    """A two-trial sweep for the cache, telemetry and trace plumbing."""
+    return scenarios.ablation_depth_spec(
+        depths=(1, 6), n_nodes=40, n_topics=100, events=40, seed=seed)
+
+
 FAULT_KW = dict(n_nodes=40, n_topics=100, loss_rates=(0.0, 0.1),
                 partition_cycles=(3,), heal_cycles=4, events=30)
 
@@ -56,22 +63,22 @@ class TestExecutorEquivalence:
 class TestResultCache:
     def test_write_through_then_pure_cache_read(self, tmp_path):
         cache = ResultCache(tmp_path)
-        sweep = scenarios.fig4_spec(seed=1, **FIG4_KW)
+        sweep = _sweep(1)
         first = run_sweep(sweep, cache=cache)
 
         rec = RecordingExecutor()
-        again = scenarios.fig4_spec(seed=1, **FIG4_KW)
+        again = _sweep(1)
         second = run_sweep(again, executor=rec, cache=cache)
         assert rec.ran == []  # identical spec: nothing re-runs
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
     def test_interrupted_sweep_resumes_missing_trials_only(self, tmp_path):
         cache = ResultCache(tmp_path)
-        sweep = scenarios.fig4_spec(seed=1, **FIG4_KW)
+        sweep = _sweep(1)
         full = run_sweep(sweep, cache=cache)
 
         # Simulate a mid-way kill: drop two of the cached trial results.
-        sweep2 = scenarios.fig4_spec(seed=1, **FIG4_KW)
+        sweep2 = _sweep(1)
         killed = [sweep2.trials[0], sweep2.trials[-1]]
         for t in killed:
             cache.path(sweep2.name, trial_key(sweep2, t)).unlink()
@@ -83,18 +90,18 @@ class TestResultCache:
 
     def test_seed_change_misses_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW), cache=cache)
+        run_sweep(_sweep(1), cache=cache)
         rec = RecordingExecutor()
-        other = scenarios.fig4_spec(seed=2, **FIG4_KW)
+        other = _sweep(2)
         run_sweep(other, executor=rec, cache=cache)
         assert len(rec.ran) == len(other.trials)
 
     def test_corrupt_entry_treated_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        sweep = scenarios.fig4_spec(seed=1, **FIG4_KW)
+        sweep = _sweep(1)
         full = run_sweep(sweep, cache=cache)
 
-        sweep2 = scenarios.fig4_spec(seed=1, **FIG4_KW)
+        sweep2 = _sweep(1)
         victim = cache.path(sweep2.name, trial_key(sweep2, sweep2.trials[0]))
         victim.write_text("{not json")
 
@@ -105,12 +112,12 @@ class TestResultCache:
 
     def test_orphaned_tmp_from_crashed_writer_is_cleaned(self, tmp_path):
         cache = ResultCache(tmp_path)
-        sweep = scenarios.fig4_spec(seed=1, **FIG4_KW)
+        sweep = _sweep(1)
         full = run_sweep(sweep, cache=cache)
 
         # A writer killed between mkstemp and os.replace strands a .tmp
         # next to the entries, and the entry it was replacing is gone.
-        sweep2 = scenarios.fig4_spec(seed=1, **FIG4_KW)
+        sweep2 = _sweep(1)
         victim = cache.path(sweep2.name, trial_key(sweep2, sweep2.trials[0]))
         victim.unlink()
         orphan = victim.parent / "deadbeef0123.tmp"
@@ -139,9 +146,9 @@ class TestResultCache:
 
     def test_cache_files_carry_spec(self, tmp_path):
         cache = ResultCache(tmp_path)
-        sweep = scenarios.fig4_spec(seed=1, **FIG4_KW)
+        sweep = _sweep(1)
         run_sweep(sweep, cache=cache)
-        entries = list((tmp_path / "fig4").glob("*.json"))
+        entries = list((tmp_path / "ablation_depth").glob("*.json"))
         assert len(entries) == len(sweep.trials)
         entry = json.loads(entries[0].read_text())
         assert set(entry) == {"key", "spec", "result", "meta"}
@@ -152,10 +159,10 @@ class TestResultCache:
         from repro.provenance import code_fingerprint
 
         cache = ResultCache(tmp_path)
-        sweep = scenarios.fig4_spec(seed=1, **FIG4_KW)
+        sweep = _sweep(1)
         run_sweep(sweep, cache=cache)
         entry = json.loads(
-            next((tmp_path / "fig4").glob("*.json")).read_text()
+            next((tmp_path / "ablation_depth").glob("*.json")).read_text()
         )
         assert entry["meta"] == {
             "repro_version": __version__,
@@ -180,13 +187,13 @@ class TestStaleCache:
 
     def test_strict_cache_recomputes_stale_entries(self, tmp_path, caplog):
         cache = ResultCache(tmp_path)
-        sweep = scenarios.fig4_spec(seed=1, **FIG4_KW)
+        sweep = _sweep(1)
         full = run_sweep(sweep, cache=cache)
         n = self._age_entries(cache, sweep)
 
         rec = RecordingExecutor()
         with caplog.at_level("WARNING", logger="repro.experiments.executor"):
-            again = run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW),
+            again = run_sweep(_sweep(1),
                               executor=rec, cache=cache)
         assert len(rec.ran) == n  # every stale entry re-ran
         assert json.dumps(full, sort_keys=True) == json.dumps(again, sort_keys=True)
@@ -196,19 +203,19 @@ class TestStaleCache:
         # After a re-run the entries carry current provenance, so the
         # next run is a pure cache read again.
         cache = ResultCache(tmp_path)
-        sweep = scenarios.fig4_spec(seed=1, **FIG4_KW)
+        sweep = _sweep(1)
         run_sweep(sweep, cache=cache)
         self._age_entries(cache, sweep)
 
-        run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW), cache=cache)
+        run_sweep(_sweep(1), cache=cache)
         rec = RecordingExecutor()
-        run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW), executor=rec, cache=cache)
+        run_sweep(_sweep(1), executor=rec, cache=cache)
         assert rec.ran == []
 
     def test_pre_upgrade_entries_count_as_stale(self, tmp_path):
         # Entries written before meta existed have no provenance at all.
         cache = ResultCache(tmp_path)
-        sweep = scenarios.fig4_spec(seed=1, **FIG4_KW)
+        sweep = _sweep(1)
         run_sweep(sweep, cache=cache)
         for t in sweep.trials:
             path = cache.path(sweep.name, trial_key(sweep, t))
@@ -217,7 +224,7 @@ class TestStaleCache:
             path.write_text(json.dumps(entry))
 
         rec = RecordingExecutor()
-        run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW), executor=rec, cache=cache)
+        run_sweep(_sweep(1), executor=rec, cache=cache)
         assert len(rec.ran) == len(sweep.trials)
 
 
@@ -249,12 +256,12 @@ class TestTelemetryMerge:
     def test_parallel_run_counters_match_serial(self):
         ser_tel = obs.Telemetry()
         with obs.scope(ser_tel):
-            run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW))
+            run_sweep(_sweep(1))
 
         par_tel = obs.Telemetry()
         with obs.scope(par_tel):
             run_sweep(
-                scenarios.fig4_spec(seed=1, **FIG4_KW),
+                _sweep(1),
                 executor=ParallelExecutor(2),
             )
 
@@ -267,7 +274,7 @@ class TestTelemetryMerge:
         tel = obs.Telemetry()
         with obs.scope(tel), tel.phase("fig4"):
             run_sweep(
-                scenarios.fig4_spec(seed=1, **FIG4_KW),
+                _sweep(1),
                 executor=ParallelExecutor(2),
             )
         assert tel.phases._calls.get("fig4/converge", 0) > 0
@@ -280,7 +287,7 @@ class TestTelemetryMerge:
         def phase_tree(executor=None):
             tel = obs.Telemetry()
             with obs.scope(tel), tel.phase("fig4"):
-                run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW), executor=executor)
+                run_sweep(_sweep(1), executor=executor)
             return {path: d["calls"] for path, d in tel.phases.to_dict().items()}
 
         ser = phase_tree()
@@ -292,12 +299,12 @@ class TestTelemetryMerge:
         tel = obs.Telemetry()
         cache = ResultCache(tmp_path)
         with obs.scope(tel):
-            run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW), cache=cache)
-            run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW),
+            run_sweep(_sweep(1), cache=cache)
+            run_sweep(_sweep(1),
                       cache=cache)
-        n = len(scenarios.fig4_spec(seed=1, **FIG4_KW).trials)
-        assert tel.metrics.counter("trials_total", sweep="fig4").value == 2 * n
-        assert tel.metrics.counter("trials_cached_total", sweep="fig4").value == n
+        n = len(_sweep(1).trials)
+        assert tel.metrics.counter("trials_total", sweep="ablation_depth").value == 2 * n
+        assert tel.metrics.counter("trials_cached_total", sweep="ablation_depth").value == n
 
 
 class TestTraceMerge:
@@ -308,7 +315,7 @@ class TestTraceMerge:
         path = str(tmp_path / f"{name}.jsonl")
         tel = obs.Telemetry(trace=path)
         with obs.scope(tel):
-            run_sweep(scenarios.fig4_spec(seed=1, **FIG4_KW), executor=executor)
+            run_sweep(_sweep(1), executor=executor)
         tel.close()
         return obs.read_trace(path)
 
@@ -350,7 +357,7 @@ class TestTraceMerge:
         tel = obs.Telemetry()
         with obs.scope(tel):
             run_sweep(
-                scenarios.fig4_spec(seed=1, **FIG4_KW),
+                _sweep(1),
                 executor=ParallelExecutor(2),
             )
         assert tel.trace is None

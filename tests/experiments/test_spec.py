@@ -1,5 +1,7 @@
 """Tests for the declarative experiment spec layer."""
 
+import inspect
+
 import pytest
 
 from repro.experiments.executor import run_sweep
@@ -114,8 +116,9 @@ class TestScenarioRegistry:
                 assert trial_key(sweep, t)
 
     def test_scaled_kwargs_floor(self):
-        s = Scenario("x", lambda seed=0, **kw: Sweep("x"), {"n_nodes": 300})
+        s = Scenario("x", lambda n_nodes=300, seed=0: Sweep("x"), ("n_nodes",))
         assert s.scaled_kwargs(0.0001) == {"n_nodes": 2}
+        assert s.scaled_kwargs(0.5) == {"n_nodes": 150}
 
     def test_adjust_hook_applies(self):
         fs = SCENARIOS["fault_sweep"]
@@ -123,5 +126,9 @@ class TestScenarioRegistry:
         assert kwargs["n_topics"] % 50 == 0
         assert kwargs["n_topics"] >= 100
 
-    def test_fig12_bench_pool(self):
-        assert SCENARIOS["fig12"].scaled_kwargs(1.0) == {"pool": 250}
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_bench_sizes_are_the_builder_defaults(self, name):
+        scenario = SCENARIOS[name]
+        params = inspect.signature(scenario.spec).parameters
+        assert scenario.scale_knobs
+        assert scenario.scaled_kwargs(1.0) == {k: params[k].default for k in scenario.scale_knobs}
