@@ -1,14 +1,12 @@
 """Benchmark harness configuration.
 
-Each benchmark regenerates one figure/table of the paper at a
-machine-friendly scale, prints the same rows/series the paper plots (so
-``pytest benchmarks/ --benchmark-only -s`` doubles as the reproduction
-log), asserts the qualitative shape, and reports wall-clock through
-pytest-benchmark.
-
-Scale: set ``REPRO_SCALE`` (default 1.0) to multiply population sizes;
-the paper's 10,000-node setting corresponds to roughly ``REPRO_SCALE=33``
-on the synthetic figures.
+Each benchmark runs one sweep that is not a paper figure (faults,
+overload, chaos, the Magnet ordering) at a machine-friendly size, prints
+its rows (so ``pytest benchmarks/ -s`` doubles as the run's log) and
+asserts the ordering the architecture predicts.  The paper's figures
+run once, as the CLI's default configuration that regenerates
+``results/*.csv``; ``tests/test_figure_shapes.py`` asserts their shapes
+on those rows.
 
 These are reproduction logs, not the performance instrument: throughput,
 memory and the per-layer shares are measured by ``benchmarks/perf/``
@@ -17,29 +15,11 @@ memory and the per-layer shares are measured by ``benchmarks/perf/``
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments.reporting import format_table
 
 
 def emit(title: str, rows) -> None:
-    """Print a figure's rows under a recognisable banner."""
+    """Print a sweep's rows under a recognisable banner."""
     print()
     print("=" * 72)
     print(format_table(rows, title=title))
-
-
-@pytest.fixture
-def once(benchmark):
-    """Run the scenario exactly once under pytest-benchmark timing.
-
-    Experiment scenarios are deterministic and expensive; statistical
-    repetition would multiply minutes for no insight.
-    """
-
-    def run(fn, *args, **kwargs):
-        return benchmark.pedantic(
-            fn, args=args, kwargs=kwargs, rounds=1, iterations=1
-        )
-
-    return run

@@ -15,7 +15,6 @@ from benchmarks.conftest import emit
 from repro.baselines.magnet import MagnetProtocol
 from repro.baselines.rvr import RvrProtocol
 from repro.core.config import VitisConfig
-from repro.experiments import scaled
 from repro.experiments.runner import build_vitis, converge, measure
 from repro.workloads.subscriptions import high_correlation_subscriptions
 
@@ -44,14 +43,8 @@ def run_ordering(n_nodes: int, n_topics: int, events: int, seed: int):
     return rows
 
 
-def test_magnet_ordering(once):
-    rows = once(
-        run_ordering,
-        n_nodes=scaled(300),
-        n_topics=scaled(1000),
-        events=200,
-        seed=1,
-    )
+def test_magnet_ordering():
+    rows = run_ordering(n_nodes=300, n_topics=1000, events=200, seed=1)
     emit("Section II ordering — Vitis ≪ Magnet ≤ RVR (high correlation)", rows)
     by = {r["system"]: r for r in rows}
 

@@ -13,15 +13,15 @@ gracefully mid-run.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import run_sweep, scaled
+from repro.experiments import run_sweep
 from repro.experiments.scenarios import chaos_sweep_spec
 
 LOSS_RATES = (0.05, 0.1)
 
 
-def test_chaos_sweep(once):
-    rows = once(run_sweep, chaos_sweep_spec(
-        n_nodes=scaled(200),
+def test_chaos_sweep():
+    rows = run_sweep(chaos_sweep_spec(
+        n_nodes=200,
         n_topics=400,
         loss_rates=LOSS_RATES,
         seed=0,

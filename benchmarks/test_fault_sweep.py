@@ -11,15 +11,15 @@ lifts.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import run_sweep, scaled
+from repro.experiments import run_sweep
 from repro.experiments.scenarios import fault_sweep_spec
 
 LOSS_RATES = (0.0, 0.05, 0.2)
 
 
-def test_fault_sweep(once):
-    rows = once(run_sweep, fault_sweep_spec(
-        n_nodes=scaled(160),
+def test_fault_sweep():
+    rows = run_sweep(fault_sweep_spec(
+        n_nodes=160,
         n_topics=200,
         loss_rates=LOSS_RATES,
         partition_cycles=(6,),

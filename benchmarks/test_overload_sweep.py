@@ -11,16 +11,16 @@ RVR's rendezvous-rooted trees concentrate more load — and more shedding
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import run_sweep, scaled
+from repro.experiments import run_sweep
 from repro.experiments.scenarios import overload_sweep_spec
 
 PUB_RATES = (4, 16)          # 16 = 4x the near-saturating base rate
 CAPACITIES = (0, 64, 48, 32, 24)  # 0 = unbounded (capacity layer off)
 
 
-def test_overload_sweep(once):
-    rows = once(run_sweep, overload_sweep_spec(
-        n_nodes=scaled(200),
+def test_overload_sweep():
+    rows = run_sweep(overload_sweep_spec(
+        n_nodes=200,
         n_topics=400,
         pub_rates=PUB_RATES,
         capacities=CAPACITIES,

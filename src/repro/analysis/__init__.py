@@ -3,8 +3,8 @@
 - :mod:`repro.analysis.clusters` — per-topic cluster extraction (the
   paper's "maximal connected subgraph of interested nodes"), diameters,
   gateway statistics.
-- :mod:`repro.analysis.distributions` — log-binned histograms and
-  power-law fits for the degree/overhead distribution figures.
+- :mod:`repro.analysis.distributions` — frequency histograms and the
+  Gini coefficient for the degree/overhead distribution figures.
 - :mod:`repro.analysis.navigability` — greedy-routing probes and the
   O((1/k)·log²N) yardstick (paper section III-A1).
 - :mod:`repro.analysis.control_traffic` — overlay-management cost
@@ -16,7 +16,6 @@ from repro.analysis.clusters import (
     cluster_stats,
     topic_clusters,
 )
-from repro.analysis.distributions import log_binned_histogram
 from repro.analysis.control_traffic import estimate_control_messages
 from repro.analysis.navigability import expected_bound, routing_probe
 
@@ -25,7 +24,6 @@ __all__ = [
     "cluster_stats",
     "estimate_control_messages",
     "expected_bound",
-    "log_binned_histogram",
     "routing_probe",
     "topic_clusters",
 ]

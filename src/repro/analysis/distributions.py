@@ -1,17 +1,17 @@
 """Distribution utilities for the figure reproductions.
 
-The degree figures (8 and 11) plot log-log frequency/degree series, the
-overhead figure (5) plots fraction-of-nodes histograms.  These helpers
-produce exactly those series from raw samples.
+The degree figures (8 and 11) plot frequency/degree series, and the
+overhead figure (5) measures how evenly load spreads.  These helpers
+produce those series and that measure from raw samples.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
-__all__ = ["frequency_histogram", "log_binned_histogram", "gini"]
+__all__ = ["frequency_histogram", "gini"]
 
 
 def frequency_histogram(samples: Sequence[int]) -> Dict[int, int]:
@@ -20,31 +20,6 @@ def frequency_histogram(samples: Sequence[int]) -> Dict[int, int]:
     for s in samples:
         hist[int(s)] = hist.get(int(s), 0) + 1
     return dict(sorted(hist.items()))
-
-
-def log_binned_histogram(
-    samples: Sequence[float], n_bins: int = 20
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Logarithmically binned density — the standard way to render a
-    power-law tail without noise at high degrees.
-
-    Returns (bin centers, per-bin density normalised by bin width).
-    Zero samples are dropped (log bins start at the smallest positive
-    value).
-    """
-    xs = np.asarray([s for s in samples if s > 0], dtype=float)
-    if xs.size == 0:
-        return np.array([]), np.array([])
-    lo, hi = xs.min(), xs.max()
-    if lo == hi:
-        return np.array([lo]), np.array([float(xs.size)])
-    edges = np.logspace(np.log10(lo), np.log10(hi), n_bins + 1)
-    counts, edges = np.histogram(xs, bins=edges)
-    widths = np.diff(edges)
-    centers = np.sqrt(edges[:-1] * edges[1:])
-    density = counts / widths
-    mask = counts > 0
-    return centers[mask], density[mask]
 
 
 def gini(samples: Sequence[float]) -> float:

@@ -27,17 +27,6 @@ from repro.sim.metrics import MetricsCollector
 __all__ = ["failure_sweep", "kill_fraction"]
 
 
-def _invalidate_topology_caches(protocol) -> None:
-    """Membership changed outside the protocol's own join/leave paths:
-    bump the topology version so cluster-adjacency caches refresh (the
-    deployment mode derives its version from the clock and needs no
-    bump)."""
-    try:
-        protocol.topology_version += 1
-    except AttributeError:
-        pass
-
-
 def kill_fraction(protocol, fraction: float, rng) -> List[int]:
     """Crash a uniformly random ``fraction`` of live nodes (no repair
     rounds are run).  ``fraction`` ranges over ``[0, 1]`` inclusive:
@@ -100,5 +89,7 @@ def failure_sweep(
         finally:
             for a in victims:
                 protocol.nodes[a].start()
-            _invalidate_topology_caches(protocol)
+            # Membership changed outside the protocol's join/leave paths:
+            # a new topology version refreshes the adjacency caches.
+            protocol.topology_version += 1
     return rows

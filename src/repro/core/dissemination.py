@@ -319,36 +319,29 @@ def disseminate(
     topic: int,
     publisher: int,
     event_id: int = 0,
-    count_pulls: bool = False,
 ) -> DisseminationRecord:
     """Disseminate one event over the current overlay (fast path).
 
     One BFS serves every configuration.  Message counts, first receipts
     and deliveries are accounted inline; everything optional — the
-    fault/capacity ``transmit`` gate, the ``link_cost`` hook, pulls and
+    fault/capacity ``transmit`` gate, the ``link_cost`` hook and
     tracing — sits behind one ``hooked`` flag, so the common experiment
     configuration (none of them) pays a few local branches per message
-    and nothing else; the per-receipt extras (spans, pulls) sit behind a
-    second, so a flood with only faults attached enters no receipt hook.
+    and nothing else; the per-receipt span sits behind a second, so a
+    flood with only faults attached enters no receipt hook.
     Under an exact :class:`~repro.faults.models.MessageLoss` and no
     inbox the edge body draws each transmission's first trial itself
     (:func:`_inline_loss`) and enters the gate only when it was lost.
 
     A repeat publish of a ``(topic, publisher)`` within one topology
     version replays the memoised outcome instead of walking: verbatim
-    when un-hooked, and under that loss alone (no spans, pulls or
+    when un-hooked, and under that loss alone (no spans or
     ``link_cost``; a live publisher with a lookup-free start) by drawing
     the first trials of the recorded transmission count in the walk's
     order, a lost one entering the gate as in the walk.  A transmission
     lost in full resumes the walk there: the transmissions before it are settled without a draw
     and it is refused, so every RNG value is drawn once, as the walk
     draws it.
-
-    With ``count_pulls``, the notify-then-pull exchange of section III-C
-    is accounted as well: on *first* receipt of a notification, the
-    receiver pulls the payload from its notifier — one request handled by
-    the notifier, one reply handled by the receiver.  Duplicate
-    notifications trigger no pull (the event id is already known).
 
     Under ``telemetry.tracing`` the whole cascade is additionally
     recorded as a span tree (:mod:`repro.obs.spans`): one span per first
@@ -406,7 +399,7 @@ def disseminate(
     else:
         loss_rate, loss_draw = _inline_loss(fm, cap)
         transmit = _make_transmit(protocol, rec, failures, loss_rate, loss_draw)
-    on_receipt = spans is not None or count_pulls
+    on_receipt = spans is not None
     hooked = on_receipt or transmit is not None or link_cost is not None
     targets = memo.targets
     # Interest is profile membership; the subscription index holds the
@@ -462,44 +455,13 @@ def disseminate(
                 rec.interested_msgs, rec.relay_msgs, rec.delivered_hops, _ = hit
                 return rec
 
-    now = protocol.engine.now
-    net = protocol.network
-
     def first_receipt(u: int, v: int, hop: int, kind: Optional[str]) -> None:
-        """The hooked extras of ``v`` first hearing of the event from
-        ``u``: its span (tracing) and its pull round-trip (pulls)."""
-        interested = v in members
-        if spans is not None:
-            if kind is None:
-                kind = _classify_hop(protocol, topic, u, v, publisher)
-            sid = span_of[v] = spans.hop(span_of.get(u), kind, u, v, hop)
-            if interested and v in subs:
-                spans.deliver(sid, v, hop)
-        if not count_pulls:
-            return
-        # Pull round-trip along the same edge: the request is handled by
-        # the notifier, the reply by the receiver.  Under a capacity
-        # model the round-trip is gated as one unit: a backpressured
-        # notifier defers the pull to a later batch, a shed
-        # request/reply cancels it.
-        if cap is not None:
-            if cap.backpressured(u, now):
-                rec.deferred += 1
-                return
-            pull_ok = cap.offer(v, u, "pull", now)
-            net.account_logical(v, u, "pull", pull_ok)
-            if pull_ok:
-                pull_ok = cap.offer(u, v, "pull", now)
-                net.account_logical(u, v, "pull", pull_ok)
-            if not pull_ok:
-                rec.shed += 1
-                return
-        tally = imsgs if u in members else rmsgs
-        tally[u] = tally.get(u, 0) + 1
-        tally = imsgs if interested else rmsgs
-        tally[v] = tally.get(v, 0) + 1
-        if link_cost is not None:
-            rec.physical_cost += 2.0 * link_cost(u, v)
+        """The span of ``v`` first hearing of the event from ``u``."""
+        if kind is None:
+            kind = _classify_hop(protocol, topic, u, v, publisher)
+        sid = span_of[v] = spans.hop(span_of.get(u), kind, u, v, hop)
+        if v in members and v in subs:
+            spans.deliver(sid, v, hop)
 
     seen: Set[int] = {publisher}
     # Queue entries: (address, hop_at_which_it_received, sender).  The

@@ -3,7 +3,8 @@
 Section III-A2: the preference function "can also be extended to account
 for the underlying network topology and reduce the cost of data transfer
 in the physical network."  The paper does not evaluate this; we implement
-and measure it (the `test_ablation_proximity` bench).
+and measure it (the `ablation_proximity` scenario, whose committed rows
+`tests/test_figure_shapes.py::test_ablation_proximity` checks).
 
 The blended utility keeps Eq. 1 as the dominant signal and mixes in a
 normalised closeness term::

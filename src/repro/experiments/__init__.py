@@ -15,12 +15,8 @@
 
 Scale: every scenario takes explicit sizes with defaults chosen so the
 whole suite finishes on one machine; the CLI's ``--scale 4`` multiplies
-node counts toward the paper's 10,000.  :func:`scale` / :func:`scaled`
-read the ``REPRO_SCALE`` environment variable for ``benchmarks/`` only;
-``python -m repro`` never reads it.
+node counts toward the paper's 10,000.
 """
-
-import os
 
 from repro.experiments.executor import (
     ParallelExecutor,
@@ -58,17 +54,6 @@ __all__ = [
     "measure",
     "rows_to_csv",
     "run_sweep",
-    "scale",
-    "scaled",
     "trial_key",
 ]
 
-
-def scale() -> float:
-    """The global scale multiplier from ``REPRO_SCALE`` (default 1)."""
-    return float(os.environ.get("REPRO_SCALE", "1"))
-
-
-def scaled(n: int, minimum: int = 2) -> int:
-    """``n`` multiplied by the global scale, floored at ``minimum``."""
-    return max(minimum, int(round(n * scale())))

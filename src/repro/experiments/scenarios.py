@@ -18,13 +18,12 @@ parallel runs produce identical row lists.
 
 Node/topic counts default to sizes that keep the whole suite tractable
 on one machine; the paper runs 10,000 nodes (4,000 under churn) — pass
-larger sizes, or use the CLI's ``--scale`` to approach that
-(``REPRO_SCALE`` scales ``benchmarks/`` only).  Each :data:`SCENARIOS`
-entry names the builder parameters ``--scale`` multiplies; their values
-are the builder's defaults.
+larger sizes, or use the CLI's ``--scale`` to approach that.  Each
+:data:`SCENARIOS` entry names the builder parameters ``--scale``
+multiplies; their values are the builder's defaults.
 
 A builder takes a parameter only where some entry point (the CLI, a
-contract command, a figure benchmark) passes it two values; everything
+contract command, a sweep benchmark) passes it two values; everything
 else the paper's section IV fixes is a constant of the trial function,
 stated in the builder's docstring (``tools/census.py`` fails on a
 parameter that takes one value across the entry points).  Settings
@@ -93,28 +92,24 @@ __all__ = [
 FRIEND_COUNTS = (0, 3, 6, 9, 12)
 
 
-def _fig4_vitis_trial(pattern, n_nodes, n_topics, n_friends, events, seed):
+def _fig4_vitis_trial(pattern, n_nodes, n_topics, n_friends, seed):
     subs = make_subscriptions(pattern, n_nodes, n_topics, seed)
     vitis = build_vitis(subs, VitisConfig().with_friends(n_friends), seed=seed)
-    col = measure(vitis, events, seed=seed + 1)
+    col = measure(vitis, 250, seed=seed + 1)
     return metrics_row(col, system="vitis", pattern=pattern, n_friends=n_friends)
 
 
-def _fig4_rvr_trial(n_nodes, n_topics, events, seed):
+def _fig4_rvr_trial(n_nodes, n_topics, seed):
     # RVR has no friend knob and behaves alike across patterns: one line.
     subs = make_subscriptions("random", n_nodes, n_topics, seed)
-    col = measure(build_rvr(subs, seed=seed), events, seed=seed + 1)
+    col = measure(build_rvr(subs, seed=seed), 250, seed=seed + 1)
     return metrics_row(col, system="rvr", pattern="any")
 
 
-def fig4_spec(
-    n_nodes: int = 300,
-    n_topics: int = 1000,
-    events: int = 250,
-    seed: int = 0,
-) -> Sweep:
+def fig4_spec(n_nodes: int = 300, n_topics: int = 1000, seed: int = 0) -> Sweep:
     """Traffic overhead and delay as friend links replace sw links: 0–12
-    of the 15 routing-table entries, on each synthetic pattern.
+    of the 15 routing-table entries, on each synthetic pattern, over 250
+    events.
 
     Paper: Vitis overhead drops steeply with more friends (88% reduction
     on high correlation); RVR is a flat reference line; hit ratio is 100%
@@ -125,13 +120,9 @@ def fig4_spec(
         for f in FRIEND_COUNTS:
             sweep.trial(
                 _fig4_vitis_trial, key=("vitis", pattern, f), seed=seed,
-                pattern=pattern, n_nodes=n_nodes, n_topics=n_topics,
-                n_friends=f, events=events,
+                pattern=pattern, n_nodes=n_nodes, n_topics=n_topics, n_friends=f,
             )
-    sweep.trial(
-        _fig4_rvr_trial, key=("rvr",), seed=seed,
-        n_nodes=n_nodes, n_topics=n_topics, events=events,
-    )
+    sweep.trial(_fig4_rvr_trial, key=("rvr",), seed=seed, n_nodes=n_nodes, n_topics=n_topics)
 
     def reduce(results):
         *vitis_rows, rvr_row = results
@@ -187,23 +178,21 @@ def fig5_spec(n_nodes: int = 300, n_topics: int = 1000, seed: int = 0) -> Sweep:
 # ----------------------------------------------------------------------
 # Fig. 6 — routing-table size sweep
 # ----------------------------------------------------------------------
-def _fig6_trial(system, pattern, n_nodes, n_topics, rt_size, events, seed):
+RT_SIZES = (15, 20, 25, 30, 35)
+
+
+def _fig6_trial(system, pattern, n_nodes, n_topics, rt_size, seed):
     # RVR ignores correlation: its one line runs on random subscriptions.
     subs = make_subscriptions("random" if system == "rvr" else pattern,
                               n_nodes, n_topics, seed)
     proto = build_system(system, subs, VitisConfig().with_rt_size(rt_size), seed=seed)
-    col = measure(proto, events, seed=seed + 1)
+    col = measure(proto, 250, seed=seed + 1)
     return metrics_row(col, system=system, pattern=pattern, rt_size=rt_size)
 
 
-def fig6_spec(
-    n_nodes: int = 300,
-    n_topics: int = 1000,
-    rt_sizes: Sequence[int] = (15, 20, 25, 30, 35),
-    events: int = 250,
-    seed: int = 0,
-) -> Sweep:
-    """Overhead and delay vs routing-table size.
+def fig6_spec(n_nodes: int = 300, n_topics: int = 1000, seed: int = 0) -> Sweep:
+    """Overhead and delay vs routing-table size (15 to 35 in steps of 5),
+    over 250 events.
 
     Paper: both fall with bigger tables in both systems; Vitis's extra
     entries become friends (fewer relay paths), RVR's become small-world
@@ -211,17 +200,17 @@ def fig6_spec(
     """
     sweep = Sweep("fig6")
     for pattern in PATTERNS:
-        for rt in rt_sizes:
+        for rt in RT_SIZES:
             sweep.trial(
                 _fig6_trial, key=("vitis", pattern, rt), seed=seed,
                 system="vitis", pattern=pattern, n_nodes=n_nodes,
-                n_topics=n_topics, rt_size=rt, events=events,
+                n_topics=n_topics, rt_size=rt,
             )
-    for rt in rt_sizes:
+    for rt in RT_SIZES:
         sweep.trial(
             _fig6_trial, key=("rvr", rt), seed=seed,
             system="rvr", pattern="any", n_nodes=n_nodes,
-            n_topics=n_topics, rt_size=rt, events=events,
+            n_topics=n_topics, rt_size=rt,
         )
     return sweep
 
@@ -229,39 +218,37 @@ def fig6_spec(
 # ----------------------------------------------------------------------
 # Fig. 7 — skewed publication rates
 # ----------------------------------------------------------------------
-def _fig7_trial(system, pattern, alpha, n_nodes, n_topics, events, seed):
+ALPHAS = (0.3, 0.5, 1.0, 2.0, 3.0)
+
+
+def _fig7_trial(system, pattern, alpha, n_nodes, n_topics, seed):
     rates = power_law_rates(n_topics, alpha, seed=seed)
     subs = make_subscriptions("random" if system == "rvr" else pattern,
                               n_nodes, n_topics, seed)
-    col = measure(build_system(system, subs, seed=seed, rates=rates), events, seed=seed + 1)
+    col = measure(build_system(system, subs, seed=seed, rates=rates), 250, seed=seed + 1)
     return metrics_row(col, system=system, pattern=pattern, alpha=alpha)
 
 
-def fig7_spec(
-    n_nodes: int = 300,
-    n_topics: int = 1000,
-    alphas: Sequence[float] = (0.3, 0.5, 1.0, 2.0, 3.0),
-    events: int = 250,
-    seed: int = 0,
-) -> Sweep:
-    """Overhead and delay vs the publication-rate power-law exponent.
+def fig7_spec(n_nodes: int = 300, n_topics: int = 1000, seed: int = 0) -> Sweep:
+    """Overhead and delay vs the publication-rate power-law exponent α
+    (0.3, 0.5, 1, 2 and 3), over 250 events.
 
     Paper: as α grows, hot topics dominate both the utility and the event
     mix; the random-subscription curve approaches the high-correlation
     one.
     """
     sweep = Sweep("fig7")
-    for alpha in alphas:
+    for alpha in ALPHAS:
         for pattern in PATTERNS:
             sweep.trial(
                 _fig7_trial, key=("vitis", pattern, alpha), seed=seed,
                 system="vitis", pattern=pattern, alpha=alpha,
-                n_nodes=n_nodes, n_topics=n_topics, events=events,
+                n_nodes=n_nodes, n_topics=n_topics,
             )
         sweep.trial(
             _fig7_trial, key=("rvr", alpha), seed=seed,
             system="rvr", pattern="any", alpha=alpha,
-            n_nodes=n_nodes, n_topics=n_topics, events=events,
+            n_nodes=n_nodes, n_topics=n_topics,
         )
     return sweep
 
@@ -321,22 +308,17 @@ def _twitter_subscriptions(n_users: int, sample_size: int, seed: int) -> Tuple[f
     return tuple(trace.bfs_sample(sample_size, seed=seed).subscriptions())
 
 
-def _fig10_trial(system, rt_size, n_users, sample_size, events, seed):
+def _fig10_trial(system, rt_size, n_users, sample_size, seed):
     subs = _twitter_subscriptions(n_users, sample_size, seed)
     proto = build_system(system, subs, VitisConfig().with_rt_size(rt_size), seed=seed)
-    col = measure(proto, events, seed=seed + 1, publisher="owner")
+    col = measure(proto, 250, seed=seed + 1, publisher="owner")
     return metrics_row(col, system=system, rt_size=rt_size)
 
 
-def fig10_spec(
-    n_users: int = 6000,
-    sample_size: int = 600,
-    events: int = 250,
-    seed: int = 0,
-) -> Sweep:
+def fig10_spec(n_users: int = 6000, sample_size: int = 600, seed: int = 0) -> Sweep:
     """Hit ratio / overhead / delay vs routing-table size (15, 25, 35)
-    on the Twitter workload, for Vitis, RVR and OPT (its degree bounded
-    by the table size).
+    on the Twitter workload over 250 events, for Vitis, RVR and OPT (its
+    degree bounded by the table size).
 
     Paper: Vitis and RVR hit 100%; bounded OPT climbs from ~55% toward
     ~80%; Vitis's overhead is 30–40% below RVR's; OPT's overhead is 0.
@@ -347,8 +329,7 @@ def fig10_spec(
         for system in ("vitis", "rvr", "opt"):
             sweep.trial(
                 _fig10_trial, key=(system, rt), seed=seed,
-                system=system, rt_size=rt, n_users=n_users,
-                sample_size=sample_size, events=events,
+                system=system, rt_size=rt, n_users=n_users, sample_size=sample_size,
             )
     return sweep
 
@@ -383,18 +364,24 @@ def fig11_spec(n_users: int = 6000, sample_size: int = 600, seed: int = 0) -> Sw
 # ----------------------------------------------------------------------
 # Fig. 12 — churn (Skype trace)
 # ----------------------------------------------------------------------
-def _fig12_trial(system, pool, n_topics, horizon, flash_crowd_at, seed):
+#: Fig. 12's timeline in gossip cycles: the flash crowd arrives at cycle
+#: 180 of 280.
+FLASH_CROWD_AT = 180.0
+HORIZON = 280.0
+
+
+def _fig12_trial(system, pool, seed):
     """One system's full churn timeline — inherently sequential, so the
     whole time series is a single trial."""
     trace = SkypeTrace(
         n_nodes=pool,
-        horizon=horizon,
-        flash_crowd_at=flash_crowd_at,
+        horizon=HORIZON,
+        flash_crowd_at=FLASH_CROWD_AT,
         median_session=60.0,
         median_offtime=120.0,
         seed=seed,
     )
-    subs = low_correlation_subscriptions(pool, n_topics, seed=seed)
+    subs = low_correlation_subscriptions(pool, 300, seed=seed)
     if system == "vitis":
         proto = VitisProtocol(subs, VitisConfig(), seed=seed, auto_start=False,
                               election_every=1, relay_every=1)
@@ -404,7 +391,7 @@ def _fig12_trial(system, pool, n_topics, horizon, flash_crowd_at, seed):
 
     rows = []
     t = 0.0
-    while t < horizon:
+    while t < HORIZON:
         proto.run_cycles(int(20.0 / proto.config.gossip_period))
         t = proto.engine.now
         # The paper's 10-second rule: only subscribers that joined at
@@ -416,15 +403,11 @@ def _fig12_trial(system, pool, n_topics, horizon, flash_crowd_at, seed):
     return rows
 
 
-def fig12_spec(
-    pool: int = 250,
-    n_topics: int = 300,
-    horizon: float = 280.0,
-    flash_crowd_at: Optional[float] = 180.0,
-    seed: int = 0,
-) -> Sweep:
+def fig12_spec(pool: int = 250, seed: int = 0) -> Sweep:
     """Hit ratio / overhead / delay over time under Skype-like churn,
-    Vitis and RVR, measured with 120 events every 20 cycles.
+    Vitis and RVR, measured with 120 events every 20 cycles for 280
+    cycles; 300 topics, low-correlation subscriptions, and a flash crowd
+    at cycle 180.
 
     Paper: both systems ride out moderate churn; the flash crowd dents
     RVR's hit ratio to ~87% while Vitis stays ≈99%; Vitis's overhead
@@ -439,21 +422,17 @@ def fig12_spec(
     """
     sweep = Sweep("fig12", reduce=flat_reduce)
     for system in ("vitis", "rvr"):
-        sweep.trial(
-            _fig12_trial, key=(system,), seed=seed,
-            system=system, pool=pool, n_topics=n_topics, horizon=horizon,
-            flash_crowd_at=flash_crowd_at,
-        )
+        sweep.trial(_fig12_trial, key=(system,), seed=seed, system=system, pool=pool)
     return sweep
 
 
 # ----------------------------------------------------------------------
 # Ablations (DESIGN.md section 7)
 # ----------------------------------------------------------------------
-def _ablation_depth_trial(gateway_depth, n_nodes, n_topics, events, seed):
+def _ablation_depth_trial(gateway_depth, n_nodes, n_topics, seed):
     subs = make_subscriptions("high", n_nodes, n_topics, seed)
     vitis = build_vitis(subs, replace(VitisConfig(), gateway_depth=gateway_depth), seed=seed)
-    col = measure(vitis, events, seed=seed + 1)
+    col = measure(vitis, 250, seed=seed + 1)
     cstats = cluster_stats(vitis)
     row = metrics_row(col, system="vitis", gateway_depth=gateway_depth)
     row["mean_gateways_per_topic"] = cstats.mean_gateways_per_topic
@@ -461,43 +440,34 @@ def _ablation_depth_trial(gateway_depth, n_nodes, n_topics, events, seed):
     return row
 
 
-def ablation_depth_spec(
-    n_nodes: int = 300,
-    n_topics: int = 1000,
-    depths: Sequence[int] = (1, 2, 5, 8, 12),
-    events: int = 250,
-    seed: int = 0,
-) -> Sweep:
-    """Sweep the gateway depth threshold ``d``.
+def ablation_depth_spec(n_nodes: int = 300, n_topics: int = 1000, seed: int = 0) -> Sweep:
+    """Sweep the gateway depth threshold ``d`` over 1, 2, 5, 8 and 12,
+    250 events each.
 
     Small ``d`` → more gateways per cluster → more relay paths (overhead)
     but shorter intra-cluster detours; the paper fixes d=5.
     """
     sweep = Sweep("ablation_depth")
-    for d in depths:
+    for d in (1, 2, 5, 8, 12):
         sweep.trial(
             _ablation_depth_trial, key=(d,), seed=seed,
-            gateway_depth=d, n_nodes=n_nodes, n_topics=n_topics, events=events,
+            gateway_depth=d, n_nodes=n_nodes, n_topics=n_topics,
         )
     return sweep
 
 
-def _ablation_utility_trial(rate_weighted, n_nodes, n_topics, events, seed):
+def _ablation_utility_trial(rate_weighted, n_nodes, n_topics, seed):
     rates = power_law_rates(n_topics, 2.0, seed=seed)
     subs = make_subscriptions("random", n_nodes, n_topics, seed)
     cfg = replace(VitisConfig(), rate_weighted_utility=rate_weighted)
     vitis = build_vitis(subs, cfg, seed=seed, rates=rates)
-    col = measure(vitis, events, seed=seed + 1)
+    col = measure(vitis, 250, seed=seed + 1)
     return metrics_row(col, system="vitis", rate_weighted=rate_weighted, alpha=2.0)
 
 
-def ablation_utility_spec(
-    n_nodes: int = 300,
-    n_topics: int = 1000,
-    events: int = 250,
-    seed: int = 0,
-) -> Sweep:
-    """Rate-weighted Eq. 1 vs plain Jaccard under skewed rates (α = 2).
+def ablation_utility_spec(n_nodes: int = 300, n_topics: int = 1000, seed: int = 0) -> Sweep:
+    """Rate-weighted Eq. 1 vs plain Jaccard under skewed rates (α = 2),
+    250 events each.
 
     With hot topics, weighting should cluster hot-topic subscribers
     harder and lower the (rate-weighted) average overhead.
@@ -506,7 +476,7 @@ def ablation_utility_spec(
     for weighted in (True, False):
         sweep.trial(
             _ablation_utility_trial, key=(weighted,), seed=seed,
-            rate_weighted=weighted, n_nodes=n_nodes, n_topics=n_topics, events=events,
+            rate_weighted=weighted, n_nodes=n_nodes, n_topics=n_topics,
         )
     return sweep
 
@@ -628,24 +598,20 @@ def management_cost_spec(
     return sweep
 
 
-def _ablation_sampler_trial(sampler, n_nodes, n_topics, events, seed):
+def _ablation_sampler_trial(sampler, n_nodes, n_topics, seed):
     from repro.gossip.cyclon import CyclonService
     from repro.gossip.peer_sampling import PeerSamplingService
 
     cls = {"newscast": PeerSamplingService, "cyclon": CyclonService}[sampler]
     subs = make_subscriptions("high", n_nodes, n_topics, seed)
     vitis = build_vitis(subs, seed=seed, sampler_cls=cls)
-    col = measure(vitis, events, seed=seed + 1)
+    col = measure(vitis, 250, seed=seed + 1)
     return metrics_row(col, system="vitis", sampler=sampler)
 
 
-def ablation_sampler_spec(
-    n_nodes: int = 300,
-    n_topics: int = 1000,
-    events: int = 250,
-    seed: int = 0,
-) -> Sweep:
-    """Swap the peer sampling implementation (Newscast vs Cyclon).
+def ablation_sampler_spec(n_nodes: int = 300, n_topics: int = 1000, seed: int = 0) -> Sweep:
+    """Swap the peer sampling implementation (Newscast vs Cyclon), 250
+    events each.
 
     The paper claims any gossip sampling service works (section III-A);
     the metrics should be statistically indistinguishable.
@@ -654,7 +620,7 @@ def ablation_sampler_spec(
     for sampler in ("newscast", "cyclon"):
         sweep.trial(
             _ablation_sampler_trial, key=(sampler,), seed=seed,
-            sampler=sampler, n_nodes=n_nodes, n_topics=n_topics, events=events,
+            sampler=sampler, n_nodes=n_nodes, n_topics=n_topics,
         )
     return sweep
 

@@ -30,8 +30,5 @@ def crash_nodes(protocol, victims: Iterable[int]) -> List[int]:
         if node is not None and node.alive:
             node.stop()
             killed.append(a)
-    try:
-        protocol.topology_version += 1
-    except AttributeError:
-        pass
+    protocol.topology_version += 1
     return killed

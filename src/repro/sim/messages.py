@@ -152,8 +152,9 @@ class Message:
 class Notification(Message):
     """An event notification: "something new was published on ``topic``".
 
-    Notifications are small; the payload is fetched with a pull (the
-    fast path charges it as a ``"pull"``).
+    Notifications are small; the paper's receivers fetch the payload
+    with a pull, which no path of the simulator sends (the ``"pull"``
+    kind keeps its capacity class).
     """
 
     topic: int = -1

@@ -16,7 +16,7 @@ import pytest
 from repro.baselines.opt import OptProtocol
 from repro.baselines.rvr import RvrProtocol
 from repro.core.config import VitisConfig
-from repro.core.dissemination import _topic_cache, disseminate
+from repro.core.dissemination import _topic_cache
 from repro.core.protocol import VitisProtocol
 from repro.experiments.runner import measure
 from repro.faults import HealingPolicy, MessageLoss
@@ -72,10 +72,7 @@ def assert_shape(p, rec):
 def flood(p, variant, topic, publisher):
     """One record of ``variant``; anything attached is detached again
     (the overlays are shared by the module)."""
-    if variant == "pulls":
-        send = partial(disseminate, p, topic, publisher, count_pulls=True)
-    else:
-        send = partial(p.publish, topic, publisher)
+    send = partial(p.publish, topic, publisher)
     if variant == "faults":
         p.attach_faults(MessageLoss(0.2, random.Random(5)), HealingPolicy())
         try:
@@ -91,14 +88,12 @@ def flood(p, variant, topic, publisher):
 
 
 # Records come from the fast path alone (the nodes' own flood, its
-# reference, reports no record).  OPT floods its own topic overlay: no
-# pull accounting.
-VARIANTS = ("plain", "faults", "pulls", "replayed", "restricted")
+# reference, reports no record).
+VARIANTS = ("plain", "faults", "replayed", "restricted")
 CASES = [
     (system, "fast", variant)
     for system in ("vitis", "rvr", "opt")
     for variant in VARIANTS
-    if not (system == "opt" and variant == "pulls")
 ]
 
 

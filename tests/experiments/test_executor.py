@@ -16,13 +16,12 @@ from repro.experiments.executor import (
 from repro.experiments.spec import trial_key
 
 # Tiny sizes: these exercise the plumbing, not the physics.
-FIG4_KW = dict(n_nodes=40, n_topics=100, events=40)
+FIG4_KW = dict(n_nodes=40, n_topics=100)
 
 
 def _sweep(seed):
     """A two-trial sweep for the cache, telemetry and trace plumbing."""
-    return scenarios.ablation_depth_spec(
-        depths=(1, 6), n_nodes=40, n_topics=100, events=40, seed=seed)
+    return scenarios.ablation_utility_spec(n_nodes=40, n_topics=100, seed=seed)
 
 
 FAULT_KW = dict(n_nodes=40, n_topics=100, loss_rates=(0.0, 0.1),
@@ -148,7 +147,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         sweep = _sweep(1)
         run_sweep(sweep, cache=cache)
-        entries = list((tmp_path / "ablation_depth").glob("*.json"))
+        entries = list((tmp_path / "ablation_utility").glob("*.json"))
         assert len(entries) == len(sweep.trials)
         entry = json.loads(entries[0].read_text())
         assert set(entry) == {"key", "spec", "result", "meta"}
@@ -162,7 +161,7 @@ class TestResultCache:
         sweep = _sweep(1)
         run_sweep(sweep, cache=cache)
         entry = json.loads(
-            next((tmp_path / "ablation_depth").glob("*.json")).read_text()
+            next((tmp_path / "ablation_utility").glob("*.json")).read_text()
         )
         assert entry["meta"] == {
             "repro_version": __version__,
@@ -303,8 +302,8 @@ class TestTelemetryMerge:
             run_sweep(_sweep(1),
                       cache=cache)
         n = len(_sweep(1).trials)
-        assert tel.metrics.counter("trials_total", sweep="ablation_depth").value == 2 * n
-        assert tel.metrics.counter("trials_cached_total", sweep="ablation_depth").value == n
+        assert tel.metrics.counter("trials_total", sweep="ablation_utility").value == 2 * n
+        assert tel.metrics.counter("trials_cached_total", sweep="ablation_utility").value == n
 
 
 class TestTraceMerge:

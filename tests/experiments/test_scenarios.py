@@ -1,8 +1,9 @@
 """Smoke tests for the per-figure scenarios at miniature sizes.
 
-Full-size runs live in benchmarks/; here each scenario runs at the
-smallest meaningful size and the row *shapes* and gross orderings are
-asserted.
+The full-size rows are the committed ``results/*.csv``, whose shapes
+``tests/test_figure_shapes.py`` asserts; here each scenario runs its full
+grid at the smallest meaningful population and the row *shapes* and
+gross orderings are asserted.
 """
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from repro.experiments import run_sweep
 from repro.experiments import scenarios as sc
 
-TINY = dict(n_nodes=70, n_topics=200, events=60, seed=3)
+TINY = dict(n_nodes=70, n_topics=200, seed=3)
 
 
 class TestFig4:
@@ -46,18 +47,20 @@ class TestFig5:
 
 class TestFig6:
     def test_bigger_tables_reduce_overhead(self):
-        rows = run_sweep(sc.fig6_spec(rt_sizes=(8, 20), **TINY))
+        rows = run_sweep(sc.fig6_spec(**TINY))
         v = {r["rt_size"]: r["traffic_overhead_pct"]
              for r in rows if r["system"] == "vitis" and r["pattern"] == "high"}
-        assert v[20] <= v[8]
+        assert sorted(v) == list(sc.RT_SIZES)
+        assert v[35] <= v[15]
 
 
 class TestFig7:
     def test_skew_helps_random_pattern(self):
-        rows = run_sweep(sc.fig7_spec(alphas=(0.3, 2.5), **TINY))
+        rows = run_sweep(sc.fig7_spec(**TINY))
         v = {r["alpha"]: r["traffic_overhead_pct"]
              for r in rows if r["system"] == "vitis" and r["pattern"] == "random"}
-        assert v[2.5] <= v[0.3] * 1.25  # skew must not hurt; usually helps
+        assert sorted(v) == list(sc.ALPHAS)
+        assert v[3.0] <= v[0.3] * 1.25  # skew must not hurt; usually helps
 
 
 class TestFig8and9:
@@ -78,7 +81,7 @@ class TestFig8and9:
 class TestFig10:
     @pytest.fixture(scope="class")
     def rows(self):
-        return run_sweep(sc.fig10_spec(n_users=700, sample_size=150, events=60, seed=3))
+        return run_sweep(sc.fig10_spec(n_users=700, sample_size=150, seed=3))
 
     def test_three_systems(self, rows):
         assert {r["system"] for r in rows} == {"vitis", "rvr", "opt"}
@@ -108,11 +111,10 @@ class TestFig11:
 
 class TestFig12:
     def test_churn_series(self):
-        rows = run_sweep(sc.fig12_spec(
-            pool=60, n_topics=60, horizon=60.0, flash_crowd_at=30.0, seed=3,
-        ))
+        rows = run_sweep(sc.fig12_spec(pool=60, seed=3))
+        times = [20.0 * k for k in range(1, int(sc.HORIZON / 20) + 1)]
         assert [(r["system"], r["time"]) for r in rows] == [
-            (s, t) for s in ("vitis", "rvr") for t in (20.0, 40.0, 60.0)]
+            (s, t) for s in ("vitis", "rvr") for t in times]
         for r in rows:
             assert r["live_nodes"] >= 0
             assert 0 <= r["hit_ratio"] <= 1
@@ -120,11 +122,11 @@ class TestFig12:
 
 class TestAblations:
     def test_gateway_depth_rows(self):
-        rows = run_sweep(sc.ablation_depth_spec(depths=(1, 6), **TINY))
-        assert {r["gateway_depth"] for r in rows} == {1, 6}
+        rows = run_sweep(sc.ablation_depth_spec(**TINY))
+        assert {r["gateway_depth"] for r in rows} == {1, 2, 5, 8, 12}
         d = {r["gateway_depth"]: r for r in rows}
         # Tighter depth → at least as many gateways per topic.
-        assert d[1]["mean_gateways_per_topic"] >= d[6]["mean_gateways_per_topic"]
+        assert d[1]["mean_gateways_per_topic"] >= d[12]["mean_gateways_per_topic"]
 
     def test_utility_ablation_rows(self):
         rows = run_sweep(sc.ablation_utility_spec(**TINY))

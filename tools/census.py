@@ -15,9 +15,9 @@ Python process an entry starts records the code objects it enters under
 ``SIGTERM`` and inside ``os._exit`` (``--jobs`` workers leave that
 way).  The contract process itself is not hooked: its check functions
 and in-process pins are not roots.  A process in which anything else
-set a profile hook (pytest-benchmark does around every timed call unless
-run with ``--benchmark-disable``) marks its dump, and ``check`` fails on
-it: its set would be silently short.
+set a profile hook (a profiler or a timing plugin such as
+pytest-benchmark, which sets one around every timed call) marks its
+dump, and ``check`` fails on it: its set would be silently short.
 
 ``check`` parses every function ``src/repro`` defines (dunders aside;
 the line of the first decorator, which is ``co_firstlineno``) and fails
