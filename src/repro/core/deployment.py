@@ -98,7 +98,9 @@ class DeployedVitisNode(VitisNode):
     """A Vitis node driven entirely by messages and its own timer, on
     whatever host implements the surface in the module docstring."""
 
-    __slots__ = ("host", "neighbor_state", "relay_stamp", "child_stamp", "_task")
+    __slots__ = (
+        "host", "neighbor_state", "relay_stamp", "child_stamp", "seen_events", "_task",
+    )
 
     #: Per-period probability that a gateway re-evaluates its relay path
     #: from scratch (path repair; see ``_start_relay_install``).
@@ -127,6 +129,9 @@ class DeployedVitisNode(VitisNode):
         #: (topic, child) → last refresh; children expire individually,
         #: else every path that ever crossed this node stays on the tree.
         self.child_stamp: Dict[tuple, float] = {}
+        #: Event ids already handled (duplicate suppression of the
+        #: message-level flood).
+        self.seen_events: set = set()
         self._task = None
 
     # ------------------------------------------------------------------
@@ -138,6 +143,7 @@ class DeployedVitisNode(VitisNode):
         self.neighbor_state.clear()
         self.relay_stamp.clear()
         self.child_stamp.clear()
+        self.seen_events.clear()
         if self._task is not None:
             self._task.stop()
         self._task = self.host.start_timer(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from itertools import filterfalse
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import VitisConfig
@@ -40,6 +40,21 @@ __all__ = ["VitisNode"]
 _BY_ID = itemgetter(1)
 _BY_ID_ADDRESS = itemgetter(1, 0)
 _ADDRESS = itemgetter(0)
+#: A routing-table entry as its wire triple.
+_TRIPLE = attrgetter("address", "node_id", "age")
+
+
+def _fold(pool: Dict[int, tuple], triples) -> None:
+    """The exchange pool's rule: fold ``(address, node_id, age)``
+    triples into ``address → triple``, the freshest (lowest age) per
+    address winning.  An address carries one id (``IdSpace.node_id``),
+    so a tie keeps an equal triple and the order of the folds does not
+    change the pool's content."""
+    get = pool.get
+    for t in triples:
+        cur = get(t[0])
+        if cur is None or t[2] < cur[2]:
+            pool[t[0]] = t
 
 
 def _ring_index(triples) -> Tuple[List[tuple], List[int]]:
@@ -69,7 +84,6 @@ class VitisNode(BaseNode):
         "utility",
         "rng",
         "n_estimate",
-        "seen_events",
         "_umemo",
         "_ustamp",
     )
@@ -101,13 +115,10 @@ class VitisNode(BaseNode):
         #: Population estimate for the harmonic draws: 2 until the cycle
         #: driver sets the live population.
         self.n_estimate = 2
-        #: Utility memo: address → Eq. 1 utility to that node, valid for
-        #: the whole of ``_ustamp``.  See _select_neighbors.
+        #: Utility memo: address → *minus* the Eq. 1 utility to that
+        #: node, valid for the whole of ``_ustamp``.  See _select_neighbors.
         self._umemo: Dict[int, float] = {}
         self._ustamp: Optional[int] = None
-        #: Event ids already handled (duplicate suppression in the
-        #: message-level dissemination path).
-        self.seen_events: set = set()
 
     @property
     def node_id(self) -> int:
@@ -132,7 +143,6 @@ class VitisNode(BaseNode):
         self.ps.initialize(bootstrap)
         self.gw_state.clear()
         self.relay.clear()
-        self.seen_events.clear()
         self._umemo.clear()
         self.start()
         # Seed the routing table immediately so the first T-Man exchange
@@ -149,7 +159,7 @@ class VitisNode(BaseNode):
         self,
         pool: Dict[int, tuple],
         profile_of: Callable[[int], Optional[NodeProfile]],
-    ) -> List[Tuple[Descriptor, LinkKind]]:
+    ) -> List[tuple]:
         """Alg. 4 over an ``address → (address, node_id, age)`` pool that
         excludes this node: :meth:`_select_neighbors` on the pool's ring
         index.  The pool is only read."""
@@ -161,10 +171,11 @@ class VitisNode(BaseNode):
         ring: List[tuple],
         ids: List[int],
         profile_of: Callable[[int], Optional[NodeProfile]],
-    ) -> List[Tuple[Descriptor, LinkKind]]:
+    ) -> List[tuple]:
         """Alg. 4 — selectNeighbors — over a ring index of the candidates
-        (:func:`_ring_index`, this node excluded; both lists consumed);
-        Descriptors are built only for the winners.
+        (:func:`_ring_index`, this node excluded; both lists consumed),
+        as the ``(address, node_id, age, kind)`` tuples that
+        :meth:`RoutingTable.replace` installs.
 
         Order follows Alg. 4: successor, predecessor, ``n_sw_links``
         harmonic small-world picks, then the top-utility friends.  Each
@@ -184,22 +195,22 @@ class VitisNode(BaseNode):
         nonzero candidates are keyed and sorted, and the zero rest is
         sorted by (age, address) only when too few are nonzero.
 
-        The ranking reads utilities from ``_umemo`` without checking
-        them: one stamp per selection empties the memo whenever *any*
-        profile (mine included) changed (the rates never change),
+        The ranking reads negated utilities from ``_umemo`` without
+        checking them: one stamp per selection empties the memo whenever
+        *any* profile (mine included) changed (the rates never change),
         ``join`` empties it, and a caller whose ``profile_of`` can change
         its answer otherwise drops the address itself (see
         ``DeployedVitisNode._learn``).  Only a memo miss reaches
-        ``profile_of`` and Eq. 1; an unknown profile ranks 0.0 and is
-        not memoised.
+        ``profile_of`` and Eq. 1 (uncached: the memo is this node's
+        cache); an unknown profile ranks 0.0 and is not memoised.
         """
-        selection: List[Tuple[Descriptor, LinkKind]] = []
+        selection: List[tuple] = []
         self_id = self.node_id
         size = self.space.size
 
         def take(i: int, kind: LinkKind) -> None:
             del ids[i]
-            selection.append((Descriptor(*ring.pop(i)), kind))
+            selection.append((*ring.pop(i), kind))
 
         if ring:
             i = bisect_right(ids, self_id) % len(ids)
@@ -231,7 +242,7 @@ class VitisNode(BaseNode):
 
         n_friends = self.config.rt_size - len(selection)
         if n_friends > 0 and ring:
-            util = self.utility
+            evaluate = self.utility.evaluate
             my_prof = self.profile
             memo = self._umemo
             stamp = NodeProfile._epoch
@@ -241,44 +252,38 @@ class VitisNode(BaseNode):
             for addr in filterfalse(memo.__contains__, map(_ADDRESS, ring)):
                 other = profile_of(addr)
                 if other is not None:
-                    memo[addr] = util(my_prof, other)
+                    memo[addr] = -evaluate(my_prof, other)
             get = memo.get
-            keyed = [(-u, age, a, i) for a, i, age in ring if (u := get(a))]
+            friend = LinkKind.FRIEND
+            keyed = [(nu, age, a, i) for a, i, age in ring if (nu := get(a))]
             keyed.sort()
-            for _, age, a, i in keyed[:n_friends]:
-                selection.append((Descriptor(a, i, age), LinkKind.FRIEND))
+            selection += [(a, i, age, friend) for _, age, a, i in keyed[:n_friends]]
             n_zero = n_friends - len(keyed)
             if n_zero > 0:
                 zero = [(age, a, i) for a, i, age in ring if not get(a)]
                 zero.sort()
-                for age, a, i in zero[:n_zero]:
-                    selection.append((Descriptor(a, i, age), LinkKind.FRIEND))
+                selection += [(a, i, age, friend) for age, a, i in zero[:n_zero]]
 
         return selection
 
     # ------------------------------------------------------------------
     # Alg. 2/3 — routing-table exchange
     # ------------------------------------------------------------------
+    def _fold_own(self, pool: Dict[int, tuple]) -> None:
+        """Alg. 2 lines 3-4 into ``pool``: fresh samples and the routing
+        table folded by :func:`_fold`, then this node's own triple forced
+        to age 0."""
+        _fold(pool, self.ps.sample_fields(self.config.SAMPLE_SIZE))
+        _fold(pool, map(_TRIPLE, self.rt))
+        pool[self.address] = (self.address, self.node_id, 0)
+
     def _exchange_pool(self) -> Dict[int, tuple]:
-        """Alg. 2 lines 3-4: fresh samples merged with the routing table
-        (freshest wins), then this node's own zero-age descriptor last —
-        as ``address → (address, node_id, age)``.  The values are the
-        wire triples of an ``RtExchange*`` buffer, so the pool is what a
-        node ships and what it merges a received buffer into; the
-        selection pass builds Descriptors only for the winners."""
+        """This node's exchange buffer as ``address → (address, node_id,
+        age)``, its own zero-age triple last.  The values are the wire
+        triples of an ``RtExchange*`` buffer, so the pool is what a node
+        ships and what it merges a received buffer into."""
         pool: Dict[int, tuple] = {}
-        for t in self.ps.sample_fields(self.config.SAMPLE_SIZE):
-            pool[t[0]] = t
-        for e in self.rt:
-            d = e.descriptor
-            addr = d.address
-            age = e.age
-            cur = pool.get(addr)
-            if cur is None or age < cur[2]:
-                pool[addr] = (addr, d.node_id, age)
-        self_addr = self.address
-        pool.pop(self_addr, None)
-        pool[self_addr] = (self_addr, self.node_id, 0)
+        self._fold_own(pool)
         return pool
 
     def _merge_and_select(
@@ -287,17 +292,13 @@ class VitisNode(BaseNode):
         received,
         profile_of: Callable[[int], Optional[NodeProfile]],
     ) -> None:
-        """Alg. 2 lines 6-7 / Alg. 3 lines 4-5: merge a received buffer
-        (an iterable of wire triples) into my own — one candidate per
-        address, freshest wins, self excluded — and install Alg. 4's
-        selection from the result."""
+        """Alg. 2 lines 6-7 / Alg. 3 lines 4-5: fold a received buffer
+        (an iterable of wire triples) into a copy of my own, self
+        excluded, and install Alg. 4's selection from the result."""
         merged = dict(mine)
-        for t in received:
-            cur = merged.get(t[0])
-            if cur is None or t[2] < cur[2]:
-                merged[t[0]] = t
-        # My own slot (always present: ``mine`` ends with it) kept any
-        # echo of me in ``received`` from becoming a candidate.
+        _fold(merged, received)
+        # My own zero-age slot kept any echo of me in ``received`` from
+        # becoming a candidate.
         del merged[self.address]
         self.rt.replace(self._select_from_pool(merged, profile_of))
 
@@ -310,11 +311,11 @@ class VitisNode(BaseNode):
         """One active T-Man exchange (Alg. 2); the peer's passive side
         (Alg. 3) runs in the same call.  Returns the peer exchanged with.
 
-        Both sides' merges (:meth:`_merge_and_select`) are one merge here,
-        and one ring index serves both selections.  Two merged pools
-        could differ only in which of two equal-age triples a tie keeps,
-        and those are equal: an address carries one id.  Each side, mine
-        first, selects from a copy of the index without its own entry.
+        Both sides fold into one pool, mine first, and one ring index
+        serves both selections: the two merged pools of
+        :meth:`_merge_and_select` hold the same triples, because the
+        fold's order does not matter.  Each side, mine first, selects
+        from a copy of the index without its own entry.
         """
         peer_addr = self._pick_exchange_peer(is_alive)
         if peer_addr is None:
@@ -323,15 +324,13 @@ class VitisNode(BaseNode):
         if peer is None or not peer.alive:
             self.rt.remove(peer_addr)
             return None
-        merged = self._exchange_pool()
-        for t in peer._exchange_pool().values():
-            cur = merged.get(t[0])
-            if cur is None or t[2] < cur[2]:
-                merged[t[0]] = t
-        ring, ids = _ring_index(merged.values())
+        pool: Dict[int, tuple] = {}
+        self._fold_own(pool)
+        peer._fold_own(pool)
+        ring, ids = _ring_index(pool.values())
         for node in (self, peer):
-            # Both pools end with their owner's zero-age triple, so the
-            # entry is there; an equal-id run is ordered by address.
+            # Each owner's triple is in the pool; an equal-id run is
+            # ordered by address.
             k = bisect_left(ids, node.node_id)
             while ring[k][0] != node.address:
                 k += 1

@@ -71,9 +71,9 @@ class ProximityUtility(UtilityFunction):
             return 1.0 - self.coords.distance(a, b) / _MAX_DIST
         return 0.5
 
-    def __call__(self, a: NodeProfile, b: NodeProfile) -> float:
-        base = super().__call__(a, b)
-        if self.beta == 0.0 or a.address == b.address:
+    def evaluate(self, a: NodeProfile, b: NodeProfile) -> float:
+        base = super().evaluate(a, b)
+        if self.beta == 0.0:
             return base
         return (1.0 - self.beta) * base + self.beta * self.closeness(
             a.address, b.address

@@ -1,6 +1,6 @@
 """The bounded Vitis routing table.
 
-Each entry is a neighbor descriptor tagged with its *link kind*:
+Each entry is a neighbor's address and id tagged with its *link kind*:
 
 - ``PREDECESSOR`` / ``SUCCESSOR`` — the two ring links that give lookup
   consistency;
@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.gossip.view import Descriptor
 from repro.smallworld.routing import Ring, ring_of_links
 
 __all__ = ["LinkKind", "RTEntry", "RoutingTable"]
@@ -34,21 +33,19 @@ class LinkKind(enum.Enum):
 
 
 class RTEntry:
-    """One routing-table slot: descriptor + link kind + heartbeat age."""
+    """One routing-table slot: neighbor address and id, link kind,
+    heartbeat age."""
 
-    __slots__ = ("descriptor", "kind", "age")
+    __slots__ = ("address", "node_id", "kind", "age")
 
-    def __init__(self, descriptor: Descriptor, kind: LinkKind, age: int = 0) -> None:
-        self.descriptor = descriptor
+    def __init__(self, address: int, node_id: int, kind: LinkKind, age: int = 0) -> None:
+        self.address = address
+        self.node_id = node_id
         self.kind = kind
         self.age = age
 
-    @property
-    def address(self) -> int:
-        return self.descriptor.address
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RTEntry({self.descriptor!r}, {self.kind.value}, age={self.age})"
+        return f"RTEntry({self.address}, {self.node_id}, {self.kind.value}, age={self.age})"
 
 
 class RoutingTable:
@@ -106,10 +103,7 @@ class RoutingTable:
         """
         cached = self._links
         if cached is None:
-            cached = [
-                (e.descriptor.address, e.descriptor.node_id)
-                for e in self._entries.values()
-            ]
+            cached = [(e.address, e.node_id) for e in self._entries.values()]
             self._links = cached
         return cached
 
@@ -132,8 +126,9 @@ class RoutingTable:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def replace(self, selection: List[Tuple[Descriptor, LinkKind]]) -> None:
-        """Install a fresh selection (the output of Alg. 4).
+    def replace(self, selection: List[Tuple[int, int, int, LinkKind]]) -> None:
+        """Install a fresh selection: Alg. 4's ``(address, node_id, age,
+        kind)`` tuples.
 
         Ages of retained neighbors are preserved so that staleness
         detection is not reset by reselection.  The selection is trusted
@@ -144,19 +139,16 @@ class RoutingTable:
         """
         entries = self._entries
         new: Dict[int, RTEntry] = {}
-        for desc, kind in selection:
-            old = entries.get(desc.address)
+        for address, node_id, age, kind in selection:
+            old = entries.get(address)
             if old is None:
-                new[desc.address] = RTEntry(desc, kind, desc.age)
+                new[address] = RTEntry(address, node_id, kind, age)
             elif old.kind is kind:
-                # Same neighbor, same role: refresh the descriptor in
-                # place (age already preserved) instead of allocating.
-                # Descriptors are value objects nothing mutates in place,
-                # so the entry can hold the selected one directly.
-                old.descriptor = desc
-                new[desc.address] = old
+                # Same neighbor, same role: the entry is reused as it
+                # is (an address carries one id; the age is preserved).
+                new[address] = old
             else:
-                new[desc.address] = RTEntry(desc, kind, old.age)
+                new[address] = RTEntry(address, node_id, kind, old.age)
         self._entries = new
         self._links = self._ring = None
 

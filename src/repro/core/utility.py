@@ -11,15 +11,22 @@ subscription sets — the worked example in the paper (p={A,B,C}, q={C,D},
 r={C,D,E,F,G,H} giving 0.25 / 0.125 / 0.33) is a doctest below.
 
 The union sum is computed as ``sum(i) + sum(j) - intersection`` so only the
-intersection needs a set walk; per-node sums and pairwise values are cached
-(subscriptions change rarely relative to how often T-Man ranks candidates,
-and the cache key includes the profile versions so changes invalidate
-precisely; the rates never change once built).
+intersection needs a set walk, over the smaller set.  The rates never
+change once built, so they are read from a Python float list made once;
+every sum adds left to right with ``+=`` (builtin ``sum()`` of floats is
+compensated on Python 3.12+ and would change the last bits).  Per-node
+sums are cached per profile version.
+
+:meth:`UtilityFunction.evaluate` is Eq. 1 uncached: a Vitis node keeps
+its own per-node memo of it (``VitisNode._umemo``).  Calling the
+function (``__call__``) adds a pairwise cache keyed by both profile
+versions, for OPT (:mod:`repro.baselines.opt`), which ranks without a
+memo.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,11 +71,6 @@ class PublicationRates:
     def n_topics(self) -> int:
         return len(self.rates)
 
-    def sum_over(self, topics) -> float:
-        """Σ rate(t) over an iterable of topic ids."""
-        r = self.rates
-        return float(sum(r[t] for t in topics))
-
 
 class UtilityFunction:
     """Cached evaluator of Eq. 1.
@@ -104,8 +106,10 @@ class UtilityFunction:
         rates: Optional[PublicationRates] = None,
         rate_weighted: bool = True,
     ) -> None:
-        self.rates = rates
-        self.rate_weighted = rate_weighted and rates is not None
+        #: ``rate(t)`` as Python floats, or None for pure Jaccard.
+        self._rates: Optional[List[float]] = (
+            rates.rates.tolist() if rate_weighted and rates is not None else None
+        )
         self._pair_cache: Dict[Tuple, float] = {}
         self._sum_cache: Dict[Tuple[int, int], float] = {}
 
@@ -116,14 +120,36 @@ class UtilityFunction:
         key = (profile.address, profile.version)
         val = self._sum_cache.get(key)
         if val is None:
-            val = self.rates.sum_over(profile.subscriptions)
+            rates = self._rates
+            val = 0.0
+            for t in profile.subscriptions:
+                val += rates[t]
             if len(self._sum_cache) >= self.MAX_CACHE:
                 self._sum_cache.clear()
             self._sum_cache[key] = val
         return val
 
+    def evaluate(self, a: NodeProfile, b: NodeProfile) -> float:
+        """Eq. 1 for two distinct nodes, computed afresh; 0 when both
+        sets are empty."""
+        sa, sb = a.subscriptions, b.subscriptions
+        if len(sa) > len(sb):
+            sa, sb = sb, sa  # walk the smaller set
+        rates = self._rates
+        if rates is None:
+            inter = len(sa & sb)
+            union = len(sa) + len(sb) - inter
+            return inter / union if union else 0.0
+        inter_sum = 0.0
+        for t in sa:
+            if t in sb:
+                inter_sum += rates[t]
+        union_sum = self._node_sum(a) + self._node_sum(b) - inter_sum
+        return inter_sum / union_sum if union_sum > 0 else 0.0
+
     def __call__(self, a: NodeProfile, b: NodeProfile) -> float:
-        """Eq. 1 for the pair (a, b); symmetric; 0 when both sets empty."""
+        """Eq. 1 for the pair (a, b), cached; symmetric; 1 for a node
+        with itself."""
         if a.address == b.address:
             return 1.0
         # Symmetric cache key; versions make stale entries unreachable.
@@ -134,21 +160,7 @@ class UtilityFunction:
         cached = self._pair_cache.get(key)
         if cached is not None:
             return cached
-
-        sa, sb = a.subscriptions, b.subscriptions
-        if len(sa) > len(sb):
-            sa, sb = sb, sa  # walk the smaller set
-
-        if not self.rate_weighted:
-            inter = len(sa & sb)
-            union = len(a.subscriptions) + len(b.subscriptions) - inter
-            val = inter / union if union else 0.0
-        else:
-            rates = self.rates.rates
-            inter_sum = float(sum(rates[t] for t in sa if t in sb))
-            union_sum = self._node_sum(a) + self._node_sum(b) - inter_sum
-            val = inter_sum / union_sum if union_sum > 0 else 0.0
-
+        val = self.evaluate(a, b)
         if len(self._pair_cache) >= self.MAX_CACHE:
             self._pair_cache.clear()
         self._pair_cache[key] = val

@@ -124,11 +124,13 @@ class TestRelayMaintenance:
         d = DeployedVitis(small_subs(), VitisConfig(rt_size=10), seed=5)
         d.run(30)
         victim = d.live_addresses()[0]
+        d.nodes[victim].seen_events.add(9)
         d.leave(victim)
         assert not d.nodes[victim].alive
         d.join(victim)
         assert d.nodes[victim].alive
         assert d.nodes[victim].neighbor_state == {}
+        assert d.nodes[victim].seen_events == set()
 
     def test_dead_node_evicted_from_tables(self):
         d = DeployedVitis(small_subs(), VitisConfig(rt_size=10), seed=5)

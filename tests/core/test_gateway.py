@@ -8,7 +8,6 @@ the previous round's proposals).
 from repro.core.gateway import GatewayState, Proposal, elect_round
 from repro.core.identifiers import IdSpace
 from repro.core.routing_table import LinkKind, RoutingTable
-from repro.gossip.view import Descriptor
 
 SPACE = IdSpace(bits=8)
 TOPIC = 1
@@ -31,7 +30,7 @@ class Cluster:
             adj[v].add(u)
         for a, neigh in adj.items():
             self.rts[a].replace(
-                [(Descriptor(b, ids[b]), LinkKind.FRIEND) for b in sorted(neigh)]
+                [(b, ids[b], 0, LinkKind.FRIEND) for b in sorted(neigh)]
             )
 
     def subs_of(self, addr):

@@ -24,7 +24,7 @@ from repro.core.config import VitisConfig
 from repro.core.deployment import DeployedVitis, DeployedVitisNode, NeighborInfo
 from repro.core.dissemination import disseminate
 from repro.core.gateway import Proposal
-from repro.core.routing_table import LinkKind
+from repro.core.routing_table import LinkKind, RoutingTable
 from repro.gossip.view import Descriptor
 from repro.obs.spans import build_span_trees
 from repro.sim import messages as M
@@ -229,7 +229,7 @@ def planted(subs=({TOPIC}, {TOPIC}, set())):
 
 def link(d, a, *neighbors):
     d.nodes[a].rt.replace(
-        [(Descriptor(b, d.space.node_id(b), 0), LinkKind.FRIEND) for b in neighbors]
+        [(b, d.space.node_id(b), 0, LinkKind.FRIEND) for b in neighbors]
     )
 
 
@@ -488,17 +488,23 @@ def test_the_tick_elects_against_its_table_neighbours_only():
 # ----------------------------------------------------------------------
 # One T-Man surface: a message round equals a cycle-driven step
 # ----------------------------------------------------------------------
-def test_rt_exchange_round_equals_one_cycle_driven_tman_step():
+def test_rt_exchange_round_equals_one_cycle_driven_tman_step(monkeypatch):
     """``RtExchangeRequest`` → ``RtExchangeReply`` between two deployed
     nodes leaves both tables exactly where one ``tman_step`` from the same
-    pools leaves them: the handlers and the cycle driver share one merge
-    and one selection."""
+    pools leaves them, and installs the same selections (the winners'
+    wire ages included): the handlers and the cycle driver share one
+    fold and one selection."""
     from repro.sim.messages import RtExchangeReply, RtExchangeRequest
 
+    installed = []
+    replace = RoutingTable.replace
+    monkeypatch.setattr(
+        RoutingTable, "replace",
+        lambda rt, sel: replace(rt, installed.append((rt.owner, sel)) or sel),
+    )
+
     def table(node):
-        return [
-            (e.address, e.descriptor.node_id, e.kind, e.age, e.descriptor.age) for e in node.rt
-        ]
+        return [(e.address, e.node_id, e.kind, e.age) for e in node.rt]
 
     def plant():
         d, sent = planted(({TOPIC}, {TOPIC}, {1}))
@@ -509,6 +515,7 @@ def test_rt_exchange_round_equals_one_cycle_driven_tman_step():
         return d, sent
 
     by_msg, sent = plant()
+    del installed[:]
     a, b = by_msg.nodes[0], by_msg.nodes[1]
     assert a._pick_exchange_peer(by_msg.is_alive) == 1
     b.on_message(
@@ -517,12 +524,15 @@ def test_rt_exchange_round_equals_one_cycle_driven_tman_step():
     (reply,) = sent
     assert isinstance(reply, RtExchangeReply) and reply.dst == 0
     a.on_message(reply)
+    by_msg_installed = dict(installed)
 
     by_cycle, _ = plant()
+    del installed[:]
     peer = by_cycle.nodes[0].tman_step(
         by_cycle.nodes.get, by_cycle.is_alive, by_cycle.profile_of
     )
     assert peer == 1
+    assert sorted(by_msg_installed) == [0, 1] and dict(installed) == by_msg_installed
 
     for addr in (0, 1):
         assert table(by_msg.nodes[addr]) == table(by_cycle.nodes[addr])

@@ -142,7 +142,7 @@ class TestElectionResultCache:
             p.nodes, key=lambda a: p.space.distance(p.nodes[a].node_id, tid)
         )
         for a, b in ((gateway, follower), (follower, gateway)):
-            p.nodes[a].rt.replace([(p.nodes[b].descriptor(), LinkKind.FRIEND)])
+            p.nodes[a].rt.replace([(b, p.nodes[b].node_id, 0, LinkKind.FRIEND)])
         p.finalize()
         state = p.nodes[follower].gw_state
         assert state.proposals.get(0).gw_addr == gateway
@@ -165,7 +165,7 @@ class TestElectionResultCache:
         for chain in ((0, 1, 2), (3, 4, 5)):
             for i, a in enumerate(chain):
                 p.nodes[a].rt.replace([
-                    (p.nodes[b].descriptor(), LinkKind.FRIEND)
+                    (b, p.nodes[b].node_id, 0, LinkKind.FRIEND)
                     for b in chain[max(0, i - 1):i + 2] if b != a
                 ])
         p.finalize()

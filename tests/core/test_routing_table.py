@@ -3,37 +3,38 @@
 import pytest
 
 from repro.core.routing_table import LinkKind, RoutingTable
-from repro.gossip.view import Descriptor
 
 
-def d(addr, age=0):
-    return Descriptor(addr, addr * 31, age)
+def d(addr, kind, age=0):
+    """One selected neighbor as Alg. 4 emits it: (address, node_id, age, kind)."""
+    return (addr, addr * 31, age, kind)
 
 
 class TestReplace:
     def test_basic_install(self):
         rt = RoutingTable(owner=0, max_size=5)
-        rt.replace([(d(1), LinkKind.SUCCESSOR), (d(2), LinkKind.FRIEND)])
+        rt.replace([d(1, LinkKind.SUCCESSOR), d(2, LinkKind.FRIEND)])
         assert len(rt) == 2
         assert rt.by_address().get(1).kind is LinkKind.SUCCESSOR
+        assert rt.by_address().get(1).node_id == 31
         assert 2 in rt
 
     def test_retained_neighbor_keeps_age(self):
         rt = RoutingTable(owner=0, max_size=5)
-        rt.replace([(d(1), LinkKind.FRIEND)])
+        rt.replace([d(1, LinkKind.FRIEND)])
         rt.by_address().get(1).age = 3
-        rt.replace([(d(1), LinkKind.SW), (d(2), LinkKind.FRIEND)])
+        rt.replace([d(1, LinkKind.SW), d(2, LinkKind.FRIEND)])
         assert rt.by_address().get(1).age == 3  # staleness survives reselection
         assert rt.by_address().get(2).age == 0
 
-    def test_same_role_refreshes_the_descriptor_in_place(self):
+    def test_same_role_reuses_the_entry(self):
         rt = RoutingTable(owner=0, max_size=5)
-        rt.replace([(d(1), LinkKind.FRIEND), (d(2), LinkKind.SW)])
+        rt.replace([d(1, LinkKind.FRIEND), d(2, LinkKind.SW)])
         kept = rt.by_address().get(1)
         kept.age = 2
-        fresher = d(1, age=7)
-        rt.replace([(d(2), LinkKind.FRIEND), (fresher, LinkKind.FRIEND)])
-        assert rt.by_address().get(1) is kept and kept.descriptor is fresher and kept.age == 2
+        rt.replace([d(2, LinkKind.FRIEND), d(1, LinkKind.FRIEND, age=7)])
+        assert rt.by_address().get(1) is kept
+        assert (kept.address, kept.node_id, kept.kind, kept.age) == (1, 31, LinkKind.FRIEND, 2)
         assert rt.by_address().get(2).kind is LinkKind.FRIEND   # role changed: new entry, age kept
         assert rt.addresses == [2, 1]               # table order is selection order
 
@@ -47,11 +48,11 @@ class TestAccessors:
         self.rt = RoutingTable(owner=0, max_size=6)
         self.rt.replace(
             [
-                (d(1), LinkKind.SUCCESSOR),
-                (d(2), LinkKind.PREDECESSOR),
-                (d(3), LinkKind.SW),
-                (d(4), LinkKind.FRIEND),
-                (d(5), LinkKind.FRIEND),
+                d(1, LinkKind.SUCCESSOR),
+                d(2, LinkKind.PREDECESSOR),
+                d(3, LinkKind.SW),
+                d(4, LinkKind.FRIEND),
+                d(5, LinkKind.FRIEND),
             ]
         )
 
@@ -78,7 +79,7 @@ class TestAccessors:
 class TestHeartbeats:
     def test_heartbeat_resets_age(self):
         rt = RoutingTable(owner=0, max_size=3)
-        rt.replace([(d(1), LinkKind.FRIEND)])
+        rt.replace([d(1, LinkKind.FRIEND)])
         rt.by_address().get(1).age = 4
         rt.heartbeat(1)
         assert rt.by_address().get(1).age == 0
@@ -88,7 +89,7 @@ class TestHeartbeats:
 
     def test_age_and_evict(self):
         rt = RoutingTable(owner=0, max_size=4)
-        rt.replace([(d(1), LinkKind.FRIEND), (d(2), LinkKind.FRIEND)])
+        rt.replace([d(1, LinkKind.FRIEND), d(2, LinkKind.FRIEND)])
         alive = {1}
         evicted = []
         for _ in range(4):
@@ -99,6 +100,6 @@ class TestHeartbeats:
 
     def test_remove(self):
         rt = RoutingTable(owner=0, max_size=3)
-        rt.replace([(d(1), LinkKind.FRIEND)])
+        rt.replace([d(1, LinkKind.FRIEND)])
         assert rt.remove(1) is True
         assert rt.remove(1) is False

@@ -122,6 +122,10 @@ class TestCaching:
             u(ps[i], ps[(i + 1) % 4])
         assert len(u._pair_cache) <= 2
 
+    def test_node_sum(self):
+        u = UtilityFunction(PublicationRates(np.array([1.0, 2.0, 3.0])))
+        assert u._node_sum(NodeProfile(0, 0, {0, 2})) == pytest.approx(4.0)
+
 
 class TestPublicationRates:
     def test_uniform(self):
@@ -129,10 +133,6 @@ class TestPublicationRates:
         assert r.n_topics == 5
         assert r.rates[3] == 2.0
         assert np.all(r.rates == 2.0)
-
-    def test_sum_over(self):
-        r = PublicationRates(np.array([1.0, 2.0, 3.0]))
-        assert r.sum_over({0, 2}) == pytest.approx(4.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import random
 from repro.core.config import VitisConfig
 from repro.core.identifiers import IdSpace
 from repro.core.node import VitisNode
-from repro.core.routing_table import LinkKind
+from repro.core.routing_table import LinkKind, RoutingTable
 from repro.core.utility import UtilityFunction
 from repro.gossip.view import Descriptor
 
@@ -41,7 +41,7 @@ class TestSelectNeighbors:
     def test_ring_links_first(self):
         node = make_node()
         selection = node._select_from_pool(pool(range(1, 20)), lambda a: None)
-        kinds = [k for _, k in selection]
+        kinds = [k for *_, k in selection]
         assert kinds[0] is LinkKind.SUCCESSOR
         assert kinds[1] is LinkKind.PREDECESSOR
         assert kinds.count(LinkKind.SW) == 1
@@ -51,19 +51,19 @@ class TestSelectNeighbors:
         node = make_node()
         cands = descriptors(range(1, 30))
         selection = dict(
-            (k, d)
-            for d, k in node._select_from_pool(pool(range(1, 30)), lambda a: None)
+            (k, (a, i))
+            for a, i, _, k in node._select_from_pool(pool(range(1, 30)), lambda a: None)
         )
-        succ = selection[LinkKind.SUCCESSOR]
+        succ_address, succ_id = selection[LinkKind.SUCCESSOR]
         my = node.node_id
         for d in cands:
-            if d.address != succ.address:
-                assert (succ.node_id - my) % SPACE.size <= (d.node_id - my) % SPACE.size
+            if d.address != succ_address:
+                assert (succ_id - my) % SPACE.size <= (d.node_id - my) % SPACE.size
 
     def test_no_duplicate_slots(self):
         node = make_node()
         selection = node._select_from_pool(pool(range(1, 5)), lambda a: None)
-        addrs = [d.address for d, _ in selection]
+        addrs = [a for a, *_ in selection]
         assert len(addrs) == len(set(addrs))
 
     def test_friends_ranked_by_utility(self):
@@ -74,7 +74,7 @@ class TestSelectNeighbors:
             12: make_node(12, subs=(9,)).profile,            # utility 0.0
         }
         selection = node._select_from_pool(pool([10, 11, 12]), profiles.get)
-        friends = [d.address for d, k in selection if k is LinkKind.FRIEND]
+        friends = [a for a, _, _, k in selection if k is LinkKind.FRIEND]
         # One of the three fills a ring slot; the remaining friends are in
         # utility order.
         assert friends == sorted(friends, key=lambda a: -node.utility(node.profile, profiles[a]))
@@ -98,7 +98,7 @@ class TestSelectNeighbors:
     def test_winner_keeps_its_age(self):
         node = make_node(rt_size=15)
         selection = node._select_from_pool(pool([1, 2], age=4), lambda a: None)
-        assert [d.age for d, _ in selection] == [4, 4]
+        assert [age for _, _, age, _ in selection] == [4, 4]
 
 
 class TestJoin:
@@ -113,12 +113,10 @@ class TestJoin:
         node.join(descriptors([5, 6, 7]))
         node.gw_state.proposals[1] = "whatever"
         node.relay.set_parent(1, 5)
-        node.seen_events.add(9)
         node.stop()
         node.join(descriptors([8]))
         assert node.gw_state.proposals == {}
         assert not node.relay.on_tree(1)
-        assert node.seen_events == set()
         assert node.rt.addresses == [8]
 
 
@@ -157,7 +155,12 @@ class TestExchange:
         a.rt.by_address().get(1).age = 9
         assert a._exchange_pool()[1] == (1, SPACE.node_id(1), 5)
 
-    def test_merge_keeps_freshest_and_heartbeat_age(self):
+    def test_merge_keeps_freshest_and_heartbeat_age(self, monkeypatch):
+        installed = []
+        replace = RoutingTable.replace
+        monkeypatch.setattr(
+            RoutingTable, "replace", lambda rt, sel: replace(rt, installed.append(sel) or sel)
+        )
         a = make_node(3, rt_size=15)
         a.join([Descriptor(4, SPACE.node_id(4), age=6)])
         received = [
@@ -169,7 +172,8 @@ class TestExchange:
         a.rt.by_address().get(4).age = 6
         a._merge_and_select(a._exchange_pool(), received, lambda x: None)
         assert sorted(a.rt.addresses) == [4, 5]
-        assert a.rt.by_address().get(4).descriptor.age == 1
+        # The selection carried the freshest ages; the table keeps 4's own.
+        assert {t[0]: t[2] for t in installed[-1]} == {4: 1, 5: 2}
         assert a.rt.by_address().get(4).age == 6   # a retained neighbor keeps its heartbeat age
         assert a.rt.by_address().get(5).age == 2
 

@@ -21,7 +21,6 @@ from repro.faults import (
     Partition,
     crash_nodes,
 )
-from repro.gossip.view import Descriptor
 from tests.conftest import small_subscriptions
 
 
@@ -203,9 +202,9 @@ class TestAgeAndEvictUnit:
     def _table(self):
         rt = RoutingTable(owner=0, max_size=4)
         rt.replace([
-            (Descriptor(1, 100), LinkKind.SUCCESSOR),
-            (Descriptor(2, 200), LinkKind.PREDECESSOR),
-            (Descriptor(3, 300), LinkKind.FRIEND),
+            (1, 100, 0, LinkKind.SUCCESSOR),
+            (2, 200, 0, LinkKind.PREDECESSOR),
+            (3, 300, 0, LinkKind.FRIEND),
         ])
         return rt
 

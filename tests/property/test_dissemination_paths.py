@@ -48,7 +48,6 @@ from repro.core.identifiers import IdSpace
 from repro.core.protocol import VitisProtocol
 from repro.core.routing_table import LinkKind
 from repro.faults import MessageLoss
-from repro.gossip.view import Descriptor
 from tests.core.test_node_flood import node_flood, outcome, refresh, span_edges
 from tests.core.test_span_tracing import captured_telemetry, events_of
 
@@ -94,7 +93,7 @@ def plant(subs, links, crashed, seed):
     )
     for a, neighbours in enumerate(links):
         p.nodes[a].rt.replace(
-            [(Descriptor(b, p.space.node_id(b), 0), LinkKind.FRIEND) for b in neighbours]
+            [(b, p.space.node_id(b), 0, LinkKind.FRIEND) for b in neighbours]
         )
     p.topology_version += 1
     p.finalize()
@@ -124,7 +123,7 @@ def plant_deployed(subs, links, crashed, seed, ring=False):
     for a, node in d.nodes.items():
         node.join([])
         node.rt.replace(
-            [(Descriptor(b, d.space.node_id(b), 0), LinkKind.FRIEND) for b in links[a]]
+            [(b, d.space.node_id(b), 0, LinkKind.FRIEND) for b in links[a]]
         )
         node.relay.parent.update(p.nodes[a].relay.parent)
         node.relay.children.update(

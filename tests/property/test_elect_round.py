@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.core.gateway import ElectionStats, GatewayState, Proposal, elect_round
 from repro.core.identifiers import IdSpace
 from repro.core.routing_table import LinkKind, RoutingTable
-from repro.gossip.view import Descriptor
 
 SPACE = IdSpace(bits=8)
 SELF = 0
@@ -119,7 +118,7 @@ def _case(table, proposals, ids=(8, 1, 2, 3, 4, 5, 6), depth=5, topic_hash=0):
 def test_one_pass_equals_the_per_topic_rescan(case):
     ids, topic_hash, table, subscriptions, subs_of, proposals_of, depth = case
     rt = RoutingTable(SELF, N_ADDRESSES)
-    rt.replace([(Descriptor(a, ids[a]), LinkKind.FRIEND) for a in table])
+    rt.replace([(a, ids[a], 0, LinkKind.FRIEND) for a in table])
     stats = ElectionStats()
     got = elect_round(
         SPACE, GatewayState(SELF, ids[SELF]), subscriptions, rt,
@@ -158,7 +157,7 @@ def test_only_the_tables_neighbours_are_read(case):
     table neighbours instead of everything it ever learned."""
     ids, topic_hash, table, subscriptions, subs_of, proposals_of, depth = case
     rt = RoutingTable(SELF, N_ADDRESSES)
-    rt.replace([(Descriptor(a, ids[a]), LinkKind.FRIEND) for a in table])
+    rt.replace([(a, ids[a], 0, LinkKind.FRIEND) for a in table])
 
     def elect(proposals):
         return elect_round(

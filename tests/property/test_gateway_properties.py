@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.core.gateway import GatewayState, elect_round
 from repro.core.identifiers import IdSpace
 from repro.core.routing_table import LinkKind, RoutingTable
-from repro.gossip.view import Descriptor
 
 SPACE = IdSpace(bits=16)
 TOPIC = 0
@@ -54,7 +53,7 @@ class Election:
         self.rts = {}
         for a, neigh in self.adj.items():
             rt = RoutingTable(a, max(1, len(neigh)))
-            rt.replace([(Descriptor(b, ids[b]), LinkKind.FRIEND) for b in sorted(neigh)])
+            rt.replace([(b, ids[b], 0, LinkKind.FRIEND) for b in sorted(neigh)])
             self.rts[a] = rt
 
     def round(self):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.identifiers import IdSpace
 from repro.core.routing_table import LinkKind, RoutingTable
-from repro.gossip.view import Descriptor
 from repro.smallworld.ring import ring_edges
 from repro.smallworld.routing import LookupResult, closer_first, greedy_route, ring_of_links
 from tests.smallworld.test_ring import ring_picks
@@ -147,7 +146,7 @@ def small_overlays(draw):
         others = [b for b in range(n) if b != a]
         neigh = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
         tables[a] = RoutingTable(a, n)
-        tables[a].replace([(Descriptor(b, ids[b]), LinkKind.FRIEND) for b in neigh])
+        tables[a].replace([(b, ids[b], 0, LinkKind.FRIEND) for b in neigh])
     addr = st.integers(min_value=0, max_value=n - 1)
     target = draw(st.one_of(any_id, st.sampled_from(ids)))
     dead = draw(st.sets(addr, max_size=n))
@@ -234,14 +233,14 @@ class TestRingCache:
         rt = RoutingTable(99, 8)
         for op, arg in ops:
             if op == "replace":
-                rt.replace([(Descriptor(a, i), kind) for a, i, kind in arg])
+                rt.replace([(a, i, 0, kind) for a, i, kind in arg])
             elif op == "remove":
                 rt.remove(arg)
             elif op == "age":
                 rt.age_and_evict(lambda a: a not in arg, threshold=0)
             else:
                 rt.heartbeat(arg)
-            pairs = sorted((e.descriptor.node_id, e.address) for e in rt)
+            pairs = sorted((e.node_id, e.address) for e in rt)
             assert rt.ring() == ([i for i, _ in pairs], [a for _, a in pairs])
             assert rt.ring() is rt.ring()
 

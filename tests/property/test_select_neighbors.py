@@ -126,5 +126,5 @@ def test_selection_equals_naive_alg4(case):
     for _ in range(2):
         expected = naive_select(node, pool, profiles.get, twin_rng)
         got = node._select_from_pool(dict(pool), profiles.get)
-        assert [((d.address, d.node_id, d.age), k) for d, k in got] == expected
+        assert [((a, i, age), k) for a, i, age, k in got] == expected
         assert node.rng.getstate() == twin_rng.getstate()

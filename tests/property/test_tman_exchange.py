@@ -1,10 +1,11 @@
 """The cycle-driven T-Man exchange equals two message-driven merges.
 
-``VitisNode.tman_step`` merges the two exchange pools once (freshest
-wins) and builds one ring index that both sides select from, each
-without its own entry.  The message-driven handlers run the same
-exchange as two ``_merge_and_select`` calls, one per side, each merging
-the other side's buffer into its own pool.  The two must agree whenever
+``VitisNode.tman_step`` folds both sides' samples, tables and zero-age
+own triples into one pool (freshest wins) and builds one ring index
+that both sides select from, each without its own entry.  The
+message-driven handlers run the same exchange as two
+``_merge_and_select`` calls, one per side, each folding the other
+side's buffer into a copy of its own pool.  The two must agree whenever
 an address carries one id, which is how every node is built.
 
 Hypothesis plants two nodes in ``IdSpace(8)`` and ``IdSpace(64)`` whose
@@ -12,12 +13,13 @@ routing tables and sampling views overlap at equal and unequal ages,
 contain each other and hold equal ids; some profiles are unknown.  The
 pair is deep-copied; one copy runs ``tman_step``, the other the peer
 pick, both pools and the two merges in the order the handlers run them.
-Routing tables, node RNG states and utility memos must be equal after
+Routing tables, the selections installed (with the ages the winning
+triples carried), node RNG states and utility memos must be equal after
 an exchange each way.
 
-Mutation-checked: a stalest-wins merge, the own entry left in the
-index, one index consumed by both sides and the equal-id re-sort
-dropped each fail this file.
+Mutation-checked: a stalest-wins fold, the owner's triple not forced
+to age 0, the own entry left in the index, one index consumed by both
+sides and the equal-id re-sort dropped each fail this file.
 """
 
 import copy
@@ -33,6 +35,17 @@ from repro.core.profile import NodeProfile
 from repro.core.routing_table import LinkKind
 from repro.core.utility import UtilityFunction
 from repro.gossip.view import Descriptor
+
+
+class RecordingNode(VitisNode):
+    """A node that keeps the last selection it installed: the winners'
+    wire ages, which a retained entry does not take over."""
+
+    __slots__ = ("installed",)
+
+    def _select_neighbors(self, ring, ids, profile_of):
+        self.installed = super()._select_neighbors(ring, ids, profile_of)
+        return self.installed
 
 N_TOPICS = 5
 ADDRESSES = range(14)
@@ -80,12 +93,12 @@ def build(case):
     profiles = {a: NodeProfile(a, ids[a], s) for a, s in subs_of.items() if s is not None}
     nodes = {}
     for me, (rt, view, seed) in planted.items():
-        node = VitisNode(me, ids[me], subs_of[me] or (), config, space, utility,
-                         random.Random(seed))
+        node = RecordingNode(me, ids[me], subs_of[me] or (), config, space, utility,
+                             random.Random(seed))
         node.n_estimate = 20
         node.start()
         node.rt.replace([
-            (Descriptor(a, ids[a], age), kind)
+            (a, ids[a], age, kind)
             for (a, age), kind in zip(rt.items(), [LinkKind.SUCCESSOR, LinkKind.PREDECESSOR]
                                       + [LinkKind.FRIEND] * len(rt))
         ])
@@ -97,8 +110,8 @@ def build(case):
 
 
 def state(node):
-    table = [(e.address, e.descriptor.node_id, e.kind, e.age, e.descriptor.age) for e in node.rt]
-    return table, node.rng.getstate(), node._umemo
+    table = [(e.address, e.node_id, e.kind, e.age) for e in node.rt]
+    return table, getattr(node, "installed", None), node.rng.getstate(), node._umemo
 
 
 @settings(max_examples=300, deadline=None)

@@ -42,7 +42,6 @@ from repro.core.protocol import VitisProtocol
 from repro.core.routing_table import LinkKind
 from repro.faults import DetectorConfig, SwimDetector
 from repro.faults.kill import crash_nodes
-from repro.gossip.view import Descriptor
 from repro.workloads.subscriptions import bucket_subscriptions
 from tests.conftest import small_subscriptions
 from tests.core.test_node_flood import node_flood, outcome
@@ -87,7 +86,7 @@ def plant(cls, subs, links, planted, dead, seed):
     )
     for a, neighbours in links.items():
         p.nodes[a].rt.replace(
-            [(Descriptor(b, p.space.node_id(b), 0), LinkKind.FRIEND) for b in neighbours]
+            [(b, p.space.node_id(b), 0, LinkKind.FRIEND) for b in neighbours]
         )
     p.topology_version += 1
     p.finalize()

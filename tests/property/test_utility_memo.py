@@ -57,12 +57,8 @@ def resubscribe(profile, topics):
         profile.subscribe(t)
 
 
-def flat(selection):
-    return [(d.address, d.node_id, d.age, kind) for d, kind in selection]
-
-
 def table(node):
-    return [(e.address, e.descriptor.node_id, e.kind, e.age) for e in node.rt]
+    return [(e.address, e.node_id, e.kind, e.age) for e in node.rt]
 
 
 def pool():
@@ -76,8 +72,8 @@ def descriptors(addresses):
 def hit_equals_recompute(warm, warm_profile_of, cold, cold_profile_of):
     """Same selection, and every utility the warm node read from its memo
     is the one the twin just computed; then the twin forgets again."""
-    assert flat(warm._select_from_pool(pool(), warm_profile_of)) == flat(
-        cold._select_from_pool(pool(), cold_profile_of)
+    assert warm._select_from_pool(pool(), warm_profile_of) == cold._select_from_pool(
+        pool(), cold_profile_of
     )
     assert {a: warm._umemo.get(a) for a in cold._umemo} == cold._umemo
     cold._umemo.clear()
@@ -89,7 +85,7 @@ def contested():
     probe = VitisNode(0, SPACE.node_id(0), (), CONFIG, SPACE, UtilityFunction(),
                       random.Random(0))
     ring = probe._select_from_pool(pool(), lambda a: None)[:2]
-    return sorted(set(CANDIDATES) - {d.address for d, _ in ring})
+    return sorted(set(CANDIDATES) - {t[0] for t in ring})
 
 
 candidates = st.sampled_from(contested())
@@ -162,7 +158,7 @@ def test_rejoin_selection_equals_a_fresh_nodes():
         a: NodeProfile(a, SPACE.node_id(a), {0, 1, 2} if a == loser else {5})
         for a in CANDIDATES
     }
-    assert flat(warm._select_from_pool(pool(), profiles.get))[-1][0] == loser
+    assert warm._select_from_pool(pool(), profiles.get)[-1][0] == loser
     warm.join(descriptors(CANDIDATES))
     assert table(warm) == table(fresh)
 
@@ -230,7 +226,7 @@ def test_message_driven_hit_equals_recompute(subs, later, ops):
             elif op[0] == "silence":
                 # A neighbour silent for the whole staleness threshold is
                 # evicted by the next tick's heartbeat step.
-                node.rt.replace([(Descriptor(op[1], SPACE.node_id(op[1]), 0), LinkKind.FRIEND)])
+                node.rt.replace([(op[1], SPACE.node_id(op[1]), 0, LinkKind.FRIEND)])
                 for entry in node.rt:
                     entry.age = CONFIG.STALENESS_THRESHOLD
                 node._tick()

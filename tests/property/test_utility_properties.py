@@ -1,11 +1,15 @@
 """Property-based tests for the Eq. 1 utility function."""
 
 import math
+import random
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import VitisConfig
+from repro.core.identifiers import IdSpace
+from repro.core.node import VitisNode
 from repro.core.profile import NodeProfile
 from repro.core.utility import PublicationRates, UtilityFunction
 
@@ -21,6 +25,17 @@ any_rate_arrays = st.one_of(
     st.lists(st.floats(min_value=0.0, allow_infinity=False),
              min_size=N_TOPICS, max_size=N_TOPICS),
     st.lists(st.floats(), min_size=N_TOPICS, max_size=N_TOPICS),
+)
+
+#: Mixed magnitudes, so that a compensated sum and a left-to-right one
+#: round differently.
+wide_rate_arrays = st.lists(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=1e20, allow_nan=False),
+        st.sampled_from([1e16, 1.0, 0.1, 3.0]),
+    ),
+    min_size=N_TOPICS,
+    max_size=N_TOPICS,
 )
 
 
@@ -112,3 +127,51 @@ class TestRateWeightedProperties:
         first = f(prof(0, a), prof(1, b))
         second = f(prof(0, a), prof(1, b))
         assert first == second
+
+
+def numpy_sum(rates, topics):
+    """Σ rate(t) as the numpy-array code added it (builtin ``sum()`` of
+    ``np.float64`` scalars, which are no exact floats, so no compensated
+    path): one plain ``np.float64`` add per topic, in iteration order."""
+    total = np.float64(0.0)
+    for t in topics:
+        total = total + rates[t]
+    return float(total)
+
+
+def reference_eq1(rates, a, b):
+    """Eq. 1 with :func:`numpy_sum`, the intersection walked over the
+    smaller set's iteration order."""
+    sa, sb = a.subscriptions, b.subscriptions
+    if len(sa) > len(sb):
+        sa, sb = sb, sa
+    inter = numpy_sum(rates, [t for t in sa if t in sb])
+    union = numpy_sum(rates, a.subscriptions) + numpy_sum(rates, b.subscriptions) - inter
+    return inter / union if union > 0 else 0.0
+
+
+class TestLeftToRightSums:
+    """Eq. 1 adds the same way on every interpreter: bit for bit the
+    numpy-scalar sums, through the pair cache, the memo a node fills
+    and the per-node sum.
+
+    Mutation-checked: builtin ``sum()`` over the float list in place of
+    the ``+=`` loop, in ``evaluate`` or in ``_node_sum``, fails the
+    explicit example on Python 3.12+ (``sum()`` of floats is compensated
+    there and gives 1e16 + 2 for 1e16 + 1.0 + 1.0)."""
+
+    @given(topic_sets, topic_sets, wide_rate_arrays)
+    @example(frozenset({0, 1, 2}), frozenset({0, 1, 2, 3}), [1e16] + [1.0] * (N_TOPICS - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_numpy_scalar_sums(self, a, b, rates):
+        table = np.array(rates)
+        pa, pb = prof(0, a), prof(1, b)
+        f = UtilityFunction(PublicationRates(table))
+        assert f(pa, pb).hex() == reference_eq1(table, pa, pb).hex()
+        assert f._node_sum(pb).hex() == numpy_sum(table, pb.subscriptions).hex()
+        # The memo a node fills: a candidate sharing its id fills no ring
+        # slot, so with no small-world link it goes straight to ranking.
+        node = VitisNode(0, 0, a, VitisConfig(rt_size=3, n_sw_links=0), IdSpace(8),
+                         UtilityFunction(PublicationRates(table)), random.Random(0))
+        node._select_from_pool({1: (1, 0, 0)}, {1: pb}.get)
+        assert (-node._umemo[1]).hex() == reference_eq1(table, node.profile, pb).hex()

@@ -18,7 +18,7 @@ def ring_picks(space, self_id, cands, address=0):
     node = VitisNode(address, self_id, (), VitisConfig(rt_size=3, n_sw_links=0),
                      space, UtilityFunction(), random.Random(0))
     pool = {a: (a, i, 0) for a, i in cands}
-    picks = {kind: d.address for d, kind in node._select_from_pool(pool, lambda a: None)}
+    picks = {kind: a for a, _, _, kind in node._select_from_pool(pool, lambda a: None)}
     return picks.get(LinkKind.SUCCESSOR), picks.get(LinkKind.PREDECESSOR)
 
 

@@ -68,7 +68,7 @@ def sw_pick(cands, u, n_estimate):
                      IdSpace(8), UtilityFunction(), _Draw(u))
     node.n_estimate = n_estimate
     pool = {a: (a, i, 0) for a, i in [(1, 1), (2, 255)] + cands}
-    picks = {kind: d.address for d, kind in node._select_from_pool(pool, lambda a: None)}
+    picks = {kind: a for a, _, _, kind in node._select_from_pool(pool, lambda a: None)}
     return picks.get(LinkKind.SW)
 
 

@@ -286,7 +286,7 @@ _HASHSEED = ("fig10", "chaos_sweep")
 
 
 def _pairs(workload: str, layers: str) -> str:
-    return (f"python {{repo}}/tools/perf_pairs.py --parent HEAD --workload {workload}"
+    return (f"python {{repo}}/tools/perf_pairs.py --parent {{repo}} --workload {workload}"
             f" --seeds 1..2 --quick --layers {layers}")
 
 
@@ -356,7 +356,8 @@ ENTRIES: Dict[str, Entry] = {
     "perf-quick": Entry(("python {repo}/benchmarks/perf/run.py --quick --seed 1",),
                         pin=_perf_pin),
     "perf-trace": Entry(("python {repo}/benchmarks/perf/run.py --quick --seed 1 --trace 1",)),
-    # The pair runner, HEAD against itself.  A pair requires equal .calls,
+    # The pair runner, the checkout against a copy of itself (no git
+    # needed, so it runs in an exported tree).  A pair requires equal .calls,
     # so --layers names boundaries whose counts do not move by design (not
     # udp_pair's wire.decode: one ack per drained batch; not publish_faulty's
     # MessageLoss.drop: the flood draws its trials in place).

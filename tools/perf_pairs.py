@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of contract-benchmark workloads.
 
-    python tools/perf_pairs.py --parent <git-ref> --workload W[,W2,...] --seeds A..B
+    python tools/perf_pairs.py --parent <git-ref|dir> --workload W[,W2,...] --seeds A..B
                                [--quick] [--sha-may-differ] [--layers a,b,...]
 
-Extracts ``<git-ref>`` (``git archive``) into a temporary directory and,
+Extracts ``<git-ref>`` (``git archive``) into a temporary directory, or
+copies ``<dir>`` there when the parent is an existing directory (no git
+checkout needed), and,
 for every named workload in turn (one block each) and every seed, runs
 the *unchanged* ``benchmarks/perf/run.py --workload W --seed N`` there
 and in this checkout (uncommitted edits included), alternating which
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -154,7 +157,8 @@ def run_pairs(sides: dict, workload: str, seeds: range, args) -> list:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", required=True, help="git ref of the parent commit")
+    ap.add_argument("--parent", required=True,
+                    help="git ref of the parent commit, or a directory holding its tree")
     ap.add_argument("--workload", required=True,
                     help="one workload, or several comma-separated: one block each, in turn")
     ap.add_argument("--seeds", required=True, help="inclusive range A..B")
@@ -170,11 +174,15 @@ def main(argv=None) -> int:
     mismatches = []
     with tempfile.TemporaryDirectory(prefix="perf_pairs_") as tmp:
         sides["parent"] = Path(tmp) / "parent"
-        sides["parent"].mkdir()
-        archive = subprocess.run(
-            ["git", "archive", args.parent], cwd=ROOT, check=True, stdout=subprocess.PIPE
-        ).stdout
-        subprocess.run(["tar", "-x", "-C", str(sides["parent"])], input=archive, check=True)
+        if Path(args.parent).is_dir():
+            shutil.copytree(args.parent, sides["parent"],
+                            ignore=shutil.ignore_patterns(".git", "__pycache__"))
+        else:
+            sides["parent"].mkdir()
+            archive = subprocess.run(
+                ["git", "archive", args.parent], cwd=ROOT, check=True, stdout=subprocess.PIPE
+            ).stdout
+            subprocess.run(["tar", "-x", "-C", str(sides["parent"])], input=archive, check=True)
         for workload in args.workload.split(","):
             mismatches += run_pairs(sides, workload, range(first, last + 1), args)
     for line in mismatches:
